@@ -34,7 +34,6 @@
 //! writes from the blocks themselves where the WAL lost them — and check
 //! the rolling state root against every recovered block header.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use ledgerview_crypto::sha256::Digest;
@@ -49,8 +48,7 @@ use crate::ledger::Block;
 use crate::merkle::MerkleProof;
 use crate::pool::WorkerPool;
 use crate::statedb::{EntryVisitor, Version, VersionedState};
-use crate::storage::{encode_wal_record, StateBackend, StorageConfig, WalRecord, STATE_WAL_FILE};
-use crate::validation::state_root_from_block;
+use crate::storage::{encode_wal_record, recover_tail, RecoveredTail, StateBackend, StorageConfig};
 use crate::wire::{Reader, Writer};
 
 /// Subdirectory (inside the storage dir) holding the LSM tree.
@@ -463,7 +461,7 @@ impl LsmBackend {
         // far the flushed state reaches.
         let (mut state, meta_bytes) = LsmState::open(lsm_config)?;
         let meta = meta_bytes.as_deref().map(decode_lsm_meta).transpose()?;
-        let (flushed_height, mut root, mut last_timestamp_us) = match &meta {
+        let (flushed_height, flushed_root, flushed_timestamp_us) = match &meta {
             Some(m) => {
                 if state.state_digest() != m.state_digest {
                     return Err(FabricError::Storage(
@@ -475,82 +473,18 @@ impl LsmBackend {
             None => (0, Digest::ZERO, 0),
         };
 
-        // 2. Surviving blocks (torn tail already truncated by the store).
-        let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, 0)?;
-        let raw = blocks_file.read_all()?;
-        let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i]));
-        let mut blocks = Vec::with_capacity(decoded.len());
-        for (i, block) in decoded.into_iter().enumerate() {
-            blocks.push(
-                block.map_err(|e| {
-                    FabricError::Storage(format!("block {i} failed to decode: {e}"))
-                })?,
-            );
-        }
-        let tip = blocks.len() as u64;
-        // The LSM flush happens only after the block file is synced to the
-        // same height, so a manifest ahead of the blocks is corruption.
-        if flushed_height > tip {
-            return Err(FabricError::Storage(format!(
-                "lsm flushed through height {flushed_height} but block file ends at {tip}"
-            )));
-        }
-
-        // 3. Surviving WAL records: drop records for blocks the block file
-        // lost, skip records already absorbed by the flushed LSM.
-        let (mut wal, raw_records) = Wal::open_segmented(
-            config.dir.join(STATE_WAL_FILE),
-            config.fsync,
-            config.wal_segment_bytes,
-        )
-        .map_err(StoreError::Io)?;
-        let mut keep = 0usize;
-        let mut by_block: HashMap<u64, Vec<WalRecord>> = HashMap::new();
-        for raw in &raw_records {
-            let record = WalRecord::decode(raw)?;
-            if record.block_num >= tip {
-                break;
-            }
-            keep += 1;
-            if record.block_num >= flushed_height {
-                by_block.entry(record.block_num).or_default().push(record);
-            }
-        }
-        if keep < raw_records.len() {
-            wal.truncate_records(keep).map_err(StoreError::Io)?;
-        }
-
-        // 4. Replay blocks beyond the flush point — WAL records where
-        // coverage is complete, the blocks' own write sets otherwise — and
-        // verify the rolling root against every replayed header.
-        for block in blocks.iter().skip(flushed_height as usize) {
-            let h = block.header.number;
-            let valid_count = block.validity.iter().filter(|v| **v).count();
-            match by_block.get(&h) {
-                Some(records) if records.len() == valid_count => {
-                    for record in records {
-                        record.apply(&mut state);
-                    }
-                }
-                _ => {
-                    for (i, tx) in block.transactions.iter().enumerate() {
-                        if !block.validity[i] {
-                            continue;
-                        }
-                        WalRecord::from_block_tx(h, i as u32, tx).apply(&mut state);
-                    }
-                }
-            }
-            root = state_root_from_block(&root, block);
-            if root != block.header.state_root {
-                return Err(FabricError::Storage(format!(
-                    "recovered state root mismatch at block {h}"
-                )));
-            }
-        }
-        if let Some(block) = blocks.last() {
-            last_timestamp_us = block.header.timestamp_us;
-        }
+        // 2. Surviving blocks and WAL records, replayed over the flushed
+        // state and verified against every replayed header.
+        let RecoveredTail {
+            blocks_file,
+            wal,
+            blocks,
+            tip,
+            root,
+        } = recover_tail(&config, pool, 0, flushed_height, &mut state, flushed_root)?;
+        let last_timestamp_us = blocks
+            .last()
+            .map_or(flushed_timestamp_us, |block| block.header.timestamp_us);
 
         let backend = LsmBackend {
             state,

@@ -416,6 +416,125 @@ impl ChainSnapshot {
     }
 }
 
+/// What [`recover_tail`] hands back to a backend's `open`.
+pub(crate) struct RecoveredTail {
+    pub blocks_file: BlockFile,
+    pub wal: Wal,
+    /// Every surviving block in height order, starting at the store's base.
+    pub blocks: Vec<Block>,
+    /// Absolute height one past the last surviving block.
+    pub tip: u64,
+    /// Rolling state root after the last surviving block.
+    pub root: Digest,
+}
+
+/// The recovery tail every disk-backed backend shares, run once the
+/// backend has loaded whatever it persists *as state* (a checkpoint
+/// snapshot, the flushed LSM): `state` reflects every block below
+/// `replay_from` and `root` is the rolling state root at that height.
+/// `base` is the first block height the store is expected to hold.
+pub(crate) fn recover_tail(
+    config: &StorageConfig,
+    pool: &WorkerPool,
+    base: u64,
+    replay_from: u64,
+    state: &mut dyn VersionedState,
+    mut root: Digest,
+) -> Result<RecoveredTail, FabricError> {
+    // Surviving blocks (torn tail already truncated by the store).
+    let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, base)?;
+    if blocks_file.base() != base {
+        return Err(FabricError::Storage(format!(
+            "block file starts at height {} but the persisted state claims base {base}",
+            blocks_file.base()
+        )));
+    }
+    let raw = blocks_file.read_all()?;
+    let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i]));
+    let mut blocks = Vec::with_capacity(decoded.len());
+    for (i, block) in decoded.into_iter().enumerate() {
+        blocks.push(
+            block.map_err(|e| FabricError::Storage(format!("block {i} failed to decode: {e}")))?,
+        );
+    }
+    let tip = base + blocks.len() as u64;
+    // State is persisted only after the block file is synced to the same
+    // height, so persisted state ahead of the block file cannot result from
+    // a crash: it is corruption, not damage to repair. State below the base
+    // is corruption too, and would underflow the replay's skip count.
+    if replay_from < base || replay_from > tip {
+        return Err(FabricError::Storage(format!(
+            "state persisted through height {replay_from} but block file spans {base}..{tip}"
+        )));
+    }
+
+    // Surviving WAL records, grouped by block. Records at or beyond the
+    // block tip describe blocks the block file lost in the crash — they are
+    // truncated away so the log matches the ledger. Records below
+    // `replay_from` linger only if the crash hit between persisting the
+    // state and resetting the WAL; the state already holds them, so they
+    // are skipped.
+    let (mut wal, raw_records) = Wal::open_segmented(
+        config.dir.join(STATE_WAL_FILE),
+        config.fsync,
+        config.wal_segment_bytes,
+    )
+    .map_err(StoreError::Io)?;
+    let mut keep = 0usize;
+    let mut by_block: HashMap<u64, Vec<WalRecord>> = HashMap::new();
+    for raw in &raw_records {
+        let record = WalRecord::decode(raw)?;
+        if record.block_num >= tip {
+            break;
+        }
+        keep += 1;
+        if record.block_num >= replay_from {
+            by_block.entry(record.block_num).or_default().push(record);
+        }
+    }
+    if keep < raw_records.len() {
+        wal.truncate_records(keep).map_err(StoreError::Io)?;
+    }
+
+    // Replay blocks from `replay_from`: WAL records where the block's
+    // coverage is complete, the block's own write sets where the WAL lost
+    // them. Both derive the same writes; re-deriving the rolling root per
+    // block and checking it against the stored header verifies the
+    // replayed state against the block store.
+    for block in blocks.iter().skip((replay_from - base) as usize) {
+        let h = block.header.number;
+        let valid_count = block.validity.iter().filter(|v| **v).count();
+        match by_block.get(&h) {
+            Some(records) if records.len() == valid_count => {
+                for record in records {
+                    record.apply(state);
+                }
+            }
+            _ => {
+                for (i, tx) in block.transactions.iter().enumerate() {
+                    if !block.validity[i] {
+                        continue;
+                    }
+                    WalRecord::from_block_tx(h, i as u32, tx).apply(state);
+                }
+            }
+        }
+        root = state_root_from_block(&root, block);
+        if root != block.header.state_root {
+            return Err(FabricError::Storage(format!(
+                "recovered state root mismatch at block {h}"
+            )));
+        }
+    }
+    Ok(RecoveredTail {
+        blocks_file,
+        wal,
+        blocks,
+        tip,
+        root,
+    })
+}
+
 /// Metric handles for the durable commit path, resolved once when
 /// telemetry attaches. The WAL append histogram includes the policy fsync,
 /// so under `FsyncPolicy::Always` it *is* the group-commit latency.
@@ -505,40 +624,12 @@ impl DurableBackend {
             .as_ref()
             .map(|cp| decode_meta(&cp.meta))
             .transpose()?;
-        let base_hint = meta.as_ref().map(|m| m.base_height).unwrap_or(0);
+        let base = meta.as_ref().map(|m| m.base_height).unwrap_or(0);
 
-        // 2. Surviving blocks (torn tail already truncated by the store).
-        let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, base_hint)?;
-        let base = blocks_file.base();
-        if base != base_hint {
-            return Err(FabricError::Storage(format!(
-                "block file starts at height {base} but checkpoint claims base {base_hint}"
-            )));
-        }
-        let raw = blocks_file.read_all()?;
-        let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i]));
-        let mut blocks = Vec::with_capacity(decoded.len());
-        for (i, block) in decoded.into_iter().enumerate() {
-            blocks.push(
-                block.map_err(|e| {
-                    FabricError::Storage(format!("block {i} failed to decode: {e}"))
-                })?,
-            );
-        }
-        let tip = base + blocks.len() as u64;
-
-        // 3. Checkpoint state. A checkpoint ahead of the block file cannot
-        // result from a crash (the checkpoint fsyncs the block file before
-        // saving), so it is corruption, not damage to repair.
-        let (mut state, mut root, cp_height, base_prev_hash, mut last_timestamp_us) =
+        // 2. Checkpoint state, verified against its recorded digest.
+        let (mut state, cp_root, cp_height, base_prev_hash, cp_timestamp_us) =
             match (checkpoint, meta) {
                 (Some(cp), Some(m)) => {
-                    if cp.height > tip {
-                        return Err(FabricError::Storage(format!(
-                            "checkpoint at height {} but block file ends at {tip}",
-                            cp.height
-                        )));
-                    }
                     let state = decode_state(&cp.payload)?;
                     if state.state_digest() != m.state_digest {
                         return Err(FabricError::Storage(
@@ -553,77 +644,22 @@ impl DurableBackend {
                         m.timestamp_us,
                     )
                 }
-                _ => {
-                    if base != 0 {
-                        return Err(FabricError::Storage(format!(
-                            "pruned block file (base {base}) without a checkpoint"
-                        )));
-                    }
-                    (StateDb::new(), Digest::ZERO, 0, Digest::ZERO, 0)
-                }
+                _ => (StateDb::new(), Digest::ZERO, 0, Digest::ZERO, 0),
             };
 
-        // 4. Surviving WAL records, grouped by block. Records at or beyond
-        // the block tip describe blocks the block file lost in the crash —
-        // they are truncated away so the log matches the ledger. Records
-        // below the checkpoint height linger only if the crash hit between
-        // checkpoint save and WAL reset; they are already part of the
-        // snapshot and are skipped.
-        let (mut wal, raw_records) = Wal::open_segmented(
-            config.dir.join(STATE_WAL_FILE),
-            config.fsync,
-            config.wal_segment_bytes,
-        )
-        .map_err(StoreError::Io)?;
-        let mut keep = 0usize;
-        let mut by_block: HashMap<u64, Vec<WalRecord>> = HashMap::new();
-        for raw in &raw_records {
-            let record = WalRecord::decode(raw)?;
-            if record.block_num >= tip {
-                break;
-            }
-            keep += 1;
-            if record.block_num >= cp_height {
-                by_block.entry(record.block_num).or_default().push(record);
-            }
-        }
-        if keep < raw_records.len() {
-            wal.truncate_records(keep).map_err(StoreError::Io)?;
-        }
-
-        // 5. Replay blocks beyond the checkpoint: WAL records where the
-        // block's coverage is complete, the block's own write sets where the
-        // WAL lost them. Both derive the same writes; re-deriving the
-        // rolling root per block and checking it against the stored header
-        // verifies the replayed state against the block store.
-        for block in blocks.iter().skip((cp_height - base) as usize) {
-            let h = block.header.number;
-            let valid_count = block.validity.iter().filter(|v| **v).count();
-            match by_block.get(&h) {
-                Some(records) if records.len() == valid_count => {
-                    for record in records {
-                        record.apply(&mut state);
-                    }
-                }
-                _ => {
-                    for (i, tx) in block.transactions.iter().enumerate() {
-                        if !block.validity[i] {
-                            continue;
-                        }
-                        WalRecord::from_block_tx(h, i as u32, tx).apply(&mut state);
-                    }
-                }
-            }
-            root = state_root_from_block(&root, block);
-            if root != block.header.state_root {
-                return Err(FabricError::Storage(format!(
-                    "recovered state root mismatch at block {h}"
-                )));
-            }
-        }
-        if let Some(block) = blocks.last() {
-            last_timestamp_us = block.header.timestamp_us;
-        }
+        // 3. Surviving blocks and WAL records, replayed over the checkpoint
+        // and verified against every replayed header. A pruned block file
+        // without a checkpoint fails the base check (no checkpoint ⇒ base 0).
+        let RecoveredTail {
+            blocks_file,
+            wal,
+            blocks,
+            tip,
+            root,
+        } = recover_tail(&config, pool, base, cp_height, &mut state, cp_root)?;
+        let last_timestamp_us = blocks
+            .last()
+            .map_or(cp_timestamp_us, |block| block.header.timestamp_us);
 
         let backend = DurableBackend {
             state,

@@ -16,26 +16,39 @@
 //!
 //! # 2PC over Raft
 //!
-//! A cross-shard transfer `t` from account `src` (shard A) to `dst`
-//! (shard B) runs as a per-transfer state machine:
+//! There is one protocol driver, and what it drives is an *operation*
+//! ([`OpSpec`]): a request id, a list of participant legs (routing key,
+//! chaincode, prepare function and arguments), and one `direct`
+//! transaction. When every leg routes to the same shard the `direct`
+//! transaction runs there atomically and no 2PC cost is paid. Otherwise
+//! the operation runs as a per-operation state machine, coordinated from
+//! the first leg's shard:
 //!
 //! 1. **begin** — the coordinator record (`CoordinatorContract`) is
-//!    written on the *source* shard's channel, ordered through its Raft
-//!    log. The transfer's trace is minted here.
-//! 2. **prepare** — `prepare_debit` on A reserves the funds under a lock;
-//!    `prepare_credit` on B records the intent. An endorsement rejection
-//!    is a NO vote; an MVCC invalidation is neither vote — the leg is
-//!    re-driven until it commits decisively.
-//! 3. **decide** — once both votes are in, the decision is written to the
+//!    written on the *coordinating* shard's channel, ordered through its
+//!    Raft log. The operation's trace is minted here.
+//! 2. **prepare** — each leg's prepare function runs on its shard as
+//!    `(op_id, args…)` and reserves its effects under the op id. An
+//!    endorsement rejection is a NO vote; an MVCC invalidation is neither
+//!    vote — the leg is re-driven until it commits decisively.
+//! 3. **decide** — once every vote is in, the decision is written to the
 //!    coordinator record *and replicated through Raft* before any
 //!    acknowledgement: a decision that survives only in the
 //!    orchestrator's memory could be lost with a crashed leader, but a
 //!    decision in the Raft log survives any minority failure.
-//! 4. **finalize** — `commit`/`abort` legs on both shards. A leg
-//!    invalidated by a concurrent balance write is re-driven *from the
+//! 4. **finalize** — `commit`/`abort` legs on every participant shard. A
+//!    leg invalidated by a concurrent write is re-driven *from the
 //!    replicated decision record* (the coordinator-recovery path): the
 //!    orchestrator re-reads the on-chain decision and re-submits, so an
 //!    in-doubt request always terminates even across failover.
+//!
+//! A transfer is the driver's first client, not a second protocol:
+//! [`ShardedDeployment::schedule_transfer`] builds the `OpSpec` a caller
+//! could have written by hand — `prepare_debit` on the source account's
+//! shard, `prepare_credit` on the destination's, `transfer` as the direct
+//! transaction — and keeps only the fields [`TransferRecord`] reports.
+//! Scenario crates (the TPC-C workload) hand their own specs to
+//! [`ShardedDeployment::schedule_op`] and ride the same state machine.
 //!
 //! Participant terminal states are idempotent (see
 //! `ledgerview_crosschain::contracts`), so crash-replayed decisions and
@@ -69,17 +82,17 @@ use crate::metrics::ShardMetrics;
 /// Span stages for the 2PC phases, disjoint from the cluster pipeline's
 /// (`ledgerview_cluster::cluster::stage`). Every per-shard leg submits
 /// with a context parented under its phase span, so one cross-shard
-/// transfer renders as a single Perfetto trace spanning all shard lanes.
+/// operation renders as a single Perfetto trace spanning all shard lanes.
 pub mod stage {
-    /// Coordinator `begin` on the source shard.
+    /// Coordinator `begin` on the coordinating shard.
     pub const BEGIN: u64 = 0x2000;
-    /// The prepare fan-out (both shards).
+    /// The prepare fan-out (every participant shard).
     pub const PREPARE: u64 = 0x2001;
     /// The replicated decision write.
     pub const DECIDE: u64 = 0x2002;
     /// The commit/abort fan-out.
     pub const FINALIZE: u64 = 0x2003;
-    /// A single-shard (non-2PC) transfer.
+    /// A single-shard operation's direct (non-2PC) transaction.
     pub const LOCAL: u64 = 0x2004;
 }
 
@@ -178,7 +191,7 @@ pub enum ShardError {
     NotConverged {
         /// The deadline that expired.
         deadline: SimTime,
-        /// Transfers still in flight.
+        /// Operations (transfers included) still in flight.
         inflight: usize,
     },
     /// Global conservation was violated: Σ balances + Σ locks ≠ Σ opened.
@@ -202,7 +215,7 @@ impl std::fmt::Display for ShardError {
             }
             ShardError::NotConverged { deadline, inflight } => write!(
                 f,
-                "not converged by {deadline:?}: {inflight} transfers in flight"
+                "not converged by {deadline:?}: {inflight} operations in flight"
             ),
             ShardError::Conservation { expected, actual } => write!(
                 f,
@@ -272,7 +285,7 @@ pub struct ShardReport {
     pub aborted: u64,
     /// Admission-shed transfers.
     pub shed: u64,
-    /// Total leg re-drives across all transfers.
+    /// Total leg re-drives across all operations, transfers included.
     pub redrives: u64,
     /// Transactions committed on every shard combined (all workloads).
     pub total_txs: u64,
@@ -299,11 +312,12 @@ pub struct OpLeg {
     pub args: Vec<Vec<u8>>,
 }
 
-/// A generic operation scheduled through the deployment's router and —
-/// when its legs land on different shards — its 2PC orchestrator. This is
-/// the transfer machinery generalized: scenario crates (e.g. the TPC-C
-/// workload) describe their multi-shard transactions as an `OpSpec`
-/// instead of forking the deployment.
+/// An operation scheduled through the deployment's router and — when its
+/// legs land on different shards — its 2PC orchestrator. This is the one
+/// thing the driver runs: a transfer is an `OpSpec` built by
+/// [`ShardedDeployment::schedule_transfer`], and scenario crates (e.g.
+/// the TPC-C workload) describe their multi-shard transactions as an
+/// `OpSpec` instead of forking the deployment.
 #[derive(Clone, Debug)]
 pub struct OpSpec {
     /// Unique request id; shares the coordinator namespace with transfers
@@ -364,44 +378,30 @@ struct Op {
     prepare_started_us: u64,
     decide_started_us: u64,
     finalize_started_us: u64,
-    no_reason: Option<String>,
-}
-
-#[derive(Clone, Debug)]
-enum XferState {
-    WaitLocal,
-    WaitBegin,
-    Preparing { votes: [Option<bool>; 2] },
-    WaitDecide { commit: bool },
-    Finalizing { commit: bool, remaining: Vec<usize> },
-    Done,
-}
-
-struct Xfer {
-    rec: TransferRecord,
-    ctx: TraceContext,
-    state: XferState,
-    submitted_us: u64,
-    prepare_started_us: u64,
-    decide_started_us: u64,
-    finalize_started_us: u64,
     /// First NO-vote reason, if any.
     no_reason: Option<String>,
+}
+
+/// What is transfer-specific about a transfer: the fields
+/// [`TransferRecord`] reports beyond the op's own record. Status and
+/// re-drives live on the op it points at, and the two shards are its
+/// legs' (source first).
+struct TransferMeta {
+    /// Index of the transfer's op in `ShardedDeployment::ops`.
+    op: usize,
+    src: String,
+    dst: String,
+    amount: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
 enum TagKind {
     Open { shard: usize, amount: u64 },
-    Local { t: usize },
-    Begin { t: usize },
-    Prepare { t: usize, leg: usize },
-    Decide { t: usize },
-    Finalize { t: usize, leg: usize },
-    OpDirect { o: usize },
-    OpBegin { o: usize },
-    OpPrepare { o: usize, leg: usize },
-    OpDecide { o: usize },
-    OpFinalize { o: usize, leg: usize },
+    Direct { o: usize },
+    Begin { o: usize },
+    Prepare { o: usize, leg: usize },
+    Decide { o: usize },
+    Finalize { o: usize, leg: usize },
 }
 
 /// The sharded multi-channel deployment. See the module docs for the
@@ -411,12 +411,14 @@ pub struct ShardedDeployment {
     clusters: Vec<ClusterSim>,
     router: ShardRouter,
     now: SimTime,
-    xfers: Vec<Xfer>,
+    /// Every operation the driver runs, transfers included.
     ops: Vec<Op>,
+    /// One entry per `schedule_transfer` call, in call order.
+    transfers: Vec<TransferMeta>,
+    /// `ops` index of each `schedule_op` call, in call order.
+    scheduled_ops: Vec<usize>,
     tags: std::collections::BTreeMap<u64, TagKind>,
     next_tag: u64,
-    next_ordinal: u64,
-    next_op_ordinal: u64,
     opened_total: u64,
     redrives: u64,
     /// Leader kills awaiting a visible leader on their shard.
@@ -445,12 +447,11 @@ impl ShardedDeployment {
             clusters,
             router,
             now: SimTime::ZERO,
-            xfers: Vec::new(),
             ops: Vec::new(),
+            transfers: Vec::new(),
+            scheduled_ops: Vec::new(),
             tags: std::collections::BTreeMap::new(),
             next_tag: 0,
-            next_ordinal: 0,
-            next_op_ordinal: 0,
             opened_total: 0,
             redrives: 0,
             pending_kills: Vec::new(),
@@ -513,103 +514,63 @@ impl ShardedDeployment {
     /// Schedule in non-decreasing `at` order (admission buckets refill
     /// from the schedule clock).
     pub fn schedule_transfer(&mut self, at: SimTime, src: &str, dst: &str, amount: u64) -> usize {
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        let id = format!("t{ordinal}");
-        let src_key = format!("acct~{src}");
-        let dst_key = format!("acct~{dst}");
-        let admitted = self
-            .router
-            .admit([src_key.as_str(), dst_key.as_str()], at.as_micros());
-        let src_shard = self.router.map().shard_for_key(&src_key);
-        let dst_shard = self.router.map().shard_for_key(&dst_key);
-        // The transfer's root trace context: every phase span and every
-        // per-shard leg parents under it.
-        let ctx = TraceContext::root(self.cfg.seed ^ 0x7366_6572_5f32_7063, ordinal);
-        let mut xfer = Xfer {
-            rec: TransferRecord {
-                id: id.clone(),
-                src: src.to_string(),
-                dst: dst.to_string(),
-                amount,
-                src_shard,
-                dst_shard,
-                status: TransferStatus::InFlight,
-                redrives: 0,
-            },
-            ctx,
-            state: XferState::Done,
-            submitted_us: at.as_micros(),
-            prepare_started_us: 0,
-            decide_started_us: 0,
-            finalize_started_us: 0,
-            no_reason: None,
+        let ordinal = self.transfers.len() as u64;
+        let amount_be = amount.to_be_bytes().to_vec();
+        let leg = |acct: &str, prepare: &str| OpLeg {
+            key: format!("acct~{acct}"),
+            chaincode: TRANSFER_CC.to_string(),
+            prepare: prepare.to_string(),
+            args: vec![acct.as_bytes().to_vec(), amount_be.clone()],
         };
-        let t = self.xfers.len();
-        match admitted {
-            Err(_) => {
-                xfer.rec.status = TransferStatus::Shed;
-                if let Some(m) = &self.metrics {
-                    m.aborts_admission.inc();
-                }
-                self.xfers.push(xfer);
-                return t;
-            }
-            Ok(Route::Single(_)) => {
-                xfer.state = XferState::WaitLocal;
-                if let Some(m) = &self.metrics {
-                    m.transfers_single.inc();
-                }
-                self.xfers.push(xfer);
-                let tag = self.mint_tag(TagKind::Local { t });
-                let args = vec![
+        let spec = OpSpec {
+            id: format!("t{ordinal}"),
+            direct: (
+                TRANSFER_CC.to_string(),
+                "transfer".to_string(),
+                vec![
                     src.as_bytes().to_vec(),
                     dst.as_bytes().to_vec(),
-                    amount.to_be_bytes().to_vec(),
-                ];
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
-                self.clusters[src_shard].schedule_call(
-                    at,
-                    TRANSFER_CC,
-                    "transfer",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-            Ok(Route::Cross(_)) => {
-                xfer.state = XferState::WaitBegin;
-                if let Some(m) = &self.metrics {
-                    m.transfers_cross.inc();
-                }
-                self.xfers.push(xfer);
-                let tag = self.mint_tag(TagKind::Begin { t });
-                let args = vec![id.into_bytes()];
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::BEGIN));
-                self.clusters[src_shard].schedule_call(
-                    at,
-                    COORDINATOR_CC,
-                    "begin",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-        }
-        t
+                    amount_be.clone(),
+                ],
+            ),
+            legs: vec![leg(src, "prepare_debit"), leg(dst, "prepare_credit")],
+        };
+        // Transfers keep their own root salt and ordinal: a transfer's
+        // trace ids — which travel in every leg's wire bytes — must not
+        // depend on how many `schedule_op` calls are interleaved with it.
+        let ctx = TraceContext::root(self.cfg.seed ^ 0x7366_6572_5f32_7063, ordinal);
+        let op = self.start_op(at, spec, ctx);
+        self.transfers.push(TransferMeta {
+            op,
+            src: src.to_string(),
+            dst: dst.to_string(),
+            amount,
+        });
+        self.transfers.len() - 1
     }
 
-    /// Schedule a generic operation. Routed by its legs' keys: all on one
-    /// shard ⇒ the `direct` transaction runs atomically there; spread
-    /// across shards ⇒ the full 2PC protocol over each leg's participant
+    /// Schedule an operation. Routed by its legs' keys: all on one shard
+    /// ⇒ the `direct` transaction runs atomically there; spread across
+    /// shards ⇒ the full 2PC protocol over each leg's participant
     /// chaincode, coordinated from the first leg's shard. Returns the op's
     /// index (see [`ShardedDeployment::op`]).
     ///
     /// Schedule in non-decreasing `at` order, interleaved freely with
     /// transfers (both share the router's admission buckets).
     pub fn schedule_op(&mut self, at: SimTime, spec: OpSpec) -> usize {
-        let ordinal = self.next_op_ordinal;
-        self.next_op_ordinal += 1;
+        let ordinal = self.scheduled_ops.len() as u64;
+        // A salt disjoint from the transfers', so op traces never collide
+        // with transfer traces under the same seed.
+        let ctx = TraceContext::root(self.cfg.seed ^ 0x6F70_5F32_7063_3031, ordinal);
+        let op = self.start_op(at, spec, ctx);
+        self.scheduled_ops.push(op);
+        self.scheduled_ops.len() - 1
+    }
+
+    /// Admit and route `spec`, submit its first transaction (the direct
+    /// one, or the coordinator `begin`), and return its index in `ops`.
+    /// Every phase span and every per-shard leg parents under `ctx`.
+    fn start_op(&mut self, at: SimTime, spec: OpSpec, ctx: TraceContext) -> usize {
         let admitted = self
             .router
             .admit(spec.legs.iter().map(|l| l.key.as_str()), at.as_micros());
@@ -624,9 +585,6 @@ impl ShardedDeployment {
             })
             .collect();
         let coordinator_shard = legs.first().map(|l| l.shard).unwrap_or(0);
-        // A salt disjoint from the transfer path's, so op traces never
-        // collide with transfer traces under the same seed.
-        let ctx = TraceContext::root(self.cfg.seed ^ 0x6F70_5F32_7063_3031, ordinal);
         let mut op = Op {
             rec: OpRecord {
                 id: spec.id.clone(),
@@ -664,9 +622,8 @@ impl ShardedDeployment {
                     m.transfers_single.inc();
                 }
                 self.ops.push(op);
-                let tag = self.mint_tag(TagKind::OpDirect { o });
+                let tag = self.mint_tag(TagKind::Direct { o });
                 let (cc, function, args) = self.ops[o].direct.clone();
-                let ctx = self.ops[o].ctx;
                 let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
                 self.clusters[shard].schedule_call(at, &cc, &function, args, tag, Some(leg_ctx));
             }
@@ -677,9 +634,8 @@ impl ShardedDeployment {
                     m.transfers_cross.inc();
                 }
                 self.ops.push(op);
-                let tag = self.mint_tag(TagKind::OpBegin { o });
+                let tag = self.mint_tag(TagKind::Begin { o });
                 let args = vec![spec.id.into_bytes()];
-                let ctx = self.ops[o].ctx;
                 let leg_ctx = ctx.with_parent(ctx.span_id(stage::BEGIN));
                 self.clusters[coordinator_shard].schedule_call(
                     at,
@@ -696,12 +652,15 @@ impl ShardedDeployment {
 
     /// One scheduled op's record.
     pub fn op(&self, idx: usize) -> &OpRecord {
-        &self.ops[idx].rec
+        &self.ops[self.scheduled_ops[idx]].rec
     }
 
     /// Every scheduled op's record, in schedule order.
     pub fn op_records(&self) -> Vec<OpRecord> {
-        self.ops.iter().map(|o| o.rec.clone()).collect()
+        self.scheduled_ops
+            .iter()
+            .map(|&o| self.ops[o].rec.clone())
+            .collect()
     }
 
     /// Schedule a [`Fault`] on one shard's cluster.
@@ -730,7 +689,7 @@ impl ShardedDeployment {
     }
 
     /// Run lock-step slices until every cluster is quiescent and every
-    /// transfer terminal, or fail at `deadline`.
+    /// operation terminal, or fail at `deadline`.
     pub fn run_until_converged(&mut self, deadline: SimTime) -> Result<SimTime, ShardError> {
         loop {
             if self.converged() {
@@ -739,16 +698,7 @@ impl ShardedDeployment {
             if self.now >= deadline {
                 return Err(ShardError::NotConverged {
                     deadline,
-                    inflight: self
-                        .xfers
-                        .iter()
-                        .filter(|x| x.rec.status == TransferStatus::InFlight)
-                        .count()
-                        + self
-                            .ops
-                            .iter()
-                            .filter(|o| o.rec.status == TransferStatus::InFlight)
-                            .count(),
+                    inflight: self.inflight().count(),
                 });
             }
             let next = (self.now + self.cfg.slice).min(deadline);
@@ -756,22 +706,22 @@ impl ShardedDeployment {
         }
     }
 
+    /// Every non-terminal operation, transfers included.
+    fn inflight(&self) -> impl Iterator<Item = &Op> {
+        self.ops
+            .iter()
+            .filter(|o| o.rec.status == TransferStatus::InFlight)
+    }
+
     fn converged(&self) -> bool {
         self.pending_kills.is_empty()
-            && self
-                .xfers
-                .iter()
-                .all(|x| x.rec.status != TransferStatus::InFlight)
-            && self
-                .ops
-                .iter()
-                .all(|o| o.rec.status != TransferStatus::InFlight)
+            && self.inflight().next().is_none()
             && self.clusters.iter().all(|c| c.is_converged())
     }
 
     /// One orchestrator step at a lock-step boundary: resolve leader
     /// kills, drain every shard's outcomes in shard order, advance the
-    /// per-transfer state machines, sample queue depths.
+    /// per-operation state machines, sample queue depths.
     fn advance(&mut self) {
         let now = self.now;
         let mut kills = std::mem::take(&mut self.pending_kills);
@@ -810,29 +760,14 @@ impl ShardedDeployment {
         if let (Some(m), InvokeOutcome::Committed { valid }) = (&self.metrics, &outcome) {
             if valid.is_valid() {
                 let shard = match kind {
-                    TagKind::Open { shard, .. } => Some(shard),
-                    TagKind::Local { t } => Some(self.xfers[t].rec.src_shard),
-                    TagKind::Begin { t } | TagKind::Decide { t } => {
-                        Some(self.xfers[t].rec.src_shard)
-                    }
-                    TagKind::Prepare { t, leg } | TagKind::Finalize { t, leg } => {
-                        Some(if leg == 0 {
-                            self.xfers[t].rec.src_shard
-                        } else {
-                            self.xfers[t].rec.dst_shard
-                        })
-                    }
-                    TagKind::OpDirect { o } => Some(self.ops[o].direct_shard),
-                    TagKind::OpBegin { o } | TagKind::OpDecide { o } => {
-                        Some(self.ops[o].coordinator_shard)
-                    }
-                    TagKind::OpPrepare { o, leg } | TagKind::OpFinalize { o, leg } => {
-                        Some(self.ops[o].legs[leg].shard)
+                    TagKind::Open { shard, .. } => shard,
+                    TagKind::Direct { o } => self.ops[o].direct_shard,
+                    TagKind::Begin { o } | TagKind::Decide { o } => self.ops[o].coordinator_shard,
+                    TagKind::Prepare { o, leg } | TagKind::Finalize { o, leg } => {
+                        self.ops[o].legs[leg].shard
                     }
                 };
-                if let Some(shard) = shard {
-                    m.inc_txs(shard);
-                }
+                m.inc_txs(shard);
             }
         }
         match kind {
@@ -842,413 +777,15 @@ impl ShardedDeployment {
                 } => self.opened_total += amount,
                 other => self.errors.push(format!("open failed: {other:?}")),
             },
-            TagKind::Local { t } => self.on_local(t, outcome),
-            TagKind::Begin { t } => self.on_begin(t, outcome),
-            TagKind::Prepare { t, leg } => self.on_prepare(t, leg, outcome),
-            TagKind::Decide { t } => self.on_decide(t, outcome),
-            TagKind::Finalize { t, leg } => self.on_finalize(t, leg, outcome),
-            TagKind::OpDirect { o } => self.on_op_direct(o, outcome),
-            TagKind::OpBegin { o } => self.on_op_begin(o, outcome),
-            TagKind::OpPrepare { o, leg } => self.on_op_prepare(o, leg, outcome),
-            TagKind::OpDecide { o } => self.on_op_decide(o, outcome),
-            TagKind::OpFinalize { o, leg } => self.on_op_finalize(o, leg, outcome),
+            TagKind::Direct { o } => self.on_direct(o, outcome),
+            TagKind::Begin { o } => self.on_begin(o, outcome),
+            TagKind::Prepare { o, leg } => self.on_prepare(o, leg, outcome),
+            TagKind::Decide { o } => self.on_decide(o, outcome),
+            TagKind::Finalize { o, leg } => self.on_finalize(o, leg, outcome),
         }
     }
 
-    fn record_phase_span(&self, t: usize, name: &str, phase: u64, parent: u64, start_us: u64) {
-        let Some(m) = &self.metrics else { return };
-        let x = &self.xfers[t];
-        let ctx = if parent == 0 {
-            x.ctx
-        } else {
-            x.ctx.with_parent(x.ctx.span_id(parent))
-        };
-        m.telemetry.tracer().record_linked(
-            name,
-            start_us,
-            self.now.as_micros(),
-            m.coordinator_proc,
-            "2pc",
-            x.ctx.span_id(phase),
-            ctx,
-        );
-    }
-
-    fn on_local(&mut self, t: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_phase_span(
-                    t,
-                    "xfer.local",
-                    stage::LOCAL,
-                    0,
-                    self.xfers[t].submitted_us,
-                );
-                self.xfers[t].rec.status = TransferStatus::Committed;
-                self.xfers[t].state = XferState::Done;
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // The whole transfer failed atomically; re-drive it.
-                self.redrive(t);
-                let tag = self.mint_tag(TagKind::Local { t });
-                let x = &self.xfers[t];
-                let args = vec![
-                    x.rec.src.as_bytes().to_vec(),
-                    x.rec.dst.as_bytes().to_vec(),
-                    x.rec.amount.to_be_bytes().to_vec(),
-                ];
-                let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::LOCAL));
-                let shard = x.rec.src_shard;
-                self.clusters[shard].schedule_call(
-                    self.now,
-                    TRANSFER_CC,
-                    "transfer",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.abort_local(t, reason);
-            }
-        }
-    }
-
-    fn abort_local(&mut self, t: usize, reason: String) {
-        if let Some(m) = &self.metrics {
-            if reason.contains("insufficient") {
-                m.aborts_insufficient.inc();
-            } else {
-                m.aborts_vote.inc();
-            }
-        }
-        self.xfers[t].rec.status = TransferStatus::Aborted { reason };
-        self.xfers[t].state = XferState::Done;
-    }
-
-    fn on_begin(&mut self, t: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_phase_span(t, "2pc.begin", stage::BEGIN, 0, self.xfers[t].submitted_us);
-                self.xfers[t].state = XferState::Preparing {
-                    votes: [None, None],
-                };
-                self.xfers[t].prepare_started_us = self.now.as_micros();
-                self.send_prepare(t, 0);
-                self.send_prepare(t, 1);
-            }
-            other => {
-                // Request ids are unique, so begin can only fail on a bug;
-                // record it and abort the transfer without any leg ever
-                // having run.
-                self.errors
-                    .push(format!("begin({}) failed: {other:?}", self.xfers[t].rec.id));
-                self.xfers[t].rec.status = TransferStatus::Aborted {
-                    reason: "begin failed".into(),
-                };
-                self.xfers[t].state = XferState::Done;
-            }
-        }
-    }
-
-    fn send_prepare(&mut self, t: usize, leg: usize) {
-        let x = &self.xfers[t];
-        let (shard, function, acct) = if leg == 0 {
-            (x.rec.src_shard, "prepare_debit", x.rec.src.clone())
-        } else {
-            (x.rec.dst_shard, "prepare_credit", x.rec.dst.clone())
-        };
-        let args = vec![
-            x.rec.id.as_bytes().to_vec(),
-            acct.into_bytes(),
-            x.rec.amount.to_be_bytes().to_vec(),
-        ];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::PREPARE));
-        let tag = self.mint_tag(TagKind::Prepare { t, leg });
-        self.clusters[shard].schedule_call(
-            self.now,
-            TRANSFER_CC,
-            function,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_prepare(&mut self, t: usize, leg: usize, outcome: InvokeOutcome) {
-        let vote = match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => Some(true),
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Neither vote: the prepare never applied. Re-drive it.
-                self.redrive(t);
-                self.send_prepare(t, leg);
-                return;
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                if self.xfers[t].no_reason.is_none() {
-                    self.xfers[t].no_reason = Some(reason);
-                }
-                Some(false)
-            }
-        };
-        let XferState::Preparing { mut votes } = self.xfers[t].state.clone() else {
-            self.errors.push(format!(
-                "prepare outcome in state {:?}",
-                self.xfers[t].state
-            ));
-            return;
-        };
-        votes[leg] = vote;
-        if let (Some(a), Some(b)) = (votes[0], votes[1]) {
-            let commit = a && b;
-            self.record_phase_span(
-                t,
-                "2pc.prepare",
-                stage::PREPARE,
-                stage::BEGIN,
-                self.xfers[t].prepare_started_us,
-            );
-            if let Some(m) = &self.metrics {
-                m.phase_prepare_us.observe(
-                    self.now
-                        .as_micros()
-                        .saturating_sub(self.xfers[t].prepare_started_us),
-                );
-            }
-            self.xfers[t].state = XferState::WaitDecide { commit };
-            self.xfers[t].decide_started_us = self.now.as_micros();
-            self.send_decide(t, commit);
-        } else {
-            self.xfers[t].state = XferState::Preparing { votes };
-        }
-    }
-
-    fn send_decide(&mut self, t: usize, commit: bool) {
-        let x = &self.xfers[t];
-        let args = vec![
-            x.rec.id.as_bytes().to_vec(),
-            vec![if commit { 1 } else { 0 }],
-        ];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::DECIDE));
-        let shard = x.rec.src_shard;
-        let tag = self.mint_tag(TagKind::Decide { t });
-        self.clusters[shard].schedule_call(
-            self.now,
-            COORDINATOR_CC,
-            "decide",
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_decide(&mut self, t: usize, outcome: InvokeOutcome) {
-        let XferState::WaitDecide { commit } = self.xfers[t].state else {
-            self.errors
-                .push(format!("decide outcome in state {:?}", self.xfers[t].state));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                // The decision is now in the source shard's Raft log —
-                // replicated before any acknowledgement or finalize leg.
-                self.record_phase_span(
-                    t,
-                    "2pc.decide",
-                    stage::DECIDE,
-                    stage::PREPARE,
-                    self.xfers[t].decide_started_us,
-                );
-                if let Some(m) = &self.metrics {
-                    m.phase_decide_us.observe(
-                        self.now
-                            .as_micros()
-                            .saturating_sub(self.xfers[t].decide_started_us),
-                    );
-                }
-                self.start_finalize(t, commit);
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                self.redrive(t);
-                self.send_decide(t, commit);
-            }
-            InvokeOutcome::EndorseFailed(reason) => {
-                if reason.contains("already decided") {
-                    // A re-driven decide raced its predecessor; the
-                    // decision is on chain. Proceed from the record.
-                    self.start_finalize(t, commit);
-                } else {
-                    self.errors
-                        .push(format!("decide({}) failed: {reason}", self.xfers[t].rec.id));
-                    self.start_finalize(t, commit);
-                }
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors.push(format!(
-                    "decide({}) invalid: {reason}",
-                    self.xfers[t].rec.id
-                ));
-                self.start_finalize(t, commit);
-            }
-        }
-    }
-
-    fn start_finalize(&mut self, t: usize, commit: bool) {
-        self.xfers[t].state = XferState::Finalizing {
-            commit,
-            remaining: vec![0, 1],
-        };
-        self.xfers[t].finalize_started_us = self.now.as_micros();
-        self.send_finalize(t, 0, commit);
-        self.send_finalize(t, 1, commit);
-    }
-
-    fn send_finalize(&mut self, t: usize, leg: usize, commit: bool) {
-        let x = &self.xfers[t];
-        let shard = if leg == 0 {
-            x.rec.src_shard
-        } else {
-            x.rec.dst_shard
-        };
-        let function = if commit { "commit" } else { "abort" };
-        let args = vec![x.rec.id.as_bytes().to_vec()];
-        let leg_ctx = x.ctx.with_parent(x.ctx.span_id(stage::FINALIZE));
-        let tag = self.mint_tag(TagKind::Finalize { t, leg });
-        self.clusters[shard].schedule_call(
-            self.now,
-            TRANSFER_CC,
-            function,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_finalize(&mut self, t: usize, leg: usize, outcome: InvokeOutcome) {
-        let XferState::Finalizing { commit, remaining } = self.xfers[t].state.clone() else {
-            self.errors.push(format!(
-                "finalize outcome in state {:?}",
-                self.xfers[t].state
-            ));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                if remaining.is_empty() {
-                    self.record_phase_span(
-                        t,
-                        "2pc.finalize",
-                        stage::FINALIZE,
-                        stage::DECIDE,
-                        self.xfers[t].finalize_started_us,
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.phase_finalize_us.observe(
-                            self.now
-                                .as_micros()
-                                .saturating_sub(self.xfers[t].finalize_started_us),
-                        );
-                        if !commit {
-                            if self.xfers[t]
-                                .no_reason
-                                .as_deref()
-                                .map(|r| r.contains("insufficient"))
-                                .unwrap_or(false)
-                            {
-                                m.aborts_insufficient.inc();
-                            } else {
-                                m.aborts_vote.inc();
-                            }
-                        }
-                    }
-                    self.xfers[t].rec.status = if commit {
-                        TransferStatus::Committed
-                    } else {
-                        TransferStatus::Aborted {
-                            reason: self.xfers[t]
-                                .no_reason
-                                .clone()
-                                .unwrap_or_else(|| "prepare voted no".into()),
-                        }
-                    };
-                    self.xfers[t].state = XferState::Done;
-                } else {
-                    self.xfers[t].state = XferState::Finalizing { commit, remaining };
-                }
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Coordinator recovery: the finalize leg was invalidated
-                // by a concurrent balance write. Re-read the *replicated*
-                // decision record and re-drive the leg from it — never
-                // from orchestrator memory alone.
-                self.redrive(t);
-                let coord_shard = self.xfers[t].rec.src_shard;
-                let recorded = read_coord_state(
-                    self.clusters[coord_shard].canonical_state(),
-                    &self.xfers[t].rec.id,
-                );
-                let commit_again = match recorded {
-                    Some(CoordState::Committed) => true,
-                    Some(CoordState::Aborted) => false,
-                    other => {
-                        self.errors.push(format!(
-                            "finalize redrive of {} found coordinator state {other:?}",
-                            self.xfers[t].rec.id
-                        ));
-                        commit
-                    }
-                };
-                self.send_finalize(t, leg, commit_again);
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors.push(format!(
-                    "finalize({}, leg {leg}) failed: {reason}",
-                    self.xfers[t].rec.id
-                ));
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                self.xfers[t].state = if remaining.is_empty() {
-                    self.xfers[t].rec.status = TransferStatus::Aborted {
-                        reason: "finalize failed".into(),
-                    };
-                    XferState::Done
-                } else {
-                    XferState::Finalizing { commit, remaining }
-                };
-            }
-        }
-    }
-
-    fn record_op_span(&self, o: usize, name: &str, phase: u64, parent: u64, start_us: u64) {
+    fn record_span(&self, o: usize, name: &str, phase: u64, parent: u64, start_us: u64) {
         let Some(m) = &self.metrics else { return };
         let op = &self.ops[o];
         let ctx = if parent == 0 {
@@ -1267,31 +804,32 @@ impl ShardedDeployment {
         );
     }
 
-    fn op_terminal(&mut self, o: usize, status: TransferStatus) {
+    fn terminal(&mut self, o: usize, status: TransferStatus) {
         self.ops[o].rec.status = status;
         self.ops[o].rec.completed_us = self.now.as_micros();
         self.ops[o].state = OpState::Done;
     }
 
-    fn on_op_direct(&mut self, o: usize, outcome: InvokeOutcome) {
+    fn on_direct(&mut self, o: usize, outcome: InvokeOutcome) {
         match outcome {
             InvokeOutcome::Committed {
                 valid: TxValidation::Valid,
             } => {
-                self.record_op_span(
+                self.record_span(
                     o,
                     "op.direct",
                     stage::LOCAL,
                     0,
                     self.ops[o].rec.submitted_us,
                 );
-                self.op_terminal(o, TransferStatus::Committed);
+                self.terminal(o, TransferStatus::Committed);
             }
             InvokeOutcome::Committed {
                 valid: TxValidation::MvccConflict { .. },
             } => {
-                self.redrive_op(o);
-                let tag = self.mint_tag(TagKind::OpDirect { o });
+                // The whole transaction failed atomically; re-drive it.
+                self.redrive(o);
+                let tag = self.mint_tag(TagKind::Direct { o });
                 let (cc, function, args) = self.ops[o].direct.clone();
                 let op = &self.ops[o];
                 let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::LOCAL));
@@ -1316,17 +854,17 @@ impl ShardedDeployment {
                         m.aborts_vote.inc();
                     }
                 }
-                self.op_terminal(o, TransferStatus::Aborted { reason });
+                self.terminal(o, TransferStatus::Aborted { reason });
             }
         }
     }
 
-    fn on_op_begin(&mut self, o: usize, outcome: InvokeOutcome) {
+    fn on_begin(&mut self, o: usize, outcome: InvokeOutcome) {
         match outcome {
             InvokeOutcome::Committed {
                 valid: TxValidation::Valid,
             } => {
-                self.record_op_span(
+                self.record_span(
                     o,
                     "2pc.begin",
                     stage::BEGIN,
@@ -1339,15 +877,16 @@ impl ShardedDeployment {
                 };
                 self.ops[o].prepare_started_us = self.now.as_micros();
                 for leg in 0..n {
-                    self.send_op_prepare(o, leg);
+                    self.send_prepare(o, leg);
                 }
             }
             other => {
-                self.errors.push(format!(
-                    "op begin({}) failed: {other:?}",
-                    self.ops[o].rec.id
-                ));
-                self.op_terminal(
+                // Request ids are unique, so begin can only fail on a bug;
+                // record it and abort the operation without any leg ever
+                // having run.
+                self.errors
+                    .push(format!("begin({}) failed: {other:?}", self.ops[o].rec.id));
+                self.terminal(
                     o,
                     TransferStatus::Aborted {
                         reason: "begin failed".into(),
@@ -1357,13 +896,13 @@ impl ShardedDeployment {
         }
     }
 
-    fn send_op_prepare(&mut self, o: usize, leg: usize) {
+    fn send_prepare(&mut self, o: usize, leg: usize) {
         let op = &self.ops[o];
         let plan = op.legs[leg].clone();
         let mut args = vec![op.rec.id.as_bytes().to_vec()];
         args.extend(plan.args.iter().cloned());
         let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::PREPARE));
-        let tag = self.mint_tag(TagKind::OpPrepare { o, leg });
+        let tag = self.mint_tag(TagKind::Prepare { o, leg });
         self.clusters[plan.shard].schedule_call(
             self.now,
             &plan.chaincode,
@@ -1374,7 +913,7 @@ impl ShardedDeployment {
         );
     }
 
-    fn on_op_prepare(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
+    fn on_prepare(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
         let vote = match outcome {
             InvokeOutcome::Committed {
                 valid: TxValidation::Valid,
@@ -1382,8 +921,9 @@ impl ShardedDeployment {
             InvokeOutcome::Committed {
                 valid: TxValidation::MvccConflict { .. },
             } => {
-                self.redrive_op(o);
-                self.send_op_prepare(o, leg);
+                // Neither vote: the prepare never applied. Re-drive it.
+                self.redrive(o);
+                self.send_prepare(o, leg);
                 return;
             }
             InvokeOutcome::EndorseFailed(reason)
@@ -1397,16 +937,14 @@ impl ShardedDeployment {
             }
         };
         let OpState::Preparing { mut votes } = self.ops[o].state.clone() else {
-            self.errors.push(format!(
-                "op prepare outcome in state {:?}",
-                self.ops[o].state
-            ));
+            self.errors
+                .push(format!("prepare outcome in state {:?}", self.ops[o].state));
             return;
         };
         votes[leg] = vote;
         if votes.iter().all(|v| v.is_some()) {
             let commit = votes.iter().all(|v| *v == Some(true));
-            self.record_op_span(
+            self.record_span(
                 o,
                 "2pc.prepare",
                 stage::PREPARE,
@@ -1422,13 +960,13 @@ impl ShardedDeployment {
             }
             self.ops[o].state = OpState::WaitDecide { commit };
             self.ops[o].decide_started_us = self.now.as_micros();
-            self.send_op_decide(o, commit);
+            self.send_decide(o, commit);
         } else {
             self.ops[o].state = OpState::Preparing { votes };
         }
     }
 
-    fn send_op_decide(&mut self, o: usize, commit: bool) {
+    fn send_decide(&mut self, o: usize, commit: bool) {
         let op = &self.ops[o];
         let args = vec![
             op.rec.id.as_bytes().to_vec(),
@@ -1436,7 +974,7 @@ impl ShardedDeployment {
         ];
         let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::DECIDE));
         let shard = op.coordinator_shard;
-        let tag = self.mint_tag(TagKind::OpDecide { o });
+        let tag = self.mint_tag(TagKind::Decide { o });
         self.clusters[shard].schedule_call(
             self.now,
             COORDINATOR_CC,
@@ -1447,19 +985,19 @@ impl ShardedDeployment {
         );
     }
 
-    fn on_op_decide(&mut self, o: usize, outcome: InvokeOutcome) {
+    fn on_decide(&mut self, o: usize, outcome: InvokeOutcome) {
         let OpState::WaitDecide { commit } = self.ops[o].state else {
-            self.errors.push(format!(
-                "op decide outcome in state {:?}",
-                self.ops[o].state
-            ));
+            self.errors
+                .push(format!("decide outcome in state {:?}", self.ops[o].state));
             return;
         };
         match outcome {
             InvokeOutcome::Committed {
                 valid: TxValidation::Valid,
             } => {
-                self.record_op_span(
+                // The decision is now in the coordinating shard's Raft log —
+                // replicated before any acknowledgement or finalize leg.
+                self.record_span(
                     o,
                     "2pc.decide",
                     stage::DECIDE,
@@ -1473,36 +1011,35 @@ impl ShardedDeployment {
                             .saturating_sub(self.ops[o].decide_started_us),
                     );
                 }
-                self.start_op_finalize(o, commit);
+                self.start_finalize(o, commit);
             }
             InvokeOutcome::Committed {
                 valid: TxValidation::MvccConflict { .. },
             } => {
-                self.redrive_op(o);
-                self.send_op_decide(o, commit);
+                self.redrive(o);
+                self.send_decide(o, commit);
             }
             InvokeOutcome::EndorseFailed(reason) => {
+                // "already decided": a re-driven decide raced its
+                // predecessor and the decision is on chain. Either way,
+                // proceed from the record.
                 if !reason.contains("already decided") {
-                    self.errors.push(format!(
-                        "op decide({}) failed: {reason}",
-                        self.ops[o].rec.id
-                    ));
+                    self.errors
+                        .push(format!("decide({}) failed: {reason}", self.ops[o].rec.id));
                 }
-                self.start_op_finalize(o, commit);
+                self.start_finalize(o, commit);
             }
             InvokeOutcome::Committed {
                 valid: TxValidation::EndorsementFailure { reason },
             } => {
-                self.errors.push(format!(
-                    "op decide({}) invalid: {reason}",
-                    self.ops[o].rec.id
-                ));
-                self.start_op_finalize(o, commit);
+                self.errors
+                    .push(format!("decide({}) invalid: {reason}", self.ops[o].rec.id));
+                self.start_finalize(o, commit);
             }
         }
     }
 
-    fn start_op_finalize(&mut self, o: usize, commit: bool) {
+    fn start_finalize(&mut self, o: usize, commit: bool) {
         let remaining: Vec<usize> = (0..self.ops[o].legs.len()).collect();
         self.ops[o].state = OpState::Finalizing {
             commit,
@@ -1510,17 +1047,17 @@ impl ShardedDeployment {
         };
         self.ops[o].finalize_started_us = self.now.as_micros();
         for leg in remaining {
-            self.send_op_finalize(o, leg, commit);
+            self.send_finalize(o, leg, commit);
         }
     }
 
-    fn send_op_finalize(&mut self, o: usize, leg: usize, commit: bool) {
+    fn send_finalize(&mut self, o: usize, leg: usize, commit: bool) {
         let op = &self.ops[o];
         let plan = op.legs[leg].clone();
         let function = if commit { "commit" } else { "abort" };
         let args = vec![op.rec.id.as_bytes().to_vec()];
         let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::FINALIZE));
-        let tag = self.mint_tag(TagKind::OpFinalize { o, leg });
+        let tag = self.mint_tag(TagKind::Finalize { o, leg });
         self.clusters[plan.shard].schedule_call(
             self.now,
             &plan.chaincode,
@@ -1531,12 +1068,10 @@ impl ShardedDeployment {
         );
     }
 
-    fn on_op_finalize(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
+    fn on_finalize(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
         let OpState::Finalizing { commit, remaining } = self.ops[o].state.clone() else {
-            self.errors.push(format!(
-                "op finalize outcome in state {:?}",
-                self.ops[o].state
-            ));
+            self.errors
+                .push(format!("finalize outcome in state {:?}", self.ops[o].state));
             return;
         };
         match outcome {
@@ -1545,7 +1080,7 @@ impl ShardedDeployment {
             } => {
                 let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
                 if remaining.is_empty() {
-                    self.record_op_span(
+                    self.record_span(
                         o,
                         "2pc.finalize",
                         stage::FINALIZE,
@@ -1581,7 +1116,7 @@ impl ShardedDeployment {
                                 .unwrap_or_else(|| "prepare voted no".into()),
                         }
                     };
-                    self.op_terminal(o, status);
+                    self.terminal(o, status);
                 } else {
                     self.ops[o].state = OpState::Finalizing { commit, remaining };
                 }
@@ -1589,9 +1124,11 @@ impl ShardedDeployment {
             InvokeOutcome::Committed {
                 valid: TxValidation::MvccConflict { .. },
             } => {
-                // Coordinator recovery, same as transfers: re-read the
-                // replicated decision and re-drive the leg from it.
-                self.redrive_op(o);
+                // Coordinator recovery: the finalize leg was invalidated
+                // by a concurrent write. Re-read the *replicated* decision
+                // record and re-drive the leg from it — never from
+                // orchestrator memory alone.
+                self.redrive(o);
                 let coord_shard = self.ops[o].coordinator_shard;
                 let recorded = read_coord_state(
                     self.clusters[coord_shard].canonical_state(),
@@ -1602,25 +1139,25 @@ impl ShardedDeployment {
                     Some(CoordState::Aborted) => false,
                     other => {
                         self.errors.push(format!(
-                            "op finalize redrive of {} found coordinator state {other:?}",
+                            "finalize redrive of {} found coordinator state {other:?}",
                             self.ops[o].rec.id
                         ));
                         commit
                     }
                 };
-                self.send_op_finalize(o, leg, commit_again);
+                self.send_finalize(o, leg, commit_again);
             }
             InvokeOutcome::EndorseFailed(reason)
             | InvokeOutcome::Committed {
                 valid: TxValidation::EndorsementFailure { reason },
             } => {
                 self.errors.push(format!(
-                    "op finalize({}, leg {leg}) failed: {reason}",
+                    "finalize({}, leg {leg}) failed: {reason}",
                     self.ops[o].rec.id
                 ));
                 let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
                 if remaining.is_empty() {
-                    self.op_terminal(
+                    self.terminal(
                         o,
                         TransferStatus::Aborted {
                             reason: "finalize failed".into(),
@@ -1633,16 +1170,8 @@ impl ShardedDeployment {
         }
     }
 
-    fn redrive_op(&mut self, o: usize) {
+    fn redrive(&mut self, o: usize) {
         self.ops[o].rec.redrives += 1;
-        self.redrives += 1;
-        if let Some(m) = &self.metrics {
-            m.redrives.inc();
-        }
-    }
-
-    fn redrive(&mut self, t: usize) {
-        self.xfers[t].rec.redrives += 1;
         self.redrives += 1;
         if let Some(m) = &self.metrics {
             m.redrives.inc();
@@ -1654,19 +1183,12 @@ impl ShardedDeployment {
         &self.errors
     }
 
-    /// One debug line per non-terminal transfer: id and internal phase.
-    /// For diagnosing stuck runs; the format is not stable.
+    /// One debug line per non-terminal operation (transfers included):
+    /// id and internal phase. For diagnosing stuck runs; the format is not
+    /// stable.
     pub fn debug_inflight(&self) -> Vec<String> {
-        self.xfers
-            .iter()
-            .filter(|x| x.rec.status == TransferStatus::InFlight)
-            .map(|x| format!("{} {:?} state={:?}", x.rec.id, x.rec, x.state))
-            .chain(
-                self.ops
-                    .iter()
-                    .filter(|o| o.rec.status == TransferStatus::InFlight)
-                    .map(|o| format!("{} {:?} state={:?}", o.rec.id, o.rec, o.state)),
-            )
+        self.inflight()
+            .map(|o| format!("{} {:?} state={:?}", o.rec.id, o.rec, o.state))
             .collect()
     }
 
@@ -1679,11 +1201,28 @@ impl ShardedDeployment {
     /// The end-of-run summary.
     pub fn report(&self) -> ShardReport {
         let shards: Vec<ClusterReport> = self.clusters.iter().map(|c| c.report()).collect();
+        let transfers: Vec<TransferRecord> = self
+            .transfers
+            .iter()
+            .map(|t| {
+                let op = &self.ops[t.op];
+                TransferRecord {
+                    id: op.rec.id.clone(),
+                    src: t.src.clone(),
+                    dst: t.dst.clone(),
+                    amount: t.amount,
+                    src_shard: op.legs[0].shard,
+                    dst_shard: op.legs[1].shard,
+                    status: op.rec.status.clone(),
+                    redrives: op.rec.redrives,
+                }
+            })
+            .collect();
         let mut committed = 0;
         let mut aborted = 0;
         let mut shed = 0;
-        for x in &self.xfers {
-            match x.rec.status {
+        for t in &transfers {
+            match t.status {
                 TransferStatus::Committed => committed += 1,
                 TransferStatus::Aborted { .. } => aborted += 1,
                 TransferStatus::Shed => shed += 1,
@@ -1692,7 +1231,7 @@ impl ShardedDeployment {
         }
         ShardReport {
             total_txs: shards.iter().map(|r| r.txs).sum(),
-            transfers: self.xfers.iter().map(|x| x.rec.clone()).collect(),
+            transfers,
             state_roots: self.state_roots(),
             opened_total: self.opened_total,
             committed,

@@ -13,17 +13,19 @@
 //! * `ledgerview_crosschain::contracts` — the 2PC coordinator and
 //!   transfer participant chaincodes with idempotent terminal states.
 //! * [`deployment`] — this crate's core: the [`ShardedDeployment`]
-//!   advances every shard to common virtual-time boundaries and drives
-//!   cross-shard transfers through begin → prepare → replicated decide →
+//!   advances every shard to common virtual-time boundaries and runs one
+//!   2PC driver over [`OpSpec`]s — begin → prepare → replicated decide →
 //!   finalize, re-driving in-doubt legs from the on-chain decision
-//!   record after failover.
+//!   record after failover. A transfer is that driver's first client
+//!   (`schedule_transfer` builds its `OpSpec`); scenario crates such as
+//!   the TPC-C workload bring their own through `schedule_op`.
 //!
-//! Single-shard transfers never pay the 2PC cost: the router detects
-//! that both accounts live on one channel and submits one atomic
-//! `transfer` transaction. That asymmetry is the whole point of the
-//! deployment — the `shard_scaleout` bench measures how aggregate
-//! throughput scales with the shard count as the cross-shard fraction
-//! grows.
+//! Single-shard operations never pay the 2PC cost: the router detects
+//! that every leg lives on one channel and submits the spec's one atomic
+//! `direct` transaction (for a transfer, `transfer`). That asymmetry is
+//! the whole point of the deployment — the `shard_scaleout` bench
+//! measures how aggregate throughput scales with the shard count as the
+//! cross-shard fraction grows.
 //!
 //! Everything is deterministic: same [`ShardConfig`] (including seed) ⇒
 //! bit-identical per-shard Raft logs, state roots, and transfer

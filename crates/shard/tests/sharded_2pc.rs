@@ -4,7 +4,7 @@
 
 use fabric_store::testdir::TestDir;
 use ledgerview_crosschain::read_balance;
-use ledgerview_shard::{ShardConfig, ShardedDeployment, TransferStatus};
+use ledgerview_shard::{ShardConfig, ShardReport, ShardedDeployment, TransferStatus};
 use ledgerview_simnet::SimTime;
 
 const SECOND: SimTime = SimTime::from_secs(1);
@@ -107,29 +107,36 @@ fn leader_kills_mid_2pc_preserve_atomicity() {
     assert_eq!(report.committed, 20);
 }
 
+/// The determinism scenario: ten alternating cross-shard transfers
+/// through a leader kill on shard 0. Returns the end-of-run report and
+/// the virtual time the deployment converged at.
+fn determinism_scenario(root: &std::path::Path, seed: u64) -> (ShardReport, SimTime) {
+    let mut dep = ShardedDeployment::new(two_shard_config(root, seed)).unwrap();
+    dep.schedule_open(SimTime::from_millis(100), "alice", 5_000);
+    dep.schedule_open(SimTime::from_millis(100), "bob", 5_000);
+    for i in 0..10u64 {
+        let at = SECOND + SimTime::from_millis(200 * i);
+        if i % 2 == 0 {
+            dep.schedule_transfer(at, "alice", "bob", 100 + i);
+        } else {
+            dep.schedule_transfer(at, "bob", "alice", 50 + i);
+        }
+    }
+    dep.schedule_leader_kill(0, SECOND + SimTime::from_millis(500));
+    let converged = dep.run_until_converged(SimTime::from_secs(120)).unwrap();
+    dep.verify().unwrap();
+    (dep.report(), converged)
+}
+
 /// Same seed ⇒ bit-identical per-shard state roots and identical
 /// transfer outcomes; a different seed still converges and verifies.
 #[test]
 fn same_seed_is_bit_identical() {
     let run = |root: &std::path::Path, seed: u64| {
-        let mut dep = ShardedDeployment::new(two_shard_config(root, seed)).unwrap();
-        dep.schedule_open(SimTime::from_millis(100), "alice", 5_000);
-        dep.schedule_open(SimTime::from_millis(100), "bob", 5_000);
-        for i in 0..10u64 {
-            let at = SECOND + SimTime::from_millis(200 * i);
-            if i % 2 == 0 {
-                dep.schedule_transfer(at, "alice", "bob", 100 + i);
-            } else {
-                dep.schedule_transfer(at, "bob", "alice", 50 + i);
-            }
-        }
-        dep.schedule_leader_kill(0, SECOND + SimTime::from_millis(500));
-        dep.run_until_converged(SimTime::from_secs(120)).unwrap();
-        dep.verify().unwrap();
-        let report = dep.report();
+        let (report, _) = determinism_scenario(root, seed);
         let statuses: Vec<TransferStatus> =
             report.transfers.iter().map(|t| t.status.clone()).collect();
-        (dep.state_roots(), statuses)
+        (report.state_roots, statuses)
     };
 
     let dir_a = TestDir::new("shard-det-a");
@@ -142,4 +149,29 @@ fn same_seed_is_bit_identical() {
 
     let (roots_c, _) = run(dir_c.path(), 8);
     assert_ne!(roots_a, roots_c, "different seed must differ");
+}
+
+/// Golden values for the determinism scenario at seed 7, measured before
+/// transfers moved onto the generic operation driver. Running the same
+/// seed twice cannot catch a change that shifts both runs; these can: the
+/// state roots cover every committed write on both shards, and the
+/// re-drive counts cover the order in which legs were submitted.
+#[test]
+fn seed_7_matches_golden_roots_and_redrives() {
+    let dir = TestDir::new("shard-det-golden");
+    let (report, converged) = determinism_scenario(dir.path(), 7);
+    let roots: Vec<String> = report.state_roots.iter().map(|d| d.to_string()).collect();
+    assert_eq!(
+        roots,
+        [
+            "5c57bd0302ae2e1b19c8d398b71de6b0e0a82fa25cea8cb3f398d25476da8a30",
+            "ac6e8a4043cc1cf770bdb7a5b5e2ffcbfd13c080a61759e57054196cf2ea2695",
+        ]
+    );
+    assert_eq!((report.committed, report.aborted, report.shed), (10, 0, 0));
+    assert_eq!(report.redrives, 21);
+    assert_eq!(report.total_txs, 83);
+    assert_eq!(converged.as_micros(), 4_600_000);
+    let per_transfer: Vec<u64> = report.transfers.iter().map(|t| t.redrives).collect();
+    assert_eq!(per_transfer, [0, 1, 2, 4, 0, 4, 1, 6, 0, 3]);
 }

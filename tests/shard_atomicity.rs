@@ -11,8 +11,13 @@
 //!   terminal state on every shard it touched,
 //! * and reproduce bit-identically — the same seed and schedule yield
 //!   the same per-shard state roots and the same per-transfer outcomes.
+//!
+//! Plus one fixed scenario interleaving transfers with hand-built
+//! transfer-shaped operations on the one 2PC driver they share.
 
-use ledgerview::shard::{ShardConfig, ShardedDeployment, TransferStatus};
+use ledgerview::crosschain::contracts::TRANSFER_CC;
+use ledgerview::crosschain::read_balance;
+use ledgerview::shard::{OpLeg, OpSpec, ShardConfig, ShardedDeployment, TransferStatus};
 use ledgerview::simnet::SimTime;
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
@@ -155,5 +160,130 @@ proptest! {
         let second = run(seed, &transfers, &plans);
         prop_assert_eq!(&first.roots, &second.roots, "state roots must be bit-identical");
         prop_assert_eq!(&first.statuses, &second.statuses);
+    }
+}
+
+/// A transfer written out by hand as the `OpSpec` that
+/// `schedule_transfer` builds internally.
+fn transfer_spec(id: String, src: &str, dst: &str, amount: u64) -> OpSpec {
+    let amount_be = amount.to_be_bytes().to_vec();
+    let leg = |acct: &str, prepare: &str| OpLeg {
+        key: format!("acct~{acct}"),
+        chaincode: TRANSFER_CC.to_string(),
+        prepare: prepare.to_string(),
+        args: vec![acct.as_bytes().to_vec(), amount_be.clone()],
+    };
+    OpSpec {
+        id,
+        direct: (
+            TRANSFER_CC.to_string(),
+            "transfer".to_string(),
+            vec![
+                src.as_bytes().to_vec(),
+                dst.as_bytes().to_vec(),
+                amount_be.clone(),
+            ],
+        ),
+        legs: vec![leg(src, "prepare_debit"), leg(dst, "prepare_credit")],
+    }
+}
+
+/// Transfers and generic operations run on one state machine and one
+/// operation list. Interleave the two under a leader kill and check that
+/// each public index still addresses its own kind, that the transfer
+/// counters count transfers only, and that money is conserved.
+#[test]
+fn transfers_and_hand_built_ops_interleave_on_one_driver() {
+    const OPEN: u64 = 10_000;
+    let dir = TestDir::new("shard-interleave");
+    let mut cfg = ShardConfig::new(dir.path(), 2, 31);
+    cfg.pins = vec![
+        ("acct~alice".into(), 0),
+        ("acct~bob".into(), 1),
+        ("acct~carol".into(), 1),
+    ];
+    let mut dep = ShardedDeployment::new(cfg).expect("deployment builds");
+    let accounts = ["alice", "bob", "carol"];
+    for acct in accounts {
+        dep.schedule_open(SimTime::from_millis(100), acct, OPEN);
+    }
+
+    // alice→bob and carol→alice cross shards; bob→carol stays on shard 1.
+    // Even slots are transfers, odd slots ops, so both kinds take every
+    // route.
+    let pairs = [(0usize, 1usize), (1, 2), (2, 0)];
+    let mut transfers = Vec::new();
+    let mut ops = Vec::new();
+    let mut expected = [OPEN; 3];
+    for i in 0..18u64 {
+        let at = SimTime::from_millis(1_000 + 150 * i);
+        let (src, dst) = pairs[i as usize % 3];
+        let amount = 10 + i;
+        expected[src] -= amount;
+        expected[dst] += amount;
+        if i % 2 == 0 {
+            let idx = dep.schedule_transfer(at, accounts[src], accounts[dst], amount);
+            transfers.push((idx, src, dst, amount));
+        } else {
+            let id = format!("op{}", ops.len());
+            let spec = transfer_spec(id.clone(), accounts[src], accounts[dst], amount);
+            ops.push((dep.schedule_op(at, spec), id));
+        }
+    }
+    // One of each that cannot be funded: a cross-shard transfer (NO vote
+    // on prepare) and a single-shard op (the direct transaction rejects).
+    let late = SimTime::from_secs(4);
+    let poor_transfer = dep.schedule_transfer(late, "alice", "bob", 1_000_000);
+    let poor_op = dep.schedule_op(
+        late,
+        transfer_spec("op-poor".into(), "bob", "carol", 1_000_000),
+    );
+    dep.schedule_leader_kill(0, SimTime::from_millis(1_400));
+
+    dep.run_until_converged(SimTime::from_secs(120))
+        .expect("deployment converges through the leader kill");
+    dep.verify()
+        .expect("conservation, no stranded locks, per-shard convergence");
+
+    let report = dep.report();
+    assert_eq!(report.transfers.len(), transfers.len() + 1);
+    for (k, &(idx, src, dst, amount)) in transfers.iter().enumerate() {
+        let rec = &report.transfers[idx];
+        assert_eq!(rec.id, format!("t{k}"));
+        assert_eq!(
+            (rec.src.as_str(), rec.dst.as_str(), rec.amount),
+            (accounts[src], accounts[dst], amount)
+        );
+        assert_eq!(rec.src_shard, dep.shard_of_account(accounts[src]));
+        assert_eq!(rec.dst_shard, dep.shard_of_account(accounts[dst]));
+        assert_eq!(rec.status, TransferStatus::Committed, "{}", rec.id);
+    }
+    for (idx, id) in &ops {
+        assert_eq!(&dep.op(*idx).id, id);
+        assert_eq!(dep.op(*idx).status, TransferStatus::Committed, "{id}");
+    }
+    assert!(matches!(
+        report.transfers[poor_transfer].status,
+        TransferStatus::Aborted { .. }
+    ));
+    assert_eq!(dep.op(poor_op).id, "op-poor");
+    assert!(matches!(
+        dep.op(poor_op).status,
+        TransferStatus::Aborted { .. }
+    ));
+
+    // The transfer counters never see the ops, committed or aborted.
+    assert_eq!(report.committed, transfers.len() as u64);
+    assert_eq!(report.aborted, 1);
+    assert_eq!(report.shed, 0);
+
+    // Both kinds moved exactly the money they said they would.
+    for (i, acct) in accounts.iter().enumerate() {
+        let shard = dep.shard_of_account(acct);
+        assert_eq!(
+            read_balance(dep.cluster(shard).canonical_state(), acct),
+            Some(expected[i]),
+            "{acct}"
+        );
     }
 }
