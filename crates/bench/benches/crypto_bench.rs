@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use ledgerview_crypto::aead;
-use ledgerview_crypto::ed25519;
+use ledgerview_crypto::ed25519::{self, BatchEntry, SigningKey};
 use ledgerview_crypto::keys::{self, EncryptionKeyPair, SigningKeyPair, SymmetricKey};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::sha256;
@@ -88,6 +88,37 @@ fn bench_ed25519(c: &mut Criterion) {
             ed25519::verify(black_box(&kp.public()), black_box(&msg), black_box(&sig)).unwrap()
         });
     });
+    // Key expansion is SHA-512 of the seed, one fixed-base multiplication
+    // and one point compression.
+    c.bench_function("ed25519/base_mul (key expansion)", |b| {
+        let seed = [0x24u8; 32];
+        b.iter(|| SigningKey::from_seed(black_box(&seed)));
+    });
+
+    // 64 signatures per batch, as a validator chunk sees them: from two
+    // endorsing peers (entries of a key share one term), and — the worst
+    // case for key grouping — from 64 different signers.
+    let mut group = c.benchmark_group("ed25519/verify_batch");
+    group.throughput(Throughput::Elements(64));
+    for (name, signers) in [("64x2keys", 2usize), ("64 distinct", 64)] {
+        let keys: Vec<SigningKey> = (0..signers)
+            .map(|i| SigningKey::from_seed(&[i as u8 + 1; 32]))
+            .collect();
+        let pks: Vec<[u8; 32]> = keys.iter().map(SigningKey::public_key).collect();
+        let msgs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 160]).collect();
+        let sigs: Vec<[u8; 64]> = (0..64).map(|i| keys[i % signers].sign(&msgs[i])).collect();
+        let entries: Vec<BatchEntry<'_>> = (0..64)
+            .map(|i| BatchEntry {
+                public_key: &pks[i % signers],
+                message: &msgs[i],
+                signature: &sigs[i],
+            })
+            .collect();
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| ed25519::verify_batch(black_box(&entries)).unwrap());
+        });
+    }
+    group.finish();
 }
 
 fn bench_process_secret(c: &mut Criterion) {

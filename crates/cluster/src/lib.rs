@@ -120,8 +120,8 @@ pub struct ClusterConfig {
     pub lsm_peers: bool,
     /// Commit-time validation pipeline configuration for every peer.
     pub validation: ValidationConfig,
-    /// Whether endorsement signatures are produced and checked at
-    /// endorsement time.
+    /// Whether endorsement signatures are checked at endorsement time
+    /// (endorsers sign either way).
     pub check_signatures: bool,
     /// Organisation names shared by every replica.
     pub org_names: Vec<String>,

@@ -5,6 +5,7 @@
 //! their definitions at first use rather than transcribed, and the RFC 8032
 //! test vectors pin the result.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::error::CryptoError;
@@ -19,6 +20,18 @@ struct Point {
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// A point prepared as the right-hand operand of [`Point::add`]:
+/// (Y+X, Y−X, Z, 2dT). Every table below stores points in this form, which
+/// takes the additions, the subtraction and the multiplication by 2d out
+/// of each use.
+#[derive(Clone, Copy, Debug)]
+struct Cached {
+    ypx: Fe,
+    ymx: Fe,
+    z: Fe,
+    t2d: Fe,
 }
 
 fn fe_small(v: u64) -> Fe {
@@ -36,21 +49,18 @@ fn d() -> Fe {
     *D.get_or_init(|| fe_neg(fe_small(121665)).mul(fe_small(121666).invert()))
 }
 
-/// 2d, used by the unified addition formula.
+/// 2d, folded into [`Cached`] points.
 fn d2() -> Fe {
     static D2: OnceLock<Fe> = OnceLock::new();
     *D2.get_or_init(|| d().add(d()))
 }
 
-/// √−1 = 2^((p−1)/4), computed by exponentiation.
+/// √−1 = 2^((p−1)/4), and (p − 1)/4 = 2·(p − 5)/8 + 1.
 fn sqrt_m1() -> Fe {
     static I: OnceLock<Fe> = OnceLock::new();
     *I.get_or_init(|| {
-        // (p - 1) / 4 = 2^253 - 5, little-endian bytes: fb, ff × 30, 1f.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        fe_small(2).pow_le(&exp)
+        let two = fe_small(2);
+        two.pow_p58().square().mul(two)
     })
 }
 
@@ -60,10 +70,20 @@ fn base_point() -> Point {
     static B: OnceLock<Point> = OnceLock::new();
     *B.get_or_init(|| {
         let mut enc = [0x66u8; 32];
-        enc[31] = 0x66;
         enc[0] = 0x58;
         decompress(&enc).expect("base point encoding is valid")
     })
+}
+
+impl Cached {
+    fn neg(&self) -> Cached {
+        Cached {
+            ypx: self.ymx,
+            ymx: self.ypx,
+            z: self.z,
+            t2d: fe_neg(self.t2d),
+        }
+    }
 }
 
 impl Point {
@@ -77,12 +97,31 @@ impl Point {
         }
     }
 
-    /// Unified point addition (also valid for doubling).
-    fn add(&self, q: &Point) -> Point {
-        let a = self.y.sub(self.x).mul(q.y.sub(q.x));
-        let b = self.y.add(self.x).mul(q.y.add(q.x));
-        let c = self.t.mul(d2()).mul(q.t);
-        let dd = self.z.add(self.z).mul(q.z);
+    fn neg(&self) -> Point {
+        Point {
+            x: fe_neg(self.x),
+            y: self.y,
+            z: self.z,
+            t: fe_neg(self.t),
+        }
+    }
+
+    fn to_cached(self) -> Cached {
+        Cached {
+            ypx: self.y.add(self.x),
+            ymx: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(d2()),
+        }
+    }
+
+    /// Unified point addition (add-2008-hwcd-3), 8M.
+    fn add(&self, q: &Cached) -> Point {
+        let a = self.y.sub(self.x).mul(q.ymx);
+        let b = self.y.add(self.x).mul(q.ypx);
+        let c = self.t.mul(q.t2d);
+        let zz = self.z.mul(q.z);
+        let dd = zz.add(zz);
         let e = b.sub(a);
         let f = dd.sub(c);
         let g = dd.add(c);
@@ -95,39 +134,37 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication by a little-endian 256-bit scalar
-    /// (double-and-add; not constant time, see crate disclaimer). Doubling
-    /// stops at the scalar's highest set byte, so short scalars — e.g. the
-    /// 128-bit coefficients of batch verification — cost proportionally
-    /// less.
-    fn scalar_mul(&self, scalar_le: &[u8; 32]) -> Point {
-        let top = match scalar_le.iter().rposition(|&b| b != 0) {
-            Some(i) => i,
-            None => return Point::identity(),
-        };
-        let mut result = Point::identity();
-        let mut acc = *self;
-        for (i, byte) in scalar_le.iter().enumerate().take(top + 1) {
-            for bit in 0..8 {
-                if (byte >> bit) & 1 == 1 {
-                    result = result.add(&acc);
-                }
-                if i < top || (*byte as u32) >> (bit + 1) != 0 {
-                    acc = acc.add(&acc);
-                }
-            }
+    /// `self + q` for a positive table digit, `self − q` for a negative one.
+    fn add_signed(&self, q: &Cached, digit: i8) -> Point {
+        if digit > 0 {
+            self.add(q)
+        } else {
+            self.add(&q.neg())
         }
-        result
+    }
+
+    /// Dedicated doubling (dbl-2008-hwcd with a = −1), 4S + 4M.
+    fn double(&self) -> Point {
+        let a = self.x.square();
+        let b = self.y.square();
+        let zz = self.z.square();
+        let c = zz.add(zz);
+        let h = a.add(b);
+        let e = h.sub(self.x.add(self.y).square());
+        let g = a.sub(b);
+        let f = c.add(g);
+        Point {
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
+        }
     }
 
     /// True for points of order 1, 2, 4 or 8 (the torsion subgroup):
     /// 8·P == identity after three doublings.
     fn is_small_order(&self) -> bool {
-        let mut p = *self;
-        for _ in 0..3 {
-            p = p.add(&p);
-        }
-        p.equals(&Point::identity())
+        self.double().double().double().equals(&Point::identity())
     }
 
     /// Compress to the 32-byte RFC 8032 encoding: y with the sign of x in
@@ -151,29 +188,155 @@ impl Point {
     }
 }
 
-/// Combined multi-scalar multiplication `Σ sᵢ·Pᵢ` over little-endian
-/// scalars, sharing one doubling chain across every term (Straus's trick).
-///
-/// A lone double-and-add pays ~256 doublings *per scalar*; here the whole
-/// sum pays them once, leaving one point addition per set scalar bit. For
-/// the large batches built by [`verify_batch`] this is the dominant saving
-/// — doublings are roughly two thirds of a naive scalar multiplication.
-/// Short scalars (e.g. 128-bit batch coefficients) only contribute
-/// additions up to their own top bit.
-fn multi_scalar_mul(pairs: &[(Point, [u8; 32])]) -> Point {
-    let top_bit = pairs
+/// The odd multiples P, 3P, …, (2N−1)P: the table a width-w NAF digit
+/// indexes, N = 2^(w−2).
+fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
+    let p2 = p.double().to_cached();
+    let mut cur = *p;
+    std::array::from_fn(|i| {
+        if i > 0 {
+            cur = cur.add(&p2);
+        }
+        cur.to_cached()
+    })
+}
+
+/// B, 3B, …, 127B for the width-8 NAF of the base-point term in
+/// [`straus`] (10 KiB).
+fn base_odd_multiples() -> &'static [Cached; 64] {
+    static T: OnceLock<[Cached; 64]> = OnceLock::new();
+    T.get_or_init(|| odd_multiples(&base_point()))
+}
+
+/// The radix-16 fixed-base table: row i holds j·16ⁱ·B for j = 1..=8
+/// (80 KiB, built once with 512 point operations and no inversion).
+fn base_table() -> &'static [[Cached; 8]] {
+    static T: OnceLock<Vec<[Cached; 8]>> = OnceLock::new();
+    T.get_or_init(|| {
+        let mut p = base_point();
+        (0..64)
+            .map(|_| {
+                let unit = p.to_cached();
+                let mut cur = p;
+                let row = std::array::from_fn(|j| {
+                    if j > 0 {
+                        cur = cur.add(&unit);
+                    }
+                    cur.to_cached()
+                });
+                p = cur.double(); // 2·(8·16ⁱ·B) = 16ⁱ⁺¹·B
+                row
+            })
+            .collect()
+    })
+}
+
+/// `s·B` for any 256-bit little-endian scalar: one table addition per
+/// non-zero signed radix-16 digit, no doublings (not constant time, see
+/// crate disclaimer).
+fn base_mul(scalar_le: &[u8; 32]) -> Point {
+    // Digits in [−8, 8); with bit 255 set aside the last one stays ≤ 8.
+    let mut digits = [0i8; 64];
+    for (i, b) in scalar_le.iter().enumerate() {
+        digits[2 * i] = (b & 15) as i8;
+        digits[2 * i + 1] = (b >> 4) as i8;
+    }
+    digits[63] &= 7;
+    for i in 0..63 {
+        let carry = (digits[i] + 8) >> 4;
+        digits[i] -= carry << 4;
+        digits[i + 1] += carry;
+    }
+    let table = base_table();
+    let mut acc = Point::identity();
+    for (row, &digit) in table.iter().zip(&digits) {
+        if digit != 0 {
+            acc = acc.add_signed(&row[digit.unsigned_abs() as usize - 1], digit);
+        }
+    }
+    if scalar_le[31] >> 7 == 1 {
+        acc = acc.add(&table[63][7]); // 8·16⁶³·B = 2²⁵⁵·B
+    }
+    acc
+}
+
+/// Width-`w` non-adjacent form of a 256-bit little-endian scalar: 257
+/// signed digits, each zero or odd with |d| < 2^(w−1), any two non-zero
+/// digits at least `w` positions apart, Σ dᵢ·2ⁱ equal to the scalar.
+fn naf(scalar_le: &[u8; 32], w: u32) -> [i8; 257] {
+    debug_assert!((2..=8).contains(&w));
+    let mut limbs = [0u64; 5];
+    for (limb, chunk) in limbs.iter_mut().zip(scalar_le.chunks_exact(8)) {
+        *limb = chunk.iter().rev().fold(0, |acc, &b| (acc << 8) | b as u64);
+    }
+    let width = 1u64 << w;
+    let mut digits = [0i8; 257];
+    let mut carry = 0u64;
+    let mut pos = 0usize;
+    while pos < 257 {
+        let (idx, bit) = (pos / 64, pos % 64);
+        let mut bits = limbs[idx] >> bit;
+        if bit + w as usize > 64 {
+            bits |= limbs[idx + 1] << (64 - bit);
+        }
+        let window = carry + (bits & (width - 1));
+        if window & 1 == 0 {
+            // Even (the carry, if any, rides on to the next bit).
+            pos += 1;
+            continue;
+        }
+        if window < width / 2 {
+            carry = 0;
+            digits[pos] = window as i8;
+        } else {
+            carry = 1;
+            digits[pos] = (window as i64 - width as i64) as i8;
+        }
+        pos += w as usize;
+    }
+    digits
+}
+
+/// One term `s·P` of [`straus`]: the scalar in NAF and the odd multiples
+/// of the point its digits index.
+struct Term<'a> {
+    naf: [i8; 257],
+    table: &'a [Cached],
+}
+
+impl<'a> Term<'a> {
+    /// `s·P` from [`odd_multiples`] of P; the table's length 2^(w−2) sets
+    /// the NAF width, so every digit has its entry.
+    fn new(scalar_le: &[u8; 32], table: &'a [Cached]) -> Term<'a> {
+        debug_assert!(table.len().is_power_of_two());
+        Term {
+            naf: naf(scalar_le, table.len().trailing_zeros() + 2),
+            table,
+        }
+    }
+}
+
+/// Multi-scalar multiplication `Σ sᵢ·Pᵢ` sharing one doubling chain across
+/// every term (Straus's trick) with sliding signed windows: the whole sum
+/// pays its ~253 doublings once, and each term one addition per non-zero
+/// NAF digit — every w+1 bits on average. Short scalars (the 128-bit
+/// coefficients of batch verification) have no digits above their top bit
+/// and cost proportionally less.
+fn straus(terms: &[Term<'_>]) -> Point {
+    let top = terms
         .iter()
-        .filter_map(|(_, s)| s.iter().rposition(|&b| b != 0).map(|i| i * 8 + 7))
+        .filter_map(|t| t.naf.iter().rposition(|&d| d != 0))
         .max();
-    let Some(top_bit) = top_bit else {
+    let Some(top) = top else {
         return Point::identity();
     };
     let mut acc = Point::identity();
-    for bit in (0..=top_bit).rev() {
-        acc = acc.add(&acc);
-        for (p, s) in pairs {
-            if (s[bit / 8] >> (bit % 8)) & 1 == 1 {
-                acc = acc.add(p);
+    for i in (0..=top).rev() {
+        acc = acc.double();
+        for t in terms {
+            let digit = t.naf[i];
+            if digit != 0 {
+                acc = acc.add_signed(&t.table[digit.unsigned_abs() as usize / 2], digit);
             }
         }
     }
@@ -212,11 +375,7 @@ fn decompress(enc: &[u8; 32]) -> Result<Point, CryptoError> {
     // Candidate root x = u·v³·(u·v⁷)^((p−5)/8).
     let v3 = v.square().mul(v);
     let v7 = v3.square().mul(v);
-    // (p - 5) / 8 = 2^252 - 3, little-endian bytes: fd, ff × 30, 0f.
-    let mut exp = [0xffu8; 32];
-    exp[0] = 0xfd;
-    exp[31] = 0x0f;
-    let mut x = u.mul(v3).mul(u.mul(v7).pow_le(&exp));
+    let mut x = u.mul(v3).mul(u.mul(v7).pow_p58());
 
     let vx2 = v.mul(x.square());
     if vx2.sub(u).is_zero() {
@@ -321,68 +480,112 @@ fn clamp(mut s: [u8; 32]) -> [u8; 32] {
     s
 }
 
+/// An expanded secret key (RFC 8032 §5.1.5): the clamped scalar, the nonce
+/// prefix and the public key `A = s·B`, so that signing neither re-hashes
+/// the seed nor re-derives `A`.
+#[derive(Clone)]
+pub struct SigningKey {
+    scalar: [u8; 32],
+    prefix: [u8; 32],
+    public: [u8; 32],
+}
+
+impl SigningKey {
+    /// Expand a 32-byte secret seed.
+    pub fn from_seed(seed: &[u8; 32]) -> SigningKey {
+        let (scalar, prefix) = split64(&crate::sha512::sha512(seed).0);
+        let scalar = clamp(scalar);
+        SigningKey {
+            scalar,
+            prefix,
+            public: base_mul(&scalar).compress(),
+        }
+    }
+
+    /// The 32-byte public key.
+    pub fn public_key(&self) -> [u8; 32] {
+        self.public
+    }
+
+    /// Sign `message`, returning a 64-byte signature.
+    pub fn sign(&self, message: &[u8]) -> [u8; 64] {
+        let mut hasher = Sha512::new();
+        hasher.update(&self.prefix);
+        hasher.update(message);
+        let r = reduce64(&hasher.finalize().0);
+        let r_enc = base_mul(&r).compress();
+
+        let k = challenge(&r_enc, &self.public, message);
+        let big_s = mul_add(&k, &self.scalar, &r);
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_enc);
+        sig[32..].copy_from_slice(&big_s);
+        sig
+    }
+}
+
+/// The two halves of a 64-byte string (a signature `R ‖ S`, a SHA-512
+/// output).
+fn split64(b: &[u8; 64]) -> ([u8; 32], [u8; 32]) {
+    (
+        std::array::from_fn(|i| b[i]),
+        std::array::from_fn(|i| b[32 + i]),
+    )
+}
+
+/// The challenge scalar k = SHA-512(R ‖ A ‖ M) mod L.
+fn challenge(r_enc: &[u8; 32], public_key: &[u8; 32], message: &[u8]) -> [u8; 32] {
+    let mut hasher = Sha512::new();
+    hasher.update(r_enc);
+    hasher.update(public_key);
+    hasher.update(message);
+    reduce64(&hasher.finalize().0)
+}
+
 /// Derive the 32-byte public key for a 32-byte secret seed.
 pub fn public_key(seed: &[u8; 32]) -> [u8; 32] {
-    let h = crate::sha512::sha512(seed);
-    let mut s = [0u8; 32];
-    s.copy_from_slice(&h.0[..32]);
-    let s = clamp(s);
-    base_point().scalar_mul(&s).compress()
+    SigningKey::from_seed(seed).public_key()
 }
 
 /// Sign `message` with the secret `seed`, returning a 64-byte signature.
+/// Callers that sign more than once should keep a [`SigningKey`].
 pub fn sign(seed: &[u8; 32], message: &[u8]) -> [u8; 64] {
-    let h = crate::sha512::sha512(seed);
-    let mut s = [0u8; 32];
-    s.copy_from_slice(&h.0[..32]);
-    let s = clamp(s);
-    let prefix = &h.0[32..64];
-    let a_enc = base_point().scalar_mul(&s).compress();
+    SigningKey::from_seed(seed).sign(message)
+}
 
-    let mut hasher = Sha512::new();
-    hasher.update(prefix);
-    hasher.update(message);
-    let r = reduce64(&hasher.finalize().0);
-    let r_enc = base_point().scalar_mul(&r).compress();
+/// The u-coordinate of `s·B` on the birationally equivalent Montgomery
+/// curve, u = (1 + y)/(1 − y): X25519's public-key derivation without a
+/// ladder. The scalar is used as given (the caller clamps).
+pub(crate) fn base_mul_montgomery_u(scalar_le: &[u8; 32]) -> [u8; 32] {
+    let p = base_mul(scalar_le);
+    p.z.add(p.y).mul(p.z.sub(p.y).invert()).to_bytes()
+}
 
-    let mut hasher = Sha512::new();
-    hasher.update(&r_enc);
-    hasher.update(&a_enc);
-    hasher.update(message);
-    let k = reduce64(&hasher.finalize().0);
-
-    let big_s = mul_add(&k, &s, &r);
-    let mut sig = [0u8; 64];
-    sig[..32].copy_from_slice(&r_enc);
-    sig[32..].copy_from_slice(&big_s);
-    sig
+/// Decode and pre-validate a public key: canonical encoding, on the curve,
+/// and not of small order (torsion keys admit signatures that verify for
+/// every message).
+fn decode_public_key(public_key: &[u8; 32]) -> Result<Point, CryptoError> {
+    let a = decompress(public_key).map_err(|_| CryptoError::InvalidSignature)?;
+    if a.is_small_order() {
+        return Err(CryptoError::InvalidSignature);
+    }
+    Ok(a)
 }
 
 /// Verify a 64-byte signature over `message` under `public_key`.
 pub fn verify(public_key: &[u8; 32], message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
-    let r_enc: [u8; 32] = sig[..32].try_into().expect("32 bytes");
-    let s: [u8; 32] = sig[32..].try_into().expect("32 bytes");
+    let (r_enc, s) = split64(sig);
     if !is_canonical_scalar(&s) {
         return Err(CryptoError::InvalidSignature);
     }
-    let a = decompress(public_key).map_err(|_| CryptoError::InvalidSignature)?;
-    // Reject small-order (torsion) public keys: they admit signatures that
-    // verify for every message.
-    if a.is_small_order() {
-        return Err(CryptoError::InvalidSignature);
-    }
+    let a = decode_public_key(public_key)?;
     let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
+    let k = challenge(&r_enc, public_key, message);
 
-    let mut hasher = Sha512::new();
-    hasher.update(&r_enc);
-    hasher.update(public_key);
-    hasher.update(message);
-    let k = reduce64(&hasher.finalize().0);
-
-    // Check S·B == R + k·A.
-    let lhs = base_point().scalar_mul(&s);
-    let rhs = r.add(&a.scalar_mul(&k));
-    if lhs.equals(&rhs) {
+    // Check S·B − k·A == R.
+    let minus_a: [Cached; 8] = odd_multiples(&a.neg());
+    let lhs = straus(&[Term::new(&s, base_odd_multiples()), Term::new(&k, &minus_a)]);
+    if lhs.equals(&r) {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
@@ -406,53 +609,49 @@ pub struct BatchEntry<'a> {
 /// 128-bit coefficients `z_i`, the batch is valid when
 ///
 /// ```text
-/// (Σ z_i·s_i mod L)·B  ==  Σ (z_i·R_i + (z_i·k_i mod L)·A_i)
+/// (Σ z_i·s_i mod L)·B − Σ z_i·R_i − Σ_A (Σ_{i: A_i = A} z_i·k_i mod L)·A  ==  0
 /// ```
 ///
-/// The right-hand side is evaluated as one [`multi_scalar_mul`] sharing a
-/// single doubling chain across every term, so each entry costs one
-/// addition per set bit of its (128-bit) `z_i` and (256-bit) `z_i·k_i`
-/// coefficients instead of two full double-and-add walks — roughly a 3–4×
-/// saving. The coefficients are derived by hashing the entire batch content,
-/// so the check is deterministic (a requirement of this simulator) while a
-/// forged entry still has to beat a ~2⁻¹²⁸ chance of cancelling the
-/// combination. No cofactor multiplication is applied, so a batch accepts
-/// exactly when every entry verifies individually (up to that negligible
-/// probability); callers that need to attribute a failure fall back to
-/// [`verify`] per entry, making batched outcomes identical to serial ones.
+/// The left-hand side is one multi-scalar multiplication ([`straus`])
+/// sharing a single doubling chain across every term. Entries under the
+/// same public key share one term: the key is decompressed and
+/// torsion-checked once and the entries' `z_i·k_i` coefficients are summed
+/// mod L — a block's endorsements come from a handful of peers, so a
+/// 64-entry batch is typically 64 half-length `R` terms and two or three
+/// full-length key terms. The coefficients are derived by hashing the
+/// entire batch content, so the check is deterministic (a requirement of
+/// this simulator) while a forged entry still has to beat a ~2⁻¹²⁸ chance
+/// of cancelling the combination.
 ///
-/// An `Err` means at least one entry is invalid (or the whole batch failed
-/// the combined equation); it does not identify which entry.
+/// No cofactor multiplication is applied. For public keys in the
+/// prime-order subgroup — every honestly generated key — a batch accepts
+/// exactly when every entry verifies individually (up to that negligible
+/// probability); a key with a torsion component that is not itself of
+/// small order can make the two disagree, as it can for any non-cofactored
+/// batch equation. Callers that need to attribute a failure fall back to
+/// [`verify`] per entry.
+///
+/// Batches longer than 64 entries are checked as consecutive 64-entry
+/// batches, each with its own coefficients.
+///
+/// An `Err` means at least one entry is invalid (or a combined equation
+/// failed); it does not identify which entry.
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
-    if entries.is_empty() {
-        return Ok(());
-    }
+    entries.chunks(BATCH_CHUNK).try_for_each(verify_chunk)
+}
+
+/// Entries checked per combined equation. Each entry holds a 1.3 KiB table
+/// of multiples of its `R` for the length of the check, so this bounds the
+/// working set (~100 KiB, cache-resident) whatever the caller passes; the
+/// shared doubling chain and key terms are already amortised to a few
+/// percent of an entry's cost at this size.
+const BATCH_CHUNK: usize = 64;
+
+/// [`verify_batch`] on at most [`BATCH_CHUNK`] entries.
+fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
     if entries.len() == 1 {
         let e = entries[0];
         return verify(e.public_key, e.message, e.signature);
-    }
-
-    // Decode and pre-validate every entry; compute its challenge k_i.
-    let mut points = Vec::with_capacity(entries.len()); // (A_i, R_i)
-    let mut scalars = Vec::with_capacity(entries.len()); // (s_i, k_i)
-    for e in entries {
-        let r_enc: [u8; 32] = e.signature[..32].try_into().expect("32 bytes");
-        let s: [u8; 32] = e.signature[32..].try_into().expect("32 bytes");
-        if !is_canonical_scalar(&s) {
-            return Err(CryptoError::InvalidSignature);
-        }
-        let a = decompress(e.public_key).map_err(|_| CryptoError::InvalidSignature)?;
-        if a.is_small_order() {
-            return Err(CryptoError::InvalidSignature);
-        }
-        let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
-        let mut hasher = Sha512::new();
-        hasher.update(&r_enc);
-        hasher.update(e.public_key);
-        hasher.update(e.message);
-        let k = reduce64(&hasher.finalize().0);
-        points.push((a, r));
-        scalars.push((s, k));
     }
 
     // Derive the coefficient seed from the entire batch content. Long
@@ -466,25 +665,49 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
     }
     let seed = transcript.finalize().0;
 
-    let zero = [0u8; 32];
+    // Decode and pre-validate every entry, folding it into the three sums:
+    // `points` holds (coefficient, odd multiples of −P) for every distinct
+    // public key and every R.
     let mut s_sum = [0u8; 32];
-    let mut pairs: Vec<(Point, [u8; 32])> = Vec::with_capacity(2 * entries.len());
-    for (i, ((a, r), (s, k))) in points.iter().zip(scalars.iter()).enumerate() {
+    let mut points: Vec<([u8; 32], [Cached; 8])> = Vec::with_capacity(entries.len() + 2);
+    let mut key_slot: HashMap<&[u8; 32], usize> = HashMap::new();
+    for (i, e) in entries.iter().enumerate() {
+        let (r_enc, s) = split64(e.signature);
+        if !is_canonical_scalar(&s) {
+            return Err(CryptoError::InvalidSignature);
+        }
+        let slot = match key_slot.get(e.public_key) {
+            Some(&slot) => slot,
+            None => {
+                let a = decode_public_key(e.public_key)?;
+                let slot = points.len();
+                points.push(([0u8; 32], odd_multiples(&a.neg())));
+                key_slot.insert(e.public_key, slot);
+                slot
+            }
+        };
+        let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
+        let k = challenge(&r_enc, e.public_key, e.message);
+
         let mut zh = Sha512::new();
         zh.update(&seed);
         zh.update(&(i as u64).to_le_bytes());
         let mut z = [0u8; 32];
         z[..16].copy_from_slice(&zh.finalize().0[..16]);
 
-        s_sum = mul_add(&z, s, &s_sum);
-        let zk = mul_add(&z, k, &zero);
-        pairs.push((*r, z));
-        pairs.push((*a, zk));
+        s_sum = mul_add(&z, &s, &s_sum);
+        points[slot].0 = mul_add(&z, &k, &points[slot].0);
+        points.push((z, odd_multiples(&r.neg())));
     }
 
-    let rhs = multi_scalar_mul(&pairs);
-    let lhs = base_point().scalar_mul(&s_sum);
-    if lhs.equals(&rhs) {
+    let mut terms = Vec::with_capacity(1 + points.len());
+    terms.push(Term::new(&s_sum, base_odd_multiples()));
+    terms.extend(
+        points
+            .iter()
+            .map(|(coefficient, table)| Term::new(coefficient, table)),
+    );
+    if straus(&terms).equals(&Point::identity()) {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
@@ -495,9 +718,105 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
 mod tests {
     use super::*;
     use crate::hex;
+    use proptest::prelude::*;
 
     fn arr32(s: &str) -> [u8; 32] {
         hex::decode(s).unwrap().try_into().unwrap()
+    }
+
+    /// The differential oracle for every fast path: bit-by-bit
+    /// double-and-add through the unified addition alone.
+    fn scalar_mul(p: &Point, scalar_le: &[u8; 32]) -> Point {
+        let mut result = Point::identity();
+        let mut acc = *p;
+        for byte in scalar_le {
+            for bit in 0..8 {
+                if (byte >> bit) & 1 == 1 {
+                    result = result.add(&acc.to_cached());
+                }
+                acc = acc.add(&acc.to_cached());
+            }
+        }
+        result
+    }
+
+    fn l_bytes() -> [u8; 32] {
+        L.map(|v| v as u8)
+    }
+
+    /// 0, 1, L − 1, L, 2²⁵⁶ − 1, 2¹²⁸ − 1, 2²⁵⁵ and a lone top nibble.
+    fn edge_scalars() -> Vec<[u8; 32]> {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut l_minus_1 = l_bytes();
+        l_minus_1[0] -= 1;
+        let mut low_half = [0u8; 32];
+        low_half[..16].fill(0xff);
+        let mut top_bit = [0u8; 32];
+        top_bit[31] = 0x80;
+        let mut top_nibble = [0u8; 32];
+        top_nibble[31] = 0xf0;
+        vec![
+            [0u8; 32],
+            one,
+            l_minus_1,
+            l_bytes(),
+            [0xff; 32],
+            low_half,
+            top_bit,
+            top_nibble,
+        ]
+    }
+
+    /// Σ dᵢ·2ⁱ of a NAF as 32 little-endian bytes, by Horner's rule from
+    /// the top digit over a byte string two bytes longer than the result
+    /// (every partial sum of a non-negative scalar's NAF is non-negative;
+    /// the arithmetic shift propagates a negative digit's borrow).
+    fn naf_value(digits: &[i8; 257]) -> [u8; 32] {
+        let mut acc = [0i32; 34];
+        for &d in digits.iter().rev() {
+            let mut carry = d as i32;
+            for limb in acc.iter_mut() {
+                let v = *limb * 2 + carry;
+                *limb = v & 0xff;
+                carry = v >> 8;
+            }
+            assert_eq!(carry, 0);
+        }
+        assert_eq!((acc[32], acc[33]), (0, 0));
+        std::array::from_fn(|i| acc[i] as u8)
+    }
+
+    fn check_naf(scalar: &[u8; 32], w: u32) {
+        let digits = naf(scalar, w);
+        assert_eq!(&naf_value(&digits), scalar, "w = {w}");
+        let mut last: Option<usize> = None;
+        for (i, &d) in digits.iter().enumerate() {
+            if d == 0 {
+                continue;
+            }
+            assert_eq!(d & 1, 1, "digit {d} at {i} is even");
+            assert!((d as i32).abs() < 1 << (w - 1), "digit {d} out of range");
+            if let Some(prev) = last {
+                assert!(i - prev >= w as usize, "digits at {prev} and {i} adjacent");
+            }
+            last = Some(i);
+        }
+    }
+
+    /// a·B + b·P + c·Q through `straus` and through the oracle.
+    fn check_straus(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], p: &Point, q: &Point) {
+        let p_table: [Cached; 8] = odd_multiples(p);
+        let q_table: [Cached; 2] = odd_multiples(q);
+        let fast = straus(&[
+            Term::new(a, base_odd_multiples()),
+            Term::new(b, &p_table),
+            Term::new(c, &q_table),
+        ]);
+        let slow = scalar_mul(&base_point(), a)
+            .add(&scalar_mul(p, b).to_cached())
+            .add(&scalar_mul(q, c).to_cached());
+        assert!(fast.equals(&slow));
     }
 
     // RFC 8032 §7.1 TEST 1.
@@ -556,6 +875,80 @@ mod tests {
         verify(&pk, &msg, &sig).unwrap();
     }
 
+    // RFC 8032 §7.1 TEST 1024: a 1023-byte message, i.e. several SHA-512
+    // blocks through both the nonce and the challenge hash.
+    #[test]
+    fn rfc8032_test1024() {
+        let seed = arr32("f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5");
+        let pk = public_key(&seed);
+        assert_eq!(
+            hex::encode(&pk),
+            "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e"
+        );
+        let msg = hex::decode(
+            "08b8b2b733424243760fe426a4b54908632110a66c2f6591eabd3345e3e4eb98\
+             fa6e264bf09efe12ee50f8f54e9f77b1e355f6c50544e23fb1433ddf73be84d8\
+             79de7c0046dc4996d9e773f4bc9efe5738829adb26c81b37c93a1b270b20329d\
+             658675fc6ea534e0810a4432826bf58c941efb65d57a338bbd2e26640f89ffbc\
+             1a858efcb8550ee3a5e1998bd177e93a7363c344fe6b199ee5d02e82d522c4fe\
+             ba15452f80288a821a579116ec6dad2b3b310da903401aa62100ab5d1a36553e\
+             06203b33890cc9b832f79ef80560ccb9a39ce767967ed628c6ad573cb116dbef\
+             efd75499da96bd68a8a97b928a8bbc103b6621fcde2beca1231d206be6cd9ec7\
+             aff6f6c94fcd7204ed3455c68c83f4a41da4af2b74ef5c53f1d8ac70bdcb7ed1\
+             85ce81bd84359d44254d95629e9855a94a7c1958d1f8ada5d0532ed8a5aa3fb2\
+             d17ba70eb6248e594e1a2297acbbb39d502f1a8c6eb6f1ce22b3de1a1f40cc24\
+             554119a831a9aad6079cad88425de6bde1a9187ebb6092cf67bf2b13fd65f270\
+             88d78b7e883c8759d2c4f5c65adb7553878ad575f9fad878e80a0c9ba63bcbcc\
+             2732e69485bbc9c90bfbd62481d9089beccf80cfe2df16a2cf65bd92dd597b07\
+             07e0917af48bbb75fed413d238f5555a7a569d80c3414a8d0859dc65a46128ba\
+             b27af87a71314f318c782b23ebfe808b82b0ce26401d2e22f04d83d1255dc51a\
+             ddd3b75a2b1ae0784504df543af8969be3ea7082ff7fc9888c144da2af58429e\
+             c96031dbcad3dad9af0dcbaaaf268cb8fcffead94f3c7ca495e056a9b47acdb7\
+             51fb73e666c6c655ade8297297d07ad1ba5e43f1bca32301651339e22904cc8c\
+             42f58c30c04aafdb038dda0847dd988dcda6f3bfd15c4b4c4525004aa06eeff8\
+             ca61783aacec57fb3d1f92b0fe2fd1a85f6724517b65e614ad6808d6f6ee34df\
+             f7310fdc82aebfd904b01e1dc54b2927094b2db68d6f903b68401adebf5a7e08\
+             d78ff4ef5d63653a65040cf9bfd4aca7984a74d37145986780fc0b16ac451649\
+             de6188a7dbdf191f64b5fc5e2ab47b57f7f7276cd419c17a3ca8e1b939ae49e4\
+             88acba6b965610b5480109c8b17b80e1b7b750dfc7598d5d5011fd2dcc5600a3\
+             2ef5b52a1ecc820e308aa342721aac0943bf6686b64b2579376504ccc493d97e\
+             6aed3fb0f9cd71a43dd497f01f17c0e2cb3797aa2a2f256656168e6c496afc5f\
+             b93246f6b1116398a346f1a641f3b041e989f7914f90cc2c7fff357876e506b5\
+             0d334ba77c225bc307ba537152f3f1610e4eafe595f6d9d90d11faa933a15ef1\
+             369546868a7f3a45a96768d40fd9d03412c091c6315cf4fde7cb68606937380d\
+             b2eaaa707b4c4185c32eddcdd306705e4dc1ffc872eeee475a64dfac86aba41c\
+             0618983f8741c5ef68d3a101e8a3b8cac60c905c15fc910840b94c00a0b9d0",
+        )
+        .unwrap();
+        assert_eq!(msg.len(), 1023);
+        let sig = sign(&seed, &msg);
+        assert_eq!(
+            hex::encode(&sig),
+            "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350\
+             aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03"
+        );
+        verify(&pk, &msg, &sig).unwrap();
+    }
+
+    // RFC 8032 §7.1 TEST SHA(abc): the message is SHA-512("abc").
+    #[test]
+    fn rfc8032_test_sha_abc() {
+        let seed = arr32("833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42");
+        let pk = public_key(&seed);
+        assert_eq!(
+            hex::encode(&pk),
+            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"
+        );
+        let msg = crate::sha512::sha512(b"abc").0;
+        let sig = sign(&seed, &msg);
+        assert_eq!(
+            hex::encode(&sig),
+            "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589\
+             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"
+        );
+        verify(&pk, &msg, &sig).unwrap();
+    }
+
     #[test]
     fn tampered_message_rejected() {
         let seed = [7u8; 32];
@@ -607,25 +1000,109 @@ mod tests {
     fn identity_and_base_point_sanity() {
         let b = base_point();
         let id = Point::identity();
-        assert!(b.add(&id).equals(&b));
-        // 2B ≠ B and (B + B) == scalar_mul(2).
-        let two = {
-            let mut s = [0u8; 32];
-            s[0] = 2;
-            s
-        };
-        assert!(b.add(&b).equals(&b.scalar_mul(&two)));
-        assert!(!b.add(&b).equals(&b));
+        assert!(b.add(&id.to_cached()).equals(&b));
+        assert!(id.add(&b.to_cached()).equals(&b));
+        assert!(id.double().equals(&id));
+        // The dedicated doubling agrees with the unified addition, 2B ≠ B,
+        // and B − B is the identity.
+        assert!(b.double().equals(&b.add(&b.to_cached())));
+        assert!(!b.double().equals(&b));
+        assert!(b.add(&b.to_cached().neg()).equals(&id));
+        assert!(b.add(&b.neg().to_cached()).equals(&id));
     }
 
     #[test]
     fn scalar_l_times_base_is_identity() {
-        let mut l_bytes = [0u8; 32];
-        for (i, v) in L.iter().enumerate() {
-            l_bytes[i] = *v as u8;
+        assert!(scalar_mul(&base_point(), &l_bytes()).equals(&Point::identity()));
+        assert!(base_mul(&l_bytes()).equals(&Point::identity()));
+    }
+
+    #[test]
+    fn fast_paths_match_oracle_on_edge_scalars() {
+        let b = base_point();
+        let p = scalar_mul(&b, &[0x5a; 32]);
+        let q = p.double().add(&b.to_cached());
+        let edges = edge_scalars();
+        for s in &edges {
+            assert!(base_mul(s).equals(&scalar_mul(&b, s)));
+            for w in 2..=8 {
+                check_naf(s, w);
+            }
         }
-        let p = base_point().scalar_mul(&l_bytes);
-        assert!(p.equals(&Point::identity()));
+        for (i, a) in edges.iter().enumerate() {
+            let b_scalar = &edges[(i + 3) % edges.len()];
+            let c_scalar = &edges[(i + 5) % edges.len()];
+            check_straus(a, b_scalar, c_scalar, &p, &q);
+        }
+        // No terms, and terms that are all zero.
+        assert!(straus(&[]).equals(&Point::identity()));
+        check_straus(&[0; 32], &[0; 32], &[0; 32], &p, &q);
+    }
+
+    #[test]
+    fn base_table_rows_are_multiples_of_powers_of_sixteen() {
+        let table = base_table();
+        assert_eq!(table.len(), 64);
+        assert!(std::mem::size_of_val(table) <= 150 * 1024);
+        for i in [0usize, 1, 31, 63] {
+            for j in [1u8, 5, 8] {
+                let mut s = [0u8; 32];
+                s[i / 2] = if i % 2 == 0 { j } else { j << 4 };
+                let entry = Point::identity().add(&table[i][j as usize - 1]);
+                assert!(entry.equals(&scalar_mul(&base_point(), &s)), "{j}·16^{i}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn base_mul_matches_oracle(s in any::<[u8; 32]>()) {
+            prop_assert!(base_mul(&s).equals(&scalar_mul(&base_point(), &s)));
+        }
+
+        #[test]
+        fn naf_reconstructs_scalar(s in any::<[u8; 32]>(), w in 2u32..=8) {
+            check_naf(&s, w);
+        }
+
+        #[test]
+        fn straus_matches_oracle(
+            a in any::<[u8; 32]>(),
+            b in any::<[u8; 32]>(),
+            c in any::<[u8; 16]>(),
+            p in any::<[u8; 32]>(),
+            q in any::<[u8; 32]>(),
+        ) {
+            // c is a 128-bit scalar, like a batch coefficient.
+            let mut c32 = [0u8; 32];
+            c32[..16].copy_from_slice(&c);
+            check_straus(&a, &b, &c32, &base_mul(&p), &scalar_mul(&base_point(), &q));
+        }
+
+        #[test]
+        fn montgomery_u_matches_ladder(k in any::<[u8; 32]>()) {
+            prop_assert_eq!(
+                crate::x25519::public_key(&k),
+                crate::x25519::x25519(&k, &crate::x25519::BASE_POINT)
+            );
+        }
+
+        #[test]
+        fn expanded_key_signs_like_the_seed(seed in any::<[u8; 32]>(), msg in proptest::collection::vec(any::<u8>(), 0..200)) {
+            let key = SigningKey::from_seed(&seed);
+            // The RFC's own derivation, spelled out through the oracle.
+            let h = crate::sha512::sha512(&seed).0;
+            let (scalar, _) = split64(&h);
+            prop_assert_eq!(
+                key.public_key(),
+                scalar_mul(&base_point(), &clamp(scalar)).compress()
+            );
+            let sig = key.sign(&msg);
+            prop_assert_eq!(sig, sign(&seed, &msg));
+            prop_assert!(verify(&key.public_key(), &msg, &sig).is_ok());
+        }
     }
 
     #[test]
@@ -656,12 +1133,8 @@ mod tests {
     #[test]
     fn scalar_s_equal_to_l_rejected() {
         // The exact boundary: s == L is non-canonical, s == L − 1 is fine.
-        let mut l_bytes = [0u8; 32];
-        for (i, v) in L.iter().enumerate() {
-            l_bytes[i] = *v as u8;
-        }
-        assert!(!is_canonical_scalar(&l_bytes));
-        let mut l_minus_1 = l_bytes;
+        assert!(!is_canonical_scalar(&l_bytes()));
+        let mut l_minus_1 = l_bytes();
         l_minus_1[0] -= 1;
         assert!(is_canonical_scalar(&l_minus_1));
         assert!(is_canonical_scalar(&[0u8; 32]));
@@ -761,6 +1234,93 @@ mod tests {
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(verify(e.public_key, e.message, e.signature).is_ok(), i != 2);
         }
+    }
+
+    #[test]
+    fn batch_over_two_keys_blames_the_forged_entry() {
+        // The shape of a block's endorsements: many signatures, two
+        // signers, so each key's entries share one term. One forged entry
+        // must fail the batch, and the per-entry fallback must blame it
+        // alone.
+        let keys = [[21u8; 32], [22u8; 32]].map(|seed| SigningKey::from_seed(&seed));
+        let pks = [keys[0].public_key(), keys[1].public_key()];
+        let msgs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 40 + i as usize]).collect();
+        let mut sigs: Vec<[u8; 64]> = (0..64).map(|i| keys[i % 2].sign(&msgs[i])).collect();
+        let batch = |sigs: &[[u8; 64]]| {
+            let entries: Vec<BatchEntry> = (0..64)
+                .map(|i| BatchEntry {
+                    public_key: &pks[i % 2],
+                    message: &msgs[i],
+                    signature: &sigs[i],
+                })
+                .collect();
+            verify_batch(&entries)
+        };
+        batch(&sigs).unwrap();
+        // A valid signature by the right key over a different message.
+        sigs[37] = keys[37 % 2].sign(b"some other message");
+        assert!(batch(&sigs).is_err());
+        for i in 0..64 {
+            assert_eq!(verify(&pks[i % 2], &msgs[i], &sigs[i]).is_ok(), i != 37);
+        }
+        // Swapping two signatures of the same key keeps every R and S in
+        // the batch but must still fail: coefficients are per entry.
+        sigs[37] = keys[37 % 2].sign(&msgs[37]);
+        sigs.swap(2, 4);
+        assert!(batch(&sigs).is_err());
+    }
+
+    #[test]
+    fn batch_longer_than_a_chunk() {
+        // 2·BATCH_CHUNK + 1 entries: two full chunks and a lone last entry.
+        let n = 2 * BATCH_CHUNK + 1;
+        let key = SigningKey::from_seed(&[24; 32]);
+        let pk = key.public_key();
+        let msgs: Vec<[u8; 8]> = (0..n as u64).map(u64::to_le_bytes).collect();
+        let mut sigs: Vec<[u8; 64]> = msgs.iter().map(|m| key.sign(m)).collect();
+        let batch = |sigs: &[[u8; 64]]| {
+            let entries: Vec<BatchEntry> = (0..n)
+                .map(|i| BatchEntry {
+                    public_key: &pk,
+                    message: &msgs[i],
+                    signature: &sigs[i],
+                })
+                .collect();
+            verify_batch(&entries)
+        };
+        batch(&sigs).unwrap();
+        for forged in [0, BATCH_CHUNK, n - 1] {
+            sigs[forged][40] ^= 1;
+            assert!(batch(&sigs).is_err(), "forged entry {forged}");
+            sigs[forged][40] ^= 1;
+        }
+    }
+
+    #[test]
+    fn batch_rejects_bad_key_after_good_entries_of_it() {
+        // Key grouping must not skip validation: a small-order key fails
+        // the batch wherever it appears.
+        let key = SigningKey::from_seed(&[23; 32]);
+        let pk = key.public_key();
+        let msg = b"m".to_vec();
+        let sig = key.sign(&msg);
+        let mut identity_enc = [0u8; 32];
+        identity_enc[0] = 1;
+        let mut identity_sig = [0u8; 64];
+        identity_sig[..32].copy_from_slice(&identity_enc);
+        let good = BatchEntry {
+            public_key: &pk,
+            message: &msg,
+            signature: &sig,
+        };
+        let torsion = BatchEntry {
+            public_key: &identity_enc,
+            message: &msg,
+            signature: &identity_sig,
+        };
+        assert!(verify_batch(&[good, good, torsion]).is_err());
+        assert!(verify_batch(&[torsion, good, good]).is_err());
+        verify_batch(&[good, good, good]).unwrap();
     }
 
     #[test]

@@ -167,26 +167,26 @@ fn derive_seal_key(shared: &[u8; 32], eph_public: &[u8; 32], recipient: &[u8; 32
 /// endorsements, block signatures and identity certificates.
 #[derive(Clone)]
 pub struct SigningKeyPair {
-    seed: [u8; 32],
-    public: [u8; 32],
+    key: ed25519::SigningKey,
 }
 
 impl SigningKeyPair {
     /// Generate a fresh signing key pair.
     pub fn generate<R: RngCore + ?Sized>(rng: &mut R) -> SigningKeyPair {
         let seed: [u8; 32] = random_array(rng);
-        let public = ed25519::public_key(&seed);
-        SigningKeyPair { seed, public }
+        SigningKeyPair {
+            key: ed25519::SigningKey::from_seed(&seed),
+        }
     }
 
     /// The 32-byte verification key.
     pub fn public(&self) -> [u8; 32] {
-        self.public
+        self.key.public_key()
     }
 
     /// Sign a message.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
-        ed25519::sign(&self.seed, message)
+        self.key.sign(message)
     }
 }
 
@@ -195,7 +195,7 @@ impl fmt::Debug for SigningKeyPair {
         write!(
             f,
             "SigningKeyPair(pub: {}..)",
-            &crate::hex::encode(&self.public)[..12]
+            &crate::hex::encode(&self.public())[..12]
         )
     }
 }

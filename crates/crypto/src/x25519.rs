@@ -9,9 +9,18 @@
 
 const MASK: u64 = (1u64 << 51) - 1;
 
-/// An element of GF(2²⁵⁵ − 19), kept partially reduced (limbs < 2⁵²).
+/// An element of GF(2²⁵⁵ − 19), kept partially reduced.
+///
+/// Limb bounds, checked by debug assertions: [`Fe::mul`], [`Fe::square`]
+/// and [`Fe::sub`] return limbs below 2⁵¹ + 2¹⁸ and accept limbs below
+/// 2⁵⁴; [`Fe::add`] does not carry, so a sum of up to four such results
+/// (below 2⁵³ + 2²⁰) is still a valid operand, and a longer chain of
+/// additions is not.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fe(pub(crate) [u64; 5]);
+
+/// The largest limb [`Fe::mul`], [`Fe::square`] and [`Fe::sub`] accept.
+const OPERAND_BOUND: u64 = 1 << 54;
 
 impl Fe {
     pub(crate) const ZERO: Fe = Fe([0; 5]);
@@ -19,18 +28,13 @@ impl Fe {
 
     /// Load from 32 little-endian bytes, masking the top bit (RFC 7748 §5).
     pub(crate) fn from_bytes(b: &[u8; 32]) -> Fe {
-        let load = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-        let lo0 = load(0);
-        let lo1 = load(6) >> 3;
-        let lo2 = load(12) >> 6;
-        let lo3 = load(19) >> 1;
-        let lo4 = load(24) >> 12;
+        let load = |i: usize| u64::from_le_bytes(std::array::from_fn(|j| b[i + j]));
         Fe([
-            lo0 & MASK,
-            lo1 & MASK,
-            lo2 & MASK,
-            lo3 & MASK,
-            lo4 & ((1u64 << 51) - 1) & 0x0007ffffffffffff & MASK,
+            load(0) & MASK,
+            (load(6) >> 3) & MASK,
+            (load(12) >> 6) & MASK,
+            (load(19) >> 1) & MASK,
+            (load(24) >> 12) & MASK,
         ])
     }
 
@@ -79,7 +83,7 @@ impl Fe {
         }
     }
 
-    /// One carry-propagation pass with the ×19 wraparound.
+    /// One sequential carry-propagation pass with the ×19 wraparound.
     fn carry(self) -> Fe {
         let mut t = self.0;
         let mut c: u64;
@@ -94,6 +98,11 @@ impl Fe {
         Fe(t)
     }
 
+    fn in_bounds(self) -> bool {
+        self.0.iter().all(|&limb| limb < OPERAND_BOUND)
+    }
+
+    /// Limb-wise sum, not carried (see the bounds on [`Fe`]).
     pub(crate) fn add(self, rhs: Fe) -> Fe {
         let a = self.0;
         let b = rhs.0;
@@ -104,31 +113,33 @@ impl Fe {
             a[3] + b[3],
             a[4] + b[4],
         ])
-        .carry()
     }
 
     pub(crate) fn sub(self, rhs: Fe) -> Fe {
-        // Add 2p so no limb underflows (inputs are < 2^52 < 2p's limbs).
-        const TWO_P: [u64; 5] = [
-            0xfffffffffffda,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-        ];
+        // Add 16p so no limb underflows, then carry every limb at once:
+        // the carries are below 2⁶, so one pass leaves limbs < 2⁵¹ + 2¹¹.
+        const P16: [u64; 5] = [(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK << 4];
+        debug_assert!(self.in_bounds() && rhs.in_bounds());
         let a = self.0;
         let b = rhs.0;
+        let t = [
+            a[0] + P16[0] - b[0],
+            a[1] + P16[1] - b[1],
+            a[2] + P16[2] - b[2],
+            a[3] + P16[3] - b[3],
+            a[4] + P16[4] - b[4],
+        ];
         Fe([
-            a[0] + TWO_P[0] - b[0],
-            a[1] + TWO_P[1] - b[1],
-            a[2] + TWO_P[2] - b[2],
-            a[3] + TWO_P[3] - b[3],
-            a[4] + TWO_P[4] - b[4],
+            (t[0] & MASK) + (t[4] >> 51) * 19,
+            (t[1] & MASK) + (t[0] >> 51),
+            (t[2] & MASK) + (t[1] >> 51),
+            (t[3] & MASK) + (t[2] >> 51),
+            (t[4] & MASK) + (t[3] >> 51),
         ])
-        .carry()
     }
 
     pub(crate) fn mul(self, rhs: Fe) -> Fe {
+        debug_assert!(self.in_bounds() && rhs.in_bounds());
         let f = self.0;
         let g = rhs.0;
         let m = |a: u64, b: u64| (a as u128) * (b as u128);
@@ -146,8 +157,27 @@ impl Fe {
         carry_wide([h0, h1, h2, h3, h4])
     }
 
+    /// A dedicated squaring: the 25 limb products of [`Fe::mul`] collapse
+    /// to 15 because the cross terms come in equal pairs.
     pub(crate) fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(self.in_bounds());
+        let f = self.0;
+        let m = |a: u64, b: u64| (a as u128) * (b as u128);
+        let f3_19 = f[3] * 19;
+        let f4_19 = f[4] * 19;
+
+        let h0 = m(f[0], f[0]) + 2 * (m(f[1], f4_19) + m(f[2], f3_19));
+        let h1 = m(f[3], f3_19) + 2 * (m(f[0], f[1]) + m(f[2], f4_19));
+        let h2 = m(f[1], f[1]) + 2 * (m(f[0], f[2]) + m(f[4], f3_19));
+        let h3 = m(f[4], f4_19) + 2 * (m(f[0], f[3]) + m(f[1], f[2]));
+        let h4 = m(f[2], f[2]) + 2 * (m(f[0], f[4]) + m(f[1], f[3]));
+
+        carry_wide([h0, h1, h2, h3, h4])
+    }
+
+    /// `self^(2^k)`: `k` successive squarings.
+    fn square_n(self, k: u32) -> Fe {
+        (0..k).fold(self, |x, _| x.square())
     }
 
     /// Multiply by the curve constant a24 = 121665.
@@ -163,17 +193,41 @@ impl Fe {
         carry_wide(h)
     }
 
-    /// Raise to the power 2²⁵⁵ − 21 (the inverse, by Fermat's little theorem).
+    /// The shared prefix of the two fixed exponentiations below:
+    /// `(self^(2²⁵⁰ − 1), self^11)` by the standard addition chain
+    /// (249 squarings, 11 multiplications).
+    fn pow_2_250_minus_1(self) -> (Fe, Fe) {
+        let x2 = self.square();
+        let x9 = x2.square_n(2).mul(self);
+        let x11 = x9.mul(x2);
+        let e5 = x11.square().mul(x9); // 2^5 − 1
+        let e10 = e5.square_n(5).mul(e5); // 2^10 − 1
+        let e20 = e10.square_n(10).mul(e10);
+        let e40 = e20.square_n(20).mul(e20);
+        let e50 = e40.square_n(10).mul(e10);
+        let e100 = e50.square_n(50).mul(e50);
+        let e200 = e100.square_n(100).mul(e100);
+        let e250 = e200.square_n(50).mul(e50);
+        (e250, x11)
+    }
+
+    /// Raise to the power p − 2 = 2²⁵⁵ − 21 (the inverse, by Fermat's
+    /// little theorem; 0 maps to 0).
     pub(crate) fn invert(self) -> Fe {
-        // Exponent p - 2 as little-endian bytes: 0xeb, 0xff × 30, 0x7f.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow_le(&exp)
+        let (e250, x11) = self.pow_2_250_minus_1();
+        e250.square_n(5).mul(x11)
+    }
+
+    /// Raise to the power (p − 5)/8 = 2²⁵² − 3, the exponent of the
+    /// square-root candidate in point decompression (RFC 8032 §5.1.3).
+    pub(crate) fn pow_p58(self) -> Fe {
+        let (e250, _) = self.pow_2_250_minus_1();
+        e250.square_n(2).mul(self)
     }
 
     /// Generic left-to-right square-and-multiply with a little-endian
-    /// exponent. Not constant time (see crate disclaimer).
+    /// exponent: the oracle the addition chains are tested against.
+    #[cfg(test)]
     pub(crate) fn pow_le(self, exp_le: &[u8; 32]) -> Fe {
         let mut result = Fe::ONE;
         let mut started = false;
@@ -287,8 +341,13 @@ pub const BASE_POINT: [u8; 32] = {
 };
 
 /// Derive the public key for a private scalar: `X25519(k, 9)`.
+///
+/// The base point u = 9 is the image of the Ed25519 base point, so this is
+/// the clamped scalar times B on the Edwards curve — a walk of the
+/// fixed-base table rather than a 255-step ladder — mapped back to
+/// Montgomery form.
 pub fn public_key(private: &[u8; 32]) -> [u8; 32] {
-    x25519(private, &BASE_POINT)
+    crate::ed25519::base_mul_montgomery_u(&clamp_scalar(*private))
 }
 
 /// Compute the shared secret between a private scalar and a peer public key.
@@ -403,6 +462,44 @@ mod tests {
         // (a + a) = 2a = a * 2
         let two = Fe([2, 0, 0, 0, 0]);
         assert_eq!(a.add(a).to_bytes(), a.mul(two).to_bytes());
+    }
+
+    #[test]
+    fn addition_chains_match_generic_exponentiation() {
+        // p − 2, (p − 5)/8 as little-endian bytes.
+        let mut p_minus_2 = [0xffu8; 32];
+        p_minus_2[0] = 0xeb;
+        p_minus_2[31] = 0x7f;
+        let mut p58 = [0xffu8; 32];
+        p58[0] = 0xfd;
+        p58[31] = 0x0f;
+        let mut bytes = [0u8; 32];
+        for seed in 0..32u8 {
+            for (i, b) in bytes.iter_mut().enumerate() {
+                *b = seed
+                    .wrapping_mul(31)
+                    .wrapping_add(i as u8)
+                    .wrapping_mul(167);
+            }
+            // Un-carried sums exercise the widest limbs the point formulas
+            // feed into a multiplication or squaring.
+            let a = Fe::from_bytes(&bytes);
+            let wide = a.add(a).add(a);
+            for x in [a, wide, Fe::ZERO, Fe::ONE, Fe::ZERO.sub(Fe::ONE)] {
+                assert_eq!(x.invert().to_bytes(), x.pow_le(&p_minus_2).to_bytes());
+                assert_eq!(x.pow_p58().to_bytes(), x.pow_le(&p58).to_bytes());
+                assert_eq!(x.square().to_bytes(), x.mul(x).to_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn public_key_matches_ladder() {
+        // The Edwards fixed-base walk and the Montgomery ladder agree,
+        // clamping included, on all-ones, all-zeros and patterned scalars.
+        for k in [[0u8; 32], [0xff; 32], [0x42; 32], BASE_POINT] {
+            assert_eq!(public_key(&k), x25519(&k, &BASE_POINT));
+        }
     }
 
     #[test]

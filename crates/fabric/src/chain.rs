@@ -143,8 +143,11 @@ pub struct FabricChain {
     state_root: Digest,
     /// Logical clock for transaction timestamps (microseconds).
     clock_us: u64,
-    /// Whether to produce and check real endorsement signatures.
-    /// Disabled only by throughput experiments (documented substitution).
+    /// Whether endorsement signatures are checked at submission
+    /// ([`check_endorsements`]). Endorsers sign every response either
+    /// way, so a chain with checks off still pays one Ed25519 signature
+    /// per endorsing organisation per transaction. Disabled only by
+    /// throughput experiments (documented substitution).
     check_signatures: bool,
     /// Commit-time validation pipeline (serial MVCC-only by default; see
     /// [`ValidationConfig`]).
@@ -351,8 +354,9 @@ impl FabricChain {
         )
     }
 
-    /// Disable endorsement signature production/verification (used by the
-    /// large-scale timing experiments; see DESIGN.md).
+    /// Turn the submission-time check of endorsement signatures on or off
+    /// (off in the large-scale timing experiments; see DESIGN.md).
+    /// Signature *production* is unaffected: endorsers always sign.
     pub fn set_check_signatures(&mut self, check: bool) {
         self.check_signatures = check;
     }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey, SigningKeyPair};
-use ledgerview_crypto::CryptoError;
+use ledgerview_crypto::{CryptoError, SigCache};
 use rand::RngCore;
 
 use crate::error::FabricError;
@@ -145,16 +145,33 @@ struct OrgCa {
     ca: SigningKeyPair,
 }
 
+/// Certificates whose CA-signature verdict [`Msp::verify_cert`] remembers.
+/// A deployment has a few endorsing peers and a bounded client population;
+/// past this many the least recently seen certificate is verified again.
+const CERT_MEMO_CAPACITY: usize = 1024;
+
 /// The membership registry: organisation CAs and certificate verification.
-#[derive(Default)]
 pub struct Msp {
     orgs: HashMap<OrgId, OrgCa>,
+    /// Verdicts of CA signatures already checked, keyed by a digest of the
+    /// CA key, the certificate's signed bytes and its signature: the same
+    /// few endorser certificates arrive with every proposal response.
+    cert_memo: SigCache,
+}
+
+impl Default for Msp {
+    fn default() -> Msp {
+        Msp::new()
+    }
 }
 
 impl Msp {
     /// An empty registry.
     pub fn new() -> Msp {
-        Msp::default()
+        Msp {
+            orgs: HashMap::new(),
+            cert_memo: SigCache::new(CERT_MEMO_CAPACITY),
+        }
     }
 
     /// Create an organisation with a fresh CA key. Returns its id.
@@ -220,17 +237,24 @@ impl Msp {
     }
 
     /// Verify that a certificate was issued by a registered organisation.
+    /// Each distinct certificate costs one signature verification; repeats
+    /// are answered from a bounded memo of verdicts, valid or not.
     pub fn verify_cert(&self, cert: &Certificate) -> Result<(), FabricError> {
         let ca = self
             .orgs
             .get(&cert.org)
             .ok_or_else(|| FabricError::AccessDenied(format!("unknown org {}", cert.org)))?;
-        ledgerview_crypto::keys::verify_signature(
-            &ca.ca.public(),
-            &cert.to_signed_bytes(),
-            &cert.ca_signature,
-        )
-        .map_err(|_| FabricError::BadSignature)
+        let (ca_key, signed, sig) = (ca.ca.public(), cert.to_signed_bytes(), &cert.ca_signature);
+        let valid = self
+            .cert_memo
+            .lookup(&ca_key, &signed, sig)
+            .unwrap_or_else(|| {
+                let valid =
+                    ledgerview_crypto::keys::verify_signature(&ca_key, &signed, sig).is_ok();
+                self.cert_memo.record(&ca_key, &signed, sig, valid);
+                valid
+            });
+        valid.then_some(()).ok_or(FabricError::BadSignature)
     }
 
     /// Verify a signature made by the holder of `cert`, checking the
@@ -291,6 +315,49 @@ mod tests {
         let mut forged2 = alice.cert().clone();
         forged2.signing_pub = SigningKeyPair::generate(&mut rng).public();
         assert!(msp.verify_cert(&forged2).is_err());
+    }
+
+    #[test]
+    fn cert_memo_remembers_verdicts_per_certificate_and_ca() {
+        let mut rng = seeded(9);
+        let mut msp = Msp::new();
+        let org1 = msp.add_org("Org1MSP", &mut rng);
+        let org2 = msp.add_org("Org2MSP", &mut rng);
+        let alice = msp.enroll(&org1, "alice", &mut rng).unwrap();
+
+        // One verification, then hits.
+        for _ in 0..3 {
+            msp.verify_cert(alice.cert()).unwrap();
+        }
+        let stats = msp.cert_memo.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
+
+        // A forged certificate is rejected the first time and every time
+        // after: a cached `false` is as good as a fresh one, and the valid
+        // certificate it was forged from does not vouch for it.
+        let mut forged = alice.cert().clone();
+        forged.encryption_pub = msp
+            .enroll(&org1, "mallory", &mut rng)
+            .unwrap()
+            .encryption_public();
+        for _ in 0..3 {
+            assert!(matches!(
+                msp.verify_cert(&forged),
+                Err(FabricError::BadSignature)
+            ));
+        }
+        let mut resigned = alice.cert().clone();
+        resigned.ca_signature[7] ^= 1;
+        assert!(msp.verify_cert(&resigned).is_err());
+        assert!(msp.verify_cert(&resigned).is_err());
+
+        // The same bytes presented under another organisation's CA are a
+        // different question: the CA key is part of the memo key.
+        let mut relabelled = alice.cert().clone();
+        relabelled.org = org2;
+        assert!(msp.verify_cert(&relabelled).is_err());
+        msp.verify_cert(alice.cert()).unwrap();
+        assert_eq!(msp.cert_memo.len(), 4);
     }
 
     #[test]

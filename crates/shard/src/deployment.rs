@@ -120,8 +120,9 @@ pub struct ShardConfig {
     pub admission_rate_per_sec: f64,
     /// Per-shard admission burst capacity.
     pub admission_burst: u64,
-    /// Endorsement signature production/verification (off by default:
-    /// the scale-out bench measures pipeline structure, not crypto).
+    /// Endorsement signature verification at submission (off by default:
+    /// the scale-out bench measures pipeline structure, not crypto;
+    /// endorsers sign either way).
     pub check_signatures: bool,
     /// Explicit shard-map pins for composite namespaces, `(prefix,
     /// shard)`.
