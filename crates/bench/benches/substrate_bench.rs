@@ -30,21 +30,56 @@ fn bench_merkle(c: &mut Criterion) {
 
 fn bench_statedb(c: &mut Criterion) {
     let mut group = c.benchmark_group("statedb");
-    for n in [1_000usize, 10_000] {
+    let version = |i: usize| Version {
+        block_num: (i / 100) as u64,
+        tx_num: (i % 100) as u32,
+    };
+    for (label, n) in [("1k", 1_000usize), ("10k", 10_000), ("100k", 100_000)] {
         let mut db = StateDb::new();
         for i in 0..n {
             db.put(
                 format!("key-{i:06}"),
                 format!("value-{i}").into_bytes(),
-                Version {
-                    block_num: (i / 100) as u64,
-                    tx_num: (i % 100) as u32,
-                },
+                version(i),
             );
         }
-        group.bench_with_input(BenchmarkId::new("state_digest", n), &db, |b, db| {
-            b.iter(|| db.state_digest());
-        });
+        // The digest of an unchanged state is a cached read, so each
+        // iteration is a block's worth of writes plus the digest they
+        // dirty: overwrites patch leaf→root paths, inserts rebuild the
+        // buckets they land in (and grow the state as the bench runs).
+        db.state_digest();
+        let mut round = 0usize;
+        group.bench_function(
+            BenchmarkId::new("state_digest/after_100_overwrites", label),
+            |b| {
+                b.iter(|| {
+                    round += 1;
+                    for j in 0..100 {
+                        let i = (round * 7919 + j * 31) % n;
+                        db.put(format!("key-{i:06}"), vec![round as u8; 16], version(round));
+                    }
+                    db.state_digest()
+                });
+            },
+        );
+        let mut next = n;
+        group.bench_function(
+            BenchmarkId::new("state_digest/after_100_inserts", label),
+            |b| {
+                b.iter(|| {
+                    for _ in 0..100 {
+                        db.put(format!("key-{next:06}"), vec![1u8; 16], version(next));
+                        next += 1;
+                    }
+                    db.state_digest()
+                });
+            },
+        );
+        if n == 10_000 {
+            group.bench_with_input(BenchmarkId::new("prove", label), &db, |b, db| {
+                b.iter(|| db.prove(black_box("key-005000")));
+            });
+        }
         group.bench_with_input(BenchmarkId::new("prefix_scan", n), &db, |b, db| {
             b.iter(|| db.scan_prefix(black_box("key-0001")).count());
         });

@@ -145,17 +145,18 @@ impl Sha256 {
     /// Finish the hash and return the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; padding must not count, but we only
-        // use `bit_len` captured beforehand, so it is fine.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — behind the
+        // buffered bytes when the length still fits in their block
+        // (`update` keeps `buf_len < 64`), else spilling into one more.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.total_len = 0; // irrelevant now
-        let mut last = self.buf;
-        last[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&last.clone());
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -274,6 +275,44 @@ mod tests {
                 h.update(std::slice::from_ref(byte));
             }
             assert_eq!(h.finalize(), one_shot, "len={len}");
+        }
+    }
+
+    /// Every padding layout: for each length, one-shot, byte-at-a-time and
+    /// every two-way split agree, and the digest is the padded message's
+    /// hand-built final state (so `finalize` is checked against `compress`
+    /// alone, not against itself).
+    #[test]
+    fn every_length_and_split_agrees() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=130 {
+            let msg = &data[..len];
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut by_hand = Sha256::new();
+            for block in padded.chunks_exact(64) {
+                by_hand.compress(block.try_into().unwrap());
+            }
+            let mut expect = [0u8; 32];
+            for (i, w) in by_hand.state.iter().enumerate() {
+                expect[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+            }
+            assert_eq!(sha256(msg).0, expect, "len={len}");
+
+            let mut bytewise = Sha256::new();
+            for byte in msg {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(bytewise.finalize().0, expect, "len={len} bytewise");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]).update(&msg[split..]);
+                assert_eq!(h.finalize().0, expect, "len={len} split={split}");
+            }
         }
     }
 

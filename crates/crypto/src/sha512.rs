@@ -184,13 +184,18 @@ impl Sha512 {
     /// Finish the hash and return the digest.
     pub fn finalize(mut self) -> Digest512 {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 16-byte big-endian bit length — behind the
+        // buffered bytes when the length still fits in their block
+        // (`update` keeps `buf_len < 128`), else spilling into one more.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            self.compress(&block);
+            block = [0u8; 128];
         }
-        let mut last = self.buf;
-        last[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&last);
+        block[112..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
@@ -291,6 +296,44 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632a803afa973eb\
              de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b"
         );
+    }
+
+    /// Every padding layout: for each length, one-shot, byte-at-a-time and
+    /// every two-way split agree, and the digest is the padded message's
+    /// hand-built final state (so `finalize` is checked against `compress`
+    /// alone, not against itself).
+    #[test]
+    fn every_length_and_split_agrees() {
+        let data: Vec<u8> = (0..260u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=260 {
+            let msg = &data[..len];
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 128 != 112 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u128 * 8).to_be_bytes());
+            let mut by_hand = Sha512::new();
+            for block in padded.chunks_exact(128) {
+                by_hand.compress(block.try_into().unwrap());
+            }
+            let mut expect = [0u8; 64];
+            for (i, w) in by_hand.state.iter().enumerate() {
+                expect[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
+            }
+            assert_eq!(sha512(msg).0, expect, "len={len}");
+
+            let mut bytewise = Sha512::new();
+            for byte in msg {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(bytewise.finalize().0, expect, "len={len} bytewise");
+            for split in 0..=len {
+                let mut h = Sha512::new();
+                h.update(&msg[..split]).update(&msg[split..]);
+                assert_eq!(h.finalize().0, expect, "len={len} split={split}");
+            }
+        }
     }
 
     #[test]

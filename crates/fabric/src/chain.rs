@@ -678,7 +678,7 @@ impl FabricChain {
                 validity,
             }
         };
-        let state_root = block.header.state_root;
+        let (state_root, data_hash) = (block.header.state_root, block.header.data_hash);
         // Durability point: the backend persists (WAL + block file) before
         // the in-memory ledger advances, so a crash after this call can
         // always be recovered to include this block.
@@ -692,7 +692,7 @@ impl FabricChain {
         let commit_start = Instant::now();
         let _commit_span = metrics.as_ref().map(|m| m.telemetry.span("block.commit"));
         self.store
-            .append(block)
+            .append_hashed(block, data_hash)
             .expect("locally built block must link");
         self.state_root = state_root;
 

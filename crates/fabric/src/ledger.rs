@@ -13,7 +13,7 @@ use ledgerview_crypto::sha256::{sha256, Digest};
 use crate::chaincode::RwSet;
 use crate::error::FabricError;
 use crate::identity::Certificate;
-use crate::merkle::{MerkleTree, ProofStep};
+use crate::merkle::{self, leaf_hash, MerkleTree, ProofStep};
 use crate::wire::{Reader, Writer};
 
 /// A transaction identifier: the SHA-256 of the proposal bytes.
@@ -239,8 +239,14 @@ pub struct Block {
 impl Block {
     /// Compute the Merkle root over this block's transactions.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        let leaves: Vec<Vec<u8>> = transactions.iter().map(|t| t.to_bytes()).collect();
-        MerkleTree::build(&leaves).root()
+        merkle::root_of(Block::tx_leaf_hashes(transactions))
+    }
+
+    fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
+        transactions
+            .iter()
+            .map(|t| leaf_hash(&t.to_bytes()))
+            .collect()
     }
 
     /// Approximate block size in bytes.
@@ -252,8 +258,9 @@ impl Block {
 
     /// Merkle inclusion proof for the transaction at `index`.
     pub fn prove_tx(&self, index: usize) -> Vec<ProofStep> {
-        let leaves: Vec<Vec<u8>> = self.transactions.iter().map(|t| t.to_bytes()).collect();
-        MerkleTree::build(&leaves).prove(index).steps
+        MerkleTree::from_leaf_hashes(Block::tx_leaf_hashes(&self.transactions))
+            .prove(index)
+            .steps
     }
 
     /// Full wire encoding, decodable by [`Block::decode`].
@@ -337,8 +344,22 @@ impl BlockStore {
         }
     }
 
-    /// Append a block, verifying height and the previous-hash link.
+    /// Append a block, verifying height, the previous-hash link and the
+    /// data hash against the transactions.
     pub fn append(&mut self, block: Block) -> Result<(), FabricError> {
+        let data_hash = Block::compute_data_hash(&block.transactions);
+        self.append_hashed(block, data_hash)
+    }
+
+    /// [`BlockStore::append`] for a block this process just built:
+    /// `data_hash` is the transactions' hash the caller computed for the
+    /// header, so they are not hashed a second time.
+    pub(crate) fn append_hashed(
+        &mut self,
+        block: Block,
+        data_hash: Digest,
+    ) -> Result<(), FabricError> {
+        debug_assert_eq!(data_hash, Block::compute_data_hash(&block.transactions));
         let expected_number = self.base + self.blocks.len() as u64;
         if block.header.number != expected_number {
             return Err(FabricError::IntegrityViolation(format!(
@@ -352,7 +373,7 @@ impl BlockStore {
                 "previous-hash link broken".into(),
             ));
         }
-        if block.header.data_hash != Block::compute_data_hash(&block.transactions) {
+        if block.header.data_hash != data_hash {
             return Err(FabricError::IntegrityViolation(
                 "data hash does not match transactions".into(),
             ));

@@ -17,12 +17,12 @@
 //! # What stays in memory
 //!
 //! Values live on disk; only per-key *metadata* stays resident — the
-//! [`StateDigester`] directory (key, leaf hash, MVCC version, liveness)
-//! that serves `version()` lookups and maintains the bucketed Merkle
-//! digest incrementally, plus the engine's block/row caches under fixed
-//! byte budgets. Memory therefore scales with key count and cache budget,
-//! not with total value bytes — the larger-than-RAM regime the LSM exists
-//! for.
+//! [`StateDigester`] directory (key, leaf hash, MVCC version, liveness,
+//! and about one cached tree node per key) that serves `version()`
+//! lookups and maintains the bucketed Merkle digest incrementally, plus
+//! the engine's block/row caches under fixed byte budgets. Memory
+//! therefore scales with key count and cache budget, not with total value
+//! bytes — the larger-than-RAM regime the LSM exists for.
 //!
 //! # Recovery
 //!
@@ -82,10 +82,7 @@ impl LsmState {
         // Rebuild the in-memory directory from every persisted record —
         // tombstones included, so versions and the digest survive reopen.
         let mut directory = StateDigester::new();
-        lsm.for_each(&mut |r| match &r.value {
-            Some(v) => directory.apply_put(&r.key, v, r.version),
-            None => directory.apply_delete(&r.key, r.version),
-        })?;
+        lsm.for_each(&mut |r| directory.apply(&r.key, r.value.as_deref(), r.version))?;
         Ok((
             LsmState {
                 lsm,

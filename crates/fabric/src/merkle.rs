@@ -17,7 +17,8 @@ pub fn leaf_hash(value: &[u8]) -> Digest {
     sha256_concat(&[LEAF_PREFIX, value])
 }
 
-fn node_hash(left: &Digest, right: &Digest) -> Digest {
+/// Hash an inner node over its two children.
+pub(crate) fn node_hash(left: &Digest, right: &Digest) -> Digest {
     sha256_concat(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
 }
 
@@ -142,9 +143,28 @@ pub fn verify_inclusion_hash(root: &Digest, leaf: Digest, proof: &MerkleProof) -
     acc == *root
 }
 
+/// The root [`MerkleTree::from_leaf_hashes`] would report, folded in place
+/// without retaining the levels — for callers that only need the root.
+pub fn root_of(mut level: Vec<Digest>) -> Digest {
+    if level.is_empty() {
+        return empty_root();
+    }
+    let mut len = level.len();
+    while len > 1 {
+        for i in 0..len / 2 {
+            level[i] = node_hash(&level[2 * i], &level[2 * i + 1]);
+        }
+        if len % 2 == 1 {
+            level[len / 2] = level[len - 1];
+        }
+        len = len.div_ceil(2);
+    }
+    level[0]
+}
+
 /// Convenience: the Merkle root over serialized items.
 pub fn root_over(items: &[Vec<u8>]) -> Digest {
-    MerkleTree::build(items).root()
+    root_of(items.iter().map(|item| leaf_hash(item)).collect())
 }
 
 #[cfg(test)]
@@ -182,6 +202,16 @@ mod tests {
                     "n={n} leaf={i} proof failed"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn root_of_matches_the_retained_tree() {
+        for n in 0..=17 {
+            let ls = leaves(n);
+            let hashes: Vec<Digest> = ls.iter().map(|l| leaf_hash(l)).collect();
+            assert_eq!(root_of(hashes), MerkleTree::build(&ls).root(), "n={n}");
+            assert_eq!(root_over(&ls), MerkleTree::build(&ls).root(), "n={n}");
         }
     }
 

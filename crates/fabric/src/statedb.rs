@@ -9,8 +9,10 @@
 //!
 //! Two implementations exist behind the [`VersionedState`] trait: this
 //! in-memory [`StateDb`] (a `BTreeMap`, the reference semantics) and the
-//! disk-backed LSM state in [`crate::storage::LsmBackend`]. Differential
-//! tests hold them bit-identical — values, versions, and digests.
+//! disk-backed LSM state in [`crate::storage::LsmBackend`]. Both keep
+//! their digest in the same incremental [`StateDigester`]; differential
+//! tests hold them bit-identical — values, versions, and digests — and
+//! hold the digest to the from-scratch oracle in [`crate::digest`].
 //!
 //! # Deletes are tombstones
 //!
@@ -23,13 +25,14 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 use ledgerview_crypto::sha256::Digest;
 
 pub use ledgerview_statedb::Version;
 
-use crate::digest::{self, bucket_of, leaf_bytes, DIGEST_BUCKETS};
-use crate::merkle::{self, leaf_hash, MerkleProof};
+use crate::digest::{leaf_bytes, StateDigester};
+use crate::merkle::{self, MerkleProof};
 
 /// Visitor for [`VersionedState::for_each_entry`]: receives the key, the
 /// value (`None` for a tombstone), and the entry's MVCC version.
@@ -101,6 +104,10 @@ struct Entry {
 pub struct StateDb {
     entries: BTreeMap<String, Entry>,
     live: usize,
+    /// Built from `entries` by the first digest or proof request and fed
+    /// every write from then on: a state nobody digests (an endorser's
+    /// scratch chain, a bulk load) pays neither its hashing nor its memory.
+    digester: OnceLock<StateDigester>,
 }
 
 impl StateDb {
@@ -142,6 +149,9 @@ impl StateDb {
 
     /// Write `value` under `key` at `version`.
     pub fn put(&mut self, key: String, value: Vec<u8>, version: Version) {
+        if let Some(digester) = self.digester.get_mut() {
+            digester.apply(&key, Some(&value), version);
+        }
         let old = self.entries.insert(
             key,
             Entry {
@@ -157,6 +167,9 @@ impl StateDb {
     /// Delete `key` at `version`: writes a tombstone that future MVCC
     /// reads and the state digest both observe.
     pub fn delete(&mut self, key: &str, version: Version) {
+        if let Some(digester) = self.digester.get_mut() {
+            digester.apply(key, None, version);
+        }
         let old = self.entries.insert(
             key.to_string(),
             Entry {
@@ -212,10 +225,21 @@ impl StateDb {
             .sum()
     }
 
-    /// Deterministic bucketed Merkle digest over the full state —
-    /// bit-identical to what the LSM backend maintains incrementally.
+    fn digester(&self) -> &StateDigester {
+        self.digester.get_or_init(|| {
+            let mut digester = StateDigester::new();
+            for (key, value, version) in self.iter_entries() {
+                digester.apply(key, value, version);
+            }
+            digester
+        })
+    }
+
+    /// Deterministic bucketed Merkle digest over the full state. The
+    /// first call hashes every entry; later calls cost only the writes
+    /// in between (see [`crate::digest`]).
     pub fn state_digest(&self) -> Digest {
-        digest::digest_of_entries(self.iter_entries())
+        self.digester().digest()
     }
 
     /// Produce an inclusion proof that `key` holds its current value under
@@ -224,17 +248,7 @@ impl StateDb {
     pub fn prove(&self, key: &str) -> Option<(MerkleProof, Vec<u8>)> {
         let entry = self.entries.get(key)?;
         let value = entry.value.as_deref()?;
-        let mut bucket_leaves: Vec<Vec<Digest>> = vec![Vec::new(); DIGEST_BUCKETS];
-        let target_bucket = bucket_of(key);
-        let mut idx = None;
-        for (k, e) in &self.entries {
-            let b = bucket_of(k);
-            if b == target_bucket && k == key {
-                idx = Some(bucket_leaves[b].len());
-            }
-            bucket_leaves[b].push(leaf_hash(&leaf_bytes(k, e.value.as_deref(), e.version)));
-        }
-        let proof = digest::prove_in_buckets(&bucket_leaves, target_bucket, idx?);
+        let proof = self.digester().prove(key)?;
         Some((proof, leaf_bytes(key, Some(value), entry.version)))
     }
 

@@ -9,7 +9,7 @@ use ledgerview_crypto::sha256::{sha256_concat, Digest};
 
 use crate::chaincode::RwSet;
 use crate::ledger::Transaction;
-use crate::merkle::MerkleTree;
+use crate::merkle::{self, leaf_hash};
 use crate::statedb::{Version, VersionedState};
 use crate::wire::Writer;
 
@@ -124,7 +124,7 @@ fn rolling_root(
     transactions: &[Transaction],
     valid: impl Iterator<Item = bool>,
 ) -> Digest {
-    let mut leaves: Vec<Vec<u8>> = Vec::new();
+    let mut leaves: Vec<Digest> = Vec::new();
     for (tx, is_valid) in transactions.iter().zip(valid) {
         if !is_valid {
             continue;
@@ -140,10 +140,10 @@ fn rolling_root(
                     w.u8(0);
                 }
             }
-            leaves.push(w.into_bytes());
+            leaves.push(leaf_hash(&w.into_bytes()));
         }
     }
-    let writes_root = MerkleTree::build(&leaves).root();
+    let writes_root = merkle::root_of(leaves);
     sha256_concat(&[prev_root.as_bytes(), writes_root.as_bytes()])
 }
 

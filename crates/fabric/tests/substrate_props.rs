@@ -1,9 +1,67 @@
 //! Property-based tests for the blockchain substrate.
 
-use fabric_sim::merkle::{verify_inclusion, MerkleTree};
+use std::collections::BTreeMap;
+
+use fabric_sim::digest::{
+    bucket_of, digest_of_entries, leaf_bytes, prove_in_buckets, StateDigester, DIGEST_BUCKETS,
+};
+use fabric_sim::merkle::{leaf_hash, verify_inclusion, MerkleTree};
 use fabric_sim::statedb::{StateDb, Version};
 use fabric_sim::wire::{Reader, Writer};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// The digester's from-scratch twin: every entry, tombstones included.
+type Twin = BTreeMap<String, (Option<Vec<u8>>, Version)>;
+
+/// 24 keys that fall into only three digest buckets, so random scripts
+/// over them grow, patch and rebuild real in-bucket trees.
+fn crowded_keys() -> Vec<String> {
+    (0u32..)
+        .map(|i| format!("k{i}"))
+        .filter(|k| bucket_of(k) < 3)
+        .take(24)
+        .collect()
+}
+
+fn twin_digest(twin: &Twin) -> ledgerview_crypto::sha256::Digest {
+    digest_of_entries(
+        twin.iter()
+            .map(|(k, (value, version))| (k.as_str(), value.as_deref(), *version)),
+    )
+}
+
+/// Every live key proves under `digest` with exactly the oracle's proof,
+/// from the digester directly and through the `StateDb` in front of it.
+fn check_proofs(twin: &Twin, digester: &StateDigester, db: &StateDb) -> Result<(), TestCaseError> {
+    let digest = twin_digest(twin);
+    let mut bucket_leaves = vec![Vec::new(); DIGEST_BUCKETS];
+    for (k, (value, version)) in twin {
+        bucket_leaves[bucket_of(k)].push(leaf_hash(&leaf_bytes(k, value.as_deref(), *version)));
+    }
+    let mut seen = vec![0usize; DIGEST_BUCKETS];
+    for (k, (value, version)) in twin {
+        let b = bucket_of(k);
+        let idx = seen[b];
+        seen[b] += 1;
+        let Some(value) = value else {
+            prop_assert!(digester.prove(k).is_none(), "tombstone {} proved", k);
+            prop_assert!(db.prove(k).is_none());
+            continue;
+        };
+        let proof = digester.prove(k).expect("live key proves");
+        prop_assert_eq!(
+            &proof,
+            &prove_in_buckets(&bucket_leaves, b, idx),
+            "key {}",
+            k
+        );
+        let leaf = leaf_bytes(k, Some(value), *version);
+        prop_assert!(verify_inclusion(&digest, &leaf, &proof), "key {}", k);
+        prop_assert_eq!(db.prove(k), Some((proof, leaf)));
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -50,6 +108,55 @@ proptest! {
             reduced.delete(k, Version { block_num: 99, tx_num: 0 });
             prop_assert_ne!(reduced.state_digest(), full);
         }
+    }
+
+    /// Random interleavings of put-new / overwrite / delete / delete-absent
+    /// / re-insert / `digest()` / `prove()` / `clone()` over keys crowded
+    /// into three buckets: every digest equals the from-scratch oracle over
+    /// a `BTreeMap` twin and every proof equals the oracle's — for the
+    /// digester fed directly and for a `StateDb`, whose digester first
+    /// appears at whatever point the script first asks for a digest.
+    #[test]
+    fn digester_matches_oracle_under_random_interleavings(
+        ops in proptest::collection::vec((0u8..10, 0usize..24, 0usize..40), 1..120)
+    ) {
+        let keys = crowded_keys();
+        let mut twin = Twin::new();
+        let mut digester = StateDigester::new();
+        let mut db = StateDb::new();
+        for (i, (op, key, len)) in ops.iter().enumerate() {
+            let key = &keys[*key];
+            let version = Version { block_num: 1 + i as u64 / 7, tx_num: (i % 7) as u32 };
+            match op {
+                0..=4 => {
+                    let value = vec![i as u8; *len];
+                    digester.apply_put(key, &value, version);
+                    db.put(key.clone(), value.clone(), version);
+                    twin.insert(key.clone(), (Some(value), version));
+                }
+                5 | 6 => {
+                    digester.apply_delete(key, version);
+                    db.delete(key, version);
+                    twin.insert(key.clone(), (None, version));
+                }
+                7 => {
+                    prop_assert_eq!(digester.digest(), twin_digest(&twin), "after op {}", i);
+                    prop_assert_eq!(db.state_digest(), twin_digest(&twin), "after op {}", i);
+                }
+                8 => check_proofs(&twin, &digester, &db)?,
+                _ => {
+                    // Carry on with copies (pending marks and cached trees
+                    // included); a write to the original must not reach them.
+                    let copy = digester.clone();
+                    digester.apply_delete("only-in-the-original", version);
+                    digester = copy;
+                    db = db.clone();
+                }
+            }
+        }
+        prop_assert_eq!(digester.digest(), twin_digest(&twin));
+        prop_assert_eq!(db.state_digest(), twin_digest(&twin));
+        check_proofs(&twin, &digester, &db)?;
     }
 
     /// State inclusion proofs verify for every key and fail for tampered

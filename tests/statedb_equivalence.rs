@@ -3,7 +3,10 @@
 //! Every test drives the same operation stream into the LSM backend and
 //! the in-memory `StateDb` twin and demands bit-identical results: values,
 //! MVCC versions, range/prefix scans, the bucketed Merkle state digest,
-//! and the chain's rolling state root at every height. The crash tests
+//! and the chain's rolling state root at every height. Both states share
+//! one incremental digester, so every digest is also held to the
+//! from-scratch oracle (`digest_of_entries` over the backend's own entry
+//! stream) and one digest is pinned to a golden value. The crash tests
 //! additionally arm the engine's injected crash points (mid-flush,
 //! mid-compaction) and cut the WAL or block file at arbitrary byte
 //! offsets, then require recovery to a committed-prefix-consistent state.
@@ -11,6 +14,7 @@
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::Digest;
 use ledgerview::fabric::chaincode::TxContext;
+use ledgerview::fabric::digest::digest_of_entries;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
 use ledgerview::fabric::statedb::VersionedState;
@@ -136,8 +140,23 @@ fn submit_block(chain: &mut FabricChain, alice: &Identity, b: u64, rng: &mut imp
     }
 }
 
+/// The state digest rebuilt from scratch out of the backend's own entry
+/// stream (for the LSM: records read back from disk) — independent of the
+/// incremental digester both backends share.
+fn oracle_digest(state: &dyn VersionedState) -> Digest {
+    let mut entries = Vec::new();
+    state.for_each_entry(&mut |key, value, version| {
+        entries.push((key.to_string(), value.map(<[u8]>::to_vec), version));
+    });
+    digest_of_entries(
+        entries
+            .iter()
+            .map(|(key, value, version)| (key.as_str(), value.as_deref(), *version)),
+    )
+}
+
 /// `(state_digest, state_root)` after every block; index 0 is the empty
-/// pre-workload snapshot.
+/// pre-workload snapshot. Every digest must equal the oracle's.
 fn run_workload(
     chain: &mut FabricChain,
     alice: &Identity,
@@ -145,12 +164,22 @@ fn run_workload(
     seed: u64,
 ) -> Vec<(Digest, Digest)> {
     let mut rng = seeded(seed);
-    let mut history = vec![(chain.state().state_digest(), chain.state_root())];
+    let snapshot = |chain: &FabricChain| {
+        let digest = chain.state().state_digest();
+        assert_eq!(
+            digest,
+            oracle_digest(chain.state()),
+            "at {}",
+            chain.height()
+        );
+        (digest, chain.state_root())
+    };
+    let mut history = vec![snapshot(chain)];
     for b in 0..blocks {
         submit_block(chain, alice, b, &mut rng);
         let outcomes = chain.cut_block();
         assert!(!outcomes.is_empty());
-        history.push((chain.state().state_digest(), chain.state_root()));
+        history.push(snapshot(chain));
     }
     history
 }
@@ -177,6 +206,8 @@ fn v(block_num: u64, tx_num: u32) -> Version {
 /// values and versions, and full/partial scans.
 fn assert_states_identical(lsm: &LsmState, mem: &StateDb, keys: impl Iterator<Item = String>) {
     assert_eq!(lsm.state_digest(), mem.state_digest());
+    assert_eq!(lsm.state_digest(), oracle_digest(lsm));
+    assert_eq!(mem.state_digest(), oracle_digest(mem));
     assert_eq!(lsm.len(), VersionedState::len(mem));
     assert_eq!(lsm.size_bytes(), VersionedState::size_bytes(mem));
     for key in keys {
@@ -189,6 +220,40 @@ fn assert_states_identical(lsm: &LsmState, mem: &StateDb, keys: impl Iterator<It
         VersionedState::prefix_scan(mem, ""),
         "full scans diverge"
     );
+}
+
+/// A fixed 2 000-op script (puts, overwrites, tombstones, re-inserts, with
+/// digests taken along the way) must keep producing the digest the
+/// from-scratch construction gave before the digester became incremental:
+/// the value is part of every checkpoint and LSM manifest on disk.
+#[test]
+fn golden_digest_of_a_fixed_script() {
+    let dir = TestDir::new("statedb-eq-golden");
+    let (mut lsm, _) = LsmState::open(tiny_lsm_config(dir.path())).unwrap();
+    let mut mem = StateDb::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..2_000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let key = format!("acct~{:04}", x % 600);
+        let version = v(1 + i / 20, (i % 20) as u32);
+        if x >> 61 == 0 {
+            lsm.delete(&key, version);
+            mem.delete(&key, version);
+        } else {
+            let value = vec![(x >> 8) as u8; (x >> 16) as usize % 96];
+            lsm.put(key.clone(), value.clone(), version);
+            mem.put(key, value, version);
+        }
+        if i % 250 == 249 {
+            assert_eq!(lsm.state_digest(), mem.state_digest(), "op {i}");
+        }
+    }
+    const GOLDEN: &str = "0ed5e184780ba2d7bbb3a587cc9c7d3b9415932a485cfda5578e528f27032e51";
+    assert_eq!(mem.state_digest().to_hex(), GOLDEN);
+    assert_eq!(lsm.state_digest().to_hex(), GOLDEN);
+    assert_eq!(oracle_digest(&mem).to_hex(), GOLDEN);
 }
 
 #[test]

@@ -6,12 +6,16 @@
 //! in-memory twin that replayed the same workload: the recovered height
 //! must be a prefix of the reference history, and the state digest and
 //! rolling state root at that height must match the twin's bit for bit.
+//! Twin and durable chain share one incremental digester, so every digest
+//! in a history is also held to the from-scratch `digest_of_entries`.
 
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::Digest;
 use ledgerview::fabric::chaincode::TxContext;
+use ledgerview::fabric::digest::digest_of_entries;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
+use ledgerview::fabric::statedb::VersionedState;
 use ledgerview::fabric::storage::wal_segment_path;
 use ledgerview::fabric::{Chaincode, FabricChain, FabricError};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
@@ -65,10 +69,24 @@ fn setup(chain: &mut FabricChain, seed: u64) -> Identity {
         .unwrap()
 }
 
+/// The state digest rebuilt from scratch out of the state's own entries —
+/// independent of the incremental digester that produced the other one.
+fn oracle_digest(state: &dyn VersionedState) -> Digest {
+    let mut entries = Vec::new();
+    state.for_each_entry(&mut |key, value, version| {
+        entries.push((key.to_string(), value.map(<[u8]>::to_vec), version));
+    });
+    digest_of_entries(
+        entries
+            .iter()
+            .map(|(key, value, version)| (key.as_str(), value.as_deref(), *version)),
+    )
+}
+
 /// Commit `blocks` blocks of a deterministic mixed workload (puts, deletes,
 /// and an intra-block MVCC conflict pair every other block). Returns
 /// `(state_digest, state_root)` after every block, with index 0 holding the
-/// pre-workload (empty) snapshot.
+/// pre-workload (empty) snapshot; every digest must equal the oracle's.
 fn run_workload(
     chain: &mut FabricChain,
     alice: &Identity,
@@ -76,7 +94,17 @@ fn run_workload(
     seed: u64,
 ) -> Vec<(Digest, Digest)> {
     let mut rng = seeded(seed);
-    let mut history = vec![(chain.state().state_digest(), chain.state_root())];
+    let snapshot = |chain: &FabricChain| {
+        let digest = chain.state().state_digest();
+        assert_eq!(
+            digest,
+            oracle_digest(chain.state()),
+            "at {}",
+            chain.height()
+        );
+        (digest, chain.state_root())
+    };
+    let mut history = vec![snapshot(chain)];
     for b in 0..blocks {
         for t in 0..3u64 {
             let key = format!("k{}", (b * 3 + t) % 7);
@@ -112,7 +140,7 @@ fn run_workload(
         }
         let outcomes = chain.cut_block();
         assert!(!outcomes.is_empty());
-        history.push((chain.state().state_digest(), chain.state_root()));
+        history.push(snapshot(chain));
     }
     history
 }
