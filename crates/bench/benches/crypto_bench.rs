@@ -7,8 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use ledgerview_crypto::aead;
+use ledgerview_crypto::aead::{self, AeadKey};
+use ledgerview_crypto::aes::Aes;
 use ledgerview_crypto::ed25519::{self, BatchEntry, SigningKey};
+use ledgerview_crypto::hmac::HmacKey;
 use ledgerview_crypto::keys::{self, EncryptionKeyPair, SigningKeyPair, SymmetricKey};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::sha256;
@@ -42,7 +44,42 @@ fn bench_aead(c: &mut Criterion) {
             b.iter(|| aead::open_sym(black_box(&key), black_box(ct)).unwrap());
         });
     }
+    // One `AeadKey` for many messages: what a view query / response decode
+    // pays per entry once `K_V` is expanded (32 B = a `K_i`, 64 B = a
+    // hash-scheme payload, 2 700 B = a whole response body). The one-shot
+    // rows above are the per-`K_i` path of `conceal_by_encryption`/`reveal`.
+    let keyed = AeadKey::new(&key);
+    let aad = [0x11u8; 32];
+    for size in [32usize, 64, 2700] {
+        let pt = vec![0x5au8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("keyed_seal", size), &pt, |b, pt| {
+            let mut rng = seeded(2);
+            b.iter(|| black_box(&keyed).seal(&mut rng, black_box(pt), &aad));
+        });
+        if size <= 64 {
+            let ct = keyed.seal(&mut seeded(1), &pt, &aad);
+            group.bench_with_input(BenchmarkId::new("keyed_open", size), &ct, |b, ct| {
+                b.iter(|| black_box(&keyed).open(black_box(ct), &aad).unwrap());
+            });
+        }
+    }
     group.finish();
+
+    c.bench_function("aead/key_expansion", |b| {
+        b.iter(|| AeadKey::new(black_box(&key)));
+    });
+    c.bench_function("aes256/encrypt_block", |b| {
+        let aes = Aes::new_256(&key);
+        let mut block = [0x5au8; 16];
+        b.iter(|| {
+            aes.encrypt_block(black_box(&mut block));
+        });
+    });
+    c.bench_function("hmac/keyed_32B", |b| {
+        let mac = HmacKey::new(&key);
+        b.iter(|| black_box(&mac).mac(&[black_box(&aad)]));
+    });
 }
 
 fn bench_x25519(c: &mut Criterion) {

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use fabric_sim::identity::Identity;
 use fabric_sim::ledger::TxId;
 use fabric_sim::FabricChain;
-use ledgerview_crypto::aead;
+use ledgerview_crypto::aead::{self, AeadKey};
 use ledgerview_crypto::keys::PublicKey;
 use ledgerview_crypto::SymmetricKey;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
@@ -726,12 +726,13 @@ impl<S: SecretScheme> ViewManager<S> {
                 .collect(),
             None => info.data.iter().map(|(t, r)| (*t, r)).collect(),
         };
+        // Every entry is sealed under the one K_V: derive it once.
+        let kv = AeadKey::new(info.key.as_bytes());
         let entries: Vec<(TxId, Vec<u8>)> = selected
             .into_iter()
             .map(|(tid, record)| {
                 let payload = S::entry_payload(record);
-                let enc = aead::seal_sym_aad(info.key.as_bytes(), rng, &payload, tid.0.as_bytes());
-                (tid, enc)
+                (tid, kv.seal(rng, &payload, tid.0.as_bytes()))
             })
             .collect();
         let response = encode_response(S::kind(), info.mode, &entries);

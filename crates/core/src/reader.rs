@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use fabric_sim::ledger::TxId;
 use fabric_sim::wire::Reader as WireReader;
 use fabric_sim::FabricChain;
-use ledgerview_crypto::aead;
+use ledgerview_crypto::aead::AeadKey;
 use ledgerview_crypto::keys::EncryptionKeyPair;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_crypto::SymmetricKey;
@@ -110,6 +110,7 @@ impl ViewReader {
             .get(view)
             .ok_or_else(|| ViewError::AccessDenied(format!("no K_V for {view:?}")))?;
         let outer = ledgerview_crypto::open(&self.keypair, &response.sealed)?;
+        let kv = AeadKey::new(kv.as_bytes());
         let mut r = WireReader::new(&outer);
         let scheme = match r.u8().map_err(ViewError::Fabric)? {
             0 => SchemeKind::Encryption,
@@ -126,7 +127,7 @@ impl ViewReader {
         for _ in 0..n {
             let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
             let enc = r.bytes().map_err(ViewError::Fabric)?;
-            let payload = aead::open_sym_aad(kv.as_bytes(), &enc, tid.0.as_bytes())?;
+            let payload = kv.open(&enc, tid.0.as_bytes())?;
             entries.push((tid, payload));
         }
         r.finish().map_err(ViewError::Fabric)?;
@@ -151,13 +152,14 @@ impl ViewReader {
             .view_keys
             .get(view)
             .ok_or_else(|| ViewError::AccessDenied(format!("no K_V for {view:?}")))?;
+        let kv = AeadKey::new(kv.as_bytes());
         let mut entries = Vec::new();
         for (_, value) in contracts::read_view_storage(chain.state(), view) {
             let mut r = WireReader::new(&value);
             let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
             let enc = r.bytes().map_err(ViewError::Fabric)?;
             r.finish().map_err(ViewError::Fabric)?;
-            let payload = aead::open_sym_aad(kv.as_bytes(), &enc, tid.0.as_bytes())?;
+            let payload = kv.open(&enc, tid.0.as_bytes())?;
             entries.push((tid, payload));
         }
         Ok(DecodedResponse {
@@ -450,7 +452,7 @@ mod tests {
         // the hash on the ledger does not match (§4.7 case 2).
         let kv = *mgr.view_key("V").unwrap();
         let tid = mgr.view_tids("V").unwrap()[0];
-        let fake_entry = aead::seal_sym_aad(kv.as_bytes(), &mut rng, b"fake", tid.0.as_bytes());
+        let fake_entry = AeadKey::new(kv.as_bytes()).seal(&mut rng, b"fake", tid.0.as_bytes());
         let forged = crate::manager::QueryResponse {
             sealed: ledgerview_crypto::seal(
                 &bob.public(),

@@ -8,6 +8,22 @@
 //! The tag authenticates `nonce || aad || ciphertext` with the lengths of
 //! `aad` bound into the MAC input, so the same bytes cannot be reinterpreted
 //! across contexts.
+//!
+//! # What is derived once
+//!
+//! Everything that depends only on the 32-byte key lives in an [`AeadKey`]:
+//! the HKDF subkeys (`extract` under the constant salt, itself keyed once
+//! per process, then `expand` of `"enc"` and `"mac"` under one keyed PRK),
+//! the AES-256 round keys and the MAC's two pad states — 10 SHA-256
+//! compressions and one key schedule. A message then costs
+//! `⌈len / 16⌉` AES blocks and `⌈(24 + aad + len + 9) / 64⌉ + 1`
+//! compressions. A view message seals every entry under the one `K_V`
+//! (§4.1–§4.4), so callers that walk a view build the `AeadKey` once;
+//! the free functions below are the same code keyed per call, for the
+//! one-message keys (`K_i`, hybrid session keys).
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use rand::RngCore;
 
@@ -15,7 +31,7 @@ use crate::aes::Aes;
 use crate::ctr;
 use crate::error::CryptoError;
 use crate::hkdf;
-use crate::hmac::{hmac_sha256_multi, verify_tag};
+use crate::hmac::{verify_tag, HmacKey};
 
 /// Size of the random nonce prefix.
 pub const NONCE_LEN: usize = 16;
@@ -24,19 +40,74 @@ pub const TAG_LEN: usize = 32;
 /// Total ciphertext expansion: `NONCE_LEN + TAG_LEN`.
 pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
-/// Derive independent encryption and MAC keys from a 32-byte master key.
-fn subkeys(key: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
-    let prk = hkdf::extract(b"ledgerview-aead-v1", key);
-    let mut enc = [0u8; 32];
-    hkdf::expand(&prk, b"enc", &mut enc);
-    let mut mac = [0u8; 32];
-    hkdf::expand(&prk, b"mac", &mut mac);
-    (enc, mac)
+/// A 32-byte symmetric key expanded for use: independent encryption and
+/// MAC subkeys derived from it, as an AES-256 key schedule and a keyed HMAC.
+#[derive(Clone)]
+pub struct AeadKey {
+    aes: Aes,
+    mac: HmacKey,
 }
 
-fn mac_input_tag(mac_key: &[u8; 32], nonce: &[u8], aad: &[u8], ct: &[u8]) -> [u8; 32] {
-    let aad_len = (aad.len() as u64).to_be_bytes();
-    hmac_sha256_multi(mac_key, &[nonce, &aad_len, aad, ct])
+impl AeadKey {
+    /// Derive the subkeys of `key` and expand them.
+    pub fn new(key: &[u8; 32]) -> AeadKey {
+        static SALT: OnceLock<HmacKey> = OnceLock::new();
+        let salt = SALT.get_or_init(|| HmacKey::new(b"ledgerview-aead-v1"));
+        let prk = HmacKey::new(&salt.mac(&[key]));
+        let mut enc = [0u8; 32];
+        hkdf::expand_keyed(&prk, &[b"enc"], &mut enc);
+        let mut mac = [0u8; 32];
+        hkdf::expand_keyed(&prk, &[b"mac"], &mut mac);
+        AeadKey {
+            aes: Aes::new_256(&enc),
+            mac: HmacKey::new(&mac),
+        }
+    }
+
+    fn tag(&self, nonce: &[u8], aad: &[u8], ct: &[u8]) -> [u8; 32] {
+        let aad_len = (aad.len() as u64).to_be_bytes();
+        self.mac.mac(&[nonce, &aad_len, aad, ct])
+    }
+
+    /// Encrypt `plaintext`, binding optional associated data `aad` into
+    /// the authentication tag. Draws the 16-byte nonce from `rng`.
+    pub fn seal<R: RngCore + ?Sized>(&self, rng: &mut R, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+
+        let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(plaintext);
+        ctr::apply_keystream(&self.aes, &nonce, &mut out[NONCE_LEN..]);
+
+        let tag = self.tag(&nonce, aad, &out[NONCE_LEN..]);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Decrypt and authenticate a ciphertext produced by [`AeadKey::seal`]
+    /// under the same key and `aad`.
+    pub fn open(&self, ciphertext: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        if ciphertext.len() < OVERHEAD {
+            return Err(CryptoError::DecryptionFailed);
+        }
+        let (nonce, rest) = ciphertext.split_at(NONCE_LEN);
+        let (ct, tag) = rest.split_at(rest.len() - TAG_LEN);
+        if !verify_tag(&self.tag(nonce, aad, ct), tag) {
+            return Err(CryptoError::DecryptionFailed);
+        }
+        let nonce: [u8; NONCE_LEN] = std::array::from_fn(|i| nonce[i]);
+        let mut pt = ct.to_vec();
+        ctr::apply_keystream(&self.aes, &nonce, &mut pt);
+        Ok(pt)
+    }
+}
+
+impl fmt::Debug for AeadKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print key material.
+        write!(f, "AeadKey(..)")
+    }
 }
 
 /// Encrypt `plaintext` under a 32-byte symmetric key, binding optional
@@ -47,39 +118,12 @@ pub fn seal_sym_aad<R: RngCore + ?Sized>(
     plaintext: &[u8],
     aad: &[u8],
 ) -> Vec<u8> {
-    let (enc_key, mac_key) = subkeys(key);
-    let mut nonce = [0u8; NONCE_LEN];
-    rng.fill_bytes(&mut nonce);
-
-    let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(plaintext);
-    let aes = Aes::new_256(&enc_key);
-    ctr::apply_keystream(&aes, &nonce, &mut out[NONCE_LEN..]);
-
-    let tag = mac_input_tag(&mac_key, &nonce, aad, &out[NONCE_LEN..]);
-    out.extend_from_slice(&tag);
-    out
+    AeadKey::new(key).seal(rng, plaintext, aad)
 }
 
 /// Decrypt and authenticate a ciphertext produced by [`seal_sym_aad`].
 pub fn open_sym_aad(key: &[u8; 32], ciphertext: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.len() < OVERHEAD {
-        return Err(CryptoError::DecryptionFailed);
-    }
-    let (enc_key, mac_key) = subkeys(key);
-    let nonce: [u8; NONCE_LEN] = ciphertext[..NONCE_LEN].try_into().expect("nonce");
-    let ct = &ciphertext[NONCE_LEN..ciphertext.len() - TAG_LEN];
-    let tag = &ciphertext[ciphertext.len() - TAG_LEN..];
-
-    let expect = mac_input_tag(&mac_key, &nonce, aad, ct);
-    if !verify_tag(&expect, tag) {
-        return Err(CryptoError::DecryptionFailed);
-    }
-    let mut pt = ct.to_vec();
-    let aes = Aes::new_256(&enc_key);
-    ctr::apply_keystream(&aes, &nonce, &mut pt);
-    Ok(pt)
+    AeadKey::new(key).open(ciphertext, aad)
 }
 
 /// Encrypt without associated data. See [`seal_sym_aad`].
@@ -161,5 +205,25 @@ mod tests {
         let c2 = seal_sym(&key, &mut rng, b"same plaintext");
         assert_ne!(c1, c2, "nonce reuse");
         assert_eq!(open_sym(&key, &c1).unwrap(), open_sym(&key, &c2).unwrap());
+    }
+
+    #[test]
+    fn one_key_seals_and_opens_many_messages_like_the_one_shot_path() {
+        let raw = [9u8; 32];
+        let key = AeadKey::new(&raw);
+        let (mut keyed_rng, mut one_shot_rng) = (seeded(8), seeded(8));
+        for len in [0usize, 1, 16, 17, 100] {
+            let pt = vec![len as u8; len];
+            let ct = key.seal(&mut keyed_rng, &pt, b"tid");
+            assert_eq!(ct, seal_sym_aad(&raw, &mut one_shot_rng, &pt, b"tid"));
+            assert_eq!(key.open(&ct, b"tid").unwrap(), pt);
+            assert_eq!(open_sym_aad(&raw, &ct, b"tid").unwrap(), pt);
+            assert!(key.open(&ct, b"tie").is_err());
+        }
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        assert_eq!(format!("{:?}", AeadKey::new(&[3u8; 32])), "AeadKey(..)");
     }
 }

@@ -1,8 +1,18 @@
 //! AES block cipher (FIPS 197) with 128-, 192- and 256-bit keys.
 //!
-//! The S-box and its inverse are *computed* at compile time from the GF(2⁸)
-//! definition rather than transcribed, so there is no 256-entry table to
-//! mistype; the FIPS 197 example vectors in the tests pin the result.
+//! Encryption only: CTR mode ([`crate::ctr`]) never runs the inverse
+//! cipher. A round is the word-wise T-table form — the state is four
+//! big-endian `u32` columns and SubBytes, ShiftRows and MixColumns of one
+//! column are four lookups in `TE0` (`x ↦ (2·S[x], S[x], S[x], 3·S[x])`),
+//! rotated into place and XORed; the last round, which has no MixColumns,
+//! reads `SBOX`. One 1 KiB table plus rotations measured faster here than
+//! four tables. The table is indexed by secret bytes exactly as the S-box
+//! always was: this is not constant-time (see the crate-level disclaimer).
+//!
+//! The S-box and the table are *computed* at compile time from the GF(2⁸)
+//! definition rather than transcribed, so there is nothing to mistype; the
+//! FIPS 197 vectors pin the result, and the tests hold every block against
+//! the per-byte textbook cipher (and its inverse) kept there as the oracle.
 
 /// Multiply two elements of GF(2⁸) modulo the AES polynomial x⁸+x⁴+x³+x+1.
 const fn gmul(mut a: u8, mut b: u8) -> u8 {
@@ -57,22 +67,26 @@ const fn build_sbox() -> [u8; 256] {
     sbox
 }
 
-const fn invert_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[sbox[i] as usize] = i as u8;
-        i += 1;
+/// `TE0[x]` is the MixColumns image of a column holding `S[x]` in row 0:
+/// `(2·S[x], S[x], S[x], 3·S[x])`, row 0 in the high byte. Rows 1–3 are its
+/// rotations by 8, 16 and 24 bits.
+const fn build_te0() -> [u32; 256] {
+    let mut te0 = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        te0[x] = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
+        x += 1;
     }
-    inv
+    te0
 }
 
 const SBOX: [u8; 256] = build_sbox();
-const INV_SBOX: [u8; 256] = invert_sbox(&SBOX);
+static TE0: [u32; 256] = build_te0();
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// An expanded AES key schedule, ready for encryption or decryption.
+/// An expanded AES key schedule, ready for encryption.
 #[derive(Clone)]
 pub struct Aes {
     /// Round keys as 4-byte words; `4 * (rounds + 1)` words are used.
@@ -119,38 +133,36 @@ impl Aes {
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        self.add_round_key(block, 0);
-        for round in 1..self.rounds {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            self.add_round_key(block, round);
+        let rk = &self.round_keys[..4 * (self.rounds + 1)];
+        let (first, rest) = rk.split_at(4);
+        let (middle, last) = rest.split_at(rest.len() - 4);
+        // Column c of the state, row 0 in the high byte, as the round keys are.
+        let mut s: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ first[c]
+        });
+        // ShiftRows: row r of output column c comes from column c + r.
+        for k in middle.chunks_exact(4) {
+            s = std::array::from_fn(|c| {
+                TE0[(s[c] >> 24) as usize]
+                    ^ TE0[(s[(c + 1) % 4] >> 16) as usize & 0xff].rotate_right(8)
+                    ^ TE0[(s[(c + 2) % 4] >> 8) as usize & 0xff].rotate_right(16)
+                    ^ TE0[s[(c + 3) % 4] as usize & 0xff].rotate_right(24)
+                    ^ k[c]
+            });
         }
-        sub_bytes(block);
-        shift_rows(block);
-        self.add_round_key(block, self.rounds);
-    }
-
-    /// Decrypt a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        self.add_round_key(block, self.rounds);
-        for round in (1..self.rounds).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            self.add_round_key(block, round);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        self.add_round_key(block, 0);
-    }
-
-    fn add_round_key(&self, block: &mut [u8; 16], round: usize) {
         for c in 0..4 {
-            let word = self.round_keys[round * 4 + c].to_be_bytes();
-            for r in 0..4 {
-                block[c * 4 + r] ^= word[r];
-            }
+            let word = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as usize & 0xff],
+                SBOX[(s[(c + 2) % 4] >> 8) as usize & 0xff],
+                SBOX[s[(c + 3) % 4] as usize & 0xff],
+            ]) ^ last[c];
+            block[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
         }
     }
 }
@@ -165,72 +177,124 @@ fn sub_word(w: u32) -> u32 {
     ])
 }
 
-fn sub_bytes(block: &mut [u8; 16]) {
-    for b in block.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(block: &mut [u8; 16]) {
-    for b in block.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// The state is laid out column-major: byte `c*4 + r` is row r, column c.
-// ShiftRows rotates row r left by r positions.
-fn shift_rows(block: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [block[r], block[4 + r], block[8 + r], block[12 + r]];
-        for c in 0..4 {
-            block[c * 4 + r] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn inv_shift_rows(block: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [block[r], block[4 + r], block[8 + r], block[12 + r]];
-        for c in 0..4 {
-            block[c * 4 + r] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
-fn mix_columns(block: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            block[c * 4],
-            block[c * 4 + 1],
-            block[c * 4 + 2],
-            block[c * 4 + 3],
-        ];
-        block[c * 4] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-        block[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-        block[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-        block[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(block: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            block[c * 4],
-            block[c * 4 + 1],
-            block[c * 4 + 2],
-            block[c * 4 + 3],
-        ];
-        block[c * 4] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        block[c * 4 + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        block[c * 4 + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        block[c * 4 + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex;
+    use proptest::prelude::*;
+
+    // The textbook cipher, one byte at a time, and its inverse: the oracle
+    // the T-table rounds are held to. The state is laid out column-major:
+    // byte `c*4 + r` is row r, column c.
+
+    const INV_SBOX: [u8; 256] = {
+        let mut inv = [0u8; 256];
+        let mut i = 0;
+        while i < 256 {
+            inv[SBOX[i] as usize] = i as u8;
+            i += 1;
+        }
+        inv
+    };
+
+    fn add_round_key(aes: &Aes, block: &mut [u8; 16], round: usize) {
+        for c in 0..4 {
+            let word = aes.round_keys[round * 4 + c].to_be_bytes();
+            for r in 0..4 {
+                block[c * 4 + r] ^= word[r];
+            }
+        }
+    }
+
+    fn encrypt_block_ref(aes: &Aes, block: &mut [u8; 16]) {
+        add_round_key(aes, block, 0);
+        for round in 1..aes.rounds {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            add_round_key(aes, block, round);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        add_round_key(aes, block, aes.rounds);
+    }
+
+    fn decrypt_block_ref(aes: &Aes, block: &mut [u8; 16]) {
+        add_round_key(aes, block, aes.rounds);
+        for round in (1..aes.rounds).rev() {
+            inv_shift_rows(block);
+            inv_sub_bytes(block);
+            add_round_key(aes, block, round);
+            inv_mix_columns(block);
+        }
+        inv_shift_rows(block);
+        inv_sub_bytes(block);
+        add_round_key(aes, block, 0);
+    }
+
+    fn sub_bytes(block: &mut [u8; 16]) {
+        for b in block.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    fn inv_sub_bytes(block: &mut [u8; 16]) {
+        for b in block.iter_mut() {
+            *b = INV_SBOX[*b as usize];
+        }
+    }
+
+    // ShiftRows rotates row r left by r positions.
+    fn shift_rows(block: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [block[r], block[4 + r], block[8 + r], block[12 + r]];
+            for c in 0..4 {
+                block[c * 4 + r] = row[(c + r) % 4];
+            }
+        }
+    }
+
+    fn inv_shift_rows(block: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [block[r], block[4 + r], block[8 + r], block[12 + r]];
+            for c in 0..4 {
+                block[c * 4 + r] = row[(c + 4 - r) % 4];
+            }
+        }
+    }
+
+    fn mix_columns(block: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                block[c * 4],
+                block[c * 4 + 1],
+                block[c * 4 + 2],
+                block[c * 4 + 3],
+            ];
+            block[c * 4] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
+            block[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
+            block[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
+            block[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
+        }
+    }
+
+    fn inv_mix_columns(block: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                block[c * 4],
+                block[c * 4 + 1],
+                block[c * 4 + 2],
+                block[c * 4 + 3],
+            ];
+            block[c * 4] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
+            block[c * 4 + 1] =
+                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
+            block[c * 4 + 2] =
+                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
+            block[c * 4 + 3] =
+                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
+        }
+    }
 
     #[test]
     fn sbox_known_entries() {
@@ -243,52 +307,47 @@ mod tests {
         assert_eq!(INV_SBOX[0xed], 0x53);
     }
 
+    #[test]
+    fn te0_is_the_mixed_sbox_column() {
+        // S[0x00] = 0x63: (2·63, 63, 63, 3·63) = (c6, 63, 63, a5).
+        assert_eq!(TE0[0x00], 0xc663_63a5);
+        assert_eq!(TE0[0x01], 0xf87c_7c84);
+    }
+
     fn block(hexstr: &str) -> [u8; 16] {
         hex::decode(hexstr).unwrap().try_into().unwrap()
     }
 
-    // FIPS 197 Appendix C example vectors.
+    /// FIPS 197 Appendix C.1–C.3: one plaintext under the 128-, 192- and
+    /// 256-bit keys `00 01 02 …`. The T-table path and the reference must
+    /// both produce the ciphertext, and the reference inverse recover it.
     #[test]
-    fn fips197_aes128() {
-        let key: [u8; 16] = hex::decode("000102030405060708090a0b0c0d0e0f")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let aes = Aes::new_128(&key);
-        let mut b = block("00112233445566778899aabbccddeeff");
-        aes.encrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        aes.decrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "00112233445566778899aabbccddeeff");
-    }
-
-    #[test]
-    fn fips197_aes192() {
-        let key: [u8; 24] = hex::decode("000102030405060708090a0b0c0d0e0f1011121314151617")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let aes = Aes::new_192(&key);
-        let mut b = block("00112233445566778899aabbccddeeff");
-        aes.encrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "dda97ca4864cdfe06eaf70a0ec0d7191");
-        aes.decrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "00112233445566778899aabbccddeeff");
-    }
-
-    #[test]
-    fn fips197_aes256() {
-        let key: [u8; 32] =
-            hex::decode("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-                .unwrap()
-                .try_into()
-                .unwrap();
-        let aes = Aes::new_256(&key);
-        let mut b = block("00112233445566778899aabbccddeeff");
-        aes.encrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "8ea2b7ca516745bfeafc49904b496089");
-        aes.decrypt_block(&mut b);
-        assert_eq!(hex::encode(&b), "00112233445566778899aabbccddeeff");
+    fn fips197_appendix_c() {
+        let key: Vec<u8> = (0u8..32).collect();
+        let pt = "00112233445566778899aabbccddeeff";
+        for (aes, ct) in [
+            (
+                Aes::new_128(key[..16].try_into().unwrap()),
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+            (
+                Aes::new_192(key[..24].try_into().unwrap()),
+                "dda97ca4864cdfe06eaf70a0ec0d7191",
+            ),
+            (
+                Aes::new_256(key[..32].try_into().unwrap()),
+                "8ea2b7ca516745bfeafc49904b496089",
+            ),
+        ] {
+            let mut b = block(pt);
+            aes.encrypt_block(&mut b);
+            assert_eq!(hex::encode(&b), ct);
+            let mut r = block(pt);
+            encrypt_block_ref(&aes, &mut r);
+            assert_eq!(hex::encode(&r), ct);
+            decrypt_block_ref(&aes, &mut b);
+            assert_eq!(hex::encode(&b), pt);
+        }
     }
 
     // SP 800-38A single-block ECB vectors.
@@ -304,29 +363,30 @@ mod tests {
         assert_eq!(hex::encode(&b), "3ad77bb40d7a3660a89ecaf32466ef97");
     }
 
-    #[test]
-    fn encrypt_decrypt_round_trip_all_key_sizes() {
-        let mut data = [0u8; 16];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i * 17 + 3) as u8;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any key of any size, any block: the T-table rounds agree with
+        /// the per-byte cipher, and the per-byte inverse undoes them.
+        #[test]
+        fn table_rounds_match_the_reference(
+            key in any::<[u8; 32]>(),
+            size in 0usize..3,
+            pt in any::<[u8; 16]>(),
+        ) {
+            let aes = match size {
+                0 => Aes::new_128(key[..16].try_into().unwrap()),
+                1 => Aes::new_192(key[..24].try_into().unwrap()),
+                _ => Aes::new_256(&key),
+            };
+            let mut fast = pt;
+            aes.encrypt_block(&mut fast);
+            let mut slow = pt;
+            encrypt_block_ref(&aes, &mut slow);
+            prop_assert_eq!(fast, slow);
+            decrypt_block_ref(&aes, &mut fast);
+            prop_assert_eq!(fast, pt);
         }
-        let original = data;
-
-        let a128 = Aes::new_128(&[7u8; 16]);
-        a128.encrypt_block(&mut data);
-        assert_ne!(data, original);
-        a128.decrypt_block(&mut data);
-        assert_eq!(data, original);
-
-        let a192 = Aes::new_192(&[9u8; 24]);
-        a192.encrypt_block(&mut data);
-        a192.decrypt_block(&mut data);
-        assert_eq!(data, original);
-
-        let a256 = Aes::new_256(&[11u8; 32]);
-        a256.encrypt_block(&mut data);
-        a256.decrypt_block(&mut data);
-        assert_eq!(data, original);
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod tests {
         );
     }
 
-    /// SP 800-38A F.5.5: AES-256-CTR.
+    /// SP 800-38A F.5.5: AES-256-CTR, four blocks.
     #[test]
     fn sp800_38a_f5_aes256_ctr() {
         let key: [u8; 32] =
@@ -87,10 +87,22 @@ mod tests {
             .unwrap()
             .try_into()
             .unwrap();
-        let mut data = hex::decode("6bc1bee22e409f96e93d7e117393172a").unwrap();
+        let mut data = hex::decode(
+            "6bc1bee22e409f96e93d7e117393172a\
+             ae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52ef\
+             f69f2445df4f9b17ad2b417be66c3710",
+        )
+        .unwrap();
         let aes = Aes::new_256(&key);
         apply_keystream(&aes, &iv, &mut data);
-        assert_eq!(hex::encode(&data), "601ec313775789a5b7a7f504bbf3d228");
+        assert_eq!(
+            hex::encode(&data),
+            "601ec313775789a5b7a7f504bbf3d228\
+             f443e3ca4d62b59aca84e990cacaf5c5\
+             2b0930daa23de94ce87017ba2d84988d\
+             dfc9c58db67aada613c2dd08457941a6"
+        );
     }
 
     #[test]

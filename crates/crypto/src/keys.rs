@@ -11,6 +11,7 @@
 //! | endorsement signatures (substrate) | [`SigningKeyPair`] |
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use rand::RngCore;
 
@@ -18,6 +19,7 @@ use crate::aead;
 use crate::ed25519;
 use crate::error::CryptoError;
 use crate::hkdf;
+use crate::hmac::HmacKey;
 use crate::rng::random_array;
 use crate::x25519;
 
@@ -148,19 +150,27 @@ pub fn open(recipient: &EncryptionKeyPair, ciphertext: &[u8]) -> Result<Vec<u8>,
     if ciphertext.len() < 32 + aead::OVERHEAD {
         return Err(CryptoError::DecryptionFailed);
     }
-    let eph_public: [u8; 32] = ciphertext[..32].try_into().expect("32 bytes");
+    let (eph_public, sealed) = ciphertext.split_at(32);
+    let eph_public: [u8; 32] = std::array::from_fn(|i| eph_public[i]);
     let shared = x25519::shared_secret(&recipient.secret, &eph_public)
         .ok_or(CryptoError::DecryptionFailed)?;
     let key = derive_seal_key(&shared, &eph_public, &recipient.public.0);
-    aead::open_sym(&key, &ciphertext[32..])
+    aead::open_sym(&key, sealed)
 }
 
+/// HKDF with an empty salt (keyed once per process) over the shared
+/// secret, `info = "ledgerview-hybrid-v1" || eph_public || recipient`.
 fn derive_seal_key(shared: &[u8; 32], eph_public: &[u8; 32], recipient: &[u8; 32]) -> [u8; 32] {
-    let mut info = Vec::with_capacity(64 + 20);
-    info.extend_from_slice(b"ledgerview-hybrid-v1");
-    info.extend_from_slice(eph_public);
-    info.extend_from_slice(recipient);
-    hkdf::derive(b"", shared, &info)
+    static EMPTY_SALT: OnceLock<HmacKey> = OnceLock::new();
+    let salt = EMPTY_SALT.get_or_init(|| HmacKey::new(b""));
+    let prk = HmacKey::new(&salt.mac(&[shared]));
+    let mut key = [0u8; 32];
+    hkdf::expand_keyed(
+        &prk,
+        &[b"ledgerview-hybrid-v1", eph_public, recipient],
+        &mut key,
+    );
+    key
 }
 
 /// An Ed25519 signing key pair, used by the Fabric substrate for
@@ -241,6 +251,28 @@ mod tests {
             let mut bad = ct.clone();
             bad[i] ^= 1;
             assert!(open(&bob, &bad).is_err(), "byte {i} tamper accepted");
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_every_flipped_byte_is_an_error_never_a_panic() {
+        let mut rng = seeded(18);
+        let bob = EncryptionKeyPair::generate(&mut rng);
+        let ct = seal(&bob.public(), &mut rng, b"K_V and then some bytes");
+        assert!(open(&bob, &ct).is_ok());
+        for len in 0..ct.len() {
+            assert_eq!(open(&bob, &ct[..len]), Err(CryptoError::DecryptionFailed));
+        }
+        for i in 0..ct.len() {
+            for bit in [0x01, 0x80] {
+                let mut bad = ct.clone();
+                bad[i] ^= bit;
+                assert_eq!(
+                    open(&bob, &bad),
+                    Err(CryptoError::DecryptionFailed),
+                    "byte {i} ^ {bit:#x} accepted"
+                );
+            }
         }
     }
 

@@ -6,12 +6,16 @@
 //! primitive the system needs, with no external crypto dependencies:
 //!
 //! * [`sha256`], [`sha512`] — FIPS 180-4 hash functions.
-//! * [`hmac`] — RFC 2104 message authentication (SHA-256 and SHA-512).
+//! * [`hmac`] — RFC 2104 message authentication over SHA-256
+//!   ([`hmac::HmacKey`]: key once, tag many).
 //! * [`hkdf`] — RFC 5869 key derivation.
-//! * [`aes`] — FIPS 197 block cipher (128/192/256-bit keys).
+//! * [`aes`] — FIPS 197 block cipher (128/192/256-bit keys), encryption
+//!   direction, T-table rounds.
 //! * [`ctr`] — NIST SP 800-38A counter mode.
 //! * [`aead`] — authenticated encryption (AES-256-CTR + HMAC-SHA-256,
-//!   encrypt-then-MAC), the `enc(·, K)` of the paper.
+//!   encrypt-then-MAC), the `enc(·, K)` of the paper; an
+//!   [`aead::AeadKey`] holds everything derived from one key so a view's
+//!   entries are sealed and opened without re-deriving it.
 //! * [`x25519`] — RFC 7748 Diffie–Hellman, used for hybrid public-key
 //!   encryption (`enc(K_V, PubK_u)` in the paper).
 //! * [`ed25519`] — RFC 8032 signatures, used for endorsements in the

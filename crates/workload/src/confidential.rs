@@ -27,9 +27,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use ledgerview_crypto::aead::{self, AeadKey};
+use ledgerview_crypto::hkdf;
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::sha256;
-use ledgerview_crypto::{aead, hkdf};
 use ledgerview_datalog::{Atom, Database, Program, Rule, Term, Value};
 
 /// Why a read was refused. Typed, so soundness checks can distinguish
@@ -198,16 +199,18 @@ impl ConfidentialStore {
 
         let old_gen = *self.generations.get(scope).unwrap_or(&0);
         let new_gen = old_gen + 1;
-        let old_key = self.scope_key(scope, old_gen);
         let new_key = self.scope_key(scope, new_gen);
+        let old_aead = AeadKey::new(&self.scope_key(scope, old_gen));
+        let new_aead = AeadKey::new(&new_key);
         if let Some(entries) = self.entries.get_mut(scope) {
             for (key, ct) in entries.iter_mut() {
-                let pt = aead::open_sym_aad(&old_key, ct, key.as_bytes())
+                let pt = old_aead
+                    .open(ct, key.as_bytes())
                     .expect("store-internal ciphertext decrypts under its own generation");
                 let mut rng = seeded(
                     self.seal_seed ^ ledgerview_gateway::keydist::mix64(key.len() as u64 ^ new_gen),
                 );
-                *ct = aead::seal_sym_aad(&new_key, &mut rng, &pt, key.as_bytes());
+                *ct = new_aead.seal(&mut rng, &pt, key.as_bytes());
             }
         }
         self.generations.insert(scope.to_string(), new_gen);
