@@ -16,7 +16,6 @@ pub mod functional;
 pub mod methods;
 pub mod report;
 pub mod timed;
-pub mod validation_fixtures;
 
 pub use methods::Method;
 pub use report::{FigureTable, Row};

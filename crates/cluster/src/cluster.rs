@@ -86,6 +86,10 @@ struct Catchup {
 
 struct Peer {
     dir: PathBuf,
+    /// Which backend created `dir`, so a restart reopens it the same way:
+    /// `cfg.lsm_peers` for peers that start empty, always the durable
+    /// backend for a snapshot-installed peer.
+    lsm: bool,
     region: Region,
     /// `None` while crashed (or while a snapshot is in flight).
     chain: Option<FabricChain>,
@@ -254,8 +258,12 @@ struct World {
     reorder_pairs: u64,
     reorder_cycles: u64,
     catchups: Vec<CatchupRecord>,
-    /// Peers whose snapshot bootstrap found no live donor.
-    bootstrap_failures: Vec<usize>,
+    /// The first error an event handler hit — a Raft entry that does not
+    /// decode, a peer directory that does not recover, a shipped snapshot
+    /// that does not install, a bootstrap with no live donor. Handlers
+    /// cannot return it, so it waits here for `run_until_converged` /
+    /// `verify_convergence` to surface.
+    failed: Option<ClusterError>,
 
     /// Scheduled-but-unfired submissions/faults/bootstraps; convergence
     /// requires all of them to have fired.
@@ -283,13 +291,17 @@ impl World {
         }
     }
 
-    /// Open (or recover) a peer chain over its durable directory, using
-    /// the backend `cfg.lsm_peers` selects.
-    fn open_peer_chain(cfg: &ClusterConfig, dir: &Path) -> Result<FabricChain, ClusterError> {
+    /// Open (or recover) a peer chain over its durable directory, on the
+    /// LSM backend or the in-memory durable one.
+    fn open_peer_chain(
+        cfg: &ClusterConfig,
+        dir: &Path,
+        lsm: bool,
+    ) -> Result<FabricChain, ClusterError> {
         let names: Vec<&str> = cfg.org_names.iter().map(|s| s.as_str()).collect();
         let mut rng = seeded(cfg.identity_seed);
         let storage = Self::storage_for(cfg, dir);
-        let mut chain = if cfg.lsm_peers {
+        let mut chain = if lsm {
             FabricChain::with_lsm_storage(&names, &mut rng, storage, cfg.validation.clone())?
         } else {
             FabricChain::with_storage(&names, &mut rng, storage, cfg.validation.clone())?
@@ -315,6 +327,12 @@ impl World {
         )?;
         Self::deploy_workload(cfg, &mut chain);
         Ok(chain)
+    }
+
+    fn fail(&mut self, e: impl Into<ClusterError>) {
+        if self.failed.is_none() {
+            self.failed = Some(e.into());
+        }
     }
 
     // ---- links ------------------------------------------------------
@@ -431,8 +449,13 @@ impl World {
                 continue; // Another orderer already surfaced this index.
             }
             self.raft_applied = index;
-            let batch = OrderedBatch::decode(&entry.data)
-                .expect("raft log carries only batches we encoded");
+            let batch = match OrderedBatch::decode(&entry.data) {
+                Ok(batch) => batch,
+                Err(e) => {
+                    self.fail(e);
+                    continue;
+                }
+            };
             if !self.seen_batches.insert(batch.batch_id) {
                 self.dup_batches += 1;
                 if let Some(m) = &self.metrics {
@@ -767,29 +790,21 @@ impl World {
             let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
             reorder::plan(&rwsets, &doomed, &self.cfg.reorder, |_| true)
         };
-        let mut pulled: Vec<Option<Transaction>> =
-            self.endorser.take_pending().into_iter().map(Some).collect();
-        let kept: Vec<Transaction> = plan
-            .order
-            .iter()
-            .map(|&i| pulled[i].take().expect("scheduled exactly once"))
-            .collect();
         self.reorder_pairs += plan.stats.reordered_pairs;
         self.reorder_cycles += plan.stats.cycles_broken;
-        for &(i, _) in &plan.early_aborts {
+        let (kept, early_aborted, deferred) = plan.partition(self.endorser.take_pending());
+        for (tx, _stale_key) in early_aborted {
             self.reorder_early_aborts += 1;
             if let Some(m) = &self.metrics {
                 m.reorder_early_aborts.inc();
             }
-            let tx = pulled[i].take().expect("early-aborted exactly once");
             self.reinvoke(tx, now_us);
         }
-        for &i in &plan.deferred {
+        for tx in deferred {
             self.reorder_deferrals += 1;
             if let Some(m) = &self.metrics {
                 m.reorder_deferrals.inc();
             }
-            let tx = pulled[i].take().expect("deferred exactly once");
             self.reinvoke(tx, now_us);
         }
         kept
@@ -934,8 +949,11 @@ impl World {
                 if self.peers[p].chain.is_some() {
                     return;
                 }
-                let chain = Self::open_peer_chain(&self.cfg, &self.peers[p].dir)
-                    .expect("peer restart must recover its own directory");
+                let peer = &self.peers[p];
+                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, peer.lsm) {
+                    Ok(chain) => chain,
+                    Err(e) => return self.fail(e),
+                };
                 let recovered = chain.height();
                 let peer = &mut self.peers[p];
                 peer.chain = Some(chain);
@@ -992,8 +1010,7 @@ impl World {
                     .filter(|&d| d != p && self.peers[d].chain.is_some())
                     .max_by_key(|&d| (self.peers[d].next_apply, usize::MAX - d));
                 let Some(donor) = donor else {
-                    self.bootstrap_failures.push(p);
-                    return;
+                    return self.fail(ClusterError::NoDonor);
                 };
                 let snapshot = self.peers[donor]
                     .chain
@@ -1014,8 +1031,11 @@ impl World {
                 });
             }
             BootstrapMode::FullReplay => {
-                let chain = Self::open_peer_chain(&self.cfg, &self.peers[p].dir)
-                    .expect("fresh peer directory must open");
+                let peer = &self.peers[p];
+                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, peer.lsm) {
+                    Ok(chain) => chain,
+                    Err(e) => return self.fail(e),
+                };
                 let peer = &mut self.peers[p];
                 peer.chain = Some(chain);
                 peer.next_apply = 0;
@@ -1036,11 +1056,14 @@ impl World {
     }
 
     fn on_install_snapshot(&mut self, p: usize, snapshot: ChainSnapshot, sim: &mut Sim) {
-        let chain = Self::install_peer_snapshot(&self.cfg, &self.peers[p].dir, &snapshot)
-            .expect("shipped snapshot must verify and install");
+        let chain = match Self::install_peer_snapshot(&self.cfg, &self.peers[p].dir, &snapshot) {
+            Ok(chain) => chain,
+            Err(e) => return self.fail(e),
+        };
         let height = chain.height();
         let peer = &mut self.peers[p];
         peer.chain = Some(chain);
+        peer.lsm = false; // `from_snapshot` installs into the durable backend.
         peer.next_apply = height;
         // Replay the delta committed since the snapshot was taken.
         let tip = self.blocks.len() as u64;
@@ -1139,10 +1162,11 @@ impl ClusterSim {
         for i in 0..config.peers {
             let dir = config.storage_root.join(format!("peer{i}"));
             let region = config.peer_regions[i % config.peer_regions.len().max(1)];
-            let chain = World::open_peer_chain(&config, &dir)?;
+            let chain = World::open_peer_chain(&config, &dir, config.lsm_peers)?;
             let next_apply = chain.height();
             peers.push(Peer {
                 dir,
+                lsm: config.lsm_peers,
                 region,
                 chain: Some(chain),
                 next_apply,
@@ -1187,7 +1211,7 @@ impl ClusterSim {
             reorder_pairs: 0,
             reorder_cycles: 0,
             catchups: Vec::new(),
-            bootstrap_failures: Vec::new(),
+            failed: None,
             pending_actions: 0,
             metrics: None,
         };
@@ -1337,6 +1361,7 @@ impl ClusterSim {
         let region = self.world.cfg.peer_regions[p % self.world.cfg.peer_regions.len().max(1)];
         self.world.peers.push(Peer {
             dir,
+            lsm: self.world.cfg.lsm_peers,
             region,
             chain: None,
             next_apply: 0,
@@ -1365,12 +1390,14 @@ impl ClusterSim {
 
     /// Run until every scheduled action has fired, no batch is in flight,
     /// and every live peer has applied the full committed log — or until
-    /// `deadline`. Returns the convergence time.
+    /// `deadline`. Returns the convergence time, or the first error an
+    /// event handler recorded (undecodable Raft entry, unrecoverable peer
+    /// directory, failed snapshot install, no bootstrap donor).
     pub fn run_until_converged(&mut self, deadline: SimTime) -> Result<SimTime, ClusterError> {
         let step = SimTime::from_millis(100);
         loop {
-            if !self.world.bootstrap_failures.is_empty() {
-                return Err(ClusterError::NoDonor);
+            if let Some(e) = &self.world.failed {
+                return Err(e.clone());
             }
             if self.world.converged() {
                 return Ok(self.sim.now());
@@ -1398,11 +1425,11 @@ impl ClusterSim {
     }
 
     /// Typed-fault check: every live peer must be at the committed tip
-    /// with the canonical rolling state root, and no divergence may have
-    /// been recorded mid-run.
+    /// with the canonical rolling state root, and neither a divergence nor
+    /// an event-handler error may have been recorded mid-run.
     pub fn verify_convergence(&self) -> Result<(), ClusterError> {
-        if !self.world.bootstrap_failures.is_empty() {
-            return Err(ClusterError::NoDonor);
+        if let Some(e) = &self.world.failed {
+            return Err(e.clone());
         }
         if !self.world.divergences.is_empty() {
             return Err(ClusterError::Diverged(self.world.divergences.clone()));

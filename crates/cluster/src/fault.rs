@@ -45,7 +45,7 @@ pub enum BootstrapMode {
     /// replay only the delta — O(state).
     Snapshot,
     /// Replay every block from genesis — O(history); kept as the baseline
-    /// the `replication_catchup` bench compares against.
+    /// `tests/virtual_time_goldens.rs` pins snapshot shipping against.
     FullReplay,
 }
 
@@ -84,7 +84,7 @@ impl std::fmt::Display for Divergence {
 }
 
 /// Errors surfaced by the cluster harness.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum ClusterError {
     /// A substrate operation failed (storage, validation, endorsement).
     Fabric(FabricError),

@@ -27,8 +27,9 @@
 //!
 //! Telemetry (`lv_cluster_*`) and the gateway's deterministic
 //! [`ledgerview_gateway::RetryPolicy`] (for `NotLeader` re-routing) are
-//! wired through; see `examples/cluster_failover.rs` and the
-//! `replication_catchup` bench.
+//! wired through; see `examples/cluster_failover.rs`, and
+//! `tests/virtual_time_goldens.rs` for the pinned pipeline throughput and
+//! bootstrap costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -114,9 +115,9 @@ pub struct ClusterConfig {
     /// tests).
     pub fsync: FsyncPolicy,
     /// Back each peer's state with the disk-backed LSM tree instead of
-    /// the in-memory durable backend (used by the `end_to_end_tps` bench
-    /// to compare backends under the full pipeline). Snapshot bootstrap
-    /// still installs into the durable backend regardless.
+    /// the in-memory durable backend. Snapshot bootstrap still installs
+    /// into the durable backend regardless, and a peer that joined that
+    /// way keeps it across restarts.
     pub lsm_peers: bool,
     /// Commit-time validation pipeline configuration for every peer.
     pub validation: ValidationConfig,

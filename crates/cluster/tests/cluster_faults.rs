@@ -3,8 +3,11 @@
 //! history and bit-identical state roots across two full runs; a
 //! different seed must still converge (with different content).
 
+use fabric_sim::FabricError;
 use fabric_store::testdir::TestDir;
-use ledgerview_cluster::{BootstrapMode, ClusterConfig, ClusterReport, ClusterSim, Fault};
+use ledgerview_cluster::{
+    BootstrapMode, ClusterConfig, ClusterError, ClusterReport, ClusterSim, Fault,
+};
 use ledgerview_gateway::ReorderConfig;
 use ledgerview_simnet::SimTime;
 
@@ -201,5 +204,60 @@ fn snapshot_bootstrap_without_donor_errors() {
     let err = sim
         .run_until_converged(SimTime::from_secs(30))
         .expect_err("no live donor");
-    assert!(matches!(err, ledgerview_cluster::ClusterError::NoDonor));
+    assert!(matches!(err, ClusterError::NoDonor));
+}
+
+#[test]
+fn snapshot_bootstrapped_peer_in_an_lsm_cluster_restarts() {
+    // Snapshot bootstrap installs into the durable backend even when
+    // `lsm_peers` is on, so the joined peer's directory must be reopened
+    // with the backend that created it, not the one the config names.
+    let dir = TestDir::new("cluster-lsm-snapshot-restart");
+    let mut cfg = ClusterConfig::new(dir.path(), 42);
+    cfg.lsm_peers = true;
+    let mut sim = ClusterSim::new(cfg).expect("cluster builds");
+    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 200, 10);
+    let joined = sim.schedule_bootstrap_peer(SimTime::from_secs(2), BootstrapMode::Snapshot);
+    sim.schedule_fault(SimTime::from_secs(3), Fault::CrashPeer(joined));
+    sim.schedule_fault(SimTime::from_millis(3_500), Fault::RestartPeer(joined));
+
+    sim.run_until_converged(SimTime::from_secs(60))
+        .expect("the joined peer recovers its own directory");
+    sim.verify_convergence().expect("all live peers canonical");
+    let report = sim.report();
+    let tip = *report.canonical_roots.last().expect("blocks committed");
+    assert_eq!(report.peer_roots, vec![Some(tip); 4], "bit-identical roots");
+    assert_eq!(report.peer_heights[joined], Some(report.blocks));
+}
+
+#[test]
+fn tampered_checkpoint_on_restart_is_an_error_not_a_panic() {
+    let dir = TestDir::new("cluster-tampered-restart");
+    let mut cfg = ClusterConfig::new(dir.path(), 11);
+    cfg.checkpoint_every = 2;
+    let mut sim = ClusterSim::new(cfg).expect("cluster builds");
+    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 100, 10);
+    sim.schedule_fault(SimTime::from_millis(1_500), Fault::CrashPeer(1));
+    sim.run_until(SimTime::from_secs(2));
+
+    // Flip one bit in the crashed peer's checkpoint, as
+    // `tests/storage_recovery.rs` does for a single chain.
+    let checkpoint = dir
+        .path()
+        .join("peer1")
+        .join(fabric_store::checkpoint::CHECKPOINT_FILE);
+    let mut bytes = std::fs::read(&checkpoint).expect("peer 1 checkpointed before crashing");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&checkpoint, &bytes).unwrap();
+
+    sim.schedule_fault(SimTime::from_millis(2_500), Fault::RestartPeer(1));
+    let err = sim
+        .run_until_converged(SimTime::from_secs(30))
+        .expect_err("a corrupt directory cannot rejoin");
+    assert!(
+        matches!(&err, ClusterError::Fabric(FabricError::Storage(_))),
+        "expected a storage error, got {err}"
+    );
+    assert!(sim.verify_convergence().is_err(), "the error is sticky");
 }

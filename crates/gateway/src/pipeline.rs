@@ -40,7 +40,6 @@ use std::sync::{Arc, Mutex};
 
 use fabric_sim::chain::CommitEvent;
 use fabric_sim::chaincode::RwSet;
-use fabric_sim::ledger::Transaction;
 use fabric_sim::validation::TxValidation;
 use fabric_sim::{FabricChain, Identity, TxId, WorkerPool};
 use ledgerview_telemetry::{
@@ -854,19 +853,13 @@ impl Gateway {
                     .is_some_and(|inf| inf.requeues < budget)
             })
         };
-        let mut pulled: Vec<Option<Transaction>> =
-            self.chain.take_pending().into_iter().map(Some).collect();
-        let kept: Vec<Transaction> = plan
-            .order
-            .iter()
-            .map(|&i| pulled[i].take().expect("scheduled exactly once"))
-            .collect();
         self.stats.reordered_pairs += plan.stats.reordered_pairs;
         self.stats.cycles_broken += plan.stats.cycles_broken;
         if let Some(m) = &self.metrics {
             m.reorder_pairs.add(plan.stats.reordered_pairs);
             m.reorder_cycles.add(plan.stats.cycles_broken);
         }
+        let (kept, early_aborted, deferred) = plan.partition(self.chain.take_pending());
 
         let commit_us = self.charge_block_time(trigger_us, kept.len());
         if !kept.is_empty() {
@@ -882,8 +875,7 @@ impl Gateway {
         // Early aborts: doomed under every order. Requeue while budget
         // lasts (re-endorsement picks up fresh read versions); terminal
         // typed abort once it runs out.
-        for &(i, ref key) in &plan.early_aborts {
-            let tx = pulled[i].take().expect("early-aborted exactly once");
+        for (tx, key) in early_aborted {
             let Some(req) = self.routing.remove(&tx.tx_id) else {
                 continue;
             };
@@ -894,18 +886,13 @@ impl Gateway {
             if self.inflight[&req].requeues < self.config.reorder.max_requeues {
                 self.requeue(req, commit_us);
             } else {
-                self.complete(
-                    req,
-                    commit_us,
-                    CompletionOutcome::EarlyAborted { key: key.clone() },
-                );
+                self.complete(req, commit_us, CompletionOutcome::EarlyAborted { key });
             }
         }
         // Deferred cycle victims: valid transactions that merely lost a
         // cycle break; always requeued (the planner only defers within
         // budget).
-        for &i in &plan.deferred {
-            let tx = pulled[i].take().expect("deferred exactly once");
+        for tx in deferred {
             let Some(req) = self.routing.remove(&tx.tx_id) else {
                 continue;
             };

@@ -47,6 +47,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use fabric_sim::chaincode::RwSet;
+use fabric_sim::ledger::Transaction;
 
 /// Configuration for the conflict-aware ordering stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,6 +116,39 @@ pub struct ReorderPlan {
     pub deferred: Vec<usize>,
     /// Planning counters.
     pub stats: ReorderStats,
+}
+
+impl ReorderPlan {
+    /// Apply the plan to the transactions it was computed over: those
+    /// that stay in the block, in scheduled order; the early-aborted,
+    /// each with its stale key; and the deferred — the latter two in the
+    /// plan's own order, which is the order both cutters re-endorse in.
+    ///
+    /// # Panics
+    /// Panics if `pending` is not the sequence the plan indexes.
+    pub fn partition(
+        self,
+        pending: Vec<Transaction>,
+    ) -> (
+        Vec<Transaction>,
+        Vec<(Transaction, String)>,
+        Vec<Transaction>,
+    ) {
+        let mut slots: Vec<Option<Transaction>> = pending.into_iter().map(Some).collect();
+        let mut pull = |i: usize| {
+            slots[i]
+                .take()
+                .expect("a plan names each pending transaction exactly once")
+        };
+        let kept = self.order.into_iter().map(&mut pull).collect();
+        let early_aborted = self
+            .early_aborts
+            .into_iter()
+            .map(|(i, key)| (pull(i), key))
+            .collect();
+        let deferred = self.deferred.into_iter().map(&mut pull).collect();
+        (kept, early_aborted, deferred)
+    }
 }
 
 /// Plan one block over the pending transactions' read/write sets.

@@ -23,9 +23,10 @@
 //! Single-shard operations never pay the 2PC cost: the router detects
 //! that every leg lives on one channel and submits the spec's one atomic
 //! `direct` transaction (for a transfer, `transfer`). That asymmetry is
-//! the whole point of the deployment — the `shard_scaleout` bench
-//! measures how aggregate throughput scales with the shard count as the
-//! cross-shard fraction grows.
+//! the whole point of the deployment —
+//! `tests/virtual_time_goldens.rs::shard_scale_out` pins how aggregate
+//! throughput scales with the shard count as the cross-shard fraction
+//! grows.
 //!
 //! Everything is deterministic: same [`ShardConfig`] (including seed) ⇒
 //! bit-identical per-shard Raft logs, state roots, and transfer

@@ -294,6 +294,35 @@ fn lsm_chain_matches_twin_and_survives_reopen() {
     let outcomes = chain.cut_block();
     assert!(outcomes[0].is_valid());
     assert_eq!(chain.height(), blocks + 1);
+
+    // ...and stays within its budgets when the working set does not fit
+    // them: 300 live 120-byte values against 8 KiB of memtable + caches,
+    // every key read back so the caches fill.
+    let budgets = tiny_lsm_config(dir.path());
+    let cache_budget = budgets.block_cache_bytes + budgets.row_cache_bytes;
+    let wide_key = |i: u64| format!("wide{i:03}");
+    for b in 0..30u64 {
+        for t in 0..10 {
+            let args = vec![wide_key(b * 10 + t).into_bytes(), vec![b as u8; 120]];
+            chain.invoke(&alice, "kv", "put", args, &mut rng).unwrap();
+        }
+        assert!(chain.cut_block().iter().all(|o| o.is_valid()));
+    }
+    for i in 0..300 {
+        let value = chain.state().get(&wide_key(i));
+        assert_eq!(value, Some(vec![(i / 10) as u8; 120]), "{}", wide_key(i));
+    }
+    let backend = chain.lsm_backend().unwrap();
+    let stats = backend.lsm_stats();
+    assert!(300 * 120 >= 4 * (budgets.memtable_bytes + cache_budget));
+    assert!(stats.memtable_bytes <= budgets.memtable_bytes, "{stats:?}");
+    assert!(stats.cache_resident_bytes <= cache_budget, "{stats:?}");
+    assert!(stats.flushes > 0 && stats.compactions > 0, "{stats:?}");
+    assert!(stats.write_amplification() >= 1.0, "{stats:?}");
+    for event in backend.compaction_trace() {
+        assert!(["flush", "l0", "level"].contains(&event.kind), "{event:?}");
+        assert!(event.output_bytes > 0 && !event.outputs.is_empty());
+    }
     chain.flush().unwrap();
 }
 
