@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use ledgerview_crypto::aead::{self, AeadKey};
 use ledgerview_crypto::aes::Aes;
-use ledgerview_crypto::ed25519::{self, BatchEntry, SigningKey};
+use ledgerview_crypto::ed25519::{self, BatchEntry, SigningKey, VerifyingKey};
 use ledgerview_crypto::hmac::HmacKey;
 use ledgerview_crypto::keys::{self, EncryptionKeyPair, SigningKeyPair, SymmetricKey};
 use ledgerview_crypto::rng::seeded;
@@ -125,8 +125,18 @@ fn bench_ed25519(c: &mut Criterion) {
             ed25519::verify(black_box(&kp.public()), black_box(&msg), black_box(&sig)).unwrap()
         });
     });
-    // Key expansion is SHA-512 of the seed, one fixed-base multiplication
-    // and one point compression.
+    // The same check under a key expanded once (64 doublings, not 253),
+    // and what expanding it costs: it pays from the third signature on.
+    let pk = kp.public();
+    let expanded = VerifyingKey::from_bytes(&pk).unwrap();
+    c.bench_function("ed25519/verify_known_key_256B", |b| {
+        b.iter(|| expanded.verify(black_box(&msg), black_box(&sig)).unwrap());
+    });
+    c.bench_function("ed25519/expand_verifying_key", |b| {
+        b.iter(|| VerifyingKey::from_bytes(black_box(&pk)).unwrap());
+    });
+    // Signing-key expansion is SHA-512 of the seed, one fixed-base
+    // multiplication and one point compression.
     c.bench_function("ed25519/base_mul (key expansion)", |b| {
         let seed = [0x24u8; 32];
         b.iter(|| SigningKey::from_seed(black_box(&seed)));

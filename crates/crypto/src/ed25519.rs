@@ -201,11 +201,34 @@ fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
     })
 }
 
-/// B, 3B, …, 127B for the width-8 NAF of the base-point term in
-/// [`straus`] (10 KiB).
-fn base_odd_multiples() -> &'static [Cached; 64] {
-    static T: OnceLock<[Cached; 64]> = OnceLock::new();
-    T.get_or_init(|| odd_multiples(&base_point()))
+/// A 256-bit scalar is cut into this many 64-bit chunks by
+/// [`split_terms`]. Eight 32-bit chunks were measured (ISSUE 19) and are
+/// not faster: twice the NAF ends and twice the tables for half as many
+/// doublings.
+const CHUNKS: usize = 4;
+
+/// The odd multiples (N each) of P, 2⁶⁴P, 2¹²⁸P and 2¹⁹²P: one
+/// [`odd_multiples`] table per chunk of a scalar, so that `s·P` is four
+/// 64-bit terms sharing 64 doublings instead of one 256-bit term paying
+/// 253.
+fn split_tables<const N: usize>(p: &Point) -> [[Cached; N]; CHUNKS] {
+    let mut p = *p;
+    std::array::from_fn(|i| {
+        if i > 0 {
+            for _ in 0..256 / CHUNKS {
+                p = p.double();
+            }
+        }
+        odd_multiples(&p)
+    })
+}
+
+/// [`split_tables`] of the base point for width-8 NAFs (40 KiB). Row 0 —
+/// B, 3B, …, 127B — also serves the full-length base-point term of
+/// [`verify_batch`].
+fn base_split_tables() -> &'static [[Cached; 64]; CHUNKS] {
+    static T: OnceLock<[[Cached; 64]; CHUNKS]> = OnceLock::new();
+    T.get_or_init(|| split_tables(&base_point()))
 }
 
 /// The radix-16 fixed-base table: row i holds j·16ⁱ·B for j = 1..=8
@@ -269,11 +292,17 @@ fn naf(scalar_le: &[u8; 32], w: u32) -> [i8; 257] {
     for (limb, chunk) in limbs.iter_mut().zip(scalar_le.chunks_exact(8)) {
         *limb = chunk.iter().rev().fold(0, |acc, &b| (acc << 8) | b as u64);
     }
+    // A NAF is at most one digit longer than its scalar: the 64-bit
+    // chunks of `split_terms` stop here after 65 positions.
+    let bit_length = limbs
+        .iter()
+        .rposition(|&limb| limb != 0)
+        .map_or(0, |i| 64 * (i + 1) - limbs[i].leading_zeros() as usize);
     let width = 1u64 << w;
     let mut digits = [0i8; 257];
     let mut carry = 0u64;
     let mut pos = 0usize;
-    while pos < 257 {
+    while pos <= bit_length {
         let (idx, bit) = (pos / 64, pos % 64);
         let mut bits = limbs[idx] >> bit;
         if bit + w as usize > 64 {
@@ -314,6 +343,23 @@ impl<'a> Term<'a> {
             table,
         }
     }
+}
+
+/// `s·P` as one term per table: the scalar is cut into `tables.len()`
+/// equal slices and slice i indexes `tables[i]`, the odd multiples of
+/// 2^(i·256/len)·P. A single table is the plain full-length term; the
+/// four of [`split_tables`] give four 64-bit terms.
+fn split_terms<'a, const N: usize>(
+    scalar_le: &[u8; 32],
+    tables: &'a [[Cached; N]],
+) -> impl Iterator<Item = Term<'a>> {
+    let scalar = *scalar_le;
+    let width = 32 / tables.len();
+    tables.iter().enumerate().map(move |(i, table)| {
+        let mut slice = [0u8; 32];
+        slice[..width].copy_from_slice(&scalar[i * width..(i + 1) * width]);
+        Term::new(&slice, table)
+    })
 }
 
 /// Multi-scalar multiplication `Σ sᵢ·Pᵢ` sharing one doubling chain across
@@ -407,53 +453,78 @@ const L: [i64; 32] = [
     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10,
 ];
 
-/// Reduce a 64-byte little-endian integer modulo L (TweetNaCl's `modL`).
-fn mod_l(x: &mut [i64; 64]) -> [u8; 32] {
-    for i in (32..64).rev() {
-        let mut carry: i64 = 0;
-        for j in (i - 32)..(i - 12) {
-            x[j] += carry - 16 * x[i] * L[j - (i - 32)];
-            carry = (x[j] + 128) >> 8;
-            x[j] -= carry << 8;
+/// L as eight 32-bit little-endian limbs, derived from the bytes above.
+const L_LIMBS: [i128; 8] = {
+    let mut limbs = [0i128; 8];
+    let mut i = 0;
+    while i < 32 {
+        limbs[i / 4] |= (L[i] as i128) << (8 * (i % 4));
+        i += 1;
+    }
+    limbs
+};
+
+/// The first 4·N little-endian bytes as N 32-bit limbs.
+fn load_limbs<const N: usize>(bytes: &[u8]) -> [u64; N] {
+    std::array::from_fn(|i| {
+        let b = &bytes[4 * i..4 * i + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64
+    })
+}
+
+/// Reduce a 512-bit integer held in sixteen signed 32-bit limbs (any
+/// magnitude the products of [`mul_add`] reach) modulo L. TweetNaCl's
+/// `modL` at radix 2³²: with L = 2²⁵² + c, 2²⁵⁶ ≡ −16c, and 16c spans
+/// five limbs, so each high limb folds into the five limbs eight places
+/// below it.
+fn mod_l(x: &mut [i128; 16]) -> [u8; 32] {
+    for i in (8..16).rev() {
+        let mut carry: i128 = 0;
+        for j in (i - 8)..(i - 3) {
+            x[j] += carry - 16 * x[i] * L_LIMBS[j - (i - 8)];
+            carry = (x[j] + (1 << 31)) >> 32;
+            x[j] -= carry << 32;
         }
-        x[i - 12] += carry;
+        x[i - 3] += carry;
         x[i] = 0;
     }
-    let mut carry: i64 = 0;
-    for j in 0..32 {
-        x[j] += carry - (x[31] >> 4) * L[j];
-        carry = x[j] >> 8;
-        x[j] &= 255;
+    // Subtract the multiple of L the top limb announces, then add L back
+    // once if that went below zero.
+    let quotient = x[7] >> 28;
+    let mut carry: i128 = 0;
+    for j in 0..8 {
+        x[j] += carry - quotient * L_LIMBS[j];
+        carry = x[j] >> 32;
+        x[j] &= 0xffff_ffff;
     }
-    for j in 0..32 {
-        x[j] -= carry * L[j];
+    for j in 0..8 {
+        x[j] -= carry * L_LIMBS[j];
     }
     let mut r = [0u8; 32];
-    for i in 0..32 {
-        x[i + 1] += x[i] >> 8;
-        r[i] = (x[i] & 255) as u8;
+    let mut carry: i128 = 0;
+    for (limb, out) in x.iter().zip(r.chunks_exact_mut(4)) {
+        let v = limb + carry;
+        carry = v >> 32;
+        out.copy_from_slice(&(v as u32).to_le_bytes());
     }
     r
 }
 
 /// Reduce a 64-byte hash output modulo L.
 fn reduce64(h: &[u8; 64]) -> [u8; 32] {
-    let mut x = [0i64; 64];
-    for (i, b) in h.iter().enumerate() {
-        x[i] = *b as i64;
-    }
-    mod_l(&mut x)
+    mod_l(&mut load_limbs::<16>(h).map(i128::from))
 }
 
 /// Compute (a·b + c) mod L over 32-byte little-endian scalars.
 fn mul_add(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) -> [u8; 32] {
-    let mut x = [0i64; 64];
-    for (i, v) in c.iter().enumerate() {
-        x[i] = *v as i64;
+    let (a, b, c) = (load_limbs::<8>(a), load_limbs::<8>(b), load_limbs::<8>(c));
+    let mut x = [0i128; 16];
+    for (xi, ci) in x.iter_mut().zip(c) {
+        *xi = ci.into();
     }
-    for i in 0..32 {
-        for j in 0..32 {
-            x[i + j] += (a[i] as i64) * (b[j] as i64);
+    for (i, ai) in a.iter().enumerate() {
+        for (j, bj) in b.iter().enumerate() {
+            x[i + j] += i128::from(ai * bj);
         }
     }
     mod_l(&mut x)
@@ -572,23 +643,81 @@ fn decode_public_key(public_key: &[u8; 32]) -> Result<Point, CryptoError> {
     Ok(a)
 }
 
-/// Verify a 64-byte signature over `message` under `public_key`.
+/// Verify a 64-byte signature over `message` under `public_key`. Callers
+/// that verify under the same key more than twice should keep a
+/// [`VerifyingKey`].
 pub fn verify(public_key: &[u8; 32], message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
+    let a = decode_public_key(public_key)?;
+    let minus_a: [Cached; 8] = odd_multiples(&a.neg());
+    check_signature(public_key, &[minus_a], message, sig)
+}
+
+/// The single-signature check `S·B − k·A == R`, with `A` given as its
+/// encoding and as tables of `−A` for [`split_terms`] — one full-length
+/// table from [`verify`], four short ones from a [`VerifyingKey`]; the
+/// tables' owner has already validated `A`.
+fn check_signature<const N: usize>(
+    public_key: &[u8; 32],
+    minus_a: &[[Cached; N]],
+    message: &[u8],
+    sig: &[u8; 64],
+) -> Result<(), CryptoError> {
     let (r_enc, s) = split64(sig);
     if !is_canonical_scalar(&s) {
         return Err(CryptoError::InvalidSignature);
     }
-    let a = decode_public_key(public_key)?;
     let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
     let k = challenge(&r_enc, public_key, message);
 
-    // Check S·B − k·A == R.
-    let minus_a: [Cached; 8] = odd_multiples(&a.neg());
-    let lhs = straus(&[Term::new(&s, base_odd_multiples()), Term::new(&k, &minus_a)]);
-    if lhs.equals(&r) {
+    let terms: Vec<Term<'_>> = split_terms(&s, &base_split_tables()[..minus_a.len()])
+        .chain(split_terms(&k, minus_a))
+        .collect();
+    if straus(&terms).equals(&r) {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
+    }
+}
+
+/// An expanded public key, the mirror of [`SigningKey`]: decoded and
+/// validated once, with the odd multiples of −A, −2⁶⁴A, −2¹²⁸A and −2¹⁹²A
+/// (10 KiB) that let [`VerifyingKey::verify`] run 64 doublings where
+/// [`verify`] runs 253. Expanding costs 192 doublings and four small
+/// tables — less than two verifications save — so a key that signs more
+/// than twice is worth keeping in this form.
+#[derive(Clone)]
+pub struct VerifyingKey {
+    bytes: [u8; 32],
+    minus_a: [[Cached; 16]; CHUNKS],
+}
+
+impl VerifyingKey {
+    /// Expand a 32-byte public key, rejecting exactly what [`verify`]
+    /// rejects in a key: a non-canonical or off-curve encoding and points
+    /// of small order.
+    pub fn from_bytes(public_key: &[u8; 32]) -> Result<VerifyingKey, CryptoError> {
+        let a = decode_public_key(public_key)?;
+        Ok(VerifyingKey {
+            bytes: *public_key,
+            minus_a: split_tables(&a.neg()),
+        })
+    }
+
+    /// The 32-byte encoding this key was expanded from.
+    pub fn as_bytes(&self) -> &[u8; 32] {
+        &self.bytes
+    }
+
+    /// Verify a 64-byte signature over `message`; accepts exactly what
+    /// [`verify`] accepts under the same key bytes.
+    pub fn verify(&self, message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
+        check_signature(&self.bytes, &self.minus_a, message, sig)
+    }
+}
+
+impl std::fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "VerifyingKey({})", crate::hex::encode(&self.bytes))
     }
 }
 
@@ -701,7 +830,7 @@ fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
     }
 
     let mut terms = Vec::with_capacity(1 + points.len());
-    terms.push(Term::new(&s_sum, base_odd_multiples()));
+    terms.push(Term::new(&s_sum, &base_split_tables()[0]));
     terms.extend(
         points
             .iter()
@@ -742,6 +871,90 @@ mod tests {
 
     fn l_bytes() -> [u8; 32] {
         L.map(|v| v as u8)
+    }
+
+    /// TweetNaCl's byte-at-a-time `modL`, the oracle the limb version is
+    /// held to.
+    fn mod_l_bytes(x: &mut [i64; 64]) -> [u8; 32] {
+        for i in (32..64).rev() {
+            let mut carry: i64 = 0;
+            for j in (i - 32)..(i - 12) {
+                x[j] += carry - 16 * x[i] * L[j - (i - 32)];
+                carry = (x[j] + 128) >> 8;
+                x[j] -= carry << 8;
+            }
+            x[i - 12] += carry;
+            x[i] = 0;
+        }
+        let mut carry: i64 = 0;
+        for j in 0..32 {
+            x[j] += carry - (x[31] >> 4) * L[j];
+            carry = x[j] >> 8;
+            x[j] &= 255;
+        }
+        for j in 0..32 {
+            x[j] -= carry * L[j];
+        }
+        let mut r = [0u8; 32];
+        for i in 0..32 {
+            x[i + 1] += x[i] >> 8;
+            r[i] = (x[i] & 255) as u8;
+        }
+        r
+    }
+
+    fn reduce64_bytes(h: &[u8; 64]) -> [u8; 32] {
+        let mut x = [0i64; 64];
+        for (i, b) in h.iter().enumerate() {
+            x[i] = *b as i64;
+        }
+        mod_l_bytes(&mut x)
+    }
+
+    fn mul_add_bytes(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) -> [u8; 32] {
+        let mut x = [0i64; 64];
+        for (i, v) in c.iter().enumerate() {
+            x[i] = *v as i64;
+        }
+        for i in 0..32 {
+            for j in 0..32 {
+                x[i + j] += (a[i] as i64) * (b[j] as i64);
+            }
+        }
+        mod_l_bytes(&mut x)
+    }
+
+    /// `base + delta` for a small signed delta that neither borrows out of
+    /// nor carries past byte 0.
+    fn nudge(mut base: [u8; 32], delta: i8) -> [u8; 32] {
+        base[0] = base[0].checked_add_signed(delta).unwrap();
+        base
+    }
+
+    fn power_of_two(bit: usize) -> [u8; 32] {
+        let mut s = [0u8; 32];
+        s[bit / 8] = 1 << (bit % 8);
+        s
+    }
+
+    /// A signature `R ‖ S` with the given scalar half.
+    fn with_s(sig: &[u8; 64], s: &[u8; 32]) -> [u8; 64] {
+        let mut out = *sig;
+        out[32..].copy_from_slice(s);
+        out
+    }
+
+    /// `R ‖ S + L`: the same point equation in a second, non-canonical
+    /// encoding (S + L < 2²⁵⁶ for every canonical S).
+    fn with_s_plus_l(sig: &[u8; 64]) -> [u8; 64] {
+        let mut carry = 0u16;
+        let s_plus_l: [u8; 32] = std::array::from_fn(|i| {
+            let v = sig[32 + i] as u16 + L[i] as u16 + carry;
+            carry = v >> 8;
+            v as u8
+        });
+        assert_eq!(carry, 0);
+        with_s(sig, &s_plus_l)
     }
 
     /// 0, 1, L − 1, L, 2²⁵⁶ − 1, 2¹²⁸ − 1, 2²⁵⁵ and a lone top nibble.
@@ -809,7 +1022,7 @@ mod tests {
         let p_table: [Cached; 8] = odd_multiples(p);
         let q_table: [Cached; 2] = odd_multiples(q);
         let fast = straus(&[
-            Term::new(a, base_odd_multiples()),
+            Term::new(a, &base_split_tables()[0]),
             Term::new(b, &p_table),
             Term::new(c, &q_table),
         ]);
@@ -817,6 +1030,15 @@ mod tests {
             .add(&scalar_mul(p, b).to_cached())
             .add(&scalar_mul(q, c).to_cached());
         assert!(fast.equals(&slow));
+    }
+
+    /// The signature verifies under both forms of the public key.
+    fn verify_both(pk: &[u8; 32], msg: &[u8], sig: &[u8; 64]) {
+        verify(pk, msg, sig).unwrap();
+        VerifyingKey::from_bytes(pk)
+            .unwrap()
+            .verify(msg, sig)
+            .unwrap();
     }
 
     // RFC 8032 §7.1 TEST 1.
@@ -834,7 +1056,7 @@ mod tests {
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155\
              5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
         );
-        verify(&pk, b"", &sig).unwrap();
+        verify_both(&pk, b"", &sig);
     }
 
     // RFC 8032 §7.1 TEST 2.
@@ -853,7 +1075,7 @@ mod tests {
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da\
              085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
         );
-        verify(&pk, &msg, &sig).unwrap();
+        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST 3.
@@ -872,7 +1094,7 @@ mod tests {
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac\
              18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"
         );
-        verify(&pk, &msg, &sig).unwrap();
+        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST 1024: a 1023-byte message, i.e. several SHA-512
@@ -927,7 +1149,7 @@ mod tests {
             "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350\
              aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03"
         );
-        verify(&pk, &msg, &sig).unwrap();
+        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST SHA(abc): the message is SHA-512("abc").
@@ -946,7 +1168,7 @@ mod tests {
             "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589\
              09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"
         );
-        verify(&pk, &msg, &sig).unwrap();
+        verify_both(&pk, &msg, &sig);
     }
 
     #[test]
@@ -982,17 +1204,7 @@ mod tests {
         // non-canonical encoding must be rejected (malleability defence).
         let seed = [11u8; 32];
         let pk = public_key(&seed);
-        let mut sig = sign(&seed, b"m");
-        let mut s = [0i64; 33];
-        for i in 0..32 {
-            s[i] = sig[32 + i] as i64 + L[i];
-        }
-        for i in 0..32 {
-            s[i + 1] += s[i] >> 8;
-            sig[32 + i] = (s[i] & 255) as u8;
-        }
-        // S + L overflows 32 bytes only if S >= 2^256 - L, which it is not.
-        assert_eq!(s[32], 0);
+        let sig = with_s_plus_l(&sign(&seed, b"m"));
         assert!(verify(&pk, b"m", &sig).is_err());
     }
 
@@ -1122,12 +1334,62 @@ mod tests {
     }
 
     #[test]
-    fn mod_l_reduces_l_to_zero() {
-        let mut x = [0i64; 64];
-        for (i, v) in L.iter().enumerate() {
-            x[i] = *v;
+    fn limb_scalar_field_matches_byte_oracle() {
+        // L itself, as limbs and as a reduction.
+        let mut l_from_limbs = [0u8; 32];
+        for (limb, out) in L_LIMBS.iter().zip(l_from_limbs.chunks_exact_mut(4)) {
+            out.copy_from_slice(&(*limb as u32).to_le_bytes());
         }
-        assert_eq!(mod_l(&mut x), [0u8; 32]);
+        assert_eq!(l_from_limbs, l_bytes());
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(&l_bytes());
+        assert_eq!(reduce64(&wide), [0u8; 32]);
+
+        // 0, 1, L − 1, L, L + 1, 2²⁵², 2²⁵⁶ − 1 as operands and as the low
+        // half of a 512-bit input under a zero, a lone-bit and an all-ones
+        // high half (the last being 2⁵¹² − 1).
+        let edges = [
+            [0u8; 32],
+            power_of_two(0),
+            nudge(l_bytes(), -1),
+            l_bytes(),
+            nudge(l_bytes(), 1),
+            power_of_two(252),
+            [0xff; 32],
+        ];
+        for lo in &edges {
+            for hi in [[0u8; 32], power_of_two(0), power_of_two(255), [0xff; 32]] {
+                let mut wide = [0u8; 64];
+                wide[..32].copy_from_slice(lo);
+                wide[32..].copy_from_slice(&hi);
+                let r = reduce64(&wide);
+                assert_eq!(r, reduce64_bytes(&wide));
+                assert!(is_canonical_scalar(&r));
+            }
+        }
+        for a in &edges {
+            for b in &edges {
+                for c in &edges {
+                    let r = mul_add(a, b, c);
+                    assert_eq!(r, mul_add_bytes(a, b, c));
+                    assert!(is_canonical_scalar(&r));
+                }
+            }
+        }
+
+        // 12 000 hash-chained inputs: each SHA-512 output is reduced, and
+        // three of them feed a mul_add whose operands are *not* reduced.
+        let mut h = crate::sha512::sha512(b"ledgerview mod L differential").0;
+        for _ in 0..4_000 {
+            let mut operands = [[0u8; 32]; 3];
+            for operand in &mut operands {
+                h = crate::sha512::sha512(&h).0;
+                assert_eq!(reduce64(&h), reduce64_bytes(&h));
+                *operand = split64(&h).0;
+            }
+            let [a, b, c] = operands;
+            assert_eq!(mul_add(&a, &b, &c), mul_add_bytes(&a, &b, &c));
+        }
     }
 
     #[test]
@@ -1188,6 +1450,128 @@ mod tests {
         // Honest keys are not small order.
         let pk = public_key(&[3u8; 32]);
         assert!(!decompress(&pk).unwrap().is_small_order());
+    }
+
+    /// Both forms of a public key refuse `enc`: expansion fails, and the
+    /// signature (R = identity, s = 0) that satisfies the equation for
+    /// every message under a small-order key does not verify.
+    fn assert_key_rejected(enc: &[u8; 32]) {
+        assert!(VerifyingKey::from_bytes(enc).is_err(), "{enc:02x?}");
+        let mut sig = [0u8; 64];
+        sig[0] = 1;
+        assert!(verify(enc, b"any message at all", &sig).is_err());
+    }
+
+    #[test]
+    fn verifying_key_rejects_the_keys_verify_rejects() {
+        // Small order: the identity, the order-2 point (0, −1), and a
+        // point of order 4 or 8 — L·P for a curve point P outside the
+        // prime-order subgroup, found by walking small y.
+        let mut identity_enc = [0u8; 32];
+        identity_enc[0] = 1;
+        assert_key_rejected(&identity_enc);
+        let mut order2 = [0xffu8; 32];
+        order2[0] = 0xec;
+        order2[31] = 0x7f;
+        assert_key_rejected(&order2);
+        let torsion = (2..=255u8)
+            .filter_map(|y| {
+                let mut enc = [0u8; 32];
+                enc[0] = y;
+                decompress(&enc).ok()
+            })
+            .map(|p| scalar_mul(&p, &l_bytes()))
+            .find(|t| !t.double().equals(&Point::identity()))
+            .expect("some small y lies outside the prime-order subgroup");
+        assert!(torsion.is_small_order());
+        assert_key_rejected(&torsion.compress());
+
+        // Non-canonical y (p, p + 1, with and without the sign bit).
+        let mut p_enc = [0xffu8; 32];
+        p_enc[0] = 0xed;
+        p_enc[31] = 0x7f;
+        assert_key_rejected(&p_enc);
+        let p_plus_1 = nudge(p_enc, 1);
+        assert_key_rejected(&p_plus_1);
+        let mut signed = p_plus_1;
+        signed[31] |= 0x80;
+        assert_key_rejected(&signed);
+
+        // A canonical y that is not on the curve.
+        let off_curve = (2..40u8)
+            .map(|y| {
+                let mut enc = [0u8; 32];
+                enc[0] = y;
+                enc
+            })
+            .find(|enc| decompress(enc).is_err())
+            .expect("some small y is off the curve");
+        assert_key_rejected(&off_curve);
+
+        // An honest key expands, and to the bytes it came from.
+        let pk = public_key(&[3u8; 32]);
+        assert_eq!(VerifyingKey::from_bytes(&pk).unwrap().as_bytes(), &pk);
+    }
+
+    #[test]
+    fn verifying_key_rejects_non_canonical_s() {
+        let key = SigningKey::from_seed(&[12u8; 32]);
+        let vk = VerifyingKey::from_bytes(&key.public_key()).unwrap();
+        let sig = key.sign(b"m");
+        vk.verify(b"m", &sig).unwrap();
+        let bad_s = [l_bytes(), nudge(l_bytes(), 1), [0xff; 32]].map(|s| with_s(&sig, &s));
+        for bad in [with_s_plus_l(&sig)].iter().chain(&bad_s) {
+            assert!(vk.verify(b"m", bad).is_err());
+            assert!(verify(vk.as_bytes(), b"m", bad).is_err());
+        }
+        // The boundary: L − 1 is canonical, so it reaches the equation
+        // (and fails there).
+        assert!(is_canonical_scalar(&nudge(l_bytes(), -1)));
+        assert!(vk
+            .verify(b"m", &with_s(&sig, &nudge(l_bytes(), -1)))
+            .is_err());
+    }
+
+    /// Entry j of row i is (2j + 1)·2^(64i)·P, every entry.
+    fn check_split_tables<const N: usize>(tables: &[[Cached; N]; CHUNKS], p: &Point) {
+        for (i, row) in tables.iter().enumerate() {
+            for (j, cached) in row.iter().enumerate() {
+                let mut s = power_of_two(64 * i);
+                s[8 * i] = 2 * j as u8 + 1;
+                let entry = Point::identity().add(cached);
+                assert!(entry.equals(&scalar_mul(p, &s)), "row {i} entry {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_table_rows_are_multiples_of_powers_of_two_to_the_64() {
+        let base = base_split_tables();
+        assert!(std::mem::size_of_val(base) <= 40 * 1024);
+        check_split_tables(base, &base_point());
+
+        let pk = public_key(&[13u8; 32]);
+        let vk = VerifyingKey::from_bytes(&pk).unwrap();
+        assert!(std::mem::size_of_val(&vk.minus_a) <= 10 * 1024);
+        check_split_tables(&vk.minus_a, &decompress(&pk).unwrap().neg());
+    }
+
+    #[test]
+    fn split_terms_sum_to_the_full_term() {
+        let p = scalar_mul(&base_point(), &[0x5a; 32]);
+        let tables: [[Cached; 16]; CHUNKS] = split_tables(&p);
+        for s in edge_scalars() {
+            let terms: Vec<Term<'_>> = split_terms(&s, &tables).collect();
+            assert_eq!(terms.len(), CHUNKS);
+            // Each chunk's NAF ends within a digit of bit 64.
+            for t in &terms {
+                assert!(t.naf[65..].iter().all(|&d| d == 0));
+            }
+            assert!(straus(&terms).equals(&scalar_mul(&p, &s)));
+            let whole: Vec<Term<'_>> = split_terms(&s, &tables[..1]).collect();
+            assert_eq!(whole.len(), 1);
+            assert!(straus(&whole).equals(&scalar_mul(&p, &s)));
+        }
     }
 
     #[test]
@@ -1355,15 +1739,7 @@ mod tests {
         let seed = [77u8; 32];
         let pk = public_key(&seed);
         let msg = b"m".to_vec();
-        let mut sig = sign(&seed, &msg);
-        let mut s = [0i64; 33];
-        for i in 0..32 {
-            s[i] = sig[32 + i] as i64 + L[i];
-        }
-        for i in 0..32 {
-            s[i + 1] += s[i] >> 8;
-            sig[32 + i] = (s[i] & 255) as u8;
-        }
+        let sig = with_s_plus_l(&sign(&seed, &msg));
         let other_seed = [78u8; 32];
         let other_pk = public_key(&other_seed);
         let other_sig = sign(&other_seed, &msg);

@@ -56,4 +56,4 @@ pub use aead::{open_sym, seal_sym};
 pub use error::CryptoError;
 pub use keys::{open, seal, EncryptionKeyPair, PublicKey, SigningKeyPair, SymmetricKey};
 pub use sha256::{sha256, Digest, Sha256};
-pub use sigcache::{CacheStats, SigCache};
+pub use sigcache::{CacheKey, CacheStats, SigCache};

@@ -34,6 +34,11 @@ struct Inner {
     stats: CacheStats,
 }
 
+/// The digest a `(pubkey, message, signature)` triple is cached under, as
+/// returned by a missed [`SigCache::lookup_or_key`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CacheKey([u8; 32]);
+
 /// Bounded LRU cache of `(pubkey, message, signature)` verification
 /// outcomes.
 pub struct SigCache {
@@ -56,12 +61,12 @@ impl SigCache {
         }
     }
 
-    fn key(public_key: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> [u8; 32] {
+    fn key(public_key: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> CacheKey {
         let mut h = Sha256::new();
         h.update(public_key);
         h.update(signature);
         h.update(message);
-        h.finalize().0
+        CacheKey(h.finalize().0)
     }
 
     /// Return the cached outcome for a triple, if present, refreshing its
@@ -75,23 +80,38 @@ impl SigCache {
         if self.capacity == 0 {
             return None;
         }
+        self.lookup_or_key(public_key, message, signature).ok()
+    }
+
+    /// [`SigCache::lookup`] that on a miss hands back the triple's key, so
+    /// the caller can [`SigCache::record_key`] its verdict without hashing
+    /// the triple a second time.
+    pub fn lookup_or_key(
+        &self,
+        public_key: &[u8; 32],
+        message: &[u8],
+        signature: &[u8; 64],
+    ) -> Result<bool, CacheKey> {
         let key = Self::key(public_key, message, signature);
+        if self.capacity == 0 {
+            return Err(key);
+        }
         let mut inner = self.inner.lock().expect("sig cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
+        match inner.map.get_mut(&key.0) {
             Some(entry) => {
                 let old = entry.1;
                 let outcome = entry.0;
                 entry.1 = tick;
                 inner.order.remove(&old);
-                inner.order.insert(tick, key);
+                inner.order.insert(tick, key.0);
                 inner.stats.hits += 1;
-                Some(outcome)
+                Ok(outcome)
             }
             None => {
                 inner.stats.misses += 1;
-                None
+                Err(key)
             }
         }
     }
@@ -102,7 +122,16 @@ impl SigCache {
         if self.capacity == 0 {
             return;
         }
-        let key = Self::key(public_key, message, signature);
+        self.record_key(Self::key(public_key, message, signature), valid);
+    }
+
+    /// [`SigCache::record`] under the key a missed
+    /// [`SigCache::lookup_or_key`] returned.
+    pub fn record_key(&self, key: CacheKey, valid: bool) {
+        if self.capacity == 0 {
+            return;
+        }
+        let CacheKey(key) = key;
         let mut inner = self.inner.lock().expect("sig cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
@@ -209,6 +238,58 @@ mod tests {
         assert_eq!(cache.lookup(&pk1, &msg1, &sig1), None, "LRU entry evicted");
         assert_eq!(cache.lookup(&pk0, &msg0, &sig0), Some(true));
         assert_eq!(cache.lookup(&pk3, &msg3, &sig3), Some(true));
+    }
+
+    #[test]
+    fn keyed_miss_path_replays_a_script_exactly() {
+        // One script — lookups, records of the misses, re-records, enough
+        // distinct triples to evict — through `lookup`/`record` and
+        // through `lookup_or_key`/`record_key`. Hits, misses, length and
+        // the survivors (hence eviction order) are pinned to what
+        // `lookup`/`record` gave before the keyed pair existed.
+        let script: Vec<u8> = vec![1, 2, 3, 1, 4, 5, 2, 6, 1, 7, 3, 3, 8, 1, 9, 2];
+        let classic = SigCache::new(4);
+        let keyed = SigCache::new(4);
+        for &i in &script {
+            let (pk, msg, sig) = triple(i);
+            let valid = i % 3 != 0;
+            let seen = classic.lookup(&pk, &msg, &sig);
+            if seen.is_none() {
+                classic.record(&pk, &msg, &sig, valid);
+            }
+            match keyed.lookup_or_key(&pk, &msg, &sig) {
+                Ok(outcome) => assert_eq!(seen, Some(outcome)),
+                Err(key) => {
+                    assert_eq!(seen, None);
+                    keyed.record_key(key, valid);
+                }
+            }
+        }
+        for cache in [&classic, &keyed] {
+            let (hits, misses) = (3, 13);
+            assert_eq!(cache.stats(), CacheStats { hits, misses });
+            assert_eq!(cache.len(), 4);
+            let inner = cache.inner.lock().unwrap();
+            let survivors: Vec<u8> = (1..=9)
+                .filter(|&i| {
+                    let (pk, msg, sig) = triple(i);
+                    inner.map.contains_key(&SigCache::key(&pk, &msg, &sig).0)
+                })
+                .collect();
+            assert_eq!(survivors, vec![1, 2, 8, 9]);
+        }
+        // A re-record under a returned key overwrites, as `record` does.
+        let (pk, msg, sig) = triple(10);
+        let key = keyed.lookup_or_key(&pk, &msg, &sig).unwrap_err();
+        keyed.record_key(key, true);
+        keyed.record_key(key, false);
+        assert_eq!(keyed.lookup(&pk, &msg, &sig), Some(false));
+        // A disabled cache still hands back a key, and drops it.
+        let off = SigCache::new(0);
+        let key = off.lookup_or_key(&pk, &msg, &sig).unwrap_err();
+        off.record_key(key, true);
+        assert!(off.is_empty());
+        assert_eq!(off.stats(), CacheStats::default());
     }
 
     #[test]

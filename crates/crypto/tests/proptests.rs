@@ -4,7 +4,7 @@ use ledgerview_crypto::keys::{EncryptionKeyPair, SigningKeyPair};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::{sha256, Sha256};
 use ledgerview_crypto::sha512::sha512;
-use ledgerview_crypto::{aead, hex, hkdf, hmac, x25519};
+use ledgerview_crypto::{aead, ed25519, hex, hkdf, hmac, x25519};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,5 +120,58 @@ proptest! {
     #[test]
     fn hex_round_trip(data in proptest::collection::vec(any::<u8>(), 0..128)) {
         prop_assert_eq!(hex::decode(&hex::encode(&data)).unwrap(), data);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// An expanded `VerifyingKey` and the one-shot `verify` give the same
+    /// verdict on a signature, on every single-bit flip of it, and on every
+    /// single-bit flip of the key — where "the key does not expand" and
+    /// "nothing verifies under these bytes" must coincide.
+    #[test]
+    fn verifying_key_agrees_with_verify(seed in any::<[u8; 32]>(),
+                                        msg in proptest::collection::vec(any::<u8>(), 0..=256)) {
+        let key = ed25519::SigningKey::from_seed(&seed);
+        let pk = key.public_key();
+        let sig = key.sign(&msg);
+        let expanded = ed25519::VerifyingKey::from_bytes(&pk).unwrap();
+        prop_assert_eq!(expanded.as_bytes(), &pk);
+        prop_assert!(expanded.verify(&msg, &sig).is_ok());
+        prop_assert!(ed25519::verify(&pk, &msg, &sig).is_ok());
+
+        // More valid signatures under the one key, so that every entry of
+        // the chunk tables is read by some case.
+        let mut longer = msg.clone();
+        for suffix in 0..32u8 {
+            longer.push(suffix);
+            let sig = key.sign(&longer);
+            prop_assert!(expanded.verify(&longer, &sig).is_ok(), "suffix {}", suffix);
+            prop_assert!(ed25519::verify(&pk, &longer, &sig).is_ok(), "suffix {}", suffix);
+        }
+
+        for bit in 0..512 {
+            let mut forged = sig;
+            forged[bit / 8] ^= 1 << (bit % 8);
+            let one_shot = ed25519::verify(&pk, &msg, &forged).is_ok();
+            prop_assert_eq!(expanded.verify(&msg, &forged).is_ok(), one_shot, "signature bit {}", bit);
+            prop_assert!(!one_shot, "signature bit {}", bit);
+        }
+        let mut undecodable = 0;
+        for bit in 0..256 {
+            let mut other = pk;
+            other[bit / 8] ^= 1 << (bit % 8);
+            let one_shot = ed25519::verify(&other, &msg, &sig).is_ok();
+            match ed25519::VerifyingKey::from_bytes(&other) {
+                Ok(k) => prop_assert_eq!(k.verify(&msg, &sig).is_ok(), one_shot, "key bit {}", bit),
+                Err(_) => {
+                    undecodable += 1;
+                    prop_assert!(!one_shot, "key bit {}", bit);
+                }
+            }
+        }
+        // About half of all y are off the curve.
+        prop_assert!((64..192).contains(&undecodable), "{} of 256 flipped keys rejected", undecodable);
     }
 }

@@ -502,16 +502,19 @@ impl FabricChain {
             .invoke(&mut ctx, &proposal.function, &proposal.args)?;
         let (rwset, private_values) = ctx.into_results();
 
-        // Collect endorsements from every policy org's peer.
+        // Collect endorsements from every policy org's peer; they all sign
+        // the one simulated set, hashed once.
+        let rwset_digest = rwset.digest();
         let mut responses = Vec::new();
         for org in deployed.policy.orgs() {
             let Some(peer) = self.endorsers.get(org) else {
                 continue;
             };
-            responses.push(ProposalResponse::sign(
+            responses.push(ProposalResponse::sign_with_digest(
                 peer,
                 tx_id,
                 rwset.clone(),
+                &rwset_digest,
                 response.clone(),
             ));
         }

@@ -97,7 +97,20 @@ impl ProposalResponse {
     /// Produce a signed response as endorsing peer `endorser`.
     pub fn sign(endorser: &Identity, tx_id: TxId, rwset: RwSet, response: Vec<u8>) -> Self {
         let digest = rwset.digest();
-        let bytes = response_signing_bytes(&tx_id, &digest, &response);
+        Self::sign_with_digest(endorser, tx_id, rwset, &digest, response)
+    }
+
+    /// [`ProposalResponse::sign`] for a caller that already holds
+    /// `rwset.digest()` — every endorser of one simulation signs the same
+    /// set.
+    pub(crate) fn sign_with_digest(
+        endorser: &Identity,
+        tx_id: TxId,
+        rwset: RwSet,
+        rwset_digest: &Digest,
+        response: Vec<u8>,
+    ) -> Self {
+        let bytes = response_signing_bytes(&tx_id, rwset_digest, &response);
         let signature = endorser.sign(&bytes);
         ProposalResponse {
             tx_id,
@@ -112,7 +125,12 @@ impl ProposalResponse {
 
     /// Verify this response's signature against the MSP.
     pub fn verify(&self, msp: &Msp) -> Result<(), FabricError> {
-        let bytes = response_signing_bytes(&self.tx_id, &self.rwset.digest(), &self.response);
+        self.verify_with_digest(msp, &self.rwset.digest())
+    }
+
+    /// [`ProposalResponse::verify`] given `self.rwset.digest()`.
+    fn verify_with_digest(&self, msp: &Msp, rwset_digest: &Digest) -> Result<(), FabricError> {
+        let bytes = response_signing_bytes(&self.tx_id, rwset_digest, &self.response);
         msp.verify_identity_signature(
             &self.endorsement.endorser,
             &bytes,
@@ -179,14 +197,23 @@ pub fn check_endorsements(
         ));
     }
     let first = &responses[0];
+    // Agreeing endorsers signed the same read/write set: hash it once. A
+    // response that disagrees is still checked under its own digest first,
+    // so a forged signature is reported before the disagreement.
+    let first_digest = first.rwset.digest();
     for r in responses {
-        r.verify(msp)?;
+        let same_rwset = r.rwset == first.rwset;
+        if same_rwset {
+            r.verify_with_digest(msp, &first_digest)?;
+        } else {
+            r.verify(msp)?;
+        }
         if r.tx_id != first.tx_id {
             return Err(FabricError::EndorsementPolicyFailure(
                 "endorsements for different transactions".into(),
             ));
         }
-        if r.rwset != first.rwset || r.response != first.response {
+        if !same_rwset || r.response != first.response {
             return Err(FabricError::EndorsementPolicyFailure(
                 "endorsers disagree on simulation results".into(),
             ));
@@ -310,6 +337,58 @@ mod tests {
         let r2 = ProposalResponse::sign(&peer2, p.tx_id(), other, b"ok".to_vec());
         let policy = EndorsementPolicy::AnyOf(vec![OrgId::new("Org1"), OrgId::new("Org2")]);
         assert!(check_endorsements(&policy, &[r1, r2], &msp).is_err());
+    }
+
+    #[test]
+    fn shared_rwset_digest_changes_no_signature_and_no_verdict() {
+        let (msp, alice, peer1, peer2) = setup();
+        let mut rng = seeded(8);
+        let p = Proposal::new(&alice, "cc", "f", vec![], &mut rng);
+        let policy = EndorsementPolicy::AnyOf(vec![OrgId::new("Org1"), OrgId::new("Org2")]);
+        let sign = |peer: &Identity, rwset: RwSet| {
+            ProposalResponse::sign(peer, p.tx_id(), rwset, b"ok".to_vec())
+        };
+        let mut other = sample_rwset();
+        other.writes[0].value = Some(b"different".to_vec());
+
+        // Signing under a digest computed by the caller is signing.
+        let shared = ProposalResponse::sign_with_digest(
+            &peer1,
+            p.tx_id(),
+            sample_rwset(),
+            &sample_rwset().digest(),
+            b"ok".to_vec(),
+        );
+        assert_eq!(
+            shared.endorsement.signature,
+            sign(&peer1, sample_rwset()).endorsement.signature
+        );
+
+        let verdict = |second: ProposalResponse| {
+            check_endorsements(&policy, &[sign(&peer1, sample_rwset()), second], &msp)
+        };
+        // Same set, bad signature: the first response's digest is reused,
+        // and the signature still fails under it.
+        let mut bad_sig = sign(&peer2, sample_rwset());
+        bad_sig.endorsement.signature[3] ^= 1;
+        assert!(matches!(verdict(bad_sig), Err(FabricError::BadSignature)));
+        // Same set on the response, but the signature covers another one.
+        let mut swapped = sign(&peer2, other.clone());
+        swapped.rwset = sample_rwset();
+        assert!(matches!(verdict(swapped), Err(FabricError::BadSignature)));
+        // Different set, honestly signed: its own digest verifies, then the
+        // disagreement is reported.
+        assert!(matches!(
+            verdict(sign(&peer2, other.clone())),
+            Err(FabricError::EndorsementPolicyFailure(_))
+        ));
+        // Different set *and* a bad signature: the signature is reported.
+        let mut doubly_bad = sign(&peer2, other);
+        doubly_bad.endorsement.signature[3] ^= 1;
+        assert!(matches!(
+            verdict(doubly_bad),
+            Err(FabricError::BadSignature)
+        ));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! and certificates against the CA registry.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
+use ledgerview_crypto::ed25519::VerifyingKey;
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey, SigningKeyPair};
 use ledgerview_crypto::{CryptoError, SigCache};
 use rand::RngCore;
@@ -145,9 +147,11 @@ struct OrgCa {
     ca: SigningKeyPair,
 }
 
-/// Certificates whose CA-signature verdict [`Msp::verify_cert`] remembers.
-/// A deployment has a few endorsing peers and a bounded client population;
-/// past this many the least recently seen certificate is verified again.
+/// Certificates whose CA-signature verdict [`Msp::verify_cert`] remembers,
+/// and whose expanded signing key [`Msp::verify_identity_signature`] keeps
+/// (10 KiB each). A deployment has a few endorsing peers and a bounded
+/// client population; past this many the least recently seen certificate
+/// is verified again, and some key is expanded again.
 const CERT_MEMO_CAPACITY: usize = 1024;
 
 /// The membership registry: organisation CAs and certificate verification.
@@ -157,6 +161,11 @@ pub struct Msp {
     /// CA key, the certificate's signed bytes and its signature: the same
     /// few endorser certificates arrive with every proposal response.
     cert_memo: SigCache,
+    /// Expanded signing keys of certificates that passed
+    /// [`Msp::verify_cert`], by `signing_pub`, built at a key's first
+    /// signature: only here is a key known to belong to a CA-verified
+    /// certificate, and the same few endorsers sign every transaction.
+    key_memo: Mutex<HashMap<[u8; 32], Arc<VerifyingKey>>>,
 }
 
 impl Default for Msp {
@@ -171,6 +180,7 @@ impl Msp {
         Msp {
             orgs: HashMap::new(),
             cert_memo: SigCache::new(CERT_MEMO_CAPACITY),
+            key_memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -258,7 +268,8 @@ impl Msp {
     }
 
     /// Verify a signature made by the holder of `cert`, checking the
-    /// certificate chain first.
+    /// certificate chain first. The holder's key is expanded on its first
+    /// signature and kept, so later ones take the short verification.
     pub fn verify_identity_signature(
         &self,
         cert: &Certificate,
@@ -266,8 +277,30 @@ impl Msp {
         signature: &[u8; 64],
     ) -> Result<(), FabricError> {
         self.verify_cert(cert)?;
-        ledgerview_crypto::keys::verify_signature(&cert.signing_pub, message, signature)
+        self.verifying_key(&cert.signing_pub)?
+            .verify(message, signature)
             .map_err(|_| FabricError::BadSignature)
+    }
+
+    /// The expanded form of a CA-verified certificate's signing key, from
+    /// the memo or built and remembered now. A key that does not decode
+    /// (off the curve, small order) is a bad signature and is not stored;
+    /// at capacity an arbitrary key makes room and is rebuilt if it
+    /// returns.
+    fn verifying_key(&self, signing_pub: &[u8; 32]) -> Result<Arc<VerifyingKey>, FabricError> {
+        let mut memo = self.key_memo.lock().expect("key memo poisoned");
+        if let Some(key) = memo.get(signing_pub) {
+            return Ok(Arc::clone(key));
+        }
+        let key =
+            Arc::new(VerifyingKey::from_bytes(signing_pub).map_err(|_| FabricError::BadSignature)?);
+        if memo.len() >= CERT_MEMO_CAPACITY {
+            if let Some(evicted) = memo.keys().next().copied() {
+                memo.remove(&evicted);
+            }
+        }
+        memo.insert(*signing_pub, Arc::clone(&key));
+        Ok(key)
     }
 }
 
@@ -358,6 +391,96 @@ mod tests {
         assert!(msp.verify_cert(&relabelled).is_err());
         msp.verify_cert(alice.cert()).unwrap();
         assert_eq!(msp.cert_memo.len(), 4);
+    }
+
+    fn keys_held(msp: &Msp) -> usize {
+        msp.key_memo.lock().unwrap().len()
+    }
+
+    #[test]
+    fn key_memo_holds_only_keys_of_verified_certificates() {
+        let mut rng = seeded(10);
+        let mut msp = Msp::new();
+        let org1 = msp.add_org("Org1MSP", &mut rng);
+        let org2 = msp.add_org("Org2MSP", &mut rng);
+        let alice = msp.enroll(&org1, "alice", &mut rng).unwrap();
+        let sig = alice.sign(b"endorsement");
+        // Nothing is expanded at enrolment.
+        assert_eq!(keys_held(&msp), 0);
+
+        // Wrong fields under the CA's signature, a damaged CA signature,
+        // another organisation's label: the signature itself is good, and
+        // no key is kept for any of them.
+        let mut forged = alice.cert().clone();
+        forged.subject = "mallory".into();
+        let mut resigned = alice.cert().clone();
+        resigned.ca_signature[7] ^= 1;
+        let mut relabelled = alice.cert().clone();
+        relabelled.org = org2;
+        for cert in [&forged, &resigned, &relabelled] {
+            for _ in 0..2 {
+                assert!(matches!(
+                    msp.verify_identity_signature(cert, b"endorsement", &sig),
+                    Err(FabricError::BadSignature)
+                ));
+            }
+        }
+        assert_eq!(keys_held(&msp), 0);
+
+        // The real certificate's key is kept once, whatever the verdicts
+        // on the signatures checked under it.
+        for _ in 0..3 {
+            msp.verify_identity_signature(alice.cert(), b"endorsement", &sig)
+                .unwrap();
+            assert!(msp
+                .verify_identity_signature(alice.cert(), b"tampered", &sig)
+                .is_err());
+        }
+        assert_eq!(keys_held(&msp), 1);
+    }
+
+    #[test]
+    fn key_memo_is_bounded_and_evicted_keys_still_verify() {
+        let mut rng = seeded(11);
+        let mut msp = Msp::new();
+        let org = msp.add_org("Org1MSP", &mut rng);
+        let users: Vec<Identity> = (0..CERT_MEMO_CAPACITY + 1)
+            .map(|i| msp.enroll(&org, &format!("user{i}"), &mut rng).unwrap())
+            .collect();
+        // Two rounds: the second meets whichever keys the first evicted.
+        for _ in 0..2 {
+            for user in &users {
+                let sig = user.sign(user.name().as_bytes());
+                msp.verify_identity_signature(user.cert(), user.name().as_bytes(), &sig)
+                    .unwrap();
+                assert!(keys_held(&msp) <= CERT_MEMO_CAPACITY);
+            }
+        }
+        assert_eq!(keys_held(&msp), CERT_MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn small_order_signing_key_in_a_valid_certificate_is_a_bad_signature() {
+        let mut rng = seeded(12);
+        let mut msp = Msp::new();
+        let org = msp.add_org("Org1MSP", &mut rng);
+        let alice = msp.enroll(&org, "alice", &mut rng).unwrap();
+        // The CA signs a certificate for the order-2 point (0, −1). With
+        // R = the identity and s = 0 the verification equation would hold
+        // for every message.
+        let mut cert = alice.cert().clone();
+        cert.signing_pub = [0xff; 32];
+        cert.signing_pub[0] = 0xec;
+        cert.signing_pub[31] = 0x7f;
+        cert.ca_signature = msp.orgs[&org].ca.sign(&cert.to_signed_bytes());
+        msp.verify_cert(&cert).unwrap();
+        let mut universal = [0u8; 64];
+        universal[0] = 1;
+        assert!(matches!(
+            msp.verify_identity_signature(&cert, b"anything", &universal),
+            Err(FabricError::BadSignature)
+        ));
+        assert_eq!(keys_held(&msp), 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use ledgerview_crypto::ed25519::{self, BatchEntry};
 use ledgerview_crypto::keys::verify_signature;
-use ledgerview_crypto::{CacheStats, SigCache};
+use ledgerview_crypto::{CacheKey, CacheStats, SigCache};
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
 use crate::endorsement::{response_signing_bytes, EndorsementPolicy};
@@ -453,11 +453,21 @@ fn verify_chunk(
         });
         slot_of.push(slot);
     }
+    // A miss keeps the key the cache hashed for it, so recording its
+    // verdict below does not hash the triple again.
+    let mut miss_keys: Vec<Option<CacheKey>> = vec![None; unique.len()];
     let mut by_slot: Vec<Option<bool>> = unique
         .iter()
-        .map(|&i| {
+        .zip(&mut miss_keys)
+        .map(|(&i, miss_key)| {
             let (pk, msg, sig) = flat[i];
-            cache.and_then(|c| c.lookup(pk, msg, sig))
+            match cache?.lookup_or_key(pk, msg, sig) {
+                Ok(outcome) => Some(outcome),
+                Err(key) => {
+                    *miss_key = Some(key);
+                    None
+                }
+            }
         })
         .collect();
     let pending: Vec<usize> = (0..unique.len())
@@ -501,8 +511,8 @@ fn verify_chunk(
     }
     if let Some(cache) = cache {
         for &s in &pending {
-            let (pk, msg, sig) = flat[unique[s]];
-            cache.record(pk, msg, sig, by_slot[s] == Some(true));
+            let key = miss_keys[s].expect("a pending slot missed the cache");
+            cache.record_key(key, by_slot[s] == Some(true));
         }
     }
     let resolved: Vec<bool> = slot_of
