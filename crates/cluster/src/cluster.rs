@@ -30,7 +30,7 @@ use fabric_sim::raft::{NodeId, Outgoing, RaftMsg, RaftNode};
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::storage::ChainSnapshot;
 use fabric_sim::validation::TxValidation;
-use fabric_sim::{FabricChain, StorageConfig};
+use fabric_sim::{FabricChain, LsmState, StorageConfig};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_gateway::{reorder, CounterChaincode};
@@ -86,10 +86,6 @@ struct Catchup {
 
 struct Peer {
     dir: PathBuf,
-    /// Which backend created `dir`, so a restart reopens it the same way:
-    /// `cfg.lsm_peers` for peers that start empty, always the durable
-    /// backend for a snapshot-installed peer.
-    lsm: bool,
     region: Region,
     /// `None` while crashed (or while a snapshot is in flight).
     chain: Option<FabricChain>,
@@ -291,40 +287,26 @@ impl World {
         }
     }
 
-    /// Open (or recover) a peer chain over its durable directory, on the
-    /// LSM backend or the in-memory durable one.
+    /// Open (or recover) a peer chain over its durable directory — after
+    /// installing `snapshot` into it, when one is given — on the state
+    /// engine `cfg.lsm_peers` selects.
     fn open_peer_chain(
         cfg: &ClusterConfig,
         dir: &Path,
-        lsm: bool,
+        snapshot: Option<&ChainSnapshot>,
     ) -> Result<FabricChain, ClusterError> {
         let names: Vec<&str> = cfg.org_names.iter().map(|s| s.as_str()).collect();
         let mut rng = seeded(cfg.identity_seed);
         let storage = Self::storage_for(cfg, dir);
-        let mut chain = if lsm {
-            FabricChain::with_lsm_storage(&names, &mut rng, storage, cfg.validation.clone())?
-        } else {
-            FabricChain::with_storage(&names, &mut rng, storage, cfg.validation.clone())?
+        let validation = cfg.validation.clone();
+        let mut chain = match (snapshot, cfg.lsm_peers) {
+            (Some(snapshot), lsm) => {
+                let lsm = lsm.then(|| LsmState::default_config(&storage));
+                FabricChain::from_snapshot(&names, &mut rng, storage, lsm, validation, snapshot)?
+            }
+            (None, true) => FabricChain::with_lsm_storage(&names, &mut rng, storage, validation)?,
+            (None, false) => FabricChain::with_storage(&names, &mut rng, storage, validation)?,
         };
-        Self::deploy_workload(cfg, &mut chain);
-        Ok(chain)
-    }
-
-    /// Install a shipped snapshot into an empty peer directory.
-    fn install_peer_snapshot(
-        cfg: &ClusterConfig,
-        dir: &Path,
-        snapshot: &ChainSnapshot,
-    ) -> Result<FabricChain, ClusterError> {
-        let names: Vec<&str> = cfg.org_names.iter().map(|s| s.as_str()).collect();
-        let mut rng = seeded(cfg.identity_seed);
-        let mut chain = FabricChain::from_snapshot(
-            &names,
-            &mut rng,
-            Self::storage_for(cfg, dir),
-            cfg.validation.clone(),
-            snapshot,
-        )?;
         Self::deploy_workload(cfg, &mut chain);
         Ok(chain)
     }
@@ -950,7 +932,7 @@ impl World {
                     return;
                 }
                 let peer = &self.peers[p];
-                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, peer.lsm) {
+                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, None) {
                     Ok(chain) => chain,
                     Err(e) => return self.fail(e),
                 };
@@ -1032,7 +1014,7 @@ impl World {
             }
             BootstrapMode::FullReplay => {
                 let peer = &self.peers[p];
-                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, peer.lsm) {
+                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, None) {
                     Ok(chain) => chain,
                     Err(e) => return self.fail(e),
                 };
@@ -1056,14 +1038,13 @@ impl World {
     }
 
     fn on_install_snapshot(&mut self, p: usize, snapshot: ChainSnapshot, sim: &mut Sim) {
-        let chain = match Self::install_peer_snapshot(&self.cfg, &self.peers[p].dir, &snapshot) {
+        let chain = match Self::open_peer_chain(&self.cfg, &self.peers[p].dir, Some(&snapshot)) {
             Ok(chain) => chain,
             Err(e) => return self.fail(e),
         };
         let height = chain.height();
         let peer = &mut self.peers[p];
         peer.chain = Some(chain);
-        peer.lsm = false; // `from_snapshot` installs into the durable backend.
         peer.next_apply = height;
         // Replay the delta committed since the snapshot was taken.
         let tip = self.blocks.len() as u64;
@@ -1162,11 +1143,10 @@ impl ClusterSim {
         for i in 0..config.peers {
             let dir = config.storage_root.join(format!("peer{i}"));
             let region = config.peer_regions[i % config.peer_regions.len().max(1)];
-            let chain = World::open_peer_chain(&config, &dir, config.lsm_peers)?;
+            let chain = World::open_peer_chain(&config, &dir, None)?;
             let next_apply = chain.height();
             peers.push(Peer {
                 dir,
-                lsm: config.lsm_peers,
                 region,
                 chain: Some(chain),
                 next_apply,
@@ -1361,7 +1341,6 @@ impl ClusterSim {
         let region = self.world.cfg.peer_regions[p % self.world.cfg.peer_regions.len().max(1)];
         self.world.peers.push(Peer {
             dir,
-            lsm: self.world.cfg.lsm_peers,
             region,
             chain: None,
             next_apply: 0,

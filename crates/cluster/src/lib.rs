@@ -114,10 +114,10 @@ pub struct ClusterConfig {
     /// `Never`; physical durability is exercised by `fabric-store`'s own
     /// tests).
     pub fsync: FsyncPolicy,
-    /// Back each peer's state with the disk-backed LSM tree instead of
-    /// the in-memory durable backend. Snapshot bootstrap still installs
-    /// into the durable backend regardless, and a peer that joined that
-    /// way keeps it across restarts.
+    /// Keep each peer's state in the disk-backed LSM engine instead of
+    /// the in-memory one, under the same durable backend. Applies to every
+    /// peer however it joined: a shipped snapshot installs into the LSM
+    /// too, and a restart reopens the directory on it.
     pub lsm_peers: bool,
     /// Commit-time validation pipeline configuration for every peer.
     pub validation: ValidationConfig,
@@ -133,7 +133,7 @@ pub struct ClusterConfig {
     pub workloads: Vec<(String, WorkloadFactory)>,
     /// Prefix for this cluster's Perfetto process-lane names (e.g.
     /// `"shard3/"` → `shard3/gateway`, `shard3/orderer-0`, …). Keeps the
-    /// lanes of multiple clusters sharing one [`Telemetry`] distinct.
+    /// lanes of multiple clusters sharing one [`ledgerview_telemetry::Telemetry`] distinct.
     pub lane_prefix: String,
 }
 

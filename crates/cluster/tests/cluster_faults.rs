@@ -209,9 +209,10 @@ fn snapshot_bootstrap_without_donor_errors() {
 
 #[test]
 fn snapshot_bootstrapped_peer_in_an_lsm_cluster_restarts() {
-    // Snapshot bootstrap installs into the durable backend even when
-    // `lsm_peers` is on, so the joined peer's directory must be reopened
-    // with the backend that created it, not the one the config names.
+    // Snapshot bootstrap installs into whichever state engine `lsm_peers`
+    // selects, so the joined peer's directory holds an LSM tree — no
+    // full-state checkpoint file — and a restart reopens it like any
+    // other peer's.
     let dir = TestDir::new("cluster-lsm-snapshot-restart");
     let mut cfg = ClusterConfig::new(dir.path(), 42);
     cfg.lsm_peers = true;
@@ -228,6 +229,12 @@ fn snapshot_bootstrapped_peer_in_an_lsm_cluster_restarts() {
     let tip = *report.canonical_roots.last().expect("blocks committed");
     assert_eq!(report.peer_roots, vec![Some(tip); 4], "bit-identical roots");
     assert_eq!(report.peer_heights[joined], Some(report.blocks));
+
+    let joined_dir = dir.path().join(format!("peer{joined}"));
+    assert!(joined_dir.join("lsm").join("MANIFEST").is_file());
+    assert!(!joined_dir
+        .join(fabric_store::checkpoint::CHECKPOINT_FILE)
+        .exists());
 }
 
 #[test]

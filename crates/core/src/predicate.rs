@@ -3,9 +3,9 @@
 //! A view is `V = { t | P_V(t[N]) }` (§3). Predicates are serializable so
 //! the TxListContract can store them on-chain and any user can re-evaluate
 //! them (this is what makes soundness *verifiable*). Recursive definitions
-//! use the datalog engine via [`ViewPredicate::Datalog`]-style evaluation
-//! in [`crate::verify`]; the structural predicates here cover the paper's
-//! experiments (one view per supply-chain entity).
+//! are evaluated by the datalog engine in [`crate::verify`]; the
+//! structural predicates here cover the paper's experiments (one view per
+//! supply-chain entity).
 
 use fabric_sim::wire::{Reader, Writer};
 use fabric_sim::FabricError;

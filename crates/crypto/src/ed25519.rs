@@ -741,7 +741,7 @@ pub struct BatchEntry<'a> {
 /// (Σ z_i·s_i mod L)·B − Σ z_i·R_i − Σ_A (Σ_{i: A_i = A} z_i·k_i mod L)·A  ==  0
 /// ```
 ///
-/// The left-hand side is one multi-scalar multiplication ([`straus`])
+/// The left-hand side is one multi-scalar multiplication (`straus`)
 /// sharing a single doubling chain across every term. Entries under the
 /// same public key share one term: the key is decompressed and
 /// torsion-checked once and the entries' `z_i·k_i` coefficients are summed

@@ -5,7 +5,7 @@
 //! view keys with public-key encryption. This crate implements every
 //! primitive the system needs, with no external crypto dependencies:
 //!
-//! * [`sha256`], [`sha512`] — FIPS 180-4 hash functions.
+//! * [`mod@sha256`], [`mod@sha512`] — FIPS 180-4 hash functions.
 //! * [`hmac`] — RFC 2104 message authentication over SHA-256
 //!   ([`hmac::HmacKey`]: key once, tag many).
 //! * [`hkdf`] — RFC 5869 key derivation.

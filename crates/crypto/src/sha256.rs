@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// Used throughout the workspace as block hashes, state digests and
 /// commitment values.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

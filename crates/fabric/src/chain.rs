@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use ledgerview_crypto::sha256::Digest;
+use ledgerview_statedb::LsmConfig;
 use ledgerview_telemetry::{Counter, HistogramHandle, MetricsRegistry, Telemetry};
 use rand::RngCore;
 
@@ -20,7 +21,7 @@ use crate::endorsement::{check_endorsements, EndorsementPolicy, Proposal, Propos
 use crate::error::FabricError;
 use crate::identity::{Identity, Msp, OrgId};
 use crate::ledger::{Block, BlockHeader, BlockStore, Transaction, TxId};
-use crate::lsm::LsmBackend;
+use crate::lsm::LsmState;
 use crate::parallel::{BlockValidator, ValidationConfig};
 use crate::privdata::{CollectionConfig, PrivateStore};
 use crate::statedb::{Version, VersionedState};
@@ -30,15 +31,6 @@ use crate::validation::{next_state_root, TxValidation};
 struct Deployed {
     code: Box<dyn Chaincode>,
     policy: EndorsementPolicy,
-}
-
-/// What a persistent backend's verified recovery establishes — the facts
-/// the chain needs to resume on top of it.
-struct RecoveredMeta {
-    state_root: Digest,
-    base: u64,
-    base_prev_hash: Digest,
-    last_timestamp_us: u64,
 }
 
 /// Transaction-lifecycle metric handles, resolved once when telemetry
@@ -237,31 +229,21 @@ impl FabricChain {
         storage: StorageConfig,
         validation: ValidationConfig,
     ) -> Result<FabricChain, FabricError> {
-        let mut chain = FabricChain::new(org_names, rng);
-        let pool = crate::pool::WorkerPool::new(validation.workers);
-        let (backend, blocks) = DurableBackend::open(storage, &pool)?;
-        let recovered = RecoveredMeta {
-            state_root: backend.state_root(),
-            base: backend.base_height(),
-            base_prev_hash: backend.base_prev_hash(),
-            last_timestamp_us: backend.last_timestamp_us(),
-        };
-        chain.adopt_backend(validation, pool, Box::new(backend), recovered, blocks)?;
-        Ok(chain)
+        FabricChain::open_durable(org_names, rng, storage, None, validation, None)
     }
 
     /// Create a chain whose state lives in a disk-backed LSM tree under
-    /// `storage.dir` — the larger-than-RAM backend. Same recovery contract
-    /// as [`FabricChain::with_storage`]: the block store, LSM state, and
-    /// rolling roots are rebuilt and verified from whatever an earlier run
-    /// (including one that crashed) committed there.
+    /// `storage.dir` — the larger-than-RAM state engine. Same recovery
+    /// contract as [`FabricChain::with_storage`]: the block store, LSM
+    /// state, and rolling roots are rebuilt and verified from whatever an
+    /// earlier run (including one that crashed) committed there.
     pub fn with_lsm_storage<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
         validation: ValidationConfig,
     ) -> Result<FabricChain, FabricError> {
-        let lsm = LsmBackend::default_lsm_config(&storage);
+        let lsm = LsmState::default_config(&storage);
         FabricChain::with_lsm_storage_tuned(org_names, rng, storage, lsm, validation)
     }
 
@@ -271,20 +253,10 @@ impl FabricChain {
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
-        lsm: ledgerview_statedb::LsmConfig,
+        lsm: LsmConfig,
         validation: ValidationConfig,
     ) -> Result<FabricChain, FabricError> {
-        let mut chain = FabricChain::new(org_names, rng);
-        let pool = crate::pool::WorkerPool::new(validation.workers);
-        let (backend, blocks) = LsmBackend::open_with_lsm_config(storage, lsm, &pool)?;
-        let recovered = RecoveredMeta {
-            state_root: backend.state_root(),
-            base: 0,
-            base_prev_hash: Digest::ZERO,
-            last_timestamp_us: backend.last_timestamp_us(),
-        };
-        chain.adopt_backend(validation, pool, Box::new(backend), recovered, blocks)?;
-        Ok(chain)
+        FabricChain::open_durable(org_names, rng, storage, Some(lsm), validation, None)
     }
 
     /// Create a chain bootstrapped from a shipped [`ChainSnapshot`] instead
@@ -294,51 +266,48 @@ impl FabricChain {
     /// `prev_block_hash`. This is the O(state) peer catch-up path — the
     /// recipient never sees, stores, or replays a block below the base.
     ///
-    /// `storage.dir` must not already contain blocks. As with
+    /// The state lands in an LSM tree when `lsm` is given, in memory
+    /// otherwise (reopen with the matching constructor). `storage.dir`
+    /// must not already contain blocks or state. As with
     /// [`FabricChain::with_storage`], identities are re-derived from `rng`.
     pub fn from_snapshot<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
+        lsm: Option<LsmConfig>,
         validation: ValidationConfig,
         snapshot: &ChainSnapshot,
     ) -> Result<FabricChain, FabricError> {
-        let mut chain = FabricChain::new(org_names, rng);
-        let pool = crate::pool::WorkerPool::new(validation.workers);
-        let (backend, blocks) = DurableBackend::install_snapshot(storage, &pool, snapshot)?;
-        let recovered = RecoveredMeta {
-            state_root: backend.state_root(),
-            base: backend.base_height(),
-            base_prev_hash: backend.base_prev_hash(),
-            last_timestamp_us: backend.last_timestamp_us(),
-        };
-        chain.adopt_backend(validation, pool, Box::new(backend), recovered, blocks)?;
-        Ok(chain)
+        FabricChain::open_durable(org_names, rng, storage, lsm, validation, Some(snapshot))
     }
 
-    /// Adopt a recovered persistent backend (durable or LSM): rebuild the
-    /// (possibly pruned) block store from the recovered delta and resume
-    /// root/clock from the backend's verified recovery state. The worker
-    /// pool that served recovery decoding is reused for commit-time
-    /// validation.
-    fn adopt_backend(
-        &mut self,
+    /// Open the disk-backed backend (installing `snapshot` first, if
+    /// given) and adopt it: rebuild the (possibly pruned) block store from
+    /// the recovered blocks and resume root and clock from the backend's
+    /// verified recovery state. The worker pool that served recovery
+    /// decoding is reused for commit-time validation.
+    fn open_durable<R: RngCore + ?Sized>(
+        org_names: &[&str],
+        rng: &mut R,
+        storage: StorageConfig,
+        lsm: Option<LsmConfig>,
         validation: ValidationConfig,
-        pool: crate::pool::WorkerPool,
-        backend: Box<dyn StateBackend>,
-        recovered: RecoveredMeta,
-        blocks: Vec<Block>,
-    ) -> Result<(), FabricError> {
-        self.validator = BlockValidator::with_pool(validation, pool);
-        self.store = if recovered.base > 0 {
-            BlockStore::restore_pruned(recovered.base, recovered.base_prev_hash, blocks)?
-        } else {
-            BlockStore::restore(blocks)?
+        snapshot: Option<&ChainSnapshot>,
+    ) -> Result<FabricChain, FabricError> {
+        let mut chain = FabricChain::new(org_names, rng);
+        let pool = crate::pool::WorkerPool::new(validation.workers);
+        let (backend, blocks) = match snapshot {
+            Some(snapshot) => DurableBackend::install_snapshot(storage, lsm, &pool, snapshot)?,
+            None => DurableBackend::open_with(storage, lsm, &pool)?,
         };
-        self.state_root = recovered.state_root;
-        self.clock_us = recovered.last_timestamp_us;
-        self.backend = backend;
-        Ok(())
+        chain.validator = BlockValidator::with_pool(validation, pool);
+        // A full store is the pruned case with base 0 and a zero anchor.
+        chain.store =
+            BlockStore::restore_pruned(backend.base_height(), backend.base_prev_hash(), blocks)?;
+        chain.state_root = backend.state_root();
+        chain.clock_us = backend.last_timestamp_us();
+        chain.backend = Box::new(backend);
+        Ok(chain)
     }
 
     /// Export a shippable snapshot of the chain at its current height:
@@ -774,8 +743,8 @@ impl FabricChain {
         }
     }
 
-    /// The committed state database (in-memory, durable, or LSM-backed —
-    /// all behind the [`VersionedState`] trait).
+    /// The committed state database (a [`crate::StateDb`] or an
+    /// [`LsmState`] — both behind the [`VersionedState`] trait).
     pub fn state(&self) -> &dyn VersionedState {
         self.backend.state()
     }
@@ -785,16 +754,16 @@ impl FabricChain {
         self.backend.as_ref()
     }
 
-    /// The LSM backend, when this chain was opened with
-    /// [`FabricChain::with_lsm_storage`] (engine statistics, compaction
-    /// trace). `None` for other backends.
-    pub fn lsm_backend(&self) -> Option<&LsmBackend> {
-        self.backend.as_lsm()
+    /// The LSM state engine, when this chain keeps its state in one
+    /// ([`FabricChain::with_lsm_storage`], or [`FabricChain::from_snapshot`]
+    /// with LSM tuning): statistics, compaction trace. `None` otherwise.
+    pub fn lsm_backend(&self) -> Option<&LsmState> {
+        self.backend.lsm_state()
     }
 
-    /// Mutable access to the LSM backend (crash-injection test hooks).
-    pub fn lsm_backend_mut(&mut self) -> Option<&mut LsmBackend> {
-        self.backend.as_lsm_mut()
+    /// Mutable access to the LSM state engine (crash-injection test hooks).
+    pub fn lsm_backend_mut(&mut self) -> Option<&mut LsmState> {
+        self.backend.lsm_state_mut()
     }
 
     /// Whether commits survive a process crash (true for chains created

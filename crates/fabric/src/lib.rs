@@ -20,11 +20,11 @@
 //! * [`statedb`] — the versioned key-value state database (the LevelDB
 //!   equivalent) with MVCC version metadata and a Merkle state digest.
 //! * [`storage`] — pluggable state persistence: the in-memory default and
-//!   the durable backend (WAL + block file + snapshot checkpoints from the
-//!   `fabric-store` crate) with crash recovery.
-//! * [`lsm`] — the disk-backed state backend over the `ledgerview-statedb`
-//!   LSM engine: larger-than-RAM versioned state behind the same
-//!   [`StateBackend`](storage::StateBackend) trait.
+//!   the one durable backend (WAL + block file + checkpoints from the
+//!   `fabric-store` crate) with crash recovery, over either state engine.
+//! * [`lsm`] — the disk-backed state engine over the `ledgerview-statedb`
+//!   LSM tree: larger-than-RAM versioned state under the same
+//!   [`DurableBackend`] commit protocol.
 //! * [`validation`] — MVCC read/write-set validation and commit.
 //! * [`parallel`] — the commit-time validation pipeline: worker-pool
 //!   endorsement verification (batch Ed25519 + signature cache) followed by
@@ -69,7 +69,7 @@ pub use chaincode::{Chaincode, TxContext};
 pub use error::FabricError;
 pub use identity::{Identity, Msp, OrgId};
 pub use ledger::{Block, BlockHeader, BlockStore, TxId};
-pub use lsm::{LsmBackend, LsmState};
+pub use lsm::LsmState;
 pub use parallel::{BlockValidator, ValidationConfig};
 pub use pool::WorkerPool;
 pub use statedb::{StateDb, Version, VersionedState};

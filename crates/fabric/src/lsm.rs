@@ -1,18 +1,17 @@
-//! The disk-backed state backend: [`LsmState`] (a [`VersionedState`] over
-//! the `ledgerview-statedb` LSM engine) and [`LsmBackend`] (a
-//! [`StateBackend`] that makes it crash-recoverable).
+//! The disk-backed state engine: [`LsmState`], a [`VersionedState`] over
+//! the `ledgerview-statedb` LSM tree. It is one of the two engines
+//! [`DurableBackend`](crate::storage::DurableBackend) runs its WAL +
+//! block-file commit protocol over; that module's docs describe the
+//! protocol, recovery, and how the engines differ.
 //!
 //! # Layout
 //!
-//! Under one storage directory the backend keeps the same WAL and block
-//! file as [`DurableBackend`](crate::storage::DurableBackend) — identical
-//! formats, so crash-injection tooling works on both — plus an `lsm/`
-//! subdirectory holding the LSM tree (memtable + sorted runs). Where the
-//! durable backend periodically serializes its *entire* in-memory state
-//! into a checkpoint, this backend's state already lives on disk: a
-//! "checkpoint" is just an LSM flush whose manifest carries a small
-//! metadata blob (flushed height, rolling state root, full-state digest,
-//! tip timestamp) followed by a WAL reset.
+//! The tree lives in an `lsm/` subdirectory of the storage directory
+//! (memtable + sorted runs), beside the same WAL and block file an
+//! in-memory-engine store keeps — identical formats, so crash-injection
+//! tooling works on both. The state already lives on disk, so a
+//! "checkpoint" is just a memtable flush whose manifest carries the
+//! backend's small metadata blob.
 //!
 //! # What stays in memory
 //!
@@ -24,32 +23,25 @@
 //! therefore scales with key count and cache budget, not with total value
 //! bytes — the larger-than-RAM regime the LSM exists for.
 //!
-//! # Recovery
+//! # Reopen
 //!
-//! `open` rebuilds exactly like the durable backend, with the LSM manifest
-//! as the commit point: load the LSM (orphan tables from torn flushes are
-//! deleted by the engine), rebuild the digest directory by streaming every
-//! record (tombstones included), verify the directory digest against the
-//! manifest metadata, then replay surviving WAL records — or re-derive
-//! writes from the blocks themselves where the WAL lost them — and check
-//! the rolling state root against every recovered block header.
-
-use std::time::Instant;
+//! [`LsmState::open`] loads the tree (orphan tables from torn flushes are
+//! deleted by the engine) and rebuilds the digest directory by streaming
+//! every record, tombstones included; the backend then verifies the
+//! directory digest against the manifest metadata before replaying its
+//! WAL.
 
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_statedb::{CompactionEvent, CrashPoint, Lsm, LsmConfig, LsmStats};
 use ledgerview_telemetry::{Counter, Gauge, HistogramHandle, Telemetry};
 
-use fabric_store::{BlockFile, FsyncPolicy, StoreError, Wal};
+use fabric_store::{FsyncPolicy, StoreError};
 
 use crate::digest::{leaf_bytes, StateDigester};
 use crate::error::FabricError;
-use crate::ledger::Block;
 use crate::merkle::MerkleProof;
-use crate::pool::WorkerPool;
 use crate::statedb::{EntryVisitor, Version, VersionedState};
-use crate::storage::{encode_wal_record, recover_tail, RecoveredTail, StateBackend, StorageConfig};
-use crate::wire::{Reader, Writer};
+use crate::storage::StorageConfig;
 
 /// Subdirectory (inside the storage dir) holding the LSM tree.
 pub const LSM_SUBDIR: &str = "lsm";
@@ -75,6 +67,13 @@ fn read_ok<T>(r: Result<T, StoreError>) -> T {
 }
 
 impl LsmState {
+    /// The default LSM tuning for a storage directory: tables under
+    /// `<dir>/lsm`, fsync following the storage config's policy.
+    pub fn default_config(storage: &StorageConfig) -> LsmConfig {
+        LsmConfig::new(storage.dir.join(LSM_SUBDIR))
+            .sync(!matches!(storage.fsync, FsyncPolicy::Never))
+    }
+
     /// Open (or create) the LSM under `config.dir`, returning the state
     /// and the opaque metadata blob published with the last flush.
     pub fn open(config: LsmConfig) -> Result<(LsmState, Option<Vec<u8>>), FabricError> {
@@ -112,11 +111,6 @@ impl LsmState {
         }
     }
 
-    /// The underlying engine (stats, compaction trace).
-    pub fn lsm(&self) -> &Lsm {
-        &self.lsm
-    }
-
     /// Whether the memtable has crossed its flush threshold.
     pub fn should_flush(&self) -> bool {
         self.lsm.should_flush()
@@ -131,8 +125,13 @@ impl LsmState {
     }
 
     /// Engine statistics snapshot.
-    pub fn stats(&self) -> LsmStats {
+    pub fn lsm_stats(&self) -> LsmStats {
         self.lsm.stats()
+    }
+
+    /// Flush/compaction events since open (newest last, capped).
+    pub fn compaction_trace(&self) -> &[CompactionEvent] {
+        self.lsm.trace()
     }
 
     /// Resident bytes of the digest directory (the per-key metadata this
@@ -240,45 +239,10 @@ impl VersionedState for LsmState {
     }
 }
 
-/// Metadata published with every LSM flush: everything `open` needs to
-/// resume the chain without replaying history below the flushed height.
-struct LsmMeta {
-    /// Blocks at heights below this are fully absorbed by the LSM.
-    flushed_height: u64,
-    /// Rolling state root after block `flushed_height - 1`.
-    state_root: Digest,
-    /// Full-state Merkle digest at the flush point (verified on open
-    /// against the rebuilt directory).
-    state_digest: Digest,
-    /// Timestamp of the last absorbed block.
-    timestamp_us: u64,
-}
-
-fn encode_lsm_meta(meta: &LsmMeta) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(meta.flushed_height)
-        .array(meta.state_root.as_bytes())
-        .array(meta.state_digest.as_bytes())
-        .u64(meta.timestamp_us);
-    w.into_bytes()
-}
-
-fn decode_lsm_meta(bytes: &[u8]) -> Result<LsmMeta, FabricError> {
-    let mut r = Reader::new(bytes);
-    let meta = LsmMeta {
-        flushed_height: r.u64()?,
-        state_root: Digest(r.array::<32>()?),
-        state_digest: Digest(r.array::<32>()?),
-        timestamp_us: r.u64()?,
-    };
-    r.finish()?;
-    Ok(meta)
-}
-
 /// Metric handles for the LSM engine, resolved once when telemetry
 /// attaches. The engine only exposes cumulative totals and an event
 /// trace, so deltas are mirrored into counters after each commit/flush
-/// (same pattern as the durable backend's fsync mirror) and per-event
+/// (same pattern as the backend's fsync mirror) and per-event
 /// latencies are replayed off the tail of the compaction trace.
 struct StatedbMetrics {
     telemetry: Telemetry,
@@ -395,253 +359,6 @@ impl StatedbMetrics {
     }
 }
 
-/// Disk-backed state backend: [`LsmState`] plus the WAL/block-file commit
-/// protocol of [`crate::storage::DurableBackend`]. See the module docs for
-/// the write path and recovery invariants.
-pub struct LsmBackend {
-    state: LsmState,
-    wal: Wal,
-    blocks: BlockFile,
-    config: StorageConfig,
-    /// Rolling state root after the last persisted block.
-    state_root: Digest,
-    /// Timestamp of the last persisted block.
-    last_timestamp_us: u64,
-    blocks_since_flush: u64,
-    /// Backend-level checkpoint latency (WAL + block sync + engine
-    /// flush); the engine's own metrics live on [`LsmState`].
-    flush_seconds: Option<HistogramHandle>,
-}
-
-impl std::fmt::Debug for LsmBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LsmBackend")
-            .field("dir", &self.config.dir)
-            .field("height", &self.blocks.height())
-            .field("wal_records", &self.wal.record_count())
-            .field("memtable_bytes", &self.state.lsm.memtable_bytes())
-            .finish()
-    }
-}
-
-impl LsmBackend {
-    /// The default LSM tuning for a storage directory: tables under
-    /// `<dir>/lsm`, fsync following the storage config's policy.
-    pub fn default_lsm_config(storage: &StorageConfig) -> LsmConfig {
-        LsmConfig::new(storage.dir.join(LSM_SUBDIR))
-            .sync(!matches!(storage.fsync, FsyncPolicy::Never))
-    }
-
-    /// Open (or create) the store under `config.dir` with default LSM
-    /// tuning and run crash recovery. Returns the backend plus every
-    /// recovered block in height order.
-    pub fn open(
-        config: StorageConfig,
-        pool: &WorkerPool,
-    ) -> Result<(LsmBackend, Vec<Block>), FabricError> {
-        let lsm_config = LsmBackend::default_lsm_config(&config);
-        LsmBackend::open_with_lsm_config(config, lsm_config, pool)
-    }
-
-    /// [`LsmBackend::open`] with explicit LSM tuning (memtable size, cache
-    /// budgets, compaction thresholds) — the knob benchmarks turn to force
-    /// the larger-than-memory regime.
-    pub fn open_with_lsm_config(
-        config: StorageConfig,
-        lsm_config: LsmConfig,
-        pool: &WorkerPool,
-    ) -> Result<(LsmBackend, Vec<Block>), FabricError> {
-        std::fs::create_dir_all(&config.dir)
-            .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
-
-        // 1. The LSM tree is the checkpoint: its manifest metadata says how
-        // far the flushed state reaches.
-        let (mut state, meta_bytes) = LsmState::open(lsm_config)?;
-        let meta = meta_bytes.as_deref().map(decode_lsm_meta).transpose()?;
-        let (flushed_height, flushed_root, flushed_timestamp_us) = match &meta {
-            Some(m) => {
-                if state.state_digest() != m.state_digest {
-                    return Err(FabricError::Storage(
-                        "lsm state digest mismatch at reopen".into(),
-                    ));
-                }
-                (m.flushed_height, m.state_root, m.timestamp_us)
-            }
-            None => (0, Digest::ZERO, 0),
-        };
-
-        // 2. Surviving blocks and WAL records, replayed over the flushed
-        // state and verified against every replayed header.
-        let RecoveredTail {
-            blocks_file,
-            wal,
-            blocks,
-            tip,
-            root,
-        } = recover_tail(&config, pool, 0, flushed_height, &mut state, flushed_root)?;
-        let last_timestamp_us = blocks
-            .last()
-            .map_or(flushed_timestamp_us, |block| block.header.timestamp_us);
-
-        let backend = LsmBackend {
-            state,
-            wal,
-            blocks: blocks_file,
-            config,
-            state_root: root,
-            last_timestamp_us,
-            blocks_since_flush: tip - flushed_height,
-            flush_seconds: None,
-        };
-        Ok((backend, blocks))
-    }
-
-    /// The storage configuration.
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
-    }
-
-    /// Persisted block height.
-    pub fn height(&self) -> u64 {
-        self.blocks.height()
-    }
-
-    /// Live WAL records (since the last LSM flush).
-    pub fn wal_records(&self) -> usize {
-        self.wal.record_count()
-    }
-
-    /// Rolling state root after the last persisted block.
-    pub fn state_root(&self) -> Digest {
-        self.state_root
-    }
-
-    /// Timestamp of the last persisted block.
-    pub fn last_timestamp_us(&self) -> u64 {
-        self.last_timestamp_us
-    }
-
-    /// The LSM-backed state (engine stats, crash-injection hooks).
-    pub fn lsm_state(&self) -> &LsmState {
-        &self.state
-    }
-
-    /// Mutable access to the LSM-backed state (testing hooks).
-    pub fn lsm_state_mut(&mut self) -> &mut LsmState {
-        &mut self.state
-    }
-
-    /// Engine statistics snapshot.
-    pub fn lsm_stats(&self) -> LsmStats {
-        self.state.stats()
-    }
-
-    /// Flush/compaction events since open (newest last, capped).
-    pub fn compaction_trace(&self) -> &[CompactionEvent] {
-        self.state.lsm.trace()
-    }
-
-    /// Flush the memtable into the LSM and reset the WAL now, regardless
-    /// of the configured interval.
-    pub fn flush_lsm_now(&mut self) -> Result<(), FabricError> {
-        let start = Instant::now();
-        // Durability order: everything the manifest will summarise must be
-        // on disk before the manifest commits it and the WAL resets.
-        self.wal.sync().map_err(StoreError::Io)?;
-        self.blocks.sync().map_err(StoreError::Io)?;
-        let meta = encode_lsm_meta(&LsmMeta {
-            flushed_height: self.blocks.height(),
-            state_root: self.state_root,
-            state_digest: self.state.state_digest(),
-            timestamp_us: self.last_timestamp_us,
-        });
-        self.state.flush(&meta)?;
-        if self.state.crashed() {
-            // Injected crash: the manifest never committed, so the WAL must
-            // keep its records for the reopen to replay.
-            return Ok(());
-        }
-        self.wal.reset().map_err(StoreError::Io)?;
-        self.blocks_since_flush = 0;
-        if let Some(h) = &self.flush_seconds {
-            h.observe_duration(start.elapsed());
-        }
-        self.mirror_metrics();
-        Ok(())
-    }
-
-    fn mirror_metrics(&mut self) {
-        self.state.sync_metrics();
-    }
-}
-
-impl StateBackend for LsmBackend {
-    fn state(&self) -> &dyn VersionedState {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut dyn VersionedState {
-        &mut self.state
-    }
-
-    fn commit_block(&mut self, block: &Block) -> Result<(), FabricError> {
-        // Same protocol as the durable backend: WAL first (durable
-        // intent), block second, so recovery can rebuild state for every
-        // block the block file retains.
-        let records: Vec<Vec<u8>> = block
-            .transactions
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| block.validity[*i])
-            .map(|(i, tx)| encode_wal_record(block.header.number, i as u32, &tx.rwset.writes))
-            .collect();
-        let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-        self.wal.append_batch(&refs).map_err(StoreError::Io)?;
-        self.blocks
-            .append(block.header.number, &block.encode(), false)?;
-        self.state_root = block.header.state_root;
-        self.last_timestamp_us = block.header.timestamp_us;
-        self.blocks_since_flush += 1;
-        // Flush on either trigger: the configured interval (bounds WAL
-        // replay work) or memtable pressure (bounds memory).
-        if self.blocks_since_flush >= self.config.checkpoint_every_blocks
-            || self.state.should_flush()
-        {
-            self.flush_lsm_now()?;
-        } else {
-            self.mirror_metrics();
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), FabricError> {
-        self.wal.sync().map_err(StoreError::Io)?;
-        self.blocks.sync().map_err(StoreError::Io)?;
-        Ok(())
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.flush_seconds = Some(
-            telemetry
-                .registry()
-                .histogram("lv_statedb_flush_seconds", &[]),
-        );
-        self.state.set_telemetry(telemetry);
-    }
-
-    fn as_lsm(&self) -> Option<&LsmBackend> {
-        Some(self)
-    }
-
-    fn as_lsm_mut(&mut self) -> Option<&mut LsmBackend> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,7 +391,7 @@ mod tests {
         state.sync_metrics();
 
         let r = telemetry.registry();
-        let stats = state.stats();
+        let stats = state.lsm_stats();
         assert_eq!(
             r.counter("lv_statedb_flushes_total", &[]).get(),
             stats.flushes
@@ -803,21 +520,5 @@ mod tests {
             assert!(StateDb::verify_proof(&digest, &leaf, &proof), "{key}");
         }
         assert!(state.prove("missing").is_none());
-    }
-
-    #[test]
-    fn lsm_meta_round_trips() {
-        let meta = LsmMeta {
-            flushed_height: 42,
-            state_root: Digest([7; 32]),
-            state_digest: Digest([9; 32]),
-            timestamp_us: 123_456,
-        };
-        let decoded = decode_lsm_meta(&encode_lsm_meta(&meta)).unwrap();
-        assert_eq!(decoded.flushed_height, 42);
-        assert_eq!(decoded.state_root, Digest([7; 32]));
-        assert_eq!(decoded.state_digest, Digest([9; 32]));
-        assert_eq!(decoded.timestamp_us, 123_456);
-        assert!(decode_lsm_meta(&[1, 2, 3]).is_err());
     }
 }

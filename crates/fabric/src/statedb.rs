@@ -9,7 +9,7 @@
 //!
 //! Two implementations exist behind the [`VersionedState`] trait: this
 //! in-memory [`StateDb`] (a `BTreeMap`, the reference semantics) and the
-//! disk-backed LSM state in [`crate::storage::LsmBackend`]. Both keep
+//! disk-backed LSM state, [`crate::lsm::LsmState`]. Both keep
 //! their digest in the same incremental [`StateDigester`]; differential
 //! tests hold them bit-identical — values, versions, and digests — and
 //! hold the digest to the from-scratch oracle in [`crate::digest`].

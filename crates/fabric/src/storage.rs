@@ -1,25 +1,42 @@
 //! Pluggable state persistence: the [`StateBackend`] trait, the in-memory
-//! default, and the durable backend over [`fabric_store`].
+//! default, and the one disk-backed backend over [`fabric_store`].
 //!
 //! The chain commits through a backend in a fixed order per block:
 //!
-//! 1. the validator applies the block's writes to the in-memory
-//!    [`StateDb`] (fast path for endorsement reads),
+//! 1. the validator applies the block's writes to the backend's
+//!    [`VersionedState`] (fast path for endorsement reads),
 //! 2. [`StateBackend::commit_block`] persists the block — for
 //!    [`DurableBackend`] that means WAL records for every valid
 //!    transaction's write set (group-committed in one batch), then the
-//!    encoded block appended to the block file, then every
-//!    `checkpoint_every_blocks` a snapshot checkpoint followed by WAL
-//!    truncation (compaction).
+//!    encoded block appended to the block file, then — every
+//!    `checkpoint_every_blocks`, or sooner when the state engine reports
+//!    memory pressure — a checkpoint followed by WAL truncation.
+//!
+//! # State engines
+//!
+//! [`DurableBackend`] writes that protocol once over a private two-variant
+//! state engine, and the checkpoint step is the only place the two differ.
+//! The in-memory engine ([`StateDb`]) keeps every key and value resident
+//! and checkpoints by serializing the *whole* state into `checkpoint.dat`;
+//! the LSM engine ([`LsmState`]) keeps values on disk and checkpoints by
+//! flushing its memtable, the metadata riding in `lsm/MANIFEST`. Both
+//! publish the same metadata (height, rolling state root, full-state
+//! digest, the store's base height with the hash of the block before it,
+//! tip timestamp), so either kind of directory can be a *pruned* store
+//! bootstrapped from a shipped [`ChainSnapshot`]. DESIGN.md §8 has the
+//! engine table.
+//!
+//! # Recovery
 //!
 //! Because the WAL write precedes the block append, a crash can lose a
 //! suffix of *both* files but never leave a committed block whose state is
-//! unrecoverable: [`DurableBackend::open`] loads the latest checkpoint,
-//! replays surviving WAL records over it, re-derives any writes the WAL
-//! lost from the surviving blocks themselves (transactions × validity
-//! flags), and re-derives the rolling state root per block to verify the
-//! result against every recovered block header. Torn tails are truncated by
-//! the store layer; inconsistencies that cannot arise from a crash (a
+//! unrecoverable: [`DurableBackend::open`] loads the engine's last
+//! checkpoint and verifies it against the recorded digest, replays
+//! surviving WAL records over it, re-derives any writes the WAL lost from
+//! the surviving blocks themselves (transactions × validity flags), and
+//! re-derives the rolling state root per block to verify the result
+//! against every recovered block header. Torn tails are truncated by the
+//! store layer; inconsistencies that cannot arise from a crash (a
 //! checkpoint ahead of the block file, a state-root mismatch) surface as
 //! [`FabricError::Storage`] rather than being silently repaired.
 //!
@@ -31,6 +48,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ledgerview_crypto::sha256::Digest;
@@ -38,9 +56,11 @@ use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
 use fabric_store::{BlockFile, Checkpoint, CheckpointStore, StoreError, Wal};
 pub use fabric_store::{FsyncPolicy, StorageConfig};
+use ledgerview_statedb::LsmConfig;
 
 use crate::error::FabricError;
 use crate::ledger::Block;
+use crate::lsm::{LsmState, LSM_SUBDIR};
 use crate::pool::WorkerPool;
 use crate::statedb::{StateDb, Version, VersionedState};
 use crate::validation::state_root_from_block;
@@ -53,7 +73,7 @@ pub const STATE_WAL_FILE: &str = "state.wal";
 
 /// Path of WAL segment `index` inside a storage directory (crash-injection
 /// tests tear these files to simulate torn tails).
-pub fn wal_segment_path(dir: &std::path::Path, index: u64) -> std::path::PathBuf {
+pub fn wal_segment_path(dir: &Path, index: u64) -> PathBuf {
     fabric_store::wal::segment_path(&dir.join(STATE_WAL_FILE), index)
 }
 
@@ -66,8 +86,8 @@ impl From<StoreError> for FabricError {
 /// Where committed state lives. The chain mutates the backend's
 /// [`VersionedState`] during validation, then hands each finished block to
 /// `commit_block`. State is exposed as a trait object so callers are
-/// agnostic to whether it lives in memory ([`StateDb`]) or on disk (the
-/// LSM backend).
+/// agnostic to whether it lives in memory ([`StateDb`]) or on disk
+/// ([`LsmState`]).
 pub trait StateBackend {
     /// The committed state database.
     fn state(&self) -> &dyn VersionedState;
@@ -83,13 +103,13 @@ pub trait StateBackend {
     /// Attach telemetry (WAL/block append latencies, checkpoint durations,
     /// fsync counts). Backends without persistence costs ignore it.
     fn set_telemetry(&mut self, _telemetry: &Telemetry) {}
-    /// Downcast to the LSM backend (engine statistics and crash-injection
-    /// hooks). `None` for every other backend.
-    fn as_lsm(&self) -> Option<&crate::lsm::LsmBackend> {
+    /// The LSM state engine, when that is where this backend keeps its
+    /// state (engine statistics, compaction trace). `None` otherwise.
+    fn lsm_state(&self) -> Option<&LsmState> {
         None
     }
-    /// Mutable variant of [`StateBackend::as_lsm`].
-    fn as_lsm_mut(&mut self) -> Option<&mut crate::lsm::LsmBackend> {
+    /// Mutable variant of [`StateBackend::lsm_state`] (crash-injection hooks).
+    fn lsm_state_mut(&mut self) -> Option<&mut LsmState> {
         None
     }
 }
@@ -131,18 +151,16 @@ impl StateBackend for InMemoryBackend {
 }
 
 /// One decoded WAL record: the writes one valid transaction applied.
-/// Shared with the LSM backend ([`crate::lsm`]), whose WAL speaks the same
-/// format.
-pub(crate) struct WalRecord {
-    pub(crate) block_num: u64,
-    pub(crate) tx_num: u32,
+struct WalRecord {
+    block_num: u64,
+    tx_num: u32,
     /// `(key, Some(value))` puts and `(key, None)` deletes, in apply order.
-    pub(crate) writes: Vec<(String, Option<Vec<u8>>)>,
+    writes: Vec<(String, Option<Vec<u8>>)>,
 }
 
 /// Encode one WAL record straight from a transaction's write set (the hot
 /// commit path: no intermediate clones). [`WalRecord::decode`] inverts it.
-pub(crate) fn encode_wal_record(
+fn encode_wal_record(
     block_num: u64,
     tx_num: u32,
     writes: &[crate::chaincode::WriteEntry],
@@ -184,7 +202,7 @@ impl WalRecord {
         w.into_bytes()
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, FabricError> {
+    fn decode(bytes: &[u8]) -> Result<WalRecord, FabricError> {
         let mut r = Reader::new(bytes);
         let block_num = r.u64()?;
         let tx_num = r.u32()?;
@@ -207,7 +225,7 @@ impl WalRecord {
         })
     }
 
-    pub(crate) fn apply(&self, state: &mut dyn VersionedState) {
+    fn apply(&self, state: &mut dyn VersionedState) {
         let version = Version {
             block_num: self.block_num,
             tx_num: self.tx_num,
@@ -222,11 +240,7 @@ impl WalRecord {
 
     /// Re-derive the record a lost WAL entry would have held from the
     /// block's own write set (transactions × validity flags).
-    pub(crate) fn from_block_tx(
-        block_num: u64,
-        tx_num: u32,
-        tx: &crate::ledger::Transaction,
-    ) -> WalRecord {
+    fn from_block_tx(block_num: u64, tx_num: u32, tx: &crate::ledger::Transaction) -> WalRecord {
         WalRecord {
             block_num,
             tx_num,
@@ -291,11 +305,16 @@ fn decode_state(bytes: &[u8]) -> Result<StateDb, FabricError> {
     Ok(state)
 }
 
-/// Checkpoint metadata: the rolling state root at the snapshot height, the
-/// full-state Merkle digest (verified on load), the store's base height
-/// (non-zero for a pruned store bootstrapped from a shipped snapshot) with
-/// the hash of the block *before* the base, and the tip block timestamp.
-struct CheckpointMeta {
+/// What a checkpoint records beside the state itself — the same facts for
+/// both engines: how far the persisted state reaches, the rolling state
+/// root there, the full-state Merkle digest (verified on load), the
+/// store's base height (non-zero for a pruned store bootstrapped from a
+/// shipped snapshot) with the hash of the block *before* the base, and the
+/// tip block timestamp.
+#[derive(Clone, Copy, Default)]
+struct StateMeta {
+    /// Blocks below this height are reflected in the persisted state.
+    height: u64,
     state_root: Digest,
     state_digest: Digest,
     base_height: u64,
@@ -303,31 +322,118 @@ struct CheckpointMeta {
     timestamp_us: u64,
 }
 
-fn encode_meta(meta: &CheckpointMeta) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.array(meta.state_root.as_bytes())
-        .array(meta.state_digest.as_bytes())
-        .u64(meta.base_height)
-        .array(meta.base_prev_hash.as_bytes())
-        .u64(meta.timestamp_us);
-    w.into_bytes()
+impl StateMeta {
+    /// Everything but `height`, which each engine keeps where its format
+    /// already has a slot for it (the checkpoint file's header; the front
+    /// of the LSM manifest blob).
+    fn encode_body(&self, w: &mut Writer) {
+        w.array(self.state_root.as_bytes())
+            .array(self.state_digest.as_bytes())
+            .u64(self.base_height)
+            .array(self.base_prev_hash.as_bytes())
+            .u64(self.timestamp_us);
+    }
+
+    /// Inverse of [`StateMeta::encode_body`]; the body is the last thing
+    /// in either container, so the reader must end with it.
+    fn decode_body(height: u64, r: &mut Reader<'_>) -> Result<StateMeta, FabricError> {
+        let meta = StateMeta {
+            height,
+            state_root: Digest(r.array::<32>()?),
+            state_digest: Digest(r.array::<32>()?),
+            base_height: r.u64()?,
+            base_prev_hash: Digest(r.array::<32>()?),
+            timestamp_us: r.u64()?,
+        };
+        r.finish()?;
+        Ok(meta)
+    }
 }
 
-fn decode_meta(bytes: &[u8]) -> Result<CheckpointMeta, FabricError> {
-    let mut r = Reader::new(bytes);
-    let state_root = Digest(r.array::<32>()?);
-    let state_digest = Digest(r.array::<32>()?);
-    let base_height = r.u64()?;
-    let base_prev_hash = Digest(r.array::<32>()?);
-    let timestamp_us = r.u64()?;
-    r.finish()?;
-    Ok(CheckpointMeta {
-        state_root,
-        state_digest,
-        base_height,
-        base_prev_hash,
-        timestamp_us,
-    })
+/// Where a [`DurableBackend`] keeps its state, and the only place its
+/// commit protocol forks: what a checkpoint *is*.
+enum Engine {
+    /// The whole state in memory; a checkpoint serializes all of it.
+    Memory(StateDb),
+    /// Values in an LSM tree under `<dir>/lsm`; a checkpoint flushes the
+    /// memtable and publishes the metadata in the manifest.
+    Lsm(Box<LsmState>),
+}
+
+impl Engine {
+    /// Load whatever the engine last persisted under `config.dir` (an LSM
+    /// engine when `lsm` is given) with the metadata published alongside
+    /// it, verified against the recorded state digest. `None` metadata
+    /// means nothing was ever persisted and the state is empty.
+    fn load(
+        config: &StorageConfig,
+        lsm: Option<LsmConfig>,
+    ) -> Result<(Engine, Option<StateMeta>), FabricError> {
+        std::fs::create_dir_all(&config.dir)
+            .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
+        let (engine, meta) = match lsm {
+            None => match CheckpointStore::new(&config.dir).load()? {
+                Some(cp) => {
+                    let meta = StateMeta::decode_body(cp.height, &mut Reader::new(&cp.meta))?;
+                    (Engine::Memory(decode_state(&cp.payload)?), Some(meta))
+                }
+                None => (Engine::Memory(StateDb::new()), None),
+            },
+            Some(lsm) => {
+                let (state, blob) = LsmState::open(lsm)?;
+                let decode = |blob: Vec<u8>| {
+                    let mut r = Reader::new(&blob);
+                    StateMeta::decode_body(r.u64()?, &mut r)
+                };
+                let meta = blob.map(decode).transpose()?;
+                (Engine::Lsm(Box::new(state)), meta)
+            }
+        };
+        match &meta {
+            Some(m) if engine.state().state_digest() != m.state_digest => Err(
+                FabricError::Storage("persisted state digest mismatch at reopen".into()),
+            ),
+            _ => Ok((engine, meta)),
+        }
+    }
+
+    /// Make the current state, tagged with `meta`, the engine's commit
+    /// point. Returns `false` only when an injected crash (LSM testing
+    /// hook) stopped the engine before the commit point moved.
+    fn persist(&mut self, dir: &Path, meta: &StateMeta) -> Result<bool, FabricError> {
+        let mut w = Writer::new();
+        match self {
+            Engine::Memory(state) => {
+                meta.encode_body(&mut w);
+                CheckpointStore::new(dir).save(&Checkpoint {
+                    height: meta.height,
+                    meta: w.into_bytes(),
+                    payload: encode_state(state),
+                })?;
+                Ok(true)
+            }
+            Engine::Lsm(state) => {
+                w.u64(meta.height);
+                meta.encode_body(&mut w);
+                state.flush(&w.into_bytes())?;
+                Ok(!state.crashed())
+            }
+        }
+    }
+
+    fn state(&self) -> &dyn VersionedState {
+        match self {
+            Engine::Memory(state) => state,
+            Engine::Lsm(state) => state.as_ref(),
+        }
+    }
+
+    fn state_mut(&mut self) -> &mut dyn VersionedState {
+        match self {
+            Engine::Memory(state) => state,
+            Engine::Lsm(state) => state.as_mut(),
+        }
+    }
 }
 
 /// A self-contained, shippable snapshot of a chain at one height: the full
@@ -416,24 +522,22 @@ impl ChainSnapshot {
     }
 }
 
-/// What [`recover_tail`] hands back to a backend's `open`.
-pub(crate) struct RecoveredTail {
-    pub blocks_file: BlockFile,
-    pub wal: Wal,
+/// What [`recover_tail`] hands back to [`DurableBackend::resume`].
+struct RecoveredTail {
+    blocks_file: BlockFile,
+    wal: Wal,
     /// Every surviving block in height order, starting at the store's base.
-    pub blocks: Vec<Block>,
-    /// Absolute height one past the last surviving block.
-    pub tip: u64,
+    blocks: Vec<Block>,
     /// Rolling state root after the last surviving block.
-    pub root: Digest,
+    root: Digest,
 }
 
-/// The recovery tail every disk-backed backend shares, run once the
-/// backend has loaded whatever it persists *as state* (a checkpoint
-/// snapshot, the flushed LSM): `state` reflects every block below
-/// `replay_from` and `root` is the rolling state root at that height.
-/// `base` is the first block height the store is expected to hold.
-pub(crate) fn recover_tail(
+/// The recovery tail, run once the engine has loaded whatever it persists
+/// *as state* (a checkpoint snapshot, the flushed LSM): `state` reflects
+/// every block below `replay_from` and `root` is the rolling state root at
+/// that height. `base` is the first block height the store is expected to
+/// hold.
+fn recover_tail(
     config: &StorageConfig,
     pool: &WorkerPool,
     base: u64,
@@ -530,7 +634,6 @@ pub(crate) fn recover_tail(
         blocks_file,
         wal,
         blocks,
-        tip,
         root,
     })
 }
@@ -542,6 +645,9 @@ struct StorageMetrics {
     wal_append_seconds: HistogramHandle,
     block_append_seconds: HistogramHandle,
     checkpoint_seconds: HistogramHandle,
+    /// The same checkpoint latency under the name LSM dashboards know it
+    /// by (`lv_statedb_flush_seconds`); registered for that engine only.
+    lsm_flush_seconds: Option<HistogramHandle>,
     checkpoints_total: Counter,
     fsyncs_total: Counter,
     /// Fsync count already mirrored into `fsyncs_total` (the store layer
@@ -550,12 +656,13 @@ struct StorageMetrics {
 }
 
 impl StorageMetrics {
-    fn new(telemetry: &Telemetry, already_fsynced: u64) -> StorageMetrics {
+    fn new(telemetry: &Telemetry, already_fsynced: u64, lsm: bool) -> StorageMetrics {
         let r = telemetry.registry();
         StorageMetrics {
             wal_append_seconds: r.histogram("lv_storage_wal_append_seconds", &[]),
             block_append_seconds: r.histogram("lv_storage_block_append_seconds", &[]),
             checkpoint_seconds: r.histogram("lv_storage_checkpoint_seconds", &[]),
+            lsm_flush_seconds: lsm.then(|| r.histogram("lv_statedb_flush_seconds", &[])),
             checkpoints_total: r.counter("lv_storage_checkpoints_total", &[]),
             fsyncs_total: r.counter("lv_storage_fsyncs_total", &[]),
             fsyncs_mirrored: already_fsynced,
@@ -570,150 +677,146 @@ impl StorageMetrics {
     }
 }
 
-/// Durable backend: in-memory [`StateDb`] backed by a WAL, an append-only
-/// block file with a sparse index, and snapshot checkpoints. See the module
-/// docs for the write protocol and recovery invariants.
+/// The disk-backed backend: a state engine (in-memory [`StateDb`] or
+/// [`LsmState`]) made crash-recoverable by a WAL, an append-only block
+/// file with a sparse index, and the engine's checkpoints. See the module
+/// docs for the write protocol, the two engines and recovery invariants.
 pub struct DurableBackend {
-    state: StateDb,
+    engine: Engine,
     wal: Wal,
     blocks: BlockFile,
-    checkpoints: CheckpointStore,
     config: StorageConfig,
+    /// What the engine's last checkpoint published. Its base height
+    /// (non-zero when bootstrapped from a shipped snapshot — a *pruned*
+    /// store) and base hash hold for the life of the store.
+    checkpointed: StateMeta,
     /// Rolling state root after the last persisted block.
     state_root: Digest,
-    /// First block height this store holds (non-zero when bootstrapped
-    /// from a shipped snapshot — a *pruned* store).
-    base: u64,
-    /// Hash of the block before `base` (`Digest::ZERO` for a full store).
-    base_prev_hash: Digest,
     /// Timestamp of the last persisted block (or the snapshot tip).
     last_timestamp_us: u64,
-    blocks_since_checkpoint: u64,
+    checkpoints_saved: u64,
     metrics: Option<StorageMetrics>,
 }
 
 impl fmt::Debug for DurableBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lsm = self.lsm_state();
         f.debug_struct("DurableBackend")
             .field("dir", &self.config.dir)
             .field("fsync", &self.config.fsync)
             .field("height", &self.blocks.height())
             .field("wal_records", &self.wal.record_count())
+            .field("engine", &if lsm.is_some() { "lsm" } else { "in-memory" })
+            .field("memtable_bytes", &lsm.map(|l| l.lsm_stats().memtable_bytes))
             .finish()
     }
 }
 
 impl DurableBackend {
-    /// Open (or create) the store under `config.dir` and run crash
-    /// recovery. Returns the backend plus every recovered block in height
-    /// order (for the chain to rebuild its block store). `pool` parallelises
-    /// block decoding during recovery.
+    /// Open (or create) the store under `config.dir` on the in-memory
+    /// state engine and run crash recovery. Returns the backend plus every
+    /// recovered block in height order (for the chain to rebuild its block
+    /// store). `pool` parallelises block decoding during recovery.
     pub fn open(
         config: StorageConfig,
         pool: &WorkerPool,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
-        std::fs::create_dir_all(&config.dir)
-            .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
-
-        // 1. Latest checkpoint (may be absent). Its metadata carries the
-        // store's base height — non-zero when this store was bootstrapped
-        // from a shipped snapshot and holds no earlier block.
-        let checkpoints = CheckpointStore::new(&config.dir);
-        let checkpoint = checkpoints.load()?;
-        let meta = checkpoint
-            .as_ref()
-            .map(|cp| decode_meta(&cp.meta))
-            .transpose()?;
-        let base = meta.as_ref().map(|m| m.base_height).unwrap_or(0);
-
-        // 2. Checkpoint state, verified against its recorded digest.
-        let (mut state, cp_root, cp_height, base_prev_hash, cp_timestamp_us) =
-            match (checkpoint, meta) {
-                (Some(cp), Some(m)) => {
-                    let state = decode_state(&cp.payload)?;
-                    if state.state_digest() != m.state_digest {
-                        return Err(FabricError::Storage(
-                            "checkpoint state digest mismatch".into(),
-                        ));
-                    }
-                    (
-                        state,
-                        m.state_root,
-                        cp.height,
-                        m.base_prev_hash,
-                        m.timestamp_us,
-                    )
-                }
-                _ => (StateDb::new(), Digest::ZERO, 0, Digest::ZERO, 0),
-            };
-
-        // 3. Surviving blocks and WAL records, replayed over the checkpoint
-        // and verified against every replayed header. A pruned block file
-        // without a checkpoint fails the base check (no checkpoint ⇒ base 0).
-        let RecoveredTail {
-            blocks_file,
-            wal,
-            blocks,
-            tip,
-            root,
-        } = recover_tail(&config, pool, base, cp_height, &mut state, cp_root)?;
-        let last_timestamp_us = blocks
-            .last()
-            .map_or(cp_timestamp_us, |block| block.header.timestamp_us);
-
-        let backend = DurableBackend {
-            state,
-            wal,
-            blocks: blocks_file,
-            checkpoints,
-            config,
-            state_root: root,
-            base,
-            base_prev_hash,
-            last_timestamp_us,
-            blocks_since_checkpoint: tip - cp_height,
-            metrics: None,
-        };
-        Ok((backend, blocks))
+        DurableBackend::open_with(config, None, pool)
     }
 
-    /// Install a shipped [`ChainSnapshot`] into a fresh directory and open
-    /// the resulting *pruned* store: its base is the snapshot height, the
-    /// snapshot state is verified against its digest, and the store is
-    /// ready to commit block `snapshot.height` next. This is the O(state)
-    /// peer-bootstrap path — no block history is required or stored below
-    /// the base.
+    /// [`DurableBackend::open`] with the state engine chosen by the
+    /// caller: the LSM under the given tuning, or (`None`) the in-memory
+    /// one. A directory must be reopened on the engine that created it.
+    pub fn open_with(
+        config: StorageConfig,
+        lsm: Option<LsmConfig>,
+        pool: &WorkerPool,
+    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+        // The engine's last checkpoint (may be absent). Its metadata
+        // carries the store's base height — non-zero when this store was
+        // bootstrapped from a shipped snapshot and holds no earlier block.
+        let (engine, meta) = Engine::load(&config, lsm)?;
+        DurableBackend::resume(config, engine, meta.unwrap_or_default(), pool)
+    }
+
+    /// Install a shipped [`ChainSnapshot`] into a fresh directory, on
+    /// either engine, and open the resulting *pruned* store: its base is
+    /// the snapshot height, the snapshot state is verified against its
+    /// digest, and the store is ready to commit block `snapshot.height`
+    /// next. This is the O(state) peer-bootstrap path — no block history
+    /// is required or stored below the base.
     pub fn install_snapshot(
         config: StorageConfig,
+        lsm: Option<LsmConfig>,
         pool: &WorkerPool,
         snapshot: &ChainSnapshot,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
-        std::fs::create_dir_all(&config.dir)
-            .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
-        let existing = config.dir.join(fabric_store::blockfile::BLOCKS_DATA_FILE);
-        if std::fs::metadata(&existing)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false)
-        {
+        let occupied = [
+            PathBuf::from(fabric_store::blockfile::BLOCKS_DATA_FILE),
+            PathBuf::from(fabric_store::checkpoint::CHECKPOINT_FILE),
+            Path::new(LSM_SUBDIR).join(ledgerview_statedb::manifest::MANIFEST_FILE),
+        ]
+        .iter()
+        .any(|file| std::fs::metadata(config.dir.join(file)).is_ok_and(|m| m.len() > 0));
+        if occupied {
             return Err(FabricError::Storage(format!(
-                "refusing to install a snapshot over existing blocks in {:?}",
+                "refusing to install a snapshot over existing blocks or state in {:?}",
                 config.dir
             )));
         }
-        let state = snapshot.state()?; // digest check before anything lands
-        let cp = Checkpoint {
+        let shipped = snapshot.state()?; // digest check before anything lands
+        let (mut engine, _) = Engine::load(&config, lsm)?;
+        let state = engine.state_mut();
+        shipped.for_each_entry(&mut |key, value, version| match value {
+            Some(v) => state.put(key.to_string(), v.to_vec(), version),
+            None => state.delete(key, version),
+        });
+        let meta = StateMeta {
             height: snapshot.height,
-            meta: encode_meta(&CheckpointMeta {
-                state_root: snapshot.state_root,
-                state_digest: state.state_digest(),
-                base_height: snapshot.height,
-                base_prev_hash: snapshot.prev_block_hash,
-                timestamp_us: snapshot.timestamp_us,
-            }),
-            payload: encode_state(&state),
+            state_root: snapshot.state_root,
+            state_digest: state.state_digest(),
+            base_height: snapshot.height,
+            base_prev_hash: snapshot.prev_block_hash,
+            timestamp_us: snapshot.timestamp_us,
         };
-        CheckpointStore::new(&config.dir).save(&cp)?;
-        DurableBackend::open(config, pool)
+        engine.persist(&config.dir, &meta)?;
+        DurableBackend::resume(config, engine, meta, pool)
+    }
+
+    /// The shared tail of `open_with` and `install_snapshot`: `engine`
+    /// holds the state `checkpointed` describes; replay the surviving
+    /// blocks and WAL records over it, verified against every replayed
+    /// header. A pruned block file without a checkpoint fails the base
+    /// check (no checkpoint ⇒ base 0).
+    fn resume(
+        config: StorageConfig,
+        mut engine: Engine,
+        checkpointed: StateMeta,
+        pool: &WorkerPool,
+    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+        let tail = recover_tail(
+            &config,
+            pool,
+            checkpointed.base_height,
+            checkpointed.height,
+            engine.state_mut(),
+            checkpointed.state_root,
+        )?;
+        let backend = DurableBackend {
+            engine,
+            wal: tail.wal,
+            blocks: tail.blocks_file,
+            config,
+            checkpointed,
+            state_root: tail.root,
+            last_timestamp_us: tail
+                .blocks
+                .last()
+                .map_or(checkpointed.timestamp_us, |block| block.header.timestamp_us),
+            checkpoints_saved: 0,
+            metrics: None,
+        };
+        Ok((backend, tail.blocks))
     }
 
     /// The storage configuration.
@@ -739,7 +842,7 @@ impl DurableBackend {
 
     /// Checkpoints written by this handle.
     pub fn checkpoints_saved(&self) -> u64 {
-        self.checkpoints.saves()
+        self.checkpoints_saved
     }
 
     /// Rolling state root after the last persisted block.
@@ -749,12 +852,12 @@ impl DurableBackend {
 
     /// First block height this store holds (non-zero when pruned).
     pub fn base_height(&self) -> u64 {
-        self.base
+        self.checkpointed.base_height
     }
 
     /// Hash of the block before the base (`Digest::ZERO` for a full store).
     pub fn base_prev_hash(&self) -> Digest {
-        self.base_prev_hash
+        self.checkpointed.base_prev_hash
     }
 
     /// Timestamp of the last persisted block (or the installed snapshot).
@@ -772,31 +875,36 @@ impl DurableBackend {
         self.wal.segments_gced()
     }
 
-    /// Snapshot the state DB and truncate the WAL now, regardless of the
-    /// configured interval.
+    /// Checkpoint the state engine and truncate the WAL now, regardless of
+    /// the configured interval.
     pub fn checkpoint_now(&mut self) -> Result<(), FabricError> {
         let start = Instant::now();
-        // Durability order: everything the snapshot summarises must be on
-        // disk before the snapshot replaces the WAL.
+        // Durability order: everything the checkpoint summarises must be
+        // on disk before it becomes the commit point and the WAL resets.
         self.wal.sync().map_err(StoreError::Io)?;
         self.blocks.sync().map_err(StoreError::Io)?;
-        let cp = Checkpoint {
+        let meta = StateMeta {
             height: self.blocks.height(),
-            meta: encode_meta(&CheckpointMeta {
-                state_root: self.state_root,
-                state_digest: self.state.state_digest(),
-                base_height: self.base,
-                base_prev_hash: self.base_prev_hash,
-                timestamp_us: self.last_timestamp_us,
-            }),
-            payload: encode_state(&self.state),
+            state_root: self.state_root,
+            state_digest: self.engine.state().state_digest(),
+            timestamp_us: self.last_timestamp_us,
+            ..self.checkpointed
         };
-        self.checkpoints.save(&cp)?;
+        if !self.engine.persist(&self.config.dir, &meta)? {
+            // Injected crash: the manifest never committed, so the WAL must
+            // keep its records for the reopen to replay.
+            return Ok(());
+        }
         self.wal.reset().map_err(StoreError::Io)?;
-        self.blocks_since_checkpoint = 0;
+        self.checkpointed = meta;
+        self.checkpoints_saved += 1;
         let total_fsyncs = self.fsyncs();
         if let Some(m) = &mut self.metrics {
-            m.checkpoint_seconds.observe_duration(start.elapsed());
+            let elapsed = start.elapsed();
+            m.checkpoint_seconds.observe_duration(elapsed);
+            if let Some(h) = &m.lsm_flush_seconds {
+                h.observe_duration(elapsed);
+            }
             m.checkpoints_total.inc();
             m.sync_fsyncs(total_fsyncs);
         }
@@ -806,11 +914,11 @@ impl DurableBackend {
 
 impl StateBackend for DurableBackend {
     fn state(&self) -> &dyn VersionedState {
-        &self.state
+        self.engine.state()
     }
 
     fn state_mut(&mut self) -> &mut dyn VersionedState {
-        &mut self.state
+        self.engine.state_mut()
     }
 
     fn commit_block(&mut self, block: &Block) -> Result<(), FabricError> {
@@ -824,27 +932,29 @@ impl StateBackend for DurableBackend {
             .map(|(i, tx)| encode_wal_record(block.header.number, i as u32, &tx.rwset.writes))
             .collect();
         let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-        let wal_start = self.metrics.as_ref().map(|_| Instant::now());
+        let start = self.metrics.as_ref().map(|_| Instant::now());
         self.wal.append_batch(&refs).map_err(StoreError::Io)?;
-        let block_start = self.metrics.as_ref().map(|_| Instant::now());
+        let timed = start.map(|start| (start, Instant::now()));
         self.blocks
             .append(block.header.number, &block.encode(), false)?;
-        if let Some(start) = wal_start {
-            let now = Instant::now();
-            let total_fsyncs = self.fsyncs();
-            let m = self.metrics.as_mut().expect("timed with metrics");
-            let block_start = block_start.expect("timed with metrics");
+        let total_fsyncs = self.fsyncs();
+        if let (Some(m), Some((start, wal_done))) = (&mut self.metrics, timed) {
             m.wal_append_seconds
-                .observe_duration(block_start.duration_since(start));
-            m.block_append_seconds
-                .observe_duration(now.duration_since(block_start));
+                .observe_duration(wal_done.duration_since(start));
+            m.block_append_seconds.observe_duration(wal_done.elapsed());
             m.sync_fsyncs(total_fsyncs);
         }
         self.state_root = block.header.state_root;
         self.last_timestamp_us = block.header.timestamp_us;
-        self.blocks_since_checkpoint += 1;
-        if self.blocks_since_checkpoint >= self.config.checkpoint_every_blocks {
+        // Checkpoint on either trigger: the configured interval (bounds
+        // WAL replay work) or engine memory pressure (bounds the memtable).
+        let since_checkpoint = self.blocks.height() - self.checkpointed.height;
+        if since_checkpoint >= self.config.checkpoint_every_blocks
+            || self.lsm_state().is_some_and(LsmState::should_flush)
+        {
             self.checkpoint_now()?;
+        } else if let Some(lsm) = self.lsm_state_mut() {
+            lsm.sync_metrics();
         }
         Ok(())
     }
@@ -864,8 +974,25 @@ impl StateBackend for DurableBackend {
     }
 
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let already = self.fsyncs();
-        self.metrics = Some(StorageMetrics::new(telemetry, already));
+        if let Some(lsm) = self.lsm_state_mut() {
+            lsm.set_telemetry(telemetry);
+        }
+        let lsm = self.lsm_state().is_some();
+        self.metrics = Some(StorageMetrics::new(telemetry, self.fsyncs(), lsm));
+    }
+
+    fn lsm_state(&self) -> Option<&LsmState> {
+        match &self.engine {
+            Engine::Memory(_) => None,
+            Engine::Lsm(state) => Some(state),
+        }
+    }
+
+    fn lsm_state_mut(&mut self) -> Option<&mut LsmState> {
+        match &mut self.engine {
+            Engine::Memory(_) => None,
+            Engine::Lsm(state) => Some(state),
+        }
     }
 }
 
@@ -1007,6 +1134,31 @@ mod tests {
         assert_eq!(decoded.tx_num, 3);
         assert_eq!(decoded.writes, record.writes);
         assert!(WalRecord::decode(&record.encode()[..5]).is_err());
+    }
+
+    #[test]
+    fn state_meta_round_trips() {
+        let meta = StateMeta {
+            height: 42,
+            state_root: Digest([7; 32]),
+            state_digest: Digest([9; 32]),
+            base_height: 40,
+            base_prev_hash: Digest([5; 32]),
+            timestamp_us: 123_456,
+        };
+        let mut w = Writer::new();
+        meta.encode_body(&mut w);
+        let body = w.into_bytes();
+        let decoded = StateMeta::decode_body(42, &mut Reader::new(&body)).unwrap();
+        assert_eq!(decoded.height, 42);
+        assert_eq!(decoded.state_root, Digest([7; 32]));
+        assert_eq!(decoded.state_digest, Digest([9; 32]));
+        assert_eq!(decoded.base_height, 40);
+        assert_eq!(decoded.base_prev_hash, Digest([5; 32]));
+        assert_eq!(decoded.timestamp_us, 123_456);
+        assert!(StateMeta::decode_body(42, &mut Reader::new(&body[..50])).is_err());
+        let trailing = [body.as_slice(), &[0]].concat();
+        assert!(StateMeta::decode_body(42, &mut Reader::new(&trailing)).is_err());
     }
 
     #[test]

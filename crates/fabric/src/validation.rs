@@ -98,7 +98,7 @@ pub fn validate_and_commit_block(
 ///
 /// Cheap to compute per block (it does not rescan the whole state) while
 /// still binding the full history of state transitions; full-state digests
-/// for proofs come from [`StateDb::state_digest`].
+/// for proofs come from [`VersionedState::state_digest`].
 pub fn next_state_root(
     prev_root: &Digest,
     transactions: &[Transaction],

@@ -6,7 +6,7 @@
 //! Fabric client SDK calls the *gateway service*. This crate provides that
 //! front end for the in-process chain:
 //!
-//! * [`pipeline`] — the [`Gateway`](pipeline::Gateway) itself: admission
+//! * [`pipeline`] — the [`Gateway`] itself: admission
 //!   control, sharded bounded submit queues with backpressure, a block
 //!   cutter with size and timeout triggers, commit-outcome routing, and
 //!   MVCC-conflict retry with deterministic backoff.

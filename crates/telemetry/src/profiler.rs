@@ -15,7 +15,7 @@
 //!
 //! The profiler is pure aggregation: given the same spans it produces
 //! byte-identical output (phases sort by path, quantiles come from the
-//! deterministic [`Histogram`](crate::histogram::Histogram)), so profiles
+//! deterministic [`Histogram`]), so profiles
 //! taken from a seeded simulation run are reproducible artifacts.
 
 use std::collections::{BTreeMap, HashMap};

@@ -179,7 +179,7 @@ fn main() {
         stats.memtable_bytes,
         stats.cache_resident_bytes,
         stats.table_meta_resident_bytes,
-        backend.lsm_state().directory_resident_bytes(),
+        backend.directory_resident_bytes(),
     );
     assert!(stats.flushes > 0, "load never reached the disk");
     assert!(

@@ -10,6 +10,9 @@
 //! additionally arm the engine's injected crash points (mid-flush,
 //! mid-compaction) and cut the WAL or block file at arbitrary byte
 //! offsets, then require recovery to a committed-prefix-consistent state.
+//! The snapshot tests install one `ChainSnapshot` into a directory of each
+//! engine kind and hold both *pruned* stores to the twin from there on —
+//! across clean reopens and injected crashes alike.
 
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::Digest;
@@ -18,7 +21,7 @@ use ledgerview::fabric::digest::digest_of_entries;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
 use ledgerview::fabric::statedb::VersionedState;
-use ledgerview::fabric::storage::wal_segment_path;
+use ledgerview::fabric::storage::{wal_segment_path, ChainSnapshot};
 use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState, StateDb, Version};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
 use ledgerview::statedb::{CrashPoint, LsmConfig};
@@ -326,6 +329,164 @@ fn lsm_chain_matches_twin_and_survives_reopen() {
     chain.flush().unwrap();
 }
 
+/// The in-memory twin run for `blocks` blocks with a snapshot exported at
+/// height `at`: the chain (whose block store feeds the pruned peers), the
+/// snapshot, and `(state_digest, state_root)` per height.
+fn twin_with_snapshot(
+    seed: u64,
+    at: u64,
+    blocks: u64,
+) -> (FabricChain, ChainSnapshot, Vec<(Digest, Digest)>) {
+    let mut twin = FabricChain::new(&["Org1", "Org2"], &mut seeded(seed));
+    let alice = setup(&mut twin, seed);
+    let mut rng = seeded(seed ^ 0xabcd);
+    let mut history = vec![(twin.state().state_digest(), twin.state_root())];
+    let mut snapshot = None;
+    for b in 0..blocks {
+        if b == at {
+            snapshot = Some(twin.export_snapshot());
+        }
+        submit_block(&mut twin, &alice, b, &mut rng);
+        twin.cut_block();
+        history.push((twin.state().state_digest(), twin.state_root()));
+    }
+    (twin, snapshot.expect("at < blocks"), history)
+}
+
+/// Open the store under `dir` on the LSM or the in-memory engine —
+/// installing `snapshot` into it first, when one is given.
+fn pruned_chain(
+    seed: u64,
+    dir: &Path,
+    lsm: bool,
+    snapshot: Option<&ChainSnapshot>,
+) -> Result<FabricChain, FabricError> {
+    let config = StorageConfig::new(dir)
+        .fsync(FsyncPolicy::Never)
+        .checkpoint_every(3);
+    let tuning = lsm.then(|| tiny_lsm_config(dir));
+    let orgs = ["Org1", "Org2"];
+    let validation = ValidationConfig::parallel(2);
+    let mut rng = seeded(seed);
+    let mut chain = match (snapshot, tuning) {
+        (Some(snapshot), tuning) => {
+            FabricChain::from_snapshot(&orgs, &mut rng, config, tuning, validation, snapshot)
+        }
+        (None, Some(tuning)) => {
+            FabricChain::with_lsm_storage_tuned(&orgs, &mut rng, config, tuning, validation)
+        }
+        (None, None) => FabricChain::with_storage(&orgs, &mut rng, config, validation),
+    }?;
+    setup(&mut chain, seed);
+    Ok(chain)
+}
+
+/// Apply the twin's block `h` the way a replicated peer would.
+fn apply_twin_block(chain: &mut FabricChain, twin: &FabricChain, h: u64) {
+    let block = twin.store().block(h).expect("twin holds every block");
+    let outcomes = chain.commit_ordered(block.transactions.clone(), block.header.timestamp_us);
+    let validity: Vec<bool> = outcomes.iter().map(|o| o.is_valid()).collect();
+    assert_eq!(validity, block.validity, "block {h}");
+}
+
+/// A pruned store must sit at `height` with the twin's state, and still
+/// know where it was cut from the history it never saw.
+fn assert_pruned_at(
+    chain: &FabricChain,
+    snapshot: &ChainSnapshot,
+    history: &[(Digest, Digest)],
+    height: u64,
+) {
+    assert_eq!(chain.height(), height);
+    assert_eq!(chain.store().base(), snapshot.height, "base_height");
+    let (digest, root) = history[height as usize];
+    assert_eq!(chain.state().state_digest(), digest, "at {height}");
+    assert_eq!(chain.state().state_digest(), oracle_digest(chain.state()));
+    assert_eq!(chain.state_root(), root, "at {height}");
+    // `base_prev_hash`: the tip hash of an empty pruned store, the link
+    // its first block must carry otherwise (`verify_chain` checks it).
+    match chain.store().block(snapshot.height) {
+        Some(first) => assert_eq!(first.header.prev_hash, snapshot.prev_block_hash),
+        None => assert_eq!(chain.store().tip_hash(), snapshot.prev_block_hash),
+    }
+    chain.store().verify_chain().unwrap();
+}
+
+#[test]
+fn snapshot_bootstrap_lands_on_either_engine() {
+    let (seed, at, blocks) = (77, 5, 12);
+    let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks);
+    let lsm_dir = TestDir::new("statedb-eq-snap-lsm");
+    let mem_dir = TestDir::new("statedb-eq-snap-mem");
+    let mut on_lsm = pruned_chain(seed, lsm_dir.path(), true, Some(&snapshot)).unwrap();
+    let mut in_mem = pruned_chain(seed, mem_dir.path(), false, Some(&snapshot)).unwrap();
+    assert!(on_lsm.lsm_backend().is_some() && in_mem.lsm_backend().is_none());
+    assert!(lsm_dir.path().join("lsm").join("MANIFEST").is_file());
+
+    // Same remaining blocks on both and on the twin: identical at every
+    // height.
+    for h in at..blocks {
+        assert_pruned_at(&on_lsm, &snapshot, &history, h);
+        assert_pruned_at(&in_mem, &snapshot, &history, h);
+        apply_twin_block(&mut on_lsm, &twin, h);
+        apply_twin_block(&mut in_mem, &twin, h);
+    }
+    let stats = on_lsm.lsm_backend().unwrap().lsm_stats();
+    assert!(stats.flushes > 1 && stats.compactions > 0, "{stats:?}");
+    drop((on_lsm, in_mem));
+
+    // Both pruned directories reopen on the engine that created them.
+    for (dir, lsm) in [(&lsm_dir, true), (&mem_dir, false)] {
+        let chain = pruned_chain(seed, dir.path(), lsm, None).unwrap();
+        assert_pruned_at(&chain, &snapshot, &history, blocks);
+    }
+
+    // A directory that holds an LSM manifest — even one with no block
+    // yet — is not a place to install a snapshot, on either engine.
+    let bare = TestDir::new("statedb-eq-snap-bare");
+    drop(pruned_chain(seed, bare.path(), true, Some(&snapshot)).unwrap());
+    for dir in [&bare, &lsm_dir] {
+        for lsm in [true, false] {
+            let refused = pruned_chain(seed, dir.path(), lsm, Some(&snapshot));
+            assert!(matches!(refused, Err(FabricError::Storage(_))));
+        }
+    }
+    let chain = pruned_chain(seed, bare.path(), true, None).unwrap();
+    assert_pruned_at(&chain, &snapshot, &history, at);
+}
+
+#[test]
+fn pruned_lsm_store_survives_crash_and_reopen() {
+    let (seed, at, blocks) = (78, 4, 12);
+    let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks);
+    for point in [
+        CrashPoint::AfterFlushTable,
+        CrashPoint::AfterCompactionWrite,
+    ] {
+        let dir = TestDir::new("statedb-eq-snap-crash");
+        let mut chain = pruned_chain(seed, dir.path(), true, Some(&snapshot)).unwrap();
+        chain
+            .lsm_backend_mut()
+            .unwrap()
+            .set_crash_point(Some(point));
+        let mut height = at;
+        while !chain.lsm_backend().unwrap().crashed() {
+            assert!(height < blocks, "{point:?} never fired");
+            apply_twin_block(&mut chain, &twin, height);
+            height += 1;
+        }
+        drop(chain);
+
+        // The manifest still names the state as of an earlier checkpoint;
+        // the WAL kept its records, so the reopen replays up to `height`
+        // with the base intact.
+        let mut chain = pruned_chain(seed, dir.path(), true, None).unwrap();
+        assert_pruned_at(&chain, &snapshot, &history, height);
+        apply_twin_block(&mut chain, &twin, height);
+        assert_pruned_at(&chain, &snapshot, &history, height + 1);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -412,7 +573,6 @@ proptest! {
             chain
                 .lsm_backend_mut()
                 .unwrap()
-                .lsm_state_mut()
                 .set_crash_point(Some(point));
             let mut rng = seeded(seed ^ 0xabcd);
             let mut committed = 0;
@@ -422,7 +582,7 @@ proptest! {
                 committed += 1;
                 // The engine refuses all I/O once the crash fires; stop
                 // here exactly as the crashed process would.
-                if chain.lsm_backend().unwrap().lsm_state().crashed() {
+                if chain.lsm_backend().unwrap().crashed() {
                     break;
                 }
             }

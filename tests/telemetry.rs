@@ -8,7 +8,9 @@ use ledgerview::crypto::sha256::Digest;
 use ledgerview::fabric::chaincode::TxContext;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
-use ledgerview::fabric::{Chaincode, FabricChain, FabricError};
+use ledgerview::fabric::storage::{DurableBackend, StateBackend};
+use ledgerview::fabric::validation::validate_and_commit_block;
+use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState, WorkerPool};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, Telemetry, ValidationConfig};
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
@@ -179,6 +181,57 @@ fn workload_populates_every_lifecycle_phase() {
     // The exposition is well-formed under the in-repo lint.
     let text = registry.prometheus_text();
     let issues = ledgerview::telemetry::promlint::lint_prometheus(&text);
+    assert!(issues.is_empty(), "lint: {issues:?}");
+}
+
+#[test]
+fn lsm_engine_publishes_the_storage_metrics() {
+    // Blocks of the usual workload, replayed into a bare LSM-engine
+    // backend so the test can read `fsyncs()` beside the counter.
+    let blocks = 6;
+    let mut chain = FabricChain::new(&["Org1", "Org2"], &mut seeded(42));
+    let alice = setup(&mut chain, 42);
+    run_workload(&mut chain, &alice, blocks, 42 ^ 0xabcd);
+
+    let dir = TestDir::new("telemetry-lsm");
+    let config = StorageConfig::new(dir.path())
+        .fsync(FsyncPolicy::Always)
+        .checkpoint_every(4);
+    let lsm = LsmState::default_config(&config);
+    let (mut backend, _) =
+        DurableBackend::open_with(config, Some(lsm), &WorkerPool::new(1)).unwrap();
+    let telemetry = Telemetry::wall_clock();
+    backend.set_telemetry(&telemetry);
+    for block in chain.store().iter() {
+        validate_and_commit_block(
+            &block.transactions,
+            backend.state_mut(),
+            block.header.number,
+        );
+        backend.commit_block(block).unwrap();
+    }
+    backend.flush().unwrap();
+    assert_eq!(backend.state().state_digest(), chain.state().state_digest());
+
+    let registry = telemetry.registry();
+    let count = |name: &str| registry.histogram(name, &[]).histogram().count();
+    assert_eq!(count("lv_storage_wal_append_seconds"), blocks);
+    assert_eq!(count("lv_storage_block_append_seconds"), blocks);
+    // One interval checkpoint (at height 4), under both of its names.
+    assert_eq!(backend.checkpoints_saved(), 1);
+    assert_eq!(count("lv_storage_checkpoint_seconds"), 1);
+    assert_eq!(count("lv_statedb_flush_seconds"), 1);
+    assert_eq!(
+        registry.counter("lv_storage_checkpoints_total", &[]).get(),
+        1
+    );
+    assert!(backend.fsyncs() >= blocks, "{}", backend.fsyncs());
+    assert_eq!(
+        registry.counter("lv_storage_fsyncs_total", &[]).get(),
+        backend.fsyncs()
+    );
+    assert_eq!(registry.counter("lv_statedb_flushes_total", &[]).get(), 1);
+    let issues = ledgerview::telemetry::promlint::lint_prometheus(&registry.prometheus_text());
     assert!(issues.is_empty(), "lint: {issues:?}");
 }
 
