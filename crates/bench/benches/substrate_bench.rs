@@ -1,5 +1,6 @@
 //! Benchmarks of the blockchain substrate: Merkle trees, the state
-//! database digest, block commit, and datalog view evaluation.
+//! database digest, block commit, commit-time endorsement validation
+//! (VSCC), and datalog view evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -159,6 +160,75 @@ fn bench_block_commit(c: &mut Criterion) {
     });
 }
 
+fn bench_validation(c: &mut Criterion) {
+    use fabric_sim::chaincode::{RwSet, WriteEntry};
+    use fabric_sim::endorsement::{response_signing_bytes, EndorsementPolicy};
+    use fabric_sim::identity::Msp;
+    use fabric_sim::ledger::{Endorsement, Transaction, TxId};
+    use fabric_sim::{BlockValidator, ValidationConfig};
+    use ledgerview_crypto::rng::seeded;
+    use ledgerview_crypto::sha256::sha256;
+
+    // One block as `pipeline_uniform` cuts them: 250 transactions, each a
+    // blind write endorsed by both organisations.
+    let mut rng = seeded(3);
+    let mut msp = Msp::new();
+    let orgs = [msp.add_org("Org1", &mut rng), msp.add_org("Org2", &mut rng)];
+    let endorsers = orgs
+        .each_ref()
+        .map(|org| msp.enroll(org, &format!("peer.{org}"), &mut rng).unwrap());
+    let txs: Vec<Transaction> = (0..250u32)
+        .map(|n| {
+            let rwset = RwSet {
+                reads: vec![],
+                writes: vec![WriteEntry {
+                    key: format!("k{n}"),
+                    value: Some(vec![n as u8; 16]),
+                }],
+                private_writes: vec![],
+            };
+            let tx_id = TxId(sha256(&n.to_be_bytes()));
+            let response = vec![n as u8; 8];
+            let msg = response_signing_bytes(&tx_id, &rwset.digest(), &response);
+            Transaction {
+                tx_id,
+                chaincode: "kv".into(),
+                function: "put".into(),
+                args: vec![],
+                creator: endorsers[0].cert().clone(),
+                rwset,
+                response,
+                endorsements: endorsers
+                    .iter()
+                    .map(|e| Endorsement {
+                        endorser: e.cert().clone(),
+                        signature: e.sign(&msg),
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    let policy = |_: &str| Some(EndorsementPolicy::AllOf(orgs.to_vec()));
+
+    let mut group = c.benchmark_group("validation");
+    for workers in [1usize, 2] {
+        let validator = BlockValidator::new(ValidationConfig::parallel(workers));
+        let mut state = StateDb::new();
+        // The first block verifies the two certificates; measure the
+        // steady state, where the MSP's memo answers for them.
+        let warm = validator.validate_and_commit(&txs, &mut state, 0, &msp, &policy);
+        assert!(warm.iter().all(|o| o.is_valid()));
+        let mut block = 0u64;
+        group.bench_function(BenchmarkId::new("vscc_250tx", format!("{workers}w")), |b| {
+            b.iter(|| {
+                block += 1;
+                validator.validate_and_commit(black_box(&txs), &mut state, block, &msp, &policy)
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_datalog(c: &mut Criterion) {
     // Transitive closure over a delivery chain — the recursive view
     // definition pattern of §3.
@@ -193,6 +263,7 @@ criterion_group!(
     bench_merkle,
     bench_statedb,
     bench_block_commit,
+    bench_validation,
     bench_datalog
 );
 criterion_main!(benches);

@@ -219,10 +219,10 @@ impl FabricChain {
     /// state database from the last checkpoint plus the WAL, and verifies
     /// every recovered block's state root; identities are re-derived from
     /// `rng`, so reopening with the same seed reproduces the same
-    /// organisations. One persistent worker pool (sized by
-    /// `validation.workers`) serves both parallel block decoding during
-    /// recovery and endorsement verification at commit time. Private data
-    /// collections are not persisted (documented limitation).
+    /// organisations. One worker pool (sized by `validation.workers`)
+    /// fans out both block decoding during recovery and endorsement
+    /// verification at commit time. Private data collections are not
+    /// persisted (documented limitation).
     pub fn with_storage<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
@@ -330,21 +330,13 @@ impl FabricChain {
         self.check_signatures = check;
     }
 
-    /// Replace the commit-time validation pipeline (worker count, batch
-    /// verification, signature cache, commit-time endorsement checks).
-    /// Every configuration commits identical outcomes; only cost differs.
+    /// Replace the commit-time validation pipeline (worker count,
+    /// commit-time endorsement checks). Every configuration commits
+    /// identical outcomes; only cost differs.
     pub fn set_validation_config(&mut self, config: ValidationConfig) {
-        // Keep the persistent worker threads when the pool size is
-        // unchanged; only a different worker count needs a new pool.
-        if self.validator.pool().workers() == config.workers.max(1) {
-            let pool = self.validator.pool().clone();
-            self.validator = BlockValidator::with_pool(config, pool);
-        } else {
-            self.validator = BlockValidator::new(config);
-        }
+        self.validator = BlockValidator::new(config);
         if let Some(m) = &self.metrics {
-            let telemetry = m.telemetry.clone();
-            self.validator.set_telemetry(&telemetry);
+            self.validator.set_telemetry(&m.telemetry);
         }
     }
 

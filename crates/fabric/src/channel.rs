@@ -266,7 +266,7 @@ impl ChannelRegistry {
     }
 
     /// Configure the commit-time validation pipeline of a channel's ledger
-    /// (worker count, batch signature verification, signature cache).
+    /// (worker count, commit-time endorsement checks).
     pub fn set_validation_config(
         &mut self,
         channel: &str,

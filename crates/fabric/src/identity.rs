@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use ledgerview_crypto::ed25519::VerifyingKey;
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey, SigningKeyPair};
-use ledgerview_crypto::{CryptoError, SigCache};
+use ledgerview_crypto::{CacheStats, CryptoError, SigCache};
 use rand::RngCore;
 
 use crate::error::FabricError;
@@ -152,7 +152,7 @@ struct OrgCa {
 /// (10 KiB each). A deployment has a few endorsing peers and a bounded
 /// client population; past this many the least recently seen certificate
 /// is verified again, and some key is expanded again.
-const CERT_MEMO_CAPACITY: usize = 1024;
+pub const CERT_MEMO_CAPACITY: usize = 1024;
 
 /// The membership registry: organisation CAs and certificate verification.
 pub struct Msp {
@@ -239,16 +239,16 @@ impl Msp {
     }
 
     /// The CA verification key for an organisation, or `None` if the
-    /// organisation is not registered. Lets validators check certificate
-    /// signatures through the same (batched, cached) path as endorsement
-    /// signatures.
+    /// organisation is not registered.
     pub fn ca_public_key(&self, org: &OrgId) -> Option<[u8; 32]> {
         self.orgs.get(org).map(|o| o.ca.public())
     }
 
-    /// Verify that a certificate was issued by a registered organisation.
-    /// Each distinct certificate costs one signature verification; repeats
-    /// are answered from a bounded memo of verdicts, valid or not.
+    /// Verify that a certificate was issued by a registered organisation:
+    /// `AccessDenied` if its organisation is not registered, `BadSignature`
+    /// if the CA's signature does not hold. Each distinct certificate costs
+    /// one signature verification; repeats are answered from a bounded memo
+    /// of verdicts, valid or not.
     pub fn verify_cert(&self, cert: &Certificate) -> Result<(), FabricError> {
         let ca = self
             .orgs
@@ -258,13 +258,19 @@ impl Msp {
         let valid = self
             .cert_memo
             .lookup(&ca_key, &signed, sig)
-            .unwrap_or_else(|| {
+            .unwrap_or_else(|key| {
                 let valid =
                     ledgerview_crypto::keys::verify_signature(&ca_key, &signed, sig).is_ok();
-                self.cert_memo.record(&ca_key, &signed, sig, valid);
+                self.cert_memo.record(key, valid);
                 valid
             });
         valid.then_some(()).ok_or(FabricError::BadSignature)
+    }
+
+    /// Hits and misses of the certificate memo behind [`Msp::verify_cert`]
+    /// since this registry was built.
+    pub fn cert_memo_stats(&self) -> CacheStats {
+        self.cert_memo.stats()
     }
 
     /// Verify a signature made by the holder of `cert`, checking the
@@ -362,7 +368,7 @@ mod tests {
         for _ in 0..3 {
             msp.verify_cert(alice.cert()).unwrap();
         }
-        let stats = msp.cert_memo.stats();
+        let stats = msp.cert_memo_stats();
         assert_eq!((stats.misses, stats.hits), (1, 2));
 
         // A forged certificate is rejected the first time and every time

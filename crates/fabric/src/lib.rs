@@ -25,10 +25,12 @@
 //! * [`lsm`] — the disk-backed state engine over the `ledgerview-statedb`
 //!   LSM tree: larger-than-RAM versioned state under the same
 //!   [`DurableBackend`] commit protocol.
-//! * [`validation`] — MVCC read/write-set validation and commit.
+//! * [`validation`] — MVCC read/write-set validation and commit, and the
+//!   one-signature-at-a-time reference for commit-time endorsement checks.
 //! * [`parallel`] — the commit-time validation pipeline: worker-pool
-//!   endorsement verification (batch Ed25519 + signature cache) followed by
-//!   the serial MVCC phase, bit-identical to [`validation`] by construction.
+//!   endorsement verification (certificates through the [`Msp`]'s memo,
+//!   signatures as Ed25519 batches) followed by the serial MVCC phase,
+//!   bit-identical to [`validation`] by construction.
 //! * [`pool`] — the scoped worker pool backing [`parallel`].
 //! * [`privdata`] — private data collections (compared against in Fig 13).
 //! * [`channel`] — channels (the per-ledger isolation the paper contrasts

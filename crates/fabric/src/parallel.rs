@@ -10,105 +10,74 @@
 //!    outcomes of *earlier* transactions in the same block and must stay
 //!    serial.
 //!
-//! [`BlockValidator`] exploits this: phase 1 fans transactions out across
-//! the **persistent** threads of a [`WorkerPool`] in contiguous chunks
-//! (optionally batch-verifying the chunk's signatures with
-//! [`ed25519::verify_batch`] and consulting a shared [`SigCache`]), phase 2
-//! replays the serial reference logic of
+//! [`BlockValidator`] exploits this: phase 1 fans the block out in
+//! contiguous chunks with [`WorkerPool::map_chunks`] — scoped threads that
+//! borrow the transactions, the [`Msp`] and the policy lookup, and are gone
+//! when the call returns — and phase 2 is the serial loop of
 //! [`validate_and_commit_block`](crate::validation::validate_and_commit_block).
-//! Because phase 1 outcomes are a pure function of each transaction and
-//! phase 2 is unchanged, the combined result is bit-identical to the serial
-//! path at every worker count.
+//! Chunk boundaries are `ceil(n / workers)`, so they depend only on the
+//! transaction count and configured worker count, never on scheduling.
 //!
-//! The fan-out ships each worker an owned snapshot of its chunk (the
-//! transactions, the CA public keys, the relevant endorsement policies) so
-//! jobs are `'static` and the pool's threads can outlive any one block; the
-//! clone cost is trivial next to the Ed25519 verifications the chunk
-//! performs. Chunk boundaries come from [`WorkerPool::chunk_ranges`] —
-//! `ceil(n / workers)` — so they depend only on the transaction count and
-//! configured worker count, never on scheduling.
-//!
-//! Batch verification rejects iff some entry is individually invalid (up to
-//! the ~2⁻¹²⁸ soundness error of the random-linear-combination check); on a
-//! batch failure every pending entry is re-verified individually, so the
-//! per-transaction verdicts — including *which* endorsement failed — match
-//! the serial path exactly.
+//! Within a chunk each transaction is walked once: its structure is
+//! checked, every endorser certificate is put to [`Msp::verify_cert`] (the
+//! MSP's memo is the only certificate cache), and the endorsement
+//! signatures that survive are checked together by
+//! [`ed25519::verify_batch`]. A batch rejects iff some entry is
+//! individually invalid (up to the ~2⁻¹²⁸ soundness error of the
+//! random-linear-combination check); on a batch failure the signatures are
+//! re-verified individually, so the per-transaction verdicts — including
+//! *which* check failed first — match
+//! [`validate_and_commit_block_vscc`](crate::validation::validate_and_commit_block_vscc),
+//! the one-signature-at-a-time reference, exactly.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ledgerview_crypto::ed25519::{self, BatchEntry};
 use ledgerview_crypto::keys::verify_signature;
-use ledgerview_crypto::{CacheKey, CacheStats, SigCache};
+use ledgerview_crypto::CacheStats;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
 use crate::endorsement::{response_signing_bytes, EndorsementPolicy};
-use crate::identity::{Msp, OrgId};
+use crate::error::FabricError;
+use crate::identity::Msp;
 use crate::ledger::Transaction;
 use crate::pool::WorkerPool;
-use crate::statedb::{Version, VersionedState};
-use crate::validation::{apply_writes, mvcc_check, TxValidation};
+use crate::statedb::VersionedState;
+use crate::validation::{commit_in_order, mvcc_check, TxValidation};
 
 /// Tuning knobs for the commit-time validation pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValidationConfig {
     /// Worker threads for the endorsement-verification phase. `1` keeps
-    /// everything on the calling thread (the serial reference path).
+    /// everything on the calling thread.
     pub workers: usize,
-    /// Verify a chunk's endorsement signatures as one Ed25519 batch instead
-    /// of one at a time.
-    pub batch_verify: bool,
-    /// Capacity of the shared verified-signature LRU cache (`0` disables).
-    /// Endorser certificates repeat across transactions, so certificate
-    /// checks hit this cache heavily.
-    pub sig_cache: usize,
     /// Re-check endorsements at commit time (Fabric's VSCC). When `false`,
-    /// commit performs MVCC validation only — the historical behaviour of
+    /// commit performs MVCC validation only — the behaviour of
     /// [`validate_and_commit_block`](crate::validation::validate_and_commit_block),
     /// appropriate when endorsements were already checked at submission.
     pub verify_endorsements: bool,
 }
 
 impl Default for ValidationConfig {
-    /// The serial reference configuration: one worker, no batching, no
-    /// cache, MVCC-only (matching `validate_and_commit_block`).
+    /// One worker, MVCC-only (matching `validate_and_commit_block`).
     fn default() -> ValidationConfig {
         ValidationConfig {
             workers: 1,
-            batch_verify: false,
-            sig_cache: 0,
             verify_endorsements: false,
         }
     }
 }
 
 impl ValidationConfig {
-    /// The serial reference path (alias for [`Default`]).
-    pub fn serial_reference() -> ValidationConfig {
-        ValidationConfig::default()
-    }
-
-    /// A fully-featured parallel configuration: `workers` threads, batch
-    /// verification, a 4096-entry signature cache and commit-time
-    /// endorsement checks enabled.
+    /// Commit-time endorsement checks on `workers` threads.
     pub fn parallel(workers: usize) -> ValidationConfig {
         ValidationConfig {
             workers,
-            batch_verify: true,
-            sig_cache: 4096,
             verify_endorsements: true,
         }
     }
 }
-
-/// A signature triple scheduled for verification: `(public key, message,
-/// signature)`.
-type Demand = ([u8; 32], Vec<u8>, [u8; 64]);
-
-/// CA public keys by organisation — the owned snapshot of the MSP data the
-/// endorsement phase needs, cloneable into `'static` worker jobs.
-type CaKeys = HashMap<OrgId, [u8; 32]>;
 
 /// Pre-resolved metric handles for the validator's hot path — looked up
 /// once when telemetry attaches, recorded into forever after. Purely
@@ -124,8 +93,8 @@ struct ValidatorMetrics {
     batch_verified: Counter,
     /// Signatures verified one at a time.
     individual_verified: Counter,
-    /// `SigCache` hits/misses attributed to this validator (deltas of the
-    /// shared cache's counters around each block).
+    /// Certificate-memo hits/misses attributed to this validator (deltas
+    /// of the MSP's counters around each block's endorsement phase).
     cache_hits: Counter,
     cache_misses: Counter,
     /// Transaction outcomes by class.
@@ -170,7 +139,10 @@ impl ValidatorMetrics {
 pub struct BlockValidator {
     config: ValidationConfig,
     pool: WorkerPool,
-    cache: Option<Arc<SigCache>>,
+    /// Certificate-memo hits and misses seen during this validator's
+    /// endorsement phases.
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
     metrics: Option<ValidatorMetrics>,
 }
 
@@ -181,25 +153,21 @@ impl BlockValidator {
         BlockValidator::with_pool(config, pool)
     }
 
-    /// Build a validator sharing an existing pool (its persistent threads
-    /// then serve both validation and whatever else holds the pool, e.g.
+    /// Build a validator on an existing pool, so its busy-time accounting
+    /// covers both validation and whatever else used the pool (e.g.
     /// storage recovery).
     pub fn with_pool(config: ValidationConfig, pool: WorkerPool) -> BlockValidator {
-        let cache = if config.sig_cache > 0 {
-            Some(Arc::new(SigCache::new(config.sig_cache)))
-        } else {
-            None
-        };
         BlockValidator {
             config,
             pool,
-            cache,
+            memo_hits: AtomicU64::new(0),
+            memo_misses: AtomicU64::new(0),
             metrics: None,
         }
     }
 
-    /// Attach telemetry: per-chunk endorsement timings, signature-cache and
-    /// batch-verify counters, MVCC conflict counters, and the pool's
+    /// Attach telemetry: per-chunk endorsement timings, certificate-memo
+    /// and batch-verify counters, MVCC conflict counters, and the pool's
     /// per-worker busy-time mirror. Recording never changes verdicts.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.pool.attach_registry(telemetry.registry());
@@ -211,14 +179,13 @@ impl BlockValidator {
         &self.config
     }
 
-    /// The worker pool (cloning shares its persistent threads).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Hit/miss counters of the shared signature cache (zeros if disabled).
+    /// Hits and misses of the MSP's certificate memo observed during this
+    /// validator's endorsement phases (zeros with endorsement checks off).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
+        CacheStats {
+            hits: self.memo_hits.load(Ordering::Relaxed),
+            misses: self.memo_misses.load(Ordering::Relaxed),
+        }
     }
 
     /// Validate and commit a block's transactions against `state`.
@@ -226,8 +193,8 @@ impl BlockValidator {
     /// `policy_for` maps a chaincode name to its endorsement policy (`None`
     /// marks the chaincode unknown). Valid transactions' writes are applied
     /// in order with versions `(block_num, tx_index)`. The returned outcome
-    /// vector is identical to the serial reference path for every
-    /// configuration.
+    /// vector is identical to the serial reference path at every worker
+    /// count.
     pub fn validate_and_commit(
         &self,
         transactions: &[Transaction],
@@ -240,45 +207,21 @@ impl BlockValidator {
             .metrics
             .as_ref()
             .map(|m| m.telemetry.span("validate.block"));
-        let cache_before = self.cache_stats();
 
         // Phase 1 (parallel): per-transaction endorsement verdicts.
-        let verdicts: Vec<Option<String>> = if self.config.verify_endorsements {
+        let mut verdicts: Vec<Option<String>> = if self.config.verify_endorsements {
             self.endorsement_verdicts(transactions, msp, policy_for)
         } else {
             vec![None; transactions.len()]
         };
 
         // Phase 2 (serial): MVCC checks and write application, in block
-        // order — unchanged from the reference implementation.
+        // order — the reference implementation's own loop.
         let mvcc_start = self.metrics.as_ref().map(|_| Instant::now());
-        let mut outcomes = Vec::with_capacity(transactions.len());
-        for (i, tx) in transactions.iter().enumerate() {
-            let outcome = match &verdicts[i] {
-                Some(reason) => TxValidation::EndorsementFailure {
-                    reason: reason.clone(),
-                },
-                None => mvcc_check(&tx.rwset, state),
-            };
-            if outcome.is_valid() {
-                apply_writes(
-                    &tx.rwset,
-                    state,
-                    Version {
-                        block_num,
-                        tx_num: i as u32,
-                    },
-                );
-            }
-            outcomes.push(outcome);
-        }
+        let outcomes = commit_in_order(transactions, state, block_num, |i, _| verdicts[i].take());
 
-        if let Some(m) = &self.metrics {
-            m.mvcc_seconds
-                .observe_duration(mvcc_start.expect("started with metrics").elapsed());
-            let cache_after = self.cache_stats();
-            m.cache_hits.add(cache_after.hits - cache_before.hits);
-            m.cache_misses.add(cache_after.misses - cache_before.misses);
+        if let (Some(m), Some(start)) = (&self.metrics, mvcc_start) {
+            m.mvcc_seconds.observe_duration(start.elapsed());
             for outcome in &outcomes {
                 match outcome {
                     TxValidation::Valid => m.valid_txs.inc(),
@@ -298,287 +241,161 @@ impl BlockValidator {
     /// with: a stale read dooms its transaction under every intra-block
     /// order, so the cutter can pull it before validation. The check is a
     /// pure per-transaction function of `(transaction, state)` — nothing
-    /// is applied — and fans out over the pool's persistent threads for
-    /// multi-worker configurations, so the verdict vector is identical at
-    /// every worker count.
+    /// is applied — so the verdict vector is identical at every worker
+    /// count.
     pub fn precheck_reads(
         &self,
         transactions: &[Transaction],
         state: &dyn VersionedState,
     ) -> Vec<Option<String>> {
-        let stale = |tx: &Transaction| match mvcc_check(&tx.rwset, state) {
-            TxValidation::MvccConflict { key } => Some(key),
-            _ => None,
-        };
-        if self.config.workers <= 1 || transactions.len() <= 1 {
-            return transactions.iter().map(stale).collect();
-        }
-        self.pool
-            .map_indexed(transactions.len(), |i| stale(&transactions[i]))
+        self.pool.map_indexed(transactions.len(), |i| {
+            match mvcc_check(&transactions[i].rwset, state) {
+                TxValidation::MvccConflict { key } => Some(key),
+                _ => None,
+            }
+        })
     }
 
-    /// Phase 1: fan the endorsement checks out over the persistent pool.
+    /// Phase 1: fan the endorsement checks out over the pool, one chunk of
+    /// borrowed transactions per lane, and attribute the certificate-memo
+    /// traffic they caused to this validator.
     fn endorsement_verdicts(
         &self,
         transactions: &[Transaction],
         msp: &Msp,
         policy_for: &(dyn Fn(&str) -> Option<EndorsementPolicy> + Sync),
     ) -> Vec<Option<String>> {
-        // Owned snapshots shared by every job: the CA key map (a handful of
-        // orgs) and the policies of the chaincodes this block touches.
-        let mut ca_keys: CaKeys = HashMap::new();
-        for org in msp.org_ids() {
-            if let Some(pk) = msp.ca_public_key(&org) {
-                ca_keys.insert(org, pk);
-            }
-        }
-        let ca_keys = Arc::new(ca_keys);
-        let mut policies: HashMap<String, Option<EndorsementPolicy>> = HashMap::new();
-        for tx in transactions {
-            policies
-                .entry(tx.chaincode.clone())
-                .or_insert_with(|| policy_for(&tx.chaincode));
-        }
-        let policies = Arc::new(policies);
-
-        let ranges = self.pool.chunk_ranges(transactions.len());
-        if ranges.len() <= 1 {
-            let start = Instant::now();
-            let out = verify_chunk(
-                transactions,
-                &ca_keys,
-                &policies,
-                self.config.batch_verify,
-                self.cache.as_deref(),
-                self.metrics.as_ref(),
-            );
-            if let Some(m) = &self.metrics {
+        let metrics = self.metrics.as_ref();
+        let before = msp.cert_memo_stats();
+        let verdicts = self.pool.map_chunks(transactions.len(), |range| {
+            let start = metrics.map(|_| Instant::now());
+            let out = verify_chunk(&transactions[range], msp, policy_for, metrics);
+            if let (Some(m), Some(start)) = (metrics, start) {
                 m.chunk_seconds.observe_duration(start.elapsed());
             }
-            return out;
-        }
-        let jobs: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let chunk: Vec<Transaction> = transactions[range].to_vec();
-                let ca_keys = Arc::clone(&ca_keys);
-                let policies = Arc::clone(&policies);
-                let cache = self.cache.clone();
-                let batch_verify = self.config.batch_verify;
-                let metrics = self.metrics.clone();
-                move || {
-                    let start = Instant::now();
-                    let out = verify_chunk(
-                        &chunk,
-                        &ca_keys,
-                        &policies,
-                        batch_verify,
-                        cache.as_deref(),
-                        metrics.as_ref(),
-                    );
-                    if let Some(m) = &metrics {
-                        m.chunk_seconds.observe_duration(start.elapsed());
-                    }
-                    out
-                }
-            })
-            .collect();
-        self.pool.execute(jobs).into_iter().flatten().collect()
-    }
-}
-
-/// Endorsement verdicts for one contiguous chunk of transactions.
-///
-/// Three passes: collect every signature the chunk needs checked, resolve
-/// them (cache, then batch or individual verification), then replay the
-/// per-transaction check sequence against the resolved answers. The replay
-/// consumes each transaction's results in the same order they were
-/// collected, so verdicts are independent of how the signatures were
-/// resolved.
-fn verify_chunk(
-    chunk: &[Transaction],
-    ca_keys: &CaKeys,
-    policies: &HashMap<String, Option<EndorsementPolicy>>,
-    batch_verify: bool,
-    cache: Option<&SigCache>,
-    metrics: Option<&ValidatorMetrics>,
-) -> Vec<Option<String>> {
-    let policy_of = |tx: &Transaction| -> Option<&EndorsementPolicy> {
-        policies.get(&tx.chaincode).and_then(|p| p.as_ref())
-    };
-
-    // Reference path (no batching, no cache): verify every endorsement
-    // in place, one at a time, exactly as a straightforward serial
-    // validator would. The demand collection and deduplication below
-    // belong to the batching/caching machinery and are skipped here so
-    // the serial configuration measures the unoptimised baseline.
-    if !batch_verify && cache.is_none() {
-        return chunk
-            .iter()
-            .map(|tx| {
-                tx_verdict(tx, ca_keys, policy_of(tx), |pk, msg, sig| {
-                    if let Some(m) = metrics {
-                        m.individual_verified.inc();
-                    }
-                    verify_signature(pk, msg, sig).is_ok()
-                })
-            })
-            .collect();
-    }
-
-    // Pass 1: collect signature demands per transaction, mirroring the
-    // verdict walk (an always-true oracle keeps the walk going past
-    // signature checks so later demands are still gathered).
-    let mut per_tx: Vec<Vec<Demand>> = Vec::with_capacity(chunk.len());
-    for tx in chunk {
-        let mut demands: Vec<Demand> = Vec::new();
-        let _ = tx_verdict(tx, ca_keys, policy_of(tx), |pk, msg, sig| {
-            demands.push((*pk, msg.to_vec(), *sig));
-            true
+            out
         });
-        per_tx.push(demands);
-    }
-
-    // Pass 2: resolve every demand in the chunk. Identical triples are
-    // verified once — endorser certificates repeat on every transaction,
-    // so this alone cuts the chunk's work roughly in half.
-    let flat: Vec<&Demand> = per_tx.iter().flatten().collect();
-    let mut first_seen: HashMap<&Demand, usize> = HashMap::new();
-    let mut slot_of: Vec<usize> = Vec::with_capacity(flat.len());
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, d) in flat.iter().enumerate() {
-        let slot = *first_seen.entry(d).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-    // A miss keeps the key the cache hashed for it, so recording its
-    // verdict below does not hash the triple again.
-    let mut miss_keys: Vec<Option<CacheKey>> = vec![None; unique.len()];
-    let mut by_slot: Vec<Option<bool>> = unique
-        .iter()
-        .zip(&mut miss_keys)
-        .map(|(&i, miss_key)| {
-            let (pk, msg, sig) = flat[i];
-            match cache?.lookup_or_key(pk, msg, sig) {
-                Ok(outcome) => Some(outcome),
-                Err(key) => {
-                    *miss_key = Some(key);
-                    None
-                }
-            }
-        })
-        .collect();
-    let pending: Vec<usize> = (0..unique.len())
-        .filter(|&s| by_slot[s].is_none())
-        .collect();
-    if batch_verify && pending.len() >= 2 {
-        let entries: Vec<BatchEntry<'_>> = pending
-            .iter()
-            .map(|&s| BatchEntry {
-                public_key: &flat[unique[s]].0,
-                message: &flat[unique[s]].1,
-                signature: &flat[unique[s]].2,
-            })
-            .collect();
-        if ed25519::verify_batch(&entries).is_ok() {
-            for &s in &pending {
-                by_slot[s] = Some(true);
-            }
-            if let Some(m) = metrics {
-                m.batch_verified.add(pending.len() as u64);
-            }
-        } else {
-            // At least one entry is bad: fall back to individual
-            // verification so each verdict matches the serial path.
-            for &s in &pending {
-                let (pk, msg, sig) = flat[unique[s]];
-                by_slot[s] = Some(verify_signature(pk, msg, sig).is_ok());
-            }
-            if let Some(m) = metrics {
-                m.individual_verified.add(pending.len() as u64);
-            }
-        }
-    } else {
-        for &s in &pending {
-            let (pk, msg, sig) = flat[unique[s]];
-            by_slot[s] = Some(verify_signature(pk, msg, sig).is_ok());
-        }
+        let after = msp.cert_memo_stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        self.memo_misses.fetch_add(misses, Ordering::Relaxed);
         if let Some(m) = metrics {
-            m.individual_verified.add(pending.len() as u64);
+            m.cache_hits.add(hits);
+            m.cache_misses.add(misses);
         }
+        verdicts
     }
-    if let Some(cache) = cache {
-        for &s in &pending {
-            let key = miss_keys[s].expect("a pending slot missed the cache");
-            cache.record_key(key, by_slot[s] == Some(true));
-        }
-    }
-    let resolved: Vec<bool> = slot_of
-        .iter()
-        .map(|&s| by_slot[s].expect("demand left unresolved"))
-        .collect();
-
-    // Pass 3: replay the verdict walk against the resolved answers.
-    let mut out = Vec::with_capacity(chunk.len());
-    let mut flat_pos = 0;
-    for (tx, demands) in chunk.iter().zip(&per_tx) {
-        let tx_resolved = &resolved[flat_pos..flat_pos + demands.len()];
-        flat_pos += demands.len();
-        let mut cursor = 0;
-        out.push(tx_verdict(tx, ca_keys, policy_of(tx), |_, _, _| {
-            let ok = tx_resolved[cursor];
-            cursor += 1;
-            ok
-        }));
-    }
-    out
 }
 
-/// Walk one transaction's endorsement checks, asking `verify` about each
-/// signature. Returns `None` if the transaction passes, or a deterministic
-/// failure reason — the *first* failing check in a fixed order, so the
-/// verdict never depends on scheduling or verification strategy.
-fn tx_verdict(
-    tx: &Transaction,
-    ca_keys: &CaKeys,
-    policy: Option<&EndorsementPolicy>,
-    mut verify: impl FnMut(&[u8; 32], &[u8], &[u8; 64]) -> bool,
-) -> Option<String> {
-    let policy = match policy {
-        Some(p) => p,
-        None => return Some(format!("unknown chaincode {:?}", tx.chaincode)),
+/// What one transaction's walk leaves for its chunk's signature check.
+struct Walked {
+    /// The bytes every endorser of this transaction signed.
+    message: Vec<u8>,
+    /// How many leading endorsements carry a certificate the MSP vouches
+    /// for: exactly their signatures are checked.
+    signed: usize,
+    /// The verdict if every one of those signatures holds: the structural
+    /// or certificate failure that stopped the walk, the policy's refusal,
+    /// or `None`.
+    otherwise: Option<String>,
+}
+
+/// Walk one transaction up to its signatures: chaincode known, endorsements
+/// present, then each endorser's organisation and certificate in order,
+/// and last the policy.
+fn walk(tx: &Transaction, msp: &Msp, policy: Option<&EndorsementPolicy>) -> Walked {
+    let mut walked = Walked {
+        message: Vec::new(),
+        signed: 0,
+        otherwise: None,
+    };
+    let Some(policy) = policy else {
+        walked.otherwise = Some(format!("unknown chaincode {:?}", tx.chaincode));
+        return walked;
     };
     if tx.endorsements.is_empty() {
-        return Some("no endorsements".to_string());
+        walked.otherwise = Some("no endorsements".to_string());
+        return walked;
     }
-    let message = response_signing_bytes(&tx.tx_id, &tx.rwset.digest(), &tx.response);
+    walked.message = response_signing_bytes(&tx.tx_id, &tx.rwset.digest(), &tx.response);
     let mut orgs = Vec::with_capacity(tx.endorsements.len());
     for e in &tx.endorsements {
         let cert = &e.endorser;
-        let ca_pub = match ca_keys.get(&cert.org) {
-            Some(pk) => pk,
-            None => return Some(format!("endorsement from unknown org {}", cert.org)),
-        };
-        if !verify(ca_pub, &cert.to_signed_bytes(), &cert.ca_signature) {
-            return Some(format!(
-                "invalid certificate for {}@{}",
-                cert.subject, cert.org
-            ));
+        if let Err(err) = msp.verify_cert(cert) {
+            walked.otherwise = Some(match err {
+                FabricError::AccessDenied(_) => {
+                    format!("endorsement from unknown org {}", cert.org)
+                }
+                _ => format!("invalid certificate for {}@{}", cert.subject, cert.org),
+            });
+            return walked;
         }
-        if !verify(&cert.signing_pub, &message, &e.signature) {
-            return Some(format!(
-                "bad endorsement signature from {}@{}",
-                cert.subject, cert.org
-            ));
-        }
+        walked.signed += 1;
         orgs.push(cert.org.clone());
     }
     if !policy.is_satisfied(&orgs) {
-        return Some("endorsement policy not satisfied".to_string());
+        walked.otherwise = Some("endorsement policy not satisfied".to_string());
     }
-    None
+    walked
+}
+
+/// Endorsement verdicts for one contiguous chunk of transactions: walk
+/// each once, check the chunk's signatures as one batch, and only if the
+/// batch fails find each transaction's first bad signature individually.
+/// A transaction's verdict is its first bad signature among the
+/// endorsements walked, else whatever the walk ended on — the reference's
+/// order, since a walk stops at the first failure that is not a signature.
+fn verify_chunk(
+    chunk: &[Transaction],
+    msp: &Msp,
+    policy_for: &(dyn Fn(&str) -> Option<EndorsementPolicy> + Sync),
+    metrics: Option<&ValidatorMetrics>,
+) -> Vec<Option<String>> {
+    let walks: Vec<Walked> = chunk
+        .iter()
+        .map(|tx| walk(tx, msp, policy_for(&tx.chaincode).as_ref()))
+        .collect();
+    let entries: Vec<BatchEntry<'_>> = chunk
+        .iter()
+        .zip(&walks)
+        .flat_map(|(tx, w)| {
+            tx.endorsements[..w.signed].iter().map(|e| BatchEntry {
+                public_key: &e.endorser.signing_pub,
+                message: &w.message,
+                signature: &e.signature,
+            })
+        })
+        .collect();
+    if entries.len() >= 2 && ed25519::verify_batch(&entries).is_ok() {
+        if let Some(m) = metrics {
+            m.batch_verified.add(entries.len() as u64);
+        }
+        return walks.into_iter().map(|w| w.otherwise).collect();
+    }
+    let mut checked = 0;
+    let verdicts = chunk
+        .iter()
+        .zip(walks)
+        .map(|(tx, w)| {
+            tx.endorsements[..w.signed]
+                .iter()
+                .find(|e| {
+                    checked += 1;
+                    verify_signature(&e.endorser.signing_pub, &w.message, &e.signature).is_err()
+                })
+                .map(|e| {
+                    format!(
+                        "bad endorsement signature from {}@{}",
+                        e.endorser.subject, e.endorser.org
+                    )
+                })
+                .or(w.otherwise)
+        })
+        .collect();
+    if let Some(m) = metrics {
+        m.individual_verified.add(checked);
+    }
+    verdicts
 }
 
 #[cfg(test)]
@@ -588,7 +405,8 @@ mod tests {
     use crate::identity::Identity;
     use crate::ledger::{Endorsement, TxId};
     use crate::statedb::StateDb;
-    use crate::validation::validate_and_commit_block;
+    use crate::statedb::Version;
+    use crate::validation::{validate_and_commit_block, validate_and_commit_block_vscc};
     use ledgerview_crypto::rng::seeded;
     use ledgerview_crypto::sha256::sha256;
 
@@ -690,13 +508,9 @@ mod tests {
         txs[4].endorsements[0].signature[7] ^= 1;
         txs[7].endorsements[0].endorser.subject = "mallory".into();
 
-        let serial = BlockValidator::new(ValidationConfig {
-            verify_endorsements: true,
-            ..ValidationConfig::default()
-        });
         let mut serial_state = StateDb::new();
         let expected =
-            serial.validate_and_commit(&txs, &mut serial_state, 1, &f.msp, &policy_any());
+            validate_and_commit_block_vscc(&txs, &mut serial_state, 1, &f.msp, &policy_any());
         assert!(matches!(
             expected[4],
             TxValidation::EndorsementFailure { .. }
@@ -706,22 +520,12 @@ mod tests {
             TxValidation::EndorsementFailure { .. }
         ));
 
-        for workers in [2, 4, 8] {
-            for (batch, cache) in [(false, 0), (true, 0), (true, 256), (false, 256)] {
-                let validator = BlockValidator::new(ValidationConfig {
-                    workers,
-                    batch_verify: batch,
-                    sig_cache: cache,
-                    verify_endorsements: true,
-                });
-                let mut state = StateDb::new();
-                let got = validator.validate_and_commit(&txs, &mut state, 1, &f.msp, &policy_any());
-                assert_eq!(
-                    got, expected,
-                    "workers={workers} batch={batch} cache={cache}"
-                );
-                assert_eq!(state.state_digest(), serial_state.state_digest());
-            }
+        for workers in [1, 2, 4, 8] {
+            let validator = BlockValidator::new(ValidationConfig::parallel(workers));
+            let mut state = StateDb::new();
+            let got = validator.validate_and_commit(&txs, &mut state, 1, &f.msp, &policy_any());
+            assert_eq!(got, expected, "workers={workers}");
+            assert_eq!(state.state_digest(), serial_state.state_digest());
         }
     }
 
@@ -770,31 +574,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_accumulate_across_blocks() {
+    fn cache_stats_are_this_validators_share_of_the_cert_memo() {
         let f = fixture();
         let txs: Vec<Transaction> = (0..6)
             .map(|n| endorsed_tx(&f, n, rw(vec![], vec![("k", &[n])]), &[0]))
             .collect();
-        let validator = BlockValidator::new(ValidationConfig {
-            workers: 1,
-            batch_verify: false,
-            sig_cache: 1024,
-            verify_endorsements: true,
-        });
+        let validator = BlockValidator::new(ValidationConfig::parallel(1));
         let mut state = StateDb::new();
         validator.validate_and_commit(&txs, &mut state, 1, &f.msp, &policy_any());
+        // One endorser certificate on six transactions: verified once,
+        // remembered five times. Endorsement signatures are never cached.
         let first = validator.cache_stats();
-        // First block: every unique triple misses. The repeated endorser
-        // certificate dedups within the chunk, so 6 txs need only 7 unique
-        // checks (1 cert + 6 endorsement signatures).
-        assert_eq!(first.hits, 0);
-        assert_eq!(first.misses, 7);
-        // Re-validating the same transactions is all cache hits.
+        assert_eq!((first.misses, first.hits), (1, 5));
         let mut state2 = StateDb::new();
         validator.validate_and_commit(&txs, &mut state2, 1, &f.msp, &policy_any());
         let second = validator.cache_stats();
-        assert_eq!(second.misses, first.misses);
-        assert_eq!(second.hits, first.misses);
+        assert_eq!((second.misses, second.hits), (1, 11));
+        // Another validator on the same MSP counts only its own lookups,
+        // and with endorsement checks off there are none.
+        let other = BlockValidator::new(ValidationConfig::parallel(2));
+        other.validate_and_commit(&txs, &mut StateDb::new(), 1, &f.msp, &policy_any());
+        assert_eq!(other.cache_stats(), CacheStats { hits: 6, misses: 0 });
+        assert_eq!(validator.cache_stats(), second);
+        let off = BlockValidator::new(ValidationConfig::default());
+        off.validate_and_commit(&txs, &mut StateDb::new(), 1, &f.msp, &policy_any());
+        assert_eq!(off.cache_stats(), CacheStats::default());
     }
 
     #[test]
@@ -879,23 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_blocks_reuse_the_same_pool_threads() {
-        let f = fixture();
-        let validator = BlockValidator::new(ValidationConfig::parallel(4));
-        let txs: Vec<Transaction> = (0..12)
-            .map(|n| endorsed_tx(&f, n, rw(vec![], vec![("k", &[n])]), &[(n % 3) as usize]))
-            .collect();
-        for block in 1..=3 {
-            let mut state = StateDb::new();
-            let got = validator.validate_and_commit(&txs, &mut state, block, &f.msp, &policy_any());
-            assert!(got.iter().all(|o| o.is_valid()));
-        }
-        // Three blocks × four chunks each ran as owned jobs on the
-        // validator's persistent pool — no per-block thread spawning.
-        assert_eq!(validator.pool().jobs_run(), 12);
-    }
-
-    #[test]
     fn shared_pool_serves_two_validators() {
         let f = fixture();
         let pool = WorkerPool::new(4);
@@ -907,9 +694,15 @@ mod tests {
         let mut s1 = StateDb::new();
         let mut s2 = StateDb::new();
         let o1 = v1.validate_and_commit(&txs, &mut s1, 1, &f.msp, &policy_any());
+        let after_first = pool.busy_times_us();
+        assert!(after_first.iter().all(|&us| us > 0), "{after_first:?}");
         let o2 = v2.validate_and_commit(&txs, &mut s2, 1, &f.msp, &policy_any());
         assert_eq!(o1, o2);
         assert_eq!(s1.state_digest(), s2.state_digest());
-        assert_eq!(pool.jobs_run(), 8, "both validators fed the one pool");
+        let after_second = pool.busy_times_us();
+        assert!(
+            after_first.iter().zip(&after_second).all(|(a, b)| a < b),
+            "both validators charged the one pool: {after_first:?} {after_second:?}"
+        );
     }
 }

@@ -1,125 +1,56 @@
 //! A worker pool for fan-out/fan-in over block transactions.
 //!
-//! Two execution paths share one pool:
-//!
-//! * [`WorkerPool::execute`] dispatches **owned** (`'static`) jobs to
-//!   persistent worker threads that live for the pool's lifetime. Threads
-//!   are spawned lazily on first use and reused across blocks, so steady-
-//!   state validation pays no thread-creation cost per block. Cloning a
-//!   pool shares its threads — the chain hands one pool to both the
-//!   validator and the storage backend.
-//! * [`WorkerPool::map_chunks`] runs **borrowed** closures under
-//!   [`std::thread::scope`], for one-shot fan-outs over data that is not
-//!   `'static` (e.g. decoding recovered blocks).
-//!
-//! Both paths split work into **contiguous index chunks** and concatenate
-//! results in chunk order, so output is a deterministic function of the
-//! input regardless of thread scheduling.
+//! The pool is a lane count and a busy-time clock; it owns no threads.
+//! [`WorkerPool::map_chunks`] splits `0..n` into **contiguous index chunks**
+//! (`ceil(n / workers)` wide), runs one borrowed closure per chunk under
+//! [`std::thread::scope`] and concatenates the results in chunk order, so
+//! output is a deterministic function of the input regardless of thread
+//! scheduling and no thread outlives the call that spawned it. Cloning a
+//! pool shares its busy-time accounting — the chain hands one pool to both
+//! storage recovery and the validator.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ledgerview_telemetry::{Counter, MetricsRegistry};
 
-/// A unit of owned work queued to the persistent threads.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Per-lane busy-time accounting, shared with the worker threads.
+/// Per-lane busy-time accounting.
 ///
-/// Every job and scoped chunk is timed into its lane's counter — including
-/// the trailing short chunk of an uneven split, which the old code silently
-/// dropped on the floor, understating utilisation for exactly the lane
-/// that finished early. Optionally mirrored into registry counters
-/// (`lv_pool_worker_busy_us_total{worker=...}`) once a registry attaches.
+/// Every chunk is timed into its lane's counter — including the trailing
+/// short chunk of an uneven split. Optionally mirrored into registry
+/// counters (`lv_pool_worker_busy_us_total{worker=...}`) once a registry
+/// attaches.
 struct BusyClock {
     lanes_us: Vec<AtomicU64>,
     counters: OnceLock<Vec<Counter>>,
 }
 
 impl BusyClock {
-    fn new(workers: usize) -> BusyClock {
-        BusyClock {
-            lanes_us: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            counters: OnceLock::new(),
-        }
-    }
-
-    /// Charge `us` microseconds of work to `lane`.
-    fn charge(&self, lane: usize, us: u64) {
-        self.lanes_us[lane].fetch_add(us, Ordering::Relaxed);
-        if let Some(counters) = self.counters.get() {
-            counters[lane].add(us);
-        }
-    }
-
     /// Time `f` and charge its duration to `lane`.
     fn timed<T>(&self, lane: usize, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        self.charge(lane, start.elapsed().as_micros() as u64);
+        let us = start.elapsed().as_micros() as u64;
+        self.lanes_us[lane].fetch_add(us, Ordering::Relaxed);
+        if let Some(counters) = self.counters.get() {
+            counters[lane].add(us);
+        }
         out
     }
 }
 
-struct Queue {
-    jobs: Mutex<(VecDeque<Job>, bool)>, // (pending jobs, shutdown flag)
-    ready: Condvar,
-}
-
-struct PoolInner {
-    workers: usize,
-    queue: Arc<Queue>,
-    /// Persistent threads, spawned lazily by the first `execute` call.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Total owned jobs completed (diagnostics: shows thread reuse).
-    jobs_run: AtomicU64,
-    /// Per-lane busy time, shared with the worker threads.
-    busy: Arc<BusyClock>,
-}
-
-impl Drop for PoolInner {
-    fn drop(&mut self) {
-        {
-            let mut guard = self.queue.jobs.lock().expect("pool queue poisoned");
-            guard.1 = true;
-        }
-        self.queue.ready.notify_all();
-        for handle in self
-            .handles
-            .lock()
-            .expect("pool handles poisoned")
-            .drain(..)
-        {
-            let _ = handle.join();
-        }
-        // Workers only exit once the queue is empty, so every queued job
-        // has been timed into its lane — shutdown drains the accounting.
-        let guard = self.queue.jobs.lock().expect("pool queue poisoned");
-        assert!(
-            guard.0.is_empty(),
-            "worker pool dropped with {} undrained jobs",
-            guard.0.len()
-        );
-    }
-}
-
 /// A fixed-width fan-out helper. `workers == 1` runs everything inline on
-/// the calling thread (the serial reference path — no threads spawned).
-/// Clones share the same persistent worker threads.
+/// the calling thread (no threads spawned). Clones share one busy clock.
 #[derive(Clone)]
 pub struct WorkerPool {
-    inner: Arc<PoolInner>,
+    busy: Arc<BusyClock>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.inner.workers)
-            .field("jobs_run", &self.inner.jobs_run.load(Ordering::Relaxed))
+            .field("workers", &self.workers())
             .finish()
     }
 }
@@ -128,35 +59,23 @@ impl WorkerPool {
     /// A pool of `workers` lanes (clamped to at least 1).
     pub fn new(workers: usize) -> WorkerPool {
         WorkerPool {
-            inner: Arc::new(PoolInner {
-                workers: workers.max(1),
-                queue: Arc::new(Queue {
-                    jobs: Mutex::new((VecDeque::new(), false)),
-                    ready: Condvar::new(),
-                }),
-                handles: Mutex::new(Vec::new()),
-                jobs_run: AtomicU64::new(0),
-                busy: Arc::new(BusyClock::new(workers.max(1))),
+            busy: Arc::new(BusyClock {
+                lanes_us: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
+                counters: OnceLock::new(),
             }),
         }
     }
 
     /// Number of parallel lanes.
     pub fn workers(&self) -> usize {
-        self.inner.workers
-    }
-
-    /// Total owned jobs completed by the persistent threads.
-    pub fn jobs_run(&self) -> u64 {
-        self.inner.jobs_run.load(Ordering::Relaxed)
+        self.busy.lanes_us.len()
     }
 
     /// Cumulative busy time per lane in microseconds. Inline work (serial
-    /// pools, single-job batches) is charged to lane 0; scoped chunks are
-    /// charged round-robin by chunk index.
+    /// pools, single-item inputs) is charged to lane 0; chunks are charged
+    /// by chunk index.
     pub fn busy_times_us(&self) -> Vec<u64> {
-        self.inner
-            .busy
+        self.busy
             .lanes_us
             .iter()
             .map(|lane| lane.load(Ordering::Relaxed))
@@ -171,8 +90,8 @@ impl WorkerPool {
     /// Mirror per-lane busy time into `lv_pool_worker_busy_us_total`
     /// counters on `registry` (first attach wins; later calls are no-ops).
     pub fn attach_registry(&self, registry: &MetricsRegistry) {
-        let _ = self.inner.busy.counters.set(
-            (0..self.inner.workers)
+        let _ = self.busy.counters.set(
+            (0..self.workers())
                 .map(|lane| {
                     registry.counter(
                         "lv_pool_worker_busy_us_total",
@@ -183,92 +102,14 @@ impl WorkerPool {
         );
     }
 
-    /// Spawn the persistent threads if not yet running.
-    fn ensure_threads(&self) {
-        let mut handles = self.inner.handles.lock().expect("pool handles poisoned");
-        if !handles.is_empty() {
-            return;
-        }
-        for lane in 0..self.inner.workers {
-            let queue = Arc::clone(&self.inner.queue);
-            let busy = Arc::clone(&self.inner.busy);
-            handles.push(std::thread::spawn(move || loop {
-                let job = {
-                    let mut guard = queue.jobs.lock().expect("pool queue poisoned");
-                    loop {
-                        if let Some(job) = guard.0.pop_front() {
-                            break job;
-                        }
-                        if guard.1 {
-                            return;
-                        }
-                        guard = queue.ready.wait(guard).expect("pool queue poisoned");
-                    }
-                };
-                busy.timed(lane, job);
-            }));
-        }
-    }
-
-    /// Run owned jobs on the persistent worker threads, returning results
-    /// in job order. With one lane (or one job) everything runs inline.
-    ///
-    /// A panicking job panics this call (after the remaining jobs finish),
-    /// matching the scoped path's propagation.
-    pub fn execute<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.inner.workers == 1 || jobs.len() <= 1 {
-            let n = jobs.len() as u64;
-            let out = jobs
-                .into_iter()
-                .map(|job| self.inner.busy.timed(0, job))
-                .collect();
-            self.inner.jobs_run.fetch_add(n, Ordering::Relaxed);
-            return out;
-        }
-        self.ensure_threads();
-        let n = jobs.len();
-        let (results_tx, results_rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        {
-            let mut guard = self.inner.queue.jobs.lock().expect("pool queue poisoned");
-            for (i, job) in jobs.into_iter().enumerate() {
-                let tx = results_tx.clone();
-                guard.0.push_back(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    // The receiver only disappears if the caller panicked.
-                    let _ = tx.send((i, result));
-                }));
-            }
-        }
-        drop(results_tx);
-        self.inner.queue.ready.notify_all();
-
-        let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, result) = results_rx.recv().expect("worker threads gone");
-            slots[i] = Some(result);
-        }
-        self.inner.jobs_run.fetch_add(n as u64, Ordering::Relaxed);
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("every job reports") {
-                Ok(value) => value,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-
-    /// The contiguous chunk ranges `execute`-based fan-outs should use:
+    /// The contiguous chunk ranges [`WorkerPool::map_chunks`] fans out:
     /// `ceil(n / workers)` wide, so boundaries depend only on `n` and the
     /// worker count, never on timing.
     pub fn chunk_ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
         if n == 0 {
             return Vec::new();
         }
-        let chunk = n.div_ceil(self.inner.workers);
+        let chunk = n.div_ceil(self.workers());
         (0..n)
             .step_by(chunk)
             .map(|start| start..(start + chunk).min(n))
@@ -279,8 +120,8 @@ impl WorkerPool {
     /// the per-chunk outputs in chunk order.
     ///
     /// `f` receives a sub-range of `0..n` and must return one output vector
-    /// for that range (any length). `f` may borrow local data — this path
-    /// uses scoped threads, not the persistent lanes.
+    /// for that range (any length); it may borrow local data. A panicking
+    /// chunk panics this call once the other chunks have finished.
     pub fn map_chunks<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -289,23 +130,24 @@ impl WorkerPool {
         if n == 0 {
             return Vec::new();
         }
-        if self.inner.workers == 1 || n == 1 {
-            return self.inner.busy.timed(0, || f(0..n));
+        if self.workers() == 1 || n == 1 {
+            return self.busy.timed(0, || f(0..n));
         }
-        let ranges = self.chunk_ranges(n);
-        let busy = &self.inner.busy;
+        let busy = &self.busy;
         let f = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+            let handles: Vec<_> = self
+                .chunk_ranges(n)
                 .into_iter()
                 .enumerate()
-                .map(|(i, range)| {
-                    scope.spawn(move || busy.timed(i % self.inner.workers, || f(range)))
-                })
+                .map(|(lane, range)| scope.spawn(move || busy.timed(lane, || f(range))))
                 .collect();
             let mut out = Vec::with_capacity(n);
             for handle in handles {
-                out.extend(handle.join().expect("validation worker panicked"));
+                match handle.join() {
+                    Ok(chunk) => out.extend(chunk),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
             out
         })
@@ -324,13 +166,17 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn serial_pool_runs_inline() {
         let pool = WorkerPool::new(1);
-        let out = pool.map_indexed(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
+        let caller = std::thread::current().id();
+        let out = pool.map_indexed(5, |i| (i * 2, std::thread::current().id()));
+        assert_eq!(
+            out,
+            (0..5).map(|i| (i * 2, caller)).collect::<Vec<_>>(),
+            "one lane never leaves the calling thread"
+        );
     }
 
     #[test]
@@ -353,11 +199,7 @@ mod tests {
         // Record the ranges f is called with by returning them as items.
         let ranges = pool.map_chunks(10, |range| vec![(range.start, range.end)]);
         assert_eq!(ranges, vec![(0, 3), (3, 6), (6, 9), (9, 10)]);
-        assert_eq!(
-            pool.chunk_ranges(10),
-            vec![0..3, 3..6, 6..9, 9..10],
-            "execute-path ranges match the scoped path"
-        );
+        assert_eq!(pool.chunk_ranges(10), vec![0..3, 3..6, 6..9, 9..10]);
     }
 
     #[test]
@@ -365,63 +207,12 @@ mod tests {
         let pool = WorkerPool::new(4);
         let out: Vec<u8> = pool.map_chunks(0, |_| vec![1]);
         assert!(out.is_empty());
-        let owned: Vec<u8> = pool.execute(Vec::<fn() -> u8>::new());
-        assert!(owned.is_empty());
+        assert!(pool.chunk_ranges(0).is_empty());
     }
 
     #[test]
     fn zero_workers_clamped() {
         assert_eq!(WorkerPool::new(0).workers(), 1);
-    }
-
-    #[test]
-    fn execute_returns_results_in_job_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<_> = (0..20)
-            .map(|i| {
-                move || {
-                    if i % 3 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i * 10
-                }
-            })
-            .collect();
-        let out = pool.execute(jobs);
-        assert_eq!(out, (0..20).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn persistent_threads_are_reused_across_batches() {
-        let pool = WorkerPool::new(3);
-        let ids = |pool: &WorkerPool| -> HashSet<std::thread::ThreadId> {
-            let jobs: Vec<_> = (0..12)
-                .map(|_| {
-                    || {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        std::thread::current().id()
-                    }
-                })
-                .collect();
-            pool.execute(jobs).into_iter().collect()
-        };
-        let first = ids(&pool);
-        let second = ids(&pool);
-        assert!(!first.is_empty() && first.len() <= 3);
-        assert_eq!(first, second, "same threads serve every block");
-        assert_eq!(pool.jobs_run(), 24);
-    }
-
-    #[test]
-    fn clones_share_threads_and_counters() {
-        let pool = WorkerPool::new(2);
-        let clone = pool.clone();
-        let a: Vec<u32> = pool.execute(vec![|| 1u32, || 2, || 3]);
-        let b: Vec<u32> = clone.execute(vec![|| 4u32, || 5, || 6]);
-        assert_eq!(a, vec![1, 2, 3]);
-        assert_eq!(b, vec![4, 5, 6]);
-        assert_eq!(pool.jobs_run(), 6);
-        assert_eq!(clone.jobs_run(), 6);
     }
 
     #[test]
@@ -443,19 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_owned_paths_charge_busy_time() {
+    fn inline_path_charges_lane_zero_and_clones_share_the_clock() {
         let serial = WorkerPool::new(1);
-        serial.execute(vec![|| {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        }]);
-        assert!(serial.busy_times_us()[0] >= 1_000);
-
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<_> = (0..6)
-            .map(|_| || std::thread::sleep(std::time::Duration::from_millis(2)))
-            .collect();
-        pool.execute(jobs);
-        assert!(pool.total_busy_us() >= 6_000, "{:?}", pool.busy_times_us());
+        serial.clone().map_indexed(3, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
+        assert!(serial.busy_times_us()[0] >= 3_000);
     }
 
     #[test]
@@ -463,11 +247,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         let pool = WorkerPool::new(2);
         pool.attach_registry(&registry);
-        pool.execute(vec![
-            || std::thread::sleep(std::time::Duration::from_millis(1)),
-            || std::thread::sleep(std::time::Duration::from_millis(1)),
-            || std::thread::sleep(std::time::Duration::from_millis(1)),
-        ]);
+        pool.map_indexed(3, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
         let mirrored: u64 = (0..2)
             .map(|lane| {
                 registry
@@ -482,17 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn job_panic_propagates() {
+    fn chunk_panic_propagates_with_its_payload() {
         let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("job failed")),
-            Box::new(|| 3),
-        ];
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.execute(jobs)));
-        assert!(result.is_err());
-        // The pool survives a panicked job.
-        let ok: Vec<u32> = pool.execute(vec![|| 7u32, || 8]);
-        assert_eq!(ok, vec![7, 8]);
+        let result = std::panic::catch_unwind(|| {
+            pool.map_indexed(4, |i| {
+                if i == 3 {
+                    panic!("chunk failed");
+                }
+                i
+            })
+        });
+        let payload = result.expect_err("a panicking chunk panics the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk failed"));
+        // Nothing outlives the call: the pool is usable again at once.
+        assert_eq!(pool.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
     }
 }

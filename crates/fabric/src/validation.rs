@@ -5,9 +5,12 @@
 //! endorsement time — earlier transactions *in the same block* that wrote a
 //! read key invalidate it too, exactly like Fabric's serializability check.
 
+use ledgerview_crypto::keys::verify_signature;
 use ledgerview_crypto::sha256::{sha256_concat, Digest};
 
 use crate::chaincode::RwSet;
+use crate::endorsement::{response_signing_bytes, EndorsementPolicy};
+use crate::identity::Msp;
 use crate::ledger::Transaction;
 use crate::merkle::{self, leaf_hash};
 use crate::statedb::{Version, VersionedState};
@@ -67,18 +70,21 @@ pub(crate) fn apply_writes(rwset: &RwSet, state: &mut dyn VersionedState, versio
     }
 }
 
-/// Validate and commit a block's transactions against `state`.
-///
-/// Returns the per-transaction outcomes; valid transactions' writes are
-/// applied in order with versions `(block_num, tx_index)`.
-pub fn validate_and_commit_block(
+/// The serial commit loop: `verdict(i, tx)` is transaction `i`'s
+/// endorsement verdict (`Some(reason)` fails it before MVCC); survivors
+/// are MVCC-checked and applied in block order at `(block_num, i)`.
+pub(crate) fn commit_in_order(
     transactions: &[Transaction],
     state: &mut dyn VersionedState,
     block_num: u64,
+    mut verdict: impl FnMut(usize, &Transaction) -> Option<String>,
 ) -> Vec<TxValidation> {
     let mut outcomes = Vec::with_capacity(transactions.len());
     for (i, tx) in transactions.iter().enumerate() {
-        let outcome = mvcc_check(&tx.rwset, state);
+        let outcome = match verdict(i, tx) {
+            Some(reason) => TxValidation::EndorsementFailure { reason },
+            None => mvcc_check(&tx.rwset, state),
+        };
         if outcome.is_valid() {
             apply_writes(
                 &tx.rwset,
@@ -92,6 +98,75 @@ pub fn validate_and_commit_block(
         outcomes.push(outcome);
     }
     outcomes
+}
+
+/// Validate and commit a block's transactions against `state`.
+///
+/// Returns the per-transaction outcomes; valid transactions' writes are
+/// applied in order with versions `(block_num, tx_index)`.
+pub fn validate_and_commit_block(
+    transactions: &[Transaction],
+    state: &mut dyn VersionedState,
+    block_num: u64,
+) -> Vec<TxValidation> {
+    commit_in_order(transactions, state, block_num, |_, _| None)
+}
+
+/// [`validate_and_commit_block`] with commit-time endorsement checks
+/// (Fabric's VSCC) done the plain way: every certificate and every
+/// endorsement signature verified where it stands, one at a time, no memo,
+/// no batch, no threads. This is the **reference**
+/// [`BlockValidator`](crate::parallel::BlockValidator) is held to,
+/// outcome for outcome and reason string for reason string.
+pub fn validate_and_commit_block_vscc(
+    transactions: &[Transaction],
+    state: &mut dyn VersionedState,
+    block_num: u64,
+    msp: &Msp,
+    policy_for: &dyn Fn(&str) -> Option<EndorsementPolicy>,
+) -> Vec<TxValidation> {
+    commit_in_order(transactions, state, block_num, |_, tx| {
+        tx_verdict(tx, msp, policy_for(&tx.chaincode).as_ref())
+    })
+}
+
+/// Walk one transaction's endorsement checks. Returns `None` if the
+/// transaction passes, or a deterministic failure reason — the *first*
+/// failing check in a fixed order: chaincode known, endorsements present,
+/// then per endorsement its organisation, its certificate and its
+/// signature, and last the policy.
+fn tx_verdict(tx: &Transaction, msp: &Msp, policy: Option<&EndorsementPolicy>) -> Option<String> {
+    let Some(policy) = policy else {
+        return Some(format!("unknown chaincode {:?}", tx.chaincode));
+    };
+    if tx.endorsements.is_empty() {
+        return Some("no endorsements".to_string());
+    }
+    let message = response_signing_bytes(&tx.tx_id, &tx.rwset.digest(), &tx.response);
+    let mut orgs = Vec::with_capacity(tx.endorsements.len());
+    for e in &tx.endorsements {
+        let cert = &e.endorser;
+        let Some(ca_pub) = msp.ca_public_key(&cert.org) else {
+            return Some(format!("endorsement from unknown org {}", cert.org));
+        };
+        if verify_signature(&ca_pub, &cert.to_signed_bytes(), &cert.ca_signature).is_err() {
+            return Some(format!(
+                "invalid certificate for {}@{}",
+                cert.subject, cert.org
+            ));
+        }
+        if verify_signature(&cert.signing_pub, &message, &e.signature).is_err() {
+            return Some(format!(
+                "bad endorsement signature from {}@{}",
+                cert.subject, cert.org
+            ));
+        }
+        orgs.push(cert.org.clone());
+    }
+    if !policy.is_satisfied(&orgs) {
+        return Some("endorsement policy not satisfied".to_string());
+    }
+    None
 }
 
 /// Rolling state root: `H(prev_root || merkle_root(valid writes))`.
@@ -151,7 +226,6 @@ fn rolling_root(
 mod tests {
     use super::*;
     use crate::chaincode::{ReadEntry, WriteEntry};
-    use crate::identity::Msp;
     use crate::ledger::TxId;
     use crate::statedb::StateDb;
     use ledgerview_crypto::rng::seeded;

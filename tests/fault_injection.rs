@@ -7,7 +7,7 @@ use fabric_sim::chaincode::{ReadEntry, RwSet, WriteEntry};
 use fabric_sim::endorsement::{response_signing_bytes, EndorsementPolicy};
 use fabric_sim::identity::{Certificate, Identity, Msp, OrgId};
 use fabric_sim::ledger::{Block, BlockHeader, Endorsement, Transaction, TxId};
-use fabric_sim::validation::TxValidation;
+use fabric_sim::validation::{validate_and_commit_block_vscc, TxValidation};
 use fabric_sim::{BlockValidator, FabricError, StateDb, ValidationConfig, Version};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::{sha256, Digest};
@@ -84,32 +84,17 @@ fn seed_state(n_txs: u8) -> StateDb {
     state
 }
 
-/// Every configuration rejects the same transactions for the same reasons.
+/// Every worker count rejects the same transactions for the same reasons
+/// as the one-signature-at-a-time reference.
 fn assert_all_configs_agree(f: &Fixture, txs: &[Transaction]) -> Vec<TxValidation> {
-    let reference = BlockValidator::new(ValidationConfig {
-        workers: 1,
-        batch_verify: false,
-        sig_cache: 0,
-        verify_endorsements: true,
-    });
     let mut ref_state = seed_state(txs.len() as u8);
-    let expected = reference.validate_and_commit(txs, &mut ref_state, 1, &f.msp, &policy_for);
-    for workers in [2, 4, 8] {
-        for (batch, cache) in [(true, 0usize), (true, 128), (false, 128)] {
-            let validator = BlockValidator::new(ValidationConfig {
-                workers,
-                batch_verify: batch,
-                sig_cache: cache,
-                verify_endorsements: true,
-            });
-            let mut state = seed_state(txs.len() as u8);
-            let got = validator.validate_and_commit(txs, &mut state, 1, &f.msp, &policy_for);
-            assert_eq!(
-                got, expected,
-                "divergence at workers={workers} batch={batch} cache={cache}"
-            );
-            assert_eq!(state.state_digest(), ref_state.state_digest());
-        }
+    let expected = validate_and_commit_block_vscc(txs, &mut ref_state, 1, &f.msp, &policy_for);
+    for workers in [1, 2, 4, 8] {
+        let validator = BlockValidator::new(ValidationConfig::parallel(workers));
+        let mut state = seed_state(txs.len() as u8);
+        let got = validator.validate_and_commit(txs, &mut state, 1, &f.msp, &policy_for);
+        assert_eq!(got, expected, "divergence at workers={workers}");
+        assert_eq!(state.state_digest(), ref_state.state_digest());
     }
     expected
 }

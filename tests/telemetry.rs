@@ -182,6 +182,50 @@ fn workload_populates_every_lifecycle_phase() {
     let text = registry.prometheus_text();
     let issues = ledgerview::telemetry::promlint::lint_prometheus(&text);
     assert!(issues.is_empty(), "lint: {issues:?}");
+
+    // A reconfigure builds a new validator and pool; both must come back
+    // attached, or `lv_validate_*` and the lane counters go quiet.
+    let telemetry = Telemetry::wall_clock();
+    let mut chain = FabricChain::new(&["Org1", "Org2"], &mut seeded(42));
+    chain.set_telemetry(&telemetry);
+    chain.set_validation_config(ValidationConfig::parallel(2));
+    let alice = setup(&mut chain, 42);
+    run_workload(&mut chain, &alice, blocks / 2, 42 ^ 0xabcd);
+    chain.set_validation_config(ValidationConfig::parallel(2));
+    run_workload(&mut chain, &alice, blocks / 2, 42 ^ 0xdcba);
+    let registry = telemetry.registry();
+    let counter = |name: &str, labels: &[(&str, &str)]| registry.counter(name, labels).get();
+    // Three puts a block; each half's one odd block adds an rmw pair on a
+    // key a put of the same block has just rewritten, so both lose.
+    assert_eq!(
+        counter("lv_validate_tx_total", &[("outcome", "valid")]),
+        3 * blocks
+    );
+    assert_eq!(
+        counter("lv_validate_tx_total", &[("outcome", "mvcc_conflict")]),
+        4
+    );
+    // Two endorsers sign every transaction; their certificates were
+    // verified at submission, so VSCC only ever hits the MSP's memo.
+    assert_eq!(
+        counter("lv_validate_sigs_batch_verified_total", &[]),
+        2 * (3 * blocks + 4)
+    );
+    assert_eq!(
+        counter("lv_validate_sigcache_hits_total", &[]),
+        2 * (3 * blocks + 4)
+    );
+    assert_eq!(counter("lv_validate_sigcache_misses_total", &[]), 0);
+    let mvcc = registry.histogram("lv_validate_mvcc_seconds", &[]);
+    assert_eq!(mvcc.histogram().count(), blocks);
+    let chunks = registry.histogram("lv_validate_endorse_chunk_seconds", &[]);
+    assert_eq!(chunks.histogram().count(), 2 * blocks);
+    for lane in ["0", "1"] {
+        assert!(
+            counter("lv_pool_worker_busy_us_total", &[("worker", lane)]) > 0,
+            "lane {lane} published no busy time"
+        );
+    }
 }
 
 #[test]
