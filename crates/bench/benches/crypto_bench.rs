@@ -17,8 +17,11 @@ use ledgerview_crypto::sha256::sha256;
 use ledgerview_crypto::x25519;
 
 fn bench_sha256(c: &mut Criterion) {
+    // 65, 300 and 600 B are what the ledger hashes most: a Merkle node
+    // (0x01 ‖ two digests), a state leaf, an encoded transaction (≈ 586 B,
+    // lvbench's `fabric.tx_wire_bytes`).
     let mut group = c.benchmark_group("sha256");
-    for size in [64usize, 1024, 64 * 1024] {
+    for size in [64usize, 65, 300, 600, 1024, 64 * 1024] {
         let data = vec![0xabu8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {

@@ -6,6 +6,8 @@
 //! both knobs on the revocable workload to show each effect in isolation —
 //! the calibration evidence behind DESIGN.md §3.1.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;
 use ledgerview_bench::Method;

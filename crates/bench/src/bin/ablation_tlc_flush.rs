@@ -6,6 +6,8 @@
 //! versus a staler completeness horizon — completeness is only verifiable
 //! "for the time of the latest update".
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::{self, Method, PayloadModel};
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

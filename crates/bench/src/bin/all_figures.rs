@@ -3,6 +3,8 @@
 //! Equivalent to running `fig04` … `fig13` in sequence; writes all CSVs to
 //! `bench_results/` (override with `BENCH_RESULTS_DIR`).
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn main() {

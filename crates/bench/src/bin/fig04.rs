@@ -5,6 +5,8 @@
 //! stabilise past 48 clients; plain irrevocable lands near 150 TPS; the
 //! baseline stays under ~70 TPS with a peak around 24 clients.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{metrics_out_arg, results_dir, write_metrics, FigureTable};
 use ledgerview_bench::timed::TimedRun;

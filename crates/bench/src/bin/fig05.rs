@@ -4,6 +4,8 @@
 //! transaction); TLC brings irrevocable close to revocable; the baseline's
 //! latency soars with client count.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

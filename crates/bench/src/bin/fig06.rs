@@ -4,6 +4,8 @@
 //! Expected slopes: 1 for revocable and irrevocable+TLC, 2 for plain
 //! irrevocable, 2·|V| (+2 coordinator records) for the baseline.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

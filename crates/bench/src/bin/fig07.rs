@@ -5,6 +5,8 @@
 //! the baseline; throughput drops 20–30% for the view methods and >40%
 //! for the baseline when going multi-region.
 
+#![forbid(unsafe_code)]
+
 use fabric_sim::network::NetworkConfig;
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};

@@ -5,6 +5,8 @@
 //! state, most operations are off-chain); the baseline degrades badly —
 //! in the paper it times out entirely on WL2.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

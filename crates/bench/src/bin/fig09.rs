@@ -6,6 +6,8 @@
 //! order of magnitude above the view methods (payload duplicated per
 //! view).
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::functional::{storage_after_requests, StorageMethod};
 use ledgerview_bench::report::{results_dir, FigureTable};
 

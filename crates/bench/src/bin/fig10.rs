@@ -6,6 +6,8 @@
 //! payloads (fewer transactions per block, more validation work). Results
 //! are similar for the hash- and encryption-based methods.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

@@ -4,6 +4,8 @@
 //! Expected shape: nearly flat — latency stays around 2.5 s and throughput
 //! between 600 and 900 TPS regardless of the number of views.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::methods::Method;
 use ledgerview_bench::report::{results_dir, FigureTable};
 use ledgerview_bench::timed::TimedRun;

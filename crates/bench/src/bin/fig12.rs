@@ -5,6 +5,8 @@
 //! ledger access per transaction, while completeness compares against the
 //! TxListContract's maintained list; local computation is a minor share.
 
+#![forbid(unsafe_code)]
+
 use ledgerview_bench::functional::verification_timing;
 use ledgerview_bench::report::{results_dir, FigureTable};
 

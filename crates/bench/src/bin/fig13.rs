@@ -9,6 +9,8 @@
 //! views — and building the view on PDC does not beat the native hash
 //! view.
 
+#![forbid(unsafe_code)]
+
 use fabric_sim::network::{RequestPlan, TxSpec};
 use ledgerview_bench::methods::PayloadModel;
 use ledgerview_bench::report::{results_dir, FigureTable};

@@ -5,7 +5,8 @@
 //! view keys with public-key encryption. This crate implements every
 //! primitive the system needs, with no external crypto dependencies:
 //!
-//! * [`mod@sha256`], [`mod@sha512`] — FIPS 180-4 hash functions.
+//! * [`mod@sha256`], [`mod@sha512`] — FIPS 180-4 hash functions; SHA-256
+//!   runs on the CPU's SHA extensions where it has them.
 //! * [`hmac`] — RFC 2104 message authentication over SHA-256
 //!   ([`hmac::HmacKey`]: key once, tag many).
 //! * [`hkdf`] — RFC 5869 key derivation.
@@ -28,13 +29,24 @@
 //! Every primitive is pinned by the published test vectors of its defining
 //! standard, plus property-based round-trip tests.
 //!
+//! # Unsafe code
+//!
+//! The crate is `#![deny(unsafe_code)]` with exactly one exemption: the
+//! call in [`mod@sha256`] into its SHA-extension compression body, a
+//! `#[target_feature]` function of safe `std::arch` intrinsics. The call
+//! is made only after `is_x86_feature_detected!` has seen every feature
+//! the body is compiled for; on other CPUs the portable rounds run
+//! ([`sha256::hardware_accelerated`] says which). Nothing else here is
+//! `unsafe`, and the root package's `tests/unsafe_inventory.rs` keeps it
+//! that way across the workspace.
+//!
 //! # Security disclaimer
 //!
 //! This code is written for clarity and reproduction fidelity. It is **not**
 //! hardened against side channels (it is not constant-time) and must not be
 //! used to protect real data.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -3,6 +3,24 @@
 //! LedgerView stores `h(t[S] || salt)` on the ledger in the hash-based view
 //! methods (§4.3–§4.4 of the paper), and the Fabric substrate uses SHA-256
 //! for block hashes, transaction identifiers and Merkle trees.
+//!
+//! # Two compression bodies, one dispatch
+//!
+//! Every hash in the workspace ends in one private `compress_blocks`,
+//! which runs a whole run of 64-byte blocks through one of two bodies:
+//!
+//! * on x86-64 CPUs with the SHA extensions, `sha256rnds2` /
+//!   `sha256msg1` / `sha256msg2` with the state held in two registers
+//!   across the run — the path Go's `crypto/sha256` (the paper's
+//!   substrate) takes on amd64;
+//! * everywhere else, the portable FIPS 180-4 rounds. They are also the
+//!   oracle the unit tests hold the hardware body to.
+//!
+//! The body is chosen at run time with `is_x86_feature_detected!`; there
+//! is no feature flag, setting or environment variable, and both bodies
+//! give bit-identical digests. [`hardware_accelerated`] says which one
+//! this CPU runs. The call into the hardware body is the crate's only
+//! `unsafe` block (see the crate docs).
 
 use std::fmt;
 
@@ -122,21 +140,16 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
                 self.buf_len = 0;
             } else {
                 // Buffer still partial: all input consumed.
                 return self;
             }
         }
-        // Whole blocks straight from the input.
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            let block: &[u8; 64] = block.try_into().expect("chunk is 64 bytes");
-            self.compress(block);
-        }
-        let rem = chunks.remainder();
+        // Whole blocks straight from the input, in one call.
+        let (blocks, rem) = data.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
         self
@@ -148,26 +161,60 @@ impl Sha256 {
         // Padding: 0x80, zeros, 8-byte big-endian bit length — behind the
         // buffered bytes when the length still fits in their block
         // (`update` keeps `buf_len < 64`), else spilling into one more.
-        let mut block = self.buf;
-        block[self.buf_len] = 0x80;
-        block[self.buf_len + 1..].fill(0);
-        if self.buf_len >= 56 {
-            self.compress(&block);
-            block = [0u8; 64];
-        }
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let mut tail = [[0u8; 64]; 2];
+        tail[0][..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[0][self.buf_len] = 0x80;
+        let blocks = if self.buf_len >= 56 { 2 } else { 1 };
+        tail[blocks - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..blocks]);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Whether this CPU runs SHA-256 on its SHA extensions (x86-64
+/// `sha256rnds2` and friends) rather than the portable rounds. Both give
+/// bit-identical digests; this only reports which one every hash takes.
+pub fn hardware_accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Run `blocks` through the compression function, in order, on the body
+/// this CPU supports.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if hardware_accelerated() {
+        // SAFETY: `hardware_accelerated` has just seen sha, sse2, ssse3 and
+        // sse4.1 on this CPU: every feature `compress_sha_ni` enables.
+        #[allow(unsafe_code)]
+        unsafe {
+            compress_sha_ni(state, blocks)
+        };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 rounds: the body on CPUs without the SHA extensions and
+/// the oracle for the hardware one.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -177,7 +224,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -198,15 +245,67 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
+}
+
+/// The same compression on the x86-64 SHA extensions (Intel's SHA-NI
+/// sequence). `sha256rnds2` does two rounds on the working variables kept
+/// as `(A, B, E, F)` and `(C, D, G, H)`, high lane first; `sha256msg1` /
+/// `sha256msg2` extend the message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    use std::arch::x86_64::*;
+    let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+    let (k, _) = K.as_chunks::<4>();
+    for block in blocks {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // The next sixteen schedule words, four to a register, lane 0 first.
+        let mut w = [_mm_setzero_si128(); 4];
+        for (quad, bytes) in w
+            .iter_mut()
+            .zip(block.as_chunks::<4>().0.as_chunks::<4>().0)
+        {
+            let [w0, w1, w2, w3] = bytes.map(i32::from_be_bytes);
+            *quad = _mm_setr_epi32(w0, w1, w2, w3);
+        }
+        for ki in k {
+            let [k0, k1, k2, k3] = ki.map(|word| word as i32);
+            let wk = _mm_add_epi32(w[0], _mm_setr_epi32(k0, k1, k2, k3));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], four at a
+            // time (the last four quads go unused).
+            let sum = _mm_add_epi32(
+                _mm_sha256msg1_epu32(w[0], w[1]),
+                _mm_alignr_epi8(w[3], w[2], 4),
+            );
+            w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(sum, w[3])];
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    *state = [
+        _mm_extract_epi32(abef, 3),
+        _mm_extract_epi32(abef, 2),
+        _mm_extract_epi32(cdgh, 3),
+        _mm_extract_epi32(cdgh, 2),
+        _mm_extract_epi32(abef, 1),
+        _mm_extract_epi32(abef, 0),
+        _mm_extract_epi32(cdgh, 1),
+        _mm_extract_epi32(cdgh, 0),
+    ]
+    .map(|word| word as u32);
 }
 
 /// One-shot SHA-256 of `data`.
@@ -229,39 +328,116 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+
+    type Body = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// The compression bodies this CPU can run: the portable rounds, and
+    /// the SHA-extension body — reached through the dispatch, which takes
+    /// it whenever `hardware_accelerated`.
+    fn bodies() -> Vec<(&'static str, Body)> {
+        let mut bodies: Vec<(&'static str, Body)> = vec![("portable", compress_portable)];
+        if hardware_accelerated() {
+            bodies.push(("sha-ni", compress_blocks));
+        } else {
+            eprintln!("no SHA extensions on this CPU: the hardware body is skipped");
+        }
+        bodies
+    }
+
+    /// `msg` padded by hand and run through `body` in one call, so the
+    /// bodies are checked without `update`/`finalize`.
+    fn hash_with(body: Body, msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        body(&mut state, padded.as_chunks().0);
+        let mut out = [0u8; 32];
+        for (bytes, w) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+            *bytes = w.to_be_bytes();
+        }
+        Digest(out)
+    }
+
+    /// A published vector through the streaming API and through each body.
+    fn check_vector(msg: &[u8], hex: &str) {
+        assert_eq!(sha256(msg).to_hex(), hex);
+        for (name, body) in bodies() {
+            assert_eq!(hash_with(body, msg).to_hex(), hex, "{name}");
+        }
+    }
 
     // FIPS 180-4 / NIST CAVP vectors.
     #[test]
     fn empty_string() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    /// On a CPU with the SHA extensions the dispatch must take them: a
+    /// detection that quietly fell back to the portable rounds would pass
+    /// every digest test and lose the speed.
+    #[test]
+    fn dispatch_takes_the_sha_extensions_when_present() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") {
+            assert!(hardware_accelerated());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!hardware_accelerated());
+    }
+
+    /// Hash-chained differential: from a random state, 10 000 runs of 1..=9
+    /// random blocks, each run's output the next run's input state.
+    #[test]
+    fn hardware_body_matches_portable_rounds() {
+        if !hardware_accelerated() {
+            eprintln!("no SHA extensions on this CPU: hardware comparison skipped");
+            return;
+        }
+        let mut rng = crate::rng::seeded(0x5a256);
+        let mut state = H0.map(|_| rng.next_u32());
+        let mut blocks = [[0u8; 64]; 9];
+        for case in 0..10_000 {
+            let run = &mut blocks[..1 + rng.next_u32() as usize % 9];
+            for block in run.iter_mut() {
+                rng.fill_bytes(block);
+            }
+            let mut portable = state;
+            compress_portable(&mut portable, run);
+            compress_blocks(&mut state, run);
+            assert_eq!(state, portable, "case {case}, {} blocks", run.len());
+        }
     }
 
     #[test]
@@ -280,26 +456,16 @@ mod tests {
 
     /// Every padding layout: for each length, one-shot, byte-at-a-time and
     /// every two-way split agree, and the digest is the padded message's
-    /// hand-built final state (so `finalize` is checked against `compress`
-    /// alone, not against itself).
+    /// hand-built final state under each body (so `finalize` is checked
+    /// against the compression bodies alone, not against itself).
     #[test]
     fn every_length_and_split_agrees() {
         let data: Vec<u8> = (0..130u32).map(|i| (i * 7 + 3) as u8).collect();
         for len in 0..=130 {
             let msg = &data[..len];
-            let mut padded = msg.to_vec();
-            padded.push(0x80);
-            while padded.len() % 64 != 56 {
-                padded.push(0);
-            }
-            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
-            let mut by_hand = Sha256::new();
-            for block in padded.chunks_exact(64) {
-                by_hand.compress(block.try_into().unwrap());
-            }
-            let mut expect = [0u8; 32];
-            for (i, w) in by_hand.state.iter().enumerate() {
-                expect[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+            let expect = hash_with(compress_portable, msg).0;
+            for (name, body) in bodies() {
+                assert_eq!(hash_with(body, msg).0, expect, "len={len} {name}");
             }
             assert_eq!(sha256(msg).0, expect, "len={len}");
 

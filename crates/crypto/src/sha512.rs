@@ -170,12 +170,10 @@ impl Sha512 {
                 return self;
             }
         }
-        let mut chunks = data.chunks_exact(128);
-        for block in &mut chunks {
-            let block: &[u8; 128] = block.try_into().expect("chunk is 128 bytes");
+        let (blocks, rem) = data.as_chunks::<128>();
+        for block in blocks {
             self.compress(block);
         }
-        let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
         self
@@ -205,8 +203,8 @@ impl Sha512 {
 
     fn compress(&mut self, block: &[u8; 128]) {
         let mut w = [0u64; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<8>().0) {
+            *word = u64::from_be_bytes(*bytes);
         }
         for i in 16..80 {
             let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);

@@ -1,0 +1,219 @@
+//! The workspace's `unsafe` budget, checked: every crate root under
+//! `src/`, `crates/*/src` and `shims/*/src` forbids or denies
+//! `unsafe_code`, and the only `unsafe` in their code is the one call into
+//! SHA-256's SHA-extension body — one `#[allow(unsafe_code)]`, one
+//! `unsafe {` block, and a `// SAFETY:` comment directly above them.
+
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The source directories the inventory covers.
+fn source_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![root.join("src")];
+    for parent in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(parent)).expect("read crates/shims") {
+            let src = entry.expect("directory entry").path().join("src");
+            if src.is_dir() {
+                dirs.push(src);
+            }
+        }
+    }
+    dirs.sort();
+    dirs
+}
+
+/// `text` with comments, string literals and char literals blanked to
+/// spaces (newlines kept), so only code is left to search.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let blank = |out: &mut String, c: char| out.push(if c == '\n' { '\n' } else { ' ' });
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut i = 0;
+    while i < chars.len() {
+        let at = |j: usize| chars.get(j).copied().unwrap_or('\0');
+        let start = i;
+        if at(i) == '/' && at(i + 1) == '/' {
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
+            }
+        } else if at(i) == '/' && at(i + 1) == '*' {
+            let mut depth = 0;
+            loop {
+                match (at(i), at(i + 1)) {
+                    ('/', '*') => (depth, i) = (depth + 1, i + 2),
+                    ('*', '/') => (depth, i) = (depth - 1, i + 2),
+                    ('\0', _) => break,
+                    _ => i += 1,
+                }
+                if depth == 0 {
+                    break;
+                }
+            }
+        } else if at(i) == 'r'
+            && matches!(at(i + 1), '"' | '#')
+            && (i == 0 || !ident(at(i - 1)) || at(i - 1) == 'b')
+        {
+            // Raw string `r#"…"#` (also `br…`): ends at `"` plus as many `#`.
+            let hashes = (i + 1..).take_while(|&j| at(j) == '#').count();
+            if at(i + 1 + hashes) != '"' {
+                out.push(chars[i]);
+                i += 1;
+                continue;
+            }
+            i += hashes + 2;
+            while i < chars.len() && !(at(i) == '"' && (1..=hashes).all(|h| at(i + h) == '#')) {
+                i += 1;
+            }
+            i += hashes + 1;
+        } else if at(i) == '"' {
+            i += 1;
+            while i < chars.len() && at(i) != '"' {
+                i += if at(i) == '\\' { 2 } else { 1 };
+            }
+            i += 1;
+        } else if at(i) == '\'' && (at(i + 1) == '\\' || at(i + 2) == '\'') {
+            // A char literal; a lone `'` is a lifetime and stays.
+            i += if at(i + 1) == '\\' { 2 } else { 1 };
+            while i < chars.len() && at(i) != '\'' {
+                i += 1;
+            }
+            i += 1;
+        } else {
+            out.push(chars[i]);
+            i += 1;
+            continue;
+        }
+        for &c in &chars[start..i.min(chars.len())] {
+            blank(&mut out, c);
+        }
+    }
+    out
+}
+
+/// `(line number, what)` for each `unsafe {`, `unsafe fn`, `unsafe impl`,
+/// `unsafe trait`, `unsafe extern` and `allow(unsafe_code)` in `code`.
+fn unsafe_sites(code: &str) -> Vec<(usize, String)> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let mut sites = Vec::new();
+    for (n, line) in code.lines().enumerate() {
+        let squeezed = line.replace(char::is_whitespace, "");
+        if squeezed.contains("allow(") && squeezed.contains("unsafe_code") {
+            sites.push((n + 1, "allow(unsafe_code)".to_string()));
+        }
+        for (at, _) in line.match_indices("unsafe") {
+            let before = line[..at].chars().next_back();
+            let rest = &line[at + "unsafe".len()..];
+            if ident(before) || ident(rest.chars().next()) {
+                continue;
+            }
+            let next = rest.trim_start();
+            let what = ["{", "fn", "impl", "trait", "extern"]
+                .into_iter()
+                .find(|kw| {
+                    next.starts_with(kw) && (*kw == "{" || !ident(next[kw.len()..].chars().next()))
+                });
+            if let Some(kw) = what {
+                sites.push((n + 1, format!("unsafe {kw}")));
+            }
+        }
+    }
+    sites.sort();
+    sites
+}
+
+#[test]
+fn code_only_ignores_comments_strings_and_chars() {
+    let sample = r##"
+        // unsafe { in a comment }
+        /* unsafe fn /* nested */ unsafe impl */
+        let s = "unsafe rule: unsafe { }";
+        let r = r#"unsafe fn "quoted" "#;
+        let q = '"'; let e = '\''; fn f<'a>(x: &'a u8) {}
+        #[allow(unsafe_code)]
+        unsafe impl Send for X {}
+        let unsafe_rule = 1;
+    "##;
+    let sites = unsafe_sites(&code_only(sample));
+    let found: Vec<&str> = sites.iter().map(|(_, what)| what.as_str()).collect();
+    assert_eq!(found, ["allow(unsafe_code)", "unsafe impl"]);
+    assert_eq!(sites[0].0 + 1, sites[1].0);
+}
+
+#[test]
+fn the_only_unsafe_is_the_sha_extension_call() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in source_dirs(root) {
+        rust_files(&dir, &mut files);
+    }
+    files.sort();
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+
+    let mut found = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let rel = path
+            .strip_prefix(root)
+            .expect("under the repo")
+            .to_string_lossy()
+            .replace('\\', "/");
+        // `src/lib.rs`, `src/main.rs` and each `src/bin/*.rs` start a crate.
+        let parent = path.parent().expect("a file has a parent");
+        let crate_root = parent.ends_with("src/bin")
+            || (parent.ends_with("src")
+                && matches!(
+                    path.file_name().and_then(|n| n.to_str()),
+                    Some("lib.rs" | "main.rs")
+                ));
+        if crate_root {
+            let code = code_only(&text).replace(char::is_whitespace, "");
+            assert!(
+                code.contains("#![forbid(unsafe_code)]") || code.contains("#![deny(unsafe_code)]"),
+                "crate root {rel} neither forbids nor denies unsafe_code"
+            );
+        }
+        for (line, what) in unsafe_sites(&code_only(&text)) {
+            found.push((rel.clone(), line, what));
+        }
+    }
+
+    let sha = "crates/crypto/src/sha256.rs";
+    let whats: Vec<(&str, &str)> = found
+        .iter()
+        .map(|(f, _, w)| (f.as_str(), w.as_str()))
+        .collect();
+    assert_eq!(
+        whats,
+        [(sha, "allow(unsafe_code)"), (sha, "unsafe {")],
+        "unsafe outside the one allowed site: {found:?}"
+    );
+    // The allow sits on the block, and a `// SAFETY:` comment directly above both.
+    let (allow, block) = (found[0].1, found[1].1);
+    assert_eq!(allow + 1, block, "the allow must sit on the unsafe block");
+    let text = std::fs::read_to_string(root.join(sha)).expect("read sha256.rs");
+    let lines: Vec<&str> = text.lines().collect();
+    let comment: Vec<&str> = lines[..allow - 1]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.starts_with("//"))
+        .collect();
+    assert!(
+        comment
+            .last()
+            .is_some_and(|first| first.starts_with("// SAFETY:")),
+        "no `// SAFETY:` comment directly above {sha}:{allow}"
+    );
+}
