@@ -288,8 +288,7 @@ impl World {
     }
 
     /// Open (or recover) a peer chain over its durable directory — after
-    /// installing `snapshot` into it, when one is given — on the state
-    /// engine `cfg.lsm_peers` selects.
+    /// installing `snapshot` into it, when one is given.
     fn open_peer_chain(
         cfg: &ClusterConfig,
         dir: &Path,
@@ -299,13 +298,12 @@ impl World {
         let mut rng = seeded(cfg.identity_seed);
         let storage = Self::storage_for(cfg, dir);
         let validation = cfg.validation.clone();
-        let mut chain = match (snapshot, cfg.lsm_peers) {
-            (Some(snapshot), lsm) => {
-                let lsm = lsm.then(|| LsmState::default_config(&storage));
+        let mut chain = match snapshot {
+            Some(snapshot) => {
+                let lsm = LsmState::default_config(&storage);
                 FabricChain::from_snapshot(&names, &mut rng, storage, lsm, validation, snapshot)?
             }
-            (None, true) => FabricChain::with_lsm_storage(&names, &mut rng, storage, validation)?,
-            (None, false) => FabricChain::with_storage(&names, &mut rng, storage, validation)?,
+            None => FabricChain::with_storage(&names, &mut rng, storage, validation)?,
         };
         Self::deploy_workload(cfg, &mut chain);
         Ok(chain)
@@ -761,12 +759,7 @@ impl World {
     /// applies the identical reordered batch: ordering decisions made
     /// here survive leader failover by construction.
     fn plan_batch(&mut self, now_us: u64) -> Vec<Transaction> {
-        let n = self.endorser.pending_count();
-        let doomed = if self.cfg.reorder.early_abort {
-            self.endorser.precheck_pending()
-        } else {
-            vec![None; n]
-        };
+        let doomed = self.endorser.precheck_pending();
         let plan = {
             let pending = self.endorser.pending();
             let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();

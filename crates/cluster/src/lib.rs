@@ -114,11 +114,6 @@ pub struct ClusterConfig {
     /// `Never`; physical durability is exercised by `fabric-store`'s own
     /// tests).
     pub fsync: FsyncPolicy,
-    /// Keep each peer's state in the disk-backed LSM engine instead of
-    /// the in-memory one, under the same durable backend. Applies to every
-    /// peer however it joined: a shipped snapshot installs into the LSM
-    /// too, and a restart reopens the directory on it.
-    pub lsm_peers: bool,
     /// Commit-time validation pipeline configuration for every peer.
     pub validation: ValidationConfig,
     /// Whether endorsement signatures are checked at endorsement time
@@ -163,7 +158,6 @@ impl ClusterConfig {
             checkpoint_every: 8,
             wal_segment_bytes: 256 * 1024,
             fsync: FsyncPolicy::Never,
-            lsm_peers: false,
             validation: ValidationConfig::default(),
             check_signatures: true,
             org_names: vec!["OrdererOrg".to_string(), "PeerOrg".to_string()],

@@ -3,6 +3,8 @@
 //! history and bit-identical state roots across two full runs; a
 //! different seed must still converge (with different content).
 
+use std::path::{Path, PathBuf};
+
 use fabric_sim::FabricError;
 use fabric_store::testdir::TestDir;
 use ledgerview_cluster::{
@@ -208,14 +210,12 @@ fn snapshot_bootstrap_without_donor_errors() {
 }
 
 #[test]
-fn snapshot_bootstrapped_peer_in_an_lsm_cluster_restarts() {
-    // Snapshot bootstrap installs into whichever state engine `lsm_peers`
-    // selects, so the joined peer's directory holds an LSM tree — no
-    // full-state checkpoint file — and a restart reopens it like any
-    // other peer's.
+fn snapshot_bootstrapped_peer_restarts_from_its_own_directory() {
+    // Snapshot bootstrap installs into an LSM tree like every peer's, so
+    // the joined peer's directory holds a manifest — no full-state
+    // checkpoint file — and a restart reopens it like any other peer's.
     let dir = TestDir::new("cluster-lsm-snapshot-restart");
-    let mut cfg = ClusterConfig::new(dir.path(), 42);
-    cfg.lsm_peers = true;
+    let cfg = ClusterConfig::new(dir.path(), 42);
     let mut sim = ClusterSim::new(cfg).expect("cluster builds");
     sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 200, 10);
     let joined = sim.schedule_bootstrap_peer(SimTime::from_secs(2), BootstrapMode::Snapshot);
@@ -232,39 +232,52 @@ fn snapshot_bootstrapped_peer_in_an_lsm_cluster_restarts() {
 
     let joined_dir = dir.path().join(format!("peer{joined}"));
     assert!(joined_dir.join("lsm").join("MANIFEST").is_file());
-    assert!(!joined_dir
-        .join(fabric_store::checkpoint::CHECKPOINT_FILE)
-        .exists());
+    assert!(!joined_dir.join("checkpoint.dat").exists());
+}
+
+/// The newest SSTable of an LSM directory (names are zero-padded sequence
+/// numbers, so the greatest name is the newest table).
+fn newest_table(lsm: &Path) -> PathBuf {
+    std::fs::read_dir(lsm)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tbl"))
+        .max()
+        .expect("the peer flushed a table before crashing")
 }
 
 #[test]
 fn tampered_checkpoint_on_restart_is_an_error_not_a_panic() {
-    let dir = TestDir::new("cluster-tampered-restart");
-    let mut cfg = ClusterConfig::new(dir.path(), 11);
-    cfg.checkpoint_every = 2;
-    let mut sim = ClusterSim::new(cfg).expect("cluster builds");
-    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 100, 10);
-    sim.schedule_fault(SimTime::from_millis(1_500), Fault::CrashPeer(1));
-    sim.run_until(SimTime::from_secs(2));
-
-    // Flip one bit in the crashed peer's checkpoint, as
+    // A checkpoint is an LSM flush: flip one bit of the crashed peer's
+    // manifest, and in a second run of its newest table, as
     // `tests/storage_recovery.rs` does for a single chain.
-    let checkpoint = dir
-        .path()
-        .join("peer1")
-        .join(fabric_store::checkpoint::CHECKPOINT_FILE);
-    let mut bytes = std::fs::read(&checkpoint).expect("peer 1 checkpointed before crashing");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&checkpoint, &bytes).unwrap();
+    for target in ["MANIFEST", "newest table"] {
+        let dir = TestDir::new("cluster-tampered-restart");
+        let mut cfg = ClusterConfig::new(dir.path(), 11);
+        cfg.checkpoint_every = 2;
+        let mut sim = ClusterSim::new(cfg).expect("cluster builds");
+        sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 100, 10);
+        sim.schedule_fault(SimTime::from_millis(1_500), Fault::CrashPeer(1));
+        sim.run_until(SimTime::from_secs(2));
 
-    sim.schedule_fault(SimTime::from_millis(2_500), Fault::RestartPeer(1));
-    let err = sim
-        .run_until_converged(SimTime::from_secs(30))
-        .expect_err("a corrupt directory cannot rejoin");
-    assert!(
-        matches!(&err, ClusterError::Fabric(FabricError::Storage(_))),
-        "expected a storage error, got {err}"
-    );
-    assert!(sim.verify_convergence().is_err(), "the error is sticky");
+        let lsm = dir.path().join("peer1").join("lsm");
+        let path = match target {
+            "MANIFEST" => lsm.join("MANIFEST"),
+            _ => newest_table(&lsm),
+        };
+        let mut bytes = std::fs::read(&path).expect("peer 1 checkpointed before crashing");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        sim.schedule_fault(SimTime::from_millis(2_500), Fault::RestartPeer(1));
+        let err = sim
+            .run_until_converged(SimTime::from_secs(30))
+            .expect_err("a corrupt directory cannot rejoin");
+        assert!(
+            matches!(&err, ClusterError::Fabric(FabricError::Storage(_))),
+            "{target}: expected a storage error, got {err}"
+        );
+        assert!(sim.verify_convergence().is_err(), "the error is sticky");
+    }
 }

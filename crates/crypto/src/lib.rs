@@ -61,11 +61,9 @@ pub mod keys;
 pub mod rng;
 pub mod sha256;
 pub mod sha512;
-pub mod sigcache;
 pub mod x25519;
 
 pub use aead::{open_sym, seal_sym};
 pub use error::CryptoError;
 pub use keys::{open, seal, EncryptionKeyPair, PublicKey, SigningKeyPair, SymmetricKey};
 pub use sha256::{sha256, Digest, Sha256};
-pub use sigcache::{CacheKey, CacheStats, SigCache};

@@ -212,32 +212,19 @@ impl FabricChain {
     }
 
     /// Create a chain whose state and ledger persist under `storage.dir`,
-    /// recovering whatever an earlier run (including one that crashed)
-    /// committed there.
+    /// the state in a disk-backed LSM tree under the default tuning
+    /// ([`LsmState::default_config`]), recovering whatever an earlier run
+    /// (including one that crashed) committed there.
     ///
     /// Recovery rebuilds the block store from the durable block file, the
-    /// state database from the last checkpoint plus the WAL, and verifies
-    /// every recovered block's state root; identities are re-derived from
-    /// `rng`, so reopening with the same seed reproduces the same
-    /// organisations. One worker pool (sized by `validation.workers`)
-    /// fans out both block decoding during recovery and endorsement
-    /// verification at commit time. Private data collections are not
-    /// persisted (documented limitation).
+    /// state database from the last flush plus the WAL, and verifies every
+    /// recovered block's state root; identities are re-derived from `rng`,
+    /// so reopening with the same seed reproduces the same organisations.
+    /// One worker pool (sized by `validation.workers`) fans out both block
+    /// decoding during recovery and endorsement verification at commit
+    /// time. Private data collections are not persisted (documented
+    /// limitation).
     pub fn with_storage<R: RngCore + ?Sized>(
-        org_names: &[&str],
-        rng: &mut R,
-        storage: StorageConfig,
-        validation: ValidationConfig,
-    ) -> Result<FabricChain, FabricError> {
-        FabricChain::open_durable(org_names, rng, storage, None, validation, None)
-    }
-
-    /// Create a chain whose state lives in a disk-backed LSM tree under
-    /// `storage.dir` — the larger-than-RAM state engine. Same recovery
-    /// contract as [`FabricChain::with_storage`]: the block store, LSM
-    /// state, and rolling roots are rebuilt and verified from whatever an
-    /// earlier run (including one that crashed) committed there.
-    pub fn with_lsm_storage<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
@@ -247,8 +234,8 @@ impl FabricChain {
         FabricChain::with_lsm_storage_tuned(org_names, rng, storage, lsm, validation)
     }
 
-    /// [`FabricChain::with_lsm_storage`] with explicit LSM tuning
-    /// (memtable size, cache budgets, compaction thresholds).
+    /// [`FabricChain::with_storage`] with explicit LSM tuning (memtable
+    /// size, cache budgets, compaction thresholds).
     pub fn with_lsm_storage_tuned<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
@@ -256,7 +243,7 @@ impl FabricChain {
         lsm: LsmConfig,
         validation: ValidationConfig,
     ) -> Result<FabricChain, FabricError> {
-        FabricChain::open_durable(org_names, rng, storage, Some(lsm), validation, None)
+        FabricChain::open_durable(org_names, rng, storage, lsm, validation, None)
     }
 
     /// Create a chain bootstrapped from a shipped [`ChainSnapshot`] instead
@@ -266,15 +253,14 @@ impl FabricChain {
     /// `prev_block_hash`. This is the O(state) peer catch-up path — the
     /// recipient never sees, stores, or replays a block below the base.
     ///
-    /// The state lands in an LSM tree when `lsm` is given, in memory
-    /// otherwise (reopen with the matching constructor). `storage.dir`
-    /// must not already contain blocks or state. As with
+    /// The state lands in an LSM tree tuned by `lsm`. `storage.dir` must
+    /// not already contain blocks or state. As with
     /// [`FabricChain::with_storage`], identities are re-derived from `rng`.
     pub fn from_snapshot<R: RngCore + ?Sized>(
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
-        lsm: Option<LsmConfig>,
+        lsm: LsmConfig,
         validation: ValidationConfig,
         snapshot: &ChainSnapshot,
     ) -> Result<FabricChain, FabricError> {
@@ -290,7 +276,7 @@ impl FabricChain {
         org_names: &[&str],
         rng: &mut R,
         storage: StorageConfig,
-        lsm: Option<LsmConfig>,
+        lsm: LsmConfig,
         validation: ValidationConfig,
         snapshot: Option<&ChainSnapshot>,
     ) -> Result<FabricChain, FabricError> {
@@ -746,9 +732,8 @@ impl FabricChain {
         self.backend.as_ref()
     }
 
-    /// The LSM state engine, when this chain keeps its state in one
-    /// ([`FabricChain::with_lsm_storage`], or [`FabricChain::from_snapshot`]
-    /// with LSM tuning): statistics, compaction trace. `None` otherwise.
+    /// The LSM state engine of a durable chain (statistics, compaction
+    /// trace); `None` for an in-memory chain ([`FabricChain::new`]).
     pub fn lsm_backend(&self) -> Option<&LsmState> {
         self.backend.lsm_state()
     }

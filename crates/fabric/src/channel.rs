@@ -17,8 +17,6 @@ use crate::chaincode::Chaincode;
 use crate::endorsement::EndorsementPolicy;
 use crate::error::FabricError;
 use crate::identity::{Identity, OrgId};
-use crate::parallel::ValidationConfig;
-use crate::storage::StorageConfig;
 
 /// A channel: an isolated ledger plus its member organisations.
 pub struct Channel {
@@ -26,8 +24,6 @@ pub struct Channel {
     pub name: String,
     members: Vec<OrgId>,
     chain: FabricChain,
-    /// Where this channel's ledger persists (None for in-memory).
-    storage_dir: Option<std::path::PathBuf>,
 }
 
 impl Channel {
@@ -36,22 +32,10 @@ impl Channel {
         &self.members
     }
 
-    /// The directory this channel's ledger persists under, if durable.
-    pub fn storage_dir(&self) -> Option<&std::path::Path> {
-        self.storage_dir.as_deref()
-    }
-
     /// Read access to the channel's chain (for members; enforcement is at
     /// the registry API).
     pub fn chain(&self) -> &FabricChain {
         &self.chain
-    }
-
-    /// Replace this channel ledger's commit-time validation pipeline.
-    /// Validation configuration is a local peer tuning choice: every
-    /// configuration commits identical blocks, so members may differ.
-    pub fn set_validation_config(&mut self, config: ValidationConfig) {
-        self.chain.set_validation_config(config);
     }
 
     /// Attach telemetry to this channel's ledger; its phase metrics carry
@@ -68,58 +52,12 @@ pub struct ChannelRegistry {
     channels: HashMap<String, Channel>,
     /// Telemetry applied to every current and future channel.
     telemetry: Option<Telemetry>,
-    /// Durable-storage template: when set, channels created via
-    /// [`ChannelRegistry::create_channel_auto`] persist each ledger under
-    /// its own subdirectory `<template.dir>/<channel name>`.
-    storage_template: Option<(StorageConfig, ValidationConfig)>,
 }
 
 impl ChannelRegistry {
     /// An empty registry.
     pub fn new() -> ChannelRegistry {
         ChannelRegistry::default()
-    }
-
-    /// Give every subsequently auto-created channel durable storage under
-    /// a cluster root: channel `name` persists in `<template.dir>/<name>`,
-    /// with the template's fsync/checkpoint/segment settings and
-    /// `validation` as its commit pipeline. Existing channels are
-    /// unaffected.
-    pub fn set_storage_root(&mut self, template: StorageConfig, validation: ValidationConfig) {
-        self.storage_template = Some((template, validation));
-    }
-
-    /// The per-channel storage directory the registry template assigns to
-    /// `name` (None when no storage root is set).
-    pub fn channel_storage_dir(&self, name: &str) -> Option<std::path::PathBuf> {
-        self.storage_template
-            .as_ref()
-            .map(|(t, _)| t.dir.join(name))
-    }
-
-    /// Create a channel using the registry's storage template: durable
-    /// under its own subdirectory when [`set_storage_root`] was called
-    /// (recovering whatever an earlier run committed there), in-memory
-    /// otherwise.
-    ///
-    /// [`set_storage_root`]: ChannelRegistry::set_storage_root
-    ///
-    /// # Panics
-    /// Panics if the channel exists (deployment-time error).
-    pub fn create_channel_auto<R: RngCore + ?Sized>(
-        &mut self,
-        name: &str,
-        member_orgs: &[&str],
-        rng: &mut R,
-    ) -> Result<&mut Channel, FabricError> {
-        match self.storage_template.clone() {
-            Some((template, validation)) => {
-                let mut storage = template;
-                storage.dir = storage.dir.join(name);
-                self.create_channel_durable(name, member_orgs, rng, storage, validation)
-            }
-            None => Ok(self.create_channel(name, member_orgs, rng)),
-        }
     }
 
     /// Attach telemetry to every existing channel and remember it for
@@ -153,47 +91,12 @@ impl ChannelRegistry {
             name: name.to_string(),
             members,
             chain,
-            storage_dir: None,
         };
         if let Some(telemetry) = &self.telemetry {
             channel.set_telemetry(telemetry);
         }
         self.channels.insert(name.to_string(), channel);
         self.channels.get_mut(name).expect("just inserted")
-    }
-
-    /// Create a channel whose ledger persists under `storage.dir` (see
-    /// [`FabricChain::with_storage`]): reopening an existing directory
-    /// recovers the channel's committed blocks and state.
-    ///
-    /// # Panics
-    /// Panics if the channel exists (deployment-time error).
-    pub fn create_channel_durable<R: RngCore + ?Sized>(
-        &mut self,
-        name: &str,
-        member_orgs: &[&str],
-        rng: &mut R,
-        storage: StorageConfig,
-        validation: ValidationConfig,
-    ) -> Result<&mut Channel, FabricError> {
-        assert!(
-            !self.channels.contains_key(name),
-            "channel {name:?} already exists"
-        );
-        let dir = storage.dir.clone();
-        let chain = FabricChain::with_storage(member_orgs, rng, storage, validation)?;
-        let members = chain.org_ids();
-        let mut channel = Channel {
-            name: name.to_string(),
-            members,
-            chain,
-            storage_dir: Some(dir),
-        };
-        if let Some(telemetry) = &self.telemetry {
-            channel.set_telemetry(telemetry);
-        }
-        self.channels.insert(name.to_string(), channel);
-        Ok(self.channels.get_mut(name).expect("just inserted"))
     }
 
     /// Channel by name.
@@ -263,21 +166,6 @@ impl ChannelRegistry {
             )));
         }
         ch.chain.query(creator, chaincode, function, args)
-    }
-
-    /// Configure the commit-time validation pipeline of a channel's ledger
-    /// (worker count, commit-time endorsement checks).
-    pub fn set_validation_config(
-        &mut self,
-        channel: &str,
-        config: ValidationConfig,
-    ) -> Result<(), FabricError> {
-        let ch = self
-            .channels
-            .get_mut(channel)
-            .ok_or_else(|| FabricError::Malformed(format!("unknown channel {channel:?}")))?;
-        ch.set_validation_config(config);
-        Ok(())
     }
 
     /// Enroll a user with a member org of a channel.
@@ -417,41 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_validation_on_a_channel_commits_identically() {
-        let mut rng = seeded(6);
-        let mut reg = ChannelRegistry::new();
-        reg.create_channel("c", &["O"], &mut rng);
-        let org = OrgId::new("O");
-        reg.deploy(
-            "c",
-            &org,
-            "kv",
-            Box::new(Put),
-            EndorsementPolicy::AnyOf(vec![org.clone()]),
-        )
-        .unwrap();
-        reg.set_validation_config("c", ValidationConfig::parallel(4))
-            .unwrap();
-        assert!(reg
-            .set_validation_config("ghost", ValidationConfig::default())
-            .is_err());
-        let u = reg.enroll("c", &org, "u", &mut rng).unwrap();
-        reg.invoke_commit(
-            "c",
-            &u,
-            "kv",
-            "f",
-            vec![b"k".to_vec(), b"v".to_vec()],
-            &mut rng,
-        )
-        .unwrap();
-        let chain = reg.channel("c").unwrap().chain();
-        assert_eq!(chain.height(), 1);
-        assert_eq!(chain.validation_config().workers, 4);
-        assert_eq!(chain.state().get("k").as_deref(), Some(&b"v"[..]));
-    }
-
-    #[test]
     fn channel_telemetry_labels_phase_metrics_per_channel() {
         let mut rng = seeded(7);
         let mut reg = ChannelRegistry::new();
@@ -492,73 +345,6 @@ mod tests {
         let text = telemetry.registry().prometheus_text();
         assert!(text.contains("channel=\"early\""), "{text}");
         assert!(text.contains("channel=\"late\""), "{text}");
-    }
-
-    #[test]
-    fn storage_root_gives_each_channel_its_own_directory() {
-        use fabric_store::testdir::TestDir;
-        let root = TestDir::new("channel-root");
-        let template = StorageConfig::new(root.path()).fsync(crate::storage::FsyncPolicy::Never);
-        let org = OrgId::new("O");
-
-        let commit = |reg: &mut ChannelRegistry, ch: &str, rng: &mut dyn rand::RngCore| {
-            reg.deploy(
-                ch,
-                &org,
-                "kv",
-                Box::new(Put),
-                EndorsementPolicy::AnyOf(vec![org.clone()]),
-            )
-            .unwrap();
-            let u = reg.enroll(ch, &org, "u", rng).unwrap();
-            reg.invoke_commit(
-                ch,
-                &u,
-                "kv",
-                "f",
-                vec![b"k".to_vec(), ch.as_bytes().to_vec()],
-                rng,
-            )
-            .unwrap();
-        };
-
-        {
-            let mut reg = ChannelRegistry::new();
-            reg.set_storage_root(template.clone(), ValidationConfig::default());
-            // Each channel derives identities from its own seeded stream so
-            // reopening can reproduce them.
-            let mut rng_a = seeded(11);
-            reg.create_channel_auto("ch-a", &["O"], &mut rng_a).unwrap();
-            commit(&mut reg, "ch-a", &mut rng_a);
-            let mut rng_b = seeded(12);
-            reg.create_channel_auto("ch-b", &["O"], &mut rng_b).unwrap();
-            commit(&mut reg, "ch-b", &mut rng_b);
-            assert_eq!(
-                reg.channel("ch-a").unwrap().storage_dir().unwrap(),
-                root.path().join("ch-a")
-            );
-        }
-        // One subdirectory per channel under the cluster root.
-        for ch in ["ch-a", "ch-b"] {
-            assert!(root.path().join(ch).join("blocks.dat").exists(), "{ch}");
-        }
-
-        // A fresh registry over the same root recovers each ledger.
-        let mut reg = ChannelRegistry::new();
-        reg.set_storage_root(template, ValidationConfig::default());
-        for (ch, seed) in [("ch-a", 11u64), ("ch-b", 12)] {
-            let mut rng = seeded(seed);
-            reg.create_channel_auto(ch, &["O"], &mut rng).unwrap();
-            let chain = reg.channel(ch).unwrap().chain();
-            assert_eq!(chain.height(), 1, "{ch} recovered");
-            assert_eq!(chain.state().get("k").as_deref(), Some(ch.as_bytes()));
-        }
-        // Without a root, auto-created channels stay in-memory.
-        let mut plain = ChannelRegistry::new();
-        let mut rng = seeded(13);
-        plain.create_channel_auto("mem", &["O"], &mut rng).unwrap();
-        assert!(plain.channel("mem").unwrap().storage_dir().is_none());
-        assert!(plain.channel_storage_dir("mem").is_none());
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! encryption key. Peers verify endorsement signatures against certificates
 //! and certificates against the CA registry.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ledgerview_crypto::ed25519::VerifyingKey;
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey, SigningKeyPair};
-use ledgerview_crypto::{CacheStats, CryptoError, SigCache};
+use ledgerview_crypto::sha256::Sha256;
+use ledgerview_crypto::CryptoError;
 use rand::RngCore;
 
 use crate::error::FabricError;
@@ -148,40 +149,62 @@ struct OrgCa {
 }
 
 /// Certificates whose CA-signature verdict [`Msp::verify_cert`] remembers,
-/// and whose expanded signing key [`Msp::verify_identity_signature`] keeps
-/// (10 KiB each). A deployment has a few endorsing peers and a bounded
-/// client population; past this many the least recently seen certificate
-/// is verified again, and some key is expanded again.
+/// with the expanded signing key (10 KiB) once the holder has signed. A
+/// deployment has a few endorsing peers and a bounded client population;
+/// past this many the certificate memoised first is forgotten, and
+/// verified again if it returns.
 pub const CERT_MEMO_CAPACITY: usize = 1024;
 
-/// The membership registry: organisation CAs and certificate verification.
-pub struct Msp {
-    orgs: HashMap<OrgId, OrgCa>,
-    /// Verdicts of CA signatures already checked, keyed by a digest of the
-    /// CA key, the certificate's signed bytes and its signature: the same
-    /// few endorser certificates arrive with every proposal response.
-    cert_memo: SigCache,
-    /// Expanded signing keys of certificates that passed
-    /// [`Msp::verify_cert`], by `signing_pub`, built at a key's first
-    /// signature: only here is a key known to belong to a CA-verified
-    /// certificate, and the same few endorsers sign every transaction.
-    key_memo: Mutex<HashMap<[u8; 32], Arc<VerifyingKey>>>,
+/// Hit/miss counters of the certificate memo, for benchmarking and
+/// diagnostics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
 }
 
-impl Default for Msp {
-    fn default() -> Msp {
-        Msp::new()
-    }
+/// What the memo knows about one certificate.
+#[derive(Clone)]
+struct Certified {
+    /// Whether the CA's signature holds.
+    valid: bool,
+    /// The holder's expanded signing key, built at its first signature.
+    key: Option<Arc<VerifyingKey>>,
+}
+
+/// The certificate memo: entries keyed by a digest of the CA key, the
+/// certificate's signed bytes and its CA signature — the same few
+/// endorser certificates arrive with every proposal response.
+#[derive(Default)]
+struct CertMemo {
+    entries: HashMap<[u8; 32], Certified>,
+    /// Entry keys in the order they were first memoised: eviction order.
+    order: VecDeque<[u8; 32]>,
+    stats: CacheStats,
+}
+
+/// The key a certificate is memoised under.
+fn memo_key(ca_key: &[u8; 32], signed: &[u8], ca_signature: &[u8; 64]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(ca_key);
+    h.update(ca_signature);
+    h.update(signed);
+    h.finalize().0
+}
+
+/// The membership registry: organisation CAs and certificate verification.
+#[derive(Default)]
+pub struct Msp {
+    orgs: HashMap<OrgId, OrgCa>,
+    cert_memo: Mutex<CertMemo>,
 }
 
 impl Msp {
     /// An empty registry.
     pub fn new() -> Msp {
-        Msp {
-            orgs: HashMap::new(),
-            cert_memo: SigCache::new(CERT_MEMO_CAPACITY),
-            key_memo: Mutex::new(HashMap::new()),
-        }
+        Msp::default()
     }
 
     /// Create an organisation with a fresh CA key. Returns its id.
@@ -250,63 +273,95 @@ impl Msp {
     /// one signature verification; repeats are answered from a bounded memo
     /// of verdicts, valid or not.
     pub fn verify_cert(&self, cert: &Certificate) -> Result<(), FabricError> {
-        let ca = self
-            .orgs
-            .get(&cert.org)
-            .ok_or_else(|| FabricError::AccessDenied(format!("unknown org {}", cert.org)))?;
-        let (ca_key, signed, sig) = (ca.ca.public(), cert.to_signed_bytes(), &cert.ca_signature);
-        let valid = self
-            .cert_memo
-            .lookup(&ca_key, &signed, sig)
-            .unwrap_or_else(|key| {
-                let valid =
-                    ledgerview_crypto::keys::verify_signature(&ca_key, &signed, sig).is_ok();
-                self.cert_memo.record(key, valid);
-                valid
-            });
-        valid.then_some(()).ok_or(FabricError::BadSignature)
+        self.certify(cert).map(|_| ())
     }
 
     /// Hits and misses of the certificate memo behind [`Msp::verify_cert`]
     /// since this registry was built.
     pub fn cert_memo_stats(&self) -> CacheStats {
-        self.cert_memo.stats()
+        self.memo().stats
     }
 
     /// Verify a signature made by the holder of `cert`, checking the
     /// certificate chain first. The holder's key is expanded on its first
-    /// signature and kept, so later ones take the short verification.
+    /// signature and kept beside the certificate's verdict, so later ones
+    /// take the short verification. A key that does not decode (off the
+    /// curve, small order) is a bad signature and is not kept.
     pub fn verify_identity_signature(
         &self,
         cert: &Certificate,
         message: &[u8],
         signature: &[u8; 64],
     ) -> Result<(), FabricError> {
-        self.verify_cert(cert)?;
-        self.verifying_key(&cert.signing_pub)?
-            .verify(message, signature)
+        let (memo_key, known) = self.certify(cert)?;
+        let key = match known {
+            Some(key) => key,
+            None => {
+                let key = VerifyingKey::from_bytes(&cert.signing_pub)
+                    .map_err(|_| FabricError::BadSignature)?;
+                let key = Arc::new(key);
+                self.remember(memo_key, true, Some(Arc::clone(&key)));
+                key
+            }
+        };
+        key.verify(message, signature)
             .map_err(|_| FabricError::BadSignature)
     }
 
-    /// The expanded form of a CA-verified certificate's signing key, from
-    /// the memo or built and remembered now. A key that does not decode
-    /// (off the curve, small order) is a bad signature and is not stored;
-    /// at capacity an arbitrary key makes room and is rebuilt if it
-    /// returns.
-    fn verifying_key(&self, signing_pub: &[u8; 32]) -> Result<Arc<VerifyingKey>, FabricError> {
-        let mut memo = self.key_memo.lock().expect("key memo poisoned");
-        if let Some(key) = memo.get(signing_pub) {
-            return Ok(Arc::clone(key));
-        }
-        let key =
-            Arc::new(VerifyingKey::from_bytes(signing_pub).map_err(|_| FabricError::BadSignature)?);
-        if memo.len() >= CERT_MEMO_CAPACITY {
-            if let Some(evicted) = memo.keys().next().copied() {
-                memo.remove(&evicted);
+    /// The CA verdict on `cert`, from the memo or checked and remembered
+    /// now: on success, the certificate's memo key and its holder's
+    /// expanded key if one was kept.
+    fn certify(
+        &self,
+        cert: &Certificate,
+    ) -> Result<([u8; 32], Option<Arc<VerifyingKey>>), FabricError> {
+        let ca = self
+            .orgs
+            .get(&cert.org)
+            .ok_or_else(|| FabricError::AccessDenied(format!("unknown org {}", cert.org)))?;
+        let (ca_key, signed, sig) = (ca.ca.public(), cert.to_signed_bytes(), &cert.ca_signature);
+        let memo_key = memo_key(&ca_key, &signed, sig);
+        let known = {
+            let mut memo = self.memo();
+            let known = memo.entries.get(&memo_key).cloned();
+            if known.is_some() {
+                memo.stats.hits += 1;
+            } else {
+                memo.stats.misses += 1;
             }
+            known
+        };
+        // Verify outside the lock: validator lanes share this memo.
+        let entry = known.unwrap_or_else(|| {
+            let valid = ledgerview_crypto::keys::verify_signature(&ca_key, &signed, sig).is_ok();
+            self.remember(memo_key, valid, None);
+            Certified { valid, key: None }
+        });
+        if entry.valid {
+            Ok((memo_key, entry.key))
+        } else {
+            Err(FabricError::BadSignature)
         }
-        memo.insert(*signing_pub, Arc::clone(&key));
-        Ok(key)
+    }
+
+    /// Store a verdict (and key) under `memo_key`; at capacity the entry
+    /// memoised first makes room.
+    fn remember(&self, memo_key: [u8; 32], valid: bool, key: Option<Arc<VerifyingKey>>) {
+        let mut guard = self.memo();
+        let memo = &mut *guard;
+        if !memo.entries.contains_key(&memo_key) {
+            if memo.entries.len() >= CERT_MEMO_CAPACITY {
+                if let Some(oldest) = memo.order.pop_front() {
+                    memo.entries.remove(&oldest);
+                }
+            }
+            memo.order.push_back(memo_key);
+        }
+        memo.entries.insert(memo_key, Certified { valid, key });
+    }
+
+    fn memo(&self) -> MutexGuard<'_, CertMemo> {
+        self.cert_memo.lock().expect("certificate memo poisoned")
     }
 }
 
@@ -396,11 +451,39 @@ mod tests {
         relabelled.org = org2;
         assert!(msp.verify_cert(&relabelled).is_err());
         msp.verify_cert(alice.cert()).unwrap();
-        assert_eq!(msp.cert_memo.len(), 4);
+        assert_eq!(msp.memo().entries.len(), 4);
+    }
+
+    #[test]
+    fn cert_memo_replays_a_script_exactly() {
+        // Nine certificates, every third forged, presented in a fixed
+        // order with repeats: one miss per distinct certificate, a hit for
+        // every repeat, and each verdict the same from memory as fresh.
+        let mut rng = seeded(13);
+        let mut msp = Msp::new();
+        let org = msp.add_org("Org1MSP", &mut rng);
+        let certs: Vec<Certificate> = (1..=9u8)
+            .map(|i| {
+                let mut cert = msp.enroll(&org, &format!("u{i}"), &mut rng).unwrap().cert;
+                if i % 3 == 0 {
+                    cert.ca_signature[0] ^= 1;
+                }
+                cert
+            })
+            .collect();
+        let script: [u8; 16] = [1, 2, 3, 1, 4, 5, 2, 6, 1, 7, 3, 3, 8, 1, 9, 2];
+        for &i in &script {
+            let verdict = msp.verify_cert(&certs[i as usize - 1]);
+            assert_eq!(verdict.is_ok(), i % 3 != 0, "certificate {i}");
+        }
+        let (hits, misses) = (7, 9);
+        assert_eq!(msp.cert_memo_stats(), CacheStats { hits, misses });
+        assert_eq!(msp.memo().entries.len(), 9);
     }
 
     fn keys_held(msp: &Msp) -> usize {
-        msp.key_memo.lock().unwrap().len()
+        let memo = msp.memo();
+        memo.entries.values().filter(|e| e.key.is_some()).count()
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! * [`statedb`] — the versioned key-value state database (the LevelDB
 //!   equivalent) with MVCC version metadata and a Merkle state digest.
 //! * [`storage`] — pluggable state persistence: the in-memory default and
-//!   the one durable backend (WAL + block file + checkpoints from the
-//!   `fabric-store` crate) with crash recovery, over either state engine.
+//!   the one durable backend (WAL + block file from the `fabric-store`
+//!   crate, state in the LSM, LSM flushes as checkpoints) with crash
+//!   recovery.
 //! * [`lsm`] — the disk-backed state engine over the `ledgerview-statedb`
-//!   LSM tree: larger-than-RAM versioned state under the same
-//!   [`DurableBackend`] commit protocol.
+//!   LSM tree: larger-than-RAM versioned state, the state of every
+//!   [`DurableBackend`].
 //! * [`validation`] — MVCC read/write-set validation and commit, and the
 //!   one-signature-at-a-time reference for commit-time endorsement checks.
 //! * [`parallel`] — the commit-time validation pipeline: worker-pool

@@ -1,17 +1,15 @@
 //! The disk-backed state engine: [`LsmState`], a [`VersionedState`] over
-//! the `ledgerview-statedb` LSM tree. It is one of the two engines
-//! [`DurableBackend`](crate::storage::DurableBackend) runs its WAL +
-//! block-file commit protocol over; that module's docs describe the
-//! protocol, recovery, and how the engines differ.
+//! the `ledgerview-statedb` LSM tree. It is the state of every
+//! [`DurableBackend`](crate::storage::DurableBackend), which runs its WAL +
+//! block-file commit protocol over it; that module's docs describe the
+//! protocol and recovery.
 //!
 //! # Layout
 //!
 //! The tree lives in an `lsm/` subdirectory of the storage directory
-//! (memtable + sorted runs), beside the same WAL and block file an
-//! in-memory-engine store keeps — identical formats, so crash-injection
-//! tooling works on both. The state already lives on disk, so a
-//! "checkpoint" is just a memtable flush whose manifest carries the
-//! backend's small metadata blob.
+//! (memtable + sorted runs), beside the backend's WAL and block file. The
+//! state already lives on disk, so a "checkpoint" is just a memtable flush
+//! whose manifest carries the backend's small metadata blob.
 //!
 //! # What stays in memory
 //!

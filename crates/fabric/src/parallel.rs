@@ -35,12 +35,11 @@ use std::time::Instant;
 
 use ledgerview_crypto::ed25519::{self, BatchEntry};
 use ledgerview_crypto::keys::verify_signature;
-use ledgerview_crypto::CacheStats;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
 use crate::endorsement::{response_signing_bytes, EndorsementPolicy};
 use crate::error::FabricError;
-use crate::identity::Msp;
+use crate::identity::{CacheStats, Msp};
 use crate::ledger::Transaction;
 use crate::pool::WorkerPool;
 use crate::statedb::VersionedState;

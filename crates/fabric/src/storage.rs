@@ -9,29 +9,27 @@
 //!    [`DurableBackend`] that means WAL records for every valid
 //!    transaction's write set (group-committed in one batch), then the
 //!    encoded block appended to the block file, then — every
-//!    `checkpoint_every_blocks`, or sooner when the state engine reports
-//!    memory pressure — a checkpoint followed by WAL truncation.
+//!    `checkpoint_every_blocks`, or sooner when the LSM memtable crosses
+//!    its threshold — a checkpoint followed by WAL truncation.
 //!
-//! # State engines
+//! # State engine
 //!
-//! [`DurableBackend`] writes that protocol once over a private two-variant
-//! state engine, and the checkpoint step is the only place the two differ.
-//! The in-memory engine ([`StateDb`]) keeps every key and value resident
-//! and checkpoints by serializing the *whole* state into `checkpoint.dat`;
-//! the LSM engine ([`LsmState`]) keeps values on disk and checkpoints by
-//! flushing its memtable, the metadata riding in `lsm/MANIFEST`. Both
-//! publish the same metadata (height, rolling state root, full-state
-//! digest, the store's base height with the hash of the block before it,
-//! tip timestamp), so either kind of directory can be a *pruned* store
-//! bootstrapped from a shipped [`ChainSnapshot`]. DESIGN.md §8 has the
-//! engine table.
+//! [`DurableBackend`] keeps its state in an LSM tree ([`LsmState`] under
+//! `<dir>/lsm`), Fabric's LevelDB analogue: values live on disk, and a
+//! checkpoint is a memtable flush whose `lsm/MANIFEST` carries the
+//! backend's metadata (height, rolling state root, full-state digest, the
+//! store's base height with the hash of the block before it, tip
+//! timestamp). The base lets a directory be a *pruned* store bootstrapped
+//! from a shipped [`ChainSnapshot`]. [`InMemoryBackend`] ([`StateDb`], no
+//! disk) is the differential twin durable chains are held to. DESIGN.md §8
+//! has the layout.
 //!
 //! # Recovery
 //!
 //! Because the WAL write precedes the block append, a crash can lose a
 //! suffix of *both* files but never leave a committed block whose state is
-//! unrecoverable: [`DurableBackend::open`] loads the engine's last
-//! checkpoint and verifies it against the recorded digest, replays
+//! unrecoverable: [`DurableBackend::open`] opens the LSM at its last flush
+//! and verifies it against the digest the manifest records, replays
 //! surviving WAL records over it, re-derives any writes the WAL lost from
 //! the surviving blocks themselves (transactions × validity flags), and
 //! re-derives the rolling state root per block to verify the result
@@ -54,7 +52,7 @@ use std::time::Instant;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
-use fabric_store::{BlockFile, Checkpoint, CheckpointStore, StoreError, Wal};
+use fabric_store::{BlockFile, StoreError, Wal};
 pub use fabric_store::{FsyncPolicy, StorageConfig};
 use ledgerview_statedb::LsmConfig;
 
@@ -254,7 +252,7 @@ impl WalRecord {
     }
 }
 
-/// Serialize the full state into a checkpoint payload. Entries are tagged
+/// Serialize the full state into a snapshot payload. Entries are tagged
 /// (1 = live value, 0 = tombstone) so deletions survive the round trip —
 /// they carry MVCC versions and are part of the state digest.
 fn encode_state(state: &dyn VersionedState) -> Vec<u8> {
@@ -305,12 +303,12 @@ fn decode_state(bytes: &[u8]) -> Result<StateDb, FabricError> {
     Ok(state)
 }
 
-/// What a checkpoint records beside the state itself — the same facts for
-/// both engines: how far the persisted state reaches, the rolling state
-/// root there, the full-state Merkle digest (verified on load), the
-/// store's base height (non-zero for a pruned store bootstrapped from a
-/// shipped snapshot) with the hash of the block *before* the base, and the
-/// tip block timestamp.
+/// What a checkpoint publishes in the LSM manifest beside the state
+/// itself: how far the flushed state reaches, the rolling state root
+/// there, the full-state Merkle digest (verified on load), the store's
+/// base height (non-zero for a pruned store bootstrapped from a shipped
+/// snapshot) with the hash of the block *before* the base, and the tip
+/// block timestamp.
 #[derive(Clone, Copy, Default)]
 struct StateMeta {
     /// Blocks below this height are reflected in the persisted state.
@@ -323,22 +321,23 @@ struct StateMeta {
 }
 
 impl StateMeta {
-    /// Everything but `height`, which each engine keeps where its format
-    /// already has a slot for it (the checkpoint file's header; the front
-    /// of the LSM manifest blob).
-    fn encode_body(&self, w: &mut Writer) {
-        w.array(self.state_root.as_bytes())
+    /// The manifest blob.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(self.height)
+            .array(self.state_root.as_bytes())
             .array(self.state_digest.as_bytes())
             .u64(self.base_height)
             .array(self.base_prev_hash.as_bytes())
             .u64(self.timestamp_us);
+        w.into_bytes()
     }
 
-    /// Inverse of [`StateMeta::encode_body`]; the body is the last thing
-    /// in either container, so the reader must end with it.
-    fn decode_body(height: u64, r: &mut Reader<'_>) -> Result<StateMeta, FabricError> {
+    /// Inverse of [`StateMeta::encode`]; trailing bytes are an error.
+    fn decode(blob: &[u8]) -> Result<StateMeta, FabricError> {
+        let mut r = Reader::new(blob);
         let meta = StateMeta {
-            height,
+            height: r.u64()?,
             state_root: Digest(r.array::<32>()?),
             state_digest: Digest(r.array::<32>()?),
             base_height: r.u64()?,
@@ -350,90 +349,32 @@ impl StateMeta {
     }
 }
 
-/// Where a [`DurableBackend`] keeps its state, and the only place its
-/// commit protocol forks: what a checkpoint *is*.
-enum Engine {
-    /// The whole state in memory; a checkpoint serializes all of it.
-    Memory(StateDb),
-    /// Values in an LSM tree under `<dir>/lsm`; a checkpoint flushes the
-    /// memtable and publishes the metadata in the manifest.
-    Lsm(Box<LsmState>),
+/// Open the LSM under `lsm.dir` with the metadata its last flush
+/// published, verified against the recorded state digest. `None` metadata
+/// means nothing was ever flushed and the state is empty.
+fn load_state(
+    config: &StorageConfig,
+    lsm: LsmConfig,
+) -> Result<(LsmState, Option<StateMeta>), FabricError> {
+    std::fs::create_dir_all(&config.dir)
+        .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
+    let (state, blob) = LsmState::open(lsm)?;
+    let meta = blob.as_deref().map(StateMeta::decode).transpose()?;
+    match meta {
+        Some(m) if state.state_digest() != m.state_digest => Err(FabricError::Storage(
+            "persisted state digest mismatch at reopen".into(),
+        )),
+        _ => Ok((state, meta)),
+    }
 }
 
-impl Engine {
-    /// Load whatever the engine last persisted under `config.dir` (an LSM
-    /// engine when `lsm` is given) with the metadata published alongside
-    /// it, verified against the recorded state digest. `None` metadata
-    /// means nothing was ever persisted and the state is empty.
-    fn load(
-        config: &StorageConfig,
-        lsm: Option<LsmConfig>,
-    ) -> Result<(Engine, Option<StateMeta>), FabricError> {
-        std::fs::create_dir_all(&config.dir)
-            .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
-        let (engine, meta) = match lsm {
-            None => match CheckpointStore::new(&config.dir).load()? {
-                Some(cp) => {
-                    let meta = StateMeta::decode_body(cp.height, &mut Reader::new(&cp.meta))?;
-                    (Engine::Memory(decode_state(&cp.payload)?), Some(meta))
-                }
-                None => (Engine::Memory(StateDb::new()), None),
-            },
-            Some(lsm) => {
-                let (state, blob) = LsmState::open(lsm)?;
-                let decode = |blob: Vec<u8>| {
-                    let mut r = Reader::new(&blob);
-                    StateMeta::decode_body(r.u64()?, &mut r)
-                };
-                let meta = blob.map(decode).transpose()?;
-                (Engine::Lsm(Box::new(state)), meta)
-            }
-        };
-        match &meta {
-            Some(m) if engine.state().state_digest() != m.state_digest => Err(
-                FabricError::Storage("persisted state digest mismatch at reopen".into()),
-            ),
-            _ => Ok((engine, meta)),
-        }
-    }
-
-    /// Make the current state, tagged with `meta`, the engine's commit
-    /// point. Returns `false` only when an injected crash (LSM testing
-    /// hook) stopped the engine before the commit point moved.
-    fn persist(&mut self, dir: &Path, meta: &StateMeta) -> Result<bool, FabricError> {
-        let mut w = Writer::new();
-        match self {
-            Engine::Memory(state) => {
-                meta.encode_body(&mut w);
-                CheckpointStore::new(dir).save(&Checkpoint {
-                    height: meta.height,
-                    meta: w.into_bytes(),
-                    payload: encode_state(state),
-                })?;
-                Ok(true)
-            }
-            Engine::Lsm(state) => {
-                w.u64(meta.height);
-                meta.encode_body(&mut w);
-                state.flush(&w.into_bytes())?;
-                Ok(!state.crashed())
-            }
-        }
-    }
-
-    fn state(&self) -> &dyn VersionedState {
-        match self {
-            Engine::Memory(state) => state,
-            Engine::Lsm(state) => state.as_ref(),
-        }
-    }
-
-    fn state_mut(&mut self) -> &mut dyn VersionedState {
-        match self {
-            Engine::Memory(state) => state,
-            Engine::Lsm(state) => state.as_mut(),
-        }
-    }
+/// Make the current state, tagged with `meta`, the commit point: flush the
+/// memtable and publish `meta` in the manifest. Returns `false` only when
+/// an injected crash (testing hook) stopped the flush before the manifest
+/// moved.
+fn persist(state: &mut LsmState, meta: &StateMeta) -> Result<bool, FabricError> {
+    state.flush(&meta.encode())?;
+    Ok(!state.crashed())
 }
 
 /// A self-contained, shippable snapshot of a chain at one height: the full
@@ -532,11 +473,10 @@ struct RecoveredTail {
     root: Digest,
 }
 
-/// The recovery tail, run once the engine has loaded whatever it persists
-/// *as state* (a checkpoint snapshot, the flushed LSM): `state` reflects
-/// every block below `replay_from` and `root` is the rolling state root at
-/// that height. `base` is the first block height the store is expected to
-/// hold.
+/// The recovery tail, run once the LSM is open at its last flush: `state`
+/// reflects every block below `replay_from` and `root` is the rolling
+/// state root at that height. `base` is the first block height the store
+/// is expected to hold.
 fn recover_tail(
     config: &StorageConfig,
     pool: &WorkerPool,
@@ -646,8 +586,8 @@ struct StorageMetrics {
     block_append_seconds: HistogramHandle,
     checkpoint_seconds: HistogramHandle,
     /// The same checkpoint latency under the name LSM dashboards know it
-    /// by (`lv_statedb_flush_seconds`); registered for that engine only.
-    lsm_flush_seconds: Option<HistogramHandle>,
+    /// by (`lv_statedb_flush_seconds`).
+    lsm_flush_seconds: HistogramHandle,
     checkpoints_total: Counter,
     fsyncs_total: Counter,
     /// Fsync count already mirrored into `fsyncs_total` (the store layer
@@ -656,13 +596,13 @@ struct StorageMetrics {
 }
 
 impl StorageMetrics {
-    fn new(telemetry: &Telemetry, already_fsynced: u64, lsm: bool) -> StorageMetrics {
+    fn new(telemetry: &Telemetry, already_fsynced: u64) -> StorageMetrics {
         let r = telemetry.registry();
         StorageMetrics {
             wal_append_seconds: r.histogram("lv_storage_wal_append_seconds", &[]),
             block_append_seconds: r.histogram("lv_storage_block_append_seconds", &[]),
             checkpoint_seconds: r.histogram("lv_storage_checkpoint_seconds", &[]),
-            lsm_flush_seconds: lsm.then(|| r.histogram("lv_statedb_flush_seconds", &[])),
+            lsm_flush_seconds: r.histogram("lv_statedb_flush_seconds", &[]),
             checkpoints_total: r.counter("lv_storage_checkpoints_total", &[]),
             fsyncs_total: r.counter("lv_storage_fsyncs_total", &[]),
             fsyncs_mirrored: already_fsynced,
@@ -677,16 +617,16 @@ impl StorageMetrics {
     }
 }
 
-/// The disk-backed backend: a state engine (in-memory [`StateDb`] or
-/// [`LsmState`]) made crash-recoverable by a WAL, an append-only block
-/// file with a sparse index, and the engine's checkpoints. See the module
-/// docs for the write protocol, the two engines and recovery invariants.
+/// The disk-backed backend: an [`LsmState`] made crash-recoverable by a
+/// WAL, an append-only block file with a sparse index, and the LSM's
+/// flushes as checkpoints. See the module docs for the write protocol and
+/// recovery invariants.
 pub struct DurableBackend {
-    engine: Engine,
+    state: LsmState,
     wal: Wal,
     blocks: BlockFile,
     config: StorageConfig,
-    /// What the engine's last checkpoint published. Its base height
+    /// What the last checkpoint published. Its base height
     /// (non-zero when bootstrapped from a shipped snapshot — a *pruned*
     /// store) and base hash hold for the life of the store.
     checkpointed: StateMeta,
@@ -700,60 +640,58 @@ pub struct DurableBackend {
 
 impl fmt::Debug for DurableBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let lsm = self.lsm_state();
         f.debug_struct("DurableBackend")
             .field("dir", &self.config.dir)
             .field("fsync", &self.config.fsync)
             .field("height", &self.blocks.height())
             .field("wal_records", &self.wal.record_count())
-            .field("engine", &if lsm.is_some() { "lsm" } else { "in-memory" })
-            .field("memtable_bytes", &lsm.map(|l| l.lsm_stats().memtable_bytes))
+            .field("memtable_bytes", &self.state.lsm_stats().memtable_bytes)
             .finish()
     }
 }
 
 impl DurableBackend {
-    /// Open (or create) the store under `config.dir` on the in-memory
-    /// state engine and run crash recovery. Returns the backend plus every
-    /// recovered block in height order (for the chain to rebuild its block
-    /// store). `pool` parallelises block decoding during recovery.
+    /// Open (or create) the store under `config.dir`, its LSM under the
+    /// default tuning ([`LsmState::default_config`]), and run crash
+    /// recovery. Returns the backend plus every recovered block in height
+    /// order (for the chain to rebuild its block store). `pool`
+    /// parallelises block decoding during recovery.
     pub fn open(
         config: StorageConfig,
         pool: &WorkerPool,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
-        DurableBackend::open_with(config, None, pool)
+        let lsm = LsmState::default_config(&config);
+        DurableBackend::open_with(config, lsm, pool)
     }
 
-    /// [`DurableBackend::open`] with the state engine chosen by the
-    /// caller: the LSM under the given tuning, or (`None`) the in-memory
-    /// one. A directory must be reopened on the engine that created it.
+    /// [`DurableBackend::open`] with explicit LSM tuning (memtable size,
+    /// cache budgets, compaction thresholds).
     pub fn open_with(
         config: StorageConfig,
-        lsm: Option<LsmConfig>,
+        lsm: LsmConfig,
         pool: &WorkerPool,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
-        // The engine's last checkpoint (may be absent). Its metadata
+        // The last checkpoint's metadata (absent before the first flush)
         // carries the store's base height — non-zero when this store was
         // bootstrapped from a shipped snapshot and holds no earlier block.
-        let (engine, meta) = Engine::load(&config, lsm)?;
-        DurableBackend::resume(config, engine, meta.unwrap_or_default(), pool)
+        let (state, meta) = load_state(&config, lsm)?;
+        DurableBackend::resume(config, state, meta.unwrap_or_default(), pool)
     }
 
-    /// Install a shipped [`ChainSnapshot`] into a fresh directory, on
-    /// either engine, and open the resulting *pruned* store: its base is
-    /// the snapshot height, the snapshot state is verified against its
-    /// digest, and the store is ready to commit block `snapshot.height`
-    /// next. This is the O(state) peer-bootstrap path — no block history
-    /// is required or stored below the base.
+    /// Install a shipped [`ChainSnapshot`] into a fresh directory and open
+    /// the resulting *pruned* store: its base is the snapshot height, the
+    /// snapshot state is verified against its digest, and the store is
+    /// ready to commit block `snapshot.height` next. This is the O(state)
+    /// peer-bootstrap path — no block history is required or stored below
+    /// the base.
     pub fn install_snapshot(
         config: StorageConfig,
-        lsm: Option<LsmConfig>,
+        lsm: LsmConfig,
         pool: &WorkerPool,
         snapshot: &ChainSnapshot,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
         let occupied = [
             PathBuf::from(fabric_store::blockfile::BLOCKS_DATA_FILE),
-            PathBuf::from(fabric_store::checkpoint::CHECKPOINT_FILE),
             Path::new(LSM_SUBDIR).join(ledgerview_statedb::manifest::MANIFEST_FILE),
         ]
         .iter()
@@ -765,8 +703,7 @@ impl DurableBackend {
             )));
         }
         let shipped = snapshot.state()?; // digest check before anything lands
-        let (mut engine, _) = Engine::load(&config, lsm)?;
-        let state = engine.state_mut();
+        let (mut state, _) = load_state(&config, lsm)?;
         shipped.for_each_entry(&mut |key, value, version| match value {
             Some(v) => state.put(key.to_string(), v.to_vec(), version),
             None => state.delete(key, version),
@@ -779,18 +716,18 @@ impl DurableBackend {
             base_prev_hash: snapshot.prev_block_hash,
             timestamp_us: snapshot.timestamp_us,
         };
-        engine.persist(&config.dir, &meta)?;
-        DurableBackend::resume(config, engine, meta, pool)
+        persist(&mut state, &meta)?;
+        DurableBackend::resume(config, state, meta, pool)
     }
 
-    /// The shared tail of `open_with` and `install_snapshot`: `engine`
-    /// holds the state `checkpointed` describes; replay the surviving
-    /// blocks and WAL records over it, verified against every replayed
-    /// header. A pruned block file without a checkpoint fails the base
-    /// check (no checkpoint ⇒ base 0).
+    /// The shared tail of `open_with` and `install_snapshot`: `state`
+    /// holds what `checkpointed` describes; replay the surviving blocks
+    /// and WAL records over it, verified against every replayed header. A
+    /// pruned block file without a checkpoint fails the base check (no
+    /// checkpoint ⇒ base 0).
     fn resume(
         config: StorageConfig,
-        mut engine: Engine,
+        mut state: LsmState,
         checkpointed: StateMeta,
         pool: &WorkerPool,
     ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
@@ -799,11 +736,11 @@ impl DurableBackend {
             pool,
             checkpointed.base_height,
             checkpointed.height,
-            engine.state_mut(),
+            &mut state,
             checkpointed.state_root,
         )?;
         let backend = DurableBackend {
-            engine,
+            state,
             wal: tail.wal,
             blocks: tail.blocks_file,
             config,
@@ -875,8 +812,8 @@ impl DurableBackend {
         self.wal.segments_gced()
     }
 
-    /// Checkpoint the state engine and truncate the WAL now, regardless of
-    /// the configured interval.
+    /// Checkpoint (flush the LSM memtable) and truncate the WAL now,
+    /// regardless of the configured interval.
     pub fn checkpoint_now(&mut self) -> Result<(), FabricError> {
         let start = Instant::now();
         // Durability order: everything the checkpoint summarises must be
@@ -886,11 +823,11 @@ impl DurableBackend {
         let meta = StateMeta {
             height: self.blocks.height(),
             state_root: self.state_root,
-            state_digest: self.engine.state().state_digest(),
+            state_digest: self.state.state_digest(),
             timestamp_us: self.last_timestamp_us,
             ..self.checkpointed
         };
-        if !self.engine.persist(&self.config.dir, &meta)? {
+        if !persist(&mut self.state, &meta)? {
             // Injected crash: the manifest never committed, so the WAL must
             // keep its records for the reopen to replay.
             return Ok(());
@@ -902,9 +839,7 @@ impl DurableBackend {
         if let Some(m) = &mut self.metrics {
             let elapsed = start.elapsed();
             m.checkpoint_seconds.observe_duration(elapsed);
-            if let Some(h) = &m.lsm_flush_seconds {
-                h.observe_duration(elapsed);
-            }
+            m.lsm_flush_seconds.observe_duration(elapsed);
             m.checkpoints_total.inc();
             m.sync_fsyncs(total_fsyncs);
         }
@@ -914,11 +849,11 @@ impl DurableBackend {
 
 impl StateBackend for DurableBackend {
     fn state(&self) -> &dyn VersionedState {
-        self.engine.state()
+        &self.state
     }
 
     fn state_mut(&mut self) -> &mut dyn VersionedState {
-        self.engine.state_mut()
+        &mut self.state
     }
 
     fn commit_block(&mut self, block: &Block) -> Result<(), FabricError> {
@@ -947,14 +882,12 @@ impl StateBackend for DurableBackend {
         self.state_root = block.header.state_root;
         self.last_timestamp_us = block.header.timestamp_us;
         // Checkpoint on either trigger: the configured interval (bounds
-        // WAL replay work) or engine memory pressure (bounds the memtable).
+        // WAL replay work) or memtable pressure (bounds the memtable).
         let since_checkpoint = self.blocks.height() - self.checkpointed.height;
-        if since_checkpoint >= self.config.checkpoint_every_blocks
-            || self.lsm_state().is_some_and(LsmState::should_flush)
-        {
+        if since_checkpoint >= self.config.checkpoint_every_blocks || self.state.should_flush() {
             self.checkpoint_now()?;
-        } else if let Some(lsm) = self.lsm_state_mut() {
-            lsm.sync_metrics();
+        } else {
+            self.state.sync_metrics();
         }
         Ok(())
     }
@@ -974,25 +907,16 @@ impl StateBackend for DurableBackend {
     }
 
     fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        if let Some(lsm) = self.lsm_state_mut() {
-            lsm.set_telemetry(telemetry);
-        }
-        let lsm = self.lsm_state().is_some();
-        self.metrics = Some(StorageMetrics::new(telemetry, self.fsyncs(), lsm));
+        self.state.set_telemetry(telemetry);
+        self.metrics = Some(StorageMetrics::new(telemetry, self.fsyncs()));
     }
 
     fn lsm_state(&self) -> Option<&LsmState> {
-        match &self.engine {
-            Engine::Memory(_) => None,
-            Engine::Lsm(state) => Some(state),
-        }
+        Some(&self.state)
     }
 
     fn lsm_state_mut(&mut self) -> Option<&mut LsmState> {
-        match &mut self.engine {
-            Engine::Memory(_) => None,
-            Engine::Lsm(state) => Some(state),
-        }
+        Some(&mut self.state)
     }
 }
 
@@ -1146,19 +1070,17 @@ mod tests {
             base_prev_hash: Digest([5; 32]),
             timestamp_us: 123_456,
         };
-        let mut w = Writer::new();
-        meta.encode_body(&mut w);
-        let body = w.into_bytes();
-        let decoded = StateMeta::decode_body(42, &mut Reader::new(&body)).unwrap();
+        let body = meta.encode();
+        let decoded = StateMeta::decode(&body).unwrap();
         assert_eq!(decoded.height, 42);
         assert_eq!(decoded.state_root, Digest([7; 32]));
         assert_eq!(decoded.state_digest, Digest([9; 32]));
         assert_eq!(decoded.base_height, 40);
         assert_eq!(decoded.base_prev_hash, Digest([5; 32]));
         assert_eq!(decoded.timestamp_us, 123_456);
-        assert!(StateMeta::decode_body(42, &mut Reader::new(&body[..50])).is_err());
+        assert!(StateMeta::decode(&body[..50]).is_err());
         let trailing = [body.as_slice(), &[0]].concat();
-        assert!(StateMeta::decode_body(42, &mut Reader::new(&trailing)).is_err());
+        assert!(StateMeta::decode(&trailing).is_err());
     }
 
     #[test]

@@ -219,8 +219,8 @@ pub enum CompletionOutcome {
     /// Aborted by the conflict-aware cutter before validation: a key this
     /// transaction read was overwritten by a commit after its endorsement,
     /// so it fails MVCC under every intra-block order — and its reorder
-    /// requeue budget is exhausted. Only produced with
-    /// [`ReorderConfig::early_abort`] on.
+    /// requeue budget is exhausted. Only produced with the reorder stage
+    /// ([`ReorderConfig`]) enabled.
     EarlyAborted {
         /// The read key whose committed version went stale.
         key: String,
@@ -835,11 +835,7 @@ impl Gateway {
         }
         let telemetry = self.metrics.as_ref().map(|m| m.telemetry.clone());
         let _span = telemetry.as_ref().map(|t| t.span("gateway.cut"));
-        let doomed = if self.config.reorder.early_abort {
-            self.chain.precheck_pending()
-        } else {
-            vec![None; n]
-        };
+        let doomed = self.chain.precheck_pending();
         let plan = {
             let pending = self.chain.pending();
             let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();

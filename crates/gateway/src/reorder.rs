@@ -30,18 +30,18 @@
 //!    remaining subgraph contains a cycle (every remaining node has a
 //!    remaining predecessor). The planner walks min-index predecessors
 //!    from the smallest remaining index until a node repeats — a
-//!    deterministic cycle — and *defers* the cycle's largest index (the
-//!    latest arrival loses), pulling it from the block to re-endorse
-//!    into the next one. If deferral is disabled or the victim is out of
-//!    budget, the cycle's *smallest* index is force-scheduled instead
+//!    deterministic cycle — and *defers* the cycle's largest index with
+//!    requeue budget left (the latest arrival loses), pulling it from the
+//!    block to re-endorse into the next one. If no member of the cycle
+//!    has budget, the cycle's *smallest* index is force-scheduled instead
 //!    and its violated predecessors simply take their chances with MVCC
 //!    — the plan degrades to the unordered behaviour, never to a forced
 //!    abort.
 //!
 //! Every step iterates deterministic structures (`BTreeMap` over keys,
 //! index-ordered heaps), so the plan is a pure function of the pending
-//! read/write sets, the doomed-flags, and the config: same seed, same
-//! block composition.
+//! read/write sets, the doomed-flags, and the budget answers: same seed,
+//! same block composition.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -53,16 +53,12 @@ use fabric_sim::ledger::Transaction;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReorderConfig {
     /// Master switch. Off, the cutter commits pending transactions in
-    /// arrival order (the unordered baseline) and none of the other
-    /// knobs matter.
+    /// arrival order (the unordered baseline). On, it pulls transactions
+    /// whose endorsed read versions are already stale against committed
+    /// state — doomed under every order — before they spend a validation
+    /// slot, and pulls dependency-cycle victims from the block for
+    /// re-endorsement into the next one.
     pub enabled: bool,
-    /// Pull transactions whose endorsed read versions are already stale
-    /// against committed state — doomed under every order — before they
-    /// spend a validation slot.
-    pub early_abort: bool,
-    /// Pull dependency-cycle victims from the block for re-endorsement
-    /// into the next one, instead of letting them fail MVCC here.
-    pub defer: bool,
     /// Per-request budget of reorder requeues (early-abort plus deferral
     /// re-endorsements). A cycle victim over budget stays in the block
     /// and takes its chances with MVCC; a doomed transaction over budget
@@ -71,20 +67,18 @@ pub struct ReorderConfig {
 }
 
 impl Default for ReorderConfig {
-    /// Disabled (the unordered baseline); switched on, early abort and
-    /// deferral both default on with a 64-requeue budget.
+    /// Disabled (the unordered baseline), with a 64-requeue budget for
+    /// when it is switched on.
     fn default() -> Self {
         ReorderConfig {
             enabled: false,
-            early_abort: true,
-            defer: true,
             max_requeues: 64,
         }
     }
 }
 
 impl ReorderConfig {
-    /// The stage switched on with default sub-knobs.
+    /// The stage switched on with the default budget.
     pub fn enabled() -> ReorderConfig {
         ReorderConfig {
             enabled: true,
@@ -157,7 +151,9 @@ impl ReorderPlan {
 /// read key already stale against committed state, or `None` if all
 /// reads are fresh (see [`FabricChain::precheck`]; pass all-`None` to
 /// plan without early abort). `may_defer(i)` reports whether transaction
-/// `i` still has requeue budget — consulted only for cycle victims.
+/// `i` still has requeue budget — consulted only for cycle victims; pass
+/// `|_| false` to plan without deferral. The stage's `_config` holds no
+/// knob the plan reads: its budget reaches the plan through `may_defer`.
 ///
 /// Deterministic: the plan is a pure function of the arguments.
 ///
@@ -168,7 +164,7 @@ impl ReorderPlan {
 pub fn plan(
     rwsets: &[&RwSet],
     doomed: &[Option<String>],
-    config: &ReorderConfig,
+    _config: &ReorderConfig,
     mut may_defer: impl FnMut(usize) -> bool,
 ) -> ReorderPlan {
     assert_eq!(
@@ -182,12 +178,10 @@ pub fn plan(
     // aborted, deferred, or already scheduled).
     let mut removed = vec![false; n];
 
-    if config.early_abort {
-        for (i, verdict) in doomed.iter().enumerate() {
-            if let Some(key) = verdict {
-                plan.early_aborts.push((i, key.clone()));
-                removed[i] = true;
-            }
+    for (i, verdict) in doomed.iter().enumerate() {
+        if let Some(key) = verdict {
+            plan.early_aborts.push((i, key.clone()));
+            removed[i] = true;
         }
     }
 
@@ -296,12 +290,7 @@ pub fn plan(
         // Defer the latest arrival in the cycle that still has budget;
         // with none, force-schedule the earliest arrival (its violated
         // predecessors fall through to MVCC — the unordered behaviour).
-        let victim = if config.defer {
-            cycle.iter().copied().filter(|&v| may_defer(v)).max()
-        } else {
-            None
-        };
-        match victim {
+        match cycle.iter().copied().filter(|&v| may_defer(v)).max() {
             Some(v) => {
                 plan.deferred.push(v);
                 release(v, &mut removed, &mut in_deg, &mut ready, &mut remaining);
@@ -489,17 +478,6 @@ mod tests {
         assert!(p.deferred.is_empty());
         // Two forced breaks free the last node to schedule normally.
         assert_eq!(p.stats.cycles_broken, 2);
-
-        let p = plan(
-            &refs,
-            &doomed,
-            &ReorderConfig {
-                defer: false,
-                ..on()
-            },
-            |_| true,
-        );
-        assert_eq!(p.order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -511,12 +489,8 @@ mod tests {
         assert_eq!(p.order, vec![0]);
         assert_eq!(p.early_aborts, vec![(1, "b".to_string())]);
 
-        // With early abort off, the verdicts are ignored.
-        let cfg = ReorderConfig {
-            early_abort: false,
-            ..on()
-        };
-        let p = plan(&refs, &doomed, &cfg, |_| true);
+        // All-`None` verdicts plan without early abort.
+        let p = plan(&refs, &[None, None], &on(), |_| true);
         assert_eq!(p.order, vec![0, 1]);
         assert!(p.early_aborts.is_empty());
     }

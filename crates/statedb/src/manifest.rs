@@ -251,6 +251,13 @@ mod tests {
         bytes = m.encode();
         bytes.push(0);
         assert!(Manifest::decode(&bytes).is_err());
+        // Every single-bit flip, anywhere, is an error.
+        let pristine = m.encode();
+        for i in 0..pristine.len() {
+            let mut bytes = pristine.clone();
+            bytes[i] ^= 1 << (i % 8);
+            assert!(Manifest::decode(&bytes).is_err(), "flip at byte {i}");
+        }
     }
 
     #[test]

@@ -426,6 +426,11 @@ impl Table {
         if crc32(&footer[..48]) != stored_crc {
             return Err(corrupt(format!("sstable {seq}: footer checksum mismatch")));
         }
+        // The padding sits outside the checksum; it is zero by
+        // construction, so anything else is damage.
+        if footer[52..].iter().any(|&b| b != 0) {
+            return Err(corrupt(format!("sstable {seq}: non-zero footer padding")));
+        }
         let index_off = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
         let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
         let filter_off = u64::from_le_bytes(footer[16..24].try_into().expect("8 bytes"));
@@ -726,6 +731,24 @@ mod tests {
         bytes.truncate(bytes.len() - 10);
         std::fs::write(&path, &bytes).unwrap();
         assert!(Table::open(dir.path(), 3).is_err());
+    }
+
+    #[test]
+    fn every_bit_flip_fails_open_or_a_full_scan() {
+        let dir = TestDir::new("statedb-sst-flip-sweep");
+        let path = build_table(dir.path(), 4, 40, 256).path.clone();
+        let pristine = std::fs::read(&path).unwrap();
+        for i in 0..pristine.len() {
+            let mut bytes = pristine.clone();
+            bytes[i] ^= 1 << (i % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            let caches = Caches::new(1 << 20, 0);
+            let detected = match Table::open(dir.path(), 4) {
+                Err(_) => true,
+                Ok(table) => table.scan("", None, &caches).any(|r| r.is_err()),
+            };
+            assert!(detected, "flip at byte {i} went unnoticed");
+        }
     }
 
     #[test]

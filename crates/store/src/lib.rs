@@ -2,7 +2,7 @@
 //!
 //! The crate is deliberately domain-agnostic — it moves *bytes*, not blocks
 //! or transactions, so it sits below `fabric-sim` with no dependency cycle.
-//! Four layers compose into a crash-safe ledger store:
+//! Three layers compose into a crash-safe ledger store:
 //!
 //! * [`record`] — length-prefixed, CRC32-checked frame files; torn-tail
 //!   detection and truncation repair.
@@ -10,34 +10,33 @@
 //!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`).
 //! * [`blockfile`] — the append-only block data file plus a sparse
 //!   height → offset index for O(1) random block reads.
-//! * [`checkpoint`] — atomic (tmp + fsync + rename) state snapshots that
-//!   let the WAL be truncated (compaction).
 //!
-//! The write protocol the ledger layer follows for each committed block:
+//! The state itself lives in the LSM tree of `ledgerview-statedb`, whose
+//! manifest is the checkpoint. The write protocol the ledger layer follows
+//! for each committed block:
 //!
 //! ```text
 //! 1. wal.append_batch(state mutations)     # durable intent, group commit
 //! 2. blockfile.append(height, block bytes) # the block itself
-//! 3. every `checkpoint_every_blocks`: sync both files, save a checkpoint,
-//!    wal.reset()                           # compaction
+//! 3. every `checkpoint_every_blocks`: sync both files, flush the LSM
+//!    memtable (its manifest records the height), wal.reset()
 //! ```
 //!
 //! Because step 1 precedes step 2, recovery can always rebuild the state of
-//! every surviving block: replay the checkpoint, then the WAL prefix, then
-//! re-derive any remaining writes from the blocks themselves.
+//! every surviving block: open the LSM at its last flush, then replay the
+//! WAL prefix, then re-derive any remaining writes from the blocks
+//! themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blockfile;
-pub mod checkpoint;
 pub mod crc32;
 pub mod record;
 pub mod testdir;
 pub mod wal;
 
 pub use blockfile::BlockFile;
-pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use wal::{FsyncPolicy, Wal};
 
 use std::fmt;
@@ -49,7 +48,8 @@ pub enum StoreError {
     /// An operating-system I/O failure.
     Io(std::io::Error),
     /// On-disk data failed validation in a way truncation cannot repair
-    /// (bad CRC inside a checkpoint, block-height discontinuities, …).
+    /// (bad CRC inside a table or manifest, block-height discontinuities,
+    /// …).
     Corrupt(String),
 }
 
@@ -90,12 +90,12 @@ impl From<std::io::Error> for StoreError {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StorageConfig {
-    /// Directory holding the WAL, block files and checkpoints. Created on
-    /// open if missing.
+    /// Directory holding the WAL, block files and the state's LSM tree.
+    /// Created on open if missing.
     pub dir: PathBuf,
     /// When the WAL flushes to stable storage.
     pub fsync: FsyncPolicy,
-    /// Snapshot the state DB and truncate the WAL every this many blocks.
+    /// Checkpoint the state DB and truncate the WAL every this many blocks.
     pub checkpoint_every_blocks: u64,
     /// Sparse-index stride: one index entry per this many blocks. Reads
     /// skip at most `index_every - 1` frame headers.

@@ -1,7 +1,7 @@
 //! Length-prefixed, CRC-checked record framing.
 //!
 //! Every file this crate writes — the WAL, the block data file, the sparse
-//! block index, checkpoints — is a sequence of *frames*:
+//! block index — is a sequence of *frames*:
 //!
 //! ```text
 //! +----------------+----------------+------------------+

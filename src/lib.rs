@@ -14,10 +14,11 @@
 //! * [`fabric`] — the execute-order-validate blockchain substrate
 //!   (endorsement, Raft ordering, MVCC validation, state DB, private data
 //!   collections).
-//! * [`store`] — the durable storage engine (append-only block file, WAL,
-//!   snapshot checkpoints) behind `fabric::storage`.
-//! * [`statedb`] — the disk-backed LSM state engine behind
-//!   `fabric::lsm` (larger-than-RAM versioned state).
+//! * [`store`] — the durable storage engine (append-only block file, WAL)
+//!   behind `fabric::storage`.
+//! * [`statedb`] — the disk-backed LSM state engine behind `fabric::lsm`
+//!   (larger-than-RAM versioned state), where every durable peer keeps
+//!   its state.
 //! * [`datalog`] — recursive view definitions.
 //! * [`views`] — **the paper's contribution**: view managers, readers,
 //!   contracts, RBAC and verification.

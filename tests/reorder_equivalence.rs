@@ -428,13 +428,9 @@ proptest! {
         prop_assert_eq!(&a, &b, "equal inputs must produce equal plans");
         check(&a, true);
 
-        // With deferral off the planner degrades to in-block MVCC: every
-        // transaction stays, in some deterministic order.
-        let forcing = ReorderConfig {
-            defer: false,
-            ..ReorderConfig::enabled()
-        };
-        let f = reorder::plan(&refs, &doomed, &forcing, |_| true);
+        // With no requeue budget the planner degrades to in-block MVCC:
+        // every transaction stays, in some deterministic order.
+        let f = reorder::plan(&refs, &doomed, &deferring, |_| false);
         check(&f, false);
     }
 }

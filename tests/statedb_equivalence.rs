@@ -10,9 +10,9 @@
 //! additionally arm the engine's injected crash points (mid-flush,
 //! mid-compaction) and cut the WAL or block file at arbitrary byte
 //! offsets, then require recovery to a committed-prefix-consistent state.
-//! The snapshot tests install one `ChainSnapshot` into a directory of each
-//! engine kind and hold both *pruned* stores to the twin from there on —
-//! across clean reopens and injected crashes alike.
+//! The snapshot tests install one `ChainSnapshot` into an LSM under tiny
+//! and under default budgets and hold both *pruned* stores to the twin
+//! from there on — across clean reopens and injected crashes alike.
 
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::Digest;
@@ -353,29 +353,30 @@ fn twin_with_snapshot(
     (twin, snapshot.expect("at < blocks"), history)
 }
 
-/// Open the store under `dir` on the LSM or the in-memory engine —
+/// Open the store under `dir`, its LSM under tiny or default budgets —
 /// installing `snapshot` into it first, when one is given.
 fn pruned_chain(
     seed: u64,
     dir: &Path,
-    lsm: bool,
+    tiny: bool,
     snapshot: Option<&ChainSnapshot>,
 ) -> Result<FabricChain, FabricError> {
     let config = StorageConfig::new(dir)
         .fsync(FsyncPolicy::Never)
         .checkpoint_every(3);
-    let tuning = lsm.then(|| tiny_lsm_config(dir));
+    let tuning = if tiny {
+        tiny_lsm_config(dir)
+    } else {
+        LsmState::default_config(&config)
+    };
     let orgs = ["Org1", "Org2"];
     let validation = ValidationConfig::parallel(2);
     let mut rng = seeded(seed);
-    let mut chain = match (snapshot, tuning) {
-        (Some(snapshot), tuning) => {
+    let mut chain = match snapshot {
+        Some(snapshot) => {
             FabricChain::from_snapshot(&orgs, &mut rng, config, tuning, validation, snapshot)
         }
-        (None, Some(tuning)) => {
-            FabricChain::with_lsm_storage_tuned(&orgs, &mut rng, config, tuning, validation)
-        }
-        (None, None) => FabricChain::with_storage(&orgs, &mut rng, config, validation),
+        None => FabricChain::with_lsm_storage_tuned(&orgs, &mut rng, config, tuning, validation),
     }?;
     setup(&mut chain, seed);
     Ok(chain)
@@ -416,38 +417,40 @@ fn assert_pruned_at(
 fn snapshot_bootstrap_lands_on_either_engine() {
     let (seed, at, blocks) = (77, 5, 12);
     let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks);
-    let lsm_dir = TestDir::new("statedb-eq-snap-lsm");
-    let mem_dir = TestDir::new("statedb-eq-snap-mem");
-    let mut on_lsm = pruned_chain(seed, lsm_dir.path(), true, Some(&snapshot)).unwrap();
-    let mut in_mem = pruned_chain(seed, mem_dir.path(), false, Some(&snapshot)).unwrap();
-    assert!(on_lsm.lsm_backend().is_some() && in_mem.lsm_backend().is_none());
-    assert!(lsm_dir.path().join("lsm").join("MANIFEST").is_file());
+    let tiny_dir = TestDir::new("statedb-eq-snap-lsm");
+    let default_dir = TestDir::new("statedb-eq-snap-default");
+    let mut on_tiny = pruned_chain(seed, tiny_dir.path(), true, Some(&snapshot)).unwrap();
+    let mut on_default = pruned_chain(seed, default_dir.path(), false, Some(&snapshot)).unwrap();
+    for dir in [&tiny_dir, &default_dir] {
+        assert!(dir.path().join("lsm").join("MANIFEST").is_file());
+        assert!(!dir.path().join("checkpoint.dat").exists());
+    }
 
     // Same remaining blocks on both and on the twin: identical at every
     // height.
     for h in at..blocks {
-        assert_pruned_at(&on_lsm, &snapshot, &history, h);
-        assert_pruned_at(&in_mem, &snapshot, &history, h);
-        apply_twin_block(&mut on_lsm, &twin, h);
-        apply_twin_block(&mut in_mem, &twin, h);
+        assert_pruned_at(&on_tiny, &snapshot, &history, h);
+        assert_pruned_at(&on_default, &snapshot, &history, h);
+        apply_twin_block(&mut on_tiny, &twin, h);
+        apply_twin_block(&mut on_default, &twin, h);
     }
-    let stats = on_lsm.lsm_backend().unwrap().lsm_stats();
+    let stats = on_tiny.lsm_backend().unwrap().lsm_stats();
     assert!(stats.flushes > 1 && stats.compactions > 0, "{stats:?}");
-    drop((on_lsm, in_mem));
+    drop((on_tiny, on_default));
 
-    // Both pruned directories reopen on the engine that created them.
-    for (dir, lsm) in [(&lsm_dir, true), (&mem_dir, false)] {
-        let chain = pruned_chain(seed, dir.path(), lsm, None).unwrap();
+    // Both pruned directories reopen under the tuning that created them.
+    for (dir, tiny) in [(&tiny_dir, true), (&default_dir, false)] {
+        let chain = pruned_chain(seed, dir.path(), tiny, None).unwrap();
         assert_pruned_at(&chain, &snapshot, &history, blocks);
     }
 
     // A directory that holds an LSM manifest — even one with no block
-    // yet — is not a place to install a snapshot, on either engine.
+    // yet — is not a place to install a snapshot, under either tuning.
     let bare = TestDir::new("statedb-eq-snap-bare");
     drop(pruned_chain(seed, bare.path(), true, Some(&snapshot)).unwrap());
-    for dir in [&bare, &lsm_dir] {
-        for lsm in [true, false] {
-            let refused = pruned_chain(seed, dir.path(), lsm, Some(&snapshot));
+    for dir in [&bare, &tiny_dir] {
+        for tiny in [true, false] {
+            let refused = pruned_chain(seed, dir.path(), tiny, Some(&snapshot));
             assert!(matches!(refused, Err(FabricError::Storage(_))));
         }
     }

@@ -2,18 +2,18 @@
 //!
 //! One fixed-seed workload — puts, overwrites, deletes, an MVCC conflict
 //! pair, four checkpoint intervals and one reopen — runs through
-//! `with_storage` (in-memory state engine) and `with_lsm_storage_tuned`
-//! (LSM engine). Pinned for each: the final rolling state root and state
-//! digest, the number of blocks the reopen recovered, and the length and
-//! SHA-256 of every file left in the storage directory. The values were
-//! taken on the tree where `DurableBackend` and `LsmBackend` were still
-//! two types, so a refactor of the commit protocol that moves one byte of
-//! a WAL segment, the block file, the checkpoint or an SSTable fails here.
+//! `with_lsm_storage_tuned` under budgets small enough to flush and
+//! compact. Pinned: the final rolling state root and state digest, the
+//! number of blocks the reopen recovered, and the length and SHA-256 of
+//! every file left in the storage directory. The values were taken on the
+//! tree where `DurableBackend` and `LsmBackend` were still two types, so a
+//! refactor of the commit protocol that moves one byte of a WAL segment,
+//! the block file or an SSTable fails here.
 //!
 //! The one file whose content is not pinned is `lsm/MANIFEST`: it embeds
 //! the metadata blob published with each flush, and only its length is
 //! held — 40 bytes more than on that tree, because the blob now carries
-//! `base_height` and `base_prev_hash` like the checkpoint always did.
+//! `base_height` and `base_prev_hash`.
 
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::sha256;
@@ -80,17 +80,14 @@ fn tiny_lsm_config(dir: &Path) -> LsmConfig {
         .sync(false)
 }
 
-fn open(dir: &Path, lsm: bool) -> (FabricChain, Identity) {
+fn open(dir: &Path) -> (FabricChain, Identity) {
     let mut rng = seeded(SEED);
     let orgs = ["Org1", "Org2"];
     let validation = ValidationConfig::parallel(2);
-    let mut chain = if lsm {
-        let tuning = tiny_lsm_config(dir);
+    let tuning = tiny_lsm_config(dir);
+    let mut chain =
         FabricChain::with_lsm_storage_tuned(&orgs, &mut rng, storage(dir), tuning, validation)
-    } else {
-        FabricChain::with_storage(&orgs, &mut rng, storage(dir), validation)
-    }
-    .unwrap();
+            .unwrap();
     chain.deploy(
         "kv",
         Box::new(Kv),
@@ -133,16 +130,16 @@ fn commit_block(chain: &mut FabricChain, alice: &Identity, b: u64, rng: &mut imp
 /// reopen, [(relative path, length, sha256 hex)] sorted by path)`.
 type Outcome = (String, String, u64, Vec<(String, u64, String)>);
 
-fn run(lsm: bool) -> Outcome {
-    let dir = TestDir::new(if lsm { "goldens-lsm" } else { "goldens-mem" });
+fn run() -> Outcome {
+    let dir = TestDir::new("goldens-lsm");
     let mut rng = seeded(SEED ^ 0xabcd);
     {
-        let (mut chain, alice) = open(dir.path(), lsm);
+        let (mut chain, alice) = open(dir.path());
         for b in 0..BLOCKS_BEFORE_REOPEN {
             commit_block(&mut chain, &alice, b, &mut rng);
         }
     }
-    let (mut chain, alice) = open(dir.path(), lsm);
+    let (mut chain, alice) = open(dir.path());
     let recovered = chain.height();
     for b in recovered..recovered + BLOCKS_AFTER_REOPEN {
         commit_block(&mut chain, &alice, b, &mut rng);
@@ -209,25 +206,6 @@ const BLOCKS_IDX: (&str, u64, &str) = (
 );
 
 #[test]
-fn in_memory_engine_directory_is_byte_identical() {
-    let files = [
-        BLOCKS_DAT,
-        BLOCKS_IDX,
-        (
-            "checkpoint.dat",
-            2_405,
-            "02e54cf28c412c791a0df2a05f9b78bd441ab30e2a5c91bc1998d8e63e2a876b",
-        ),
-        (
-            "state.wal.000000",
-            1_888,
-            "22dff5540f64382a433a7e484ae963cdf7b00481ee9e715de3d1c27440f8715d",
-        ),
-    ];
-    assert_matches(&run(false), ROOT, DIGEST, &files);
-}
-
-#[test]
 fn lsm_engine_directory_is_byte_identical() {
     let files = [
         BLOCKS_DAT,
@@ -249,5 +227,5 @@ fn lsm_engine_directory_is_byte_identical() {
             "1299cb64d91c8321b645409e614e66e9630b4ac612b228b4573caf0430d64218",
         ),
     ];
-    assert_matches(&run(true), ROOT, DIGEST, &files);
+    assert_matches(&run(), ROOT, DIGEST, &files);
 }

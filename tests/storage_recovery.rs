@@ -17,13 +17,12 @@ use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
 use ledgerview::fabric::statedb::VersionedState;
 use ledgerview::fabric::storage::wal_segment_path;
-use ledgerview::fabric::{Chaincode, FabricChain, FabricError};
+use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
 use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
-use ledgerview::store::checkpoint::CHECKPOINT_FILE;
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// `put key value`, `del key`, `rmw key` (read-modify-write, the MVCC
 /// conflict generator).
@@ -210,23 +209,9 @@ fn clean_reopen_recovers_full_history() {
     chain.flush().unwrap();
 }
 
-#[test]
-fn tampered_checkpoint_is_rejected() {
-    let dir = TestDir::new("recover-tamper");
-    let config = StorageConfig::new(dir.path())
-        .fsync(FsyncPolicy::Never)
-        .checkpoint_every(2);
-    let seed = 23;
-    {
-        let (mut chain, alice) = durable_chain(seed, config.clone());
-        run_workload(&mut chain, &alice, 6, seed ^ 0xabcd);
-    }
-    let cp_path = dir.path().join(CHECKPOINT_FILE);
-    let mut bytes = std::fs::read(&cp_path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&cp_path, &bytes).unwrap();
-
+/// Reopen the directory `config` names; it must refuse with a typed
+/// storage error.
+fn assert_reopen_is_a_storage_error(seed: u64, config: StorageConfig, what: &str) {
     let mut rng = seeded(seed);
     match FabricChain::with_storage(
         &["Org1", "Org2"],
@@ -235,9 +220,111 @@ fn tampered_checkpoint_is_rejected() {
         ValidationConfig::default(),
     ) {
         Err(FabricError::Storage(_)) => {}
-        Err(other) => panic!("expected a storage error, got {other}"),
-        Ok(_) => panic!("tampered checkpoint was accepted"),
+        Err(other) => panic!("{what}: expected a storage error, got {other}"),
+        Ok(_) => panic!("{what}: the directory was accepted"),
     }
+}
+
+/// The newest SSTable of an LSM directory (names are zero-padded sequence
+/// numbers, so the greatest name is the newest table).
+fn newest_table(lsm: &Path) -> PathBuf {
+    std::fs::read_dir(lsm)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tbl"))
+        .max()
+        .expect("the chain flushed a table")
+}
+
+#[test]
+fn tampered_checkpoint_is_rejected() {
+    // A checkpoint is an LSM flush: its manifest and its tables. One bit
+    // flipped in either must stop the reopen with a typed error.
+    for target in ["MANIFEST", "newest table"] {
+        let dir = TestDir::new("recover-tamper");
+        let config = StorageConfig::new(dir.path())
+            .fsync(FsyncPolicy::Never)
+            .checkpoint_every(2);
+        let seed = 23;
+        {
+            let (mut chain, alice) = durable_chain(seed, config.clone());
+            run_workload(&mut chain, &alice, 6, seed ^ 0xabcd);
+        }
+        let lsm = dir.path().join("lsm");
+        let path = match target {
+            "MANIFEST" => lsm.join("MANIFEST"),
+            _ => newest_table(&lsm),
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_reopen_is_a_storage_error(seed, config, target);
+    }
+}
+
+#[test]
+fn lost_state_is_rebuilt_from_the_block_file() {
+    // Delete `lsm/` from a store that checkpointed twice: the WAL holds
+    // only the blocks since the last checkpoint, so the reopen re-derives
+    // the rest of the state from the block bodies — the path a directory
+    // written with the full-state `checkpoint.dat` takes too.
+    let dir = TestDir::new("recover-lost-state");
+    let config = StorageConfig::new(dir.path())
+        .fsync(FsyncPolicy::Never)
+        .checkpoint_every(3);
+    let seed = 29;
+    let history = {
+        let (mut chain, alice) = durable_chain(seed, config.clone());
+        let history = run_workload(&mut chain, &alice, 8, seed ^ 0xabcd);
+        let flushes = chain.lsm_backend().unwrap().lsm_stats().flushes;
+        assert!(flushes >= 2, "checkpointed {flushes} times");
+        history
+    };
+    std::fs::remove_dir_all(dir.path().join("lsm")).unwrap();
+
+    let (chain, _) = durable_chain(seed, config);
+    assert_eq!(chain.height(), 8);
+    let (digest, root) = history.last().unwrap();
+    assert_eq!(chain.state().state_digest(), *digest);
+    assert_eq!(chain.state_root(), *root);
+    chain.store().verify_chain().unwrap();
+}
+
+#[test]
+fn lost_state_of_a_snapshot_installed_store_is_a_storage_error() {
+    // A pruned store has no blocks below its base to rebuild from: without
+    // its manifest the base is unknown, and the block file contradicts it.
+    let (seed, at, blocks) = (31, 4, 8);
+    let mut twin = FabricChain::new(&["Org1", "Org2"], &mut seeded(seed));
+    let alice = setup(&mut twin, seed);
+    run_workload(&mut twin, &alice, at, seed ^ 0xabcd);
+    let snapshot = twin.export_snapshot();
+    run_workload(&mut twin, &alice, blocks - at, seed ^ 0xdcba);
+
+    let dir = TestDir::new("recover-lost-snapshot-state");
+    let config = StorageConfig::new(dir.path())
+        .fsync(FsyncPolicy::Never)
+        .checkpoint_every(3);
+    {
+        let mut chain = FabricChain::from_snapshot(
+            &["Org1", "Org2"],
+            &mut seeded(seed),
+            config.clone(),
+            LsmState::default_config(&config),
+            ValidationConfig::parallel(2),
+            &snapshot,
+        )
+        .unwrap();
+        setup(&mut chain, seed);
+        for h in at..blocks {
+            let block = twin.store().block(h).unwrap();
+            chain.commit_ordered(block.transactions.clone(), block.header.timestamp_us);
+        }
+        assert_eq!(chain.state_root(), twin.state_root());
+    }
+    std::fs::remove_dir_all(dir.path().join("lsm")).unwrap();
+    assert_reopen_is_a_storage_error(seed, config, "pruned store without its manifest");
 }
 
 proptest! {

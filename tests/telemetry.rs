@@ -242,8 +242,7 @@ fn lsm_engine_publishes_the_storage_metrics() {
         .fsync(FsyncPolicy::Always)
         .checkpoint_every(4);
     let lsm = LsmState::default_config(&config);
-    let (mut backend, _) =
-        DurableBackend::open_with(config, Some(lsm), &WorkerPool::new(1)).unwrap();
+    let (mut backend, _) = DurableBackend::open_with(config, lsm, &WorkerPool::new(1)).unwrap();
     let telemetry = Telemetry::wall_clock();
     backend.set_telemetry(&telemetry);
     for block in chain.store().iter() {

@@ -37,13 +37,11 @@ fn rate(count: u64, window_us: u64) -> String {
 
 /// 80 counter increments at 10 ms spacing over 16 keys, every transaction
 /// traced; returns `(blocks, first submit → last peer commit µs, tps)`.
-fn pipeline_run(lsm: bool, reorder: bool) -> (u64, u64, String) {
+fn pipeline_run(reorder: bool) -> (u64, u64, String) {
     const TXS: u64 = 80;
     let dir = TestDir::new("golden-e2e");
     let mut cfg = ClusterConfig::new(dir.path(), 0xE2E_7B5);
-    cfg.lsm_peers = lsm;
     cfg.reorder.enabled = reorder;
-    cfg.reorder.early_abort = reorder;
     cfg.check_signatures = false;
     let telemetry = Telemetry::wall_clock();
     let mut sim = ClusterSim::new(cfg).expect("cluster builds");
@@ -98,16 +96,14 @@ fn pipeline_run(lsm: bool, reorder: bool) -> (u64, u64, String) {
 
 #[test]
 fn pipeline_throughput() {
-    // reorder ⇒ (blocks, window µs, tps); the same on both peer backends.
+    // reorder ⇒ (blocks, window µs, tps).
     for (reorder, want) in [
         (false, (4, 1_040_750, "76.87")),
         (true, (7, 1_790_750, "44.67")),
     ] {
-        for lsm in [false, true] {
-            let (blocks, window_us, tps) = pipeline_run(lsm, reorder);
-            let at = format!("lsm={lsm} reorder={reorder}");
-            assert_eq!((blocks, window_us, tps.as_str()), want, "{at}");
-        }
+        let (blocks, window_us, tps) = pipeline_run(reorder);
+        let at = format!("reorder={reorder}");
+        assert_eq!((blocks, window_us, tps.as_str()), want, "{at}");
     }
 }
 
