@@ -52,11 +52,6 @@ impl Method {
             Method::Baseline2pc => "baseline (2PC)",
         }
     }
-
-    /// Whether this method is one of the four LedgerView view methods.
-    pub fn is_view_method(&self) -> bool {
-        !matches!(self, Method::Baseline2pc)
-    }
 }
 
 /// Payload-size model, in bytes, derived from the functional layer's real

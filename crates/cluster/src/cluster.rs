@@ -273,7 +273,6 @@ impl World {
         StorageConfig::new(dir.to_path_buf())
             .fsync(cfg.fsync)
             .checkpoint_every(cfg.checkpoint_every)
-            .wal_segment_bytes(cfg.wal_segment_bytes)
     }
 
     fn deploy_workload(cfg: &ClusterConfig, chain: &mut FabricChain) {
@@ -1221,16 +1220,6 @@ impl ClusterSim {
     /// Globally committed block count.
     pub fn blocks(&self) -> u64 {
         self.world.blocks.len() as u64
-    }
-
-    /// A peer's applied height (`None` while crashed).
-    pub fn peer_height(&self, p: usize) -> Option<u64> {
-        self.world.peers[p].chain.as_ref().map(|c| c.height())
-    }
-
-    /// A peer's rolling state root (`None` while crashed).
-    pub fn peer_state_root(&self, p: usize) -> Option<Digest> {
-        self.world.peers[p].chain.as_ref().map(|c| c.state_root())
     }
 
     /// The live orderer currently believed leader by Raft itself: the

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use fabric_sim::chaincode::Chaincode;
 use fabric_sim::parallel::ValidationConfig;
 use fabric_sim::raft::RaftConfig;
-use fabric_store::wal::FsyncPolicy;
+use fabric_store::FsyncPolicy;
 use ledgerview_gateway::{ReorderConfig, RetryPolicy};
 use ledgerview_simnet::{LatencyMatrix, Region, SimTime};
 
@@ -108,11 +108,11 @@ pub struct ClusterConfig {
     pub storage_root: PathBuf,
     /// Checkpoint cadence for each peer's durable backend, in blocks.
     pub checkpoint_every: u64,
-    /// WAL segment rotation threshold for each peer, in bytes.
+    /// Ignored: peers keep no write-ahead log. Kept because `lvbench` reads it.
     pub wal_segment_bytes: u64,
-    /// fsync policy for peer storage (virtual-time runs default to
-    /// `Never`; physical durability is exercised by `fabric-store`'s own
-    /// tests).
+    /// fsync policy for each peer's block file (virtual-time runs default
+    /// to `Never`; physical durability is exercised by `fabric-store`'s
+    /// own tests).
     pub fsync: FsyncPolicy,
     /// Commit-time validation pipeline configuration for every peer.
     pub validation: ValidationConfig,

@@ -2,7 +2,7 @@
 //!
 //! Every randomized operation in the workspace threads an explicit
 //! `rand::RngCore` so experiments are reproducible from a seed. This module
-//! provides the conventional constructors.
+//! provides the seeded constructor; there is no entropy-seeded one.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -11,12 +11,6 @@ use rand::{RngCore, SeedableRng};
 /// and tests.
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
-}
-
-/// An RNG seeded from operating-system entropy, for examples that do not
-/// need reproducibility.
-pub fn from_entropy() -> StdRng {
-    StdRng::from_os_rng()
 }
 
 /// Fill and return a fixed-size array of random bytes.

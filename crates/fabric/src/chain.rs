@@ -24,7 +24,7 @@ use crate::ledger::{Block, BlockHeader, BlockStore, Transaction, TxId};
 use crate::lsm::LsmState;
 use crate::parallel::{BlockValidator, ValidationConfig};
 use crate::privdata::{CollectionConfig, PrivateStore};
-use crate::statedb::{Version, VersionedState};
+use crate::statedb::VersionedState;
 use crate::storage::{ChainSnapshot, DurableBackend, InMemoryBackend, StateBackend, StorageConfig};
 use crate::validation::{next_state_root, TxValidation};
 
@@ -94,30 +94,6 @@ pub struct InvokeResult {
     pub response: Vec<u8>,
 }
 
-/// A per-transaction commit outcome, emitted to every subscriber when the
-/// block containing the transaction commits.
-///
-/// This is the push-based counterpart of [`FabricChain::cut_block`]'s
-/// return value: a gateway (or any other client front end) subscribes once
-/// and learns the fate of each transaction it queued — including MVCC
-/// conflicts, which the return-value path surfaces to nobody unless the
-/// caller of `cut_block` threads outcomes back by hand.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitEvent {
-    /// Number of the block this transaction was committed (or invalidated)
-    /// in.
-    pub block_number: u64,
-    /// Index of the transaction within the block.
-    pub tx_index: u32,
-    /// The transaction id.
-    pub tx_id: TxId,
-    /// The validation outcome (valid, MVCC conflict, endorsement failure).
-    pub outcome: TxValidation,
-}
-
-/// A subscriber callback for [`CommitEvent`]s.
-pub type CommitListener = Box<dyn FnMut(&CommitEvent) + Send>;
-
 /// A single-process deployment of the permissioned blockchain.
 pub struct FabricChain {
     msp: Msp,
@@ -147,8 +123,6 @@ pub struct FabricChain {
     /// Lifecycle metrics + tracer, attached via [`FabricChain::set_telemetry`].
     /// `None` means every hook is a branch on a `None` and nothing more.
     metrics: Option<ChainMetrics>,
-    /// Commit-outcome subscribers, invoked per transaction at block commit.
-    commit_listeners: Vec<CommitListener>,
 }
 
 impl FabricChain {
@@ -177,18 +151,7 @@ impl FabricChain {
             check_signatures: true,
             validator: BlockValidator::new(ValidationConfig::default()),
             metrics: None,
-            commit_listeners: Vec::new(),
         }
-    }
-
-    /// Subscribe to per-transaction commit outcomes.
-    ///
-    /// The listener runs synchronously inside [`FabricChain::cut_block`],
-    /// once per transaction in block order, after the block is durably
-    /// committed and appended to the ledger. Subscriptions are purely
-    /// observational: they cannot change outcomes or state roots.
-    pub fn subscribe_commits(&mut self, listener: impl FnMut(&CommitEvent) + Send + 'static) {
-        self.commit_listeners.push(Box::new(listener));
     }
 
     /// Attach telemetry to the chain and everything beneath it (validator,
@@ -217,9 +180,10 @@ impl FabricChain {
     /// (including one that crashed) committed there.
     ///
     /// Recovery rebuilds the block store from the durable block file, the
-    /// state database from the last flush plus the WAL, and verifies every
-    /// recovered block's state root; identities are re-derived from `rng`,
-    /// so reopening with the same seed reproduces the same organisations.
+    /// state database from the last flush plus the blocks after it, and
+    /// verifies every recovered block's state root; identities are
+    /// re-derived from `rng`, so reopening with the same seed reproduces
+    /// the same organisations.
     /// One worker pool (sized by `validation.workers`) fans out both block
     /// decoding during recovery and endorsement verification at commit
     /// time. Private data collections are not persisted (documented
@@ -324,11 +288,6 @@ impl FabricChain {
         if let Some(m) = &self.metrics {
             self.validator.set_telemetry(&m.telemetry);
         }
-    }
-
-    /// The active commit-time validation configuration.
-    pub fn validation_config(&self) -> &ValidationConfig {
-        self.validator.config()
     }
 
     /// Enroll a user with an organisation.
@@ -547,13 +506,6 @@ impl FabricChain {
         &self.pending
     }
 
-    /// The committed version of `key`, if present: the metadata a cutter
-    /// compares endorsed read versions against to spot transactions
-    /// already doomed by a commit that landed after their endorsement.
-    pub fn state_version(&self, key: &str) -> Option<Version> {
-        self.backend.state().version(key)
-    }
-
     /// Pre-block read-set check of `transactions` against committed
     /// state: for each transaction, the first read key whose committed
     /// version no longer matches the endorsed version (`None` = all
@@ -629,7 +581,7 @@ impl FabricChain {
             }
         };
         let (state_root, data_hash) = (block.header.state_root, block.header.data_hash);
-        // Durability point: the backend persists (WAL + block file) before
+        // Durability point: the backend persists (the block file) before
         // the in-memory ledger advances, so a crash after this call can
         // always be recovered to include this block.
         let persist_start = Instant::now();
@@ -645,29 +597,6 @@ impl FabricChain {
             .append_hashed(block, data_hash)
             .expect("locally built block must link");
         self.state_root = state_root;
-
-        // Notify commit subscribers, per transaction in block order. The
-        // block is durable and linked at this point, so listeners observe
-        // only final outcomes.
-        if !self.commit_listeners.is_empty() {
-            let committed = self.store.tip().expect("block just appended");
-            for (i, (tx, outcome)) in committed
-                .transactions
-                .iter()
-                .zip(outcomes.iter())
-                .enumerate()
-            {
-                let event = CommitEvent {
-                    block_number: block_num,
-                    tx_index: i as u32,
-                    tx_id: tx.tx_id,
-                    outcome: outcome.clone(),
-                };
-                for listener in &mut self.commit_listeners {
-                    listener(&event);
-                }
-            }
-        }
 
         // Disseminate private values to collection members.
         for (collection, key, value) in std::mem::take(&mut self.pending_private) {
@@ -968,52 +897,6 @@ mod tests {
         assert_eq!(tx.endorsements.len(), 2); // Org1 + Org2 peers
         for e in &tx.endorsements {
             chain.msp().verify_cert(&e.endorser).unwrap();
-        }
-    }
-
-    #[test]
-    fn commit_events_reach_subscribers_with_outcomes() {
-        use std::sync::{Arc, Mutex};
-        let (mut chain, alice) = chain_with_kv();
-        let events: Arc<Mutex<Vec<CommitEvent>>> = Arc::default();
-        let sink = Arc::clone(&events);
-        chain.subscribe_commits(move |ev| sink.lock().unwrap().push(ev.clone()));
-
-        let mut rng = seeded(21);
-        chain
-            .invoke_commit(
-                &alice,
-                "kv",
-                "put",
-                vec![b"k".to_vec(), b"v".to_vec()],
-                &mut rng,
-            )
-            .unwrap();
-        // Two rmw of the same key in one block: second conflicts.
-        chain
-            .invoke(&alice, "kv", "rmw", vec![b"k".to_vec()], &mut rng)
-            .unwrap();
-        chain
-            .invoke(&alice, "kv", "rmw", vec![b"k".to_vec()], &mut rng)
-            .unwrap();
-        chain.cut_block();
-
-        let events = events.lock().unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].block_number, 0);
-        assert_eq!(events[0].outcome, TxValidation::Valid);
-        assert_eq!((events[1].block_number, events[1].tx_index), (1, 0));
-        assert_eq!(events[1].outcome, TxValidation::Valid);
-        assert_eq!(events[2].tx_index, 1);
-        assert_eq!(
-            events[2].outcome,
-            TxValidation::MvccConflict { key: "k".into() }
-        );
-        // Event tx ids match the ledger's.
-        for ev in events.iter() {
-            let (tx, valid) = chain.store().find_tx(&ev.tx_id).unwrap();
-            assert_eq!(tx.tx_id, ev.tx_id);
-            assert_eq!(valid, ev.outcome.is_valid());
         }
     }
 

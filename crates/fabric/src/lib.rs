@@ -20,9 +20,9 @@
 //! * [`statedb`] — the versioned key-value state database (the LevelDB
 //!   equivalent) with MVCC version metadata and a Merkle state digest.
 //! * [`storage`] — pluggable state persistence: the in-memory default and
-//!   the one durable backend (WAL + block file from the `fabric-store`
-//!   crate, state in the LSM, LSM flushes as checkpoints) with crash
-//!   recovery.
+//!   the one durable backend (the block file from the `fabric-store`
+//!   crate as the only log, state in the LSM, LSM flushes as checkpoints)
+//!   with crash recovery.
 //! * [`lsm`] — the disk-backed state engine over the `ledgerview-statedb`
 //!   LSM tree: larger-than-RAM versioned state, the state of every
 //!   [`DurableBackend`].
@@ -67,7 +67,7 @@ pub mod storage;
 pub mod validation;
 pub mod wire;
 
-pub use chain::{CommitEvent, CommitListener, FabricChain};
+pub use chain::FabricChain;
 pub use chaincode::{Chaincode, TxContext};
 pub use error::FabricError;
 pub use identity::{Identity, Msp, OrgId};

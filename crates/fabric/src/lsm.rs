@@ -1,13 +1,13 @@
 //! The disk-backed state engine: [`LsmState`], a [`VersionedState`] over
 //! the `ledgerview-statedb` LSM tree. It is the state of every
-//! [`DurableBackend`](crate::storage::DurableBackend), which runs its WAL +
+//! [`DurableBackend`](crate::storage::DurableBackend), which runs its
 //! block-file commit protocol over it; that module's docs describe the
 //! protocol and recovery.
 //!
 //! # Layout
 //!
 //! The tree lives in an `lsm/` subdirectory of the storage directory
-//! (memtable + sorted runs), beside the backend's WAL and block file. The
+//! (memtable + sorted runs), beside the backend's block file. The
 //! state already lives on disk, so a "checkpoint" is just a memtable flush
 //! whose manifest carries the backend's small metadata blob.
 //!
@@ -26,8 +26,8 @@
 //! [`LsmState::open`] loads the tree (orphan tables from torn flushes are
 //! deleted by the engine) and rebuilds the digest directory by streaming
 //! every record, tombstones included; the backend then verifies the
-//! directory digest against the manifest metadata before replaying its
-//! WAL.
+//! directory digest against the manifest metadata before replaying the
+//! blocks after the last flush.
 
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_statedb::{CompactionEvent, CrashPoint, Lsm, LsmConfig, LsmStats};

@@ -173,11 +173,6 @@ impl BlockValidator {
         self.metrics = Some(ValidatorMetrics::new(telemetry));
     }
 
-    /// The configuration this validator was built with.
-    pub fn config(&self) -> &ValidationConfig {
-        &self.config
-    }
-
     /// Hits and misses of the MSP's certificate memo observed during this
     /// validator's endorsement phases (zeros with endorsement checks off).
     pub fn cache_stats(&self) -> CacheStats {

@@ -6,11 +6,14 @@
 //! 1. the validator applies the block's writes to the backend's
 //!    [`VersionedState`] (fast path for endorsement reads),
 //! 2. [`StateBackend::commit_block`] persists the block — for
-//!    [`DurableBackend`] that means WAL records for every valid
-//!    transaction's write set (group-committed in one batch), then the
-//!    encoded block appended to the block file, then — every
+//!    [`DurableBackend`] that means the encoded block appended to the block
+//!    file under the [`FsyncPolicy`], then — every
 //!    `checkpoint_every_blocks`, or sooner when the LSM memtable crosses
-//!    its threshold — a checkpoint followed by WAL truncation.
+//!    its threshold — a checkpoint: sync the block file, flush the
+//!    memtable.
+//!
+//! The block file is the only log, as in Fabric: the state is derived from
+//! it, and no write set is stored twice.
 //!
 //! # State engine
 //!
@@ -26,17 +29,19 @@
 //!
 //! # Recovery
 //!
-//! Because the WAL write precedes the block append, a crash can lose a
-//! suffix of *both* files but never leave a committed block whose state is
-//! unrecoverable: [`DurableBackend::open`] opens the LSM at its last flush
-//! and verifies it against the digest the manifest records, replays
-//! surviving WAL records over it, re-derives any writes the WAL lost from
-//! the surviving blocks themselves (transactions × validity flags), and
-//! re-derives the rolling state root per block to verify the result
-//! against every recovered block header. Torn tails are truncated by the
-//! store layer; inconsistencies that cannot arise from a crash (a
+//! A crash can lose a suffix of the block file (as much as the fsync
+//! policy left unsynced) but never a block the last checkpoint covers:
+//! the block file is synced before the memtable flush that publishes the
+//! checkpoint. [`DurableBackend::open`] opens the LSM at its last flush and
+//! verifies it against the digest the manifest records, re-derives every
+//! later block's writes from the block itself (transactions × validity
+//! flags), and re-derives the rolling state root per block to verify the
+//! result against every recovered block header. Torn tails are truncated
+//! by the store layer; inconsistencies that cannot arise from a crash (a
 //! checkpoint ahead of the block file, a state-root mismatch) surface as
 //! [`FabricError::Storage`] rather than being silently repaired.
+//! Directories written before the block file became the only log may
+//! still hold `state.wal.*` files; nothing reads them.
 //!
 //! Identities are **not** persisted: the simulator derives MSP keys from
 //! the caller's seeded RNG, so reopening a chain with the same seed
@@ -44,7 +49,6 @@
 //! endorsement signatures (they were checked at commit), so state and
 //! ledger recover correctly regardless.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -52,7 +56,7 @@ use std::time::Instant;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
-use fabric_store::{BlockFile, StoreError, Wal};
+use fabric_store::{BlockFile, StoreError};
 pub use fabric_store::{FsyncPolicy, StorageConfig};
 use ledgerview_statedb::LsmConfig;
 
@@ -61,19 +65,8 @@ use crate::ledger::Block;
 use crate::lsm::{LsmState, LSM_SUBDIR};
 use crate::pool::WorkerPool;
 use crate::statedb::{StateDb, Version, VersionedState};
-use crate::validation::state_root_from_block;
+use crate::validation::{apply_writes, state_root_from_block};
 use crate::wire::{Reader, Writer};
-
-/// File name (base) of the state WAL inside a storage directory. The WAL
-/// is segmented: bytes live in `state.wal.000000`, `state.wal.000001`, …
-/// (see [`wal_segment_path`]).
-pub const STATE_WAL_FILE: &str = "state.wal";
-
-/// Path of WAL segment `index` inside a storage directory (crash-injection
-/// tests tear these files to simulate torn tails).
-pub fn wal_segment_path(dir: &Path, index: u64) -> PathBuf {
-    fabric_store::wal::segment_path(&dir.join(STATE_WAL_FILE), index)
-}
 
 impl From<StoreError> for FabricError {
     fn from(e: StoreError) -> FabricError {
@@ -98,7 +91,7 @@ pub trait StateBackend {
     fn flush(&mut self) -> Result<(), FabricError>;
     /// Whether commits survive a process crash.
     fn is_durable(&self) -> bool;
-    /// Attach telemetry (WAL/block append latencies, checkpoint durations,
+    /// Attach telemetry (block append latencies, checkpoint durations,
     /// fsync counts). Backends without persistence costs ignore it.
     fn set_telemetry(&mut self, _telemetry: &Telemetry) {}
     /// The LSM state engine, when that is where this backend keeps its
@@ -145,110 +138,6 @@ impl StateBackend for InMemoryBackend {
 
     fn is_durable(&self) -> bool {
         false
-    }
-}
-
-/// One decoded WAL record: the writes one valid transaction applied.
-struct WalRecord {
-    block_num: u64,
-    tx_num: u32,
-    /// `(key, Some(value))` puts and `(key, None)` deletes, in apply order.
-    writes: Vec<(String, Option<Vec<u8>>)>,
-}
-
-/// Encode one WAL record straight from a transaction's write set (the hot
-/// commit path: no intermediate clones). [`WalRecord::decode`] inverts it.
-fn encode_wal_record(
-    block_num: u64,
-    tx_num: u32,
-    writes: &[crate::chaincode::WriteEntry],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(block_num).u32(tx_num);
-    w.u32(writes.len() as u32);
-    for entry in writes {
-        w.string(&entry.key);
-        match &entry.value {
-            Some(v) => {
-                w.u8(1).bytes(v);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-impl WalRecord {
-    #[cfg(test)]
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.block_num).u32(self.tx_num);
-        w.u32(self.writes.len() as u32);
-        for (key, value) in &self.writes {
-            w.string(key);
-            match value {
-                Some(v) => {
-                    w.u8(1).bytes(v);
-                }
-                None => {
-                    w.u8(0);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<WalRecord, FabricError> {
-        let mut r = Reader::new(bytes);
-        let block_num = r.u64()?;
-        let tx_num = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut writes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let key = r.string()?;
-            let value = match r.u8()? {
-                1 => Some(r.bytes()?),
-                0 => None,
-                tag => return Err(FabricError::Malformed(format!("bad WAL write tag {tag}"))),
-            };
-            writes.push((key, value));
-        }
-        r.finish()?;
-        Ok(WalRecord {
-            block_num,
-            tx_num,
-            writes,
-        })
-    }
-
-    fn apply(&self, state: &mut dyn VersionedState) {
-        let version = Version {
-            block_num: self.block_num,
-            tx_num: self.tx_num,
-        };
-        for (key, value) in &self.writes {
-            match value {
-                Some(v) => state.put(key.clone(), v.clone(), version),
-                None => state.delete(key, version),
-            }
-        }
-    }
-
-    /// Re-derive the record a lost WAL entry would have held from the
-    /// block's own write set (transactions × validity flags).
-    fn from_block_tx(block_num: u64, tx_num: u32, tx: &crate::ledger::Transaction) -> WalRecord {
-        WalRecord {
-            block_num,
-            tx_num,
-            writes: tx
-                .rwset
-                .writes
-                .iter()
-                .map(|w| (w.key.clone(), w.value.clone()))
-                .collect(),
-        }
     }
 }
 
@@ -466,7 +355,6 @@ impl ChainSnapshot {
 /// What [`recover_tail`] hands back to [`DurableBackend::resume`].
 struct RecoveredTail {
     blocks_file: BlockFile,
-    wal: Wal,
     /// Every surviving block in height order, starting at the store's base.
     blocks: Vec<Block>,
     /// Rolling state root after the last surviving block.
@@ -486,7 +374,7 @@ fn recover_tail(
     mut root: Digest,
 ) -> Result<RecoveredTail, FabricError> {
     // Surviving blocks (torn tail already truncated by the store).
-    let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, base)?;
+    let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, base, config.fsync)?;
     if blocks_file.base() != base {
         return Err(FabricError::Storage(format!(
             "block file starts at height {} but the persisted state claims base {base}",
@@ -512,55 +400,19 @@ fn recover_tail(
         )));
     }
 
-    // Surviving WAL records, grouped by block. Records at or beyond the
-    // block tip describe blocks the block file lost in the crash — they are
-    // truncated away so the log matches the ledger. Records below
-    // `replay_from` linger only if the crash hit between persisting the
-    // state and resetting the WAL; the state already holds them, so they
-    // are skipped.
-    let (mut wal, raw_records) = Wal::open_segmented(
-        config.dir.join(STATE_WAL_FILE),
-        config.fsync,
-        config.wal_segment_bytes,
-    )
-    .map_err(StoreError::Io)?;
-    let mut keep = 0usize;
-    let mut by_block: HashMap<u64, Vec<WalRecord>> = HashMap::new();
-    for raw in &raw_records {
-        let record = WalRecord::decode(raw)?;
-        if record.block_num >= tip {
-            break;
-        }
-        keep += 1;
-        if record.block_num >= replay_from {
-            by_block.entry(record.block_num).or_default().push(record);
-        }
-    }
-    if keep < raw_records.len() {
-        wal.truncate_records(keep).map_err(StoreError::Io)?;
-    }
-
-    // Replay blocks from `replay_from`: WAL records where the block's
-    // coverage is complete, the block's own write sets where the WAL lost
-    // them. Both derive the same writes; re-deriving the rolling root per
-    // block and checking it against the stored header verifies the
-    // replayed state against the block store.
+    // Replay every block from `replay_from` from its own body: the valid
+    // transactions' write sets, in block order. Re-deriving the rolling
+    // root per block and checking it against the stored header verifies
+    // the replayed state against the block store.
     for block in blocks.iter().skip((replay_from - base) as usize) {
         let h = block.header.number;
-        let valid_count = block.validity.iter().filter(|v| **v).count();
-        match by_block.get(&h) {
-            Some(records) if records.len() == valid_count => {
-                for record in records {
-                    record.apply(state);
-                }
-            }
-            _ => {
-                for (i, tx) in block.transactions.iter().enumerate() {
-                    if !block.validity[i] {
-                        continue;
-                    }
-                    WalRecord::from_block_tx(h, i as u32, tx).apply(state);
-                }
+        for (i, (tx, valid)) in block.transactions.iter().zip(&block.validity).enumerate() {
+            if *valid {
+                let version = Version {
+                    block_num: h,
+                    tx_num: i as u32,
+                };
+                apply_writes(&tx.rwset, state, version);
             }
         }
         root = state_root_from_block(&root, block);
@@ -572,17 +424,16 @@ fn recover_tail(
     }
     Ok(RecoveredTail {
         blocks_file,
-        wal,
         blocks,
         root,
     })
 }
 
 /// Metric handles for the durable commit path, resolved once when
-/// telemetry attaches. The WAL append histogram includes the policy fsync,
-/// so under `FsyncPolicy::Always` it *is* the group-commit latency.
+/// telemetry attaches. The block append histogram includes the policy
+/// fsync, so under `FsyncPolicy::Always` it *is* the durable-commit
+/// latency.
 struct StorageMetrics {
-    wal_append_seconds: HistogramHandle,
     block_append_seconds: HistogramHandle,
     checkpoint_seconds: HistogramHandle,
     /// The same checkpoint latency under the name LSM dashboards know it
@@ -599,7 +450,6 @@ impl StorageMetrics {
     fn new(telemetry: &Telemetry, already_fsynced: u64) -> StorageMetrics {
         let r = telemetry.registry();
         StorageMetrics {
-            wal_append_seconds: r.histogram("lv_storage_wal_append_seconds", &[]),
             block_append_seconds: r.histogram("lv_storage_block_append_seconds", &[]),
             checkpoint_seconds: r.histogram("lv_storage_checkpoint_seconds", &[]),
             lsm_flush_seconds: r.histogram("lv_statedb_flush_seconds", &[]),
@@ -617,13 +467,12 @@ impl StorageMetrics {
     }
 }
 
-/// The disk-backed backend: an [`LsmState`] made crash-recoverable by a
-/// WAL, an append-only block file with a sparse index, and the LSM's
-/// flushes as checkpoints. See the module docs for the write protocol and
-/// recovery invariants.
+/// The disk-backed backend: an [`LsmState`] made crash-recoverable by the
+/// append-only block file (with a sparse index) it is derived from, and
+/// the LSM's flushes as checkpoints. See the module docs for the write
+/// protocol and recovery invariants.
 pub struct DurableBackend {
     state: LsmState,
-    wal: Wal,
     blocks: BlockFile,
     config: StorageConfig,
     /// What the last checkpoint published. Its base height
@@ -644,7 +493,6 @@ impl fmt::Debug for DurableBackend {
             .field("dir", &self.config.dir)
             .field("fsync", &self.config.fsync)
             .field("height", &self.blocks.height())
-            .field("wal_records", &self.wal.record_count())
             .field("memtable_bytes", &self.state.lsm_stats().memtable_bytes)
             .finish()
     }
@@ -722,9 +570,9 @@ impl DurableBackend {
 
     /// The shared tail of `open_with` and `install_snapshot`: `state`
     /// holds what `checkpointed` describes; replay the surviving blocks
-    /// and WAL records over it, verified against every replayed header. A
-    /// pruned block file without a checkpoint fails the base check (no
-    /// checkpoint ⇒ base 0).
+    /// over it, verified against every replayed header. A pruned block
+    /// file without a checkpoint fails the base check (no checkpoint ⇒
+    /// base 0).
     fn resume(
         config: StorageConfig,
         mut state: LsmState,
@@ -741,7 +589,6 @@ impl DurableBackend {
         )?;
         let backend = DurableBackend {
             state,
-            wal: tail.wal,
             blocks: tail.blocks_file,
             config,
             checkpointed,
@@ -756,25 +603,15 @@ impl DurableBackend {
         Ok((backend, tail.blocks))
     }
 
-    /// The storage configuration.
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
-    }
-
     /// Persisted block height.
     pub fn height(&self) -> u64 {
         self.blocks.height()
     }
 
-    /// Live WAL records (since the last checkpoint).
-    pub fn wal_records(&self) -> usize {
-        self.wal.record_count()
-    }
-
-    /// Total fsyncs issued (WAL + block file) — the cost knob the
+    /// Block-file fsyncs issued by this handle — the cost the
     /// [`FsyncPolicy`] trades against durability.
     pub fn fsyncs(&self) -> u64 {
-        self.wal.fsyncs() + self.blocks.fsyncs()
+        self.blocks.fsyncs()
     }
 
     /// Checkpoints written by this handle.
@@ -802,23 +639,12 @@ impl DurableBackend {
         self.last_timestamp_us
     }
 
-    /// Live WAL segment files.
-    pub fn wal_segments(&self) -> usize {
-        self.wal.segment_count()
-    }
-
-    /// WAL segments garbage-collected by checkpoints over this handle.
-    pub fn wal_segments_gced(&self) -> u64 {
-        self.wal.segments_gced()
-    }
-
-    /// Checkpoint (flush the LSM memtable) and truncate the WAL now,
+    /// Checkpoint (sync the block file, flush the LSM memtable) now,
     /// regardless of the configured interval.
     pub fn checkpoint_now(&mut self) -> Result<(), FabricError> {
         let start = Instant::now();
-        // Durability order: everything the checkpoint summarises must be
-        // on disk before it becomes the commit point and the WAL resets.
-        self.wal.sync().map_err(StoreError::Io)?;
+        // Durability order: every block the checkpoint summarises must be
+        // on disk before the checkpoint becomes the commit point.
         self.blocks.sync().map_err(StoreError::Io)?;
         let meta = StateMeta {
             height: self.blocks.height(),
@@ -828,11 +654,10 @@ impl DurableBackend {
             ..self.checkpointed
         };
         if !persist(&mut self.state, &meta)? {
-            // Injected crash: the manifest never committed, so the WAL must
-            // keep its records for the reopen to replay.
+            // Injected crash: the manifest never committed, so the reopen
+            // replays from the previous checkpoint.
             return Ok(());
         }
-        self.wal.reset().map_err(StoreError::Io)?;
         self.checkpointed = meta;
         self.checkpoints_saved += 1;
         let total_fsyncs = self.fsyncs();
@@ -857,32 +682,21 @@ impl StateBackend for DurableBackend {
     }
 
     fn commit_block(&mut self, block: &Block) -> Result<(), FabricError> {
-        // WAL first (durable intent), block second: recovery can rebuild
-        // state for every block the block file retains.
-        let records: Vec<Vec<u8>> = block
-            .transactions
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| block.validity[*i])
-            .map(|(i, tx)| encode_wal_record(block.header.number, i as u32, &tx.rwset.writes))
-            .collect();
-        let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+        // The block is the log: recovery re-derives its writes from it.
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        self.wal.append_batch(&refs).map_err(StoreError::Io)?;
-        let timed = start.map(|start| (start, Instant::now()));
+        let txs = block.transactions.len() as u64;
         self.blocks
-            .append(block.header.number, &block.encode(), false)?;
+            .append(block.header.number, &block.encode(), txs)?;
         let total_fsyncs = self.fsyncs();
-        if let (Some(m), Some((start, wal_done))) = (&mut self.metrics, timed) {
-            m.wal_append_seconds
-                .observe_duration(wal_done.duration_since(start));
-            m.block_append_seconds.observe_duration(wal_done.elapsed());
+        if let (Some(m), Some(start)) = (&mut self.metrics, start) {
+            m.block_append_seconds.observe_duration(start.elapsed());
             m.sync_fsyncs(total_fsyncs);
         }
         self.state_root = block.header.state_root;
         self.last_timestamp_us = block.header.timestamp_us;
         // Checkpoint on either trigger: the configured interval (bounds
-        // WAL replay work) or memtable pressure (bounds the memtable).
+        // recovery's block replay) or memtable pressure (bounds the
+        // memtable).
         let since_checkpoint = self.blocks.height() - self.checkpointed.height;
         if since_checkpoint >= self.config.checkpoint_every_blocks || self.state.should_flush() {
             self.checkpoint_now()?;
@@ -893,7 +707,6 @@ impl StateBackend for DurableBackend {
     }
 
     fn flush(&mut self) -> Result<(), FabricError> {
-        self.wal.sync().map_err(StoreError::Io)?;
         self.blocks.sync().map_err(StoreError::Io)?;
         let total_fsyncs = self.fsyncs();
         if let Some(m) = &mut self.metrics {
@@ -958,10 +771,17 @@ mod tests {
     /// Build and commit `n` single-tx blocks through a backend, mirroring
     /// the chain's commit order. Returns the final rolling root.
     fn commit_blocks(backend: &mut dyn StateBackend, n: u64) -> Digest {
+        commit_blocks_of(backend, n, 1)
+    }
+
+    /// [`commit_blocks`] with `per_block` transactions in every block.
+    fn commit_blocks_of(backend: &mut dyn StateBackend, n: u64, per_block: u64) -> Digest {
         let mut prev_hash = Digest::ZERO;
         let mut root = Digest::ZERO;
         for h in 0..n {
-            let txs = vec![tx_writing(h as u8, &format!("k{}", h % 5), &[h as u8; 16])];
+            let txs: Vec<Transaction> = (h * per_block..(h + 1) * per_block)
+                .map(|t| tx_writing(t as u8, &format!("k{}", t % 5), &[h as u8; 16]))
+                .collect();
             let outcomes = validate_and_commit_block(&txs, backend.state_mut(), h);
             root = next_state_root(&root, &txs, &outcomes);
             let header = BlockHeader {
@@ -995,9 +815,8 @@ mod tests {
         let digest = backend.state().state_digest();
         assert_eq!(backend.height(), 10);
         // 10 blocks with checkpoints every 4: checkpoints at 4 and 8, so
-        // the WAL holds only blocks 8 and 9.
+        // the reopen replays blocks 8 and 9 from the block file.
         assert_eq!(backend.checkpoints_saved(), 2);
-        assert_eq!(backend.wal_records(), 2);
         drop(backend);
 
         let (backend, recovered) = DurableBackend::open(config, &pool).unwrap();
@@ -1042,22 +861,59 @@ mod tests {
         assert!(matches!(err, FabricError::Storage(_)), "{err}");
     }
 
+    /// The fsync policy governs the block file, the log recovery reads.
     #[test]
-    fn wal_records_round_trip() {
-        let record = WalRecord {
-            block_num: 9,
-            tx_num: 3,
-            writes: vec![
-                ("a".into(), Some(b"1".to_vec())),
-                ("b".into(), None),
-                ("c".into(), Some(vec![])),
-            ],
+    fn fsync_policy_syncs_the_block_file() {
+        let pool = WorkerPool::new(1);
+        let open = |name: &str, policy| {
+            let dir = TestDir::new(name);
+            let config = StorageConfig::new(dir.path())
+                .fsync(policy)
+                .checkpoint_every(1_000);
+            (DurableBackend::open(config, &pool).unwrap().0, dir)
         };
-        let decoded = WalRecord::decode(&record.encode()).unwrap();
-        assert_eq!(decoded.block_num, 9);
-        assert_eq!(decoded.tx_num, 3);
-        assert_eq!(decoded.writes, record.writes);
-        assert!(WalRecord::decode(&record.encode()[..5]).is_err());
+
+        let (mut always, _dir) = open("backend-fsync-always", FsyncPolicy::Always);
+        commit_blocks(&mut always, 4);
+        assert_eq!(always.blocks.fsyncs(), 4, "one sync per block");
+
+        // 2-transaction blocks reach 5 unsynced transactions every third
+        // block.
+        let (mut every, _dir) = open("backend-fsync-every", FsyncPolicy::EveryN(5));
+        commit_blocks_of(&mut every, 8, 2);
+        assert_eq!(every.blocks.fsyncs(), 2, "synced after blocks 3 and 6");
+
+        let (mut never, _dir) = open("backend-fsync-never", FsyncPolicy::Never);
+        commit_blocks(&mut never, 5);
+        assert_eq!(never.blocks.fsyncs(), 0);
+        never.flush().unwrap();
+        assert_eq!(never.blocks.fsyncs(), 1, "flush() syncs");
+        never.checkpoint_now().unwrap();
+        assert_eq!(never.blocks.fsyncs(), 2, "a checkpoint syncs");
+        assert_eq!(never.fsyncs(), never.blocks.fsyncs());
+    }
+
+    /// Directories written while the state had its own write-ahead log may
+    /// still hold `state.wal.*` files. Nothing reads them.
+    #[test]
+    fn leftover_state_wal_file_is_ignored() {
+        let dir = TestDir::new("backend-old-wal");
+        let config = StorageConfig::new(dir.path())
+            .fsync(FsyncPolicy::Never)
+            .checkpoint_every(4);
+        let pool = WorkerPool::new(1);
+        let (mut backend, _) = DurableBackend::open(config.clone(), &pool).unwrap();
+        let root = commit_blocks(&mut backend, 6);
+        let digest = backend.state().state_digest();
+        drop(backend);
+        let garbage = dir.path().join("state.wal.000000");
+        std::fs::write(&garbage, b"\xff\x00 not a frame, not a record").unwrap();
+
+        let (backend, recovered) = DurableBackend::open(config, &pool).unwrap();
+        assert_eq!((backend.height(), recovered.len()), (6, 6));
+        assert_eq!(backend.state().state_digest(), digest);
+        assert_eq!(backend.state_root(), root);
+        assert!(garbage.exists(), "left where it was");
     }
 
     #[test]
@@ -1081,29 +937,6 @@ mod tests {
         assert!(StateMeta::decode(&body[..50]).is_err());
         let trailing = [body.as_slice(), &[0]].concat();
         assert!(StateMeta::decode(&trailing).is_err());
-    }
-
-    #[test]
-    fn direct_encoding_matches_wal_record_encoding() {
-        let writes = vec![
-            WriteEntry {
-                key: "a".into(),
-                value: Some(b"1".to_vec()),
-            },
-            WriteEntry {
-                key: "b".into(),
-                value: None,
-            },
-        ];
-        let record = WalRecord {
-            block_num: 4,
-            tx_num: 2,
-            writes: writes
-                .iter()
-                .map(|w| (w.key.clone(), w.value.clone()))
-                .collect(),
-        };
-        assert_eq!(encode_wal_record(4, 2, &writes), record.encode());
     }
 
     #[test]

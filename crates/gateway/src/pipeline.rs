@@ -19,9 +19,8 @@
 //!   `block_size`) or **timeout** (oldest pending transaction waited
 //!   `block_timeout_us`), whichever first — the asynchronous ordering
 //!   batcher the synchronous facade lacked.
-//! * **Commit routing** — the gateway subscribes to
-//!   [`CommitEvent`]s and routes each transaction's outcome back to the
-//!   owning session.
+//! * **Commit routing** — the gateway routes each transaction's outcome,
+//!   as the commit returns it, back to the owning session.
 //! * **Retry** ([`crate::retry`]) — MVCC-conflicted transactions are
 //!   re-endorsed (fresh read versions) and resubmitted after exponential
 //!   backoff with deterministic jitter; retries bypass admission (they
@@ -36,15 +35,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
 
-use fabric_sim::chain::CommitEvent;
 use fabric_sim::chaincode::RwSet;
 use fabric_sim::validation::TxValidation;
 use fabric_sim::{FabricChain, Identity, TxId, WorkerPool};
-use ledgerview_telemetry::{
-    Counter, Gauge, Histogram, HistogramHandle, Telemetry, TraceContext, VirtualClock,
-};
+use ledgerview_telemetry::{Counter, Gauge, Histogram, HistogramHandle, Telemetry, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -439,7 +434,6 @@ pub struct Gateway {
     sessions: SessionTable,
     bucket: Option<TokenBucket>,
     completions: Vec<Completion>,
-    commit_sink: Arc<Mutex<Vec<CommitEvent>>>,
     first_pending_us: Option<u64>,
     busy_until_us: u64,
     now_us: u64,
@@ -448,7 +442,6 @@ pub struct Gateway {
     /// Submit→commit latency of committed requests, in microseconds.
     latency: Histogram,
     metrics: Option<GatewayMetrics>,
-    clock: Option<Arc<VirtualClock>>,
 }
 
 impl Gateway {
@@ -457,18 +450,11 @@ impl Gateway {
     ///
     /// # Panics
     /// Panics if `identities` is empty or `block_size` is zero.
-    pub fn new(
-        mut chain: FabricChain,
-        identities: Vec<Identity>,
-        config: GatewayConfig,
-    ) -> Gateway {
+    pub fn new(chain: FabricChain, identities: Vec<Identity>, config: GatewayConfig) -> Gateway {
         assert!(!identities.is_empty(), "gateway needs a signing identity");
         assert!(config.block_size > 0, "block_size must be positive");
         let shards = config.shards.max(1);
         let shard_capacity = config.queue_capacity.div_ceil(shards).max(1);
-        let commit_sink: Arc<Mutex<Vec<CommitEvent>>> = Arc::default();
-        let sink = Arc::clone(&commit_sink);
-        chain.subscribe_commits(move |ev| sink.lock().expect("sink poisoned").push(ev.clone()));
         let bucket = config
             .admission
             .rate_per_sec
@@ -488,7 +474,6 @@ impl Gateway {
             sessions: SessionTable::new(),
             bucket,
             completions: Vec::new(),
-            commit_sink,
             first_pending_us: None,
             busy_until_us: 0,
             now_us: 0,
@@ -496,7 +481,6 @@ impl Gateway {
             stats: GatewayStats::default(),
             latency: Histogram::new(),
             metrics: None,
-            clock: None,
             chain,
             config,
         }
@@ -508,20 +492,9 @@ impl Gateway {
         self.metrics = Some(GatewayMetrics::new(telemetry));
     }
 
-    /// Advance this virtual clock alongside the pipeline clock, so span
-    /// traces of virtual-time runs show the virtual timeline.
-    pub fn set_virtual_clock(&mut self, clock: Arc<VirtualClock>) {
-        self.clock = Some(clock);
-    }
-
     /// The underlying chain (read-only; the gateway owns the write path).
     pub fn chain(&self) -> &FabricChain {
         &self.chain
-    }
-
-    /// Tear down the gateway and recover the chain.
-    pub fn into_chain(self) -> FabricChain {
-        self.chain
     }
 
     /// Aggregate counters so far.
@@ -688,9 +661,6 @@ impl Gateway {
 
     fn advance_clock(&mut self, now_us: u64) {
         self.now_us = self.now_us.max(now_us);
-        if let Some(clock) = &self.clock {
-            clock.advance_to(self.now_us);
-        }
     }
 
     /// One scheduling action; `true` if anything happened.
@@ -815,13 +785,15 @@ impl Gateway {
         let _span = telemetry.as_ref().map(|t| t.span("gateway.cut"));
         let commit_us = self.charge_block_time(trigger_us, n);
         self.chain.set_time_us(commit_us);
-        let _ = self.chain.cut_block();
+        let tx_ids: Vec<TxId> = self.chain.pending().iter().map(|tx| tx.tx_id).collect();
+        let block = self.chain.height();
+        let outcomes = self.chain.cut_block();
         self.first_pending_us = None;
         self.stats.blocks_cut += 1;
         if let Some(m) = &self.metrics {
             m.blocks.inc();
         }
-        self.route_commit_events(commit_us);
+        self.route_outcomes(block, tx_ids, outcomes, commit_us);
     }
 
     /// The conflict-aware cutter (see [`crate::reorder`]): plan over the
@@ -858,15 +830,18 @@ impl Gateway {
         let (kept, early_aborted, deferred) = plan.partition(self.chain.take_pending());
 
         let commit_us = self.charge_block_time(trigger_us, kept.len());
+        let tx_ids: Vec<TxId> = kept.iter().map(|tx| tx.tx_id).collect();
+        let block = self.chain.height();
+        let mut outcomes = Vec::new();
         if !kept.is_empty() {
-            let _ = self.chain.commit_ordered(kept, commit_us);
+            outcomes = self.chain.commit_ordered(kept, commit_us);
             self.stats.blocks_cut += 1;
             if let Some(m) = &self.metrics {
                 m.blocks.inc();
             }
         }
         self.first_pending_us = None;
-        self.route_commit_events(commit_us);
+        self.route_outcomes(block, tx_ids, outcomes, commit_us);
 
         // Early aborts: doomed under every order. Requeue while budget
         // lasts (re-endorsement picks up fresh read versions); terminal
@@ -916,28 +891,25 @@ impl Gateway {
         }
     }
 
-    /// Route every commit event delivered since the last cut back to the
-    /// owning request: commits and endorsement failures complete, MVCC
-    /// conflicts enter the retry lane.
-    fn route_commit_events(&mut self, commit_us: u64) {
-        let events: Vec<CommitEvent> = self
-            .commit_sink
-            .lock()
-            .expect("sink poisoned")
-            .drain(..)
-            .collect();
-        for ev in events {
-            let Some(req) = self.routing.remove(&ev.tx_id) else {
+    /// Route the outcomes of the block just committed at height `block`
+    /// (`outcomes[i]` is that of `tx_ids[i]`) back to the owning requests:
+    /// commits and endorsement failures complete, MVCC conflicts enter the
+    /// retry lane.
+    fn route_outcomes(
+        &mut self,
+        block: u64,
+        tx_ids: Vec<TxId>,
+        outcomes: Vec<TxValidation>,
+        commit_us: u64,
+    ) {
+        for (tx_id, outcome) in tx_ids.into_iter().zip(outcomes) {
+            let Some(req) = self.routing.remove(&tx_id) else {
                 continue;
             };
-            match ev.outcome {
-                TxValidation::Valid => self.complete(
-                    req,
-                    commit_us,
-                    CompletionOutcome::Committed {
-                        block: ev.block_number,
-                    },
-                ),
+            match outcome {
+                TxValidation::Valid => {
+                    self.complete(req, commit_us, CompletionOutcome::Committed { block })
+                }
                 TxValidation::MvccConflict { key } => self.conflict(req, commit_us, key),
                 TxValidation::EndorsementFailure { reason } => self.complete(
                     req,

@@ -1184,15 +1184,6 @@ impl ShardedDeployment {
         &self.errors
     }
 
-    /// One debug line per non-terminal operation (transfers included):
-    /// id and internal phase. For diagnosing stuck runs; the format is not
-    /// stable.
-    pub fn debug_inflight(&self) -> Vec<String> {
-        self.inflight()
-            .map(|o| format!("{} {:?} state={:?}", o.rec.id, o.rec, o.state))
-            .collect()
-    }
-
     /// Per-shard canonical state roots at the committed tip. Bit-
     /// identical across same-seed runs.
     pub fn state_roots(&self) -> Vec<Digest> {

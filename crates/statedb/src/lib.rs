@@ -255,16 +255,6 @@ pub struct LsmStats {
 }
 
 impl LsmStats {
-    /// Blocks touched per get (1.0 is perfect; < 1 means cache/memtable
-    /// absorbed reads).
-    pub fn read_amplification(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            self.probes as f64 / self.gets as f64
-        }
-    }
-
     /// Physical bytes written per logical byte accepted.
     pub fn write_amplification(&self) -> f64 {
         if self.user_bytes_written == 0 {

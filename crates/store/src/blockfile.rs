@@ -12,6 +12,9 @@
 //! On open, a torn tail (crash mid-append) is truncated from the data file
 //! and the index is rewritten to match; a missing or inconsistent index
 //! degrades to a full data-file scan, never to an error.
+//!
+//! The block file is the ledger's only log: state is derived from it, so
+//! its [`FsyncPolicy`] is what bounds what a crash can lose.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
@@ -26,6 +29,30 @@ use crate::{crc32::crc32, StoreError};
 pub const BLOCKS_DATA_FILE: &str = "blocks.dat";
 /// File name of the sparse block index.
 pub const BLOCKS_INDEX_FILE: &str = "blocks.idx";
+
+/// When [`BlockFile::append`] flushes the data file to stable storage.
+/// Whatever the policy, [`BlockFile::sync`] flushes it on demand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FsyncPolicy {
+    /// fsync after every appended block: nothing appended is ever lost.
+    Always,
+    /// fsync once the records (transactions) appended since the last sync
+    /// reach N (clamped to at least 1): a crash loses at most the last N.
+    EveryN(u32),
+    /// Never fsync on append; rely on the OS page cache.
+    Never,
+}
+
+impl FsyncPolicy {
+    /// Whether `unsynced` records appended since the last sync call for one.
+    fn due(&self, unsynced: u64) -> bool {
+        match *self {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => unsynced >= u64::from(n.max(1)),
+            FsyncPolicy::Never => false,
+        }
+    }
+}
 
 /// An open block file store.
 ///
@@ -46,6 +73,9 @@ pub struct BlockFile {
     base: u64,
     height: u64,
     data_len: u64,
+    policy: FsyncPolicy,
+    /// Records appended since the last fsync (the `EveryN` count).
+    unsynced: u64,
     fsyncs: u64,
 }
 
@@ -60,17 +90,27 @@ fn open_rw(path: &Path) -> std::io::Result<File> {
 
 impl BlockFile {
     /// Open (or create) the block store inside `dir`, repairing a torn
-    /// tail. `index_every` is the sparse-index stride (clamped to ≥ 1).
-    /// The store's base height must be 0 (see [`BlockFile::open_at`]).
-    pub fn open(dir: &Path, index_every: u64) -> Result<BlockFile, StoreError> {
-        BlockFile::open_at(dir, index_every, 0)
+    /// tail. `index_every` is the sparse-index stride (clamped to ≥ 1);
+    /// `policy` governs fsyncs on append. The store's base height must be
+    /// 0 (see [`BlockFile::open_at`]).
+    pub fn open(
+        dir: &Path,
+        index_every: u64,
+        policy: FsyncPolicy,
+    ) -> Result<BlockFile, StoreError> {
+        BlockFile::open_at(dir, index_every, 0, policy)
     }
 
     /// Open (or create) a block store whose first block sits at
     /// `base_hint` instead of 0 — the pruned layout a snapshot-bootstrapped
     /// peer uses. A non-empty store derives its base from the first frame
     /// (frames are self-describing); the hint only seeds an empty one.
-    pub fn open_at(dir: &Path, index_every: u64, base_hint: u64) -> Result<BlockFile, StoreError> {
+    pub fn open_at(
+        dir: &Path,
+        index_every: u64,
+        base_hint: u64,
+        policy: FsyncPolicy,
+    ) -> Result<BlockFile, StoreError> {
         let index_every = index_every.max(1);
         let mut data = open_rw(&dir.join(BLOCKS_DATA_FILE))?;
         let mut index = open_rw(&dir.join(BLOCKS_INDEX_FILE))?;
@@ -125,6 +165,8 @@ impl BlockFile {
             base,
             height: 0,
             data_len: scan.valid_len,
+            policy,
+            unsynced: 0,
             fsyncs: 0,
         };
         // Keep index entries strictly before the rescanned range; the scan
@@ -206,9 +248,10 @@ impl BlockFile {
         self.data_len
     }
 
-    /// Append a block's bytes at `height` (must equal [`BlockFile::height`]).
-    /// When `sync` is set the data file is fsynced after the write.
-    pub fn append(&mut self, height: u64, block: &[u8], sync: bool) -> Result<(), StoreError> {
+    /// Append a block's bytes at `height` (must equal [`BlockFile::height`])
+    /// and apply the fsync policy. `records` is how many records
+    /// (transactions) the block carries; only `EveryN` counts them.
+    pub fn append(&mut self, height: u64, block: &[u8], records: u64) -> Result<(), StoreError> {
         if height != self.height {
             return Err(StoreError::Corrupt(format!(
                 "append out of order: expected height {}, got {height}",
@@ -230,16 +273,18 @@ impl BlockFile {
         }
         self.data_len += frame.len() as u64;
         self.height += 1;
-        if sync {
+        self.unsynced += records;
+        if self.policy.due(self.unsynced) {
             self.sync()?;
         }
         Ok(())
     }
 
-    /// fsync the data file.
+    /// fsync the data file now, regardless of policy.
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.data.sync_data()?;
         self.fsyncs += 1;
+        self.unsynced = 0;
         Ok(())
     }
 
@@ -342,9 +387,9 @@ mod tests {
     fn append_read_reopen() {
         let dir = TestDir::new("bf-basic");
         {
-            let mut bf = BlockFile::open(dir.path(), 4).unwrap();
+            let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
             for i in 0..11 {
-                bf.append(i, &block_bytes(i), false).unwrap();
+                bf.append(i, &block_bytes(i), 1).unwrap();
             }
             assert_eq!(bf.height(), 11);
             for i in [0, 3, 4, 7, 10] {
@@ -353,7 +398,7 @@ mod tests {
             assert!(bf.read(11).is_err());
         }
         // Reopen: sparse index makes the rescan short; contents identical.
-        let mut bf = BlockFile::open(dir.path(), 4).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 11);
         let all = bf.read_all().unwrap();
         assert_eq!(all.len(), 11);
@@ -365,19 +410,19 @@ mod tests {
     #[test]
     fn out_of_order_append_rejected() {
         let dir = TestDir::new("bf-order");
-        let mut bf = BlockFile::open(dir.path(), 4).unwrap();
-        bf.append(0, b"b0", false).unwrap();
-        assert!(bf.append(5, b"b5", false).is_err());
-        assert!(bf.append(0, b"again", false).is_err());
+        let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
+        bf.append(0, b"b0", 1).unwrap();
+        assert!(bf.append(5, b"b5", 1).is_err());
+        assert!(bf.append(0, b"again", 1).is_err());
     }
 
     #[test]
     fn torn_tail_truncated_and_index_repaired() {
         let dir = TestDir::new("bf-torn");
         {
-            let mut bf = BlockFile::open(dir.path(), 2).unwrap();
+            let mut bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
             for i in 0..6 {
-                bf.append(i, &block_bytes(i), false).unwrap();
+                bf.append(i, &block_bytes(i), 1).unwrap();
             }
         }
         // Cut the data file mid-way through the last frame.
@@ -385,13 +430,13 @@ mod tests {
         let bytes = std::fs::read(&data_path).unwrap();
         std::fs::write(&data_path, &bytes[..bytes.len() - 3]).unwrap();
 
-        let mut bf = BlockFile::open(dir.path(), 2).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 5, "torn block dropped");
         for i in 0..5 {
             assert_eq!(bf.read(i).unwrap(), block_bytes(i));
         }
         // Appending continues cleanly at the repaired height.
-        bf.append(5, &block_bytes(5), false).unwrap();
+        bf.append(5, &block_bytes(5), 1).unwrap();
         assert_eq!(bf.read(5).unwrap(), block_bytes(5));
     }
 
@@ -399,14 +444,14 @@ mod tests {
     fn missing_or_garbage_index_degrades_to_full_scan() {
         let dir = TestDir::new("bf-idx");
         {
-            let mut bf = BlockFile::open(dir.path(), 3).unwrap();
+            let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
             for i in 0..7 {
-                bf.append(i, &block_bytes(i), false).unwrap();
+                bf.append(i, &block_bytes(i), 1).unwrap();
             }
         }
         // Corrupt the index file entirely.
         std::fs::write(dir.path().join(BLOCKS_INDEX_FILE), b"not an index").unwrap();
-        let mut bf = BlockFile::open(dir.path(), 3).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 7);
         for i in 0..7 {
             assert_eq!(bf.read(i).unwrap(), block_bytes(i));
@@ -414,7 +459,7 @@ mod tests {
         // Delete the index file: same outcome.
         drop(bf);
         std::fs::remove_file(dir.path().join(BLOCKS_INDEX_FILE)).unwrap();
-        let mut bf = BlockFile::open(dir.path(), 3).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 7);
         assert_eq!(bf.read(6).unwrap(), block_bytes(6));
     }
@@ -423,9 +468,9 @@ mod tests {
     fn truncation_below_index_entries_recovers() {
         let dir = TestDir::new("bf-deep-cut");
         {
-            let mut bf = BlockFile::open(dir.path(), 2).unwrap();
+            let mut bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
             for i in 0..8 {
-                bf.append(i, &block_bytes(i), false).unwrap();
+                bf.append(i, &block_bytes(i), 1).unwrap();
             }
         }
         // Cut the data file roughly in half: several index entries now
@@ -433,7 +478,7 @@ mod tests {
         let data_path = dir.path().join(BLOCKS_DATA_FILE);
         let bytes = std::fs::read(&data_path).unwrap();
         std::fs::write(&data_path, &bytes[..bytes.len() / 2]).unwrap();
-        let mut bf = BlockFile::open(dir.path(), 2).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
         let h = bf.height();
         assert!(h < 8);
         for i in 0..h {
@@ -445,12 +490,12 @@ mod tests {
     fn pruned_store_starts_at_base() {
         let dir = TestDir::new("bf-pruned");
         {
-            let mut bf = BlockFile::open_at(dir.path(), 3, 100).unwrap();
+            let mut bf = BlockFile::open_at(dir.path(), 3, 100, FsyncPolicy::Never).unwrap();
             assert_eq!(bf.base(), 100);
             assert_eq!(bf.height(), 100);
-            assert!(bf.append(0, b"wrong", false).is_err());
+            assert!(bf.append(0, b"wrong", 1).is_err());
             for i in 100..110 {
-                bf.append(i, &block_bytes(i), false).unwrap();
+                bf.append(i, &block_bytes(i), 1).unwrap();
             }
             assert_eq!(bf.height(), 110);
             assert!(bf.read(99).is_err(), "below base");
@@ -459,7 +504,7 @@ mod tests {
             }
         }
         // Reopen with a *wrong* hint: the first frame wins.
-        let mut bf = BlockFile::open_at(dir.path(), 3, 0).unwrap();
+        let mut bf = BlockFile::open_at(dir.path(), 3, 0, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.base(), 100);
         assert_eq!(bf.height(), 110);
         let all = bf.read_all().unwrap();
@@ -467,16 +512,39 @@ mod tests {
         for (i, b) in all.iter().enumerate() {
             assert_eq!(b, &block_bytes(100 + i as u64));
         }
-        bf.append(110, &block_bytes(110), false).unwrap();
+        bf.append(110, &block_bytes(110), 1).unwrap();
         assert_eq!(bf.read(110).unwrap(), block_bytes(110));
     }
 
     #[test]
     fn empty_store() {
         let dir = TestDir::new("bf-empty");
-        let mut bf = BlockFile::open(dir.path(), 4).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 0);
         assert!(bf.read(0).is_err());
         assert!(bf.read_all().unwrap().is_empty());
+    }
+
+    #[test]
+    fn fsync_policy_counts_records_and_sync_resets_the_count() {
+        let dir = TestDir::new("bf-policy-always");
+        let mut always = BlockFile::open(dir.path(), 4, FsyncPolicy::Always).unwrap();
+        for i in 0..3 {
+            always.append(i, &block_bytes(i), 0).unwrap();
+        }
+        assert_eq!(always.fsyncs(), 3, "Always syncs every block");
+
+        let dir = TestDir::new("bf-policy-every");
+        let mut every = BlockFile::open(dir.path(), 4, FsyncPolicy::EveryN(3)).unwrap();
+        every.append(0, b"b0", 2).unwrap();
+        assert_eq!(every.fsyncs(), 0);
+        every.append(1, b"b1", 1).unwrap();
+        assert_eq!(every.fsyncs(), 1, "3 records reach EveryN(3)");
+        every.append(2, b"b2", 2).unwrap();
+        every.sync().unwrap();
+        every.append(3, b"b3", 2).unwrap();
+        assert_eq!(every.fsyncs(), 2, "an explicit sync restarts the count");
+        every.append(4, b"b4", 7).unwrap();
+        assert_eq!(every.fsyncs(), 3, "one oversized block syncs once");
     }
 }

@@ -2,30 +2,26 @@
 //!
 //! The crate is deliberately domain-agnostic — it moves *bytes*, not blocks
 //! or transactions, so it sits below `fabric-sim` with no dependency cycle.
-//! Three layers compose into a crash-safe ledger store:
+//! Two layers compose into a crash-safe ledger store:
 //!
 //! * [`record`] — length-prefixed, CRC32-checked frame files; torn-tail
 //!   detection and truncation repair.
-//! * [`wal`] — a write-ahead log with group commit and a configurable
-//!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`).
 //! * [`blockfile`] — the append-only block data file plus a sparse
-//!   height → offset index for O(1) random block reads.
+//!   height → offset index for O(1) random block reads, synced under a
+//!   configurable [`FsyncPolicy`] (`Always` / `EveryN` / `Never`).
 //!
 //! The state itself lives in the LSM tree of `ledgerview-statedb`, whose
-//! manifest is the checkpoint. The write protocol the ledger layer follows
-//! for each committed block:
+//! manifest is the checkpoint. The block file is the only log; the write
+//! protocol the ledger layer follows for each committed block:
 //!
 //! ```text
-//! 1. wal.append_batch(state mutations)     # durable intent, group commit
-//! 2. blockfile.append(height, block bytes) # the block itself
-//! 3. every `checkpoint_every_blocks`: sync both files, flush the LSM
-//!    memtable (its manifest records the height), wal.reset()
+//! 1. blockfile.append(height, block bytes) # fsync per the policy
+//! 2. every `checkpoint_every_blocks`: blockfile.sync(), then flush the
+//!    LSM memtable (its manifest records the height)
 //! ```
 //!
-//! Because step 1 precedes step 2, recovery can always rebuild the state of
-//! every surviving block: open the LSM at its last flush, then replay the
-//! WAL prefix, then re-derive any remaining writes from the blocks
-//! themselves.
+//! Recovery opens the LSM at its last flush and re-derives every later
+//! block's writes from the block itself (transactions × validity flags).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,8 +32,7 @@ pub mod record;
 pub mod testdir;
 pub mod wal;
 
-pub use blockfile::BlockFile;
-pub use wal::{FsyncPolicy, Wal};
+pub use blockfile::{BlockFile, FsyncPolicy};
 
 use std::fmt;
 use std::path::PathBuf;
@@ -90,39 +85,34 @@ impl From<std::io::Error> for StoreError {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StorageConfig {
-    /// Directory holding the WAL, block files and the state's LSM tree.
+    /// Directory holding the block files and the state's LSM tree.
     /// Created on open if missing.
     pub dir: PathBuf,
-    /// When the WAL flushes to stable storage.
+    /// When the block file (the log recovery replays) flushes to stable
+    /// storage.
     pub fsync: FsyncPolicy,
-    /// Checkpoint the state DB and truncate the WAL every this many blocks.
+    /// Checkpoint (sync the block file, flush the LSM memtable) every this
+    /// many blocks; recovery replays at most this many blocks.
     pub checkpoint_every_blocks: u64,
     /// Sparse-index stride: one index entry per this many blocks. Reads
     /// skip at most `index_every - 1` frame headers.
     pub index_every: u64,
-    /// WAL segment rotation threshold in bytes: the active segment is
-    /// sealed and a fresh one opened once appending would push it past
-    /// this size. Sealed segments are garbage-collected at the next
-    /// checkpoint, bounding disk use for multi-GB logs.
-    pub wal_segment_bytes: u64,
 }
 
 impl StorageConfig {
-    /// Defaults: `EveryN(512)` fsync (group commit spanning several
-    /// 100-tx blocks — a smaller stride would force one fsync per block,
-    /// defeating group commit), checkpoint every 256 blocks, index
-    /// stride 16, 64 MiB WAL segments.
+    /// Defaults: `EveryN(512)` fsync (one sync per several 100-tx blocks
+    /// — a smaller stride would force one fsync per block), checkpoint
+    /// every 256 blocks, index stride 16.
     pub fn new(dir: impl Into<PathBuf>) -> StorageConfig {
         StorageConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::EveryN(512),
             checkpoint_every_blocks: 256,
             index_every: 16,
-            wal_segment_bytes: 64 * 1024 * 1024,
         }
     }
 
-    /// Set the WAL fsync policy.
+    /// Set the block file's fsync policy.
     pub fn fsync(mut self, policy: FsyncPolicy) -> StorageConfig {
         self.fsync = policy;
         self
@@ -140,9 +130,9 @@ impl StorageConfig {
         self
     }
 
-    /// Set the WAL segment rotation threshold in bytes (clamped to ≥ 1).
-    pub fn wal_segment_bytes(mut self, bytes: u64) -> StorageConfig {
-        self.wal_segment_bytes = bytes.max(1);
+    /// Ignored: there is no write-ahead log to segment. Kept because the
+    /// benchmark (`lvbench`) still calls it.
+    pub fn wal_segment_bytes(self, _bytes: u64) -> StorageConfig {
         self
     }
 }
@@ -158,17 +148,15 @@ mod tests {
         assert_eq!(cfg.fsync, FsyncPolicy::EveryN(512));
         assert_eq!(cfg.checkpoint_every_blocks, 256);
         assert_eq!(cfg.index_every, 16);
-        assert_eq!(cfg.wal_segment_bytes, 64 * 1024 * 1024);
+        assert_eq!(cfg.clone().wal_segment_bytes(1), cfg, "a no-op");
 
         let cfg = cfg
             .fsync(FsyncPolicy::Never)
             .checkpoint_every(0)
-            .index_every(0)
-            .wal_segment_bytes(0);
+            .index_every(0);
         assert_eq!(cfg.fsync, FsyncPolicy::Never);
         assert_eq!(cfg.checkpoint_every_blocks, 1, "clamped to at least 1");
         assert_eq!(cfg.index_every, 1, "clamped to at least 1");
-        assert_eq!(cfg.wal_segment_bytes, 1, "clamped to at least 1");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Length-prefixed, CRC-checked record framing.
 //!
-//! Every file this crate writes — the WAL, the block data file, the sparse
-//! block index — is a sequence of *frames*:
+//! Every file this crate writes — the block data file and the sparse block
+//! index — is a sequence of *frames*:
 //!
 //! ```text
 //! +----------------+----------------+------------------+
@@ -13,7 +13,7 @@
 //! past end-of-file, or whose CRC does not match, marks a **torn tail**: the
 //! write was cut by a crash mid-record. Recovery keeps every frame before
 //! the torn one and truncates the file back to the last whole frame — the
-//! standard WAL repair rule (anything after the first bad frame was never
+//! standard log repair rule (anything after the first bad frame was never
 //! acknowledged as durable, so dropping it is safe).
 
 use std::fs::File;
@@ -24,9 +24,8 @@ use crate::crc32::crc32;
 /// Bytes of framing overhead per record (length + CRC).
 pub const FRAME_HEADER_BYTES: u64 = 8;
 
-/// Append the frame encoding of `payload` to `buf` (for group commit:
-/// several frames are encoded into one buffer and written with a single
-/// syscall).
+/// Append the frame encoding of `payload` to `buf` (several frames can be
+/// encoded into one buffer and written with a single syscall).
 pub fn encode_frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());

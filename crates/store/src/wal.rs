@@ -1,628 +1,5 @@
-//! The write-ahead log: group-committed, CRC-framed state mutations,
-//! split across rotating segment files.
-//!
-//! A [`Wal`] is an ordered sequence of append-only frame files
-//! ([`crate::record`]) named `<base>.000000`, `<base>.000001`, … Writers
-//! call [`Wal::append`] (one record) or [`Wal::append_batch`] (group
-//! commit: many records encoded into one buffer, written with a single
-//! syscall and at most one fsync). When the active segment would grow past
-//! the configured byte threshold it is sealed (fsynced) and a fresh
-//! segment opened — a batch never straddles two segments, so recovery can
-//! replay segments strictly in index order. Durability is governed by
-//! [`FsyncPolicy`]:
-//!
-//! * `Always` — fsync after every append/batch: nothing acknowledged is
-//!   ever lost, at the cost of one disk flush per commit.
-//! * `EveryN(n)` — fsync once every `n` records: a crash loses at most the
-//!   last `n` records, which recovery repairs by truncating the torn tail
-//!   and replaying the surviving prefix (blocks re-derive the rest).
-//! * `Never` — leave flushing to the OS: fastest, weakest.
-//!
-//! [`Wal::open`] replays existing segments in order, truncating a torn
-//! tail in place and deleting any segments written after it. [`Wal::reset`]
-//! (called once a checkpoint makes the log redundant) garbage-collects
-//! every sealed segment and truncates the active one, so a multi-GB
-//! history never accumulates on disk.
+//! The old import path of [`FsyncPolicy`], kept because the benchmark
+//! (`lvbench`) still imports `fabric_store::wal::FsyncPolicy`. There is no
+//! write-ahead log: the block file is the log ([`crate::blockfile`]).
 
-use std::fs::{File, OpenOptions};
-use std::io;
-use std::path::{Path, PathBuf};
-
-use crate::record::{append_bytes, encode_frame_into, scan_frames, truncate_to};
-
-/// When the log flushes its file to stable storage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// fsync after every append (and every batch).
-    Always,
-    /// fsync after every N appended records (clamped to at least 1).
-    EveryN(u32),
-    /// Never fsync; rely on the OS page cache.
-    Never,
-}
-
-impl FsyncPolicy {
-    /// A short stable label for reports and logs.
-    pub fn label(&self) -> String {
-        match self {
-            FsyncPolicy::Always => "always".to_string(),
-            FsyncPolicy::EveryN(n) => format!("every_{n}"),
-            FsyncPolicy::Never => "never".to_string(),
-        }
-    }
-}
-
-/// The on-disk path of segment `index` of the log rooted at `base`.
-///
-/// `base` is the logical log path (e.g. `.../state.wal`); segment files
-/// append a six-digit zero-padded index: `.../state.wal.000000`.
-pub fn segment_path(base: &Path, index: u64) -> PathBuf {
-    let name = base
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    base.with_file_name(format!("{name}.{index:06}"))
-}
-
-/// A sealed or active log segment: its index plus the end offset of each
-/// record *within the segment* (record `i` spans
-/// `record_ends[i-1]..record_ends[i]`), for record-boundary truncation.
-#[derive(Debug)]
-struct Segment {
-    index: u64,
-    record_ends: Vec<u64>,
-}
-
-impl Segment {
-    fn len_bytes(&self) -> u64 {
-        self.record_ends.last().copied().unwrap_or(0)
-    }
-}
-
-/// An open write-ahead log (a chain of rotating segment files).
-#[derive(Debug)]
-pub struct Wal {
-    /// Logical base path; segments live at `segment_path(base, i)`.
-    base: PathBuf,
-    policy: FsyncPolicy,
-    /// Rotation threshold: seal the active segment once appending would
-    /// push it past this many bytes. `u64::MAX` disables rotation.
-    segment_bytes: u64,
-    /// Sealed (read-only) segments in index order.
-    sealed: Vec<Segment>,
-    /// The active segment (always `index > sealed.last().index`).
-    active: Segment,
-    /// Open handle on the active segment's file.
-    file: File,
-    /// Records appended since the last fsync.
-    unsynced: u32,
-    fsyncs: u64,
-    /// Sealed segments deleted over this handle's lifetime (by `reset` /
-    /// `truncate_records`) — the compaction the checkpoint protocol buys.
-    segments_gced: u64,
-}
-
-fn open_segment_file(path: &Path) -> io::Result<File> {
-    OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-}
-
-impl Wal {
-    /// Open (or create) the log at `base` with rotation disabled — a
-    /// single segment that grows without bound, the pre-rotation
-    /// behaviour. See [`Wal::open_segmented`].
-    pub fn open(base: impl Into<PathBuf>, policy: FsyncPolicy) -> io::Result<(Wal, Vec<Vec<u8>>)> {
-        Wal::open_segmented(base, policy, u64::MAX)
-    }
-
-    /// Open (or create) the log at `base`, replaying existing segments in
-    /// index order.
-    ///
-    /// Returns the log positioned at its end plus the surviving record
-    /// payloads in append order. A torn tail is truncated away in place;
-    /// any segment after a torn one (which can only exist if rotation and
-    /// a crash interleaved) is deleted, since its records would follow the
-    /// lost ones.
-    pub fn open_segmented(
-        base: impl Into<PathBuf>,
-        policy: FsyncPolicy,
-        segment_bytes: u64,
-    ) -> io::Result<(Wal, Vec<Vec<u8>>)> {
-        let base = base.into();
-        let mut indices = existing_segment_indices(&base)?;
-        indices.sort_unstable();
-        if indices.is_empty() {
-            indices.push(0);
-        }
-        let mut payloads = Vec::new();
-        let mut segments: Vec<Segment> = Vec::with_capacity(indices.len());
-        let mut file = None;
-        let mut torn_at: Option<usize> = None;
-        for (pos, &index) in indices.iter().enumerate() {
-            if pos > 0 && index != indices[pos - 1] + 1 {
-                // A gap in the numbering: everything after it was written
-                // later than records we no longer have. Drop it.
-                torn_at = Some(pos);
-                break;
-            }
-            let path = segment_path(&base, index);
-            let mut f = open_segment_file(&path)?;
-            let scan = scan_frames(&mut f, 0)?;
-            if scan.torn {
-                truncate_to(&mut f, scan.valid_len)?;
-            }
-            let mut record_ends = Vec::with_capacity(scan.frames.len());
-            for frame in scan.frames {
-                record_ends.push(
-                    frame.offset + crate::record::FRAME_HEADER_BYTES + frame.payload.len() as u64,
-                );
-                payloads.push(frame.payload);
-            }
-            segments.push(Segment { index, record_ends });
-            file = Some(f);
-            if scan.torn {
-                torn_at = Some(pos + 1);
-                break;
-            }
-        }
-        if let Some(from) = torn_at {
-            for &index in &indices[from..] {
-                let _ = std::fs::remove_file(segment_path(&base, index));
-            }
-        }
-        let active = segments.pop().expect("at least one segment");
-        let file = file.expect("active segment file");
-        Ok((
-            Wal {
-                base,
-                policy,
-                segment_bytes: segment_bytes.max(1),
-                sealed: segments,
-                active,
-                file,
-                unsynced: 0,
-                fsyncs: 0,
-                segments_gced: 0,
-            },
-            payloads,
-        ))
-    }
-
-    /// The log's logical base path (segment files add a numeric suffix).
-    pub fn path(&self) -> &Path {
-        &self.base
-    }
-
-    /// The path of the segment currently being appended to.
-    pub fn active_segment_path(&self) -> PathBuf {
-        segment_path(&self.base, self.active.index)
-    }
-
-    /// Paths of every live segment, oldest first.
-    pub fn segment_paths(&self) -> Vec<PathBuf> {
-        self.sealed
-            .iter()
-            .chain(std::iter::once(&self.active))
-            .map(|s| segment_path(&self.base, s.index))
-            .collect()
-    }
-
-    /// Number of live segment files (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        self.sealed.len() + 1
-    }
-
-    /// Sealed segments deleted by compaction over this handle's lifetime.
-    pub fn segments_gced(&self) -> u64 {
-        self.segments_gced
-    }
-
-    /// Append one record and apply the fsync policy.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append_batch(&[payload])
-    }
-
-    /// Group commit: append every payload as its own record, written with a
-    /// single syscall and at most one fsync. The whole batch lands in one
-    /// segment; if it would overflow the active segment, the segment is
-    /// sealed (fsynced) first and a fresh one opened.
-    pub fn append_batch(&mut self, payloads: &[&[u8]]) -> io::Result<()> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
-        let mut buf = Vec::new();
-        let mut ends = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            encode_frame_into(&mut buf, payload);
-            ends.push(buf.len() as u64);
-        }
-        let base_len = self.active.len_bytes();
-        if base_len > 0 && base_len + buf.len() as u64 > self.segment_bytes {
-            self.rotate()?;
-        }
-        let base_len = self.active.len_bytes();
-        append_bytes(&mut self.file, &buf)?;
-        self.active
-            .record_ends
-            .extend(ends.into_iter().map(|e| base_len + e));
-        self.unsynced = self.unsynced.saturating_add(payloads.len() as u32);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
-        Ok(())
-    }
-
-    /// Seal the active segment (fsync it so nothing sealed is ever torn)
-    /// and open the next one.
-    fn rotate(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.fsyncs += 1;
-        self.unsynced = 0;
-        let next = self.active.index + 1;
-        let mut file = open_segment_file(&segment_path(&self.base, next))?;
-        truncate_to(&mut file, 0)?; // defensive: clobber any stale leftover
-        let old = std::mem::replace(
-            &mut self.active,
-            Segment {
-                index: next,
-                record_ends: Vec::new(),
-            },
-        );
-        self.sealed.push(old);
-        self.file = file;
-        Ok(())
-    }
-
-    /// Flush the active segment to stable storage now, regardless of
-    /// policy. (Sealed segments were flushed when they were sealed.)
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.fsyncs += 1;
-        self.unsynced = 0;
-        Ok(())
-    }
-
-    /// Truncate the log to its first `keep` records (dropping records the
-    /// block store never caught up to), deleting any segments that become
-    /// entirely dead.
-    pub fn truncate_records(&mut self, keep: usize) -> io::Result<()> {
-        if keep >= self.record_count() {
-            return Ok(());
-        }
-        // Find the segment holding the new boundary and the record count
-        // to keep within it.
-        let mut remaining = keep;
-        let mut boundary: Option<(usize, usize)> = None; // (sealed pos or sealed.len() for active, local keep)
-        for (pos, seg) in self
-            .sealed
-            .iter()
-            .chain(std::iter::once(&self.active))
-            .enumerate()
-        {
-            if remaining <= seg.record_ends.len() {
-                boundary = Some((pos, remaining));
-                break;
-            }
-            remaining -= seg.record_ends.len();
-        }
-        let (pos, local_keep) = boundary.expect("keep < record_count");
-        // Delete every segment after the boundary segment.
-        let total = self.sealed.len() + 1;
-        for dead_pos in (pos + 1)..total {
-            let index = if dead_pos < self.sealed.len() {
-                self.sealed[dead_pos].index
-            } else {
-                self.active.index
-            };
-            std::fs::remove_file(segment_path(&self.base, index))?;
-            self.segments_gced += 1;
-        }
-        // The boundary segment becomes the active one.
-        if pos < self.sealed.len() {
-            self.sealed.truncate(pos + 1);
-            self.active = self.sealed.pop().expect("boundary segment");
-            self.file = open_segment_file(&self.active_segment_path())?;
-        }
-        let len = if local_keep == 0 {
-            0
-        } else {
-            self.active.record_ends[local_keep - 1]
-        };
-        truncate_to(&mut self.file, len)?;
-        self.active.record_ends.truncate(local_keep);
-        self.file.sync_data()?;
-        self.fsyncs += 1;
-        self.unsynced = 0;
-        Ok(())
-    }
-
-    /// Drop every record (after a checkpoint made them redundant): delete
-    /// all sealed segments and truncate the active one to empty.
-    pub fn reset(&mut self) -> io::Result<()> {
-        for seg in self.sealed.drain(..) {
-            std::fs::remove_file(segment_path(&self.base, seg.index))?;
-            self.segments_gced += 1;
-        }
-        truncate_to(&mut self.file, 0)?;
-        self.active.record_ends.clear();
-        self.unsynced = 0;
-        self.file.sync_data()?;
-        self.fsyncs += 1;
-        Ok(())
-    }
-
-    /// Number of live records across all segments.
-    pub fn record_count(&self) -> usize {
-        self.sealed
-            .iter()
-            .map(|s| s.record_ends.len())
-            .sum::<usize>()
-            + self.active.record_ends.len()
-    }
-
-    /// Current log size in bytes across all segments.
-    pub fn len_bytes(&self) -> u64 {
-        self.sealed.iter().map(|s| s.len_bytes()).sum::<u64>() + self.active.len_bytes()
-    }
-
-    /// Total fsyncs issued by this handle.
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-}
-
-/// Indices of every existing segment file of the log rooted at `base`.
-fn existing_segment_indices(base: &Path) -> io::Result<Vec<u64>> {
-    let dir = match base.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    std::fs::create_dir_all(&dir)?;
-    let prefix = format!(
-        "{}.",
-        base.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default()
-    );
-    let mut indices = Vec::new();
-    for entry in std::fs::read_dir(&dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(suffix) = name.strip_prefix(&prefix) {
-            if suffix.len() == 6 {
-                if let Ok(index) = suffix.parse::<u64>() {
-                    indices.push(index);
-                }
-            }
-        }
-    }
-    Ok(indices)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testdir::TestDir;
-
-    #[test]
-    fn append_reopen_replay() {
-        let dir = TestDir::new("wal-replay");
-        let path = dir.path().join("wal.log");
-        {
-            let (mut wal, replay) = Wal::open(&path, FsyncPolicy::Always).unwrap();
-            assert!(replay.is_empty());
-            wal.append(b"one").unwrap();
-            wal.append_batch(&[b"two", b"three"]).unwrap();
-            assert_eq!(wal.record_count(), 3);
-        }
-        let (wal, replay) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(
-            replay,
-            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
-        );
-        assert_eq!(wal.record_count(), 3);
-        assert_eq!(wal.segment_count(), 1);
-    }
-
-    #[test]
-    fn torn_tail_truncated_on_open() {
-        let dir = TestDir::new("wal-torn");
-        let path = dir.path().join("wal.log");
-        {
-            let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-            wal.append(b"keep-me").unwrap();
-        }
-        // Simulate a crash mid-write: append half a frame by hand.
-        let seg0 = segment_path(&path, 0);
-        let full = std::fs::read(&seg0).unwrap();
-        let mut torn = full.clone();
-        torn.extend_from_slice(&crate::record::encode_frame(b"lost")[..5]);
-        std::fs::write(&seg0, &torn).unwrap();
-
-        let (wal, replay) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(replay, vec![b"keep-me".to_vec()]);
-        // The file itself was repaired.
-        assert_eq!(std::fs::read(&seg0).unwrap(), full);
-        assert_eq!(wal.len_bytes(), full.len() as u64);
-    }
-
-    #[test]
-    fn every_n_policy_counts_records() {
-        let dir = TestDir::new("wal-everyn");
-        let path = dir.path().join("wal.log");
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::EveryN(3)).unwrap();
-        wal.append(b"a").unwrap();
-        wal.append(b"b").unwrap();
-        assert_eq!(wal.fsyncs(), 0);
-        wal.append(b"c").unwrap();
-        assert_eq!(wal.fsyncs(), 1);
-        // A batch crossing the threshold syncs once.
-        wal.append_batch(&[b"d", b"e", b"f", b"g"]).unwrap();
-        assert_eq!(wal.fsyncs(), 2);
-    }
-
-    #[test]
-    fn always_policy_syncs_each_batch() {
-        let dir = TestDir::new("wal-always");
-        let path = dir.path().join("wal.log");
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
-        wal.append_batch(&[b"a", b"b", b"c"]).unwrap();
-        assert_eq!(wal.fsyncs(), 1);
-        wal.append(b"d").unwrap();
-        assert_eq!(wal.fsyncs(), 2);
-    }
-
-    #[test]
-    fn truncate_records_and_reset() {
-        let dir = TestDir::new("wal-truncate");
-        let path = dir.path().join("wal.log");
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        for payload in [&b"a"[..], b"bb", b"ccc", b"dddd"] {
-            wal.append(payload).unwrap();
-        }
-        wal.truncate_records(2).unwrap();
-        drop(wal);
-        let (mut wal, replay) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        assert_eq!(replay, vec![b"a".to_vec(), b"bb".to_vec()]);
-        wal.reset().unwrap();
-        assert_eq!(wal.record_count(), 0);
-        assert_eq!(wal.len_bytes(), 0);
-        drop(wal);
-        let (_, replay) = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        assert!(replay.is_empty());
-    }
-
-    #[test]
-    fn rotation_splits_segments_and_replays_in_order() {
-        let dir = TestDir::new("wal-rotate");
-        let path = dir.path().join("wal.log");
-        let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 20]).collect();
-        {
-            let (mut wal, _) = Wal::open_segmented(&path, FsyncPolicy::Never, 128).unwrap();
-            for p in &payloads {
-                wal.append(p).unwrap();
-            }
-            assert!(wal.segment_count() > 2, "rotation must have triggered");
-            // Every segment stays at or under the threshold (single records
-            // here are far smaller than it).
-            for sp in wal.segment_paths() {
-                assert!(std::fs::metadata(&sp).unwrap().len() <= 128);
-            }
-        }
-        let (wal, replay) = Wal::open_segmented(&path, FsyncPolicy::Never, 128).unwrap();
-        assert_eq!(replay, payloads, "segments replay in append order");
-        assert_eq!(wal.record_count(), payloads.len());
-    }
-
-    #[test]
-    fn oversized_batch_gets_own_segment() {
-        let dir = TestDir::new("wal-bigbatch");
-        let path = dir.path().join("wal.log");
-        let (mut wal, _) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        wal.append(b"small").unwrap();
-        // Larger than a whole segment: sealed previous segment, then the
-        // batch lands intact in a fresh one (never split).
-        let big = vec![7u8; 200];
-        wal.append(&big).unwrap();
-        assert_eq!(wal.segment_count(), 2);
-        drop(wal);
-        let (_, replay) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        assert_eq!(replay, vec![b"small".to_vec(), big]);
-    }
-
-    #[test]
-    fn torn_tail_in_earlier_segment_drops_later_segments() {
-        let dir = TestDir::new("wal-torn-mid");
-        let path = dir.path().join("wal.log");
-        {
-            let (mut wal, _) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-            for i in 0..8u8 {
-                wal.append(&[i; 24]).unwrap();
-            }
-            assert!(wal.segment_count() >= 3);
-        }
-        // Corrupt the tail of segment 0: everything after it must go.
-        let seg0 = segment_path(&path, 0);
-        let bytes = std::fs::read(&seg0).unwrap();
-        std::fs::write(&seg0, &bytes[..bytes.len() - 3]).unwrap();
-
-        let (wal, replay) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        assert_eq!(wal.segment_count(), 1);
-        assert_eq!(
-            replay,
-            vec![vec![0u8; 24]],
-            "only segment 0's intact prefix"
-        );
-        assert!(!segment_path(&path, 1).exists());
-    }
-
-    #[test]
-    fn truncate_records_across_segments() {
-        let dir = TestDir::new("wal-trunc-seg");
-        let path = dir.path().join("wal.log");
-        let payloads: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 24]).collect();
-        let (mut wal, _) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        for p in &payloads {
-            wal.append(p).unwrap();
-        }
-        let before = wal.segment_count();
-        assert!(before >= 3);
-        wal.truncate_records(3).unwrap();
-        assert_eq!(wal.record_count(), 3);
-        assert!(wal.segment_count() < before);
-        assert!(wal.segments_gced() > 0);
-        // Appends continue on the surviving tail segment.
-        wal.append(b"after").unwrap();
-        drop(wal);
-        let (_, replay) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        let mut expect: Vec<Vec<u8>> = payloads[..3].to_vec();
-        expect.push(b"after".to_vec());
-        assert_eq!(replay, expect);
-    }
-
-    #[test]
-    fn reset_garbage_collects_sealed_segments() {
-        let dir = TestDir::new("wal-reset-gc");
-        let path = dir.path().join("wal.log");
-        let (mut wal, _) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        for i in 0..8u8 {
-            wal.append(&[i; 24]).unwrap();
-        }
-        let sealed = wal.segment_count() - 1;
-        assert!(sealed >= 2);
-        wal.reset().unwrap();
-        assert_eq!(wal.segment_count(), 1);
-        assert_eq!(wal.segments_gced(), sealed as u64);
-        assert_eq!(wal.record_count(), 0);
-        // Only the (empty) active segment file remains on disk.
-        let live: Vec<_> = std::fs::read_dir(dir.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("wal.log."))
-            .collect();
-        assert_eq!(live.len(), 1);
-        // And the log keeps working after compaction.
-        wal.append(b"fresh").unwrap();
-        drop(wal);
-        let (_, replay) = Wal::open_segmented(&path, FsyncPolicy::Never, 64).unwrap();
-        assert_eq!(replay, vec![b"fresh".to_vec()]);
-    }
-
-    #[test]
-    fn fsync_policy_labels() {
-        assert_eq!(FsyncPolicy::Always.label(), "always");
-        assert_eq!(FsyncPolicy::EveryN(8).label(), "every_8");
-        assert_eq!(FsyncPolicy::Never.label(), "never");
-    }
-}
+pub use crate::blockfile::FsyncPolicy;

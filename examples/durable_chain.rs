@@ -2,18 +2,17 @@
 //!
 //! The quickstart workflow — views, concealed secrets, grants — but the
 //! peer keeps its ledger on disk (`StorageConfig`). Mid-stream the peer
-//! "crashes": the process drops the chain without flushing and the WAL
-//! loses a torn tail. On restart, recovery replays the write-ahead log,
-//! re-derives whatever the torn tail lost from the block file itself, and
-//! verifies every rolling state root — after which Bob's view query
-//! answers exactly as if nothing had happened. Run with:
+//! "crashes": the process drops the chain without flushing, so the state
+//! written since the last checkpoint exists only in the lost memtable. On
+//! restart, recovery rebuilds it from the block file (`blocks.dat`, the
+//! peer's only log) and verifies every rolling state root — after which
+//! Bob's view query answers exactly as if nothing had happened. Run with:
 //!
 //! ```text
 //! cargo run --example durable_chain
 //! ```
 
 use ledgerview::fabric::identity::{Identity, OrgId};
-use ledgerview::fabric::storage::wal_segment_path;
 use ledgerview::fabric::FabricChain;
 use ledgerview::prelude::*;
 use ledgerview::store::testdir::TestDir;
@@ -96,22 +95,15 @@ fn main() {
     let digest = chain.state().state_digest();
     println!("committed {height} blocks; crashing the peer mid-stream...");
 
-    // ── Crash: the process dies without flushing, and the last WAL write
-    //    is torn (the tail bytes never reached the platter).
+    // ── Crash: the process dies without flushing. No checkpoint has run
+    //    yet, so the whole state lived in the memtable and is gone.
+    let flushes = chain.lsm_backend().unwrap().lsm_stats().flushes;
     drop(chain);
     let _ = alice;
-    let wal = wal_segment_path(dir.path(), 0);
-    let len = std::fs::metadata(&wal).unwrap().len();
-    let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-    file.set_len(len.saturating_sub(7)).unwrap();
-    drop(file);
-    println!(
-        "tore {len}-byte WAL down to {} bytes",
-        len.saturating_sub(7)
-    );
+    println!("dropped the peer unflushed ({flushes} memtable flushes on disk)");
 
-    // ── Second life: recovery replays the WAL, re-derives the torn tail
-    //    from the block file, and verifies every state root on the way up.
+    // ── Second life: recovery rebuilds the memtable from the blocks in
+    //    `blocks.dat` and verifies every state root on the way up.
     let (chain, _owner, _alice) = open_peer(&dir);
     assert_eq!(chain.height(), height, "full history recovered");
     assert_eq!(chain.state().state_digest(), digest, "state bit-identical");

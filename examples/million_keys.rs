@@ -5,10 +5,11 @@
 //! deliberately small budgets (256 KiB memtable, 384 KiB of caches), then
 //! bulk-loads tens of thousands of keys — far more value bytes than the
 //! engine may keep resident. Mid-stream the process "crashes": the chain
-//! is dropped without a flush and the WAL loses a torn tail. Recovery
-//! rebuilds from the LSM manifest + block file, re-verifies every rolling
-//! state root, and proves a composite view-storage key under the state
-//! digest before Bob's view query runs end-to-end. Run with:
+//! is dropped without a flush, losing its memtable. Recovery opens the LSM
+//! at its manifest, rebuilds the memtable from the blocks after it in the
+//! block file, re-verifies every rolling state root, and proves a
+//! composite view-storage key under the state digest before Bob's view
+//! query runs end-to-end. Run with:
 //!
 //! ```text
 //! cargo run --release --example million_keys [n_keys]
@@ -18,7 +19,6 @@
 
 use ledgerview::fabric::chaincode::TxContext;
 use ledgerview::fabric::identity::{Identity, OrgId};
-use ledgerview::fabric::storage::wal_segment_path;
 use ledgerview::fabric::{Chaincode, FabricChain, FabricError};
 use ledgerview::prelude::*;
 use ledgerview::statedb::LsmConfig;
@@ -191,17 +191,15 @@ fn main() {
         "workload is not larger than memory"
     );
 
-    // ── Crash: no flush, and the last WAL write is torn mid-record.
-    println!("crashing the peer (torn WAL tail)...");
+    // ── Crash: no flush, so the memtable is lost.
+    println!(
+        "crashing the peer unflushed (losing a {} B memtable)...",
+        stats.memtable_bytes
+    );
     drop(chain);
-    let wal = wal_segment_path(dir.path(), 0);
-    let len = std::fs::metadata(&wal).unwrap().len();
-    let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-    file.set_len(len.saturating_sub(9)).unwrap();
-    drop(file);
 
-    // ── Second life: recovery = LSM manifest + WAL replay + re-derived
-    //    torn tail, with every rolling state root re-verified on the way.
+    // ── Second life: recovery = LSM manifest + the later blocks replayed
+    //    from `blocks.dat`, with every rolling state root re-verified.
     let (chain, _owner, _alice) = open_peer(&dir);
     assert_eq!(chain.height(), height, "full history recovered");
     assert_eq!(chain.state().state_digest(), digest, "state bit-identical");

@@ -9,12 +9,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use ledgerview::fabric::chain::CommitEvent;
-use ledgerview::fabric::validation::TxValidation;
 use ledgerview::prelude::*;
 use ledgerview::views::verify;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 fn main() {
     let mut rng = ledgerview::crypto::rng::seeded(2024);
@@ -24,13 +21,6 @@ fn main() {
     let mut chain = FabricChain::new(&["ManufacturerOrg", "AuditorOrg"], &mut rng);
     let policy = EndorsementPolicy::MajorityOf(chain.org_ids());
     ledgerview::deploy_ledgerview_contracts(&mut chain, policy);
-
-    // Watch commit outcomes: a transaction can be invalidated at commit
-    // (MVCC conflict, endorsement failure) even though `invoke` succeeded,
-    // and silently losing one would corrupt the view bookkeeping below.
-    let outcomes: Arc<Mutex<Vec<CommitEvent>>> = Arc::default();
-    let sink = Arc::clone(&outcomes);
-    chain.subscribe_commits(move |ev| sink.lock().unwrap().push(ev.clone()));
 
     let owner = chain
         .enroll(&OrgId::new("ManufacturerOrg"), "view-owner", &mut rng)
@@ -135,18 +125,20 @@ fn main() {
     assert!(scan.ok);
     println!("full-ledger-scan completeness check also passed — done.");
 
-    // ── No transaction was silently invalidated at commit.
-    let outcomes = outcomes.lock().unwrap();
-    let invalid: Vec<&CommitEvent> = outcomes
+    // ── No transaction was silently invalidated at commit. A transaction
+    //    can fail MVCC or endorsement checks even though `invoke` succeeded;
+    //    every block records each one's fate in its validity flags.
+    let flags: Vec<bool> = chain
+        .store()
         .iter()
-        .filter(|e| e.outcome != TxValidation::Valid)
+        .flat_map(|block| block.validity.iter().copied())
         .collect();
     assert!(
-        invalid.is_empty(),
-        "transactions invalidated at commit: {invalid:?}"
+        flags.iter().all(|valid| *valid),
+        "a transaction was invalidated at commit"
     );
     println!(
         "validation flags checked: {} committed transactions, all valid.",
-        outcomes.len()
+        flags.len()
     );
 }

@@ -8,13 +8,10 @@
 //! cargo run --example supply_chain_tracking
 //! ```
 
-use ledgerview::fabric::chain::CommitEvent;
-use ledgerview::fabric::validation::TxValidation;
 use ledgerview::prelude::*;
 use ledgerview::supplychain::{generate, Topology, WorkloadConfig};
 use ledgerview::views::verify;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 
 fn main() {
     let mut rng = ledgerview::crypto::rng::seeded(7);
@@ -32,15 +29,6 @@ fn main() {
     let mut chain = FabricChain::new(&["SupplyOrg", "AuditOrg"], &mut rng);
     let policy = EndorsementPolicy::MajorityOf(chain.org_ids());
     ledgerview::deploy_ledgerview_contracts(&mut chain, policy);
-
-    // Watch commit outcomes: the expected-visibility map below assumes
-    // every transfer actually committed as valid, so an MVCC conflict or
-    // endorsement failure slipping through unnoticed would fail the
-    // isolation check with a misleading message (or worse, pass it with
-    // missing data). Surface invalidations explicitly instead.
-    let outcomes: Arc<Mutex<Vec<CommitEvent>>> = Arc::default();
-    let sink = Arc::clone(&outcomes);
-    chain.subscribe_commits(move |ev| sink.lock().unwrap().push(ev.clone()));
     let owner = chain
         .enroll(&OrgId::new("SupplyOrg"), "view-owner", &mut rng)
         .unwrap();
@@ -93,22 +81,24 @@ fn main() {
     manager.flush(&mut chain, &mut rng).unwrap();
 
     // ── Every transfer must have committed as valid before we reason
-    //    about per-entity visibility.
-    {
-        let outcomes = outcomes.lock().unwrap();
-        let invalid: Vec<&CommitEvent> = outcomes
-            .iter()
-            .filter(|e| e.outcome != TxValidation::Valid)
-            .collect();
-        assert!(
-            invalid.is_empty(),
-            "transfers invalidated at commit: {invalid:?}"
-        );
-        println!(
-            "validation flags checked: {} committed transactions, all valid",
-            outcomes.len()
-        );
-    }
+    //    about per-entity visibility: the expected-visibility map assumes
+    //    it, so an MVCC conflict or endorsement failure slipping through
+    //    would fail the isolation check with a misleading message (or pass
+    //    it with missing data). Every block records each transaction's
+    //    fate in its validity flags.
+    let flags: Vec<bool> = chain
+        .store()
+        .iter()
+        .flat_map(|block| block.validity.iter().copied())
+        .collect();
+    assert!(
+        flags.iter().all(|valid| *valid),
+        "a transfer was invalidated at commit"
+    );
+    println!(
+        "validation flags checked: {} committed transactions, all valid",
+        flags.len()
+    );
 
     // ── Each entity gets keys and reads its view; check the isolation
     //    property: view contents == exactly the transfers it may see.

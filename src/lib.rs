@@ -14,8 +14,8 @@
 //! * [`fabric`] — the execute-order-validate blockchain substrate
 //!   (endorsement, Raft ordering, MVCC validation, state DB, private data
 //!   collections).
-//! * [`store`] — the durable storage engine (append-only block file, WAL)
-//!   behind `fabric::storage`.
+//! * [`store`] — the durable storage engine (the append-only block file,
+//!   which is the only log) behind `fabric::storage`.
 //! * [`statedb`] — the disk-backed LSM state engine behind `fabric::lsm`
 //!   (larger-than-RAM versioned state), where every durable peer keeps
 //!   its state.

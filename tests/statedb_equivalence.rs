@@ -8,8 +8,8 @@
 //! from-scratch oracle (`digest_of_entries` over the backend's own entry
 //! stream) and one digest is pinned to a golden value. The crash tests
 //! additionally arm the engine's injected crash points (mid-flush,
-//! mid-compaction) and cut the WAL or block file at arbitrary byte
-//! offsets, then require recovery to a committed-prefix-consistent state.
+//! mid-compaction) and cut the block file at arbitrary byte offsets, then
+//! require recovery to a committed-prefix-consistent state.
 //! The snapshot tests install one `ChainSnapshot` into an LSM under tiny
 //! and under default budgets and hold both *pruned* stores to the twin
 //! from there on — across clean reopens and injected crashes alike.
@@ -21,7 +21,7 @@ use ledgerview::fabric::digest::digest_of_entries;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
 use ledgerview::fabric::statedb::VersionedState;
-use ledgerview::fabric::storage::{wal_segment_path, ChainSnapshot};
+use ledgerview::fabric::storage::ChainSnapshot;
 use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState, StateDb, Version};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
 use ledgerview::statedb::{CrashPoint, LsmConfig};
@@ -481,8 +481,8 @@ fn pruned_lsm_store_survives_crash_and_reopen() {
         drop(chain);
 
         // The manifest still names the state as of an earlier checkpoint;
-        // the WAL kept its records, so the reopen replays up to `height`
-        // with the base intact.
+        // the block file holds every later block, so the reopen replays up
+        // to `height` with the base intact.
         let mut chain = pruned_chain(seed, dir.path(), true, None).unwrap();
         assert_pruned_at(&chain, &snapshot, &history, height);
         apply_twin_block(&mut chain, &twin, height);
@@ -554,16 +554,15 @@ proptest! {
         prop_assert_eq!(lsm_history, reference_history(seed, blocks));
     }
 
-    /// Arm an injected crash (mid-flush or mid-compaction), optionally
-    /// tear the WAL afterwards, and reopen: the block file is intact, so
-    /// recovery must reconstruct the complete committed state — lost WAL
-    /// records are re-derived from the blocks' own write sets.
+    /// Arm an injected crash (mid-flush or mid-compaction) and reopen: the
+    /// block file is intact, so recovery must reconstruct the complete
+    /// committed state — the writes the crashed flush lost are re-derived
+    /// from the blocks' own write sets.
     #[test]
     fn crash_mid_flush_or_compaction_recovers(
         seed in 0u64..500,
         blocks in 3u64..9,
         point in 0u8..2,
-        cut_wal in 0u64..100_000,
     ) {
         let dir = TestDir::new("statedb-eq-crash");
         let committed = {
@@ -591,11 +590,6 @@ proptest! {
             }
             committed
         };
-        if cut_wal > 0 {
-            let wal_path = wal_segment_path(dir.path(), 0);
-            let len = std::fs::metadata(&wal_path).unwrap().len();
-            truncate_file(&wal_path, cut_wal % (len + 1));
-        }
 
         let (chain, alice) = lsm_chain(seed, dir.path());
         let reference = reference_history(seed, blocks);

@@ -7,8 +7,8 @@
 //! number of blocks the reopen recovered, and the length and SHA-256 of
 //! every file left in the storage directory. The values were taken on the
 //! tree where `DurableBackend` and `LsmBackend` were still two types, so a
-//! refactor of the commit protocol that moves one byte of a WAL segment,
-//! the block file or an SSTable fails here.
+//! refactor of the commit protocol that moves one byte of the block file
+//! or an SSTable fails here.
 //!
 //! The one file whose content is not pinned is `lsm/MANIFEST`: it embeds
 //! the metadata blob published with each flush, and only its length is
@@ -220,11 +220,6 @@ fn lsm_engine_directory_is_byte_identical() {
             "lsm/sst-0000000006.tbl",
             2_458,
             "d14834d2774b919884ada533b44c75fbfe20968428443b258dbc19e30b5df297",
-        ),
-        (
-            "state.wal.000000",
-            1_024,
-            "1299cb64d91c8321b645409e614e66e9630b4ac612b228b4573caf0430d64218",
         ),
     ];
     assert_matches(&run(), ROOT, DIGEST, &files);

@@ -1,8 +1,9 @@
 //! Crash-recovery properties of the durable storage backend.
 //!
 //! Each test runs a deterministic workload on a durable chain, simulates a
-//! crash by truncating the WAL and/or block file at an arbitrary byte
-//! offset, reopens the directory, and checks the recovered state against an
+//! crash by dropping it without a flush and/or truncating the block file at
+//! an arbitrary byte offset, reopens the directory, and checks the
+//! recovered state against an
 //! in-memory twin that replayed the same workload: the recovered height
 //! must be a prefix of the reference history, and the state digest and
 //! rolling state root at that height must match the twin's bit for bit.
@@ -16,7 +17,6 @@ use ledgerview::fabric::digest::digest_of_entries;
 use ledgerview::fabric::endorsement::EndorsementPolicy;
 use ledgerview::fabric::identity::{Identity, OrgId};
 use ledgerview::fabric::statedb::VersionedState;
-use ledgerview::fabric::storage::wal_segment_path;
 use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
 use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
@@ -265,10 +265,9 @@ fn tampered_checkpoint_is_rejected() {
 
 #[test]
 fn lost_state_is_rebuilt_from_the_block_file() {
-    // Delete `lsm/` from a store that checkpointed twice: the WAL holds
-    // only the blocks since the last checkpoint, so the reopen re-derives
-    // the rest of the state from the block bodies — the path a directory
-    // written with the full-state `checkpoint.dat` takes too.
+    // Delete `lsm/` from a store that checkpointed twice: the reopen
+    // re-derives the whole state from the block bodies — the path a
+    // directory written with the full-state `checkpoint.dat` takes too.
     let dir = TestDir::new("recover-lost-state");
     let config = StorageConfig::new(dir.path())
         .fsync(FsyncPolicy::Never)
@@ -330,16 +329,16 @@ fn lost_state_of_a_snapshot_installed_store_is_a_storage_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cut the WAL anywhere: the block file is intact, so recovery must
-    /// reconstruct the *complete* history (lost WAL records are re-derived
-    /// from the blocks themselves), even with checkpoints in play.
+    /// Drop the chain without a flush, with checkpoints in play: the block
+    /// file is intact, so recovery must reconstruct the *complete* history
+    /// (the writes after the last checkpoint are re-derived from the
+    /// blocks themselves).
     #[test]
-    fn wal_truncation_recovers_full_state(
+    fn reopen_after_checkpoints_recovers_full_state(
         seed in 0u64..500,
         blocks in 3u64..9,
-        cut in 0u64..100_000,
     ) {
-        let dir = TestDir::new("recover-wal-cut");
+        let dir = TestDir::new("recover-unflushed");
         let config = StorageConfig::new(dir.path())
             .fsync(FsyncPolicy::Never)
             .checkpoint_every(4);
@@ -347,9 +346,6 @@ proptest! {
             let (mut chain, alice) = durable_chain(seed, config.clone());
             run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
         }
-        let wal_path = wal_segment_path(dir.path(), 0);
-        let len = std::fs::metadata(&wal_path).unwrap().len();
-        truncate_file(&wal_path, cut % (len + 1));
 
         let (chain, _) = durable_chain(seed, config);
         let reference = reference_history(seed, blocks);
@@ -360,22 +356,21 @@ proptest! {
         chain.store().verify_chain().unwrap();
     }
 
-    /// Cut the block file (and optionally the WAL) anywhere: recovery keeps
-    /// the surviving block prefix, and the recovered state must equal the
-    /// reference replay at exactly that height.
+    /// Cut the block file anywhere: recovery keeps the surviving block
+    /// prefix, and the recovered state must equal the reference replay at
+    /// exactly that height.
     #[test]
     fn block_file_truncation_recovers_a_prefix(
         seed in 0u64..500,
         blocks in 3u64..9,
         cut_blocks in 0u64..1_000_000,
-        // 0 leaves the WAL alone; anything else also cuts the WAL there.
-        cut_wal in 0u64..100_000,
     ) {
         let dir = TestDir::new("recover-block-cut");
         // No checkpoints: an artificial cut below a checkpoint's height is
         // (correctly) reported as corruption, which the prefix property
-        // below does not model; `wal_truncation_recovers_full_state`
-        // exercises checkpoints.
+        // below does not model;
+        // `reopen_after_checkpoints_recovers_full_state` exercises
+        // checkpoints.
         let config = StorageConfig::new(dir.path())
             .fsync(FsyncPolicy::Never)
             .checkpoint_every(1_000);
@@ -386,11 +381,6 @@ proptest! {
         let data_path = dir.path().join(BLOCKS_DATA_FILE);
         let len = std::fs::metadata(&data_path).unwrap().len();
         truncate_file(&data_path, cut_blocks % (len + 1));
-        if cut_wal > 0 {
-            let wal_path = wal_segment_path(dir.path(), 0);
-            let wal_len = std::fs::metadata(&wal_path).unwrap().len();
-            truncate_file(&wal_path, cut_wal % (wal_len + 1));
-        }
 
         let (chain, alice) = durable_chain(seed, config);
         let reference = reference_history(seed, blocks);

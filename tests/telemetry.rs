@@ -173,10 +173,10 @@ fn workload_populates_every_lifecycle_phase() {
     // Endorsement does real Ed25519 work — its quantiles cannot be zero.
     let endorse = registry.histogram("lv_chain_phase_seconds", &[("phase", "endorse")]);
     assert!(endorse.histogram().quantile(0.5) > 0);
-    // The durable path fsyncs nothing under `Never`, but WAL appends are
+    // The durable path fsyncs nothing under `Never`, but block appends are
     // real writes and must have been timed.
-    let wal = registry.histogram("lv_storage_wal_append_seconds", &[]);
-    assert_eq!(wal.histogram().count(), blocks);
+    let append = registry.histogram("lv_storage_block_append_seconds", &[]);
+    assert_eq!(append.histogram().count(), blocks);
 
     // The exposition is well-formed under the in-repo lint.
     let text = registry.prometheus_text();
@@ -258,7 +258,6 @@ fn lsm_engine_publishes_the_storage_metrics() {
 
     let registry = telemetry.registry();
     let count = |name: &str| registry.histogram(name, &[]).histogram().count();
-    assert_eq!(count("lv_storage_wal_append_seconds"), blocks);
     assert_eq!(count("lv_storage_block_append_seconds"), blocks);
     // One interval checkpoint (at height 4), under both of its names.
     assert_eq!(backend.checkpoints_saved(), 1);
@@ -268,7 +267,9 @@ fn lsm_engine_publishes_the_storage_metrics() {
         registry.counter("lv_storage_checkpoints_total", &[]).get(),
         1
     );
-    assert!(backend.fsyncs() >= blocks, "{}", backend.fsyncs());
+    // `Always` syncs the block file once per block, then once more at the
+    // checkpoint and once at `flush()`.
+    assert_eq!(backend.fsyncs(), blocks + 2);
     assert_eq!(
         registry.counter("lv_storage_fsyncs_total", &[]).get(),
         backend.fsyncs()
