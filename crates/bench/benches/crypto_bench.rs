@@ -9,6 +9,7 @@ use std::hint::black_box;
 
 use ledgerview_crypto::aead::{self, AeadKey};
 use ledgerview_crypto::aes::Aes;
+use ledgerview_crypto::ctr;
 use ledgerview_crypto::ed25519::{self, BatchEntry, SigningKey, VerifyingKey};
 use ledgerview_crypto::hmac::HmacKey;
 use ledgerview_crypto::keys::{self, EncryptionKeyPair, SigningKeyPair, SymmetricKey};
@@ -72,6 +73,7 @@ fn bench_aead(c: &mut Criterion) {
     c.bench_function("aead/key_expansion", |b| {
         b.iter(|| AeadKey::new(black_box(&key)));
     });
+    // The T-table block alone: the portable fallback's cost per block.
     c.bench_function("aes256/encrypt_block", |b| {
         let aes = Aes::new_256(&key);
         let mut block = [0x5au8; 16];
@@ -79,6 +81,19 @@ fn bench_aead(c: &mut Criterion) {
             aes.encrypt_block(black_box(&mut block));
         });
     });
+    // The keystream every seal and open runs, on whichever body this CPU
+    // takes (AES-NI where present).
+    let mut group = c.benchmark_group("ctr/aes256");
+    let aes = Aes::new_256(&key);
+    let iv = [0x24u8; 16];
+    for size in [64usize, 2700, 16 * 1024] {
+        let mut data = vec![0x5au8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(BenchmarkId::from_parameter(size), |b| {
+            b.iter(|| ctr::apply_keystream(black_box(&aes), &iv, black_box(&mut data)));
+        });
+    }
+    group.finish();
     c.bench_function("hmac/keyed_32B", |b| {
         let mac = HmacKey::new(&key);
         b.iter(|| black_box(&mac).mac(&[black_box(&aad)]));

@@ -1,13 +1,20 @@
 //! AES block cipher (FIPS 197) with 128-, 192- and 256-bit keys.
 //!
 //! Encryption only: CTR mode ([`crate::ctr`]) never runs the inverse
-//! cipher. A round is the word-wise T-table form — the state is four
+//! cipher. This module owns the key schedule, which every path uses, and
+//! the portable block function, [`Aes::encrypt_block`]. On x86-64 CPUs
+//! with the AES instructions ([`hardware_accelerated`]), CTR runs its own
+//! AES-NI body over these round keys instead, and `encrypt_block` is the
+//! fallback elsewhere and the oracle the tests hold that body to.
+//!
+//! A portable round is the word-wise T-table form — the state is four
 //! big-endian `u32` columns and SubBytes, ShiftRows and MixColumns of one
 //! column are four lookups in `TE0` (`x ↦ (2·S[x], S[x], S[x], 3·S[x])`),
 //! rotated into place and XORed; the last round, which has no MixColumns,
 //! reads `SBOX`. One 1 KiB table plus rotations measured faster here than
 //! four tables. The table is indexed by secret bytes exactly as the S-box
-//! always was: this is not constant-time (see the crate-level disclaimer).
+//! always was: this path is not constant-time (see the crate-level
+//! disclaimer).
 //!
 //! The S-box and the table are *computed* at compile time from the GF(2⁸)
 //! definition rather than transcribed, so there is nothing to mistype; the
@@ -112,8 +119,8 @@ impl Aes {
 
     fn expand(key: &[u8], nk: usize, rounds: usize) -> Aes {
         let mut w = [0u32; 60];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
-            *word = u32::from_be_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        for (word, bytes) in w.iter_mut().zip(key.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         let total = 4 * (rounds + 1);
         for i in nk..total {
@@ -131,7 +138,23 @@ impl Aes {
         }
     }
 
-    /// Encrypt a single 16-byte block in place.
+    /// The `rounds + 1` round keys, round 0 first, each as the 16 bytes it
+    /// XORs into the state: what the AES-NI body in [`crate::ctr`] loads.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn round_key_bytes(&self) -> impl Iterator<Item = [u8; 16]> + '_ {
+        let (keys, _) = self.round_keys[..4 * (self.rounds + 1)].as_chunks::<4>();
+        keys.iter().map(|words| {
+            let mut bytes = [0u8; 16];
+            for (out, word) in bytes.as_chunks_mut::<4>().0.iter_mut().zip(words) {
+                *out = word.to_be_bytes();
+            }
+            bytes
+        })
+    }
+
+    /// Encrypt a single 16-byte block in place with the T-table rounds: the
+    /// block function of the portable CTR path, and the oracle for the
+    /// AES-NI one.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let rk = &self.round_keys[..4 * (self.rounds + 1)];
         let (first, rest) = rk.split_at(4);
@@ -164,6 +187,21 @@ impl Aes {
             ]) ^ last[c];
             block[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
         }
+    }
+}
+
+/// Whether this CPU runs AES-CTR on its AES instructions (x86-64
+/// `aesenc` / `aesenclast`) rather than the T-table rounds. Both give
+/// bit-identical keystreams; this only reports which one every
+/// [`crate::ctr::apply_keystream`] takes.
+pub fn hardware_accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 

@@ -11,8 +11,10 @@
 //!   ([`hmac::HmacKey`]: key once, tag many).
 //! * [`hkdf`] — RFC 5869 key derivation.
 //! * [`aes`] — FIPS 197 block cipher (128/192/256-bit keys), encryption
-//!   direction, T-table rounds.
-//! * [`ctr`] — NIST SP 800-38A counter mode.
+//!   direction: the key schedule, and the T-table rounds that are the
+//!   portable fallback and the oracle.
+//! * [`ctr`] — NIST SP 800-38A counter mode; runs on the CPU's AES
+//!   instructions, eight blocks per pass, where it has them.
 //! * [`aead`] — authenticated encryption (AES-256-CTR + HMAC-SHA-256,
 //!   encrypt-then-MAC), the `enc(·, K)` of the paper; an
 //!   [`aead::AeadKey`] holds everything derived from one key so a view's
@@ -31,20 +33,25 @@
 //!
 //! # Unsafe code
 //!
-//! The crate is `#![deny(unsafe_code)]` with exactly one exemption: the
-//! call in [`mod@sha256`] into its SHA-extension compression body, a
-//! `#[target_feature]` function of safe `std::arch` intrinsics. The call
-//! is made only after `is_x86_feature_detected!` has seen every feature
-//! the body is compiled for; on other CPUs the portable rounds run
-//! ([`sha256::hardware_accelerated`] says which). Nothing else here is
-//! `unsafe`, and the root package's `tests/unsafe_inventory.rs` keeps it
-//! that way across the workspace.
+//! The crate is `#![deny(unsafe_code)]` with exactly two exemptions, one
+//! call each into a `#[target_feature]` function of safe `std::arch`
+//! intrinsics:
+//!
+//! * in [`mod@sha256`], into its SHA-extension compression body;
+//! * in [`ctr`], into its AES-NI keystream body.
+//!
+//! Each call is made only after `is_x86_feature_detected!` has seen every
+//! feature its body is compiled for; on other CPUs the portable code runs
+//! ([`sha256::hardware_accelerated`] and [`aes::hardware_accelerated`] say
+//! which). Nothing else here is `unsafe`, and the root package's
+//! `tests/unsafe_inventory.rs` keeps it that way across the workspace.
 //!
 //! # Security disclaimer
 //!
 //! This code is written for clarity and reproduction fidelity. It is **not**
 //! hardened against side channels (it is not constant-time) and must not be
-//! used to protect real data.
+//! used to protect real data. The AES-NI path of [`ctr`] makes no
+//! secret-indexed table lookups; the T-table fallback does.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

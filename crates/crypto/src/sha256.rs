@@ -19,8 +19,8 @@
 //! The body is chosen at run time with `is_x86_feature_detected!`; there
 //! is no feature flag, setting or environment variable, and both bodies
 //! give bit-identical digests. [`hardware_accelerated`] says which one
-//! this CPU runs. The call into the hardware body is the crate's only
-//! `unsafe` block (see the crate docs).
+//! this CPU runs. The call into the hardware body is one of the crate's
+//! two `unsafe` blocks (see the crate docs).
 
 use std::fmt;
 

@@ -1,8 +1,9 @@
 //! The workspace's `unsafe` budget, checked: every crate root under
 //! `src/`, `crates/*/src` and `shims/*/src` forbids or denies
-//! `unsafe_code`, and the only `unsafe` in their code is the one call into
-//! SHA-256's SHA-extension body — one `#[allow(unsafe_code)]`, one
-//! `unsafe {` block, and a `// SAFETY:` comment directly above them.
+//! `unsafe_code`, and the only `unsafe` in their code is two named calls:
+//! SHA-256's into its SHA-extension body and AES-CTR's into its AES-NI
+//! body. Each is one `#[allow(unsafe_code)]`, one `unsafe {` block, and a
+//! `// SAFETY:` comment directly above them.
 
 use std::path::{Path, PathBuf};
 
@@ -152,7 +153,7 @@ fn code_only_ignores_comments_strings_and_chars() {
 }
 
 #[test]
-fn the_only_unsafe_is_the_sha_extension_call() {
+fn the_only_unsafe_is_the_two_hardware_dispatches() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for dir in source_dirs(root) {
@@ -189,31 +190,41 @@ fn the_only_unsafe_is_the_sha_extension_call() {
         }
     }
 
-    let sha = "crates/crypto/src/sha256.rs";
+    // Each site, in path order as `found` is: the allow, the block on the
+    // next line, and a `// SAFETY:` comment directly above both.
+    let sites = ["crates/crypto/src/ctr.rs", "crates/crypto/src/sha256.rs"];
     let whats: Vec<(&str, &str)> = found
         .iter()
         .map(|(f, _, w)| (f.as_str(), w.as_str()))
         .collect();
-    assert_eq!(
-        whats,
-        [(sha, "allow(unsafe_code)"), (sha, "unsafe {")],
-        "unsafe outside the one allowed site: {found:?}"
-    );
-    // The allow sits on the block, and a `// SAFETY:` comment directly above both.
-    let (allow, block) = (found[0].1, found[1].1);
-    assert_eq!(allow + 1, block, "the allow must sit on the unsafe block");
-    let text = std::fs::read_to_string(root.join(sha)).expect("read sha256.rs");
-    let lines: Vec<&str> = text.lines().collect();
-    let comment: Vec<&str> = lines[..allow - 1]
+    let expected: Vec<(&str, &str)> = sites
         .iter()
-        .rev()
-        .map(|l| l.trim())
-        .take_while(|l| l.starts_with("//"))
+        .flat_map(|&site| [(site, "allow(unsafe_code)"), (site, "unsafe {")])
         .collect();
-    assert!(
-        comment
-            .last()
-            .is_some_and(|first| first.starts_with("// SAFETY:")),
-        "no `// SAFETY:` comment directly above {sha}:{allow}"
+    assert_eq!(
+        whats, expected,
+        "unsafe outside the two allowed sites: {found:?}"
     );
+    for (site, pair) in sites.iter().zip(found.chunks_exact(2)) {
+        let (allow, block) = (pair[0].1, pair[1].1);
+        assert_eq!(
+            allow + 1,
+            block,
+            "{site}: the allow must sit on the unsafe block"
+        );
+        let text = std::fs::read_to_string(root.join(site)).expect("read an allowed site");
+        let lines: Vec<&str> = text.lines().collect();
+        let comment: Vec<&str> = lines[..allow - 1]
+            .iter()
+            .rev()
+            .map(|l| l.trim())
+            .take_while(|l| l.starts_with("//"))
+            .collect();
+        assert!(
+            comment
+                .last()
+                .is_some_and(|first| first.starts_with("// SAFETY:")),
+            "no `// SAFETY:` comment directly above {site}:{allow}"
+        );
+    }
 }
