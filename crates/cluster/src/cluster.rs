@@ -22,7 +22,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use fabric_sim::chaincode::RwSet;
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::Identity;
 use fabric_sim::ledger::{Transaction, TxId};
@@ -107,11 +106,11 @@ struct Inflight {
     encoded: Vec<u8>,
 }
 
-/// Causal-trace state for one in-flight transaction, keyed by its
-/// *current* tx id — a re-endorsed transaction gets a fresh id and the
-/// entry moves with it, so the trace id survives early-aborts, deferrals
+/// One endorsed, not-yet-committed transaction, keyed by its *current*
+/// tx id — a re-endorsed transaction gets a fresh id and the record
+/// moves with it, so its trace and tag survive early-aborts, deferrals
 /// and watchdog resubmits.
-struct TxTrace {
+struct TxRecord {
     /// Root context (`parent_span == 0`), derived from the submission
     /// sequence number — always computed, even with telemetry detached,
     /// so batch wire bytes never depend on observation.
@@ -119,8 +118,11 @@ struct TxTrace {
     /// Virtual time of the original submission (requeues don't reset it:
     /// queue time is measured from first submission to final cut).
     submitted_us: u64,
-    /// Times this trace has been pulled and re-endorsed.
+    /// Times this transaction has been pulled and re-endorsed.
     requeues: u64,
+    /// The caller's tag ([`ClusterSim::schedule_call`]): the outcome
+    /// reports under it when the transaction commits.
+    tag: Option<u64>,
 }
 
 /// The fate of a tagged invocation scheduled via
@@ -227,12 +229,10 @@ struct World {
     inflight: BTreeMap<u64, Inflight>,
     believed_leader: NodeId,
 
-    // Causal tracing.
+    // Causal tracing and tagged invocations (sharded deployments watch
+    // their 2PC legs).
     submit_seq: u64,
-    tx_traces: BTreeMap<TxId, TxTrace>,
-
-    // Tagged invocations (sharded deployments watch their 2PC legs).
-    tx_tags: BTreeMap<TxId, u64>,
+    txs: BTreeMap<TxId, TxRecord>,
     outcomes: Vec<(u64, InvokeOutcome)>,
 
     // Link faults (orderer ↔ orderer).
@@ -447,7 +447,8 @@ impl World {
                 .endorser
                 .commit_ordered(batch.transactions.clone(), batch.timestamp_us);
             for (tx, valid) in batch.transactions.iter().zip(&validations) {
-                if let Some(tag) = self.tx_tags.remove(&tx.tx_id) {
+                let record = self.txs.remove(&tx.tx_id);
+                if let Some(tag) = record.and_then(|r| r.tag) {
                     self.outcomes.push((
                         tag,
                         InvokeOutcome::Committed {
@@ -637,99 +638,129 @@ impl World {
         let minted = TraceContext::root(self.cfg.seed, self.submit_seq);
         let ctx = ctx_override.unwrap_or(minted);
         self.submit_seq += 1;
+        let now_us = sim.now().as_micros();
+        let record = TxRecord {
+            ctx,
+            submitted_us: now_us,
+            requeues: 0,
+            tag,
+        };
+        if self.endorse(&chaincode, &function, args, record) {
+            if let Some(m) = &self.metrics {
+                m.telemetry.tracer().record_linked(
+                    "submit",
+                    now_us,
+                    now_us,
+                    m.gateway_proc,
+                    "submit",
+                    ctx.span_id(stage::SUBMIT),
+                    ctx,
+                );
+                m.trace_submit_spans.inc();
+            }
+        }
+    }
+
+    /// The one endorse step under a submission and a re-endorsement:
+    /// invoke on the ordering-side chain, which queues the transaction
+    /// for the next cut, and file `record` under the new tx id. A rejected
+    /// proposal counts as a submit error and reports `EndorseFailed`
+    /// under the record's tag. Returns whether the proposal was endorsed.
+    fn endorse(
+        &mut self,
+        chaincode: &str,
+        function: &str,
+        args: Vec<Vec<u8>>,
+        record: TxRecord,
+    ) -> bool {
         let result = self.endorser.invoke(
             &self.client,
-            &chaincode,
-            &function,
+            chaincode,
+            function,
             args,
             &mut self.submit_rng,
         );
         match result {
             Ok(r) => {
-                let now_us = sim.now().as_micros();
-                self.tx_traces.insert(
-                    r.tx_id,
-                    TxTrace {
-                        ctx,
-                        submitted_us: now_us,
-                        requeues: 0,
-                    },
-                );
-                if let Some(t) = tag {
-                    self.tx_tags.insert(r.tx_id, t);
-                }
-                if let Some(m) = &self.metrics {
-                    m.telemetry.tracer().record_linked(
-                        "submit",
-                        now_us,
-                        now_us,
-                        m.gateway_proc,
-                        "submit",
-                        ctx.span_id(stage::SUBMIT),
-                        ctx,
-                    );
-                    m.trace_submit_spans.inc();
-                }
+                self.txs.insert(r.tx_id, record);
+                true
             }
             Err(e) => {
                 self.submit_errors += 1;
-                if let Some(t) = tag {
+                if let Some(tag) = record.tag {
                     self.outcomes
-                        .push((t, InvokeOutcome::EndorseFailed(e.to_string())));
+                        .push((tag, InvokeOutcome::EndorseFailed(e.to_string())));
                 }
+                false
             }
         }
     }
 
-    /// The ordering service's block cutter: batch pending endorsed
-    /// transactions and propose them to the believed leader. Re-arms
-    /// itself every `block_interval`.
+    /// The ordering service's block cutter: cut the pending queue through
+    /// [`reorder::cut`], re-endorse what it pulled, batch what it kept
+    /// and propose the batch to the believed leader. Re-arms itself every
+    /// `block_interval`.
+    ///
+    /// The cut happens once, before replication, so every replica applies
+    /// the identical batch: ordering decisions made here survive leader
+    /// failover by construction.
     fn on_cut(&mut self, sim: &mut Sim) {
         sim.schedule_in(self.cfg.block_interval, |w: &mut World, s| w.on_cut(s));
         if self.endorser.pending_count() == 0 {
             return;
         }
         let now_us = sim.now().as_micros();
-        let transactions = if self.cfg.reorder.enabled {
-            self.plan_batch(now_us)
-        } else {
-            self.endorser.take_pending()
-        };
-        if transactions.is_empty() {
+        let cut = reorder::cut(&mut self.endorser, &self.cfg.reorder, |_| true);
+        self.reorder_pairs += cut.stats.reordered_pairs;
+        self.reorder_cycles += cut.stats.cycles_broken;
+        let (aborts, deferrals) = (cut.early_aborted.len() as u64, cut.deferred.len() as u64);
+        self.reorder_early_aborts += aborts;
+        self.reorder_deferrals += deferrals;
+        if let Some(m) = &self.metrics {
+            m.reorder_early_aborts.add(aborts);
+            m.reorder_deferrals.add(deferrals);
+        }
+        let pulled = cut.early_aborted.into_iter().map(|(tx, _stale_key)| tx);
+        for tx in pulled.chain(cut.deferred) {
+            self.reinvoke(tx, now_us);
+        }
+        if cut.kept.is_empty() {
             // Every pending transaction was doomed and pulled for
             // re-endorsement; nothing to replicate this interval.
             return;
         }
         // Close out each kept transaction's queue stage and build the
         // wire contexts: downstream spans parent under the queue span.
-        let traces: Vec<TraceContext> = transactions
+        let traces: Vec<TraceContext> = cut
+            .kept
             .iter()
             .map(|tx| {
-                let t = self.tx_traces.remove(&tx.tx_id).unwrap_or_else(|| TxTrace {
-                    ctx: TraceContext::root(self.cfg.seed, u64::MAX),
-                    submitted_us: now_us,
-                    requeues: 0,
-                });
-                let queue_span = t.ctx.span_id(stage::QUEUE);
+                let (ctx, submitted_us) = self
+                    .txs
+                    .get(&tx.tx_id)
+                    .map_or((TraceContext::root(self.cfg.seed, u64::MAX), now_us), |r| {
+                        (r.ctx, r.submitted_us)
+                    });
+                let queue_span = ctx.span_id(stage::QUEUE);
                 if let Some(m) = &self.metrics {
                     m.telemetry.tracer().record_linked(
                         "order.queue",
-                        t.submitted_us,
+                        submitted_us,
                         now_us,
                         m.orderer_proc(self.believed_leader),
                         "cutter",
                         queue_span,
-                        t.ctx.with_parent(t.ctx.span_id(stage::SUBMIT)),
+                        ctx.with_parent(ctx.span_id(stage::SUBMIT)),
                     );
                     m.trace_queue_spans.inc();
                 }
-                t.ctx.with_parent(queue_span)
+                ctx.with_parent(queue_span)
             })
             .collect();
         let batch = OrderedBatch {
             batch_id: self.next_batch_id,
             timestamp_us: now_us,
-            transactions,
+            transactions: cut.kept,
             traces,
         };
         self.next_batch_id += 1;
@@ -746,89 +777,34 @@ impl World {
         });
     }
 
-    /// Conflict-aware batch planning (see `ledgerview_gateway::reorder`)
-    /// over the endorser's pending queue: early-abort transactions whose
-    /// reads went stale against committed state since their endorsement
-    /// (they fail MVCC on *every* replica under every order), schedule
-    /// the survivors to serialize intra-batch conflicts, and defer cycle
-    /// victims. Pulled transactions are immediately re-endorsed — fresh
-    /// read versions — and ride a later batch.
-    ///
-    /// The plan is computed once, before replication, so every replica
-    /// applies the identical reordered batch: ordering decisions made
-    /// here survive leader failover by construction.
-    fn plan_batch(&mut self, now_us: u64) -> Vec<Transaction> {
-        let doomed = self.endorser.precheck_pending();
-        let plan = {
-            let pending = self.endorser.pending();
-            let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
-            reorder::plan(&rwsets, &doomed, &self.cfg.reorder, |_| true)
-        };
-        self.reorder_pairs += plan.stats.reordered_pairs;
-        self.reorder_cycles += plan.stats.cycles_broken;
-        let (kept, early_aborted, deferred) = plan.partition(self.endorser.take_pending());
-        for (tx, _stale_key) in early_aborted {
-            self.reorder_early_aborts += 1;
-            if let Some(m) = &self.metrics {
-                m.reorder_early_aborts.inc();
-            }
-            self.reinvoke(tx, now_us);
-        }
-        for tx in deferred {
-            self.reorder_deferrals += 1;
-            if let Some(m) = &self.metrics {
-                m.reorder_deferrals.inc();
-            }
-            self.reinvoke(tx, now_us);
-        }
-        kept
-    }
-
-    /// Re-endorse a pulled transaction through the normal submission
-    /// path: a fresh proposal (new tx id, current read versions) joins
-    /// the pending queue for the next batch. The trace entry moves from
-    /// the old tx id to the new one — re-endorsement is a hop within the
-    /// same trace, not a new journey.
+    /// Re-endorse a transaction the cut pulled: a fresh proposal (new tx
+    /// id, current read versions) joins the pending queue for the next
+    /// batch. Its record moves to the new id, so the trace and the tag
+    /// carry over — re-endorsement is a hop within one journey, and the
+    /// outcome reports under the original tag.
     fn reinvoke(&mut self, tx: Transaction, now_us: u64) {
-        let old_id = tx.tx_id;
-        let result = self.endorser.invoke(
-            &self.client,
-            &tx.chaincode,
-            &tx.function,
-            tx.args,
-            &mut self.submit_rng,
-        );
-        match result {
-            Ok(r) => {
-                // The tag follows the trace: re-endorsement is a hop, not
-                // a new invocation, so the outcome reports under the
-                // original tag when the successor finally commits.
-                if let Some(tag) = self.tx_tags.remove(&old_id) {
-                    self.tx_tags.insert(r.tx_id, tag);
-                }
-                if let Some(mut t) = self.tx_traces.remove(&old_id) {
-                    t.requeues += 1;
-                    if let Some(m) = &self.metrics {
-                        m.telemetry.tracer().record_linked(
-                            "order.requeue",
-                            now_us,
-                            now_us,
-                            m.orderer_proc(self.believed_leader),
-                            "cutter",
-                            t.ctx.span_id(stage::REQUEUE_BASE + t.requeues),
-                            t.ctx.with_parent(t.ctx.span_id(stage::SUBMIT)),
-                        );
-                        m.trace_requeues.inc();
-                    }
-                    self.tx_traces.insert(r.tx_id, t);
-                }
-            }
-            Err(e) => {
-                self.submit_errors += 1;
-                if let Some(tag) = self.tx_tags.remove(&old_id) {
-                    self.outcomes
-                        .push((tag, InvokeOutcome::EndorseFailed(e.to_string())));
-                }
+        // Every pending transaction has a record (`endorse` files one);
+        // the fallback only keeps a missing one from being dropped.
+        let mut record = self.txs.remove(&tx.tx_id).unwrap_or(TxRecord {
+            ctx: TraceContext::root(self.cfg.seed, u64::MAX),
+            submitted_us: now_us,
+            requeues: 0,
+            tag: None,
+        });
+        record.requeues += 1;
+        let (ctx, requeues) = (record.ctx, record.requeues);
+        if self.endorse(&tx.chaincode, &tx.function, tx.args, record) {
+            if let Some(m) = &self.metrics {
+                m.telemetry.tracer().record_linked(
+                    "order.requeue",
+                    now_us,
+                    now_us,
+                    m.orderer_proc(self.believed_leader),
+                    "cutter",
+                    ctx.span_id(stage::REQUEUE_BASE + requeues),
+                    ctx.with_parent(ctx.span_id(stage::SUBMIT)),
+                );
+                m.trace_requeues.inc();
             }
         }
     }
@@ -1164,8 +1140,7 @@ impl ClusterSim {
             inflight: BTreeMap::new(),
             believed_leader: 0,
             submit_seq: 0,
-            tx_traces: BTreeMap::new(),
-            tx_tags: BTreeMap::new(),
+            txs: BTreeMap::new(),
             outcomes: Vec::new(),
             partition_group,
             slow: BTreeMap::new(),

@@ -11,9 +11,12 @@
 //!   cutter with size and timeout triggers, commit-outcome routing, and
 //!   MVCC-conflict retry with deterministic backoff.
 //! * [`admission`] — token bucket, priority shedding, in-flight caps.
-//! * [`reorder`] — conflict-aware ordering at the cutter: the intra-block
-//!   dependency graph, deterministic reordering and cycle breaking, and
-//!   early abort of transactions doomed by committed state.
+//! * [`reorder`] — the cut stage ([`reorder::cut`]) that turns a pending
+//!   queue into a block for both the gateway and the replication
+//!   cluster's ordering service, and the conflict-aware ordering it runs
+//!   when switched on: the intra-block dependency graph, deterministic
+//!   reordering and cycle breaking, and early abort of transactions
+//!   doomed by committed state.
 //! * [`retry`] — the exponential-backoff policy with derived jitter.
 //! * [`session`] — sparse per-client session tracking.
 //! * [`driver`] — open/closed-loop workload populations (up to millions

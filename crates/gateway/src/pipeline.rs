@@ -2,12 +2,12 @@
 //! endorsement → block cutter → commit routing → retry.
 //!
 //! [`Gateway`] owns a [`FabricChain`] exclusively and turns its synchronous
-//! `invoke` + `cut_block` surface into a served pipeline:
+//! `invoke` + `commit_ordered` surface into a served pipeline:
 //!
-//! * **Admission** ([`crate::admission`]) — a token bucket, per-client
-//!   in-flight caps, priority-aware load shedding, and a front-end screen
-//!   run on a [`WorkerPool`]. Refused submissions are *shed*: the client
-//!   learns synchronously and nothing is retained.
+//! * **Admission** ([`crate::admission`]) — a front-end screen of each
+//!   operation's shape and size, a token bucket, per-client in-flight caps
+//!   and priority-aware load shedding. Refused submissions are *shed*: the
+//!   client learns synchronously and nothing is retained.
 //! * **Sharded bounded queues** — accepted requests land in
 //!   `client % shards` FIFO lanes with per-shard capacity, so one hot
 //!   client population cannot starve the rest; lanes drain round-robin.
@@ -17,8 +17,12 @@
 //!   signatures.
 //! * **Block cutter** — blocks cut on **size** (pending reaches
 //!   `block_size`) or **timeout** (oldest pending transaction waited
-//!   `block_timeout_us`), whichever first — the asynchronous ordering
-//!   batcher the synchronous facade lacked.
+//!   `block_timeout_us`), whichever first. The cut is [`reorder::cut`],
+//!   the stage the replication cluster's cutter shares: the pending queue
+//!   in arrival order, or, with [`ReorderConfig`] on, a conflict-aware
+//!   plan that pulls doomed transactions and cycle victims. The block
+//!   commits through `FabricChain::commit_ordered` at the cut's commit
+//!   instant.
 //! * **Commit routing** — the gateway routes each transaction's outcome,
 //!   as the commit returns it, back to the owning session.
 //! * **Retry** ([`crate::retry`]) — MVCC-conflicted transactions are
@@ -36,9 +40,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use fabric_sim::chaincode::RwSet;
 use fabric_sim::validation::TxValidation;
-use fabric_sim::{FabricChain, Identity, TxId, WorkerPool};
+use fabric_sim::{FabricChain, Identity, TxId};
 use ledgerview_telemetry::{Counter, Gauge, Histogram, HistogramHandle, Telemetry, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,7 +82,8 @@ impl Operation {
     }
 }
 
-/// One client submission, as handed to [`Gateway::submit_batch`].
+/// One client submission: the arguments of [`Gateway::submit`], as the
+/// open-loop [`crate::driver`] generates them.
 #[derive(Clone, Debug)]
 pub struct Request {
     /// Virtual client id (sessions materialise per id on first touch).
@@ -140,8 +144,6 @@ pub struct GatewayConfig {
     pub block_size: usize,
     /// ... or when the oldest pending transaction has waited this long.
     pub block_timeout_us: u64,
-    /// Worker threads for the front-end request screen.
-    pub frontend_workers: usize,
     /// Admission control.
     pub admission: AdmissionConfig,
     /// MVCC-conflict retry policy.
@@ -162,7 +164,6 @@ impl Default for GatewayConfig {
             queue_capacity: 4096,
             block_size: 100,
             block_timeout_us: 5_000,
-            frontend_workers: 2,
             admission: AdmissionConfig::default(),
             retry: RetryPolicy::default(),
             reorder: ReorderConfig::default(),
@@ -416,7 +417,6 @@ pub struct Gateway {
     identities: Vec<Identity>,
     config: GatewayConfig,
     rng: StdRng,
-    frontend: WorkerPool,
     /// Per-shard FIFO of accepted request ids awaiting first endorsement.
     shards: Vec<VecDeque<u64>>,
     shard_capacity: usize,
@@ -462,7 +462,6 @@ impl Gateway {
         Gateway {
             identities,
             rng: StdRng::seed_from_u64(config.seed),
-            frontend: WorkerPool::new(config.frontend_workers),
             shards: (0..shards).map(|_| VecDeque::new()).collect(),
             shard_capacity,
             next_shard: 0,
@@ -545,23 +544,6 @@ impl Gateway {
             Some(reason) => self.refuse(client, reason),
             None => self.admit(now_us, client, priority, op),
         }
-    }
-
-    /// Submit a batch, screening requests in parallel on the front-end
-    /// worker pool before serial admission. Results are in request order.
-    pub fn submit_batch(&mut self, now_us: u64, requests: Vec<Request>) -> Vec<SubmitResult> {
-        let max_arg_bytes = self.config.admission.max_arg_bytes;
-        let pool = self.frontend.clone();
-        let screened: Vec<Option<ShedReason>> =
-            pool.map_indexed(requests.len(), |i| screen(&requests[i].op, max_arg_bytes));
-        requests
-            .into_iter()
-            .zip(screened)
-            .map(|(r, s)| match s {
-                Some(reason) => self.refuse(r.client, reason),
-                None => self.admit(now_us, r.client, r.priority, r.op),
-            })
-            .collect()
     }
 
     fn refuse(&mut self, client: u64, reason: ShedReason) -> SubmitResult {
@@ -764,77 +746,36 @@ impl Gateway {
         }
     }
 
-    /// Cut the pending block starting at `trigger_us`, route every
-    /// outcome, and schedule retries for conflicted transactions.
+    /// Cut the pending block starting at `trigger_us` through
+    /// [`reorder::cut`], commit what it keeps, route every outcome, and
+    /// requeue or abort what it pulled.
     fn cut(&mut self, trigger_us: u64) {
-        if self.config.reorder.enabled {
-            self.cut_reordered(trigger_us);
-        } else {
-            self.cut_unordered(trigger_us);
-        }
-    }
-
-    /// The baseline cutter: commit all pending transactions in arrival
-    /// order, letting MVCC sort out intra-block conflicts.
-    fn cut_unordered(&mut self, trigger_us: u64) {
-        let n = self.chain.pending_count();
-        if n == 0 {
+        if self.chain.pending_count() == 0 {
             return;
         }
         let telemetry = self.metrics.as_ref().map(|m| m.telemetry.clone());
         let _span = telemetry.as_ref().map(|t| t.span("gateway.cut"));
-        let commit_us = self.charge_block_time(trigger_us, n);
-        self.chain.set_time_us(commit_us);
-        let tx_ids: Vec<TxId> = self.chain.pending().iter().map(|tx| tx.tx_id).collect();
-        let block = self.chain.height();
-        let outcomes = self.chain.cut_block();
-        self.first_pending_us = None;
-        self.stats.blocks_cut += 1;
+        let (routing, inflight) = (&self.routing, &self.inflight);
+        let budget = self.config.reorder.max_requeues;
+        let cut = reorder::cut(&mut self.chain, &self.config.reorder, |tx| {
+            routing
+                .get(&tx.tx_id)
+                .and_then(|req| inflight.get(req))
+                .is_some_and(|inf| inf.requeues < budget)
+        });
+        self.stats.reordered_pairs += cut.stats.reordered_pairs;
+        self.stats.cycles_broken += cut.stats.cycles_broken;
         if let Some(m) = &self.metrics {
-            m.blocks.inc();
+            m.reorder_pairs.add(cut.stats.reordered_pairs);
+            m.reorder_cycles.add(cut.stats.cycles_broken);
         }
-        self.route_outcomes(block, tx_ids, outcomes, commit_us);
-    }
 
-    /// The conflict-aware cutter (see [`crate::reorder`]): plan over the
-    /// pending read/write sets, early-abort transactions doomed by
-    /// committed state, defer cycle victims to the next block, and commit
-    /// the surviving schedule via the ordered-commit path.
-    fn cut_reordered(&mut self, trigger_us: u64) {
-        let n = self.chain.pending_count();
-        if n == 0 {
-            return;
-        }
-        let telemetry = self.metrics.as_ref().map(|m| m.telemetry.clone());
-        let _span = telemetry.as_ref().map(|t| t.span("gateway.cut"));
-        let doomed = self.chain.precheck_pending();
-        let plan = {
-            let pending = self.chain.pending();
-            let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
-            let routing = &self.routing;
-            let inflight = &self.inflight;
-            let budget = self.config.reorder.max_requeues;
-            reorder::plan(&rwsets, &doomed, &self.config.reorder, |i| {
-                routing
-                    .get(&pending[i].tx_id)
-                    .and_then(|req| inflight.get(req))
-                    .is_some_and(|inf| inf.requeues < budget)
-            })
-        };
-        self.stats.reordered_pairs += plan.stats.reordered_pairs;
-        self.stats.cycles_broken += plan.stats.cycles_broken;
-        if let Some(m) = &self.metrics {
-            m.reorder_pairs.add(plan.stats.reordered_pairs);
-            m.reorder_cycles.add(plan.stats.cycles_broken);
-        }
-        let (kept, early_aborted, deferred) = plan.partition(self.chain.take_pending());
-
-        let commit_us = self.charge_block_time(trigger_us, kept.len());
-        let tx_ids: Vec<TxId> = kept.iter().map(|tx| tx.tx_id).collect();
+        let commit_us = self.charge_block_time(trigger_us, cut.kept.len());
+        let tx_ids: Vec<TxId> = cut.kept.iter().map(|tx| tx.tx_id).collect();
         let block = self.chain.height();
         let mut outcomes = Vec::new();
-        if !kept.is_empty() {
-            outcomes = self.chain.commit_ordered(kept, commit_us);
+        if !cut.kept.is_empty() {
+            outcomes = self.chain.commit_ordered(cut.kept, commit_us);
             self.stats.blocks_cut += 1;
             if let Some(m) = &self.metrics {
                 m.blocks.inc();
@@ -846,7 +787,7 @@ impl Gateway {
         // Early aborts: doomed under every order. Requeue while budget
         // lasts (re-endorsement picks up fresh read versions); terminal
         // typed abort once it runs out.
-        for (tx, key) in early_aborted {
+        for (tx, key) in cut.early_aborted {
             let Some(req) = self.routing.remove(&tx.tx_id) else {
                 continue;
             };
@@ -854,7 +795,7 @@ impl Gateway {
             if let Some(m) = &self.metrics {
                 m.reorder_early_aborts.inc();
             }
-            if self.inflight[&req].requeues < self.config.reorder.max_requeues {
+            if self.inflight[&req].requeues < budget {
                 self.requeue(req, commit_us);
             } else {
                 self.complete(req, commit_us, CompletionOutcome::EarlyAborted { key });
@@ -863,7 +804,7 @@ impl Gateway {
         // Deferred cycle victims: valid transactions that merely lost a
         // cycle break; always requeued (the planner only defers within
         // budget).
-        for tx in deferred {
+        for tx in cut.deferred {
             let Some(req) = self.routing.remove(&tx.tx_id) else {
                 continue;
             };

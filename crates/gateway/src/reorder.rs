@@ -42,12 +42,17 @@
 //! index-ordered heaps), so the plan is a pure function of the pending
 //! read/write sets, the doomed-flags, and the budget answers: same seed,
 //! same block composition.
+//!
+//! [`cut`] wraps the plan into the one stage both live cutters — the
+//! gateway's and the replication cluster's ordering service — use to
+//! turn a pending queue into a block, with the stage on or off.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use fabric_sim::chaincode::RwSet;
 use fabric_sim::ledger::Transaction;
+use fabric_sim::FabricChain;
 
 /// Configuration for the conflict-aware ordering stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,6 +147,58 @@ impl ReorderPlan {
             .collect();
         let deferred = self.deferred.into_iter().map(&mut pull).collect();
         (kept, early_aborted, deferred)
+    }
+}
+
+/// One pending queue split by [`cut`]: the block to commit and the
+/// transactions pulled from it.
+#[derive(Debug, Default)]
+pub struct Cut {
+    /// The transactions that make the block, in commit order.
+    pub kept: Vec<Transaction>,
+    /// Transactions doomed by committed state, each with its stale read
+    /// key, in arrival order.
+    pub early_aborted: Vec<(Transaction, String)>,
+    /// Cycle victims pulled to re-endorse into a later block, in arrival
+    /// order.
+    pub deferred: Vec<Transaction>,
+    /// Planning counters (zero with the stage off).
+    pub stats: ReorderStats,
+}
+
+/// The cut stage both live cutters share: empty `chain`'s pending queue
+/// into one block.
+///
+/// With `config.enabled` off the block is the whole queue in arrival
+/// order and nothing is pulled. On, the queue is prechecked against
+/// `chain`'s committed state ([`FabricChain::precheck_pending`]), planned
+/// ([`plan`]) and split ([`ReorderPlan::partition`]); `may_defer(tx)`
+/// answers whether a cycle victim still has requeue budget. Either way
+/// the queue is left empty.
+pub fn cut(
+    chain: &mut FabricChain,
+    config: &ReorderConfig,
+    mut may_defer: impl FnMut(&Transaction) -> bool,
+) -> Cut {
+    if !config.enabled {
+        return Cut {
+            kept: chain.take_pending(),
+            ..Cut::default()
+        };
+    }
+    let doomed = chain.precheck_pending();
+    let plan = {
+        let pending = chain.pending();
+        let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
+        plan(&rwsets, &doomed, config, |i| may_defer(&pending[i]))
+    };
+    let stats = plan.stats;
+    let (kept, early_aborted, deferred) = plan.partition(chain.take_pending());
+    Cut {
+        kept,
+        early_aborted,
+        deferred,
+        stats,
     }
 }
 
@@ -324,8 +381,11 @@ fn inversions(order: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::counter_chain;
     use fabric_sim::chaincode::{ReadEntry, WriteEntry};
     use fabric_sim::Version;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// An RwSet reading `reads` (each at the genesis version) and blindly
     /// writing `writes`.
@@ -493,6 +553,71 @@ mod tests {
         let p = plan(&refs, &[None, None], &on(), |_| true);
         assert_eq!(p.order, vec![0, 1]);
         assert!(p.early_aborts.is_empty());
+    }
+
+    /// A counter chain with one `incr` of each key endorsed into its
+    /// pending queue, in order, and then a commit of `keys[0]` landed
+    /// behind the queue (endorsed on a same-seed twin): the first pending
+    /// transaction's read is stale.
+    fn queue_with_stale_head(keys: &[&str]) -> FabricChain {
+        let incr = |key: &str| vec![key.as_bytes().to_vec(), b"1".to_vec()];
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut chain, ids) = counter_chain(11, 1, false);
+        for key in keys {
+            chain
+                .invoke(&ids[0], "counter", "incr", incr(key), &mut rng)
+                .unwrap();
+        }
+        let (mut twin, twin_ids) = counter_chain(11, 1, false);
+        twin.invoke(&twin_ids[0], "counter", "incr", incr(keys[0]), &mut rng)
+            .unwrap();
+        let outcomes = chain.commit_ordered(twin.take_pending(), 1);
+        assert!(outcomes.iter().all(|o| o.is_valid()), "{outcomes:?}");
+        chain
+    }
+
+    #[test]
+    fn disabled_cut_is_the_queue_in_arrival_order() {
+        let mut chain = queue_with_stale_head(&["d", "hot", "hot", "free"]);
+        let queue = chain.pending().to_vec();
+        let cut = cut(&mut chain, &ReorderConfig::default(), |_| {
+            panic!("a disabled cut plans nothing")
+        });
+        assert_eq!(cut.kept, queue, "the stale head is not pulled either");
+        assert!(cut.early_aborted.is_empty() && cut.deferred.is_empty());
+        assert_eq!(cut.stats, ReorderStats::default());
+        assert_eq!(chain.pending_count(), 0);
+    }
+
+    #[test]
+    fn enabled_cut_is_plan_then_partition() {
+        // 0 reads a stale "d"; 1 and 2 increment "hot" (a two-cycle); 3 is
+        // independent. `may_defer` refuses 2, so the cycle defers 1.
+        let mut chain = queue_with_stale_head(&["d", "hot", "hot", "free"]);
+        let queue = chain.pending().to_vec();
+        let doomed = chain.precheck_pending();
+        let refused = queue[2].tx_id;
+        let may_defer = |tx: &Transaction| tx.tx_id != refused;
+        let cut = cut(&mut chain, &on(), may_defer);
+        assert_eq!(chain.pending_count(), 0);
+
+        let rwsets: Vec<&RwSet> = queue.iter().map(|tx| &tx.rwset).collect();
+        let expected = plan(&rwsets, &doomed, &on(), |i| may_defer(&queue[i]));
+        assert_eq!(cut.stats, expected.stats);
+        let (kept, early_aborted, deferred) = expected.partition(queue.clone());
+        assert_eq!(
+            (&cut.kept, &cut.early_aborted, &cut.deferred),
+            (&kept, &early_aborted, &deferred)
+        );
+
+        assert_eq!(cut.kept, [queue[3].clone(), queue[2].clone()]);
+        assert_eq!(cut.early_aborted, [(queue[0].clone(), "d".to_string())]);
+        assert_eq!(cut.deferred, [queue[1].clone()]);
+        let stats = ReorderStats {
+            reordered_pairs: 1,
+            cycles_broken: 1,
+        };
+        assert_eq!(cut.stats, stats);
     }
 
     #[test]
