@@ -32,7 +32,7 @@ use fabric_sim::validation::TxValidation;
 use fabric_sim::{FabricChain, LsmState, StorageConfig};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::Digest;
-use ledgerview_gateway::{reorder, CounterChaincode};
+use ledgerview_gateway::{reorder, CounterChaincode, RetryPolicy};
 use ledgerview_simnet::{Region, SimTime, Simulation};
 use ledgerview_telemetry::{Telemetry, TraceContext};
 use rand::rngs::StdRng;
@@ -43,8 +43,12 @@ use crate::fault::{BootstrapMode, ClusterError, Divergence, Fault};
 use crate::metrics::ClusterMetrics;
 use crate::ClusterConfig;
 
-/// Chaincode every replica deploys (the gateway's counter workload).
+/// Chaincode every replica deploys (the counter workload).
 const CHAINCODE: &str = "counter";
+
+/// Backoff for re-routing a proposal after `NotLeader` (or a dead
+/// orderer); `max_attempts` bounds one routing round.
+const ROUTING: RetryPolicy = RetryPolicy::for_leader_routing();
 
 /// Stage tags fed to [`TraceContext::span_id`]: every node derives the
 /// same span id for the same (trace, stage) pair without coordination, so
@@ -710,7 +714,7 @@ impl World {
             return;
         }
         let now_us = sim.now().as_micros();
-        let cut = reorder::cut(&mut self.endorser, &self.cfg.reorder, |_| true);
+        let cut = reorder::cut(&mut self.endorser, &self.cfg.reorder);
         self.reorder_pairs += cut.stats.reordered_pairs;
         self.reorder_cycles += cut.stats.cycles_broken;
         let (aborts, deferrals) = (cut.early_aborted.len() as u64, cut.deferred.len() as u64);
@@ -815,7 +819,7 @@ impl World {
         if !self.inflight.contains_key(&batch_id) {
             return; // Committed while we were backing off.
         }
-        if attempt > self.cfg.retry.max_attempts.max(1) {
+        if attempt > ROUTING.max_attempts {
             // Routing round exhausted — every orderer unreachable or
             // rejecting (e.g. mid-partition, mid-election). The batch
             // stays inflight: the resubmit watchdog opens a fresh routing
@@ -852,7 +856,7 @@ impl World {
             }
         }
         // NotLeader (or dead orderer): rotate the hint and re-route after
-        // the gateway's deterministic backoff.
+        // the deterministic leader-routing backoff.
         self.notleader_retries += 1;
         if let Some(m) = &self.metrics {
             m.notleader_retries.inc();
@@ -860,7 +864,7 @@ impl World {
         if self.believed_leader == target {
             self.believed_leader = (target + 1) % self.orderers.len();
         }
-        let backoff = self.cfg.retry.backoff_us(attempt, self.cfg.seed, batch_id);
+        let backoff = ROUTING.backoff_us(attempt, self.cfg.seed, batch_id);
         sim.schedule_in(SimTime::from_micros(backoff), move |w: &mut World, s| {
             w.route(batch_id, attempt + 1, s);
         });

@@ -25,11 +25,11 @@
 //!   kills, partitions, heals and slow links are scheduled at virtual
 //!   times, so every failure scenario is reproducible from its seed alone.
 //!
-//! Telemetry (`lv_cluster_*`) and the gateway's deterministic
-//! [`ledgerview_gateway::RetryPolicy`] (for `NotLeader` re-routing) are
-//! wired through; see `examples/cluster_failover.rs`, and
-//! `tests/virtual_time_goldens.rs` for the pinned pipeline throughput and
-//! bootstrap costs.
+//! Telemetry (`lv_cluster_*`) and the deterministic
+//! [`ledgerview_gateway::RetryPolicy::for_leader_routing`] backoff (for
+//! `NotLeader` re-routing) are wired through; see
+//! `examples/cluster_failover.rs`, and `tests/virtual_time_goldens.rs` for
+//! the pinned pipeline throughput and bootstrap costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +46,7 @@ use fabric_sim::chaincode::Chaincode;
 use fabric_sim::parallel::ValidationConfig;
 use fabric_sim::raft::RaftConfig;
 use fabric_store::FsyncPolicy;
-use ledgerview_gateway::{ReorderConfig, RetryPolicy};
+use ledgerview_gateway::ReorderConfig;
 use ledgerview_simnet::{LatencyMatrix, Region, SimTime};
 
 pub use batch::OrderedBatch;
@@ -73,7 +73,7 @@ pub struct ClusterConfig {
     /// bootstrap).
     pub peers: usize,
     /// Master seed: drives Raft election jitter, submission tx ids, and
-    /// retry backoff jitter.
+    /// `NotLeader` re-routing backoff jitter.
     pub seed: u64,
     /// Seed for organisation/peer identity derivation. Every replica uses
     /// the same value so all MSPs are bit-identical.
@@ -93,13 +93,10 @@ pub struct ClusterConfig {
     /// before the client re-proposes it (covers batches lost with a
     /// killed leader).
     pub resubmit_timeout: SimTime,
-    /// Backoff policy for re-routing a proposal after `NotLeader` (or a
-    /// dead orderer). `max_attempts` bounds one routing round.
-    pub retry: RetryPolicy,
-    /// Conflict-aware ordering at the batch cutter (the gateway's
-    /// [`ReorderConfig`]): doomed transactions are re-endorsed instead of
-    /// burning a slot in a replicated block, and intra-batch dependency
-    /// cycles are broken by deferral to the next batch. Off by default.
+    /// Conflict-aware ordering at the batch cutter ([`ReorderConfig`]):
+    /// doomed transactions are re-endorsed instead of burning a slot in a
+    /// replicated block, and intra-batch dependency cycles are broken by
+    /// deferral to the next batch. Off by default.
     pub reorder: ReorderConfig,
     /// Modeled transfer bandwidth for snapshot shipping and block replay,
     /// in bytes per virtual second.
@@ -151,7 +148,6 @@ impl ClusterConfig {
             ],
             block_interval: SimTime::from_millis(250),
             resubmit_timeout: SimTime::from_secs(2),
-            retry: RetryPolicy::for_leader_routing(),
             reorder: ReorderConfig::default(),
             catchup_bandwidth_bytes_per_sec: 16 * 1024 * 1024,
             storage_root: storage_root.into(),

@@ -1,85 +1,10 @@
-//! Admission control: token-bucket rate limiting, priority-aware load
-//! shedding, and per-client in-flight caps.
+//! Admission control: a deterministic token bucket.
 //!
-//! All decisions are deterministic functions of the submission sequence and
-//! the gateway clock — the bucket counts integer micro-tokens refilled from
-//! elapsed microseconds, so two runs with identical schedules shed the same
-//! requests.
-
-/// Client-assigned priority of a submission. Under load the gateway sheds
-/// [`Priority::Low`] traffic first (once the submit queue passes the
-/// configured fill fraction), keeping headroom for normal and high traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    /// Best-effort traffic, shed first under load.
-    Low,
-    /// Default traffic class.
-    Normal,
-    /// Latency-sensitive traffic, shed only on hard limits.
-    High,
-}
-
-/// Why the gateway refused a submission. Shed requests were **never
-/// accepted**: the client saw the refusal synchronously and nothing about
-/// them is retained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ShedReason {
-    /// The submission queue shard was at capacity (backpressure).
-    QueueFull,
-    /// The token bucket was empty (offered rate above the configured limit).
-    RateLimited,
-    /// The client already has the maximum allowed requests in flight.
-    InflightCap,
-    /// Low-priority traffic shed early to keep headroom under load.
-    LowPriority,
-    /// The request failed front-end screening (empty chaincode/function or
-    /// oversized arguments).
-    Malformed,
-}
-
-impl ShedReason {
-    /// Stable label for metrics (`lv_gateway_shed_total{reason=...}`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::RateLimited => "rate_limited",
-            ShedReason::InflightCap => "inflight_cap",
-            ShedReason::LowPriority => "low_priority",
-            ShedReason::Malformed => "malformed",
-        }
-    }
-}
-
-/// Admission-control configuration.
-#[derive(Clone, Debug)]
-pub struct AdmissionConfig {
-    /// Aggregate accepted-transaction rate limit (tx/s); `None` disables
-    /// the token bucket.
-    pub rate_per_sec: Option<f64>,
-    /// Token-bucket burst size in whole transactions.
-    pub burst: u64,
-    /// Maximum in-flight (accepted but not yet terminal) requests per
-    /// client session.
-    pub max_inflight_per_client: usize,
-    /// Queue-fill fraction above which [`Priority::Low`] submissions are
-    /// shed pre-emptively.
-    pub low_priority_shed_fill: f64,
-    /// Maximum total argument bytes accepted per request by the front-end
-    /// screen.
-    pub max_arg_bytes: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            rate_per_sec: None,
-            burst: 256,
-            max_inflight_per_client: 64,
-            low_priority_shed_fill: 0.5,
-            max_arg_bytes: 64 * 1024,
-        }
-    }
-}
+//! The sharded deployment's router ([`crate::ShardRouter`]) rate-limits
+//! each shard's submissions with one. Decisions are deterministic
+//! functions of the submission sequence and the clock — the bucket counts
+//! integer micro-tokens refilled from elapsed microseconds, so two runs
+//! with identical schedules shed the same requests.
 
 /// A deterministic token bucket counted in micro-tokens (one token =
 /// 1_000_000 micro-tokens), refilled from elapsed virtual or wall
@@ -178,18 +103,5 @@ mod tests {
         let after = b.available();
         b.refill(5_000);
         assert_eq!(b.available(), after);
-    }
-
-    #[test]
-    fn shed_reason_labels_are_stable() {
-        for (reason, label) in [
-            (ShedReason::QueueFull, "queue_full"),
-            (ShedReason::RateLimited, "rate_limited"),
-            (ShedReason::InflightCap, "inflight_cap"),
-            (ShedReason::LowPriority, "low_priority"),
-            (ShedReason::Malformed, "malformed"),
-        ] {
-            assert_eq!(reason.as_str(), label);
-        }
     }
 }

@@ -1,13 +1,12 @@
 //! Shared key-skew sampling for workload drivers.
 //!
-//! Both the gateway's counter driver and the TPC-C-class workload driver
-//! pick keys from skewed distributions, and both need the same two
+//! The TPC-C-class workload and `lvbench`'s input generators pick
+//! keys from skewed distributions, and both need the same two
 //! properties: the sampler must be *stateless* (a pure function of an
 //! externally supplied hash, so arrivals replay identically regardless of
 //! batching or worker count) and *cheap* (a binary search over a
-//! precomputed CDF). [`KeyDistribution`] is that sampler, extracted from
-//! the original `driver::Zipf` without behaviour change — `Zipf` remains
-//! as a re-export and the CDF pin test below holds the numbers fixed.
+//! precomputed CDF). [`KeyDistribution`] is that sampler; the CDF pin
+//! test below holds its numbers fixed.
 
 /// A precomputed Zipf(s) sampler over ranks `0..n`.
 ///
@@ -94,8 +93,8 @@ pub fn mix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// The original `driver::Zipf` CDF construction, kept verbatim as the
-    /// reference the extraction is pinned against.
+    /// The Zipf CDF construction, kept verbatim as the reference the
+    /// sampler is pinned against.
     fn reference_cdf(n: usize, s: f64) -> Vec<f64> {
         let mut cdf = Vec::with_capacity(n);
         let mut total = 0.0;
@@ -144,6 +143,29 @@ mod tests {
         assert_eq!(u.sample(0.05), 0);
         assert_eq!(u.sample(0.95), 9);
         assert_eq!(u.sample(0.999_999), 9);
+    }
+
+    #[test]
+    fn zipf_is_skewed_and_deterministic() {
+        let z = KeyDistribution::new(100, 1.0);
+        let mut counts = vec![0u32; 100];
+        for i in 0..10_000u64 {
+            counts[z.sample_hash(mix64(i))] += 1;
+        }
+        assert!(
+            counts[0] > counts[50] && counts[0] > counts[99],
+            "rank 0 must dominate: {} vs {} vs {}",
+            counts[0],
+            counts[50],
+            counts[99]
+        );
+        assert_eq!(z.sample_hash(12345), z.sample_hash(12345));
+        // Uniform limit: s = 0 spreads mass evenly-ish.
+        let u = KeyDistribution::new(10, 0.0);
+        assert!(u.sample(0.95) >= 8);
+        // Edge unit values stay in range.
+        assert_eq!(z.sample(0.0), 0);
+        assert!(z.sample(0.999_999_9) < 100);
     }
 
     #[test]

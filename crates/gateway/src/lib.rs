@@ -1,53 +1,38 @@
-//! Client gateway: a concurrent submission pipeline for the simulated
-//! Fabric network.
+//! The submission-side building blocks of the replication cluster and the
+//! sharded deployment.
 //!
-//! LedgerView's serving story assumes clients reach the blockchain through
-//! a gateway that endorses, orders, and reports outcomes — the piece the
-//! Fabric client SDK calls the *gateway service*. This crate provides that
-//! front end for the in-process chain:
+//! The replication cluster (`ledgerview-cluster`) is the one pipeline
+//! that endorses, cuts, orders and commits real transactions; this crate
+//! holds the pieces it and the sharded deployment share:
 //!
-//! * [`pipeline`] — the [`Gateway`] itself: admission
-//!   control, sharded bounded submit queues with backpressure, a block
-//!   cutter with size and timeout triggers, commit-outcome routing, and
-//!   MVCC-conflict retry with deterministic backoff.
-//! * [`admission`] — token bucket, priority shedding, in-flight caps.
-//! * [`reorder`] — the cut stage ([`reorder::cut`]) that turns a pending
-//!   queue into a block for both the gateway and the replication
-//!   cluster's ordering service, and the conflict-aware ordering it runs
-//!   when switched on: the intra-block dependency graph, deterministic
-//!   reordering and cycle breaking, and early abort of transactions
-//!   doomed by committed state.
-//! * [`retry`] — the exponential-backoff policy with derived jitter.
-//! * [`session`] — sparse per-client session tracking.
-//! * [`driver`] — open/closed-loop workload populations (up to millions
-//!   of virtual clients) with Zipf key skew, for benches and tests.
+//! * [`reorder`] — the cut stage ([`reorder::cut`]) that turns the
+//!   ordering service's pending queue into a block, and the
+//!   conflict-aware ordering it runs when switched on: the intra-block
+//!   dependency graph, deterministic reordering and cycle breaking, and
+//!   early abort of transactions doomed by committed state.
+//! * [`retry`] — the exponential-backoff policy with derived jitter the
+//!   cluster re-routes `NotLeader` proposals with.
+//! * [`shardmap`] — deterministic key→shard routing, and the per-shard
+//!   router that rate-limits with [`admission`]'s token bucket.
 //! * [`keydist`] — the shared stateless key-skew sampler
-//!   ([`KeyDistribution`]) the drivers pick keys with.
+//!   ([`KeyDistribution`]) the TPC-C workload picks keys with.
+//! * [`counter`] — the contended counter chaincode the cluster deploys.
 //!
-//! Everything is deterministic under a fixed seed: the same configuration
-//! replays the identical admission, retry, and commit schedule, which is
-//! what makes gateway saturation curves comparable across machines.
+//! Everything is deterministic under a fixed seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod driver;
+pub mod counter;
 pub mod keydist;
-pub mod pipeline;
 pub mod reorder;
 pub mod retry;
-pub mod session;
 pub mod shardmap;
 
-pub use admission::{AdmissionConfig, Priority, ShedReason, TokenBucket};
-pub use driver::{counter_chain, CounterChaincode, DriverConfig, DriverReport, LoadMode, Zipf};
+pub use admission::TokenBucket;
+pub use counter::{counter_chain, CounterChaincode};
 pub use keydist::KeyDistribution;
-pub use pipeline::{
-    Completion, CompletionOutcome, Gateway, GatewayConfig, GatewayStats, Operation, Request,
-    ServiceModel, SubmitResult,
-};
 pub use reorder::{ReorderConfig, ReorderPlan, ReorderStats};
 pub use retry::RetryPolicy;
-pub use session::{Session, SessionTable};
 pub use shardmap::{fnv1a, routing_prefix, Route, ShardMap, ShardRouter, ShardShed};

@@ -30,22 +30,22 @@
 //!    remaining subgraph contains a cycle (every remaining node has a
 //!    remaining predecessor). The planner walks min-index predecessors
 //!    from the smallest remaining index until a node repeats — a
-//!    deterministic cycle — and *defers* the cycle's largest index with
-//!    requeue budget left (the latest arrival loses), pulling it from the
-//!    block to re-endorse into the next one. If no member of the cycle
-//!    has budget, the cycle's *smallest* index is force-scheduled instead
-//!    and its violated predecessors simply take their chances with MVCC
-//!    — the plan degrades to the unordered behaviour, never to a forced
-//!    abort.
+//!    deterministic cycle — and *defers* the cycle's largest index that
+//!    the caller lets defer (the latest arrival loses), pulling it from
+//!    the block to re-endorse into the next one. If the caller lets no
+//!    member of the cycle defer, the cycle's *smallest* index is
+//!    force-scheduled instead and its violated predecessors simply take
+//!    their chances with MVCC — the plan degrades to the unordered
+//!    behaviour, never to a forced abort.
 //!
 //! Every step iterates deterministic structures (`BTreeMap` over keys,
 //! index-ordered heaps), so the plan is a pure function of the pending
-//! read/write sets, the doomed-flags, and the budget answers: same seed,
-//! same block composition.
+//! read/write sets, the doomed-flags, and the deferral answers: same
+//! seed, same block composition.
 //!
-//! [`cut`] wraps the plan into the one stage both live cutters — the
-//! gateway's and the replication cluster's ordering service — use to
-//! turn a pending queue into a block, with the stage on or off.
+//! [`cut`] wraps the plan into the stage the replication cluster's
+//! ordering service uses to turn its pending queue into a block, with the
+//! stage on or off.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -54,8 +54,9 @@ use fabric_sim::chaincode::RwSet;
 use fabric_sim::ledger::Transaction;
 use fabric_sim::FabricChain;
 
-/// Configuration for the conflict-aware ordering stage.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Configuration for the conflict-aware ordering stage. The default is
+/// the stage switched off (the unordered baseline).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReorderConfig {
     /// Master switch. Off, the cutter commits pending transactions in
     /// arrival order (the unordered baseline). On, it pulls transactions
@@ -64,31 +65,12 @@ pub struct ReorderConfig {
     /// slot, and pulls dependency-cycle victims from the block for
     /// re-endorsement into the next one.
     pub enabled: bool,
-    /// Per-request budget of reorder requeues (early-abort plus deferral
-    /// re-endorsements). A cycle victim over budget stays in the block
-    /// and takes its chances with MVCC; a doomed transaction over budget
-    /// is terminally early-aborted.
-    pub max_requeues: u32,
-}
-
-impl Default for ReorderConfig {
-    /// Disabled (the unordered baseline), with a 64-requeue budget for
-    /// when it is switched on.
-    fn default() -> Self {
-        ReorderConfig {
-            enabled: false,
-            max_requeues: 64,
-        }
-    }
 }
 
 impl ReorderConfig {
-    /// The stage switched on with the default budget.
+    /// The stage switched on.
     pub fn enabled() -> ReorderConfig {
-        ReorderConfig {
-            enabled: true,
-            ..ReorderConfig::default()
-        }
+        ReorderConfig { enabled: true }
     }
 }
 
@@ -121,7 +103,7 @@ impl ReorderPlan {
     /// Apply the plan to the transactions it was computed over: those
     /// that stay in the block, in scheduled order; the early-aborted,
     /// each with its stale key; and the deferred — the latter two in the
-    /// plan's own order, which is the order both cutters re-endorse in.
+    /// plan's own order, which is the order the cutter re-endorses in.
     ///
     /// # Panics
     /// Panics if `pending` is not the sequence the plan indexes.
@@ -166,20 +148,14 @@ pub struct Cut {
     pub stats: ReorderStats,
 }
 
-/// The cut stage both live cutters share: empty `chain`'s pending queue
-/// into one block.
+/// The cut stage: empty `chain`'s pending queue into one block.
 ///
 /// With `config.enabled` off the block is the whole queue in arrival
 /// order and nothing is pulled. On, the queue is prechecked against
 /// `chain`'s committed state ([`FabricChain::precheck_pending`]), planned
-/// ([`plan`]) and split ([`ReorderPlan::partition`]); `may_defer(tx)`
-/// answers whether a cycle victim still has requeue budget. Either way
-/// the queue is left empty.
-pub fn cut(
-    chain: &mut FabricChain,
-    config: &ReorderConfig,
-    mut may_defer: impl FnMut(&Transaction) -> bool,
-) -> Cut {
+/// ([`plan`], every cycle victim free to defer) and split
+/// ([`ReorderPlan::partition`]). Either way the queue is left empty.
+pub fn cut(chain: &mut FabricChain, config: &ReorderConfig) -> Cut {
     if !config.enabled {
         return Cut {
             kept: chain.take_pending(),
@@ -188,9 +164,8 @@ pub fn cut(
     }
     let doomed = chain.precheck_pending();
     let plan = {
-        let pending = chain.pending();
-        let rwsets: Vec<&RwSet> = pending.iter().map(|tx| &tx.rwset).collect();
-        plan(&rwsets, &doomed, config, |i| may_defer(&pending[i]))
+        let rwsets: Vec<&RwSet> = chain.pending().iter().map(|tx| &tx.rwset).collect();
+        plan(&rwsets, &doomed, config, |_| true)
     };
     let stats = plan.stats;
     let (kept, early_aborted, deferred) = plan.partition(chain.take_pending());
@@ -208,9 +183,9 @@ pub fn cut(
 /// read key already stale against committed state, or `None` if all
 /// reads are fresh (see [`FabricChain::precheck`]; pass all-`None` to
 /// plan without early abort). `may_defer(i)` reports whether transaction
-/// `i` still has requeue budget — consulted only for cycle victims; pass
+/// `i` may be deferred — consulted only for cycle victims; pass
 /// `|_| false` to plan without deferral. The stage's `_config` holds no
-/// knob the plan reads: its budget reaches the plan through `may_defer`.
+/// knob the plan reads.
 ///
 /// Deterministic: the plan is a pure function of the arguments.
 ///
@@ -344,8 +319,8 @@ pub fn plan(
                 .expect("stuck node keeps a live predecessor");
         };
         plan.stats.cycles_broken += 1;
-        // Defer the latest arrival in the cycle that still has budget;
-        // with none, force-schedule the earliest arrival (its violated
+        // Defer the latest arrival in the cycle that may defer; with
+        // none, force-schedule the earliest arrival (its violated
         // predecessors fall through to MVCC — the unordered behaviour).
         match cycle.iter().copied().filter(|&v| may_defer(v)).max() {
             Some(v) => {
@@ -381,7 +356,7 @@ fn inversions(order: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::counter_chain;
+    use crate::counter::counter_chain;
     use fabric_sim::chaincode::{ReadEntry, WriteEntry};
     use fabric_sim::Version;
     use rand::rngs::StdRng;
@@ -580,9 +555,7 @@ mod tests {
     fn disabled_cut_is_the_queue_in_arrival_order() {
         let mut chain = queue_with_stale_head(&["d", "hot", "hot", "free"]);
         let queue = chain.pending().to_vec();
-        let cut = cut(&mut chain, &ReorderConfig::default(), |_| {
-            panic!("a disabled cut plans nothing")
-        });
+        let cut = cut(&mut chain, &ReorderConfig::default());
         assert_eq!(cut.kept, queue, "the stale head is not pulled either");
         assert!(cut.early_aborted.is_empty() && cut.deferred.is_empty());
         assert_eq!(cut.stats, ReorderStats::default());
@@ -592,17 +565,15 @@ mod tests {
     #[test]
     fn enabled_cut_is_plan_then_partition() {
         // 0 reads a stale "d"; 1 and 2 increment "hot" (a two-cycle); 3 is
-        // independent. `may_defer` refuses 2, so the cycle defers 1.
+        // independent. The cycle defers its later arrival, 2.
         let mut chain = queue_with_stale_head(&["d", "hot", "hot", "free"]);
         let queue = chain.pending().to_vec();
         let doomed = chain.precheck_pending();
-        let refused = queue[2].tx_id;
-        let may_defer = |tx: &Transaction| tx.tx_id != refused;
-        let cut = cut(&mut chain, &on(), may_defer);
+        let cut = cut(&mut chain, &on());
         assert_eq!(chain.pending_count(), 0);
 
         let rwsets: Vec<&RwSet> = queue.iter().map(|tx| &tx.rwset).collect();
-        let expected = plan(&rwsets, &doomed, &on(), |i| may_defer(&queue[i]));
+        let expected = plan(&rwsets, &doomed, &on(), |_| true);
         assert_eq!(cut.stats, expected.stats);
         let (kept, early_aborted, deferred) = expected.partition(queue.clone());
         assert_eq!(
@@ -610,9 +581,9 @@ mod tests {
             (&kept, &early_aborted, &deferred)
         );
 
-        assert_eq!(cut.kept, [queue[3].clone(), queue[2].clone()]);
+        assert_eq!(cut.kept, [queue[3].clone(), queue[1].clone()]);
         assert_eq!(cut.early_aborted, [(queue[0].clone(), "d".to_string())]);
-        assert_eq!(cut.deferred, [queue[1].clone()]);
+        assert_eq!(cut.deferred, [queue[2].clone()]);
         let stats = ReorderStats {
             reordered_pairs: 1,
             cycles_broken: 1,

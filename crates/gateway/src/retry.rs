@@ -1,26 +1,20 @@
-//! MVCC-conflict retry policy: exponential backoff with deterministic
-//! jitter.
+//! Backoff for re-routing an ordering-service proposal: exponential,
+//! with deterministic jitter.
 //!
-//! Meir et al. ("Lockless Transaction Isolation in Hyperledger Fabric")
-//! identify MVCC-conflict aborts as the dominant failure mode under
-//! contended Fabric workloads; the standard client-SDK answer is to
-//! re-endorse the transaction (picking up fresh read versions) and
-//! resubmit after a backoff. Jitter prevents retry convoys — every loser
-//! of a block retrying at the same instant and colliding again — but
-//! naive jitter breaks reproducibility, so here it is *derived*: a
-//! SplitMix64 hash of `(seed, request id, attempt)` maps to a factor in
+//! When a proposal reaches an orderer that is not the Raft leader (or is
+//! dead), the replication cluster rotates its leader hint and re-routes
+//! after a backoff. Jitter keeps re-routes from convoying, but naive
+//! jitter breaks reproducibility, so here it is *derived*: a SplitMix64
+//! hash of `(seed, request id, attempt)` maps to a factor in
 //! `[1 - jitter, 1 + jitter)`. Two runs with the same seed produce the
 //! identical retry schedule.
 
-/// Retry policy for MVCC-conflicted transactions.
+use crate::keydist::mix64;
+
+/// An exponential-backoff retry policy.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
-    /// Whether conflicted transactions are retried at all. Disabled, every
-    /// conflict is a terminal abort (the baseline the saturation bench
-    /// compares against).
-    pub enabled: bool,
-    /// Maximum endorsement attempts per request, including the first; a
-    /// conflict on the final attempt is a terminal abort.
+    /// Maximum attempts per routing round, including the first.
     pub max_attempts: u32,
     /// Backoff before the second attempt, in microseconds.
     pub base_backoff_us: u64,
@@ -30,23 +24,6 @@ pub struct RetryPolicy {
     /// by a deterministic factor in `[1 - jitter, 1 + jitter)`.
     pub jitter: f64,
 }
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            enabled: true,
-            max_attempts: 10,
-            base_backoff_us: 2_000,
-            max_backoff_us: 500_000,
-            jitter: 0.25,
-        }
-    }
-}
-
-/// SplitMix64 finalizer, used to derive jitter without any shared RNG
-/// state (so retry schedules never depend on the order unrelated requests
-/// were processed in). Shared with the workload drivers via `keydist`.
-pub(crate) use crate::keydist::mix64;
 
 impl RetryPolicy {
     /// The backoff, in microseconds, to wait before attempt `attempt + 1`
@@ -65,33 +42,12 @@ impl RetryPolicy {
         ((exp as f64 * factor) as u64).max(1)
     }
 
-    /// Whether a conflict on `attempt` (1-based) leaves budget to retry.
-    pub fn can_retry(&self, attempt: u32) -> bool {
-        self.enabled && attempt < self.max_attempts
-    }
-
-    /// The attempt number that counts against the client retry budget.
-    ///
-    /// Conflict-aware ordering re-endorses transactions through the same
-    /// lane as client retries (early aborts picking up fresh read
-    /// versions, deferred cycle victims moving to the next block), which
-    /// inflates the raw `attempts` counter. Those requeues are gateway
-    /// scheduling decisions, not client failures, so they must not eat
-    /// into `max_attempts` or steepen the backoff curve: the effective
-    /// attempt discounts them, clamped to 1 (the first attempt always
-    /// counts).
-    pub fn effective_attempt(attempts: u32, requeues: u32) -> u32 {
-        attempts.saturating_sub(requeues).max(1)
-    }
-
     /// Preset for routing ordering-service proposals to the current Raft
-    /// leader: tighter backoffs than the MVCC default (a `NotLeader`
-    /// rejection is resolved by an election, typically a few hundred
-    /// milliseconds, not by waiting out a block), with enough attempts to
-    /// survive one full leader transition.
-    pub fn for_leader_routing() -> RetryPolicy {
+    /// leader: a `NotLeader` rejection is resolved by an election,
+    /// typically a few hundred milliseconds, so backoffs are short, with
+    /// enough attempts to survive one full leader transition.
+    pub const fn for_leader_routing() -> RetryPolicy {
         RetryPolicy {
-            enabled: true,
             max_attempts: 8,
             base_backoff_us: 5_000,
             max_backoff_us: 100_000,
@@ -126,18 +82,18 @@ mod tests {
     fn backoff_grows_exponentially_then_caps() {
         let p = RetryPolicy {
             jitter: 0.0,
-            ..RetryPolicy::default()
+            ..RetryPolicy::for_leader_routing()
         };
-        assert_eq!(p.backoff_us(1, 0, 0), 2_000);
-        assert_eq!(p.backoff_us(2, 0, 0), 4_000);
-        assert_eq!(p.backoff_us(3, 0, 0), 8_000);
-        assert_eq!(p.backoff_us(20, 0, 0), 500_000, "capped at max_backoff");
-        assert_eq!(p.backoff_us(200, 0, 0), 500_000, "large attempts safe");
+        assert_eq!(p.backoff_us(1, 0, 0), 5_000);
+        assert_eq!(p.backoff_us(2, 0, 0), 10_000);
+        assert_eq!(p.backoff_us(3, 0, 0), 20_000);
+        assert_eq!(p.backoff_us(20, 0, 0), 100_000, "capped at max_backoff");
+        assert_eq!(p.backoff_us(200, 0, 0), 100_000, "large attempts safe");
     }
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy::default();
+        let p = RetryPolicy::for_leader_routing();
         for attempt in 1..8 {
             for req in [0u64, 1, 99, u64::MAX] {
                 let a = p.backoff_us(attempt, 42, req);
@@ -150,31 +106,6 @@ mod tests {
         }
         // Different seeds give different schedules (whp).
         assert_ne!(p.backoff_us(1, 1, 7), p.backoff_us(1, 2, 7));
-    }
-
-    #[test]
-    fn attempt_budget() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        assert!(p.can_retry(1));
-        assert!(p.can_retry(2));
-        assert!(!p.can_retry(3));
-        let off = RetryPolicy {
-            enabled: false,
-            ..RetryPolicy::default()
-        };
-        assert!(!off.can_retry(1));
-    }
-
-    #[test]
-    fn effective_attempt_discounts_requeues() {
-        assert_eq!(RetryPolicy::effective_attempt(1, 0), 1);
-        assert_eq!(RetryPolicy::effective_attempt(5, 0), 5);
-        assert_eq!(RetryPolicy::effective_attempt(5, 3), 2);
-        assert_eq!(RetryPolicy::effective_attempt(5, 5), 1, "clamped to 1");
-        assert_eq!(RetryPolicy::effective_attempt(2, 9), 1, "never underflows");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! per-transaction parameter generation.
 //!
 //! Everything is a pure function of `(seed, index)` via the SplitMix64
-//! finalizer shared with the gateway drivers — no RNG object threads
+//! finalizer in `gateway::keydist` — no RNG object threads
 //! through the harness, so the schedule is identical regardless of how
 //! the run is paced or which other subsystems draw randomness.
 //!
@@ -150,9 +150,8 @@ pub struct PaymentParams {
     pub amount: u64,
 }
 
-/// Generators for per-transaction parameters: two Zipf samplers (shared
-/// with the gateway driver's key-skew machinery) plus the warehouse
-/// count.
+/// Generators for per-transaction parameters: two Zipf samplers (the
+/// shared `gateway::keydist` sampler) plus the warehouse count.
 pub struct ParamGen {
     warehouses: u64,
     customers: KeyDistribution,

@@ -24,9 +24,9 @@
 //!   contracts, RBAC and verification.
 //! * [`crosschain`] — the one-chain-per-view 2PC baseline.
 //! * [`supplychain`] — the supply-chain workload generator.
-//! * [`gateway`] — the client gateway: admission control, the block-cutting
-//!   submission pipeline, MVCC-conflict retry, and the million-client
-//!   workload driver (see `examples/gateway_demo.rs`).
+//! * [`gateway`] — the submission-side building blocks the cluster and
+//!   the shards share: the conflict-aware block cut stage, leader-routing
+//!   backoff, key-shard routing and the counter workload.
 //! * [`cluster`] — the deterministic replication cluster: a Raft-driven
 //!   ordering service, multi-peer block dissemination over simulated
 //!   links, snapshot-shipping peer bootstrap, and scheduled fault
@@ -108,7 +108,6 @@ pub mod prelude {
     pub use ledgerview_core::txmodel::{AttrValue, ClientTransaction};
     pub use ledgerview_core::{ViewError, ViewPredicate};
     pub use ledgerview_crypto::keys::EncryptionKeyPair;
-    pub use ledgerview_gateway::{Gateway, GatewayConfig, Priority, RetryPolicy, ServiceModel};
     pub use ledgerview_telemetry::Telemetry;
 }
 

@@ -23,7 +23,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/crypto", 3),
     ("crates/datalog", 1),
     ("crates/fabric", 22),
-    ("crates/gateway", 9),
+    ("crates/gateway", 5),
     ("crates/shard", 0),
     ("crates/simnet", 1),
     ("crates/statedb", 36),

@@ -4,113 +4,151 @@
 //! serial schedule from genesis (the serializability witness), early
 //! aborts fire exactly on transactions that would fail MVCC under *any*
 //! intra-block order, and equal seeds reproduce bit-identical runs.
+//!
+//! The block-level properties run on the live cut path: the replication
+//! cluster where its report and canonical state suffice, otherwise a
+//! single-chain loop that cuts exactly as the cluster's cutter does.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+use ledgerview::cluster::{ClusterConfig, ClusterReport, ClusterSim, InvokeOutcome};
 use ledgerview::crypto::sha256::Digest;
 use ledgerview::fabric::chaincode::{ReadEntry, RwSet, WriteEntry};
 use ledgerview::fabric::statedb::{StateDb, Version};
-use ledgerview::fabric::validation::{state_root_from_block, validate_and_commit_block};
-use ledgerview::gateway::driver::counter_chain;
+use ledgerview::fabric::validation::{
+    state_root_from_block, validate_and_commit_block, TxValidation,
+};
+use ledgerview::gateway::counter_chain;
 use ledgerview::gateway::reorder::{self, ReorderPlan};
-use ledgerview::gateway::{AdmissionConfig, Operation, Priority, ReorderConfig, SubmitResult};
+use ledgerview::gateway::ReorderConfig;
 use ledgerview::prelude::*;
+use ledgerview::simnet::SimTime;
+use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+
+/// A counter-chaincode call: `(function, args)`.
+type Op = (&'static str, Vec<Vec<u8>>);
 
 /// `incr key 1`: a read-modify-write on `key`.
-fn incr(key: &str) -> Operation {
-    Operation::new(
-        "counter",
-        "incr",
-        vec![key.as_bytes().to_vec(), b"1".to_vec()],
-    )
+fn incr(key: &str) -> Op {
+    ("incr", vec![key.as_bytes().to_vec(), b"1".to_vec()])
 }
 
 /// `get key`: a read-only transaction on `key`.
-fn get(key: &str) -> Operation {
-    Operation::new("counter", "get", vec![key.as_bytes().to_vec()])
+fn get(key: &str) -> Op {
+    ("get", vec![key.as_bytes().to_vec()])
 }
 
 /// `put key value`: a blind write (no read entry, never conflicts).
-fn put(key: &str, value: &str) -> Operation {
-    Operation::new(
-        "counter",
+fn put(key: &str, value: &str) -> Op {
+    (
         "put",
         vec![key.as_bytes().to_vec(), value.as_bytes().to_vec()],
     )
 }
 
-/// A gateway tuned so nothing is shed and every request can reach a
-/// terminal commit; `reorder` selects the cutter under test. The requeue
-/// budget is effectively unbounded so deferral never degrades to
-/// force-scheduling (that mode is covered by the unit tests).
-fn config(seed: u64, reorder: ReorderConfig) -> GatewayConfig {
-    GatewayConfig {
-        block_size: 4,
-        block_timeout_us: 1_000,
-        queue_capacity: 100_000,
-        admission: AdmissionConfig {
-            max_inflight_per_client: 100_000,
-            ..AdmissionConfig::default()
-        },
-        retry: RetryPolicy {
-            max_attempts: 200,
-            base_backoff_us: 100,
-            max_backoff_us: 2_000,
-            ..RetryPolicy::default()
-        },
-        reorder: ReorderConfig {
-            max_requeues: 100_000,
-            ..reorder
-        },
-        seed,
-        ..GatewayConfig::default()
+/// Commit `ops` on a 3-orderer / 3-peer cluster, one submission every
+/// 10 ms, with the cut stage set to `reorder`. Panics unless every
+/// submission commits valid and the peers converge; returns the report,
+/// and every submission's outcome and the canonical state digest as one
+/// fingerprint.
+fn cluster_run(seed: u64, reorder: ReorderConfig, ops: &[Op]) -> (ClusterReport, String) {
+    let dir = TestDir::new("reorder-equivalence");
+    let mut cfg = ClusterConfig::new(dir.path(), seed);
+    cfg.reorder = reorder;
+    let mut sim = ClusterSim::new(cfg).expect("cluster builds");
+    for (tag, (function, args)) in ops.iter().enumerate() {
+        let at = SimTime::from_millis(300 + 10 * tag as u64);
+        sim.schedule_call(at, "counter", function, args.clone(), tag as u64, None);
     }
+    sim.run_until_converged(SimTime::from_secs(600))
+        .expect("cluster converges");
+    sim.verify_convergence().expect("peers canonical");
+    let outcomes = sim.take_outcomes();
+    assert_eq!(outcomes.len(), ops.len(), "every submission resolves");
+    for (tag, outcome) in &outcomes {
+        let valid = matches!(outcome, InvokeOutcome::Committed { valid } if valid.is_valid());
+        assert!(valid, "submission {tag}: {outcome:?}");
+    }
+    let report = sim.report();
+    assert_eq!(report.txs, ops.len() as u64, "no invalid transaction lands");
+    let digest = sim.canonical_state().state_digest();
+    (report, format!("{outcomes:?} {digest:?}"))
 }
 
-/// Run a workload to completion and hand back the gateway for inspection.
-/// Panics unless every submission is accepted and reaches a terminal
-/// completion.
-fn run(seed: u64, reorder: ReorderConfig, ops: &[(u64, Operation)]) -> Gateway {
-    let (chain, ids) = counter_chain(seed, 3, true);
-    let mut gateway = Gateway::new(chain, ids, config(seed, reorder));
-    for (client, op) in ops {
-        let r = gateway.submit(0, *client, Priority::Normal, op.clone());
-        assert!(matches!(r, SubmitResult::Accepted(_)), "nothing sheds");
-    }
-    gateway.drain(0);
-    let completions = gateway.drain_completions();
-    assert_eq!(completions.len(), ops.len(), "all accepted reach terminal");
-    gateway
+/// Transactions per block the cut loop offers fresh.
+const BLOCK: usize = 4;
+
+/// What a [`cut_loop`] run counted.
+#[derive(Default)]
+struct LoopStats {
+    /// Operations committed valid.
+    committed: u64,
+    /// Transactions that reached validation and failed MVCC.
+    conflicts: u64,
 }
 
-/// The per-block commit fingerprint that must be independent of timestamp
-/// details: (tx ids in order, validity flags, rolling state root).
-fn block_fingerprints(gateway: &Gateway) -> Vec<(Vec<String>, Vec<bool>, Digest)> {
-    gateway
-        .chain()
-        .store()
-        .iter()
-        .map(|b| {
-            (
-                b.transactions.iter().map(|t| t.tx_id.to_string()).collect(),
-                b.validity.clone(),
-                b.header.state_root,
-            )
-        })
-        .collect()
+/// The live cut path on one chain, round by round as the cluster's
+/// cutter runs it: cut the pending queue with [`reorder::cut`], commit
+/// what the cut kept with `commit_ordered`, then re-endorse what the cut
+/// pulled — and, as the sharded deployment does, every MVCC loser —
+/// until every operation has committed. Up to [`BLOCK`] fresh `(client, op)`
+/// arrivals endorse while each block is in flight, against the state
+/// before it commits, as submissions keep arriving in the cluster during
+/// Raft replication; that is what leaves reads stale at the next cut.
+fn cut_loop(seed: u64, reorder: &ReorderConfig, ops: &[(usize, Op)]) -> (FabricChain, LoopStats) {
+    let (mut chain, ids) = counter_chain(seed, 5, true);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    // Which client endorsed each pending transaction, to re-endorse as.
+    let mut clients: HashMap<TxId, usize> = HashMap::new();
+    let mut endorse = |chain: &mut FabricChain,
+                       clients: &mut HashMap<TxId, usize>,
+                       client: usize,
+                       function: &str,
+                       args| {
+        let r = chain
+            .invoke(&ids[client], "counter", function, args, &mut rng)
+            .expect("endorses");
+        clients.insert(r.tx_id, client);
+    };
+    let mut stats = LoopStats::default();
+    let mut arrivals = ops.iter();
+    for round in 1u64.. {
+        assert!(round < 10_000, "the cut loop must drain");
+        let cut = reorder::cut(&mut chain, reorder);
+        for (client, (function, args)) in arrivals.by_ref().take(BLOCK) {
+            endorse(&mut chain, &mut clients, *client, function, args.clone());
+        }
+        let outcomes = chain.commit_ordered(cut.kept.clone(), round * 1_000);
+        let pulled = cut.early_aborted.into_iter().map(|(tx, _stale_key)| tx);
+        let mut redrive: Vec<_> = pulled.chain(cut.deferred).collect();
+        for (tx, outcome) in cut.kept.into_iter().zip(outcomes) {
+            match outcome {
+                TxValidation::Valid => stats.committed += 1,
+                TxValidation::MvccConflict { .. } => {
+                    stats.conflicts += 1;
+                    redrive.push(tx);
+                }
+                other => panic!("counter transactions fail only MVCC: {other:?}"),
+            }
+        }
+        for tx in redrive {
+            let client = clients[&tx.tx_id];
+            endorse(&mut chain, &mut clients, client, &tx.function, tx.args);
+        }
+        if chain.pending_count() == 0 {
+            break;
+        }
+    }
+    (chain, stats)
 }
 
 /// All committed key/value pairs (versions excluded: block composition
 /// legitimately shifts them).
-fn values(gateway: &Gateway) -> BTreeMap<String, Vec<u8>> {
-    gateway
-        .chain()
-        .state()
-        .prefix_scan("")
-        .into_iter()
-        .collect()
+fn values(chain: &FabricChain) -> BTreeMap<String, Vec<u8>> {
+    chain.state().prefix_scan("").into_iter().collect()
 }
 
 /// Replay every stored block from an empty state, exactly as crash
@@ -119,10 +157,10 @@ fn values(gateway: &Gateway) -> BTreeMap<String, Vec<u8>> {
 /// `state_root`, and the final full-state digest must match the live
 /// chain. This is the serializability witness — the block order *is* a
 /// serial schedule that produces the recorded outcomes.
-fn assert_blocks_replay_serially(gateway: &Gateway) {
+fn assert_blocks_replay_serially(chain: &FabricChain) {
     let mut state = StateDb::new();
     let mut root = Digest::ZERO;
-    for block in gateway.chain().store().iter() {
+    for block in chain.store().iter() {
         let outcomes =
             validate_and_commit_block(&block.transactions, &mut state, block.header.number);
         let valid: Vec<bool> = outcomes.iter().map(|o| o.is_valid()).collect();
@@ -140,31 +178,27 @@ fn assert_blocks_replay_serially(gateway: &Gateway) {
     }
     assert_eq!(
         state.state_digest(),
-        gateway.chain().state().state_digest(),
+        chain.state().state_digest(),
         "replayed state digest must match the live chain"
     );
 }
 
 /// With every key touched exactly once there are no dependencies, so the
 /// conflict-aware cutter must reproduce the unordered pipeline *exactly*:
-/// identical block composition, rolling roots, and state digest.
+/// identical report (block count, per-block rolling roots, batch history,
+/// peer heights and roots), outcomes and state digest, with the cutter's
+/// counters all zero.
 #[test]
 fn conflict_free_workload_is_bit_identical() {
-    let ops: Vec<(u64, Operation)> = (0..24u64)
-        .map(|i| (i % 5, incr(&format!("unique-{i}"))))
-        .collect();
-    let plain = run(7, ReorderConfig::default(), &ops);
-    let reordered = run(7, ReorderConfig::enabled(), &ops);
-
-    assert_eq!(block_fingerprints(&plain), block_fingerprints(&reordered));
-    assert_eq!(
-        plain.chain().state().state_digest(),
-        reordered.chain().state().state_digest()
-    );
-    assert_eq!(plain.chain().state_root(), reordered.chain().state_root());
-    let s = reordered.stats();
-    assert_eq!(s.reordered_pairs, 0, "no dependencies, no inversions");
-    assert_eq!(s.deferrals + s.early_aborts, 0);
+    let ops: Vec<Op> = (0..24).map(|i| incr(&format!("unique-{i}"))).collect();
+    let (plain, plain_fingerprint) = cluster_run(7, ReorderConfig::default(), &ops);
+    let (reordered, fingerprint) = cluster_run(7, ReorderConfig::enabled(), &ops);
+    assert_eq!(format!("{plain:?}"), format!("{reordered:?}"));
+    assert_eq!(plain_fingerprint, fingerprint);
+    let r = &reordered;
+    let counters = (r.reorder_pairs, r.reorder_cycles);
+    assert_eq!(counters, (0, 0), "no dependencies, no inversions");
+    assert_eq!(r.reorder_deferrals + r.reorder_early_aborts, 0);
 }
 
 /// Two runs from the same seed with reordering enabled must be
@@ -172,35 +206,28 @@ fn conflict_free_workload_is_bit_identical() {
 /// pipeline counter.
 #[test]
 fn same_seed_reordered_runs_are_bit_identical() {
-    let ops: Vec<(u64, Operation)> = (0..40u64)
-        .map(|i| (i % 6, incr(&format!("hot-{}", i % 2))))
-        .collect();
-    let a = run(11, ReorderConfig::enabled(), &ops);
-    let b = run(11, ReorderConfig::enabled(), &ops);
-
-    assert!(a.stats().deferrals > 0, "hot keys must exercise deferral");
-    assert_eq!(block_fingerprints(&a), block_fingerprints(&b));
-    assert_eq!(
-        a.chain().state().state_digest(),
-        b.chain().state().state_digest()
-    );
-    assert_eq!(a.stats(), b.stats());
+    let ops: Vec<Op> = (0..40).map(|i| incr(&format!("hot-{}", i % 2))).collect();
+    let (a, a_fingerprint) = cluster_run(11, ReorderConfig::enabled(), &ops);
+    let (b, b_fingerprint) = cluster_run(11, ReorderConfig::enabled(), &ops);
+    assert!(a.reorder_deferrals > 0, "hot keys must exercise deferral");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(a_fingerprint, b_fingerprint);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random contended workloads: the reordered pipeline must commit
+    /// Random contended workloads: the reordered cut path must commit
     /// everything *without a single MVCC conflict* (prevention, where the
-    /// unordered pipeline cures by retrying) and still land on exactly
-    /// the per-key values of the unordered run. Every reordered block
-    /// must replay as a serial schedule.
+    /// unordered path cures by re-driving) and still land on exactly the
+    /// per-key values of the unordered run. Every reordered block must
+    /// replay as a serial schedule.
     #[test]
     fn contended_workloads_commit_equivalent_state(
-        ops in proptest::collection::vec((0u64..5, 0usize..3, 0u8..3), 1..40),
+        ops in proptest::collection::vec((0usize..5, 0usize..3, 0u8..3), 1..40),
         seed in 0u64..300,
     ) {
-        let ops: Vec<(u64, Operation)> = ops
+        let ops: Vec<(usize, Op)> = ops
             .iter()
             .map(|&(client, rank, kind)| {
                 let op = match kind {
@@ -215,22 +242,21 @@ proptest! {
             })
             .collect();
 
-        let plain = run(seed, ReorderConfig::default(), &ops);
-        let reordered = run(seed, ReorderConfig::enabled(), &ops);
+        let (plain, plain_stats) = cut_loop(seed, &ReorderConfig::default(), &ops);
+        let (reordered, stats) = cut_loop(seed, &ReorderConfig::enabled(), &ops);
 
         // Same committed values, key for key.
         prop_assert_eq!(values(&plain), values(&reordered));
+        prop_assert_eq!(plain_stats.committed, ops.len() as u64);
 
-        // The unordered pipeline may conflict and retry; the conflict-aware
+        // The unordered path may conflict and re-drive; the conflict-aware
         // cutter must never let a doomed transaction reach validation.
-        let s = reordered.stats();
-        prop_assert_eq!(s.conflicts, 0, "reordering prevents MVCC conflicts");
-        prop_assert_eq!(s.conflict_aborted, 0);
-        prop_assert_eq!(s.committed, ops.len() as u64);
+        prop_assert_eq!(stats.conflicts, 0, "reordering prevents MVCC conflicts");
+        prop_assert_eq!(stats.committed, ops.len() as u64);
 
         // Every block the cutter composed is a serial schedule.
         assert_blocks_replay_serially(&reordered);
-        for block in reordered.chain().store().iter() {
+        for block in reordered.store().iter() {
             prop_assert!(
                 block.validity.iter().all(|v| *v),
                 "reordered blocks carry only valid transactions"

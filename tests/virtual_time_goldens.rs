@@ -1,6 +1,6 @@
 //! Virtual-time goldens: the headline numbers of the replicated pipeline,
-//! the sharded deployment, the TPC-C-class workload, the gateway's
-//! saturation curve and peer bootstrap, pinned as tests.
+//! the sharded deployment, the TPC-C-class workload and peer bootstrap,
+//! pinned as tests.
 //!
 //! Every run here is a pure function of `(config, seed)` on the virtual
 //! clock — no code-speed change can move these numbers, only a change in
@@ -13,8 +13,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ledgerview::cluster::{BootstrapMode, ClusterConfig, ClusterSim};
-use ledgerview::gateway::driver::{self, counter_chain, DriverConfig, DriverReport, LoadMode};
-use ledgerview::gateway::GatewayStats;
 use ledgerview::prelude::*;
 use ledgerview::shard::{ShardConfig, ShardedDeployment, TransferStatus};
 use ledgerview::simnet::{Region, SimTime};
@@ -286,102 +284,6 @@ fn tpcc_grid() {
             twin.elections = plain.elections;
             assert_eq!(twin, plain, "{at}");
         }
-    }
-}
-
-// ---- gateway saturation: open-loop load across the knee ----------------
-
-/// One virtual second of 100 000 Zipf clients offering `load` × the service
-/// model's capacity; returns (driver report, pipeline counters, state digest).
-fn gateway_run(
-    (retry, reorder): (bool, bool),
-    keys: usize,
-    zipf_s: f64,
-    load: f64,
-) -> (DriverReport, GatewayStats, String) {
-    let mut config = GatewayConfig {
-        block_size: 25,
-        block_timeout_us: 5_000,
-        queue_capacity: 2_048,
-        service: Some(ServiceModel::default()),
-        seed: 7,
-        ..GatewayConfig::default()
-    };
-    config.retry.enabled = retry;
-    config.reorder.enabled = reorder;
-    let offered_tps = ServiceModel::default().capacity_tps(config.block_size) * load;
-    let (chain, ids) = counter_chain(42, 8, false);
-    let mut gateway = Gateway::new(chain, ids, config);
-    let telemetry = Telemetry::wall_clock(); // observational: the pins hold with it on
-    gateway.set_telemetry(&telemetry);
-    let driver_config = DriverConfig {
-        clients: 100_000,
-        keys,
-        zipf_s,
-        mode: LoadMode::Open { offered_tps },
-        duration: SimTime::from_secs(1),
-        seed: 2024,
-        ..DriverConfig::default()
-    };
-    let report = driver::run(&mut gateway, &driver_config);
-    lint_metrics(&telemetry);
-    let digest = format!("{:?}", gateway.chain().state().state_digest());
-    (report, gateway.stats().clone(), digest)
-}
-
-#[test]
-fn gateway_knee() {
-    // (load, retry) ⇒ (accepted, shed, committed, blocks): nothing sheds
-    // below the knee, admission sheds the excess at 2× capacity.
-    let mut tps = Vec::new();
-    for (load, retry, want) in [
-        (0.5, true, (5_208, 0, 5_208, 214)),
-        (0.5, false, (5_208, 0, 5_092, 209)),
-        (0.9, true, (9_375, 0, 9_375, 386)),
-        (0.9, false, (9_375, 0, 9_160, 375)),
-        (2.0, true, (12_171, 8_662, 12_171, 502)),
-        (2.0, false, (12_469, 8_364, 12_216, 499)),
-    ] {
-        let at = format!("retry={retry} load={load}");
-        let (r, _, _) = gateway_run((retry, false), 2_000, 0.6, load);
-        assert_eq!((r.accepted, r.shed, r.committed, r.blocks), want, "{at}");
-        let terminal = r.committed + r.conflict_aborted;
-        assert_eq!(r.accepted, terminal, "accepted work dropped: {at}");
-        // Retry commits everything accepted; without it contention aborts.
-        assert_eq!(r.conflict_aborted == 0, retry, "{at}");
-        if retry {
-            tps.push(format!("{:.0}", r.throughput_tps));
-        }
-    }
-    // Rise below the knee, plateau (not collapse) past it.
-    assert_eq!(tps, ["5184", "9315", "10074"]);
-}
-
-#[test]
-fn reorder_ablation_lifts_the_no_retry_commit_ratio() {
-    // Retry off, 20 000 keys, 0.9 × capacity — block composition alone.
-    // zipf ⇒ unordered (commit ratio, conflict aborts), then reordered
-    // (commit ratio, (conflict, early) aborts, (deferrals, cycles broken)).
-    for (zipf_s, want_off, want_on) in [
-        (0.6, ("0.9965", 33), ("1.0000", (0, 0), (37, 37))),
-        (0.8, ("0.9766", 219), ("1.0000", (0, 0), (562, 562))),
-    ] {
-        let ratio = |r: &DriverReport| format!("{:.4}", r.commit_ratio);
-        let (off, off_stats, _) = gateway_run((false, false), 20_000, zipf_s, 0.9);
-        assert_eq!((ratio(&off).as_str(), off.conflict_aborted), want_off);
-        assert_eq!((off_stats.deferrals, off_stats.reordered_pairs), (0, 0));
-        let (on, stats, digest) = gateway_run((false, true), 20_000, zipf_s, 0.9);
-        let (ratio_on, aborts) = (ratio(&on), (on.conflict_aborted, stats.early_aborts));
-        let reordering = (stats.deferrals, stats.cycles_broken);
-        assert_eq!(
-            (ratio_on.as_str(), aborts, reordering),
-            want_on,
-            "zipf {zipf_s}"
-        );
-        // Same seed ⇒ same curve, same counters, same full-state digest.
-        let again = gateway_run((false, true), 20_000, zipf_s, 0.9);
-        assert_eq!(format!("{:?}", again.0), format!("{on:?}"));
-        assert_eq!((again.1, again.2), (stats, digest), "replay differs");
     }
 }
 
