@@ -50,6 +50,11 @@ const CHAINCODE: &str = "counter";
 /// orderer); `max_attempts` bounds one routing round.
 const ROUTING: RetryPolicy = RetryPolicy::for_leader_routing();
 
+/// How long a proposed batch may stay unobserved in the committed log
+/// before the client re-proposes it (covers batches lost with a killed
+/// leader).
+const RESUBMIT_TIMEOUT: SimTime = SimTime::from_secs(2);
+
 /// Stage tags fed to [`TraceContext::span_id`]: every node derives the
 /// same span id for the same (trace, stage) pair without coordination, so
 /// a peer can parent its commit span under the replicate span it never
@@ -775,8 +780,7 @@ impl World {
             m.batches.inc();
         }
         self.route(batch_id, 1, sim);
-        let timeout = self.cfg.resubmit_timeout;
-        sim.schedule_in(timeout, move |w: &mut World, s| {
+        sim.schedule_in(RESUBMIT_TIMEOUT, move |w: &mut World, s| {
             w.on_resubmit_check(batch_id, s);
         });
     }
@@ -823,7 +827,7 @@ impl World {
             // Routing round exhausted — every orderer unreachable or
             // rejecting (e.g. mid-partition, mid-election). The batch
             // stays inflight: the resubmit watchdog opens a fresh routing
-            // round after `resubmit_timeout`, so an endorsed transaction
+            // round after `RESUBMIT_TIMEOUT`, so an endorsed transaction
             // is never silently dropped ("acceptance is a promise") —
             // it outwaits the fault instead.
             self.failed_batches += 1;
@@ -882,8 +886,7 @@ impl World {
             m.resubmits.inc();
         }
         self.route(batch_id, 1, sim);
-        let timeout = self.cfg.resubmit_timeout;
-        sim.schedule_in(timeout, move |w: &mut World, s| {
+        sim.schedule_in(RESUBMIT_TIMEOUT, move |w: &mut World, s| {
             w.on_resubmit_check(batch_id, s);
         });
     }

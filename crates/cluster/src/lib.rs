@@ -89,10 +89,6 @@ pub struct ClusterConfig {
     /// Period of the ordering service's block cutter: pending endorsed
     /// transactions are batched and proposed every interval.
     pub block_interval: SimTime,
-    /// How long a proposed batch may stay unobserved in the committed log
-    /// before the client re-proposes it (covers batches lost with a
-    /// killed leader).
-    pub resubmit_timeout: SimTime,
     /// Conflict-aware ordering at the batch cutter ([`ReorderConfig`]):
     /// doomed transactions are re-endorsed instead of burning a slot in a
     /// replicated block, and intra-batch dependency cycles are broken by
@@ -147,7 +143,6 @@ impl ClusterConfig {
                 Region::ASIA_SOUTHEAST,
             ],
             block_interval: SimTime::from_millis(250),
-            resubmit_timeout: SimTime::from_secs(2),
             reorder: ReorderConfig::default(),
             catchup_bandwidth_bytes_per_sec: 16 * 1024 * 1024,
             storage_root: storage_root.into(),

@@ -105,9 +105,6 @@ pub struct NetworkConfig {
     pub cutting: BlockCuttingConfig,
     /// Stage service times.
     pub times: ServiceTimes,
-    /// Charge a Raft replication round (leader → followers → leader) per
-    /// block, using the intra-orderer-region RTT.
-    pub raft_replication: bool,
     /// Shed transactions whose ordering-queue delay would exceed this
     /// (models the baseline becoming "unresponsive" past 48 clients).
     pub orderer_max_queue_delay: Option<SimTime>,
@@ -135,7 +132,6 @@ impl NetworkConfig {
             orderer_region: Region::ASIA_SOUTHEAST,
             cutting: BlockCuttingConfig::default(),
             times: ServiceTimes::default(),
-            raft_replication: true,
             orderer_max_queue_delay: Some(SimTime::from_secs(120)),
             validation: ValidationConfig::default(),
             telemetry: None,
@@ -448,15 +444,12 @@ fn cut_block(world: &mut SimWorld, sim: &mut Sim, p: usize) {
     let n = txs.len() as u64;
     let bytes: u64 = txs.iter().map(|t| t.payload_bytes).sum();
 
-    // Raft round among the (colocated) orderers: append + majority ack.
-    let consensus = if world.config.raft_replication {
-        world
-            .config
-            .latencies
-            .rtt(world.config.orderer_region, world.config.orderer_region)
-    } else {
-        SimTime::ZERO
-    };
+    // Raft round among the (colocated) orderers: leader → followers →
+    // leader, charged at the intra-orderer-region RTT.
+    let consensus = world
+        .config
+        .latencies
+        .rtt(world.config.orderer_region, world.config.orderer_region);
     let order_service = times.order_per_block + times.order_per_tx.scaled(n);
     let Some(ordered_at) = world.pipelines[p]
         .orderer

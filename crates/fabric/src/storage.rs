@@ -68,6 +68,10 @@ use crate::statedb::{StateDb, Version, VersionedState};
 use crate::validation::{apply_writes, state_root_from_block};
 use crate::wire::{Reader, Writer};
 
+/// Sparse block-index stride: one index entry per this many blocks, so a
+/// point read skips at most `INDEX_EVERY - 1` frame headers.
+const INDEX_EVERY: u64 = 16;
+
 impl From<StoreError> for FabricError {
     fn from(e: StoreError) -> FabricError {
         FabricError::Storage(e.to_string())
@@ -374,7 +378,7 @@ fn recover_tail(
     mut root: Digest,
 ) -> Result<RecoveredTail, FabricError> {
     // Surviving blocks (torn tail already truncated by the store).
-    let mut blocks_file = BlockFile::open_at(&config.dir, config.index_every, base, config.fsync)?;
+    let mut blocks_file = BlockFile::open_at(&config.dir, INDEX_EVERY, base, config.fsync)?;
     if blocks_file.base() != base {
         return Err(FabricError::Storage(format!(
             "block file starts at height {} but the persisted state claims base {base}",

@@ -12,8 +12,8 @@
 //!   early abort of transactions doomed by committed state.
 //! * [`retry`] — the exponential-backoff policy with derived jitter the
 //!   cluster re-routes `NotLeader` proposals with.
-//! * [`shardmap`] — deterministic key→shard routing, and the per-shard
-//!   router that rate-limits with [`admission`]'s token bucket.
+//! * [`shardmap`] — deterministic key→shard routing for the sharded
+//!   deployment.
 //! * [`keydist`] — the shared stateless key-skew sampler
 //!   ([`KeyDistribution`]) the TPC-C workload picks keys with.
 //! * [`counter`] — the contended counter chaincode the cluster deploys.
@@ -23,16 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod counter;
 pub mod keydist;
 pub mod reorder;
 pub mod retry;
 pub mod shardmap;
 
-pub use admission::TokenBucket;
 pub use counter::{counter_chain, CounterChaincode};
 pub use keydist::KeyDistribution;
 pub use reorder::{ReorderConfig, ReorderPlan, ReorderStats};
 pub use retry::RetryPolicy;
-pub use shardmap::{fnv1a, routing_prefix, Route, ShardMap, ShardRouter, ShardShed};
+pub use shardmap::{fnv1a, routing_prefix, Route, ShardMap};

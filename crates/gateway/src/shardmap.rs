@@ -1,10 +1,10 @@
 //! Key-shard routing for sharded multi-channel deployments.
 //!
-//! A sharded deployment runs S independent channels; the gateway must
-//! send every transaction to the channel(s) owning the keys it touches.
-//! Routing is a pure function of the key bytes and the [`ShardMap`]
-//! configuration — no load feedback, no randomness — so every replica,
-//! every rerun, and every recovery path routes identically.
+//! A sharded deployment runs S independent channels and sends every
+//! transaction to the channel(s) owning the keys it touches. Routing is a
+//! pure function of the key bytes and the [`ShardMap`] configuration — no
+//! load feedback, no randomness — so every replica, every rerun, and
+//! every recovery path routes identically.
 //!
 //! * The **routing prefix** of a key is its first two `~`-separated
 //!   components (`acct~alice` → `acct~alice`, `lock~t17~x` → `lock~t17`).
@@ -17,15 +17,13 @@
 //!   payload key on one chosen shard regardless of suffix. Longest
 //!   matching pin wins.
 
-use crate::admission::TokenBucket;
-
 /// Where a transaction's write-set routes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Route {
     /// Every key lives on one shard: submit directly, no 2PC.
     Single(usize),
-    /// Keys span multiple shards (sorted, deduplicated): the gateway must
-    /// fan the request out as 2PC prepare sub-transactions.
+    /// Keys span multiple shards (sorted, deduplicated): the deployment
+    /// fans the request out as 2PC prepare sub-transactions.
     Cross(Vec<usize>),
 }
 
@@ -81,6 +79,10 @@ impl ShardMap {
     /// Pin every key starting with `prefix` to `shard`, overriding the
     /// hash. Use for composite namespaces (e.g. `vs~data~`) whose keys
     /// must stay co-located on one channel.
+    ///
+    /// # Panics
+    ///
+    /// If `shard` is not below [`ShardMap::shards`].
     pub fn pin_prefix(&mut self, prefix: &str, shard: usize) {
         assert!(
             shard < self.shards,
@@ -119,71 +121,6 @@ impl ShardMap {
             1 => Route::Single(shards[0]),
             _ => Route::Cross(shards),
         }
-    }
-}
-
-/// Why the shard router refused a submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardShed {
-    /// The owning shard's token bucket was empty.
-    RateLimited {
-        /// The shard whose admission budget was exhausted.
-        shard: usize,
-    },
-}
-
-/// The routing front end of a sharded deployment: a [`ShardMap`] plus
-/// per-shard token-bucket admission.
-///
-/// "Acceptance is a promise" extends across shards: a cross-shard request
-/// is admitted only if **every** involved shard has budget, and budget is
-/// taken from all of them atomically — a request never half-enters the
-/// system. Once admitted, the per-shard clusters' watchdogs guarantee the
-/// legs are eventually ordered and committed.
-pub struct ShardRouter {
-    map: ShardMap,
-    buckets: Vec<TokenBucket>,
-}
-
-impl ShardRouter {
-    /// A router over `map` admitting up to `rate_per_sec` transactions
-    /// per shard (burst capacity `burst`).
-    pub fn new(map: ShardMap, rate_per_sec: f64, burst: u64) -> ShardRouter {
-        let buckets = (0..map.shards())
-            .map(|_| TokenBucket::new(rate_per_sec, burst))
-            .collect();
-        ShardRouter { map, buckets }
-    }
-
-    /// The routing table.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Route and admit a transaction touching `keys` at virtual time
-    /// `now_us`. On success returns where it goes; on refusal nothing was
-    /// consumed from any bucket.
-    pub fn admit<'a, I>(&mut self, keys: I, now_us: u64) -> Result<Route, ShardShed>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let route = self.map.route(keys);
-        let involved: &[usize] = match &route {
-            Route::Single(s) => std::slice::from_ref(s),
-            Route::Cross(shards) => shards,
-        };
-        for &s in involved {
-            self.buckets[s].refill(now_us);
-        }
-        // All-or-nothing: check budget everywhere before taking anywhere.
-        if let Some(&s) = involved.iter().find(|&&s| self.buckets[s].available() == 0) {
-            return Err(ShardShed::RateLimited { shard: s });
-        }
-        for &s in involved {
-            let took = self.buckets[s].try_take();
-            debug_assert!(took, "availability was checked above");
-        }
-        Ok(route)
     }
 }
 
@@ -237,23 +174,5 @@ mod tests {
         assert_eq!(map.route(["a~1", "a~2"]), Route::Single(0));
         assert_eq!(map.route(["a~1", "b~1"]), Route::Cross(vec![0, 2]));
         assert_eq!(map.route(std::iter::empty::<&str>()), Route::Single(0));
-    }
-
-    #[test]
-    fn cross_shard_admission_is_all_or_nothing() {
-        let mut map = ShardMap::new(2);
-        map.pin_prefix("a~", 0);
-        map.pin_prefix("b~", 1);
-        // 1 token per shard, no refill within the test window.
-        let mut router = ShardRouter::new(map, 0.000_001, 1);
-        // Drain shard 1's only token.
-        assert!(router.admit(["b~x"], 0).is_ok());
-        // Cross-shard request: shard 0 has budget, shard 1 does not —
-        // refused, and shard 0's token must NOT be consumed.
-        assert_eq!(
-            router.admit(["a~x", "b~y"], 0),
-            Err(ShardShed::RateLimited { shard: 1 })
-        );
-        assert!(router.admit(["a~z"], 0).is_ok(), "shard 0 budget intact");
     }
 }

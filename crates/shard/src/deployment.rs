@@ -1,5 +1,5 @@
 //! The sharded deployment: S replication clusters in lock-step on one
-//! virtual clock, a key-shard router in front, and a deterministic
+//! virtual clock, a key-shard map in front, and a deterministic
 //! cross-shard 2PC orchestrator driving the `crosschain` contracts over
 //! the live replicated channels.
 //!
@@ -54,9 +54,8 @@
 //! `ledgerview_crosschain::contracts`), so crash-replayed decisions and
 //! duplicate finalize legs are absorbed as no-ops.
 //!
-//! "Acceptance is a promise" holds end-to-end: admission is all-or-
-//! nothing across the involved shards' token buckets, and once admitted,
-//! every leg is eventually ordered and committed by the per-shard
+//! Every scheduled operation is admitted: none is refused at the door,
+//! and every leg is eventually ordered and committed by the per-shard
 //! cluster's watchdog/rerouting machinery — under leader kills, peer
 //! crashes, and partitions from the [`Fault`] schedule.
 
@@ -73,7 +72,7 @@ use ledgerview_crosschain::contracts::{
     CoordinatorContract, TransferContract, COORDINATOR_CC, TRANSFER_CC,
 };
 use ledgerview_crypto::sha256::Digest;
-use ledgerview_gateway::{Route, ShardMap, ShardRouter};
+use ledgerview_gateway::{Route, ShardMap};
 use ledgerview_simnet::SimTime;
 use ledgerview_telemetry::{Telemetry, TraceContext};
 
@@ -96,7 +95,16 @@ pub mod stage {
     pub const LOCAL: u64 = 0x2004;
 }
 
-/// Shape and timing of a sharded deployment.
+/// Committing peers per shard channel. Orderers (3) and the block-cutter
+/// period (250 ms) are [`ClusterConfig::new`]'s.
+const PEERS_PER_SHARD: usize = 2;
+
+/// Lock-step slice: how far each cluster advances before the orchestrator
+/// looks at outcomes again. Smaller slices mean lower 2PC latency and more
+/// orchestrator activity; determinism is unaffected.
+const SLICE: SimTime = SimTime::from_millis(50);
+
+/// Shape of a sharded deployment.
 #[derive(Clone)]
 pub struct ShardConfig {
     /// Number of shard channels.
@@ -105,25 +113,6 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Root directory; shard `i` persists under `<root>/shard<i>`.
     pub storage_root: PathBuf,
-    /// Raft orderers per shard channel.
-    pub orderers_per_shard: usize,
-    /// Committing peers per shard channel.
-    pub peers_per_shard: usize,
-    /// Block-cutter period on every shard.
-    pub block_interval: SimTime,
-    /// Lock-step slice: how far each cluster advances before the
-    /// orchestrator looks at outcomes again. Must comfortably exceed
-    /// nothing in particular — smaller slices mean lower 2PC latency and
-    /// more orchestrator activity; determinism is unaffected.
-    pub slice: SimTime,
-    /// Per-shard admission rate (transactions per virtual second).
-    pub admission_rate_per_sec: f64,
-    /// Per-shard admission burst capacity.
-    pub admission_burst: u64,
-    /// Endorsement signature verification at submission (off by default:
-    /// the scale-out bench measures pipeline structure, not crypto;
-    /// endorsers sign either way).
-    pub check_signatures: bool,
     /// Explicit shard-map pins for composite namespaces, `(prefix,
     /// shard)`.
     pub pins: Vec<(String, usize)>,
@@ -142,13 +131,6 @@ impl ShardConfig {
             shards: shards.max(1),
             seed,
             storage_root: storage_root.into(),
-            orderers_per_shard: 3,
-            peers_per_shard: 2,
-            block_interval: SimTime::from_millis(250),
-            slice: SimTime::from_millis(50),
-            admission_rate_per_sec: 100_000.0,
-            admission_burst: 100_000,
-            check_signatures: false,
             pins: Vec::new(),
             workloads: Vec::new(),
         }
@@ -160,10 +142,10 @@ impl ShardConfig {
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1));
         let mut cfg = ClusterConfig::new(self.storage_root.join(format!("shard{shard}")), sub_seed);
-        cfg.orderers = self.orderers_per_shard;
-        cfg.peers = self.peers_per_shard;
-        cfg.block_interval = self.block_interval;
-        cfg.check_signatures = self.check_signatures;
+        cfg.peers = PEERS_PER_SHARD;
+        // Endorsers sign either way; the deployment measures pipeline
+        // structure, not signature checks.
+        cfg.check_signatures = false;
         cfg.lane_prefix = format!("shard{shard}/");
         let transfer: ledgerview_cluster::WorkloadFactory =
             Arc::new(|| Box::new(TransferContract) as Box<dyn Chaincode>);
@@ -206,6 +188,15 @@ pub enum ShardError {
     LockedRequests(Vec<String>),
     /// Unexpected protocol outcomes (e.g. a begin that failed).
     Protocol(Vec<String>),
+    /// A [`ShardConfig::pins`] entry names a shard the deployment lacks.
+    PinOutOfRange {
+        /// The pinned prefix.
+        prefix: String,
+        /// The shard it names.
+        shard: usize,
+        /// Shards in the deployment.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -226,6 +217,14 @@ impl std::fmt::Display for ShardError {
                 write!(f, "permanently locked requests: {reqs:?}")
             }
             ShardError::Protocol(errors) => write!(f, "protocol errors: {errors:?}"),
+            ShardError::PinOutOfRange {
+                prefix,
+                shard,
+                shards,
+            } => write!(
+                f,
+                "pin {prefix:?} names shard {shard} of a {shards}-shard deployment"
+            ),
         }
     }
 }
@@ -237,8 +236,6 @@ impl std::error::Error for ShardError {}
 pub enum TransferStatus {
     /// Still working through its phases.
     InFlight,
-    /// Refused at admission; nothing entered any shard.
-    Shed,
     /// Applied atomically (locally or via 2PC).
     Committed,
     /// Aborted atomically; no balance moved.
@@ -280,12 +277,10 @@ pub struct ShardReport {
     pub state_roots: Vec<Digest>,
     /// Sum of all committed `open` amounts.
     pub opened_total: u64,
-    /// Committed / aborted / shed transfer counts.
+    /// Committed transfers.
     pub committed: u64,
     /// Aborted transfers.
     pub aborted: u64,
-    /// Admission-shed transfers.
-    pub shed: u64,
     /// Total leg re-drives across all operations, transfers included.
     pub redrives: u64,
     /// Transactions committed on every shard combined (all workloads).
@@ -294,7 +289,7 @@ pub struct ShardReport {
 
 /// One participant leg of a generic cross-shard operation.
 ///
-/// `key` routes the leg (admission + shard resolution); `chaincode` is the
+/// `key` routes the leg (resolves its shard); `chaincode` is the
 /// participant contract deployed via [`ShardConfig::workloads`]. Its
 /// `prepare` function is invoked as `(op_id, args…)` and must either
 /// reserve its effects under the op id (YES vote), reject with a
@@ -303,7 +298,7 @@ pub struct ShardReport {
 /// `commit(op_id)` / `abort(op_id)` finalize functions.
 #[derive(Clone, Debug)]
 pub struct OpLeg {
-    /// Routing key: decides the shard and feeds admission control.
+    /// Routing key: decides the shard.
     pub key: String,
     /// Participant chaincode name.
     pub chaincode: String,
@@ -313,9 +308,9 @@ pub struct OpLeg {
     pub args: Vec<Vec<u8>>,
 }
 
-/// An operation scheduled through the deployment's router and — when its
-/// legs land on different shards — its 2PC orchestrator. This is the one
-/// thing the driver runs: a transfer is an `OpSpec` built by
+/// An operation scheduled through the deployment's shard map and — when
+/// its legs land on different shards — its 2PC orchestrator. This is the
+/// one thing the driver runs: a transfer is an `OpSpec` built by
 /// [`ShardedDeployment::schedule_transfer`], and scenario crates (e.g.
 /// the TPC-C workload) describe their multi-shard transactions as an
 /// `OpSpec` instead of forking the deployment.
@@ -410,7 +405,7 @@ enum TagKind {
 pub struct ShardedDeployment {
     cfg: ShardConfig,
     clusters: Vec<ClusterSim>,
-    router: ShardRouter,
+    map: ShardMap,
     now: SimTime,
     /// Every operation the driver runs, transfers included.
     ops: Vec<Op>,
@@ -430,23 +425,29 @@ pub struct ShardedDeployment {
 
 impl ShardedDeployment {
     /// Build the deployment: S clusters (each deploying the transfer and
-    /// coordinator contracts on every replica) plus the shard router.
+    /// coordinator contracts on every replica) plus the shard map.
     pub fn new(cfg: ShardConfig) -> Result<ShardedDeployment, ShardError> {
+        let mut map = ShardMap::new(cfg.shards);
+        for (prefix, shard) in &cfg.pins {
+            if *shard >= map.shards() {
+                return Err(ShardError::PinOutOfRange {
+                    prefix: prefix.clone(),
+                    shard: *shard,
+                    shards: map.shards(),
+                });
+            }
+            map.pin_prefix(prefix, *shard);
+        }
         let mut clusters = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let cluster = ClusterSim::new(cfg.cluster_config(s))
                 .map_err(|source| ShardError::Cluster { shard: s, source })?;
             clusters.push(cluster);
         }
-        let mut map = ShardMap::new(cfg.shards);
-        for (prefix, shard) in &cfg.pins {
-            map.pin_prefix(prefix, *shard);
-        }
-        let router = ShardRouter::new(map, cfg.admission_rate_per_sec, cfg.admission_burst);
         Ok(ShardedDeployment {
             cfg,
             clusters,
-            router,
+            map,
             now: SimTime::ZERO,
             ops: Vec::new(),
             transfers: Vec::new(),
@@ -489,7 +490,7 @@ impl ShardedDeployment {
 
     /// The shard owning an account.
     pub fn shard_of_account(&self, acct: &str) -> usize {
-        self.router.map().shard_for_key(&format!("acct~{acct}"))
+        self.map.shard_for_key(&format!("acct~{acct}"))
     }
 
     fn mint_tag(&mut self, kind: TagKind) -> u64 {
@@ -510,10 +511,8 @@ impl ShardedDeployment {
     /// Schedule a transfer. Routed by the two account keys: same shard ⇒
     /// a single atomic `transfer` transaction; different shards ⇒ the
     /// full 2PC protocol. Returns the transfer's index into
-    /// [`ShardReport::transfers`].
-    ///
-    /// Schedule in non-decreasing `at` order (admission buckets refill
-    /// from the schedule clock).
+    /// [`ShardReport::transfers`]. `at` must not be before
+    /// [`ShardedDeployment::now`].
     pub fn schedule_transfer(&mut self, at: SimTime, src: &str, dst: &str, amount: u64) -> usize {
         let ordinal = self.transfers.len() as u64;
         let amount_be = amount.to_be_bytes().to_vec();
@@ -554,10 +553,8 @@ impl ShardedDeployment {
     /// ⇒ the `direct` transaction runs atomically there; spread across
     /// shards ⇒ the full 2PC protocol over each leg's participant
     /// chaincode, coordinated from the first leg's shard. Returns the op's
-    /// index (see [`ShardedDeployment::op`]).
-    ///
-    /// Schedule in non-decreasing `at` order, interleaved freely with
-    /// transfers (both share the router's admission buckets).
+    /// index (see [`ShardedDeployment::op`]). `at` must not be before
+    /// [`ShardedDeployment::now`]; ops interleave freely with transfers.
     pub fn schedule_op(&mut self, at: SimTime, spec: OpSpec) -> usize {
         let ordinal = self.scheduled_ops.len() as u64;
         // A salt disjoint from the transfers', so op traces never collide
@@ -568,18 +565,16 @@ impl ShardedDeployment {
         self.scheduled_ops.len() - 1
     }
 
-    /// Admit and route `spec`, submit its first transaction (the direct
-    /// one, or the coordinator `begin`), and return its index in `ops`.
-    /// Every phase span and every per-shard leg parents under `ctx`.
+    /// Route `spec`, submit its first transaction (the direct one, or the
+    /// coordinator `begin`), and return its index in `ops`. Every phase
+    /// span and every per-shard leg parents under `ctx`.
     fn start_op(&mut self, at: SimTime, spec: OpSpec, ctx: TraceContext) -> usize {
-        let admitted = self
-            .router
-            .admit(spec.legs.iter().map(|l| l.key.as_str()), at.as_micros());
+        let route = self.map.route(spec.legs.iter().map(|l| l.key.as_str()));
         let legs: Vec<LegPlan> = spec
             .legs
             .iter()
             .map(|l| LegPlan {
-                shard: self.router.map().shard_for_key(&l.key),
+                shard: self.map.shard_for_key(&l.key),
                 chaincode: l.chaincode.clone(),
                 prepare: l.prepare.clone(),
                 args: l.args.clone(),
@@ -607,15 +602,8 @@ impl ShardedDeployment {
             no_reason: None,
         };
         let o = self.ops.len();
-        match admitted {
-            Err(_) => {
-                op.rec.status = TransferStatus::Shed;
-                if let Some(m) = &self.metrics {
-                    m.aborts_admission.inc();
-                }
-                self.ops.push(op);
-            }
-            Ok(Route::Single(shard)) => {
+        match route {
+            Route::Single(shard) => {
                 op.rec.cross = false;
                 op.direct_shard = shard;
                 op.state = OpState::WaitDirect;
@@ -628,7 +616,7 @@ impl ShardedDeployment {
                 let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
                 self.clusters[shard].schedule_call(at, &cc, &function, args, tag, Some(leg_ctx));
             }
-            Ok(Route::Cross(_)) => {
+            Route::Cross(_) => {
                 op.rec.cross = true;
                 op.state = OpState::WaitBegin;
                 if let Some(m) = &self.metrics {
@@ -680,7 +668,7 @@ impl ShardedDeployment {
     /// Advance every shard cluster, in lock step, to `end`.
     pub fn run_until(&mut self, end: SimTime) {
         while self.now < end {
-            let next = (self.now + self.cfg.slice).min(end);
+            let next = (self.now + SLICE).min(end);
             for cluster in &mut self.clusters {
                 cluster.run_until(next);
             }
@@ -702,7 +690,7 @@ impl ShardedDeployment {
                     inflight: self.inflight().count(),
                 });
             }
-            let next = (self.now + self.cfg.slice).min(deadline);
+            let next = (self.now + SLICE).min(deadline);
             self.run_until(next);
         }
     }
@@ -1212,12 +1200,10 @@ impl ShardedDeployment {
             .collect();
         let mut committed = 0;
         let mut aborted = 0;
-        let mut shed = 0;
         for t in &transfers {
             match t.status {
                 TransferStatus::Committed => committed += 1,
                 TransferStatus::Aborted { .. } => aborted += 1,
-                TransferStatus::Shed => shed += 1,
                 TransferStatus::InFlight => {}
             }
         }
@@ -1228,7 +1214,6 @@ impl ShardedDeployment {
             opened_total: self.opened_total,
             committed,
             aborted,
-            shed,
             redrives: self.redrives,
             shards,
         }
@@ -1268,5 +1253,28 @@ impl ShardedDeployment {
             });
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric_store::testdir::TestDir;
+
+    #[test]
+    fn pin_to_a_missing_shard_is_an_error() {
+        let dir = TestDir::new("shard-bad-pin");
+        let mut cfg = ShardConfig::new(dir.path(), 2, 7);
+        cfg.pins.push(("acct~alice".into(), 2));
+        let err = ShardedDeployment::new(cfg)
+            .err()
+            .expect("pin to shard 2 of 2");
+        assert!(
+            matches!(
+                &err,
+                ShardError::PinOutOfRange { prefix, shard: 2, shards: 2 } if prefix == "acct~alice"
+            ),
+            "{err}"
+        );
     }
 }

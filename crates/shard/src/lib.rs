@@ -6,7 +6,7 @@
 //!
 //! * `ledgerview_gateway::shardmap` — deterministic key→shard routing
 //!   (FNV-1a of the routing prefix, explicit pins for composite
-//!   namespaces) and all-or-nothing cross-shard admission.
+//!   namespaces).
 //! * `ledgerview_cluster` — one [`ClusterSim`](ledgerview_cluster::ClusterSim)
 //!   per shard: Raft ordering, leader rerouting, watchdog resubmission,
 //!   crash/partition faults, disk-backed peers.
@@ -20,10 +20,10 @@
 //!   (`schedule_transfer` builds its `OpSpec`); scenario crates such as
 //!   the TPC-C workload bring their own through `schedule_op`.
 //!
-//! Single-shard operations never pay the 2PC cost: the router detects
-//! that every leg lives on one channel and submits the spec's one atomic
-//! `direct` transaction (for a transfer, `transfer`). That asymmetry is
-//! the whole point of the deployment —
+//! Single-shard operations never pay the 2PC cost: when the shard map
+//! puts every leg on one channel, the deployment submits the spec's one
+//! atomic `direct` transaction (for a transfer, `transfer`). That
+//! asymmetry is the whole point of the deployment —
 //! `tests/virtual_time_goldens.rs::shard_scale_out` pins how aggregate
 //! throughput scales with the shard count as the cross-shard fraction
 //! grows.

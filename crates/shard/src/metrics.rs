@@ -24,7 +24,6 @@ pub(crate) struct ShardMetrics {
     /// Aborted transfers, by reason.
     pub aborts_vote: Counter,
     pub aborts_insufficient: Counter,
-    pub aborts_admission: Counter,
     /// 2PC legs re-driven from the replicated decision record after an
     /// MVCC invalidation or failover.
     pub redrives: Counter,
@@ -51,7 +50,6 @@ impl ShardMetrics {
             aborts_vote: r.counter("lv_shard_aborts_total", &[("reason", "prepare_vote")]),
             aborts_insufficient: r
                 .counter("lv_shard_aborts_total", &[("reason", "insufficient_funds")]),
-            aborts_admission: r.counter("lv_shard_aborts_total", &[("reason", "admission")]),
             redrives: r.counter("lv_shard_redrives_total", &[]),
             coordinator_proc: telemetry.tracer().process("xfer-coordinator"),
         }

@@ -101,8 +101,6 @@ pub struct LsmConfig {
     pub block_cache_bytes: usize,
     /// Byte budget for the hot-key row cache.
     pub row_cache_bytes: usize,
-    /// Bloom filter density (bits per key).
-    pub bloom_bits_per_key: u32,
     /// Compact L0 into L1 once this many L0 tables accumulate.
     pub l0_compact_tables: usize,
     /// Byte budget of L1; level *i* gets `level_base_bytes·growth^(i-1)`.
@@ -123,7 +121,6 @@ impl LsmConfig {
             table_target_bytes: 2 << 20,
             block_cache_bytes: 8 << 20,
             row_cache_bytes: 4 << 20,
-            bloom_bits_per_key: 10,
             l0_compact_tables: 4,
             level_base_bytes: 16 << 20,
             level_growth: 10,
@@ -153,11 +150,6 @@ impl LsmConfig {
 
     pub fn row_cache_bytes(mut self, n: usize) -> LsmConfig {
         self.row_cache_bytes = n;
-        self
-    }
-
-    pub fn bloom_bits_per_key(mut self, n: u32) -> LsmConfig {
-        self.bloom_bits_per_key = n;
         self
     }
 
@@ -560,12 +552,7 @@ impl Lsm {
             let flush_start = std::time::Instant::now();
             let records = self.mem.drain();
             let seq = self.alloc_seq();
-            let mut builder = TableBuilder::create(
-                &self.config.dir,
-                seq,
-                self.config.block_bytes,
-                self.config.bloom_bits_per_key,
-            )?;
+            let mut builder = TableBuilder::create(&self.config.dir, seq, self.config.block_bytes)?;
             for (key, entry) in &records {
                 builder.add(key, entry.value.as_deref(), entry.version)?;
             }
@@ -902,12 +889,7 @@ fn write_merged_tables(
         if builder.is_none() {
             let seq = *next_seq;
             *next_seq += 1;
-            builder = Some(TableBuilder::create(
-                &config.dir,
-                seq,
-                config.block_bytes,
-                config.bloom_bits_per_key,
-            )?);
+            builder = Some(TableBuilder::create(&config.dir, seq, config.block_bytes)?);
         }
         let b = builder.as_mut().expect("builder just ensured");
         b.add(&record.key, record.value.as_deref(), record.version)?;

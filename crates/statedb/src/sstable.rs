@@ -36,6 +36,8 @@ use crate::Version;
 
 const TABLE_MAGIC: u64 = 0x4c56_5354_4442_3031; // "LVSTDB01"
 const FOOTER_BYTES: usize = 60;
+/// Bloom filter density of every table (bits per key).
+const BLOOM_BITS_PER_KEY: u32 = 10;
 
 /// One decoded record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -232,7 +234,6 @@ pub struct TableBuilder {
     file: File,
     seq: u64,
     block_bytes: usize,
-    bloom_bits_per_key: u32,
     current: Vec<u8>,
     current_first_key: Option<String>,
     index: Vec<IndexEntry>,
@@ -243,12 +244,7 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    pub fn create(
-        dir: &Path,
-        seq: u64,
-        block_bytes: usize,
-        bloom_bits_per_key: u32,
-    ) -> Result<TableBuilder, StoreError> {
+    pub fn create(dir: &Path, seq: u64, block_bytes: usize) -> Result<TableBuilder, StoreError> {
         let path = dir.join(table_file_name(seq));
         // read+write: `finish` hands the same descriptor to the reader.
         let file = OpenOptions::new()
@@ -263,7 +259,6 @@ impl TableBuilder {
             file,
             seq,
             block_bytes: block_bytes.max(256),
-            bloom_bits_per_key,
             current: Vec::new(),
             current_first_key: None,
             index: Vec::new(),
@@ -337,7 +332,7 @@ impl TableBuilder {
         let bloom = Bloom::build(
             self.keys.iter().map(String::as_str),
             self.keys.len(),
-            self.bloom_bits_per_key,
+            BLOOM_BITS_PER_KEY,
         );
         let filter_frame = frame(&bloom.encode());
         let filter_off = self.offset;
@@ -636,7 +631,7 @@ mod tests {
     }
 
     fn build_table(dir: &Path, seq: u64, n: usize, block_bytes: usize) -> Table {
-        let mut b = TableBuilder::create(dir, seq, block_bytes, 10).unwrap();
+        let mut b = TableBuilder::create(dir, seq, block_bytes).unwrap();
         for i in 0..n {
             let key = format!("key-{i:05}");
             if i % 7 == 3 {
@@ -754,7 +749,7 @@ mod tests {
     #[test]
     fn empty_builder_refuses_to_finish() {
         let dir = TestDir::new("statedb-sst-empty");
-        let b = TableBuilder::create(dir.path(), 9, 256, 10).unwrap();
+        let b = TableBuilder::create(dir.path(), 9, 256).unwrap();
         assert!(b.finish(false).is_err());
     }
 

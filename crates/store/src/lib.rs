@@ -94,21 +94,17 @@ pub struct StorageConfig {
     /// Checkpoint (sync the block file, flush the LSM memtable) every this
     /// many blocks; recovery replays at most this many blocks.
     pub checkpoint_every_blocks: u64,
-    /// Sparse-index stride: one index entry per this many blocks. Reads
-    /// skip at most `index_every - 1` frame headers.
-    pub index_every: u64,
 }
 
 impl StorageConfig {
     /// Defaults: `EveryN(512)` fsync (one sync per several 100-tx blocks
     /// — a smaller stride would force one fsync per block), checkpoint
-    /// every 256 blocks, index stride 16.
+    /// every 256 blocks.
     pub fn new(dir: impl Into<PathBuf>) -> StorageConfig {
         StorageConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::EveryN(512),
             checkpoint_every_blocks: 256,
-            index_every: 16,
         }
     }
 
@@ -121,12 +117,6 @@ impl StorageConfig {
     /// Set the checkpoint/compaction interval in blocks (clamped to ≥ 1).
     pub fn checkpoint_every(mut self, blocks: u64) -> StorageConfig {
         self.checkpoint_every_blocks = blocks.max(1);
-        self
-    }
-
-    /// Set the sparse-index stride in blocks (clamped to ≥ 1).
-    pub fn index_every(mut self, blocks: u64) -> StorageConfig {
-        self.index_every = blocks.max(1);
         self
     }
 
@@ -147,16 +137,11 @@ mod tests {
         assert_eq!(cfg.dir, PathBuf::from("/x"));
         assert_eq!(cfg.fsync, FsyncPolicy::EveryN(512));
         assert_eq!(cfg.checkpoint_every_blocks, 256);
-        assert_eq!(cfg.index_every, 16);
         assert_eq!(cfg.clone().wal_segment_bytes(1), cfg, "a no-op");
 
-        let cfg = cfg
-            .fsync(FsyncPolicy::Never)
-            .checkpoint_every(0)
-            .index_every(0);
+        let cfg = cfg.fsync(FsyncPolicy::Never).checkpoint_every(0);
         assert_eq!(cfg.fsync, FsyncPolicy::Never);
         assert_eq!(cfg.checkpoint_every_blocks, 1, "clamped to at least 1");
-        assert_eq!(cfg.index_every, 1, "clamped to at least 1");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The TPC-C-class scenario driver: populate, run the five-profile mix
-//! through the sharded deployment's admission/2PC pipeline, sweep the
+//! through the sharded deployment's 2PC pipeline, sweep the
 //! consistency invariants (also mid-run and under faults), and layer the
 //! per-warehouse views and viewing-key confidential reads on top.
 //!
@@ -87,7 +87,7 @@ impl TpccConfig {
 }
 
 /// Per-profile outcome counters and latency percentiles (virtual time,
-/// admission to terminal state).
+/// submission to terminal state).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileStats {
     /// Transactions dealt for this profile.
@@ -96,7 +96,8 @@ pub struct ProfileStats {
     pub committed: u64,
     /// Aborted by the protocol or left unfinished.
     pub aborted: u64,
-    /// Refused at admission.
+    /// Always 0: the sharded deployment refuses no operation. Kept because
+    /// `lvbench` reads it.
     pub shed: u64,
     /// Median commit latency, microseconds of virtual time.
     pub p50_us: u64,
@@ -514,10 +515,6 @@ pub fn run(cfg: &TpccConfig, telemetry: &Telemetry) -> Result<TpccReport, ShardE
                     } else {
                         single_committed += 1;
                     }
-                }
-                TransferStatus::Shed => {
-                    stats.shed += 1;
-                    metrics.inc_aborted(profile);
                 }
                 _ => {
                     stats.aborted += 1;

@@ -8,7 +8,7 @@
 //!   the five classic transaction profiles at their 45/43/4/4/4 shares
 //!   ([`mix`]) implemented as a fabric-sim chaincode with 2PC
 //!   participant legs for cross-warehouse work ([`contract`]); a driver
-//!   that pushes the deck through the sharded deployment's admission,
+//!   that pushes the deck through the sharded deployment's routing,
 //!   replication, and cross-shard 2PC pipeline — optionally under a
 //!   fault schedule — while sweeping TPC-C's consistency-style
 //!   invariants on live committed state ([`driver`], [`invariants`]).

@@ -12,7 +12,7 @@ pub(crate) struct WorkloadMetrics {
     submitted: BTreeMap<TxProfile, Counter>,
     /// Committed transactions by profile.
     committed: BTreeMap<TxProfile, Counter>,
-    /// Aborted or shed transactions by profile.
+    /// Aborted transactions by profile.
     aborted: BTreeMap<TxProfile, Counter>,
     /// Wall-clock cost of one invariant sweep (the only real-time metric
     /// here: it measures the checker, not the simulation).

@@ -30,7 +30,7 @@ pub const INITIAL_STOCK: u64 = 50;
 pub const TPCC_CC: &str = "wl.tpcc";
 
 /// `wh~w<W>~meta` — the warehouse row (fields: `ytd`). Also the routing
-/// key for admission and shard resolution of anything touching `w`.
+/// key for shard resolution of anything touching `w`.
 pub fn warehouse_key(w: u64) -> String {
     format!("wh~w{w}~meta")
 }

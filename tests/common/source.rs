@@ -1,7 +1,8 @@
 //! The source scan the inventory tests share: which files make up the
 //! workspace's crates, and their text with comments and literals blanked
 //! so that only code is searched. Included by path from
-//! `tests/unsafe_inventory.rs` and `tests/panic_inventory.rs`.
+//! `tests/unsafe_inventory.rs`, `tests/panic_inventory.rs` and
+//! `tests/config_inventory.rs`.
 
 use std::path::{Path, PathBuf};
 
