@@ -33,7 +33,7 @@ use fabric_sim::{FabricChain, LsmState, StorageConfig};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_gateway::{reorder, CounterChaincode, RetryPolicy};
-use ledgerview_simnet::{Region, SimTime, Simulation};
+use ledgerview_simnet::{LatencyMatrix, Region, SimTime, Simulation};
 use ledgerview_telemetry::{Telemetry, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,8 +216,14 @@ pub struct ClusterReport {
     pub catchups: Vec<CatchupRecord>,
 }
 
+/// Region hosting every orderer (the paper co-locates all three).
+const ORDERER_REGION: Region = Region::ASIA_SOUTHEAST;
+
 struct World {
     cfg: ClusterConfig,
+    /// One-way link latencies between regions: the paper's three GCP
+    /// regions.
+    latency: LatencyMatrix,
     orderers: Vec<Orderer>,
     peers: Vec<Peer>,
     /// The ordering-side endorsing chain: clients endorse against it, and
@@ -331,11 +337,13 @@ impl World {
             && self.partition_group[a] == self.partition_group[b]
     }
 
+    /// One-way link latency from the ordering service to `region`.
+    fn orderer_latency_to(&self, region: Region) -> SimTime {
+        self.latency.latency(ORDERER_REGION, region)
+    }
+
     fn orderer_link_delay(&self, from: NodeId, to: NodeId) -> SimTime {
-        let base = self
-            .cfg
-            .latency
-            .latency(self.cfg.orderer_region, self.cfg.orderer_region);
+        let base = self.orderer_latency_to(ORDERER_REGION);
         match self.slow.get(&(from, to)) {
             Some(&factor) => base.scaled(factor.max(1)),
             None => base,
@@ -343,7 +351,7 @@ impl World {
     }
 
     fn transfer_delay(&self, region: Region, bytes: u64) -> SimTime {
-        let wire = self.cfg.latency.latency(self.cfg.orderer_region, region);
+        let wire = self.orderer_latency_to(region);
         let bw = self.cfg.catchup_bandwidth_bytes_per_sec.max(1);
         wire + SimTime::from_micros(bytes.saturating_mul(1_000_000) / bw)
     }
@@ -502,10 +510,7 @@ impl World {
     fn disseminate(&mut self, block_num: u64, sim: &mut Sim) {
         for p in 0..self.peers.len() {
             if self.peers[p].chain.is_some() {
-                let delay = self
-                    .cfg
-                    .latency
-                    .latency(self.cfg.orderer_region, self.peers[p].region);
+                let delay = self.orderer_latency_to(self.peers[p].region);
                 sim.schedule_in(delay, move |w: &mut World, s| w.on_deliver(p, block_num, s));
             }
             if let Some(m) = &self.metrics {
@@ -834,10 +839,7 @@ impl World {
             return;
         }
         let target = self.believed_leader;
-        let delay = self
-            .cfg
-            .latency
-            .latency(self.cfg.orderer_region, self.cfg.orderer_region);
+        let delay = self.orderer_latency_to(ORDERER_REGION);
         sim.schedule_in(delay, move |w: &mut World, s| {
             w.on_proposal_arrive(batch_id, target, attempt, s);
         });
@@ -1134,6 +1136,7 @@ impl ClusterSim {
         let partition_group = vec![0u8; config.orderers.max(1)];
         let mut world = World {
             cfg: config,
+            latency: LatencyMatrix::gcp_three_regions(),
             orderers,
             peers,
             endorser,

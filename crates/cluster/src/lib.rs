@@ -47,7 +47,7 @@ use fabric_sim::parallel::ValidationConfig;
 use fabric_sim::raft::RaftConfig;
 use fabric_store::FsyncPolicy;
 use ledgerview_gateway::ReorderConfig;
-use ledgerview_simnet::{LatencyMatrix, Region, SimTime};
+use ledgerview_simnet::{Region, SimTime};
 
 pub use batch::OrderedBatch;
 pub use cluster::{CatchupRecord, ClusterReport, ClusterSim, InvokeOutcome};
@@ -80,10 +80,6 @@ pub struct ClusterConfig {
     pub identity_seed: u64,
     /// Raft election/heartbeat timing.
     pub raft: RaftConfig,
-    /// One-way link latencies between regions.
-    pub latency: LatencyMatrix,
-    /// Region hosting every orderer (the paper co-locates all three).
-    pub orderer_region: Region,
     /// Peer regions, cycled when there are more peers than entries.
     pub peer_regions: Vec<Region>,
     /// Period of the ordering service's block cutter: pending endorsed
@@ -135,8 +131,6 @@ impl ClusterConfig {
             seed,
             identity_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             raft: RaftConfig::default(),
-            latency: LatencyMatrix::gcp_three_regions(),
-            orderer_region: Region::ASIA_SOUTHEAST,
             peer_regions: vec![
                 Region::EUROPE_NORTH,
                 Region::NA_NORTHEAST,

@@ -137,11 +137,6 @@ impl Identity {
     pub fn open(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
         ledgerview_crypto::keys::open(&self.encryption, ciphertext)
     }
-
-    /// Access the raw encryption key pair (for delegation scenarios).
-    pub fn encryption_keypair(&self) -> &EncryptionKeyPair {
-        &self.encryption
-    }
 }
 
 struct OrgCa {

@@ -389,21 +389,10 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Rebuild a store from recovered blocks, re-verifying numbering, the
-    /// previous-hash chain and every data hash (a recovered ledger gets the
-    /// same scrutiny as a live one).
-    pub fn restore(blocks: Vec<Block>) -> Result<BlockStore, FabricError> {
-        let mut store = BlockStore::new();
-        for block in blocks {
-            store.append(block)?;
-        }
-        Ok(store)
-    }
-
-    /// Rebuild a pruned store from a snapshot anchor plus the delta blocks
-    /// recovered above it, with the same verification as [`restore`].
-    ///
-    /// [`restore`]: BlockStore::restore
+    /// Rebuild a store from a snapshot anchor (`0` and `Digest::ZERO` for
+    /// a full store) plus the blocks recovered above it, re-verifying
+    /// numbering, the previous-hash chain and every data hash (a recovered
+    /// ledger gets the same scrutiny as a live one).
     pub fn restore_pruned(
         base: u64,
         base_prev_hash: Digest,

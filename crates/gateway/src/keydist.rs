@@ -82,12 +82,8 @@ pub fn unit(h: u64) -> f64 {
 /// SplitMix64 finalizer: a high-quality 64-bit mix used to derive
 /// per-index randomness without any shared RNG state, so generated
 /// workloads never depend on the order unrelated items were processed in.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The one copy is telemetry's, which derives trace ids with it.
+pub use ledgerview_telemetry::splitmix64 as mix64;
 
 #[cfg(test)]
 mod tests {

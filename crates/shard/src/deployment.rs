@@ -1167,11 +1167,6 @@ impl ShardedDeployment {
         }
     }
 
-    /// Protocol errors accumulated so far (empty on a healthy run).
-    pub fn protocol_errors(&self) -> &[String] {
-        &self.errors
-    }
-
     /// Per-shard canonical state roots at the committed tip. Bit-
     /// identical across same-seed runs.
     pub fn state_roots(&self) -> Vec<Digest> {

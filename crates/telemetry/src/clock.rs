@@ -1,15 +1,14 @@
-//! Clock sources for span timing: wall clock or externally driven virtual
-//! time.
+//! The clock guard spans are timed against.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Where "now" comes from, in microseconds.
 ///
-/// The tracer is clock-agnostic: under the wall clock a span's duration is
-/// real elapsed time; under a [`VirtualClock`] driven by the discrete-event
-/// simulator it is *virtual* elapsed time, so traces of simulated runs show
-/// the same timeline the latency figures report.
+/// Guard spans ([`crate::Tracer::span`]) read it when they open and close.
+/// Virtual-time spans do not: discrete-event runs pass their simulated
+/// timestamps explicitly to [`crate::Tracer::record_manual`] and
+/// [`crate::Tracer::record_linked`], so their traces show the same
+/// timeline the latency figures report.
 pub trait ClockSource: Send + Sync {
     /// Current time in microseconds since the clock's epoch.
     fn now_us(&self) -> u64;
@@ -42,33 +41,6 @@ impl ClockSource for WallClock {
     }
 }
 
-/// An externally driven clock: whoever owns the simulation advances it.
-///
-/// `advance_to` is monotonic (it never moves time backwards), so event
-/// handlers can set it unconditionally from `Simulation::now()`.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now_us: AtomicU64,
-}
-
-impl VirtualClock {
-    /// A virtual clock at time zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Advance the clock to `us` (no-op if time already passed it).
-    pub fn advance_to(&self, us: u64) {
-        self.now_us.fetch_max(us, Ordering::Relaxed);
-    }
-}
-
-impl ClockSource for VirtualClock {
-    fn now_us(&self) -> u64 {
-        self.now_us.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,16 +51,5 @@ mod tests {
         let a = clock.now_us();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(clock.now_us() > a);
-    }
-
-    #[test]
-    fn virtual_clock_is_monotonic() {
-        let clock = VirtualClock::new();
-        assert_eq!(clock.now_us(), 0);
-        clock.advance_to(500);
-        clock.advance_to(200); // ignored: time never rewinds
-        assert_eq!(clock.now_us(), 500);
-        clock.advance_to(900);
-        assert_eq!(clock.now_us(), 900);
     }
 }

@@ -15,10 +15,11 @@
 //!   parent/child nesting, a bounded ring buffer of recent spans, and a
 //!   Chrome `trace_event` exporter ([`Tracer::chrome_trace_json`]) whose
 //!   output opens directly in `chrome://tracing` / Perfetto.
-//! * [`ClockSource`] — spans are timed against either the wall clock
-//!   ([`WallClock`]) or an externally driven virtual clock
-//!   ([`VirtualClock`], fed by `simnet`'s `SimTime`), so traces of
-//!   discrete-event runs show *virtual* phase timelines.
+//! * [`ClockSource`] — guard spans are timed against the wall clock
+//!   ([`WallClock`]); discrete-event runs record their spans with explicit
+//!   virtual timestamps ([`Tracer::record_manual`],
+//!   [`Tracer::record_linked`]), so their traces show *virtual* phase
+//!   timelines.
 //! * [`promlint`] — the small in-repo lint CI runs over every exposition
 //!   (unique names, `_total`/`_seconds` suffix conventions, known
 //!   subsystem families).
@@ -48,7 +49,7 @@ pub mod promlint;
 pub mod registry;
 pub mod tracer;
 
-pub use clock::{ClockSource, VirtualClock, WallClock};
+pub use clock::{ClockSource, WallClock};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use profiler::{profile_spans, PhaseCost, Profile};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
@@ -81,12 +82,7 @@ impl Telemetry {
 
     /// Telemetry timing spans against the wall clock.
     pub fn wall_clock() -> Telemetry {
-        Telemetry::with_clock(Arc::new(WallClock::new()))
-    }
-
-    /// Telemetry timing spans against an explicit clock source (pass a
-    /// [`VirtualClock`] to trace discrete-event runs in virtual time).
-    pub fn with_clock(clock: Arc<dyn ClockSource>) -> Telemetry {
+        let clock = Arc::new(WallClock::new());
         Telemetry {
             registry: Arc::new(MetricsRegistry::new()),
             tracer: Arc::new(Tracer::new(clock, Self::DEFAULT_SPAN_CAPACITY)),

@@ -195,11 +195,6 @@ impl Tracer {
         self.ring.lock().unwrap().evicted
     }
 
-    /// The clock this tracer reads.
-    pub fn clock(&self) -> &Arc<dyn ClockSource> {
-        &self.clock
-    }
-
     /// Intern a named Perfetto process lane (one per orderer/peer node)
     /// and return its pid. The same name always resolves to the same id.
     pub fn process(&self, name: &str) -> u64 {
@@ -468,7 +463,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{VirtualClock, WallClock};
+    use crate::clock::WallClock;
 
     fn wall_tracer(capacity: usize) -> Tracer {
         Tracer::new(Arc::new(WallClock::new()), capacity)
@@ -522,9 +517,7 @@ mod tests {
 
     #[test]
     fn manual_records_use_virtual_time_and_named_tracks() {
-        let clock = Arc::new(VirtualClock::new());
-        let t = Tracer::new(clock.clone(), 64);
-        clock.advance_to(1_000);
+        let t = wall_tracer(64);
         t.record_manual("order.batch", 250, 900, "orderer");
         t.record_manual("validate.block", 900, 1_000, "validator");
         let spans = t.recent();
@@ -589,8 +582,7 @@ mod tests {
 
     #[test]
     fn linked_records_carry_process_lane_and_trace_args() {
-        let clock = Arc::new(VirtualClock::new());
-        let t = Tracer::new(clock, 64);
+        let t = wall_tracer(64);
         let orderer = t.process("orderer-0");
         let peer = t.process("peer-1");
         assert_ne!(orderer, peer);

@@ -1,7 +1,7 @@
 //! The TPC-C-class scenario driver: populate, run the five-profile mix
 //! through the sharded deployment's 2PC pipeline, sweep the
 //! consistency invariants (also mid-run and under faults), and layer the
-//! per-warehouse views and viewing-key confidential reads on top.
+//! per-warehouse views on top.
 //!
 //! Everything downstream of the config is deterministic: the deck, the
 //! parameters, the fault schedule, and the lock-step deployment are all
@@ -33,7 +33,6 @@ use ledgerview_shard::{OpLeg, OpSpec, ShardConfig, ShardError, ShardedDeployment
 use ledgerview_simnet::SimTime;
 use ledgerview_telemetry::Telemetry;
 
-use crate::confidential::{ConfidentialStore, Denial, ViewingKey};
 use crate::contract::TpccContract;
 use crate::invariants;
 use crate::metrics::WorkloadMetrics;
@@ -105,23 +104,6 @@ pub struct ProfileStats {
     pub p99_us: u64,
 }
 
-/// What the viewing-key confidential exercise observed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ConfidentialOutcome {
-    /// Customer records ingested (encrypted) into the audited scope.
-    pub entries: u64,
-    /// Reads that decrypted for the granted auditor.
-    pub granted_reads: u64,
-    /// `NoGrant` denials observed (outsider).
-    pub no_grant_denials: u64,
-    /// `PolicyDenied` denials observed (granted key, wrong role).
-    pub policy_denials: u64,
-    /// `BadKey` denials observed (fabricated key).
-    pub bad_key_denials: u64,
-    /// `Revoked` denials observed (key used after rotation).
-    pub revoked_denials: u64,
-}
-
 /// The end-of-run report; bit-identical across reruns of the same config.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TpccReport {
@@ -161,8 +143,6 @@ pub struct TpccReport {
     pub state_roots: Vec<String>,
     /// View-layer audit, when `views` was on.
     pub views: Option<ViewsOutcome>,
-    /// The confidential viewing-key exercise (always runs).
-    pub confidential: ConfidentialOutcome,
 }
 
 fn next_id(n: &mut u64) -> String {
@@ -216,63 +196,6 @@ fn sweep_local(
         .invariant_check_us
         .observe(t0.elapsed().as_micros() as u64);
     Ok(checks)
-}
-
-fn exercise_confidential(
-    dep: &ShardedDeployment,
-    cfg: &TpccConfig,
-    metrics: &WorkloadMetrics,
-) -> ConfidentialOutcome {
-    let mut out = ConfidentialOutcome::default();
-    let mut store = ConfidentialStore::new(cfg.seed);
-    let scope = "w0";
-    // Ingest warehouse 0's committed customer records, encrypted under
-    // the scope key.
-    let rows = dep.cluster(0).canonical_state().prefix_scan("wh~w0~cust~");
-    for (key, value) in &rows {
-        store.put(scope, key, value);
-    }
-    out.entries = store.scope_len(scope) as u64;
-
-    store.assign_role("auditor-0", "auditor");
-    let vk = store.grant("auditor-0", scope);
-    metrics.viewing_grants.inc();
-    for (key, value) in &rows {
-        match store.read("auditor-0", &vk, scope, key) {
-            Ok(pt) => {
-                assert_eq!(&pt, value, "decrypted record differs from canonical state");
-                out.granted_reads += 1;
-            }
-            Err(e) => panic!("granted auditor denied on {key}: {e:?}"),
-        }
-    }
-
-    let probe = rows.first().map(|(k, _)| k.as_str()).unwrap_or("none");
-    // An outsider with a stolen key has no grant at all.
-    if store.read("outsider", &vk, scope, probe) == Err(Denial::NoGrant) {
-        out.no_grant_denials += 1;
-        metrics.inc_denial("no_grant");
-    }
-    // A granted key without the auditor role fails at the policy layer.
-    store.assign_role("clerk-0", "clerk");
-    let clerk_vk = store.grant("clerk-0", scope);
-    metrics.viewing_grants.inc();
-    if store.read("clerk-0", &clerk_vk, scope, probe) == Err(Denial::PolicyDenied) {
-        out.policy_denials += 1;
-        metrics.inc_denial("policy");
-    }
-    // A fabricated key is caught by the stored hash.
-    if store.read("auditor-0", &ViewingKey([0u8; 32]), scope, probe) == Err(Denial::BadKey) {
-        out.bad_key_denials += 1;
-        metrics.inc_denial("bad_key");
-    }
-    // Revocation rotates the scope; the old key is dead.
-    store.revoke("auditor-0", scope);
-    if store.read("auditor-0", &vk, scope, probe) == Err(Denial::Revoked) {
-        out.revoked_denials += 1;
-        metrics.inc_denial("revoked");
-    }
-    out
 }
 
 /// Run one configured scenario end to end and return its report.
@@ -565,9 +488,6 @@ pub fn run(cfg: &TpccConfig, telemetry: &Telemetry) -> Result<TpccReport, ShardE
         None
     };
 
-    // ---- viewing-key confidential exercise over committed state ----
-    let confidential = exercise_confidential(&dep, cfg, &metrics);
-
     let elections: u64 = (0..cfg.shards)
         .map(|s| dep.cluster(s).report().elections)
         .sum();
@@ -590,7 +510,6 @@ pub fn run(cfg: &TpccConfig, telemetry: &Telemetry) -> Result<TpccReport, ShardE
         elections,
         state_roots: dep.state_roots().iter().map(|d| d.to_hex()).collect(),
         views,
-        confidential,
     })
 }
 
@@ -637,16 +556,6 @@ mod tests {
         // Cross-warehouse payments exist at 4 warehouses / 2 shards.
         assert!(report.cross_committed > 0, "expected some 2PC traffic");
         assert!(report.invariant_checks > 0);
-        // Confidential soundness: auditor read everything, every denial
-        // class fired exactly once.
-        assert_eq!(
-            report.confidential.granted_reads,
-            report.confidential.entries
-        );
-        assert_eq!(report.confidential.no_grant_denials, 1);
-        assert_eq!(report.confidential.policy_denials, 1);
-        assert_eq!(report.confidential.bad_key_denials, 1);
-        assert_eq!(report.confidential.revoked_denials, 1);
     }
 
     #[test]

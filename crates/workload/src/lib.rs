@@ -1,6 +1,6 @@
 //! Realistic scenario workloads over the LedgerView stack.
 //!
-//! Two scenario families share one deterministic harness:
+//! Two layers share one deterministic harness:
 //!
 //! * **TPC-C-class multi-warehouse OLTP** — warehouses, districts,
 //!   customers, and stock laid out under `~`-separated composite keys
@@ -13,12 +13,8 @@
 //!   fault schedule — while sweeping TPC-C's consistency-style
 //!   invariants on live committed state ([`driver`], [`invariants`]).
 //! * **Access-controlled reads over the workload's data** — the
-//!   LedgerView per-warehouse views (each warehouse org reads only its
-//!   own customers' payment records, enforced and audited in
-//!   [`views`]), and Secret-Network-style viewing keys: per-user
-//!   HKDF-derived keys over encrypted per-scope entries, gated by a
-//!   Datalog authorization policy with delegation, where revocation
-//!   rotates the scope key ([`confidential`]).
+//!   LedgerView per-warehouse views: each warehouse org reads only its
+//!   own customers' payment records, enforced and audited in [`views`].
 //!
 //! Everything is a pure function of the run's seed and shape: same
 //! [`driver::TpccConfig`] ⇒ bit-identical [`driver::TpccReport`],
@@ -28,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod confidential;
 pub mod contract;
 pub mod driver;
 pub mod invariants;
@@ -41,8 +36,7 @@ pub mod views;
 // finalizer so the whole stack shares one hash idiom.
 pub use ledgerview_gateway::keydist::mix64;
 
-pub use confidential::{ConfidentialStore, Denial, ViewingKey};
 pub use contract::TpccContract;
-pub use driver::{run, ConfidentialOutcome, ProfileStats, TpccConfig, TpccReport};
+pub use driver::{run, ProfileStats, TpccConfig, TpccReport};
 pub use mix::{deal, ParamGen, TxProfile};
 pub use views::{ViewLayer, ViewsOutcome};

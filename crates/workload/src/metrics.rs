@@ -17,10 +17,6 @@ pub(crate) struct WorkloadMetrics {
     /// Wall-clock cost of one invariant sweep (the only real-time metric
     /// here: it measures the checker, not the simulation).
     pub invariant_check_us: HistogramHandle,
-    /// Viewing-key grants issued by the confidential layer.
-    pub viewing_grants: Counter,
-    /// Typed viewing-key denials, by reason.
-    denials: BTreeMap<&'static str, Counter>,
     /// Per-warehouse view queries, by outcome.
     pub view_queries_ok: Counter,
     pub view_queries_denied: Counter,
@@ -40,16 +36,6 @@ impl WorkloadMetrics {
             committed: per_profile("lv_workload_committed_total"),
             aborted: per_profile("lv_workload_aborted_total"),
             invariant_check_us: r.histogram("lv_workload_invariant_check_us", &[]),
-            viewing_grants: r.counter("lv_workload_viewing_grants_total", &[]),
-            denials: ["no_grant", "bad_key", "revoked", "policy"]
-                .into_iter()
-                .map(|reason| {
-                    (
-                        reason,
-                        r.counter("lv_workload_viewing_denials_total", &[("reason", reason)]),
-                    )
-                })
-                .collect(),
             view_queries_ok: r.counter("lv_workload_view_queries_total", &[("result", "ok")]),
             view_queries_denied: r
                 .counter("lv_workload_view_queries_total", &[("result", "denied")]),
@@ -70,12 +56,6 @@ impl WorkloadMetrics {
 
     pub fn inc_aborted(&self, p: TxProfile) {
         if let Some(c) = self.aborted.get(&p) {
-            c.inc();
-        }
-    }
-
-    pub fn inc_denial(&self, reason: &str) {
-        if let Some(c) = self.denials.get(reason) {
             c.inc();
         }
     }

@@ -98,20 +98,6 @@ fn main() {
     assert_eq!(views.owner_reads_ok, views.mirrored);
     assert_eq!(views.foreign_denials, WAREHOUSES);
 
-    // ---- viewing-key confidentiality over the committed ledger ----
-    let c = &report.confidential;
-    println!(
-        "\nviewing keys: {} customer records sealed; auditor decrypted {}; \
-         denials — no-grant {}, wrong-role {}, bad-key {}, revoked {}",
-        c.entries,
-        c.granted_reads,
-        c.no_grant_denials,
-        c.policy_denials,
-        c.bad_key_denials,
-        c.revoked_denials
-    );
-    assert_eq!(c.granted_reads, c.entries);
-
     println!("\nshard state roots:");
     for (s, root) in report.state_roots.iter().enumerate() {
         println!("  shard {s}: {root}");

@@ -1,8 +1,8 @@
 //! The source scan the inventory tests share: which files make up the
 //! workspace's crates, and their text with comments and literals blanked
 //! so that only code is searched. Included by path from
-//! `tests/unsafe_inventory.rs`, `tests/panic_inventory.rs` and
-//! `tests/config_inventory.rs`.
+//! `tests/unsafe_inventory.rs`, `tests/panic_inventory.rs`,
+//! `tests/config_inventory.rs` and `tests/uncalled_api_inventory.rs`.
 
 use std::path::{Path, PathBuf};
 
@@ -100,4 +100,18 @@ pub fn code_only(text: &str) -> String {
         }
     }
     out
+}
+
+/// `code` up to the first line that opens a `#[cfg(test)]` item: the
+/// library part of a source file.
+#[allow(dead_code)] // the unsafe and config inventories scan whole files
+pub fn before_tests(code: &str) -> String {
+    code.lines()
+        .take_while(|line| {
+            !line
+                .replace(char::is_whitespace, "")
+                .contains("#[cfg(test)]")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
 }

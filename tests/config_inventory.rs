@@ -15,7 +15,7 @@ use source::{code_only, rust_files, source_dirs};
 /// Pinned `pub` field count per config type.
 const PINS: &[(&str, usize)] = &[
     ("BlockCuttingConfig", 3),
-    ("ClusterConfig", 20),
+    ("ClusterConfig", 18),
     ("LsmConfig", 10),
     ("NetworkConfig", 8),
     ("RaftConfig", 3),

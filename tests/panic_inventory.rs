@@ -11,7 +11,7 @@ use std::path::Path;
 #[path = "common/source.rs"]
 mod source;
 
-use source::{code_only, rust_files, source_dirs};
+use source::{before_tests, code_only, rust_files, source_dirs};
 
 /// Pinned panic sites per crate directory (`.` is the root package).
 const PINS: &[(&str, usize)] = &[
@@ -30,7 +30,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/store", 14),
     ("crates/supplychain", 4),
     ("crates/telemetry", 16),
-    ("crates/workload", 14),
+    ("crates/workload", 12),
     ("shims/criterion", 1),
     ("shims/proptest", 10),
     ("shims/rand", 0),
@@ -52,18 +52,6 @@ fn panic_sites(code: &str) -> usize {
         })
         .sum::<usize>();
     methods + macros
-}
-
-/// `code` up to the first line that opens a `#[cfg(test)]` item.
-fn before_tests(code: &str) -> String {
-    code.lines()
-        .take_while(|line| {
-            !line
-                .replace(char::is_whitespace, "")
-                .contains("#[cfg(test)]")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Panic sites per crate directory, relative to `root`.

@@ -1,20 +1,18 @@
 //! Differential properties of the TPC-C-class workload harness.
 //!
 //! The whole pipeline — deck dealing, parameter generation, sharded
-//! execution with 2PC legs, fault injection, invariant sweeps, the
-//! LedgerView mirror, and the viewing-key confidential exercise — is a
-//! pure function of `TpccConfig`. These tests rerun random cells
+//! execution with 2PC legs, fault injection, invariant sweeps, and the
+//! LedgerView mirror — is a pure function of `TpccConfig`. These tests rerun random cells
 //! (including fault and views cells) from the same seed into fresh
 //! storage roots and demand bit-identical `TpccReport`s: every counter,
 //! every percentile, and every shard's canonical state root. They also
 //! hold the scenario's own guarantees on each sampled cell: invariants
-//! checked, the confidential exercise sound, and zero unauthorized view
-//! reads.
+//! checked and zero unauthorized view reads.
 
 use ledgerview::prelude::Telemetry;
 use ledgerview::simnet::SimTime;
 use ledgerview::store::testdir::TestDir;
-use ledgerview::workload::{ConfidentialStore, Denial, TpccConfig, TpccReport};
+use ledgerview::workload::{TpccConfig, TpccReport};
 use proptest::prelude::*;
 
 /// One full harness run into a fresh storage root.
@@ -55,11 +53,6 @@ proptest! {
 
         // Each sampled cell holds the scenario guarantees on its own.
         prop_assert!(a.invariant_checks > 0);
-        prop_assert_eq!(a.confidential.granted_reads, a.confidential.entries);
-        prop_assert_eq!(a.confidential.no_grant_denials, 1);
-        prop_assert_eq!(a.confidential.policy_denials, 1);
-        prop_assert_eq!(a.confidential.bad_key_denials, 1);
-        prop_assert_eq!(a.confidential.revoked_denials, 1);
         match &a.views {
             Some(v) => {
                 prop_assert_eq!(v.unauthorized_reads, 0);
@@ -89,42 +82,5 @@ fn fault_cell_reruns_identically_and_seeds_matter() {
     assert_ne!(
         a.state_roots, c.state_roots,
         "different seeds must produce different histories"
-    );
-}
-
-/// The confidential store is deterministic through its public API: same
-/// seed ⇒ same ciphertexts and the same viewing keys, and the typed
-/// denials are stable.
-#[test]
-fn confidential_store_is_seed_deterministic() {
-    let build = || {
-        let mut s = ConfidentialStore::new(0x5EC7);
-        s.put("acct", "alice", b"balance=100");
-        s.put("acct", "bob", b"balance=250");
-        s.assign_role("auditor-1", "auditor");
-        let vk = s.grant("auditor-1", "acct");
-        (s.ciphertext("acct", "alice").map(<[u8]>::to_vec), vk)
-    };
-    let (ct1, vk1) = build();
-    let (ct2, vk2) = build();
-    assert_eq!(ct1, ct2, "same seed must seal identically");
-    assert_eq!(vk1.0, vk2.0, "same seed must derive the same viewing key");
-
-    let mut s = ConfidentialStore::new(0x5EC7);
-    s.put("acct", "alice", b"balance=100");
-    s.assign_role("auditor-1", "auditor");
-    let vk = s.grant("auditor-1", "acct");
-    assert_eq!(
-        s.read("auditor-1", &vk, "acct", "alice").unwrap(),
-        b"balance=100"
-    );
-    assert_eq!(
-        s.read("stranger", &vk, "acct", "alice").unwrap_err(),
-        Denial::NoGrant
-    );
-    s.revoke("auditor-1", "acct");
-    assert_eq!(
-        s.read("auditor-1", &vk, "acct", "alice").unwrap_err(),
-        Denial::Revoked
     );
 }
