@@ -14,7 +14,7 @@
 //! All state keys use `~`-separated prefixes so membership and integrity
 //! can be checked with range scans.
 
-use fabric_sim::chaincode::{Chaincode, TxContext};
+use fabric_sim::chaincode::{arg, arg_str, Chaincode, TxContext};
 use fabric_sim::ledger::TxId;
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::wire::{Reader, Writer};
@@ -37,17 +37,6 @@ pub const ACCESS_CC: &str = "lv.access";
 /// State key of a stored client transaction.
 pub fn tx_state_key(tid: &TxId) -> String {
     format!("tx~{}", tid.to_hex())
-}
-
-fn arg(args: &[Vec<u8>], i: usize) -> Result<&[u8], FabricError> {
-    args.get(i)
-        .map(|a| a.as_slice())
-        .ok_or_else(|| FabricError::Malformed(format!("missing argument {i}")))
-}
-
-fn arg_str(args: &[Vec<u8>], i: usize) -> Result<String, FabricError> {
-    String::from_utf8(arg(args, i)?.to_vec())
-        .map_err(|_| FabricError::Malformed(format!("argument {i} not UTF-8")))
 }
 
 // ---------------------------------------------------------------------

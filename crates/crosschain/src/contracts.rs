@@ -1,24 +1,15 @@
 //! The coordinator and participant smart contracts.
 
-use fabric_sim::chaincode::{Chaincode, TxContext};
+use fabric_sim::chaincode::{arg, arg_str, Chaincode, TxContext};
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::FabricError;
 
+use crate::participant::{staged, Staging};
+
 /// Chaincode name of the coordinator (deployed on the main chain).
 pub const COORDINATOR_CC: &str = "xc.coordinator";
-/// Chaincode name of the participant (deployed on each view chain).
+/// Chaincode name of the view-chain participant, [`ShardContract`].
 pub const SHARD_CC: &str = "xc.shard";
-
-fn arg(args: &[Vec<u8>], i: usize) -> Result<&[u8], FabricError> {
-    args.get(i)
-        .map(|a| a.as_slice())
-        .ok_or_else(|| FabricError::Malformed(format!("missing argument {i}")))
-}
-
-fn arg_str(args: &[Vec<u8>], i: usize) -> Result<String, FabricError> {
-    String::from_utf8(arg(args, i)?.to_vec())
-        .map_err(|_| FabricError::Malformed(format!("argument {i} not UTF-8")))
-}
 
 /// Coordinator states recorded on the main chain per request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,132 +110,67 @@ pub fn read_coord_state(state: &dyn VersionedState, request: &str) -> Option<Coo
         .and_then(CoordState::from_byte)
 }
 
-fn prep_key(request: &str) -> String {
-    format!("prep~{request}")
-}
-
-fn committed_key(request: &str) -> String {
-    format!("xtx~{request}")
-}
-
-fn aborted_key(request: &str) -> String {
-    format!("abt~{request}")
-}
-
 const POISON_KEY: &str = "shard~poison";
 
-/// A participant's terminal 2PC state for a request, if it reached one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TerminalState {
-    /// The payload is committed (visible).
-    Committed,
-    /// The request was aborted; any lock was released.
-    Aborted,
-}
-
-/// A participant's recorded terminal state for a request, if any.
-pub fn read_terminal_state(state: &dyn VersionedState, request: &str) -> Option<TerminalState> {
-    if state.get(&committed_key(request)).is_some() {
-        Some(TerminalState::Committed)
-    } else if state.get(&aborted_key(request)).is_some() {
-        Some(TerminalState::Aborted)
-    } else {
-        None
-    }
-}
-
-/// The 2PC participant contract on each view blockchain.
+/// The 2PC participant on each view blockchain, deployed behind the
+/// [`Fenced`](crate::participant::Fenced) 2PC fence under namespace `v`.
 ///
-/// `prepare` locks the payload; `commit` makes it visible as view data;
-/// `abort` discards it. `set_poison` makes future prepares vote abort —
-/// the failure-injection hook used by the atomicity tests.
-///
-/// Terminal states are **idempotent**: a coordinator that crashes after
-/// recording its decision replays that decision on recovery, so every
-/// participant must absorb a duplicate `commit` or `abort` as a no-op
-/// instead of failing the replayed transaction. An `abort` for a request
-/// that never prepared here is also accepted (presumed abort) and leaves
-/// a terminal marker that fences any late `prepare` for the same request.
+/// `prepare(req, payload)` stages the payload; commit makes it visible
+/// as view data under `xtx~<req>`; abort discards it. `set_poison` makes
+/// future prepares vote abort — the failure-injection hook the atomicity
+/// tests use through `protocol::poison_view` — and `clear_poison` lifts
+/// it.
 pub struct ShardContract;
 
-impl Chaincode for ShardContract {
+impl Staging for ShardContract {
+    const NS: &'static str = "v";
+
     fn invoke(
         &self,
         ctx: &mut TxContext<'_>,
         function: &str,
-        args: &[Vec<u8>],
+        _args: &[Vec<u8>],
     ) -> Result<Vec<u8>, FabricError> {
         match function {
-            "prepare" => {
-                if ctx.get_state(POISON_KEY).is_some() {
-                    return Err(FabricError::ChaincodeError(
-                        "shard votes abort (poisoned)".into(),
-                    ));
-                }
-                let request = arg_str(args, 0)?;
-                let payload = arg(args, 1)?.to_vec();
-                let key = prep_key(&request);
-                if ctx.get_state(&key).is_some()
-                    || ctx.get_state(&committed_key(&request)).is_some()
-                    || ctx.get_state(&aborted_key(&request)).is_some()
-                {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} already prepared or terminal"
-                    )));
-                }
-                ctx.put_state(key, payload);
-                Ok(vec![])
+            "set_poison" => ctx.put_state(POISON_KEY, vec![1]),
+            "clear_poison" => ctx.delete_state(POISON_KEY),
+            other => {
+                return Err(FabricError::ChaincodeError(format!(
+                    "ShardContract: unknown function {other}"
+                )))
             }
-            "commit" => {
-                let request = arg_str(args, 0)?;
-                if ctx.get_state(&committed_key(&request)).is_some() {
-                    // Crash-replayed decision: already terminal, no-op.
-                    return Ok(vec![]);
-                }
-                if ctx.get_state(&aborted_key(&request)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} was aborted; cannot commit"
-                    )));
-                }
-                let Some(payload) = ctx.get_state(&prep_key(&request)) else {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} was not prepared"
-                    )));
-                };
-                ctx.delete_state(prep_key(&request));
-                ctx.put_state(committed_key(&request), payload);
-                Ok(vec![])
-            }
-            "abort" => {
-                let request = arg_str(args, 0)?;
-                if ctx.get_state(&aborted_key(&request)).is_some() {
-                    // Crash-replayed decision: already terminal, no-op.
-                    return Ok(vec![]);
-                }
-                if ctx.get_state(&committed_key(&request)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} was committed; cannot abort"
-                    )));
-                }
-                // Presumed abort: release the lock if one exists, and leave
-                // a terminal marker either way so a late prepare is fenced.
-                ctx.delete_state(prep_key(&request));
-                ctx.put_state(aborted_key(&request), vec![1]);
-                Ok(vec![])
-            }
-            "set_poison" => {
-                ctx.put_state(POISON_KEY, vec![1]);
-                Ok(vec![])
-            }
-            "clear_poison" => {
-                ctx.delete_state(POISON_KEY);
-                Ok(vec![])
-            }
-            other => Err(FabricError::ChaincodeError(format!(
-                "ShardContract: unknown function {other}"
-            ))),
         }
+        Ok(vec![])
     }
+
+    fn prepare(
+        &self,
+        ctx: &mut TxContext<'_>,
+        _function: &str,
+        args: &[Vec<u8>],
+    ) -> Result<(String, Vec<u8>), FabricError> {
+        if ctx.get_state(POISON_KEY).is_some() {
+            return Err(FabricError::ChaincodeError(
+                "shard votes abort (poisoned)".into(),
+            ));
+        }
+        Ok(("p".into(), arg(args, 0)?.to_vec()))
+    }
+
+    fn commit(
+        &self,
+        ctx: &mut TxContext<'_>,
+        req: &str,
+        _suffix: &str,
+        value: &[u8],
+    ) -> Result<(), FabricError> {
+        ctx.put_state(committed_key(req), value.to_vec());
+        Ok(())
+    }
+}
+
+fn committed_key(request: &str) -> String {
+    format!("xtx~{request}")
 }
 
 /// Whether a request's payload is committed (visible) on a view chain.
@@ -260,18 +186,6 @@ fn acct_key(acct: &str) -> String {
     format!("acct~{acct}")
 }
 
-fn lock_key(request: &str) -> String {
-    format!("lock~{request}")
-}
-
-fn pend_key(request: &str) -> String {
-    format!("pend~{request}")
-}
-
-fn fin_key(request: &str) -> String {
-    format!("fin~{request}")
-}
-
 fn u64_be(v: u64) -> Vec<u8> {
     v.to_be_bytes().to_vec()
 }
@@ -283,55 +197,56 @@ fn parse_u64(bytes: &[u8], what: &str) -> Result<u64, FabricError> {
     Ok(u64::from_be_bytes(arr))
 }
 
-/// Encode a 2PC leg record: the reserved/intended amount plus the account
-/// it debits or credits.
+/// Encode a staged leg: the reserved/intended amount plus the account it
+/// debits or credits.
 fn leg_value(acct: &str, amount: u64) -> Vec<u8> {
     let mut v = u64_be(amount);
     v.extend_from_slice(acct.as_bytes());
     v
 }
 
-fn leg_amount(value: &[u8]) -> Result<u64, FabricError> {
+/// Decode a staged leg into `(account, amount)`.
+fn leg(value: &[u8]) -> Result<(String, u64), FabricError> {
     if value.len() < 8 {
         return Err(FabricError::Malformed("truncated leg record".into()));
     }
-    parse_u64(&value[..8], "leg amount")
+    let acct = String::from_utf8(value[8..].to_vec())
+        .map_err(|_| FabricError::Malformed("leg account not UTF-8".into()))?;
+    Ok((acct, parse_u64(&value[..8], "leg amount")?))
 }
 
-fn leg_account(value: &[u8]) -> Result<String, FabricError> {
-    if value.len() < 8 {
-        return Err(FabricError::Malformed("truncated leg record".into()));
-    }
-    String::from_utf8(value[8..].to_vec())
-        .map_err(|_| FabricError::Malformed("leg account not UTF-8".into()))
+fn balance(ctx: &mut TxContext<'_>, acct: &str) -> Result<u64, FabricError> {
+    ctx.get_state(&acct_key(acct))
+        .ok_or_else(|| FabricError::ChaincodeError(format!("unknown account {acct:?}")))
+        .and_then(|v| parse_u64(&v, "balance"))
 }
 
-/// The money-moving 2PC participant for sharded deployments.
+/// The money-moving 2PC participant for sharded deployments, deployed
+/// behind the [`Fenced`](crate::participant::Fenced) 2PC fence under
+/// the empty namespace.
 ///
 /// Accounts live under `acct~<name>`; a cross-shard transfer runs as a
 /// *debit leg* on the source account's shard and a *credit leg* on the
 /// destination's:
 ///
 /// * `prepare_debit(req, src, amount)` reserves the amount by moving it
-///   out of the balance and into a `lock~<req>` record — the classic
-///   AHL-style reservation, so concurrent spends cannot double-spend the
-///   locked funds. Votes abort (fails endorsement) on insufficient funds.
-/// * `prepare_credit(req, dst, amount)` records the intent under
-///   `pend~<req>`; the credit itself is deferred to `commit`.
-/// * `commit(req)` releases the lock for good (debit side) or applies the
-///   credit (credit side) and records the terminal marker `fin~<req>`.
-/// * `abort(req)` refunds the lock / drops the intent and records the
-///   terminal marker.
+///   out of the balance into the staged record `pend~<req>~debit` — the
+///   classic AHL-style reservation, so concurrent spends cannot
+///   double-spend the locked funds. Votes abort (fails endorsement) on
+///   insufficient funds.
+/// * `prepare_credit(req, dst, amount)` stages the intent under
+///   `pend~<req>~credit`; the credit itself is deferred to commit.
+/// * Commit lets the reserved amount go (debit) or applies the credit;
+///   abort refunds the reservation (debit) or drops the intent.
 ///
-/// Terminal states are idempotent exactly like [`ShardContract`]'s: a
-/// replayed `commit`/`abort` after the marker exists is a no-op, and an
-/// `abort` for a request with no leg here is presumed-abort (marker only).
 /// The conservation invariant audited by the shard tests is
-/// `Σ balances + Σ lock amounts = Σ opened`, since a lock holds in-flight
-/// money and a pending credit does not.
+/// `Σ balances + Σ staged debits = Σ opened`, since a debit holds
+/// in-flight money and a pending credit does not.
 pub struct TransferContract;
 
-impl Chaincode for TransferContract {
+impl Staging for TransferContract {
+    const NS: &'static str = "";
+
     fn invoke(
         &self,
         ctx: &mut TxContext<'_>,
@@ -355,14 +270,8 @@ impl Chaincode for TransferContract {
                 let src = arg_str(args, 0)?;
                 let dst = arg_str(args, 1)?;
                 let amount = parse_u64(arg(args, 2)?, "transfer amount")?;
-                let src_bal = ctx
-                    .get_state(&acct_key(&src))
-                    .ok_or_else(|| FabricError::ChaincodeError(format!("unknown account {src:?}")))
-                    .and_then(|v| parse_u64(&v, "balance"))?;
-                let dst_bal = ctx
-                    .get_state(&acct_key(&dst))
-                    .ok_or_else(|| FabricError::ChaincodeError(format!("unknown account {dst:?}")))
-                    .and_then(|v| parse_u64(&v, "balance"))?;
+                let src_bal = balance(ctx, &src)?;
+                let dst_bal = balance(ctx, &dst)?;
                 if src_bal < amount {
                     return Err(FabricError::ChaincodeError(format!(
                         "insufficient funds: {src:?} has {src_bal}, needs {amount}"
@@ -372,139 +281,75 @@ impl Chaincode for TransferContract {
                 ctx.put_state(acct_key(&dst), u64_be(dst_bal + amount));
                 Ok(vec![])
             }
-            "prepare_debit" => {
-                if ctx.get_state(POISON_KEY).is_some() {
-                    return Err(FabricError::ChaincodeError(
-                        "shard votes abort (poisoned)".into(),
-                    ));
-                }
-                let request = arg_str(args, 0)?;
-                let src = arg_str(args, 1)?;
-                let amount = parse_u64(arg(args, 2)?, "debit amount")?;
-                if ctx.get_state(&fin_key(&request)).is_some()
-                    || ctx.get_state(&lock_key(&request)).is_some()
-                    || ctx.get_state(&pend_key(&request)).is_some()
-                {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} already prepared or terminal"
-                    )));
-                }
-                let bal = ctx
-                    .get_state(&acct_key(&src))
-                    .ok_or_else(|| FabricError::ChaincodeError(format!("unknown account {src:?}")))
-                    .and_then(|v| parse_u64(&v, "balance"))?;
-                if bal < amount {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "insufficient funds: {src:?} has {bal}, needs {amount}"
-                    )));
-                }
-                ctx.put_state(acct_key(&src), u64_be(bal - amount));
-                ctx.put_state(lock_key(&request), leg_value(&src, amount));
-                Ok(vec![])
-            }
-            "prepare_credit" => {
-                if ctx.get_state(POISON_KEY).is_some() {
-                    return Err(FabricError::ChaincodeError(
-                        "shard votes abort (poisoned)".into(),
-                    ));
-                }
-                let request = arg_str(args, 0)?;
-                let dst = arg_str(args, 1)?;
-                let amount = parse_u64(arg(args, 2)?, "credit amount")?;
-                if ctx.get_state(&fin_key(&request)).is_some()
-                    || ctx.get_state(&lock_key(&request)).is_some()
-                    || ctx.get_state(&pend_key(&request)).is_some()
-                {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} already prepared or terminal"
-                    )));
-                }
-                if ctx.get_state(&acct_key(&dst)).is_none() {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "unknown account {dst:?}"
-                    )));
-                }
-                ctx.put_state(pend_key(&request), leg_value(&dst, amount));
-                Ok(vec![])
-            }
-            "commit" => {
-                let request = arg_str(args, 0)?;
-                match ctx.get_state(&fin_key(&request)).as_deref() {
-                    Some([1]) => return Ok(vec![]), // replayed decision
-                    Some(_) => {
-                        return Err(FabricError::ChaincodeError(format!(
-                            "request {request:?} was aborted; cannot commit"
-                        )))
-                    }
-                    None => {}
-                }
-                if let Some(lock) = ctx.get_state(&lock_key(&request)) {
-                    // Debit side: the reserved amount leaves for good.
-                    let _ = leg_amount(&lock)?;
-                    ctx.delete_state(lock_key(&request));
-                } else if let Some(pend) = ctx.get_state(&pend_key(&request)) {
-                    let amount = leg_amount(&pend)?;
-                    let dst = leg_account(&pend)?;
-                    let bal = ctx
-                        .get_state(&acct_key(&dst))
-                        .ok_or_else(|| {
-                            FabricError::ChaincodeError(format!("unknown account {dst:?}"))
-                        })
-                        .and_then(|v| parse_u64(&v, "balance"))?;
-                    ctx.put_state(acct_key(&dst), u64_be(bal + amount));
-                    ctx.delete_state(pend_key(&request));
-                } else {
-                    return Err(FabricError::ChaincodeError(format!(
-                        "request {request:?} has no prepared leg to commit"
-                    )));
-                }
-                ctx.put_state(fin_key(&request), vec![1]);
-                Ok(vec![])
-            }
-            "abort" => {
-                let request = arg_str(args, 0)?;
-                match ctx.get_state(&fin_key(&request)).as_deref() {
-                    Some([0]) => return Ok(vec![]), // replayed decision
-                    Some(_) => {
-                        return Err(FabricError::ChaincodeError(format!(
-                            "request {request:?} was committed; cannot abort"
-                        )))
-                    }
-                    None => {}
-                }
-                if let Some(lock) = ctx.get_state(&lock_key(&request)) {
-                    // Refund the reservation.
-                    let amount = leg_amount(&lock)?;
-                    let src = leg_account(&lock)?;
-                    let bal = ctx
-                        .get_state(&acct_key(&src))
-                        .ok_or_else(|| {
-                            FabricError::ChaincodeError(format!("unknown account {src:?}"))
-                        })
-                        .and_then(|v| parse_u64(&v, "balance"))?;
-                    ctx.put_state(acct_key(&src), u64_be(bal + amount));
-                    ctx.delete_state(lock_key(&request));
-                } else {
-                    // Credit side or presumed abort: drop any intent and
-                    // fence late prepares with the terminal marker.
-                    ctx.delete_state(pend_key(&request));
-                }
-                ctx.put_state(fin_key(&request), vec![0]);
-                Ok(vec![])
-            }
-            "set_poison" => {
-                ctx.put_state(POISON_KEY, vec![1]);
-                Ok(vec![])
-            }
-            "clear_poison" => {
-                ctx.delete_state(POISON_KEY);
-                Ok(vec![])
-            }
             other => Err(FabricError::ChaincodeError(format!(
                 "TransferContract: unknown function {other}"
             ))),
         }
     }
+
+    fn prepare(
+        &self,
+        ctx: &mut TxContext<'_>,
+        function: &str,
+        args: &[Vec<u8>],
+    ) -> Result<(String, Vec<u8>), FabricError> {
+        let acct = arg_str(args, 0)?;
+        let amount = parse_u64(arg(args, 1)?, "leg amount")?;
+        let bal = balance(ctx, &acct)?;
+        let suffix = match function {
+            "prepare_debit" => {
+                if bal < amount {
+                    return Err(FabricError::ChaincodeError(format!(
+                        "insufficient funds: {acct:?} has {bal}, needs {amount}"
+                    )));
+                }
+                ctx.put_state(acct_key(&acct), u64_be(bal - amount));
+                "debit"
+            }
+            "prepare_credit" => "credit",
+            other => {
+                return Err(FabricError::ChaincodeError(format!(
+                    "TransferContract: unknown function {other}"
+                )))
+            }
+        };
+        Ok((suffix.into(), leg_value(&acct, amount)))
+    }
+
+    fn commit(
+        &self,
+        ctx: &mut TxContext<'_>,
+        _req: &str,
+        suffix: &str,
+        value: &[u8],
+    ) -> Result<(), FabricError> {
+        // A debit's reserved amount leaves for good; a credit lands.
+        match suffix {
+            "credit" => pay_back(ctx, value),
+            _ => Ok(()),
+        }
+    }
+
+    fn abort(
+        &self,
+        ctx: &mut TxContext<'_>,
+        suffix: &str,
+        value: &[u8],
+    ) -> Result<(), FabricError> {
+        // A debit's reservation is refunded; a credit's intent is dropped.
+        match suffix {
+            "debit" => pay_back(ctx, value),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Add a staged leg's amount to its account.
+fn pay_back(ctx: &mut TxContext<'_>, value: &[u8]) -> Result<(), FabricError> {
+    let (acct, amount) = leg(value)?;
+    let bal = balance(ctx, &acct)?;
+    ctx.put_state(acct_key(&acct), u64_be(bal + amount));
+    Ok(())
 }
 
 /// An account's balance on a shard, if the account lives there.
@@ -523,47 +368,15 @@ pub fn total_balances(state: &dyn VersionedState) -> u64 {
         .sum()
 }
 
-/// Sum of all in-flight debit reservations on a shard (money held by
-/// unresolved 2PC locks; conservation counts it alongside balances).
+/// Sum of all staged debit reservations on a shard (money held by
+/// unresolved 2PC legs; conservation counts it alongside balances).
 pub fn locked_total(state: &dyn VersionedState) -> u64 {
-    state
-        .prefix_scan("lock~")
+    staged(state, TransferContract::NS)
         .into_iter()
-        .filter_map(|(_, v)| leg_amount(&v).ok())
+        .filter(|s| s.suffix == "debit")
+        .filter_map(|s| leg(&s.value).ok())
+        .map(|(_, amount)| amount)
         .sum()
-}
-
-/// Unresolved lock/intent records on a shard (empty once every 2PC
-/// request reached its terminal state).
-pub fn unresolved_requests(state: &dyn VersionedState) -> Vec<String> {
-    let mut reqs: Vec<String> = state
-        .prefix_scan("lock~")
-        .into_iter()
-        .map(|(k, _)| k["lock~".len()..].to_string())
-        .chain(
-            state
-                .prefix_scan("pend~")
-                .into_iter()
-                .map(|(k, _)| k["pend~".len()..].to_string()),
-        )
-        .collect();
-    reqs.sort();
-    reqs.dedup();
-    reqs
-}
-
-/// A transfer request's terminal state on a shard, if it reached one.
-pub fn read_transfer_terminal(state: &dyn VersionedState, request: &str) -> Option<TerminalState> {
-    match state.get(&fin_key(request)).as_deref() {
-        Some([1]) => Some(TerminalState::Committed),
-        Some([0]) => Some(TerminalState::Aborted),
-        _ => None,
-    }
-}
-
-/// Whether a request is still in the prepared (locked) state.
-pub fn is_prepared(state: &dyn VersionedState, request: &str) -> bool {
-    state.get(&prep_key(request)).is_some()
 }
 
 /// All committed cross-chain payload bytes on a view chain (storage
@@ -579,6 +392,7 @@ pub fn committed_bytes(state: &dyn VersionedState) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::participant::{terminal, Fenced, TerminalState};
     use fabric_sim::endorsement::EndorsementPolicy;
     use fabric_sim::identity::{Identity, OrgId};
     use fabric_sim::FabricChain;
@@ -596,16 +410,31 @@ mod tests {
         (chain, id, rng)
     }
 
+    fn shard_chain() -> (FabricChain, Identity, StdRng) {
+        chain_with(SHARD_CC, Box::new(Fenced(ShardContract)))
+    }
+
+    fn transfer_chain() -> (FabricChain, Identity, StdRng) {
+        chain_with(TRANSFER_CC, Box::new(Fenced(TransferContract)))
+    }
+
     fn call(
         chain: &mut FabricChain,
         id: &Identity,
         rng: &mut StdRng,
-        cc: &str,
         function: &str,
         args: &[&str],
     ) -> Result<(), FabricError> {
         let args: Vec<Vec<u8>> = args.iter().map(|a| a.as_bytes().to_vec()).collect();
-        chain.invoke_commit(id, cc, function, args, rng).map(|_| ())
+        chain
+            .invoke_commit(id, SHARD_CC, function, args, rng)
+            .map(|_| ())
+    }
+
+    fn is_prepared(state: &dyn VersionedState, req: &str) -> bool {
+        staged(state, ShardContract::NS)
+            .iter()
+            .any(|s| s.req == req)
     }
 
     fn xfer(
@@ -642,23 +471,15 @@ mod tests {
 
     #[test]
     fn shard_commit_double_delivery_is_idempotent() {
-        let (mut chain, id, mut rng) = chain_with(SHARD_CC, Box::new(ShardContract));
-        call(
-            &mut chain,
-            &id,
-            &mut rng,
-            SHARD_CC,
-            "prepare",
-            &["r1", "payload"],
-        )
-        .unwrap();
+        let (mut chain, id, mut rng) = shard_chain();
+        call(&mut chain, &id, &mut rng, "prepare", &["r1", "payload"]).unwrap();
         assert!(is_prepared(chain.state(), "r1"));
-        call(&mut chain, &id, &mut rng, SHARD_CC, "commit", &["r1"]).unwrap();
+        call(&mut chain, &id, &mut rng, "commit", &["r1"]).unwrap();
         // A crash-replayed decision delivers commit a second time: no-op.
-        call(&mut chain, &id, &mut rng, SHARD_CC, "commit", &["r1"]).unwrap();
+        call(&mut chain, &id, &mut rng, "commit", &["r1"]).unwrap();
         assert!(!is_prepared(chain.state(), "r1"));
         assert_eq!(
-            read_terminal_state(chain.state(), "r1"),
+            terminal(chain.state(), ShardContract::NS, "r1"),
             Some(TerminalState::Committed)
         );
         assert_eq!(
@@ -666,42 +487,42 @@ mod tests {
             Some(b"payload".as_slice())
         );
         // But flipping the decision is rejected.
-        assert!(call(&mut chain, &id, &mut rng, SHARD_CC, "abort", &["r1"]).is_err());
+        assert!(call(&mut chain, &id, &mut rng, "abort", &["r1"]).is_err());
     }
 
     #[test]
     fn shard_abort_double_delivery_is_idempotent() {
-        let (mut chain, id, mut rng) = chain_with(SHARD_CC, Box::new(ShardContract));
-        call(&mut chain, &id, &mut rng, SHARD_CC, "prepare", &["r2", "p"]).unwrap();
-        call(&mut chain, &id, &mut rng, SHARD_CC, "abort", &["r2"]).unwrap();
-        call(&mut chain, &id, &mut rng, SHARD_CC, "abort", &["r2"]).unwrap();
+        let (mut chain, id, mut rng) = shard_chain();
+        call(&mut chain, &id, &mut rng, "prepare", &["r2", "p"]).unwrap();
+        call(&mut chain, &id, &mut rng, "abort", &["r2"]).unwrap();
+        call(&mut chain, &id, &mut rng, "abort", &["r2"]).unwrap();
         assert!(!is_prepared(chain.state(), "r2"));
         assert_eq!(
-            read_terminal_state(chain.state(), "r2"),
+            terminal(chain.state(), ShardContract::NS, "r2"),
             Some(TerminalState::Aborted)
         );
         assert!(read_committed_payload(chain.state(), "r2").is_none());
-        assert!(call(&mut chain, &id, &mut rng, SHARD_CC, "commit", &["r2"]).is_err());
+        assert!(call(&mut chain, &id, &mut rng, "commit", &["r2"]).is_err());
     }
 
     #[test]
     fn shard_presumed_abort_fences_late_prepare() {
-        let (mut chain, id, mut rng) = chain_with(SHARD_CC, Box::new(ShardContract));
+        let (mut chain, id, mut rng) = shard_chain();
         // Abort arrives before any prepare (coordinator timed the request
         // out while this shard was partitioned away).
-        call(&mut chain, &id, &mut rng, SHARD_CC, "abort", &["r3"]).unwrap();
+        call(&mut chain, &id, &mut rng, "abort", &["r3"]).unwrap();
         assert_eq!(
-            read_terminal_state(chain.state(), "r3"),
+            terminal(chain.state(), ShardContract::NS, "r3"),
             Some(TerminalState::Aborted)
         );
         // The delayed prepare must not re-lock a decided request.
-        assert!(call(&mut chain, &id, &mut rng, SHARD_CC, "prepare", &["r3", "p"]).is_err());
+        assert!(call(&mut chain, &id, &mut rng, "prepare", &["r3", "p"]).is_err());
         assert!(!is_prepared(chain.state(), "r3"));
     }
 
     #[test]
     fn transfer_commit_and_abort_double_delivery() {
-        let (mut chain, id, mut rng) = chain_with(TRANSFER_CC, Box::new(TransferContract));
+        let (mut chain, id, mut rng) = transfer_chain();
         open(&mut chain, &id, &mut rng, "alice", 100).unwrap();
         open(&mut chain, &id, &mut rng, "bob", 50).unwrap();
 
@@ -723,7 +544,7 @@ mod tests {
         assert_eq!(read_balance(chain.state(), "alice"), Some(70));
         assert_eq!(locked_total(chain.state()), 0);
         assert_eq!(
-            read_transfer_terminal(chain.state(), "t1"),
+            terminal(chain.state(), TransferContract::NS, "t1"),
             Some(TerminalState::Committed)
         );
         assert!(xfer(&mut chain, &id, &mut rng, "abort", "t1", "", 0).is_err());
@@ -734,16 +555,16 @@ mod tests {
         xfer(&mut chain, &id, &mut rng, "abort", "t2", "", 0).unwrap();
         assert_eq!(read_balance(chain.state(), "bob"), Some(50));
         assert_eq!(
-            read_transfer_terminal(chain.state(), "t2"),
+            terminal(chain.state(), TransferContract::NS, "t2"),
             Some(TerminalState::Aborted)
         );
         assert!(xfer(&mut chain, &id, &mut rng, "commit", "t2", "", 0).is_err());
-        assert!(unresolved_requests(chain.state()).is_empty());
+        assert!(staged(chain.state(), TransferContract::NS).is_empty());
     }
 
     #[test]
     fn transfer_abort_refunds_and_conserves() {
-        let (mut chain, id, mut rng) = chain_with(TRANSFER_CC, Box::new(TransferContract));
+        let (mut chain, id, mut rng) = transfer_chain();
         open(&mut chain, &id, &mut rng, "carol", 40).unwrap();
         xfer(
             &mut chain,
@@ -790,7 +611,7 @@ mod tests {
 
     #[test]
     fn transfer_single_shard_fast_path() {
-        let (mut chain, id, mut rng) = chain_with(TRANSFER_CC, Box::new(TransferContract));
+        let (mut chain, id, mut rng) = transfer_chain();
         open(&mut chain, &id, &mut rng, "a", 10).unwrap();
         open(&mut chain, &id, &mut rng, "b", 0).unwrap();
         let args = vec![b"a".to_vec(), b"b".to_vec(), 7u64.to_be_bytes().to_vec()];

@@ -6,6 +6,7 @@ use fabric_sim::FabricChain;
 use rand::RngCore;
 
 use crate::contracts::{CoordinatorContract, ShardContract, COORDINATOR_CC, SHARD_CC};
+use crate::participant::Fenced;
 
 /// One view blockchain with its submitting identity.
 pub struct ViewChain {
@@ -48,7 +49,7 @@ impl CrossChainDeployment {
                 let org2 = format!("Org2-{name}");
                 let mut chain = FabricChain::new(&[org.as_str(), org2.as_str()], rng);
                 let policy = EndorsementPolicy::AllOf(chain.org_ids());
-                chain.deploy(SHARD_CC, Box::new(ShardContract), policy);
+                chain.deploy(SHARD_CC, Box::new(Fenced(ShardContract)), policy);
                 let submitter = chain
                     .enroll(&OrgId::new(&org), &format!("client-{name}"), rng)
                     .expect("org exists");

@@ -9,6 +9,13 @@
 //! request turns into `2n` view-chain transactions (`n` Prepares, then
 //! `n` Commits) plus the coordinator's begin/decide records.
 //!
+//! Every participant — the view chains' [`ShardContract`], the sharded
+//! deployment's [`TransferContract`] and the TPC-C workload's contract —
+//! is one [`participant::Staging`] impl behind the one
+//! [`participant::Fenced`] chaincode, which owns the prepare/commit/abort
+//! rules: staged records, terminal markers, replayed decisions and
+//! presumed abort.
+//!
 //! This is the baseline LedgerView is compared against in Figs 4–9: it is
 //! atomic and verifiably consistent, but pays 2n on-chain transactions and
 //! duplicates every payload once per view.
@@ -18,11 +25,12 @@
 
 pub mod contracts;
 pub mod deployment;
+pub mod participant;
 pub mod protocol;
 
 pub use contracts::{
-    read_balance, read_terminal_state, read_transfer_terminal, total_balances, CoordinatorContract,
-    ShardContract, TerminalState, TransferContract, COORDINATOR_CC, SHARD_CC, TRANSFER_CC,
+    read_balance, total_balances, CoordinatorContract, ShardContract, TransferContract,
+    COORDINATOR_CC, SHARD_CC, TRANSFER_CC,
 };
 pub use deployment::CrossChainDeployment;
 pub use protocol::{execute_request, CrossChainRequest, RequestOutcome};

@@ -168,6 +168,8 @@ pub fn duplicated_payload_bytes(dep: &CrossChainDeployment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contracts::ShardContract;
+    use crate::participant::{staged, terminal, Staging, TerminalState};
     use ledgerview_crypto::rng::seeded;
 
     fn request(id: &str, views: &[&str]) -> CrossChainRequest {
@@ -208,9 +210,14 @@ mod tests {
         );
         assert!(is_atomic(&dep, &req));
         assert_eq!(decision(&dep, "r2"), Some(CoordState::Aborted));
-        // V1 prepared then aborted: no residue.
-        assert!(!contracts::is_prepared(dep.views[0].chain.state(), "r2"));
-        assert!(read_committed_payload(dep.views[0].chain.state(), "r2").is_none());
+        // V1 prepared then aborted: no residue, and the abort is on record.
+        let v1 = dep.views[0].chain.state();
+        assert!(staged(v1, ShardContract::NS).is_empty());
+        assert_eq!(
+            terminal(v1, ShardContract::NS, "r2"),
+            Some(TerminalState::Aborted)
+        );
+        assert!(read_committed_payload(v1, "r2").is_none());
     }
 
     #[test]

@@ -348,6 +348,19 @@ impl<'a> TxContext<'a> {
     }
 }
 
+/// Argument `i` of an invocation.
+pub fn arg(args: &[Vec<u8>], i: usize) -> Result<&[u8], FabricError> {
+    args.get(i)
+        .map(|a| a.as_slice())
+        .ok_or_else(|| FabricError::Malformed(format!("missing argument {i}")))
+}
+
+/// Argument `i` of an invocation, as UTF-8.
+pub fn arg_str(args: &[Vec<u8>], i: usize) -> Result<String, FabricError> {
+    String::from_utf8(arg(args, i)?.to_vec())
+        .map_err(|_| FabricError::Malformed(format!("argument {i} not UTF-8")))
+}
+
 /// A smart contract. Implementations must be deterministic: the same state
 /// and arguments must produce the same read/write set on every peer.
 pub trait Chaincode: Send + Sync {

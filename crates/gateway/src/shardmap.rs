@@ -7,9 +7,10 @@
 //! every recovery path routes identically.
 //!
 //! * The **routing prefix** of a key is its first two `~`-separated
-//!   components (`acct~alice` → `acct~alice`, `lock~t17~x` → `lock~t17`).
-//!   Entity-level keys therefore shard by entity, while a request's
-//!   bookkeeping keys (`lock~<req>`, `fin~<req>`) follow the request.
+//!   components (`acct~alice` → `acct~alice`, `pend~t17~debit` →
+//!   `pend~t17`). Entity-level keys therefore shard by entity, while a
+//!   request's 2PC bookkeeping keys (`pend~<req>~<leg>`, `fin~<req>`)
+//!   follow the request.
 //! * The prefix is hashed with FNV-1a (stable across platforms and
 //!   builds, unlike `std`'s `DefaultHasher`) modulo the shard count.
 //! * Composite namespaces that must stay co-located override the hash

@@ -50,9 +50,10 @@
 //! Scenario crates (the TPC-C workload) hand their own specs to
 //! [`ShardedDeployment::schedule_op`] and ride the same state machine.
 //!
-//! Participant terminal states are idempotent (see
-//! `ledgerview_crosschain::contracts`), so crash-replayed decisions and
-//! duplicate finalize legs are absorbed as no-ops.
+//! Participant terminal states are idempotent (every participant
+//! stages through `ledgerview_crosschain::participant::Fenced`), so
+//! crash-replayed decisions and duplicate finalize legs are absorbed as
+//! no-ops.
 //!
 //! Every scheduled operation is admitted: none is refused at the door,
 //! and every leg is eventually ordered and committed by the per-shard
@@ -68,9 +69,10 @@ use ledgerview_cluster::{
     ClusterConfig, ClusterError, ClusterReport, ClusterSim, Fault, InvokeOutcome,
 };
 use ledgerview_crosschain::contracts::{
-    locked_total, read_coord_state, total_balances, unresolved_requests, CoordState,
-    CoordinatorContract, TransferContract, COORDINATOR_CC, TRANSFER_CC,
+    locked_total, read_coord_state, total_balances, CoordState, CoordinatorContract,
+    TransferContract, COORDINATOR_CC, TRANSFER_CC,
 };
+use ledgerview_crosschain::participant::{staged, Fenced, Staging};
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_gateway::{Route, ShardMap};
 use ledgerview_simnet::SimTime;
@@ -148,7 +150,7 @@ impl ShardConfig {
         cfg.check_signatures = false;
         cfg.lane_prefix = format!("shard{shard}/");
         let transfer: ledgerview_cluster::WorkloadFactory =
-            Arc::new(|| Box::new(TransferContract) as Box<dyn Chaincode>);
+            Arc::new(|| Box::new(Fenced(TransferContract)) as Box<dyn Chaincode>);
         let coordinator: ledgerview_cluster::WorkloadFactory =
             Arc::new(|| Box::new(CoordinatorContract) as Box<dyn Chaincode>);
         cfg.workloads = vec![
@@ -290,12 +292,13 @@ pub struct ShardReport {
 /// One participant leg of a generic cross-shard operation.
 ///
 /// `key` routes the leg (resolves its shard); `chaincode` is the
-/// participant contract deployed via [`ShardConfig::workloads`]. Its
-/// `prepare` function is invoked as `(op_id, args…)` and must either
-/// reserve its effects under the op id (YES vote), reject with a
-/// chaincode error (NO vote), or be invalidated by MVCC (no vote — the
-/// leg is re-driven). The same contract must expose idempotent
-/// `commit(op_id)` / `abort(op_id)` finalize functions.
+/// participant contract deployed via [`ShardConfig::workloads`] — a
+/// [`participant::Staging`](crate::participant::Staging) impl behind the
+/// [`Fenced`] 2PC fence, which supplies the idempotent `commit(op_id)` /
+/// `abort(op_id)` finalize functions. Its `prepare*` function is invoked
+/// as `(op_id, args…)` and either stages its effects under the op id
+/// (YES vote), rejects with a chaincode error (NO vote), or is
+/// invalidated by MVCC (no vote — the leg is re-driven).
 #[derive(Clone, Debug)]
 pub struct OpLeg {
     /// Routing key: decides the shard.
@@ -1236,7 +1239,11 @@ impl ShardedDeployment {
         for cluster in &self.clusters {
             let state = cluster.canonical_state();
             held += total_balances(state) + locked_total(state);
-            locked_reqs.extend(unresolved_requests(state));
+            locked_reqs.extend(
+                staged(state, TransferContract::NS)
+                    .into_iter()
+                    .map(|s| s.req),
+            );
         }
         if !locked_reqs.is_empty() {
             return Err(ShardError::LockedRequests(locked_reqs));

@@ -11,7 +11,9 @@
 //!   per shard: Raft ordering, leader rerouting, watchdog resubmission,
 //!   crash/partition faults, disk-backed peers.
 //! * `ledgerview_crosschain::contracts` — the 2PC coordinator and
-//!   transfer participant chaincodes with idempotent terminal states.
+//!   transfer participant chaincodes; every participant stages through
+//!   the one 2PC fence, [`participant::Fenced`], with idempotent
+//!   terminal states.
 //! * [`deployment`] — this crate's core: the [`ShardedDeployment`]
 //!   advances every shard to common virtual-time boundaries and runs one
 //!   2PC driver over [`OpSpec`]s — begin → prepare → replicated decide →
@@ -42,3 +44,6 @@ pub use deployment::{
     stage, OpLeg, OpRecord, OpSpec, ShardConfig, ShardError, ShardReport, ShardedDeployment,
     TransferRecord, TransferStatus,
 };
+/// The 2PC participant fence, re-exported for scenario crates that bring
+/// their own participant contracts (the TPC-C workload).
+pub use ledgerview_crosschain::participant;

@@ -154,7 +154,9 @@ fn same_seed_is_bit_identical() {
 /// transfers moved onto the generic operation driver. Running the same
 /// seed twice cannot catch a change that shifts both runs; these can: the
 /// state roots cover every committed write on both shards, and the
-/// re-drive counts cover the order in which legs were submitted.
+/// re-drive counts cover the order in which legs were submitted. The
+/// roots alone were re-measured when transfer legs moved behind the 2PC
+/// fence (staged as `pend~<req>~debit|credit`, marked `fin~<req>`).
 #[test]
 fn seed_7_matches_golden_roots_and_redrives() {
     let dir = TestDir::new("shard-det-golden");
@@ -163,8 +165,8 @@ fn seed_7_matches_golden_roots_and_redrives() {
     assert_eq!(
         roots,
         [
-            "5c57bd0302ae2e1b19c8d398b71de6b0e0a82fa25cea8cb3f398d25476da8a30",
-            "ac6e8a4043cc1cf770bdb7a5b5e2ffcbfd13c080a61759e57054196cf2ea2695",
+            "0c40605a8d6c43bede1eda8fe0b41fce66b0efb952e5ab382587314c2247776d",
+            "1fd5eeb0747b702969231150beee93dc6893aae8e67007bbaea3f55e5ef8a19b",
         ]
     );
     assert_eq!((report.committed, report.aborted), (10, 0));

@@ -5,43 +5,35 @@
 //! executing shard — the driver only submits them that way (the shard
 //! router proves co-residency before choosing the direct path). When a
 //! transaction spans warehouses on different shards, the driver runs it
-//! through the deployment's 2PC instead: each `prepare_*` function
-//! records its effects as a pending action under `tpend~<req>~…` and
-//! votes YES, `commit(req)` applies every pending action on this shard
-//! atomically, and `abort(req)` discards them. Terminal markers
-//! (`tfin~<req>`) make both finalize functions idempotent and give the
-//! contract presumed-abort semantics, exactly like the crosschain
-//! participants it is modeled on.
+//! through the deployment's 2PC instead. The contract is a
+//! [`Staging`] impl deployed behind the crosschain 2PC fence
+//! ([`Fenced`](ledgerview_shard::participant::Fenced)) under namespace
+//! `t`: each `prepare_*` function stages its effects as a pending action
+//! under `tpend~<req>~<suffix>` and votes YES, commit applies every
+//! pending action on this shard atomically, and abort discards them. The
+//! fence's terminal markers (`tfin~<req>`) make both finalize functions
+//! idempotent and give presumed-abort semantics, exactly as for the
+//! crosschain participants.
 //!
 //! Argument convention: all numeric arguments are ASCII decimal strings;
 //! order-line lists use the `i:sw:q;…` wire form from [`schema`].
 
-use fabric_sim::chaincode::{Chaincode, TxContext};
+use fabric_sim::chaincode::{arg_str, TxContext};
 use fabric_sim::error::FabricError;
+use ledgerview_shard::participant::Staging;
 
 use crate::schema::{
     self, audit_key, customer_key, decode_lines, district_key, fields, item_price, new_order_key,
-    order_key, order_line_key, parse_i64, parse_u64, stock_key, tfin_key, tpend_prefix,
-    warehouse_key, OrderLine,
+    order_key, order_line_key, parse_i64, parse_u64, stock_key, warehouse_key, OrderLine,
 };
 
-/// The TPC-C participant/profile chaincode. Stateless; all state lives
-/// in the channel's world state under the [`schema`] keys.
+/// The TPC-C participant/profile contract, deployed as
+/// `Fenced(TpccContract)`. Stateless; all state lives in the channel's
+/// world state under the [`schema`] keys.
 pub struct TpccContract;
 
-fn arg<'a>(args: &'a [Vec<u8>], i: usize, what: &str) -> Result<&'a [u8], FabricError> {
-    args.get(i)
-        .map(|v| v.as_slice())
-        .ok_or_else(|| FabricError::Malformed(format!("missing arg {i} ({what})")))
-}
-
-fn arg_str(args: &[Vec<u8>], i: usize, what: &str) -> Result<String, FabricError> {
-    String::from_utf8(arg(args, i, what)?.to_vec())
-        .map_err(|_| FabricError::Malformed(format!("arg {i} ({what}) not UTF-8")))
-}
-
 fn arg_u64(args: &[Vec<u8>], i: usize, what: &str) -> Result<u64, FabricError> {
-    parse_u64(&arg_str(args, i, what)?, what)
+    parse_u64(&arg_str(args, i)?, what)
 }
 
 fn read_record(
@@ -212,7 +204,9 @@ fn apply_pending(ctx: &mut TxContext<'_>, encoded: &str) -> Result<(), FabricErr
     }
 }
 
-impl Chaincode for TpccContract {
+impl Staging for TpccContract {
+    const NS: &'static str = "t";
+
     fn invoke(
         &self,
         ctx: &mut TxContext<'_>,
@@ -270,7 +264,7 @@ impl Chaincode for TpccContract {
             // ---- direct profiles (all keys co-resident) ----
             "new_order" => {
                 let w = arg_u64(args, 0, "w")?;
-                let lines = decode_lines(&arg_str(args, 3, "lines")?)?;
+                let lines = decode_lines(&arg_str(args, 3)?)?;
                 let o_id = apply_new_order(
                     ctx,
                     w,
@@ -353,99 +347,60 @@ impl Chaincode for TpccContract {
                 ctx.put_state(audit_key(w, seq), vec![1]);
                 Ok(vec![])
             }
-
-            // ---- 2PC participant legs ----
-            "prepare_no_home" => {
-                let req = arg_str(args, 0, "req")?;
-                let w = arg_str(args, 1, "w")?;
-                let d = arg_str(args, 2, "d")?;
-                let c = arg_str(args, 3, "c")?;
-                let lines = arg_str(args, 4, "lines")?;
-                let entry = arg_str(args, 5, "entry_us")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!("{req} already final")));
-                }
-                ctx.put_state(
-                    format!("{}h", tpend_prefix(&req)),
-                    format!("no_home|{w}|{d}|{c}|{lines}|{entry}").into_bytes(),
-                );
-                Ok(vec![])
-            }
-            "prepare_stock" => {
-                let req = arg_str(args, 0, "req")?;
-                let sw = arg_u64(args, 1, "sw")?;
-                let item = arg_u64(args, 2, "item")?;
-                let qty = arg_u64(args, 3, "qty")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!("{req} already final")));
-                }
-                ctx.put_state(
-                    format!("{}s~{sw}~{item:04}", tpend_prefix(&req)),
-                    format!("stock|{sw}|{item}|{qty}").into_bytes(),
-                );
-                Ok(vec![])
-            }
-            "prepare_pay_home" => {
-                let req = arg_str(args, 0, "req")?;
-                let w = arg_str(args, 1, "w")?;
-                let d = arg_str(args, 2, "d")?;
-                let amount = arg_str(args, 3, "amount")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!("{req} already final")));
-                }
-                ctx.put_state(
-                    format!("{}ph", tpend_prefix(&req)),
-                    format!("pay_home|{w}|{d}|{amount}").into_bytes(),
-                );
-                Ok(vec![])
-            }
-            "prepare_pay_cust" => {
-                let req = arg_str(args, 0, "req")?;
-                let cw = arg_str(args, 1, "cw")?;
-                let cd = arg_str(args, 2, "cd")?;
-                let c = arg_str(args, 3, "c")?;
-                let amount = arg_str(args, 4, "amount")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Err(FabricError::ChaincodeError(format!("{req} already final")));
-                }
-                ctx.put_state(
-                    format!("{}pc", tpend_prefix(&req)),
-                    format!("pay_cust|{cw}|{cd}|{c}|{amount}").into_bytes(),
-                );
-                Ok(vec![])
-            }
-            "commit" => {
-                let req = arg_str(args, 0, "req")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Ok(vec![]); // idempotent terminal
-                }
-                let pending = ctx.get_state_by_prefix(&tpend_prefix(&req));
-                for (key, value) in pending {
-                    let encoded = String::from_utf8(value)
-                        .map_err(|_| FabricError::Malformed("pending action not UTF-8".into()))?;
-                    apply_pending(ctx, &encoded)?;
-                    ctx.delete_state(key);
-                }
-                ctx.put_state(tfin_key(&req), vec![1]);
-                Ok(vec![])
-            }
-            "abort" => {
-                let req = arg_str(args, 0, "req")?;
-                if ctx.get_state(&tfin_key(&req)).is_some() {
-                    return Ok(vec![]); // idempotent terminal
-                }
-                // Presumed abort: drop whatever was prepared here (possibly
-                // nothing) and fence the request.
-                for (key, _) in ctx.get_state_by_prefix(&tpend_prefix(&req)) {
-                    ctx.delete_state(key);
-                }
-                ctx.put_state(tfin_key(&req), vec![0]);
-                Ok(vec![])
-            }
             other => Err(FabricError::ChaincodeError(format!(
                 "TpccContract: unknown function {other}"
             ))),
         }
+    }
+
+    fn prepare(
+        &self,
+        _ctx: &mut TxContext<'_>,
+        function: &str,
+        args: &[Vec<u8>],
+    ) -> Result<(String, Vec<u8>), FabricError> {
+        let a = |i| arg_str(args, i);
+        let (suffix, action) = match function {
+            "prepare_no_home" => (
+                "h".into(),
+                format!("no_home|{}|{}|{}|{}|{}", a(0)?, a(1)?, a(2)?, a(3)?, a(4)?),
+            ),
+            "prepare_stock" => {
+                let sw = arg_u64(args, 0, "sw")?;
+                let item = arg_u64(args, 1, "item")?;
+                let qty = arg_u64(args, 2, "qty")?;
+                (
+                    format!("s~{sw}~{item:04}"),
+                    format!("stock|{sw}|{item}|{qty}"),
+                )
+            }
+            "prepare_pay_home" => (
+                "ph".into(),
+                format!("pay_home|{}|{}|{}", a(0)?, a(1)?, a(2)?),
+            ),
+            "prepare_pay_cust" => (
+                "pc".into(),
+                format!("pay_cust|{}|{}|{}|{}", a(0)?, a(1)?, a(2)?, a(3)?),
+            ),
+            other => {
+                return Err(FabricError::ChaincodeError(format!(
+                    "TpccContract: unknown function {other}"
+                )))
+            }
+        };
+        Ok((suffix, action.into_bytes()))
+    }
+
+    fn commit(
+        &self,
+        ctx: &mut TxContext<'_>,
+        _req: &str,
+        _suffix: &str,
+        value: &[u8],
+    ) -> Result<(), FabricError> {
+        let encoded = std::str::from_utf8(value)
+            .map_err(|_| FabricError::Malformed("pending action not UTF-8".into()))?;
+        apply_pending(ctx, encoded)
     }
 }
 
@@ -456,13 +411,14 @@ mod tests {
     use fabric_sim::identity::{Identity, OrgId};
     use fabric_sim::FabricChain;
     use ledgerview_crypto::rng::seeded;
+    use ledgerview_shard::participant::{terminal, Fenced, TerminalState};
     use rand::rngs::StdRng;
 
     fn tpcc_chain() -> (FabricChain, Identity, StdRng) {
         let mut rng = seeded(0x7CC);
         let mut chain = FabricChain::new(&["OrgA", "OrgB"], &mut rng);
         let policy = EndorsementPolicy::AllOf(chain.org_ids());
-        chain.deploy(schema::TPCC_CC, Box::new(TpccContract), policy);
+        chain.deploy(schema::TPCC_CC, Box::new(Fenced(TpccContract)), policy);
         let id = chain
             .enroll(&OrgId::new("OrgA"), "tester", &mut rng)
             .unwrap();
@@ -588,10 +544,16 @@ mod tests {
         call(&mut chain, &id, &mut rng, "abort", &["r2"]).unwrap();
         let stock = fields(&get(&chain, &stock_key(0, 4)).unwrap(), 4, "stock").unwrap();
         assert_eq!(stock[1], "0", "aborted leg left no trace");
-        assert_eq!(get(&chain, &tfin_key("r2")), Some(vec![0]));
+        assert_eq!(
+            terminal(chain.state(), TpccContract::NS, "r2"),
+            Some(TerminalState::Aborted)
+        );
         // Presumed abort: aborting an unknown request just fences it.
         call(&mut chain, &id, &mut rng, "abort", &["r9"]).unwrap();
-        assert_eq!(get(&chain, &tfin_key("r9")), Some(vec![0]));
+        assert_eq!(
+            terminal(chain.state(), TpccContract::NS, "r9"),
+            Some(TerminalState::Aborted)
+        );
     }
 
     #[test]

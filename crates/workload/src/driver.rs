@@ -29,6 +29,7 @@ use std::time::Instant;
 use fabric_sim::chaincode::Chaincode;
 use fabric_sim::statedb::VersionedState;
 use ledgerview_cluster::Fault;
+use ledgerview_shard::participant::Fenced;
 use ledgerview_shard::{OpLeg, OpSpec, ShardConfig, ShardError, ShardedDeployment, TransferStatus};
 use ledgerview_simnet::SimTime;
 use ledgerview_telemetry::Telemetry;
@@ -209,7 +210,7 @@ pub fn run(cfg: &TpccConfig, telemetry: &Telemetry) -> Result<TpccReport, ShardE
     }
     shard_cfg.workloads.push((
         TPCC_CC.to_string(),
-        Arc::new(|| Box::new(TpccContract) as Box<dyn Chaincode>),
+        Arc::new(|| Box::new(Fenced(TpccContract)) as Box<dyn Chaincode>),
     ));
     let mut dep = ShardedDeployment::new(shard_cfg)?;
     dep.set_telemetry(telemetry);

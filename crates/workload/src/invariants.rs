@@ -18,11 +18,14 @@
 //!   no prepared-but-undecided leg survives anywhere.
 //!
 //! The checkers parse raw state — they share nothing with the contract
-//! but the pure [`schema`] functions — so a bug in the contract's
-//! bookkeeping cannot hide in a shared code path.
+//! but the pure [`schema`] functions and the 2PC fence's read helper for
+//! staged legs — so a bug in the contract's bookkeeping cannot hide in a
+//! shared code path.
 
 use fabric_sim::statedb::VersionedState;
+use ledgerview_shard::participant::{staged, Staging};
 
+use crate::contract::TpccContract;
 use crate::schema::{self, warehouse_key, DISTRICTS};
 
 fn parse(s: &[u8], what: &str) -> Result<Vec<i64>, String> {
@@ -146,12 +149,15 @@ pub fn check_global(states: &[&dyn VersionedState]) -> Result<u64, String> {
                 _ => {}
             }
         }
-        let stranded = state.prefix_scan("tpend~");
+        let stranded = staged(*state, TpccContract::NS);
         if !stranded.is_empty() {
             return Err(format!(
                 "{} prepared-but-undecided legs after quiescence: {:?}",
                 stranded.len(),
-                stranded.iter().map(|(k, _)| k).collect::<Vec<_>>()
+                stranded
+                    .iter()
+                    .map(|s| format!("{}~{}", s.req, s.suffix))
+                    .collect::<Vec<_>>()
             ));
         }
     }
@@ -180,12 +186,12 @@ pub fn check_global(states: &[&dyn VersionedState]) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::TpccContract;
     use crate::schema::TPCC_CC;
     use fabric_sim::endorsement::EndorsementPolicy;
     use fabric_sim::identity::OrgId;
     use fabric_sim::FabricChain;
     use ledgerview_crypto::rng::seeded;
+    use ledgerview_shard::participant::Fenced;
 
     #[test]
     fn invariants_hold_on_a_scripted_chain_and_catch_tampering() {
@@ -193,7 +199,7 @@ mod tests {
         let mut chain = FabricChain::new(&["OrgA"], &mut rng);
         chain.deploy(
             TPCC_CC,
-            Box::new(TpccContract),
+            Box::new(Fenced(TpccContract)),
             EndorsementPolicy::AllOf(chain.org_ids()),
         );
         let id = chain.enroll(&OrgId::new("OrgA"), "t", &mut rng).unwrap();

@@ -76,19 +76,6 @@ pub fn audit_key(w: u64, seq: u64) -> String {
     format!("wh~w{w}~audit~{seq:06}")
 }
 
-/// `tpend~<req>~…` — a prepared-but-undecided 2PC leg on this shard.
-/// Disjoint from the crosschain contracts' `pend~` namespace, so the
-/// transfer auditors never see TPC-C residue.
-pub fn tpend_prefix(req: &str) -> String {
-    format!("tpend~{req}~")
-}
-
-/// `tfin~<req>` — the idempotent terminal marker (`[1]` committed,
-/// `[0]` aborted).
-pub fn tfin_key(req: &str) -> String {
-    format!("tfin~{req}")
-}
-
 /// Deterministic catalog price of item `i`, in cents: a pure function,
 /// so the contract (computing order-line amounts) and the invariant
 /// checker (recomputing them from order lines) can never disagree.

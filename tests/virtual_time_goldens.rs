@@ -246,6 +246,18 @@ fn tpcc_cell(warehouses: u64, shards: usize, views: bool, faults: bool) -> TpccR
 
 #[test]
 fn tpcc_grid() {
+    // Per-shard state roots of the (4 wh, 2 sh) cells, views off then on:
+    // every cross-shard 2PC leg's writes (keys, values, order), pinned.
+    let roots_4wh_2sh = [
+        [
+            "dc0524c7cee5c43cb3e9bc255ada9b77887453649d2493deec4ec4b851c886a3",
+            "a02577483b195a951a3fdfad11268ae71c85eb67a7bcb91b0a2a0995e46dae6c",
+        ],
+        [
+            "d74544c2914538936e1aba0084640a734a51d0876c13d06dac2ff4206a84b67b",
+            "7cfba3826da1cae69463604858468b9dd380ec56d6654516f17f0bc44cf4f368",
+        ],
+    ];
     // (warehouses, shards) ⇒ (tpmC, committed NewOrders, makespan µs,
     // re-drives, cross-shard committed, cross fraction).
     for (warehouses, shards, want) in [
@@ -269,6 +281,9 @@ fn tpcc_grid() {
                 cross.as_str(),
             );
             assert_eq!(got, want, "{at}");
+            if shards == 2 {
+                assert_eq!(plain.state_roots, roots_4wh_2sh[views as usize], "{at}");
+            }
             assert_eq!(plain.audit_ops > 0, views, "views add audit flushes: {at}");
             // A 3-node Raft group re-elects within one block interval, so at
             // this deck size the fault cell is its twin bit for bit — except
