@@ -1,8 +1,9 @@
 //! Benchmarks of the blockchain substrate: Merkle trees, the state
-//! database digest, block commit, commit-time endorsement validation
-//! (VSCC), and datalog view evaluation.
+//! database digest, the storage checksum, LSM compaction, block commit,
+//! commit-time endorsement validation (VSCC), and datalog view
+//! evaluation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use fabric_sim::merkle::{verify_inclusion, MerkleTree};
@@ -86,6 +87,93 @@ fn bench_statedb(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// CRC-32 over one 4 KiB table block, through each body: the table loop
+/// and, when this CPU has it, the carry-less multiply body (which the
+/// dispatch takes whenever `hardware_accelerated`).
+fn bench_crc32(c: &mut Criterion) {
+    use fabric_store::crc32;
+    let block: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let mut group = c.benchmark_group("crc32");
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_with_input(BenchmarkId::new("portable", 4096), &block, |b, block| {
+        b.iter(|| crc32::crc32_portable(black_box(block)));
+    });
+    if crc32::hardware_accelerated() {
+        group.bench_with_input(BenchmarkId::new("hardware", 4096), &block, |b, block| {
+            b.iter(|| crc32::crc32(black_box(block)));
+        });
+    }
+    group.finish();
+}
+
+/// One L0 compaction: four flushed tables of 2 000 overwrites each, merged
+/// into an L1 of 40 000 keys × 256 B (~11 MiB). The inputs are built once;
+/// each iteration hard-links them into a fresh directory (tables are
+/// immutable and the manifest is replaced by rename, so the originals stay
+/// intact), reopens the engine and flushes an empty memtable, which runs
+/// exactly that compaction.
+fn bench_compaction(c: &mut Criterion) {
+    use fabric_store::testdir::TestDir;
+    use ledgerview_statedb::{Lsm, LsmConfig, Version};
+    let scratch = TestDir::new("bench-compact-l0");
+    let inputs = scratch.path().join("inputs");
+    let config = |dir: &std::path::Path, l0_tables| {
+        LsmConfig::new(dir).l0_compact_tables(l0_tables).sync(false)
+    };
+    let version = |block_num| Version {
+        block_num,
+        tx_num: 0,
+    };
+    {
+        let (mut lsm, _) = Lsm::open(config(&inputs, 1)).expect("open lsm");
+        for i in 0..40_000u32 {
+            lsm.put(
+                format!("acct~{i:08}"),
+                vec![(i % 251) as u8; 256],
+                version(1),
+            );
+        }
+        lsm.flush(b"").expect("flush into L1");
+    }
+    {
+        let (mut lsm, _) = Lsm::open(config(&inputs, 5)).expect("reopen lsm");
+        for table in 0..4u32 {
+            for j in 0..2_000u32 {
+                let i = (j * 7_919 + table * 104_729) % 40_000;
+                lsm.put(
+                    format!("acct~{i:08}"),
+                    vec![table as u8; 256],
+                    version(2 + table as u64),
+                );
+            }
+            lsm.flush(b"").expect("flush an L0 table");
+        }
+        let levels = lsm.stats().levels;
+        assert_eq!(
+            (levels[0].tables, levels.len()),
+            (4, 2),
+            "four L0 tables over an L1"
+        );
+    }
+    let work = scratch.path().join("work");
+    c.benchmark_group("statedb")
+        .bench_function(BenchmarkId::from_parameter("compact_l0"), |b| {
+            b.iter(|| {
+                let _ = std::fs::remove_dir_all(&work);
+                std::fs::create_dir_all(&work).expect("work dir");
+                for entry in std::fs::read_dir(&inputs).expect("inputs") {
+                    let entry = entry.expect("entry");
+                    std::fs::hard_link(entry.path(), work.join(entry.file_name())).expect("link");
+                }
+                let (mut lsm, _) = Lsm::open(config(&work, 4)).expect("open copy");
+                lsm.flush(b"").expect("compact");
+                assert_eq!(lsm.stats().compactions, 1);
+            });
+        });
 }
 
 fn bench_block_commit(c: &mut Criterion) {
@@ -262,6 +350,8 @@ criterion_group!(
     benches,
     bench_merkle,
     bench_statedb,
+    bench_crc32,
+    bench_compaction,
     bench_block_commit,
     bench_validation,
     bench_datalog

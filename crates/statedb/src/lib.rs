@@ -553,7 +553,7 @@ impl Lsm {
             let records = self.mem.drain();
             let seq = self.alloc_seq();
             let mut builder = TableBuilder::create(&self.config.dir, seq, self.config.block_bytes)?;
-            for (key, entry) in &records {
+            for (key, entry) in records {
                 builder.add(key, entry.value.as_deref(), entry.version)?;
             }
             let table = builder.finish(self.config.sync)?;
@@ -689,12 +689,12 @@ impl Lsm {
         // non-overlapping) L1 inputs.
         let mut sources: Vec<Source<'_>> = Vec::new();
         for table in l0.iter().rev() {
-            sources.push(Box::new(table.scan("", None, &self.caches)));
+            sources.push(Box::new(table.compaction_reader()));
         }
         for table in &overlap {
-            sources.push(Box::new(table.scan("", None, &self.caches)));
+            sources.push(Box::new(table.compaction_reader()));
         }
-        let outputs = write_merged_tables(&self.config, &self.caches, &mut self.next_seq, sources)?;
+        let outputs = self.write_merged_tables(sources)?;
 
         let event = CompactionEvent {
             kind: "l0",
@@ -768,11 +768,11 @@ impl Lsm {
             chosen.file_bytes + overlap.iter().map(|t| t.file_bytes).sum::<u64>();
 
         let mut sources: Vec<Source<'_>> = Vec::new();
-        sources.push(Box::new(chosen.scan("", None, &self.caches)));
+        sources.push(Box::new(chosen.compaction_reader()));
         for table in &overlap {
-            sources.push(Box::new(table.scan("", None, &self.caches)));
+            sources.push(Box::new(table.compaction_reader()));
         }
-        let outputs = write_merged_tables(&self.config, &self.caches, &mut self.next_seq, sources)?;
+        let outputs = self.write_merged_tables(sources)?;
 
         let event = CompactionEvent {
             kind: "level",
@@ -811,6 +811,46 @@ impl Lsm {
         next.sort_by(|a, b| a.min_key.cmp(&b.min_key));
         self.levels[level + 1] = next;
         Ok(())
+    }
+
+    /// Drain a merge into new tables, splitting at the target size.
+    /// Shadowed records vanish here (the merge emits newest-per-key);
+    /// tombstones are retained by design — see the crate docs.
+    fn write_merged_tables(&mut self, sources: Vec<Source<'_>>) -> Result<Vec<Table>, StoreError> {
+        let config = &self.config;
+        let mut outputs = Vec::new();
+        let mut builder: Option<TableBuilder> = None;
+        for item in MergeScan::new(sources)? {
+            let record = item?;
+            if builder.is_none() {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                builder = Some(TableBuilder::create(&config.dir, seq, config.block_bytes)?);
+            }
+            let b = builder.as_mut().expect("builder just ensured");
+            b.add(record.key, record.value.as_deref(), record.version)?;
+            if b.bytes_written() >= config.table_target_bytes {
+                outputs.push(
+                    builder
+                        .take()
+                        .expect("builder present")
+                        .finish(config.sync)?,
+                );
+            }
+        }
+        if let Some(b) = builder {
+            if b.entry_count() > 0 {
+                outputs.push(b.finish(config.sync)?);
+            } else {
+                b.abort();
+            }
+        }
+        // New files replace inputs whose cached blocks are now stale; dropping
+        // the whole block cache is simpler than tracking which (seq, block)
+        // pairs died, and the row cache stays valid (logical content is
+        // unchanged by compaction).
+        self.caches.clear_blocks();
+        Ok(outputs)
     }
 
     fn push_trace(&mut self, event: CompactionEvent) {
@@ -869,52 +909,6 @@ impl Lsm {
     pub fn table_bytes(&self) -> u64 {
         self.levels.iter().flatten().map(|t| t.file_bytes).sum()
     }
-}
-
-/// Drain a merge into new tables, splitting at the target size. Shadowed
-/// records vanish here (the merge emits newest-per-key); tombstones are
-/// retained by design — see the crate docs. A free function rather than a
-/// method because `sources` borrow `caches` while `next_seq` must be
-/// mutable: disjoint field borrows.
-fn write_merged_tables(
-    config: &LsmConfig,
-    caches: &Caches,
-    next_seq: &mut u64,
-    sources: Vec<Source<'_>>,
-) -> Result<Vec<Table>, StoreError> {
-    let mut outputs = Vec::new();
-    let mut builder: Option<TableBuilder> = None;
-    for item in MergeScan::new(sources)? {
-        let record = item?;
-        if builder.is_none() {
-            let seq = *next_seq;
-            *next_seq += 1;
-            builder = Some(TableBuilder::create(&config.dir, seq, config.block_bytes)?);
-        }
-        let b = builder.as_mut().expect("builder just ensured");
-        b.add(&record.key, record.value.as_deref(), record.version)?;
-        if b.bytes_written() >= config.table_target_bytes {
-            outputs.push(
-                builder
-                    .take()
-                    .expect("builder present")
-                    .finish(config.sync)?,
-            );
-        }
-    }
-    if let Some(b) = builder {
-        if b.entry_count() > 0 {
-            outputs.push(b.finish(config.sync)?);
-        } else {
-            b.abort();
-        }
-    }
-    // New files replace inputs whose cached blocks are now stale; dropping
-    // the whole block cache is simpler than tracking which (seq, block)
-    // pairs died, and the row cache stays valid (logical content is
-    // unchanged by compaction).
-    caches.clear_blocks();
-    Ok(outputs)
 }
 
 #[cfg(test)]
@@ -1112,6 +1106,10 @@ mod tests {
             }
         }
         lsm.flush(b"").unwrap();
+        // Compaction reads its inputs around the block cache.
+        let stats = lsm.stats();
+        assert!(stats.compactions > 0);
+        assert_eq!(stats.block_cache_hits + stats.block_cache_misses, 0);
         for level in lsm.levels.iter().skip(1) {
             for pair in level.windows(2) {
                 assert!(pair[0].max_key < pair[1].min_key, "levels must not overlap");

@@ -19,10 +19,18 @@
 //!
 //! Readers share an open file handle and use positioned reads
 //! (`read_at`), so concurrent point lookups from validator worker
-//! threads never contend on a seek cursor.
+//! threads never contend on a seek cursor. Point reads and range scans
+//! fetch one data block at a time through the block cache. Compaction
+//! reads each input table front to back with a [`CompactionReader`]
+//! instead: one `read_exact_at` per run of consecutive frames (up to
+//! `IO_RUN_BYTES`, 32 KiB), every frame checked as a point read checks
+//! it, and nothing put in the block cache — compaction empties the cache
+//! when it ends, so those blocks would only have evicted the point
+//! reads' ones. The builder likewise writes through one buffer of that
+//! size rather than one `write` per block.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,6 +44,12 @@ use crate::Version;
 
 const TABLE_MAGIC: u64 = 0x4c56_5354_4442_3031; // "LVSTDB01"
 const FOOTER_BYTES: usize = 60;
+/// Frame header: payload length and payload CRC, a `u32` each.
+const FRAME_HEADER: usize = 8;
+/// The most bytes one compaction read, or one table-builder write, moves
+/// (a lone larger frame is read whole). A compaction holds one run per
+/// input table at once, so this also bounds its read buffers.
+const IO_RUN_BYTES: usize = 32 * 1024;
 /// Bloom filter density of every table (bits per key).
 const BLOOM_BITS_PER_KEY: u32 = 10;
 
@@ -133,31 +147,42 @@ pub fn decode_block(payload: &[u8]) -> Result<Vec<Record>, StoreError> {
     Ok(records)
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Write `payload` as one frame; returns the frame's length.
+fn write_frame(out: &mut impl Write, payload: &[u8]) -> Result<u32, StoreError> {
+    out.write_all(&(payload.len() as u32).to_le_bytes())
+        .and_then(|()| out.write_all(&crc32(payload).to_le_bytes()))
+        .and_then(|()| out.write_all(payload))
+        .map_err(StoreError::Io)?;
+    Ok((FRAME_HEADER + payload.len()) as u32)
 }
 
+/// Check one frame — exactly the bytes its index entry or footer spans —
+/// and return its payload.
+fn check_frame(frame: &[u8]) -> Result<&[u8], StoreError> {
+    if frame.len() < FRAME_HEADER {
+        return Err(corrupt("sstable: frame shorter than header"));
+    }
+    let plen = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
+    let stored = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+    if plen + FRAME_HEADER != frame.len() {
+        return Err(corrupt("sstable: frame length mismatch"));
+    }
+    let payload = &frame[FRAME_HEADER..];
+    if crc32(payload) != stored {
+        return Err(corrupt("sstable: frame checksum mismatch"));
+    }
+    Ok(payload)
+}
+
+/// Read and check the frame at `offset`; the payload is moved to the
+/// front of the same buffer rather than copied into a second one.
 fn read_frame(file: &File, offset: u64, len: u32) -> Result<Vec<u8>, StoreError> {
     let mut buf = vec![0u8; len as usize];
     file.read_exact_at(&mut buf, offset)
         .map_err(StoreError::Io)?;
-    if buf.len() < 8 {
-        return Err(corrupt("sstable: frame shorter than header"));
-    }
-    let plen = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    let stored = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if plen + 8 != buf.len() {
-        return Err(corrupt("sstable: frame length mismatch"));
-    }
-    let payload = buf.split_off(8);
-    if crc32(&payload) != stored {
-        return Err(corrupt("sstable: frame checksum mismatch"));
-    }
-    Ok(payload)
+    check_frame(&buf)?;
+    buf.drain(..FRAME_HEADER);
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -231,15 +256,16 @@ fn decode_index(payload: &[u8]) -> Result<(Vec<IndexEntry>, String), StoreError>
 /// Streams records (already in key order) into a new table file.
 pub struct TableBuilder {
     path: PathBuf,
-    file: File,
+    file: BufWriter<File>,
     seq: u64,
     block_bytes: usize,
     current: Vec<u8>,
     current_first_key: Option<String>,
     index: Vec<IndexEntry>,
+    /// Every key added, in order: the bloom filter's input, and the last
+    /// one is the table's max key.
     keys: Vec<String>,
     offset: u64,
-    last_key: Option<String>,
     entry_count: u64,
 }
 
@@ -256,7 +282,7 @@ impl TableBuilder {
             .map_err(StoreError::Io)?;
         Ok(TableBuilder {
             path,
-            file,
+            file: BufWriter::with_capacity(IO_RUN_BYTES, file),
             seq,
             block_bytes: block_bytes.max(256),
             current: Vec::new(),
@@ -264,28 +290,28 @@ impl TableBuilder {
             index: Vec::new(),
             keys: Vec::new(),
             offset: 0,
-            last_key: None,
             entry_count: 0,
         })
     }
 
     /// Append one record; keys must arrive in strictly increasing order.
+    /// The key is taken by value: the builder keeps every key until
+    /// `finish`, and both callers (flush and compaction) own theirs.
     pub fn add(
         &mut self,
-        key: &str,
+        key: String,
         value: Option<&[u8]>,
         version: Version,
     ) -> Result<(), StoreError> {
         debug_assert!(
-            self.last_key.as_deref().is_none_or(|last| last < key),
+            self.keys.last().is_none_or(|last| *last < key),
             "sstable keys must be strictly increasing"
         );
         if self.current_first_key.is_none() {
-            self.current_first_key = Some(key.to_string());
+            self.current_first_key = Some(key.clone());
         }
-        encode_record(&mut self.current, key, value, version);
-        self.keys.push(key.to_string());
-        self.last_key = Some(key.to_string());
+        encode_record(&mut self.current, &key, value, version);
+        self.keys.push(key);
         self.entry_count += 1;
         if self.current.len() >= self.block_bytes {
             self.cut_block()?;
@@ -297,17 +323,16 @@ impl TableBuilder {
         if self.current.is_empty() {
             return Ok(());
         }
-        let framed = frame(&self.current);
-        self.file.write_all(&framed).map_err(StoreError::Io)?;
+        let len = write_frame(&mut self.file, &self.current)?;
         self.index.push(IndexEntry {
             first_key: self
                 .current_first_key
                 .take()
                 .expect("non-empty block has a first key"),
             offset: self.offset,
-            len: framed.len() as u32,
+            len,
         });
-        self.offset += framed.len() as u64;
+        self.offset += len as u64;
         self.current.clear();
         Ok(())
     }
@@ -334,22 +359,21 @@ impl TableBuilder {
             self.keys.len(),
             BLOOM_BITS_PER_KEY,
         );
-        let filter_frame = frame(&bloom.encode());
         let filter_off = self.offset;
-        self.file.write_all(&filter_frame).map_err(StoreError::Io)?;
+        let filter_len = write_frame(&mut self.file, &bloom.encode())?;
         let last_key = self
-            .last_key
-            .clone()
+            .keys
+            .last()
+            .cloned()
             .expect("non-empty table has a last key");
-        let index_payload = encode_index(&self.index, &last_key);
-        let index_frame = frame(&index_payload);
-        let index_off = filter_off + filter_frame.len() as u64;
+        let index_off = filter_off + filter_len as u64;
+        let index_len = write_frame(&mut self.file, &encode_index(&self.index, &last_key))?;
 
         let mut footer = Vec::with_capacity(FOOTER_BYTES);
         footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index_frame.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&(index_len as u64).to_le_bytes());
         footer.extend_from_slice(&filter_off.to_le_bytes());
-        footer.extend_from_slice(&(filter_frame.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&(filter_len as u64).to_le_bytes());
         footer.extend_from_slice(&self.entry_count.to_le_bytes());
         footer.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
         let crc = crc32(&footer);
@@ -357,18 +381,21 @@ impl TableBuilder {
         footer.extend_from_slice(&[0u8; 8]); // pad to FOOTER_BYTES
         debug_assert_eq!(footer.len(), FOOTER_BYTES);
 
-        self.file.write_all(&index_frame).map_err(StoreError::Io)?;
         self.file.write_all(&footer).map_err(StoreError::Io)?;
+        let file = self
+            .file
+            .into_inner()
+            .map_err(|e| StoreError::Io(e.into_error()))?;
         if sync {
-            self.file.sync_all().map_err(StoreError::Io)?;
+            file.sync_all().map_err(StoreError::Io)?;
         }
 
-        let file_bytes = index_off + index_frame.len() as u64 + FOOTER_BYTES as u64;
+        let file_bytes = index_off + index_len as u64 + FOOTER_BYTES as u64;
         let min_key = self.index[0].first_key.clone();
         Ok(Table {
             seq: self.seq,
             path: self.path,
-            file: self.file,
+            file,
             index: self.index,
             bloom,
             min_key,
@@ -534,6 +561,21 @@ impl Table {
             + self.max_key.len()
     }
 
+    /// Every record of the table in key order, read front to back in runs
+    /// of consecutive frames and kept out of the block cache: the input
+    /// side of a compaction.
+    pub fn compaction_reader(&self) -> CompactionReader<'_> {
+        CompactionReader {
+            table: self,
+            next_block: 0,
+            run: Vec::new(),
+            run_offset: 0,
+            run_blocks: 0..0,
+            buffered: Vec::new().into_iter(),
+            done: false,
+        }
+    }
+
     /// Streaming iterator over records with `key >= start` (and
     /// `key < end` when bounded), in key order.
     pub fn scan<'a>(&'a self, start: &str, end: Option<&str>, caches: &'a Caches) -> TableIter<'a> {
@@ -542,8 +584,7 @@ impl Table {
             table: self,
             caches,
             next_block: first_block,
-            buffered: Vec::new(),
-            pos: 0,
+            buffered: Vec::new().into_iter(),
             start: start.to_string(),
             end: end.map(str::to_string),
             done: false,
@@ -556,8 +597,7 @@ pub struct TableIter<'a> {
     table: &'a Table,
     caches: &'a Caches,
     next_block: usize,
-    buffered: Vec<Record>,
-    pos: usize,
+    buffered: std::vec::IntoIter<Record>,
     start: String,
     end: Option<String>,
     done: bool,
@@ -571,9 +611,7 @@ impl Iterator for TableIter<'_> {
             if self.done {
                 return None;
             }
-            if self.pos < self.buffered.len() {
-                let record = self.buffered[self.pos].clone();
-                self.pos += 1;
+            if let Some(record) = self.buffered.next() {
                 if record.key.as_str() < self.start.as_str() {
                     continue;
                 }
@@ -605,14 +643,94 @@ impl Iterator for TableIter<'_> {
             };
             self.next_block += 1;
             match decode_block(&block) {
-                Ok(records) => {
-                    self.buffered = records;
-                    self.pos = 0;
-                }
+                Ok(records) => self.buffered = records.into_iter(),
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e));
                 }
+            }
+        }
+    }
+}
+
+/// Sequential whole-table reader (see [`Table::compaction_reader`]).
+pub struct CompactionReader<'a> {
+    table: &'a Table,
+    /// The first data block not yet read from disk.
+    next_block: usize,
+    /// The bytes of `run_blocks`, read in one call from `run_offset`.
+    run: Vec<u8>,
+    run_offset: u64,
+    /// Blocks of the current run not yet decoded.
+    run_blocks: std::ops::Range<usize>,
+    buffered: std::vec::IntoIter<Record>,
+    done: bool,
+}
+
+impl CompactionReader<'_> {
+    /// Read the next run: consecutive frames from `next_block` on, up to
+    /// `IO_RUN_BYTES` (at least one frame).
+    fn read_run(&mut self) -> Result<(), StoreError> {
+        let index = &self.table.index;
+        let first = self.next_block;
+        let start = index[first].offset;
+        let mut end = start;
+        let mut last = first;
+        while let Some(entry) = index.get(last) {
+            let Some(next_end) = end.checked_add(entry.len as u64) else {
+                return Err(corrupt("sstable: block offset overflows"));
+            };
+            if entry.offset != end || (last > first && next_end - start > IO_RUN_BYTES as u64) {
+                break;
+            }
+            end = next_end;
+            last += 1;
+        }
+        self.run.resize((end - start) as usize, 0);
+        self.table
+            .file
+            .read_exact_at(&mut self.run, start)
+            .map_err(StoreError::Io)?;
+        self.run_offset = start;
+        self.run_blocks = first..last;
+        self.next_block = last;
+        Ok(())
+    }
+
+    /// Check and decode the next block of the current run.
+    fn decode_next(&mut self) -> Result<(), StoreError> {
+        let idx = self.run_blocks.start;
+        self.run_blocks.start += 1;
+        let entry = &self.table.index[idx];
+        let at = (entry.offset - self.run_offset) as usize;
+        let payload = check_frame(&self.run[at..at + entry.len as usize])?;
+        self.buffered = decode_block(payload)?.into_iter();
+        Ok(())
+    }
+}
+
+impl Iterator for CompactionReader<'_> {
+    type Item = Result<Record, StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(record) = self.buffered.next() {
+                return Some(Ok(record));
+            }
+            if self.done {
+                return None;
+            }
+            let step = if !self.run_blocks.is_empty() {
+                self.decode_next()
+            } else if self.next_block < self.table.index.len() {
+                self.read_run()
+            } else {
+                self.done = true;
+                return None;
+            };
+            if let Err(e) = step {
+                self.done = true;
+                return Some(Err(e));
             }
         }
     }
@@ -635,9 +753,9 @@ mod tests {
         for i in 0..n {
             let key = format!("key-{i:05}");
             if i % 7 == 3 {
-                b.add(&key, None, v(i as u64, 0)).unwrap();
+                b.add(key, None, v(i as u64, 0)).unwrap();
             } else {
-                b.add(&key, Some(format!("value-{i}").as_bytes()), v(i as u64, 1))
+                b.add(key, Some(format!("value-{i}").as_bytes()), v(i as u64, 1))
                     .unwrap();
             }
         }
@@ -740,9 +858,140 @@ mod tests {
             let caches = Caches::new(1 << 20, 0);
             let detected = match Table::open(dir.path(), 4) {
                 Err(_) => true,
-                Ok(table) => table.scan("", None, &caches).any(|r| r.is_err()),
+                Ok(table) => {
+                    table.scan("", None, &caches).any(|r| r.is_err())
+                        && table.compaction_reader().any(|r| r.is_err())
+                }
             };
             assert!(detected, "flip at byte {i} went unnoticed");
+        }
+    }
+
+    /// The compaction reader yields exactly what a full scan does, across
+    /// several read runs and through a lone frame larger than one run.
+    #[test]
+    fn compaction_reader_matches_a_full_scan() {
+        let dir = TestDir::new("statedb-sst-compaction-reader");
+        let mut b = TableBuilder::create(dir.path(), 6, 4096).unwrap();
+        let mut expected = Vec::new();
+        for i in 0..20_000u32 {
+            let value = match i {
+                7_000 => vec![7u8; IO_RUN_BYTES + 1000],
+                _ if i % 11 == 5 => Vec::new(),
+                _ => format!("value-{i}").into_bytes(),
+            };
+            let version = v(i as u64, i % 3);
+            let key = format!("key-{i:06}");
+            let value = (i % 13 != 4).then_some(value);
+            b.add(key.clone(), value.as_deref(), version).unwrap();
+            expected.push(Record {
+                key,
+                value,
+                version,
+            });
+        }
+        let table = b.finish(false).unwrap();
+        assert!(table.file_bytes > 3 * IO_RUN_BYTES as u64);
+        let read: Vec<Record> = table.compaction_reader().map(Result::unwrap).collect();
+        assert_eq!(read, expected);
+        let caches = Caches::new(1 << 20, 0);
+        let scanned: Vec<Record> = table.scan("", None, &caches).map(Result::unwrap).collect();
+        assert_eq!(scanned, expected);
+    }
+
+    /// SSTable corruption sweep. One multi-block table is cut short at
+    /// every frame boundary and one byte either side of each, and has one
+    /// bit flipped in the header and in the middle of each frame and of
+    /// the footer. Each damaged copy is read through `Table::open`, and —
+    /// since an open table keeps its index and filter in memory and reads
+    /// data blocks from disk — through `Table::get` and the compaction
+    /// reader of a table opened before the damage. Every read gives the
+    /// pristine record or an error, never a panic or another record, and
+    /// damage to the data region is always reported.
+    #[test]
+    fn corruption_sweep_truncations_and_frame_flips() {
+        let dir = TestDir::new("statedb-sst-corruption-sweep");
+        let table = build_table(dir.path(), 5, 300, 512);
+        assert!(table.block_count() > 8, "want a multi-block table");
+        let path = table.path.clone();
+        let pristine_bytes = std::fs::read(&path).unwrap();
+        let pristine: Vec<Record> = table.compaction_reader().map(Result::unwrap).collect();
+        assert_eq!(pristine.len(), 300);
+
+        // Frame starts: every data block, the filter, the index, the
+        // footer, and the end of the file.
+        let len = pristine_bytes.len();
+        let footer = &pristine_bytes[len - FOOTER_BYTES..];
+        let index_off = u64::from_le_bytes(footer[0..8].try_into().unwrap()) as usize;
+        let filter_off = u64::from_le_bytes(footer[16..24].try_into().unwrap()) as usize;
+        let mut starts: Vec<usize> = table.index.iter().map(|e| e.offset as usize).collect();
+        starts.extend([filter_off, index_off, len - FOOTER_BYTES, len]);
+        let mut damaged: Vec<(String, Vec<u8>, bool)> = Vec::new();
+        for &at in &starts {
+            for cut in [at.saturating_sub(1), at, at + 1] {
+                if cut < len {
+                    let bytes = pristine_bytes[..cut].to_vec();
+                    damaged.push((format!("cut at {cut}"), bytes, cut < filter_off));
+                }
+            }
+        }
+        for span in starts.windows(2) {
+            for at in [span[0], (span[0] + span[1]) / 2] {
+                let mut bytes = pristine_bytes.clone();
+                bytes[at] ^= 1 << (at % 8);
+                damaged.push((format!("flip at {at}"), bytes, at < filter_off));
+            }
+        }
+
+        let caches = Caches::new(0, 0);
+        let check_reads = |table: &Table, case: &str, data_damaged: bool| {
+            let mut probes = 0;
+            for want in &pristine {
+                match table.get(&want.key, &caches, &mut probes) {
+                    Ok(got) => assert_eq!(got.as_ref(), Some(want), "{case}: get {}", want.key),
+                    Err(e) => assert!(
+                        matches!(e, StoreError::Corrupt(_) | StoreError::Io(_)),
+                        "{case}"
+                    ),
+                }
+            }
+            let read: Vec<Result<Record, StoreError>> = table.compaction_reader().collect();
+            let good = read.iter().take_while(|r| r.is_ok()).count();
+            assert!(good + 1 >= read.len(), "{case}: records after an error");
+            for (got, want) in read.iter().zip(&pristine) {
+                if let Ok(got) = got {
+                    assert_eq!(got, want, "{case}: compaction reader");
+                }
+            }
+            if data_damaged {
+                assert!(good < pristine.len(), "{case}: compaction reader missed it");
+                assert!(
+                    read.last().is_some_and(|r| r.is_err()),
+                    "{case}: no error reported"
+                );
+            } else {
+                assert_eq!(good, pristine.len(), "{case}: intact data lost");
+            }
+        };
+
+        for (case, bytes, data_damaged) in &damaged {
+            std::fs::write(&path, bytes).unwrap();
+            // `table` was opened on the pristine file: the same inode,
+            // now damaged underneath it.
+            check_reads(&table, case, *data_damaged);
+            match Table::open(dir.path(), 5) {
+                Ok(reopened) => {
+                    assert!(
+                        *data_damaged && !case.starts_with("cut"),
+                        "{case}: opened a table whose metadata was damaged"
+                    );
+                    check_reads(&reopened, case, true);
+                }
+                Err(e) => assert!(
+                    matches!(e, StoreError::Corrupt(_) | StoreError::Io(_)),
+                    "{case}"
+                ),
+            }
         }
     }
 

@@ -22,8 +22,19 @@
 //!
 //! Recovery opens the LSM at its last flush and re-derives every later
 //! block's writes from the block itself (transactions × validity flags).
+//!
+//! # Unsafe code
+//!
+//! The crate is `#![deny(unsafe_code)]` rather than `forbid` for one
+//! exemption: in [`crc32`], the call into its carry-less-multiply body, a
+//! `#[target_feature]` function of safe `std::arch` intrinsics. The call
+//! is made only after `is_x86_feature_detected!` has seen every feature
+//! that body is compiled for; on other CPUs the table loop runs
+//! ([`crc32::hardware_accelerated`] says which). Nothing else here is
+//! `unsafe`, and the root package's `tests/unsafe_inventory.rs` keeps it
+//! that way across the workspace.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blockfile;

@@ -183,6 +183,10 @@ fn main() {
     );
     assert!(stats.flushes > 0, "load never reached the disk");
     assert!(
+        stats.compactions > 0,
+        "no compaction ran, so the compaction reader went unexercised"
+    );
+    assert!(
         stats.memtable_bytes as u64 + stats.cache_resident_bytes as u64 <= budget,
         "engine exceeded its memory budget"
     );
