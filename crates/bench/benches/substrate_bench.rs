@@ -114,8 +114,8 @@ fn bench_crc32(c: &mut Criterion) {
 /// into an L1 of 40 000 keys × 256 B (~11 MiB). The inputs are built once;
 /// each iteration hard-links them into a fresh directory (tables are
 /// immutable and the manifest is replaced by rename, so the originals stay
-/// intact), reopens the engine and flushes an empty memtable, which runs
-/// exactly that compaction.
+/// intact), reopens the engine, flushes an empty memtable and waits for
+/// the flush job, which runs exactly that compaction.
 fn bench_compaction(c: &mut Criterion) {
     use fabric_store::testdir::TestDir;
     use ledgerview_statedb::{Lsm, LsmConfig, Version};
@@ -170,7 +170,10 @@ fn bench_compaction(c: &mut Criterion) {
                     std::fs::hard_link(entry.path(), work.join(entry.file_name())).expect("link");
                 }
                 let (mut lsm, _) = Lsm::open(config(&work, 4)).expect("open copy");
-                lsm.flush(b"").expect("compact");
+                lsm.flush(b"").expect("start the compaction job");
+                // The job compacts on the engine's flush thread: time it
+                // to the end.
+                lsm.wait().expect("compact");
                 assert_eq!(lsm.stats().compactions, 1);
             });
         });

@@ -95,17 +95,18 @@ impl LsmState {
     /// into histograms, cache hit ratios and per-level occupancy into
     /// gauges. Synced after every flush and by [`LsmState::sync_metrics`].
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let already = self.lsm.stats();
+        let already = self.lsm.installed_stats();
         self.metrics = Some(StatedbMetrics::new(telemetry, already));
     }
 
     /// Mirror engine statistics into the attached registry now (no-op
     /// without telemetry). Read-path counters (cache hits, bloom
     /// negatives) only move on sync, so callers measuring a read-heavy
-    /// workload should sync at the end of it.
+    /// workload should sync at the end of it. Never waits for the flush
+    /// job in flight: its work is mirrored once it is installed.
     pub fn sync_metrics(&mut self) {
         if let Some(metrics) = &mut self.metrics {
-            metrics.sync(self.lsm.stats(), self.lsm.trace());
+            metrics.sync(self.lsm.installed_stats(), self.lsm.trace());
         }
     }
 
@@ -114,20 +115,33 @@ impl LsmState {
         self.lsm.should_flush()
     }
 
-    /// Flush the memtable and publish `meta` atomically (see
-    /// [`Lsm::flush`]).
+    /// Seal the memtable and start the background job that flushes it and
+    /// publishes `meta` atomically (see [`Lsm::flush`]), after waiting for
+    /// and installing the previous job. The flush becomes the commit point
+    /// when its job completes; until then a reopen recovers from the
+    /// previous one. Memtable residency can reach two budgets meanwhile.
     pub fn flush(&mut self, meta: &[u8]) -> Result<(), FabricError> {
         self.lsm.flush(meta)?;
         self.sync_metrics();
         Ok(())
     }
 
-    /// Engine statistics snapshot.
+    /// Wait for the flush job in flight and install it (see
+    /// [`Lsm::wait`]): afterwards the last flush is the commit point.
+    pub fn wait(&mut self) -> Result<(), FabricError> {
+        self.lsm.wait()?;
+        self.sync_metrics();
+        Ok(())
+    }
+
+    /// Engine statistics snapshot, the flush job in flight included
+    /// (waits for it; see [`Lsm::stats`]).
     pub fn lsm_stats(&self) -> LsmStats {
         self.lsm.stats()
     }
 
-    /// Flush/compaction events since open (newest last, capped).
+    /// Flush/compaction events of the installed flush jobs since open
+    /// (newest last, capped).
     pub fn compaction_trace(&self) -> &[CompactionEvent] {
         self.lsm.trace()
     }
@@ -143,7 +157,8 @@ impl LsmState {
         self.lsm.set_crash_point(point);
     }
 
-    /// Whether an injected crash has fired.
+    /// Whether an injected crash has fired (waits for the flush job when a
+    /// crash point is armed).
     pub fn crashed(&self) -> bool {
         self.lsm.crashed()
     }

@@ -9,8 +9,9 @@
 //!    [`DurableBackend`] that means the encoded block appended to the block
 //!    file under the [`FsyncPolicy`], then — every
 //!    `checkpoint_every_blocks`, or sooner when the LSM memtable crosses
-//!    its threshold — a checkpoint: sync the block file, flush the
-//!    memtable.
+//!    its threshold — a checkpoint: sync the block file, seal the
+//!    memtable and start the background job that flushes it (the next
+//!    checkpoint, or [`StateBackend::flush`], waits for that job first).
 //!
 //! The block file is the only log, as in Fabric: the state is derived from
 //! it, and no write set is stored twice.
@@ -32,8 +33,10 @@
 //! A crash can lose a suffix of the block file (as much as the fsync
 //! policy left unsynced) but never a block the last checkpoint covers:
 //! the block file is synced before the memtable flush that publishes the
-//! checkpoint. [`DurableBackend::open`] opens the LSM at its last flush and
-//! verifies it against the digest the manifest records, re-derives every
+//! checkpoint. A checkpoint becomes the commit point when its flush job
+//! completes; until then a reopen recovers from the previous one, which is
+//! correct because the block file is the log. [`DurableBackend::open`]
+//! opens the LSM at its last flush and verifies it against the digest the manifest records, re-derives every
 //! later block's writes from the block itself (transactions × validity
 //! flags), and re-derives the rolling state root per block to verify the
 //! result against every recovered block header. Torn tails are truncated
@@ -479,7 +482,8 @@ pub struct DurableBackend {
     state: LsmState,
     blocks: BlockFile,
     config: StorageConfig,
-    /// What the last checkpoint published. Its base height
+    /// What the last checkpoint publishes (once its flush job completes:
+    /// checkpoint positions never depend on thread timing). Its base height
     /// (non-zero when bootstrapped from a shipped snapshot — a *pruned*
     /// store) and base hash hold for the life of the store.
     checkpointed: StateMeta,
@@ -569,6 +573,9 @@ impl DurableBackend {
             timestamp_us: snapshot.timestamp_us,
         };
         persist(&mut state, &meta)?;
+        // No block file can replay a snapshot: its checkpoint must commit
+        // before the store is handed out.
+        state.wait()?;
         DurableBackend::resume(config, state, meta, pool)
     }
 
@@ -643,8 +650,10 @@ impl DurableBackend {
         self.last_timestamp_us
     }
 
-    /// Checkpoint (sync the block file, flush the LSM memtable) now,
-    /// regardless of the configured interval.
+    /// Checkpoint (sync the block file, start the LSM memtable's flush
+    /// job) now, regardless of the configured interval. The checkpoint
+    /// commits when the job completes, at the next checkpoint or
+    /// [`StateBackend::flush`] at the latest.
     pub fn checkpoint_now(&mut self) -> Result<(), FabricError> {
         let start = Instant::now();
         // Durability order: every block the checkpoint summarises must be
@@ -712,6 +721,8 @@ impl StateBackend for DurableBackend {
 
     fn flush(&mut self) -> Result<(), FabricError> {
         self.blocks.sync().map_err(StoreError::Io)?;
+        // The last checkpoint's flush job publishes its manifest.
+        self.state.wait()?;
         let total_fsyncs = self.fsyncs();
         if let Some(m) = &mut self.metrics {
             m.sync_fsyncs(total_fsyncs);

@@ -6,17 +6,18 @@
 //! # Architecture
 //!
 //! Writes land in a sorted in-memory [`memtable`]; when it crosses a
-//! byte threshold the caller flushes it into an immutable L0
-//! [`sstable`]. L0 tables may overlap; deeper levels are sorted runs of
-//! non-overlapping tables. Point reads consult the memtable, a row
-//! cache, then tables newest-first with bloom filters and a sparse block
-//! index bounding disk touches; range scans [`scan`]-merge all sources
-//! with newest-record-wins semantics. Compaction merges runs downward
-//! when L0 accumulates too many tables or a level exceeds its byte
-//! budget, reclaiming every shadowed record. A [`manifest`] is the
-//! atomic commit point: flushes and compactions first write new table
-//! files, then publish them with one fsync'd rename — a crash in
-//! between leaves only orphan files, deleted at the next open.
+//! byte threshold the caller flushes it: the engine seals it and one
+//! background job writes it into an immutable L0 [`sstable`]. L0 tables
+//! may overlap; deeper levels are sorted runs of non-overlapping tables.
+//! Point reads consult the memtable, the sealed memtable, a row cache,
+//! then tables newest-first with bloom filters and a sparse block index
+//! bounding disk touches; range scans [`scan`]-merge all sources with
+//! newest-record-wins semantics. Compaction merges runs downward when L0
+//! accumulates too many tables or a level exceeds its byte budget,
+//! reclaiming every shadowed record. A [`manifest`] is the atomic commit
+//! point: flushes and compactions first write new table files, then
+//! publish them with one fsync'd rename — a crash in between leaves only
+//! orphan files, deleted at the next open.
 //!
 //! # What this engine deliberately does differently
 //!
@@ -29,10 +30,19 @@
 //!   and digests must not depend on compaction timing. Compaction
 //!   reclaims *shadowed* records — everything older than the newest
 //!   record per key — which is where the space goes in practice.
-//! * **No background threads.** Compaction runs synchronously inside
-//!   `flush`, so a given sequence of operations produces bit-identical
-//!   files and digests on every run — the property the differential
-//!   proptests against the in-memory twin rely on.
+//! * **One flush job at a time, installed at fixed points.** `flush`
+//!   hands the sealed memtable to a job on the engine's flush thread that
+//!   writes the L0 table, runs the due compactions and publishes the
+//!   manifest, while the caller goes on. The next `flush` first waits for that job and
+//!   installs its result, so each job starts from exactly the tree,
+//!   sequence numbers and cursors a synchronous flush would have seen. A
+//!   result becomes visible only at the next `flush`, an explicit
+//!   [`Lsm::wait`], the drop, or [`Lsm::crashed`] with a crash point
+//!   armed — never because the thread happened to finish. So a given
+//!   sequence of operations produces bit-identical files, manifests,
+//!   traces and digests on every run — the property the differential
+//!   proptests against the in-memory twin rely on. Only *when* the work
+//!   happens depends on thread timing.
 
 #![forbid(unsafe_code)]
 
@@ -43,9 +53,12 @@ pub mod memtable;
 pub mod scan;
 pub mod sstable;
 
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use fabric_store::StoreError;
 
@@ -91,7 +104,9 @@ pub type Lookup = Option<(Option<Vec<u8>>, Version)>;
 pub struct LsmConfig {
     /// Directory holding the manifest and table files.
     pub dir: PathBuf,
-    /// Flush the memtable once it buffers this many bytes.
+    /// Flush the memtable once it buffers this many bytes. While a flush
+    /// job runs, the sealed memtable it is writing stays resident beside
+    /// the active one, so memtable residency can reach two budgets.
     pub memtable_bytes: usize,
     /// Target size of one data block inside a table.
     pub block_bytes: usize,
@@ -238,7 +253,8 @@ pub struct LsmStats {
     pub table_bytes_written: u64,
     /// Per-level occupancy, L0 first.
     pub levels: Vec<LevelStats>,
-    /// Current memtable footprint.
+    /// Current footprint of the active memtable (a sealed one waiting
+    /// for its flush job is not counted).
     pub memtable_bytes: usize,
     /// Resident bytes across block + row caches.
     pub cache_resident_bytes: usize,
@@ -301,27 +317,85 @@ const MAX_TRACE_EVENTS: usize = 4096;
 pub struct Lsm {
     config: LsmConfig,
     mem: Memtable,
-    /// `levels[0]` is L0 in age order (oldest first); deeper levels are
-    /// non-overlapping, sorted by min key.
-    levels: Vec<Vec<Table>>,
+    /// The memtable the in-flight job is writing out: read after `mem`
+    /// and before the tables until the job is installed.
+    sealed: Option<Arc<Memtable>>,
+    /// The installed tree. `levels[0]` is L0 in age order (oldest
+    /// first); deeper levels are non-overlapping, sorted by min key.
+    levels: Vec<Vec<Arc<Table>>>,
     cursors: Vec<Option<String>>,
     next_seq: u64,
     caches: Caches,
     gets: AtomicU64,
     probes: AtomicU64,
     bloom_negatives: AtomicU64,
+    user_bytes_written: u64,
+    work: Work,
+    trace: Vec<CompactionEvent>,
+    crash_point: Option<CrashPoint>,
+    /// Set when an installed job crashed; all further mutation is refused.
+    crashed: bool,
+    /// The flush job in flight, if any — never more than one.
+    job: Mutex<Option<Pending>>,
+    /// The engine's flush thread, started by the first flush: where jobs
+    /// are handed over, and its handle.
+    worker: Option<(SyncSender<Task>, JoinHandle<()>)>,
+}
+
+/// What flushes and compactions did: the engine's running totals, and
+/// the amounts one job adds to them when it is installed.
+#[derive(Clone, Copy, Default)]
+struct Work {
     flushes: u64,
     compactions: u64,
-    user_bytes_written: u64,
     table_bytes_written: u64,
     compaction_bytes_read: u64,
     compaction_bytes_written: u64,
     flush_us: u64,
     compaction_us: u64,
-    trace: Vec<CompactionEvent>,
-    crash_point: Option<CrashPoint>,
-    /// Set when a crash point fired; all further mutation is refused.
-    crashed: bool,
+}
+
+impl Work {
+    fn add(&mut self, other: &Work) {
+        self.flushes += other.flushes;
+        self.compactions += other.compactions;
+        self.table_bytes_written += other.table_bytes_written;
+        self.compaction_bytes_read += other.compaction_bytes_read;
+        self.compaction_bytes_written += other.compaction_bytes_written;
+        self.flush_us += other.flush_us;
+        self.compaction_us += other.compaction_us;
+    }
+}
+
+/// The flush job's slot: where its outcome will arrive until a caller
+/// waits for it, then the outcome until the next install takes it.
+enum Pending {
+    Running(Receiver<Result<Box<Job>, StoreError>>),
+    Finished(Result<Box<Job>, StoreError>),
+}
+
+/// One job handed to the flush thread: the job, the sealed records it
+/// writes, the manifest `meta`, and where to send the outcome.
+type Task = (
+    Job,
+    Arc<Memtable>,
+    Vec<u8>,
+    SyncSender<Result<Box<Job>, StoreError>>,
+);
+
+/// The flush thread's loop: one task at a time until the engine drops
+/// its end. A panicking job becomes an error, and the thread lives on.
+fn serve(tasks: Receiver<Task>) {
+    for (job, records, meta, done) in tasks {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job.run(&records, &meta)))
+            .unwrap_or_else(|panic| Err(job_panicked(&*panic)))
+            .map(Box::new);
+        // The engine frees the records when it installs the job, on its
+        // own thread, so its allocator gets that memory back.
+        drop(records);
+        // The engine waits for every outcome before it drops.
+        let _ = done.send(outcome);
+    }
 }
 
 impl Lsm {
@@ -360,7 +434,7 @@ impl Lsm {
         for level_seqs in &man.levels {
             let mut tables = Vec::with_capacity(level_seqs.len());
             for &seq in level_seqs {
-                tables.push(Table::open(&config.dir, seq)?);
+                tables.push(Arc::new(Table::open(&config.dir, seq)?));
             }
             levels.push(tables);
         }
@@ -370,6 +444,7 @@ impl Lsm {
         Ok((
             Lsm {
                 mem: Memtable::new(),
+                sealed: None,
                 levels,
                 cursors,
                 next_seq: man.next_seq,
@@ -377,32 +452,33 @@ impl Lsm {
                 gets: AtomicU64::new(0),
                 probes: AtomicU64::new(0),
                 bloom_negatives: AtomicU64::new(0),
-                flushes: 0,
-                compactions: 0,
                 user_bytes_written: 0,
-                table_bytes_written: 0,
-                compaction_bytes_read: 0,
-                compaction_bytes_written: 0,
-                flush_us: 0,
-                compaction_us: 0,
+                work: Work::default(),
                 trace: Vec::new(),
                 crash_point: None,
                 crashed: false,
+                job: Mutex::new(None),
+                worker: None,
                 config,
             },
             meta,
         ))
     }
 
-    /// Arm a crash-injection point (tests only; fires once).
+    /// Arm a crash-injection point (tests only; fires once). It takes
+    /// effect from the next [`Lsm::flush`]'s job on.
     pub fn set_crash_point(&mut self, point: Option<CrashPoint>) {
         self.crash_point = point;
     }
 
     /// Whether an armed crash point has fired (the engine then refuses
-    /// further work, like a dead process).
+    /// further work, like a dead process). The crash points fire inside
+    /// the flush job, so with one armed this waits for the job in flight.
     pub fn crashed(&self) -> bool {
-        self.crashed
+        if self.crashed || self.crash_point.is_none() {
+            return self.crashed;
+        }
+        matches!(&*self.finished_job(), Some(Pending::Finished(Ok(job))) if job.crashed)
     }
 
     // -- writes ------------------------------------------------------------
@@ -439,7 +515,8 @@ impl Lsm {
     /// value is a tombstone; `None` means the key never existed.
     pub fn get(&self, key: &str) -> Result<Lookup, StoreError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.mem.get(key) {
+        let buffered = self.mem.get(key).or_else(|| self.sealed.as_ref()?.get(key));
+        if let Some(entry) = buffered {
             return Ok(Some((entry.value.clone(), entry.version)));
         }
         if let Some((value, version)) = self.caches.get_row(key) {
@@ -497,13 +574,15 @@ impl Lsm {
         f: &mut dyn FnMut(Record) -> bool,
     ) -> Result<(), StoreError> {
         let mut sources: Vec<Source<'_>> = Vec::new();
-        sources.push(Box::new(self.mem.range(start, end).map(|(k, e)| {
-            Ok(Record {
-                key: k.clone(),
-                value: e.value.clone(),
-                version: e.version,
-            })
-        })));
+        for mem in std::iter::once(&self.mem).chain(self.sealed.as_deref()) {
+            sources.push(Box::new(mem.range(start, end).map(|(k, e)| {
+                Ok(Record {
+                    key: k.clone(),
+                    value: e.value.clone(),
+                    version: e.version,
+                })
+            })));
+        }
         if let Some(level0) = self.levels.first() {
             for table in level0.iter().rev() {
                 sources.push(Box::new(table.scan(start, end, &self.caches)));
@@ -540,28 +619,243 @@ impl Lsm {
 
     // -- flush & compaction ------------------------------------------------
 
-    /// Persist the memtable as an L0 table (if non-empty), run any due
-    /// compactions, and publish the result — together with the caller's
-    /// opaque `meta` blob — in one atomic manifest update. On return the
-    /// memtable is empty and everything written before this call is
-    /// durable (when `sync` is on).
+    /// Seal the memtable and hand it to a background job that persists it
+    /// as an L0 table (if non-empty), runs any due compactions, and
+    /// publishes the result — together with the caller's opaque `meta`
+    /// blob — in one atomic manifest update, then deletes the files that
+    /// update made obsolete. On return the memtable is empty and the job
+    /// is running; reads see the sealed records until it is installed.
+    ///
+    /// First waits for the previous job and installs it (see
+    /// [`Lsm::wait`]), returning its error if it failed. So every job
+    /// starts from exactly the tree, sequence numbers and cursors a
+    /// synchronous flush would have seen, and writes the same files.
+    /// Everything written before this call is durable (when `sync` is on)
+    /// once its job has completed: at the next `flush`, `wait`, or drop.
     pub fn flush(&mut self, meta: &[u8]) -> Result<(), StoreError> {
+        self.wait()?;
         assert!(!self.crashed, "lsm used after injected crash");
+        let tasks = match &self.worker {
+            Some((tasks, _)) => tasks,
+            None => {
+                // One thread for the engine's life: its allocator arena
+                // stays its own, so job after job reuses the same memory.
+                let (tasks, inbox) = mpsc::sync_channel(1);
+                let thread = std::thread::Builder::new()
+                    .name("lsm-flush".into())
+                    .spawn(move || serve(inbox))
+                    .map_err(StoreError::Io)?;
+                &self.worker.insert((tasks, thread)).0
+            }
+        };
+        let job = Job {
+            config: self.config.clone(),
+            levels: self.levels.clone(),
+            cursors: self.cursors.clone(),
+            next_seq: self.next_seq,
+            work: Work::default(),
+            trace: Vec::new(),
+            crash_point: self.crash_point,
+            crashed: false,
+        };
+        let sealed = Arc::new(std::mem::take(&mut self.mem));
+        let (done, outcome) = mpsc::sync_channel(1);
+        // The thread only stops when the engine drops this sender, so the
+        // hand-off cannot fail; if it did, the outcome channel would
+        // report the job as lost.
+        let _ = tasks.send((job, Arc::clone(&sealed), meta.to_vec(), done));
+        self.sealed = Some(sealed);
+        *self.job.get_mut().unwrap_or_else(PoisonError::into_inner) =
+            Some(Pending::Running(outcome));
+        Ok(())
+    }
+
+    /// Wait for the flush job in flight, if any, and install its result:
+    /// its tree replaces the installed one (input tables close here), its
+    /// counts and trace events are added, reads stop consulting the sealed
+    /// memtable, and the block cache is cleared if it compacted. Returns
+    /// the job's error, or its panic as an error; the sealed records are
+    /// then dropped unwritten, and the caller must treat the engine as
+    /// failed (a durable backend replays them from its block file).
+    pub fn wait(&mut self) -> Result<(), StoreError> {
+        let pending = self.finished_job().take();
+        let Some(Pending::Finished(outcome)) = pending else {
+            return Ok(());
+        };
+        self.sealed = None;
+        let job = *outcome?;
+        if job.work.compactions > 0 {
+            // Cached blocks of the replaced input tables are dead weight;
+            // dropping the whole block cache is simpler than tracking which
+            // (seq, block) pairs died, and the row cache stays valid
+            // (logical content is unchanged by compaction).
+            self.caches.clear_blocks();
+        }
+        self.levels = job.levels;
+        self.cursors = job.cursors;
+        self.next_seq = job.next_seq;
+        self.crashed = job.crashed;
+        self.work.add(&job.work);
+        for event in job.trace {
+            if self.trace.len() >= MAX_TRACE_EVENTS {
+                self.trace.remove(0);
+            }
+            self.trace.push(event);
+        }
+        Ok(())
+    }
+
+    /// The job slot, with a running job waited for first: afterwards it
+    /// holds the outcome of the job in flight, or nothing when none was
+    /// started since the last install. Installs nothing.
+    fn finished_job(&self) -> MutexGuard<'_, Option<Pending>> {
+        let mut slot = self.job.lock().unwrap_or_else(PoisonError::into_inner);
+        *slot = match slot.take() {
+            Some(Pending::Running(outcome)) => {
+                Some(Pending::Finished(outcome.recv().unwrap_or_else(|_| {
+                    Err(StoreError::Io(std::io::Error::other(
+                        "lsm flush thread lost a job",
+                    )))
+                })))
+            }
+            other => other,
+        };
+        slot
+    }
+
+    // -- introspection -----------------------------------------------------
+
+    /// Snapshot of engine statistics. Waits for the job in flight and
+    /// counts its work and tree as if it were installed, but installs
+    /// nothing; a failed job is left out.
+    pub fn stats(&self) -> LsmStats {
+        let slot = self.finished_job();
+        match &*slot {
+            Some(Pending::Finished(Ok(job))) => self.stats_with(Some(job.as_ref())),
+            _ => self.stats_with(None),
+        }
+    }
+
+    /// Statistics of the installed tree alone, without waiting for the
+    /// job in flight: what telemetry mirrors after every commit.
+    pub fn installed_stats(&self) -> LsmStats {
+        self.stats_with(None)
+    }
+
+    fn stats_with(&self, job: Option<&Job>) -> LsmStats {
+        let mut work = self.work;
+        if let Some(job) = job {
+            work.add(&job.work);
+        }
+        let levels = job.map_or(&self.levels, |job| &job.levels);
+        LsmStats {
+            gets: self.gets.load(Ordering::Relaxed),
+            probes: self.probes.load(Ordering::Relaxed),
+            flushes: work.flushes,
+            compactions: work.compactions,
+            bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
+            compaction_bytes_read: work.compaction_bytes_read,
+            compaction_bytes_written: work.compaction_bytes_written,
+            flush_us_total: work.flush_us,
+            compaction_us_total: work.compaction_us,
+            block_cache_hits: self.caches.counters.block_hits.load(Ordering::Relaxed),
+            block_cache_misses: self.caches.counters.block_misses.load(Ordering::Relaxed),
+            row_cache_hits: self.caches.counters.row_hits.load(Ordering::Relaxed),
+            row_cache_misses: self.caches.counters.row_misses.load(Ordering::Relaxed),
+            user_bytes_written: self.user_bytes_written,
+            table_bytes_written: work.table_bytes_written,
+            levels: levels
+                .iter()
+                .map(|lvl| LevelStats {
+                    tables: lvl.len(),
+                    bytes: lvl.iter().map(|t| t.file_bytes).sum(),
+                    entries: lvl.iter().map(|t| t.entry_count).sum(),
+                })
+                .collect(),
+            memtable_bytes: self.mem.bytes(),
+            cache_resident_bytes: self.caches.resident_bytes(),
+            table_meta_resident_bytes: levels
+                .iter()
+                .flatten()
+                .map(|t| t.meta_resident_bytes())
+                .sum(),
+        }
+    }
+
+    /// The compaction/flush event trace of the installed jobs (oldest
+    /// first, bounded).
+    pub fn trace(&self) -> &[CompactionEvent] {
+        &self.trace
+    }
+
+    /// Total bytes across all installed table files.
+    pub fn table_bytes(&self) -> u64 {
+        self.levels.iter().flatten().map(|t| t.file_bytes).sum()
+    }
+}
+
+impl Drop for Lsm {
+    /// Waits for the job in flight, so its files are complete before the
+    /// directory can be reopened; its outcome, error included, is dropped.
+    /// Then stops the flush thread.
+    fn drop(&mut self) {
+        drop(self.finished_job());
+        if let Some((tasks, thread)) = self.worker.take() {
+            drop(tasks);
+            let _ = thread.join();
+        }
+    }
+}
+
+fn job_panicked(panic: &(dyn std::any::Any + Send)) -> StoreError {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    StoreError::Io(std::io::Error::other(format!(
+        "lsm flush job panicked: {msg}"
+    )))
+}
+
+// ---------------------------------------------------------------------------
+// flush job
+// ---------------------------------------------------------------------------
+
+/// One flush job: a copy of the installed tree, which it rewrites on the
+/// flush thread, and the work and events it adds. Input tables are shared
+/// with the installed tree, so readers keep them open until install.
+struct Job {
+    config: LsmConfig,
+    levels: Vec<Vec<Arc<Table>>>,
+    cursors: Vec<Option<String>>,
+    next_seq: u64,
+    work: Work,
+    trace: Vec<CompactionEvent>,
+    crash_point: Option<CrashPoint>,
+    crashed: bool,
+}
+
+impl Job {
+    /// Write `sealed` as an L0 table (if non-empty), run any due
+    /// compactions, publish the tree with `meta`, and delete what the
+    /// publish made obsolete. An armed crash point stops it before the
+    /// publish.
+    fn run(mut self, sealed: &Memtable, meta: &[u8]) -> Result<Job, StoreError> {
         let mut obsolete: Vec<PathBuf> = Vec::new();
-        if !self.mem.is_empty() {
+        if !sealed.is_empty() {
             let flush_start = std::time::Instant::now();
-            let records = self.mem.drain();
             let seq = self.alloc_seq();
             let mut builder = TableBuilder::create(&self.config.dir, seq, self.config.block_bytes)?;
-            for (key, entry) in records {
-                builder.add(key, entry.value.as_deref(), entry.version)?;
+            for (key, entry) in sealed.iter() {
+                builder.add(key.clone(), entry.value.as_deref(), entry.version)?;
             }
             let table = builder.finish(self.config.sync)?;
             let duration_us = flush_start.elapsed().as_micros() as u64;
-            self.flushes += 1;
-            self.table_bytes_written += table.file_bytes;
-            self.flush_us += duration_us;
-            self.push_trace(CompactionEvent {
+            self.work.flushes += 1;
+            self.work.table_bytes_written += table.file_bytes;
+            self.work.flush_us += duration_us;
+            self.trace.push(CompactionEvent {
                 kind: "flush",
                 level: 0,
                 inputs: Vec::new(),
@@ -574,21 +868,21 @@ impl Lsm {
                 self.levels.push(Vec::new());
                 self.cursors.push(None);
             }
-            self.levels[0].push(table);
+            self.levels[0].push(Arc::new(table));
         }
         if self.crash_point == Some(CrashPoint::AfterFlushTable) {
             self.crashed = true;
-            return Ok(());
+            return Ok(self);
         }
         self.run_compactions(&mut obsolete)?;
-        if self.crash_point == Some(CrashPoint::AfterCompactionWrite) && self.crashed {
-            return Ok(());
+        if self.crashed {
+            return Ok(self);
         }
         self.save_manifest(meta)?;
         for path in obsolete {
             let _ = std::fs::remove_file(path);
         }
-        Ok(())
+        Ok(self)
     }
 
     fn alloc_seq(&mut self) -> u64 {
@@ -657,6 +951,16 @@ impl Lsm {
         Ok(())
     }
 
+    /// Record a finished merge: its event, and the totals it adds.
+    fn count_compaction(&mut self, event: CompactionEvent) {
+        self.work.compactions += 1;
+        self.work.table_bytes_written += event.output_bytes;
+        self.work.compaction_bytes_read += event.input_bytes;
+        self.work.compaction_bytes_written += event.output_bytes;
+        self.work.compaction_us += event.duration_us;
+        self.trace.push(event);
+    }
+
     /// Merge all L0 tables plus every overlapping L1 table into L1.
     fn compact_l0(&mut self, obsolete: &mut Vec<PathBuf>) -> Result<(), StoreError> {
         let compact_start = std::time::Instant::now();
@@ -664,7 +968,7 @@ impl Lsm {
             self.levels.push(Vec::new());
             self.cursors.push(None);
         }
-        let l0: Vec<Table> = std::mem::take(&mut self.levels[0]);
+        let l0: Vec<Arc<Table>> = std::mem::take(&mut self.levels[0]);
         let min = l0
             .iter()
             .map(|t| t.min_key.as_str())
@@ -677,11 +981,12 @@ impl Lsm {
             .max()
             .unwrap_or("")
             .to_string();
-        let (overlap, keep): (Vec<Table>, Vec<Table>) = std::mem::take(&mut self.levels[1])
-            .into_iter()
-            .partition(|t| {
-                t.max_key.as_str() >= min.as_str() && t.min_key.as_str() <= max.as_str()
-            });
+        let (overlap, keep): (Vec<Arc<Table>>, Vec<Arc<Table>>) =
+            std::mem::take(&mut self.levels[1])
+                .into_iter()
+                .partition(|t| {
+                    t.max_key.as_str() >= min.as_str() && t.min_key.as_str() <= max.as_str()
+                });
         let inputs: Vec<u64> = l0.iter().chain(overlap.iter()).map(|t| t.seq).collect();
         let input_bytes: u64 = l0.iter().chain(overlap.iter()).map(|t| t.file_bytes).sum();
 
@@ -719,17 +1024,12 @@ impl Lsm {
             self.crashed = true;
             return Ok(());
         }
-        self.compactions += 1;
-        self.table_bytes_written += event.output_bytes;
-        self.compaction_bytes_read += event.input_bytes;
-        self.compaction_bytes_written += event.output_bytes;
-        self.compaction_us += event.duration_us;
-        self.push_trace(event);
+        self.count_compaction(event);
         for t in l0.into_iter().chain(overlap) {
             obsolete.push(t.path.clone());
         }
         let mut l1 = keep;
-        l1.extend(outputs);
+        l1.extend(outputs.into_iter().map(Arc::new));
         l1.sort_by(|a, b| a.min_key.cmp(&b.min_key));
         self.levels[1] = l1;
         Ok(())
@@ -755,12 +1055,13 @@ impl Lsm {
         };
         let chosen = self.levels[level].remove(pick);
         self.cursors[level] = Some(chosen.max_key.clone());
-        let (overlap, keep): (Vec<Table>, Vec<Table>) = std::mem::take(&mut self.levels[level + 1])
-            .into_iter()
-            .partition(|t| {
-                t.max_key.as_str() >= chosen.min_key.as_str()
-                    && t.min_key.as_str() <= chosen.max_key.as_str()
-            });
+        let (overlap, keep): (Vec<Arc<Table>>, Vec<Arc<Table>>) =
+            std::mem::take(&mut self.levels[level + 1])
+                .into_iter()
+                .partition(|t| {
+                    t.max_key.as_str() >= chosen.min_key.as_str()
+                        && t.min_key.as_str() <= chosen.max_key.as_str()
+                });
         let inputs: Vec<u64> = std::iter::once(chosen.seq)
             .chain(overlap.iter().map(|t| t.seq))
             .collect();
@@ -796,18 +1097,13 @@ impl Lsm {
             self.crashed = true;
             return Ok(());
         }
-        self.compactions += 1;
-        self.table_bytes_written += event.output_bytes;
-        self.compaction_bytes_read += event.input_bytes;
-        self.compaction_bytes_written += event.output_bytes;
-        self.compaction_us += event.duration_us;
-        self.push_trace(event);
+        self.count_compaction(event);
         obsolete.push(chosen.path.clone());
         for t in overlap {
             obsolete.push(t.path.clone());
         }
         let mut next = keep;
-        next.extend(outputs);
+        next.extend(outputs.into_iter().map(Arc::new));
         next.sort_by(|a, b| a.min_key.cmp(&b.min_key));
         self.levels[level + 1] = next;
         Ok(())
@@ -845,69 +1141,7 @@ impl Lsm {
                 b.abort();
             }
         }
-        // New files replace inputs whose cached blocks are now stale; dropping
-        // the whole block cache is simpler than tracking which (seq, block)
-        // pairs died, and the row cache stays valid (logical content is
-        // unchanged by compaction).
-        self.caches.clear_blocks();
         Ok(outputs)
-    }
-
-    fn push_trace(&mut self, event: CompactionEvent) {
-        if self.trace.len() >= MAX_TRACE_EVENTS {
-            self.trace.remove(0);
-        }
-        self.trace.push(event);
-    }
-
-    // -- introspection -----------------------------------------------------
-
-    /// Snapshot of engine statistics.
-    pub fn stats(&self) -> LsmStats {
-        LsmStats {
-            gets: self.gets.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            flushes: self.flushes,
-            compactions: self.compactions,
-            bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
-            compaction_bytes_read: self.compaction_bytes_read,
-            compaction_bytes_written: self.compaction_bytes_written,
-            flush_us_total: self.flush_us,
-            compaction_us_total: self.compaction_us,
-            block_cache_hits: self.caches.counters.block_hits.load(Ordering::Relaxed),
-            block_cache_misses: self.caches.counters.block_misses.load(Ordering::Relaxed),
-            row_cache_hits: self.caches.counters.row_hits.load(Ordering::Relaxed),
-            row_cache_misses: self.caches.counters.row_misses.load(Ordering::Relaxed),
-            user_bytes_written: self.user_bytes_written,
-            table_bytes_written: self.table_bytes_written,
-            levels: self
-                .levels
-                .iter()
-                .map(|lvl| LevelStats {
-                    tables: lvl.len(),
-                    bytes: lvl.iter().map(|t| t.file_bytes).sum(),
-                    entries: lvl.iter().map(|t| t.entry_count).sum(),
-                })
-                .collect(),
-            memtable_bytes: self.mem.bytes(),
-            cache_resident_bytes: self.caches.resident_bytes(),
-            table_meta_resident_bytes: self
-                .levels
-                .iter()
-                .flatten()
-                .map(|t| t.meta_resident_bytes())
-                .sum(),
-        }
-    }
-
-    /// The compaction/flush event trace (oldest first, bounded).
-    pub fn trace(&self) -> &[CompactionEvent] {
-        &self.trace
-    }
-
-    /// Total bytes across all table files.
-    pub fn table_bytes(&self) -> u64 {
-        self.levels.iter().flatten().map(|t| t.file_bytes).sum()
     }
 }
 
@@ -1089,6 +1323,172 @@ mod tests {
         let (value, version) = lsm.get("k00").unwrap().unwrap();
         assert_eq!(value.as_deref(), Some(&[1u8; 40][..]));
         assert_eq!(version, v(1));
+    }
+
+    type Twin = std::collections::BTreeMap<String, (Option<Vec<u8>>, Version)>;
+
+    /// `get` on every key (present or not), a bounded `scan` and
+    /// `for_each` all agree with the in-memory twin.
+    fn assert_matches_twin(lsm: &Lsm, twin: &Twin, keys: &[String]) {
+        for key in keys {
+            assert_eq!(lsm.get(key).unwrap(), twin.get(key).cloned(), "get {key}");
+        }
+        let as_rows = |records: Vec<Record>| -> Vec<_> {
+            records
+                .into_iter()
+                .map(|r| (r.key, (r.value, r.version)))
+                .collect()
+        };
+        let mut scanned = Vec::new();
+        lsm.scan("k020", Some("k070"), &mut |r| {
+            scanned.push(r);
+            true
+        })
+        .unwrap();
+        let want: Vec<_> = twin
+            .range("k020".to_string().."k070".to_string())
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect();
+        assert_eq!(as_rows(scanned), want, "scan");
+        let mut all = Vec::new();
+        lsm.for_each(&mut |r| all.push(r)).unwrap();
+        let want: Vec<_> = twin.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
+        assert_eq!(as_rows(all), want, "for_each");
+    }
+
+    #[test]
+    fn reads_while_a_job_runs_see_the_sealed_memtable() {
+        let dir = TestDir::new("lsm-job-reads");
+        let (mut lsm, _) = Lsm::open(tiny_config(dir.path())).unwrap();
+        let keys: Vec<String> = (0..100).map(|i| format!("k{i:03}")).collect();
+        let mut twin = Twin::new();
+        // Write the key in `slot` of this round's 40; `tag` makes the
+        // record distinct.
+        let write = |lsm: &mut Lsm, twin: &mut Twin, slot: u64, round: u64, tag: u64| {
+            let key = keys[((slot * 7 + round * 13) % 97) as usize].clone();
+            let version = v(round * 100 + tag);
+            if tag % 9 == 4 {
+                lsm.delete(key.clone(), version);
+                twin.insert(key, (None, version));
+            } else {
+                let value = vec![tag as u8; 8 + (tag % 5) as usize];
+                lsm.put(key.clone(), value.clone(), version);
+                twin.insert(key, (Some(value), version));
+            }
+        };
+        let mut compacting_jobs = 0;
+        for round in 0..12 {
+            for slot in 0..40 {
+                write(&mut lsm, &mut twin, slot, round, slot);
+            }
+            let before = lsm.stats().compactions;
+            lsm.flush(b"").unwrap();
+            // Waits for the job and counts it, but installs nothing: the
+            // reads below still go through the sealed memtable.
+            if lsm.stats().compactions > before {
+                compacting_jobs += 1;
+            }
+            assert_matches_twin(&lsm, &twin, &keys);
+            // Newer writes in the active memtable shadow the sealed ones.
+            for slot in (0..40).step_by(4) {
+                write(&mut lsm, &mut twin, slot, round, 50 + slot);
+            }
+            assert_matches_twin(&lsm, &twin, &keys);
+        }
+        assert!(compacting_jobs > 2, "{compacting_jobs} jobs compacted");
+        lsm.wait().unwrap();
+        assert_matches_twin(&lsm, &twin, &keys);
+    }
+
+    /// Every file in `dir`, sorted by name, with its bytes.
+    fn directory_image(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// One fixed operation sequence; `pause` lets every job finish before
+    /// the next operation, so the two runs differ only in thread timing.
+    /// Returns the directory image and the trace without durations.
+    fn scripted_run(name: &str, pause: bool) -> (Vec<(String, Vec<u8>)>, Vec<String>) {
+        let dir = TestDir::new(name);
+        let config = tiny_config(dir.path()).level_base_bytes(4 << 10);
+        let (mut lsm, _) = Lsm::open(config).unwrap();
+        for i in 0..3000u64 {
+            let key = format!("k{:04}", (i * 31) % 700);
+            if i % 11 == 0 {
+                lsm.delete(key, v(i));
+            } else {
+                lsm.put(key, i.to_le_bytes().repeat(1 + (i % 4) as usize), v(i));
+            }
+            if i % 5 == 0 {
+                lsm.get(&format!("k{:04}", i % 700)).unwrap();
+            }
+            if lsm.should_flush() {
+                lsm.flush(format!("at {i}").as_bytes()).unwrap();
+                if pause {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+            }
+        }
+        lsm.flush(b"end").unwrap();
+        lsm.wait().unwrap();
+        let trace = lsm
+            .trace()
+            .iter()
+            .map(|e| {
+                format!(
+                    "{} {} {:?} {} {:?} {}",
+                    e.kind, e.level, e.inputs, e.input_bytes, e.outputs, e.output_bytes
+                )
+            })
+            .collect();
+        drop(lsm);
+        (directory_image(dir.path()), trace)
+    }
+
+    #[test]
+    fn the_same_operations_leave_the_same_bytes_whatever_the_timing() {
+        let (files, trace) = scripted_run("lsm-job-det-a", false);
+        let (paused_files, paused_trace) = scripted_run("lsm-job-det-b", true);
+        assert!(trace.iter().any(|e| e.starts_with("l0")), "{trace:?}");
+        assert!(trace.iter().any(|e| e.starts_with("level")), "{trace:?}");
+        assert!(files
+            .iter()
+            .any(|(name, _)| name == manifest::MANIFEST_FILE));
+        let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+            files.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&files), names(&paused_files));
+        assert!(files == paused_files, "file bytes differ");
+        assert_eq!(trace, paused_trace);
+    }
+
+    #[test]
+    fn a_failed_job_surfaces_at_the_next_flush_and_drop_survives_it() {
+        let dir = TestDir::new("lsm-job-error");
+        let lsm_dir = dir.path().join("lsm");
+        let (mut lsm, _) = Lsm::open(tiny_config(&lsm_dir)).unwrap();
+        lsm.put("a".into(), vec![1], v(1));
+        lsm.flush(b"good").unwrap();
+        lsm.wait().unwrap();
+        std::fs::remove_dir_all(&lsm_dir).unwrap();
+        std::fs::write(&lsm_dir, b"not a directory").unwrap();
+        lsm.put("b".into(), vec![2], v(2));
+        // The job fails on its own thread; this call only started it.
+        lsm.flush(b"doomed").unwrap();
+        lsm.put("c".into(), vec![3], v(3));
+        assert!(matches!(lsm.flush(b"next"), Err(StoreError::Io(_))));
+        // A second failing job is still in flight when the engine drops.
+        lsm.flush(b"doomed too").unwrap();
+        drop(lsm);
     }
 
     #[test]

@@ -72,9 +72,10 @@ impl Manifest {
         if bytes.len() < MANIFEST_MAGIC.len() + 4 {
             return Err(corrupt("truncated"));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored {
+        let (body, crc_bytes) = bytes
+            .split_last_chunk::<4>()
+            .ok_or_else(|| corrupt("truncated"))?;
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
             return Err(corrupt("checksum mismatch"));
         }
         let mut cur = Cursor { buf: body, pos: 0 };
@@ -90,7 +91,9 @@ impl Manifest {
         let mut levels = Vec::with_capacity(nlevels);
         for _ in 0..nlevels {
             let ntables = cur.u32()? as usize;
-            if ntables > 1 << 20 {
+            // Each sequence number takes 8 bytes: a count the rest of the
+            // body cannot hold is corrupt, and never sizes an allocation.
+            if ntables > cur.remaining() / 8 {
                 return Err(corrupt("implausible table count"));
             }
             let mut tables = Vec::with_capacity(ntables);
@@ -148,16 +151,24 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let out = *self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or_else(|| corrupt("unexpected end"))?;
+        self.pos += N;
+        Ok(out)
+    }
+
     fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -177,6 +188,7 @@ pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
 }
 
 /// Atomically replace the manifest: write temp, fsync, rename, fsync dir.
+/// With `sync` on, `Ok` means the rename itself is durable.
 pub fn save(dir: &Path, manifest: &Manifest, sync: bool) -> Result<(), StoreError> {
     let tmp = dir.join(MANIFEST_TMP);
     let path = dir.join(MANIFEST_FILE);
@@ -193,12 +205,17 @@ pub fn save(dir: &Path, manifest: &Manifest, sync: bool) -> Result<(), StoreErro
     drop(file);
     fs::rename(&tmp, &path).map_err(StoreError::Io)?;
     if sync {
-        // Persist the rename itself.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(dir)?;
     }
     Ok(())
+}
+
+/// Fsync a directory, persisting the renames made in it. A directory that
+/// cannot be opened is an error too: the rename would not be durable.
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(StoreError::Io)
 }
 
 /// Path of the temp file (deleted as part of orphan cleanup at open).
@@ -258,6 +275,70 @@ mod tests {
             bytes[i] ^= 1 << (i % 8);
             assert!(Manifest::decode(&bytes).is_err(), "flip at byte {i}");
         }
+    }
+
+    /// A body re-sealed with a valid CRC, so the parser (not just the
+    /// checksum) sees whatever damage it carries.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes
+    }
+
+    /// Damaged bytes decode to `Corrupt`, or to a manifest that encodes
+    /// back to exactly those bytes — never to a panic.
+    fn assert_corrupt_or_exact(bytes: &[u8], what: &str) {
+        match Manifest::decode(bytes) {
+            Ok(m) => assert_eq!(m.encode(), bytes, "{what}: decoded to another manifest"),
+            Err(StoreError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+        }
+    }
+
+    #[test]
+    fn damaged_bytes_are_corrupt_never_a_panic() {
+        let m = Manifest {
+            next_seq: 1_000,
+            levels: vec![vec![901, 940, 977], vec![12, 400, 512, 760], vec![3, 5]],
+            cursors: vec![None, Some("acct~00001234".into()), Some(String::new())],
+            meta: b"height=98;digest=...".to_vec(),
+        };
+        let pristine = m.encode();
+        let body = &pristine[..pristine.len() - 4];
+        for len in 0..pristine.len() {
+            assert_corrupt_or_exact(&pristine[..len], &format!("cut at {len}"));
+            if len <= body.len() {
+                assert_corrupt_or_exact(&sealed(&body[..len]), &format!("sealed cut at {len}"));
+            }
+        }
+        for bit in 0..pristine.len() * 8 {
+            let mut bytes = pristine.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_corrupt_or_exact(&bytes, &format!("flip {bit}"));
+            if bit < body.len() * 8 {
+                let mut flipped = body.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_corrupt_or_exact(&sealed(&flipped), &format!("sealed flip {bit}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_count_the_body_cannot_hold_is_corrupt() {
+        let mut body = MANIFEST_MAGIC.to_vec();
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        let err = Manifest::decode(&sealed(&body)).unwrap_err();
+        assert!(matches!(&err, StoreError::Corrupt(msg) if msg.contains("table count")));
+    }
+
+    #[test]
+    fn an_unopenable_directory_fails_the_sync() {
+        let dir = TestDir::new("statedb-manifest-sync");
+        let missing = dir.path().join("gone");
+        assert!(matches!(sync_dir(&missing), Err(StoreError::Io(_))));
+        sync_dir(dir.path()).unwrap();
     }
 
     #[test]
