@@ -46,12 +46,14 @@ use fabric_sim::chaincode::Chaincode;
 use fabric_sim::parallel::ValidationConfig;
 use fabric_sim::raft::RaftConfig;
 use fabric_store::FsyncPolicy;
-use ledgerview_gateway::ReorderConfig;
 use ledgerview_simnet::{Region, SimTime};
 
 pub use batch::OrderedBatch;
+// The cluster's cut stage and counter chaincode, re-exported so callers
+// stop importing the crate that still holds them.
 pub use cluster::{CatchupRecord, ClusterReport, ClusterSim, InvokeOutcome};
 pub use fault::{BootstrapMode, ClusterError, Divergence, Fault};
+pub use ledgerview_gateway::{reorder, CounterChaincode, ReorderConfig};
 
 /// Builds a fresh chaincode instance for every replica that deploys it.
 ///

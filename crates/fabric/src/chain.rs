@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_statedb::LsmConfig;
-use ledgerview_telemetry::{Counter, HistogramHandle, MetricsRegistry, Telemetry};
+use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 use rand::RngCore;
 
 use crate::chaincode::{Chaincode, TxContext};
@@ -35,9 +35,8 @@ struct Deployed {
 
 /// Transaction-lifecycle metric handles, resolved once when telemetry
 /// attaches. Phases share one labeled family,
-/// `lv_chain_phase_seconds{phase=...}` (plus `channel=...` when the chain
-/// serves a named channel), mirroring the paper's endorse → order →
-/// validate → commit → persist breakdown.
+/// `lv_chain_phase_seconds{phase=...}`, mirroring the paper's endorse →
+/// order → validate → commit → persist breakdown.
 #[derive(Clone)]
 struct ChainMetrics {
     telemetry: Telemetry,
@@ -52,11 +51,9 @@ struct ChainMetrics {
 }
 
 impl ChainMetrics {
-    fn new(telemetry: &Telemetry, channel: Option<&str>) -> ChainMetrics {
+    fn new(telemetry: &Telemetry) -> ChainMetrics {
         let r = telemetry.registry();
-        let phase = |name: &str| phase_histogram(r, name, channel);
-        let labeled: Vec<(&str, &str)> = channel.iter().map(|c| ("channel", *c)).collect();
-        let labels: &[(&str, &str)] = &labeled;
+        let phase = |name: &str| r.histogram("lv_chain_phase_seconds", &[("phase", name)]);
         ChainMetrics {
             telemetry: telemetry.clone(),
             endorse_seconds: phase("endorse"),
@@ -64,24 +61,10 @@ impl ChainMetrics {
             validate_seconds: phase("validate"),
             commit_seconds: phase("commit"),
             persist_seconds: phase("persist"),
-            block_txs: r.histogram("lv_chain_block_txs", labels),
-            txs_total: r.counter("lv_chain_txs_total", labels),
-            blocks_total: r.counter("lv_chain_blocks_total", labels),
+            block_txs: r.histogram("lv_chain_block_txs", &[]),
+            txs_total: r.counter("lv_chain_txs_total", &[]),
+            blocks_total: r.counter("lv_chain_blocks_total", &[]),
         }
-    }
-}
-
-fn phase_histogram(
-    registry: &MetricsRegistry,
-    phase: &str,
-    channel: Option<&str>,
-) -> HistogramHandle {
-    match channel {
-        Some(c) => registry.histogram(
-            "lv_chain_phase_seconds",
-            &[("phase", phase), ("channel", c)],
-        ),
-        None => registry.histogram("lv_chain_phase_seconds", &[("phase", phase)]),
     }
 }
 
@@ -158,15 +141,9 @@ impl FabricChain {
     /// worker pool, storage backend). Purely observational — commit
     /// outcomes and state roots are bit-identical with or without it.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.set_channel_telemetry(telemetry, None);
-    }
-
-    /// Attach telemetry with a `channel=<name>` label on the chain's
-    /// per-phase metrics (used by [`crate::channel::ChannelRegistry`]).
-    pub fn set_channel_telemetry(&mut self, telemetry: &Telemetry, channel: Option<&str>) {
         self.validator.set_telemetry(telemetry);
         self.backend.set_telemetry(telemetry);
-        self.metrics = Some(ChainMetrics::new(telemetry, channel));
+        self.metrics = Some(ChainMetrics::new(telemetry));
     }
 
     /// The attached telemetry bundle, if any.
@@ -665,11 +642,6 @@ impl FabricChain {
     /// trace); `None` for an in-memory chain ([`FabricChain::new`]).
     pub fn lsm_backend(&self) -> Option<&LsmState> {
         self.backend.lsm_state()
-    }
-
-    /// Mutable access to the LSM state engine (crash-injection test hooks).
-    pub fn lsm_backend_mut(&mut self) -> Option<&mut LsmState> {
-        self.backend.lsm_state_mut()
     }
 
     /// Whether commits survive a process crash (true for chains created

@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 
-use ledgerview_telemetry::Telemetry;
 use rand::RngCore;
 
 use crate::chain::{FabricChain, InvokeResult};
@@ -37,37 +36,18 @@ impl Channel {
     pub fn chain(&self) -> &FabricChain {
         &self.chain
     }
-
-    /// Attach telemetry to this channel's ledger; its phase metrics carry
-    /// a `channel=<name>` label so one registry distinguishes channels.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let name = self.name.clone();
-        self.chain.set_channel_telemetry(telemetry, Some(&name));
-    }
 }
 
 /// Manages a set of channels.
 #[derive(Default)]
 pub struct ChannelRegistry {
     channels: HashMap<String, Channel>,
-    /// Telemetry applied to every current and future channel.
-    telemetry: Option<Telemetry>,
 }
 
 impl ChannelRegistry {
     /// An empty registry.
     pub fn new() -> ChannelRegistry {
         ChannelRegistry::default()
-    }
-
-    /// Attach telemetry to every existing channel and remember it for
-    /// channels created later. Each channel's metrics carry its name as a
-    /// `channel` label, so one shared registry separates the ledgers.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        for ch in self.channels.values_mut() {
-            ch.set_telemetry(telemetry);
-        }
-        self.telemetry = Some(telemetry.clone());
     }
 
     /// Create a channel with the given member organisations. Each channel
@@ -87,14 +67,11 @@ impl ChannelRegistry {
         );
         let chain = FabricChain::new(member_orgs, rng);
         let members = chain.org_ids();
-        let mut channel = Channel {
+        let channel = Channel {
             name: name.to_string(),
             members,
             chain,
         };
-        if let Some(telemetry) = &self.telemetry {
-            channel.set_telemetry(telemetry);
-        }
         self.channels.insert(name.to_string(), channel);
         self.channels.get_mut(name).expect("just inserted")
     }
@@ -302,49 +279,6 @@ mod tests {
             .state()
             .get("shipment-1")
             .is_none());
-    }
-
-    #[test]
-    fn channel_telemetry_labels_phase_metrics_per_channel() {
-        let mut rng = seeded(7);
-        let mut reg = ChannelRegistry::new();
-        let telemetry = Telemetry::wall_clock();
-        reg.create_channel("early", &["O"], &mut rng);
-        // Attach after one channel exists, before the other: both must
-        // report under their own `channel=` label.
-        reg.set_telemetry(&telemetry);
-        reg.create_channel("late", &["O"], &mut rng);
-        let org = OrgId::new("O");
-        for ch in ["early", "late"] {
-            reg.deploy(
-                ch,
-                &org,
-                "kv",
-                Box::new(Put),
-                EndorsementPolicy::AnyOf(vec![org.clone()]),
-            )
-            .unwrap();
-            let u = reg.enroll(ch, &org, "u", &mut rng).unwrap();
-            reg.invoke_commit(
-                ch,
-                &u,
-                "kv",
-                "f",
-                vec![b"k".to_vec(), b"v".to_vec()],
-                &mut rng,
-            )
-            .unwrap();
-        }
-        for ch in ["early", "late"] {
-            let blocks = telemetry
-                .registry()
-                .counter("lv_chain_blocks_total", &[("channel", ch)])
-                .get();
-            assert_eq!(blocks, 1, "channel {ch} should have committed 1 block");
-        }
-        let text = telemetry.registry().prometheus_text();
-        assert!(text.contains("channel=\"early\""), "{text}");
-        assert!(text.contains("channel=\"late\""), "{text}");
     }
 
     #[test]

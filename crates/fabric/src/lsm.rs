@@ -30,7 +30,7 @@
 //! blocks after the last flush.
 
 use ledgerview_crypto::sha256::Digest;
-use ledgerview_statedb::{CompactionEvent, CrashPoint, Lsm, LsmConfig, LsmStats};
+use ledgerview_statedb::{CompactionEvent, Lsm, LsmConfig, LsmStats};
 use ledgerview_telemetry::{Counter, Gauge, HistogramHandle, Telemetry};
 
 use fabric_store::{FsyncPolicy, StoreError};
@@ -134,6 +134,12 @@ impl LsmState {
         Ok(())
     }
 
+    /// Current footprint of the active memtable. Never waits for the
+    /// flush job in flight.
+    pub fn memtable_bytes(&self) -> usize {
+        self.lsm.memtable_bytes()
+    }
+
     /// Engine statistics snapshot, the flush job in flight included
     /// (waits for it; see [`Lsm::stats`]).
     pub fn lsm_stats(&self) -> LsmStats {
@@ -150,17 +156,6 @@ impl LsmState {
     /// state keeps in memory on top of the engine's caches).
     pub fn directory_resident_bytes(&self) -> usize {
         self.directory.resident_bytes()
-    }
-
-    /// Install a crash-injection point (testing hook; see [`CrashPoint`]).
-    pub fn set_crash_point(&mut self, point: Option<CrashPoint>) {
-        self.lsm.set_crash_point(point);
-    }
-
-    /// Whether an injected crash has fired (waits for the flush job when a
-    /// crash point is armed).
-    pub fn crashed(&self) -> bool {
-        self.lsm.crashed()
     }
 }
 

@@ -28,8 +28,6 @@
 use ledgerview_simnet::{FifoStation, LatencyMatrix, LatencyRecorder, Region, SimTime, Simulation};
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
-use crate::parallel::ValidationConfig;
-
 /// CPU service times charged at each pipeline stage.
 #[derive(Clone, Debug)]
 pub struct ServiceTimes {
@@ -108,12 +106,6 @@ pub struct NetworkConfig {
     /// Shed transactions whose ordering-queue delay would exceed this
     /// (models the baseline becoming "unresponsive" past 48 clients).
     pub orderer_max_queue_delay: Option<SimTime>,
-    /// Peer commit-pipeline configuration. The per-transaction and per-KB
-    /// validation costs (the endorsement-verification phase) divide across
-    /// `validation.workers`; the per-block commit cost is the serial MVCC
-    /// phase and never parallelises. The default (1 worker) reproduces the
-    /// historical serial timings exactly.
-    pub validation: ValidationConfig,
     /// Optional telemetry. When set, the run records per-station queueing
     /// delays, request latency and shed counts into the registry, and a
     /// *virtual-time* block timeline (order / validate spans stamped with
@@ -133,7 +125,6 @@ impl NetworkConfig {
             cutting: BlockCuttingConfig::default(),
             times: ServiceTimes::default(),
             orderer_max_queue_delay: Some(SimTime::from_secs(120)),
-            validation: ValidationConfig::default(),
             telemetry: None,
         }
     }
@@ -395,7 +386,7 @@ fn submit_tx(
             .latencies
             .latency(region, world.config.orderer_region);
     sim.schedule_at(order_arrive, move |w, s| {
-        enqueue_for_ordering(w, s, p, payload, token, region);
+        enqueue_for_ordering(w, s, p, payload, token);
     });
 }
 
@@ -406,7 +397,6 @@ fn enqueue_for_ordering(
     p: usize,
     payload_bytes: u64,
     token: Option<TxToken>,
-    client_region: Region,
 ) {
     let was_empty = world.pipelines[p].pending.is_empty();
     world.pipelines[p].pending.push(PendingTx {
@@ -414,11 +404,6 @@ fn enqueue_for_ordering(
         token,
     });
     world.pipelines[p].pending_bytes += payload_bytes;
-    // Stash the client region for completion routing on the token. The
-    // region only matters for tokened transactions; background flushes
-    // complete silently. To keep PendingTx small we recompute the region
-    // from the token at completion time instead of storing it per tx.
-    let _ = client_region;
 
     let cutting = world.config.cutting.clone();
     let pl = &world.pipelines[p];
@@ -499,12 +484,9 @@ fn cut_block(world: &mut SimWorld, sim: &mut Sim, p: usize) {
                 .config
                 .latencies
                 .latency(world.config.orderer_region, *peer_region);
-        // Per-tx endorsement verification fans out across validation
-        // workers; the per-block MVCC/commit cost is inherently serial.
-        let workers = world.config.validation.workers.max(1) as u64;
-        let parallel_part = times.validate_per_tx.scaled(n) + kb_cost(times.validate_per_kb, bytes);
         let service = times.validate_per_block
-            + SimTime::from_micros(parallel_part.as_micros().div_ceil(workers));
+            + times.validate_per_tx.scaled(n)
+            + kb_cost(times.validate_per_kb, bytes);
         let done = world.pipelines[p].validators[i]
             .submit(deliver, service)
             .expect("validator stations are unbounded");
@@ -935,39 +917,6 @@ mod tests {
         cfg.times.order_per_block = SimTime::from_millis(500);
         let report = run_simulation(cfg, 1, one_client(2, 25, 512), vec![]);
         assert!(report.failed_requests > 0, "report: {report:?}");
-    }
-
-    #[test]
-    fn parallel_validation_improves_saturated_throughput() {
-        let run_with_workers = |workers: usize| {
-            let mut cfg = NetworkConfig::paper_multi_region();
-            cfg.validation = ValidationConfig {
-                workers,
-                ..ValidationConfig::default()
-            };
-            let clients = (0..48)
-                .map(|i| ClientPlan {
-                    region: if i % 2 == 0 {
-                        Region::EUROPE_NORTH
-                    } else {
-                        Region::NA_NORTHEAST
-                    },
-                    batches: (0..3)
-                        .map(|_| (0..25).map(|_| RequestPlan::single(2048)).collect())
-                        .collect(),
-                })
-                .collect();
-            run_simulation(cfg, 1, clients, vec![])
-        };
-        let serial = run_with_workers(1);
-        let parallel = run_with_workers(4);
-        assert!(
-            parallel.tps > serial.tps,
-            "serial={} parallel={}",
-            serial.tps,
-            parallel.tps
-        );
-        assert!(parallel.latency_mean_ms < serial.latency_mean_ms);
     }
 
     #[test]

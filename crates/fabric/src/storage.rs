@@ -106,10 +106,6 @@ pub trait StateBackend {
     fn lsm_state(&self) -> Option<&LsmState> {
         None
     }
-    /// Mutable variant of [`StateBackend::lsm_state`] (crash-injection hooks).
-    fn lsm_state_mut(&mut self) -> Option<&mut LsmState> {
-        None
-    }
 }
 
 /// The default backend: state lives (only) in memory, exactly as before
@@ -262,15 +258,6 @@ fn load_state(
         )),
         _ => Ok((state, meta)),
     }
-}
-
-/// Make the current state, tagged with `meta`, the commit point: flush the
-/// memtable and publish `meta` in the manifest. Returns `false` only when
-/// an injected crash (testing hook) stopped the flush before the manifest
-/// moved.
-fn persist(state: &mut LsmState, meta: &StateMeta) -> Result<bool, FabricError> {
-    state.flush(&meta.encode())?;
-    Ok(!state.crashed())
 }
 
 /// A self-contained, shippable snapshot of a chain at one height: the full
@@ -501,7 +488,7 @@ impl fmt::Debug for DurableBackend {
             .field("dir", &self.config.dir)
             .field("fsync", &self.config.fsync)
             .field("height", &self.blocks.height())
-            .field("memtable_bytes", &self.state.lsm_stats().memtable_bytes)
+            .field("memtable_bytes", &self.state.memtable_bytes())
             .finish()
     }
 }
@@ -572,7 +559,7 @@ impl DurableBackend {
             base_prev_hash: snapshot.prev_block_hash,
             timestamp_us: snapshot.timestamp_us,
         };
-        persist(&mut state, &meta)?;
+        state.flush(&meta.encode())?;
         // No block file can replay a snapshot: its checkpoint must commit
         // before the store is handed out.
         state.wait()?;
@@ -666,11 +653,7 @@ impl DurableBackend {
             timestamp_us: self.last_timestamp_us,
             ..self.checkpointed
         };
-        if !persist(&mut self.state, &meta)? {
-            // Injected crash: the manifest never committed, so the reopen
-            // replays from the previous checkpoint.
-            return Ok(());
-        }
+        self.state.flush(&meta.encode())?;
         self.checkpointed = meta;
         self.checkpoints_saved += 1;
         let total_fsyncs = self.fsyncs();
@@ -741,10 +724,6 @@ impl StateBackend for DurableBackend {
 
     fn lsm_state(&self) -> Option<&LsmState> {
         Some(&self.state)
-    }
-
-    fn lsm_state_mut(&mut self) -> Option<&mut LsmState> {
-        Some(&mut self.state)
     }
 }
 

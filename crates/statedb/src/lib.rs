@@ -33,16 +33,22 @@
 //! * **One flush job at a time, installed at fixed points.** `flush`
 //!   hands the sealed memtable to a job on the engine's flush thread that
 //!   writes the L0 table, runs the due compactions and publishes the
-//!   manifest, while the caller goes on. The next `flush` first waits for that job and
-//!   installs its result, so each job starts from exactly the tree,
-//!   sequence numbers and cursors a synchronous flush would have seen. A
-//!   result becomes visible only at the next `flush`, an explicit
-//!   [`Lsm::wait`], the drop, or [`Lsm::crashed`] with a crash point
-//!   armed — never because the thread happened to finish. So a given
-//!   sequence of operations produces bit-identical files, manifests,
-//!   traces and digests on every run — the property the differential
-//!   proptests against the in-memory twin rely on. Only *when* the work
-//!   happens depends on thread timing.
+//!   manifest, while the caller goes on. The next `flush` first waits
+//!   for that job and installs its result, so each job starts from
+//!   exactly the tree, sequence numbers and cursors a synchronous flush
+//!   would have seen. A result becomes visible only at the next `flush`,
+//!   an explicit [`Lsm::wait`], or the drop — never because the thread
+//!   happened to finish. So a given sequence of operations produces
+//!   bit-identical files, manifests, traces and digests on every run —
+//!   the property the differential proptests against the in-memory twin
+//!   rely on. Only *when* the work happens depends on thread timing.
+//! * **No crash hooks.** Every state a crash can leave is a function of
+//!   two directory images — before and after one job: any subset of the
+//!   job's new tables, each cut at any length, beside the old manifest
+//!   (and perhaps a torn `MANIFEST.tmp`), or the new manifest beside any
+//!   subset of the tables it made obsolete. The root crate's
+//!   `tests/crash_states.rs` builds those images from real runs and
+//!   reopens each one, so the engine carries no injected crash points.
 
 #![forbid(unsafe_code)]
 
@@ -293,19 +299,6 @@ impl LsmStats {
     }
 }
 
-/// Crash-injection points for recovery tests: the engine does all the
-/// file writes up to the named point, then skips the manifest publish,
-/// exactly like a process dying mid-flush or mid-compaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Crash after writing the L0 table but before any compaction or
-    /// manifest update.
-    AfterFlushTable,
-    /// Crash after writing compaction output tables but before the
-    /// manifest update that installs them.
-    AfterCompactionWrite,
-}
-
 const MAX_TRACE_EVENTS: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -332,9 +325,6 @@ pub struct Lsm {
     user_bytes_written: u64,
     work: Work,
     trace: Vec<CompactionEvent>,
-    crash_point: Option<CrashPoint>,
-    /// Set when an installed job crashed; all further mutation is refused.
-    crashed: bool,
     /// The flush job in flight, if any — never more than one.
     job: Mutex<Option<Pending>>,
     /// The engine's flush thread, started by the first flush: where jobs
@@ -455,8 +445,6 @@ impl Lsm {
                 user_bytes_written: 0,
                 work: Work::default(),
                 trace: Vec::new(),
-                crash_point: None,
-                crashed: false,
                 job: Mutex::new(None),
                 worker: None,
                 config,
@@ -465,27 +453,10 @@ impl Lsm {
         ))
     }
 
-    /// Arm a crash-injection point (tests only; fires once). It takes
-    /// effect from the next [`Lsm::flush`]'s job on.
-    pub fn set_crash_point(&mut self, point: Option<CrashPoint>) {
-        self.crash_point = point;
-    }
-
-    /// Whether an armed crash point has fired (the engine then refuses
-    /// further work, like a dead process). The crash points fire inside
-    /// the flush job, so with one armed this waits for the job in flight.
-    pub fn crashed(&self) -> bool {
-        if self.crashed || self.crash_point.is_none() {
-            return self.crashed;
-        }
-        matches!(&*self.finished_job(), Some(Pending::Finished(Ok(job))) if job.crashed)
-    }
-
     // -- writes ------------------------------------------------------------
 
     /// Buffer a value write.
     pub fn put(&mut self, key: String, value: Vec<u8>, version: Version) {
-        assert!(!self.crashed, "lsm used after injected crash");
         self.user_bytes_written += (key.len() + value.len() + 12) as u64;
         self.caches.invalidate_row(&key);
         self.mem.upsert(key, Some(value), version);
@@ -493,7 +464,6 @@ impl Lsm {
 
     /// Buffer a tombstone.
     pub fn delete(&mut self, key: String, version: Version) {
-        assert!(!self.crashed, "lsm used after injected crash");
         self.user_bytes_written += (key.len() + 12) as u64;
         self.caches.invalidate_row(&key);
         self.mem.upsert(key, None, version);
@@ -634,7 +604,6 @@ impl Lsm {
     /// once its job has completed: at the next `flush`, `wait`, or drop.
     pub fn flush(&mut self, meta: &[u8]) -> Result<(), StoreError> {
         self.wait()?;
-        assert!(!self.crashed, "lsm used after injected crash");
         let tasks = match &self.worker {
             Some((tasks, _)) => tasks,
             None => {
@@ -655,8 +624,6 @@ impl Lsm {
             next_seq: self.next_seq,
             work: Work::default(),
             trace: Vec::new(),
-            crash_point: self.crash_point,
-            crashed: false,
         };
         let sealed = Arc::new(std::mem::take(&mut self.mem));
         let (done, outcome) = mpsc::sync_channel(1);
@@ -694,7 +661,6 @@ impl Lsm {
         self.levels = job.levels;
         self.cursors = job.cursors;
         self.next_seq = job.next_seq;
-        self.crashed = job.crashed;
         self.work.add(&job.work);
         for event in job.trace {
             if self.trace.len() >= MAX_TRACE_EVENTS {
@@ -832,15 +798,12 @@ struct Job {
     next_seq: u64,
     work: Work,
     trace: Vec<CompactionEvent>,
-    crash_point: Option<CrashPoint>,
-    crashed: bool,
 }
 
 impl Job {
     /// Write `sealed` as an L0 table (if non-empty), run any due
     /// compactions, publish the tree with `meta`, and delete what the
-    /// publish made obsolete. An armed crash point stops it before the
-    /// publish.
+    /// publish made obsolete.
     fn run(mut self, sealed: &Memtable, meta: &[u8]) -> Result<Job, StoreError> {
         let mut obsolete: Vec<PathBuf> = Vec::new();
         if !sealed.is_empty() {
@@ -870,14 +833,7 @@ impl Job {
             }
             self.levels[0].push(Arc::new(table));
         }
-        if self.crash_point == Some(CrashPoint::AfterFlushTable) {
-            self.crashed = true;
-            return Ok(self);
-        }
         self.run_compactions(&mut obsolete)?;
-        if self.crashed {
-            return Ok(self);
-        }
         self.save_manifest(meta)?;
         for path in obsolete {
             let _ = std::fs::remove_file(path);
@@ -929,17 +885,11 @@ impl Job {
                 .is_some_and(|l0| l0.len() >= self.config.l0_compact_tables)
             {
                 self.compact_l0(obsolete)?;
-                if self.crashed {
-                    return Ok(());
-                }
                 did_work = true;
             }
             for level in 1..self.levels.len() {
                 if self.level_bytes(level) > self.level_budget(level) {
                     self.compact_level(level, obsolete)?;
-                    if self.crashed {
-                        return Ok(());
-                    }
                     did_work = true;
                     break; // level occupancy changed; re-evaluate from the top
                 }
@@ -1001,7 +951,7 @@ impl Job {
         }
         let outputs = self.write_merged_tables(sources)?;
 
-        let event = CompactionEvent {
+        self.count_compaction(CompactionEvent {
             kind: "l0",
             level: 0,
             inputs,
@@ -1009,22 +959,7 @@ impl Job {
             outputs: outputs.iter().map(|t| t.seq).collect(),
             output_bytes: outputs.iter().map(|t| t.file_bytes).sum(),
             duration_us: compact_start.elapsed().as_micros() as u64,
-        };
-        if self.crash_point == Some(CrashPoint::AfterCompactionWrite) {
-            // Outputs are on disk but never installed; restore inputs so
-            // the in-memory image stays consistent until the drop.
-            for t in outputs {
-                obsolete.push(t.path.clone());
-            }
-            self.levels[0] = l0;
-            let mut l1 = keep;
-            l1.extend(overlap);
-            l1.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            self.levels[1] = l1;
-            self.crashed = true;
-            return Ok(());
-        }
-        self.count_compaction(event);
+        });
         for t in l0.into_iter().chain(overlap) {
             obsolete.push(t.path.clone());
         }
@@ -1075,7 +1010,7 @@ impl Job {
         }
         let outputs = self.write_merged_tables(sources)?;
 
-        let event = CompactionEvent {
+        self.count_compaction(CompactionEvent {
             kind: "level",
             level: level as u32,
             inputs,
@@ -1083,21 +1018,7 @@ impl Job {
             outputs: outputs.iter().map(|t| t.seq).collect(),
             output_bytes: outputs.iter().map(|t| t.file_bytes).sum(),
             duration_us: compact_start.elapsed().as_micros() as u64,
-        };
-        if self.crash_point == Some(CrashPoint::AfterCompactionWrite) {
-            for t in outputs {
-                obsolete.push(t.path.clone());
-            }
-            let at = pick.min(self.levels[level].len());
-            self.levels[level].insert(at, chosen);
-            let mut next = keep;
-            next.extend(overlap);
-            next.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            self.levels[level + 1] = next;
-            self.crashed = true;
-            return Ok(());
-        }
-        self.count_compaction(event);
+        });
         obsolete.push(chosen.path.clone());
         for t in overlap {
             obsolete.push(t.path.clone());
@@ -1262,67 +1183,6 @@ mod tests {
         let mut count = 0;
         lsm.for_each(&mut |_| count += 1).unwrap();
         assert_eq!(count, 300);
-    }
-
-    #[test]
-    fn crash_after_flush_table_leaves_orphan_cleaned_at_reopen() {
-        let dir = TestDir::new("lsm-crash-flush");
-        let (mut lsm, _) = Lsm::open(tiny_config(dir.path())).unwrap();
-        lsm.put("a".into(), vec![1], v(1));
-        lsm.flush(b"good").unwrap();
-        lsm.put("b".into(), vec![2], v(2));
-        lsm.set_crash_point(Some(CrashPoint::AfterFlushTable));
-        lsm.flush(b"never-published").unwrap();
-        assert!(lsm.crashed());
-        drop(lsm);
-        let (lsm, meta) = Lsm::open(tiny_config(dir.path())).unwrap();
-        // The manifest still points at the pre-crash state.
-        assert_eq!(meta.as_deref(), Some(&b"good"[..]));
-        assert!(lsm.get("a").unwrap().is_some());
-        assert!(
-            lsm.get("b").unwrap().is_none(),
-            "unpublished flush must vanish"
-        );
-        // And the orphan file is gone.
-        let orphans = std::fs::read_dir(dir.path())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let live: Vec<u64> = lsm.levels.iter().flatten().map(|t| t.seq).collect();
-                parse_table_file_name(e.file_name().to_str().unwrap_or(""))
-                    .is_some_and(|seq| !live.contains(&seq))
-            })
-            .count();
-        assert_eq!(orphans, 0);
-    }
-
-    #[test]
-    fn crash_mid_compaction_preserves_published_state() {
-        let dir = TestDir::new("lsm-crash-compact");
-        let config = tiny_config(dir.path()).l0_compact_tables(3);
-        let (mut lsm, _) = Lsm::open(config.clone()).unwrap();
-        // Two published flushes (below the L0 trigger of 3).
-        for round in 0..2u64 {
-            for i in 0..30 {
-                lsm.put(format!("k{i:02}"), vec![round as u8; 40], v(round));
-            }
-            lsm.flush(b"pre").unwrap();
-        }
-        // Third flush trips compaction; crash after its outputs are written.
-        for i in 0..30 {
-            lsm.put(format!("k{i:02}"), vec![9; 40], v(9));
-        }
-        lsm.set_crash_point(Some(CrashPoint::AfterCompactionWrite));
-        lsm.flush(b"post").unwrap();
-        assert!(lsm.crashed());
-        drop(lsm);
-        let (lsm, meta) = Lsm::open(config).unwrap();
-        // The manifest was never updated, so the state is the "pre" image
-        // (the crashed flush's own L0 table is an orphan too).
-        assert_eq!(meta.as_deref(), Some(&b"pre"[..]));
-        let (value, version) = lsm.get("k00").unwrap().unwrap();
-        assert_eq!(value.as_deref(), Some(&[1u8; 40][..]));
-        assert_eq!(version, v(1));
     }
 
     type Twin = std::collections::BTreeMap<String, (Option<Vec<u8>>, Version)>;

@@ -86,12 +86,6 @@ impl Memtable {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Drain all records in key order, leaving the memtable empty.
-    pub fn drain(&mut self) -> Vec<(String, MemEntry)> {
-        self.bytes = 0;
-        std::mem::take(&mut self.entries).into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -137,18 +131,5 @@ mod tests {
         assert_eq!(keys, vec!["b", "c"]);
         let keys: Vec<&str> = m.range("c", None).map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["c", "d"]);
-    }
-
-    #[test]
-    fn drain_empties_and_sorts() {
-        let mut m = Memtable::new();
-        m.upsert("z".into(), Some(vec![1]), V);
-        m.upsert("a".into(), None, V);
-        let drained = m.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, "a");
-        assert_eq!(drained[1].0, "z");
-        assert!(m.is_empty());
-        assert_eq!(m.bytes(), 0);
     }
 }

@@ -105,7 +105,7 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// A registry of named metric families.
 ///
 /// Families are keyed by metric name; within a family, label sets
-/// distinguish series (e.g. `lv_chain_commit_seconds{channel="supply"}`).
+/// distinguish series (e.g. `lv_chain_phase_seconds{phase="commit"}`).
 /// Asking for an existing name with a different metric kind panics — that
 /// is a wiring bug, caught the first time the code path runs.
 #[derive(Default)]

@@ -35,6 +35,7 @@ pub mod views;
 // The schema's deterministic pricing reuses the gateway's SplitMix64
 // finalizer so the whole stack shares one hash idiom.
 pub use ledgerview_gateway::keydist::mix64;
+pub use ledgerview_gateway::KeyDistribution;
 
 pub use contract::TpccContract;
 pub use driver::{run, ProfileStats, TpccConfig, TpccReport};

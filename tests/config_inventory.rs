@@ -17,7 +17,7 @@ const PINS: &[(&str, usize)] = &[
     ("BlockCuttingConfig", 3),
     ("ClusterConfig", 18),
     ("LsmConfig", 10),
-    ("NetworkConfig", 8),
+    ("NetworkConfig", 7),
     ("RaftConfig", 3),
     ("ReorderConfig", 1),
     ("ServiceTimes", 8),

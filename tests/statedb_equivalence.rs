@@ -6,199 +6,45 @@
 //! and the chain's rolling state root at every height. Both states share
 //! one incremental digester, so every digest is also held to the
 //! from-scratch oracle (`digest_of_entries` over the backend's own entry
-//! stream) and one digest is pinned to a golden value. The crash tests
-//! additionally arm the engine's injected crash points (mid-flush,
-//! mid-compaction) and cut the block file at arbitrary byte offsets, then
-//! require recovery to a committed-prefix-consistent state.
+//! stream) and one digest is pinned to a golden value.
 //! The snapshot tests install one `ChainSnapshot` into an LSM under tiny
 //! and under default budgets and hold both *pruned* stores to the twin
-//! from there on — across clean reopens and injected crashes alike.
+//! from there on, across clean reopens. Crashes mid-flush, mid-compaction
+//! and mid-append are swept in `tests/crash_states.rs`.
 
+#[path = "common/chain.rs"]
+mod chain;
+
+use chain::{
+    apply_twin_block, open_chain, oracle_digest, reference_history, run_workload, tiny_lsm_config,
+    twin_with_snapshot, Shape,
+};
 use ledgerview::crypto::rng::seeded;
 use ledgerview::crypto::sha256::Digest;
-use ledgerview::fabric::chaincode::TxContext;
-use ledgerview::fabric::digest::digest_of_entries;
-use ledgerview::fabric::endorsement::EndorsementPolicy;
-use ledgerview::fabric::identity::{Identity, OrgId};
+use ledgerview::fabric::identity::Identity;
 use ledgerview::fabric::statedb::VersionedState;
 use ledgerview::fabric::storage::ChainSnapshot;
-use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState, StateDb, Version};
-use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
-use ledgerview::statedb::{CrashPoint, LsmConfig};
-use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
+use ledgerview::fabric::{FabricChain, FabricError, LsmState, StateDb, Version};
+use ledgerview::prelude::{FsyncPolicy, StorageConfig};
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
 use std::path::Path;
 
-/// `put key value`, `del key`, `rmw key` (read-modify-write, the MVCC
-/// conflict generator) — the same workload chaincode the durable-backend
-/// recovery tests use.
-struct Kv;
+/// Eleven keys, 120-byte values: large against the tiny memtable, so
+/// flushes fire mid-run.
+const SHAPE: Shape = Shape {
+    keys: 11,
+    value_len: 120,
+};
 
-impl Chaincode for Kv {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, FabricError> {
-        let key = String::from_utf8_lossy(&args[0]).to_string();
-        match function {
-            "put" => {
-                ctx.put_state(key, args[1].clone());
-                Ok(vec![])
-            }
-            "del" => {
-                ctx.delete_state(key);
-                Ok(vec![])
-            }
-            "rmw" => {
-                let mut v = ctx.get_state(&key).unwrap_or_default();
-                v.push(b'!');
-                ctx.put_state(key, v.clone());
-                Ok(v)
-            }
-            other => Err(FabricError::ChaincodeError(format!("unknown {other}"))),
-        }
-    }
-}
-
-fn setup(chain: &mut FabricChain, seed: u64) -> Identity {
-    let mut rng = seeded(seed ^ 0x5eed);
-    chain.deploy(
-        "kv",
-        Box::new(Kv),
-        EndorsementPolicy::AllOf(chain.org_ids()),
-    );
-    chain
-        .enroll(&OrgId::new("Org1"), "alice", &mut rng)
-        .unwrap()
-}
-
-/// Tiny engine budgets so even short workloads overflow the memtable and
-/// trigger compactions — the regimes the differential tests must cover.
-fn tiny_lsm_config(dir: &Path) -> LsmConfig {
-    LsmConfig::new(dir.join("lsm"))
-        .memtable_bytes(2 * 1024)
-        .block_bytes(512)
-        .table_target_bytes(4 * 1024)
-        .block_cache_bytes(4 * 1024)
-        .row_cache_bytes(2 * 1024)
-        .l0_compact_tables(2)
-        .level_base_bytes(16 * 1024)
-        .sync(false)
+fn storage(dir: &Path) -> StorageConfig {
+    StorageConfig::new(dir)
+        .fsync(FsyncPolicy::Never)
+        .checkpoint_every(3)
 }
 
 fn lsm_chain(seed: u64, dir: &Path) -> (FabricChain, Identity) {
-    let config = StorageConfig::new(dir)
-        .fsync(FsyncPolicy::Never)
-        .checkpoint_every(3);
-    let mut rng = seeded(seed);
-    let mut chain = FabricChain::with_lsm_storage_tuned(
-        &["Org1", "Org2"],
-        &mut rng,
-        config,
-        tiny_lsm_config(dir),
-        ValidationConfig::parallel(2),
-    )
-    .unwrap();
-    let alice = setup(&mut chain, seed);
-    (chain, alice)
-}
-
-/// Submit one block's worth of the deterministic mixed workload (values
-/// are large relative to the tiny memtable, so flushes fire mid-run).
-fn submit_block(chain: &mut FabricChain, alice: &Identity, b: u64, rng: &mut impl rand::RngCore) {
-    for t in 0..3u64 {
-        let key = format!("k{:02}", (b * 3 + t) % 11);
-        chain
-            .invoke(
-                alice,
-                "kv",
-                "put",
-                vec![key.into_bytes(), vec![(b + t) as u8; 120]],
-                rng,
-            )
-            .unwrap();
-    }
-    if b % 2 == 1 {
-        // A read-modify-write pair: the second loses MVCC validation, so
-        // blocks carry invalid transactions too.
-        for _ in 0..2 {
-            chain
-                .invoke(alice, "kv", "rmw", vec![b"k00".to_vec()], rng)
-                .unwrap();
-        }
-    }
-    if b % 3 == 2 {
-        chain
-            .invoke(
-                alice,
-                "kv",
-                "del",
-                vec![format!("k{:02}", b % 11).into_bytes()],
-                rng,
-            )
-            .unwrap();
-    }
-}
-
-/// The state digest rebuilt from scratch out of the backend's own entry
-/// stream (for the LSM: records read back from disk) — independent of the
-/// incremental digester both backends share.
-fn oracle_digest(state: &dyn VersionedState) -> Digest {
-    let mut entries = Vec::new();
-    state.for_each_entry(&mut |key, value, version| {
-        entries.push((key.to_string(), value.map(<[u8]>::to_vec), version));
-    });
-    digest_of_entries(
-        entries
-            .iter()
-            .map(|(key, value, version)| (key.as_str(), value.as_deref(), *version)),
-    )
-}
-
-/// `(state_digest, state_root)` after every block; index 0 is the empty
-/// pre-workload snapshot. Every digest must equal the oracle's.
-fn run_workload(
-    chain: &mut FabricChain,
-    alice: &Identity,
-    blocks: u64,
-    seed: u64,
-) -> Vec<(Digest, Digest)> {
-    let mut rng = seeded(seed);
-    let snapshot = |chain: &FabricChain| {
-        let digest = chain.state().state_digest();
-        assert_eq!(
-            digest,
-            oracle_digest(chain.state()),
-            "at {}",
-            chain.height()
-        );
-        (digest, chain.state_root())
-    };
-    let mut history = vec![snapshot(chain)];
-    for b in 0..blocks {
-        submit_block(chain, alice, b, &mut rng);
-        let outcomes = chain.cut_block();
-        assert!(!outcomes.is_empty());
-        history.push(snapshot(chain));
-    }
-    history
-}
-
-/// The in-memory twin: same seeds, same workload, no disk.
-fn reference_history(seed: u64, blocks: u64) -> Vec<(Digest, Digest)> {
-    let mut rng = seeded(seed);
-    let mut chain = FabricChain::new(&["Org1", "Org2"], &mut rng);
-    let alice = setup(&mut chain, seed);
-    run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd)
-}
-
-/// Truncate `path` to `keep` bytes (simulated crash mid-write).
-fn truncate_file(path: &Path, keep: u64) {
-    let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-    f.set_len(keep.min(f.metadata().unwrap().len())).unwrap();
+    open_chain(seed, storage(dir), true, None).unwrap()
 }
 
 fn v(block_num: u64, tx_num: u32) -> Version {
@@ -266,14 +112,18 @@ fn lsm_chain_matches_twin_and_survives_reopen() {
     let blocks = 10;
     let history = {
         let (mut chain, alice) = lsm_chain(seed, dir.path());
-        let history = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
+        let history = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd, SHAPE);
         // The tiny budgets must actually exercise the disk paths.
         let stats = chain.lsm_backend().unwrap().lsm_stats();
         assert!(stats.flushes > 0, "workload never flushed the memtable");
         assert!(stats.compactions > 0, "workload never compacted");
         history
     };
-    assert_eq!(history, reference_history(seed, blocks), "twins diverged");
+    assert_eq!(
+        history,
+        reference_history(seed, blocks, SHAPE),
+        "twins diverged"
+    );
 
     let (mut chain, alice) = lsm_chain(seed, dir.path());
     assert_eq!(chain.height(), blocks);
@@ -329,30 +179,6 @@ fn lsm_chain_matches_twin_and_survives_reopen() {
     chain.flush().unwrap();
 }
 
-/// The in-memory twin run for `blocks` blocks with a snapshot exported at
-/// height `at`: the chain (whose block store feeds the pruned peers), the
-/// snapshot, and `(state_digest, state_root)` per height.
-fn twin_with_snapshot(
-    seed: u64,
-    at: u64,
-    blocks: u64,
-) -> (FabricChain, ChainSnapshot, Vec<(Digest, Digest)>) {
-    let mut twin = FabricChain::new(&["Org1", "Org2"], &mut seeded(seed));
-    let alice = setup(&mut twin, seed);
-    let mut rng = seeded(seed ^ 0xabcd);
-    let mut history = vec![(twin.state().state_digest(), twin.state_root())];
-    let mut snapshot = None;
-    for b in 0..blocks {
-        if b == at {
-            snapshot = Some(twin.export_snapshot());
-        }
-        submit_block(&mut twin, &alice, b, &mut rng);
-        twin.cut_block();
-        history.push((twin.state().state_digest(), twin.state_root()));
-    }
-    (twin, snapshot.expect("at < blocks"), history)
-}
-
 /// Open the store under `dir`, its LSM under tiny or default budgets —
 /// installing `snapshot` into it first, when one is given.
 fn pruned_chain(
@@ -361,33 +187,7 @@ fn pruned_chain(
     tiny: bool,
     snapshot: Option<&ChainSnapshot>,
 ) -> Result<FabricChain, FabricError> {
-    let config = StorageConfig::new(dir)
-        .fsync(FsyncPolicy::Never)
-        .checkpoint_every(3);
-    let tuning = if tiny {
-        tiny_lsm_config(dir)
-    } else {
-        LsmState::default_config(&config)
-    };
-    let orgs = ["Org1", "Org2"];
-    let validation = ValidationConfig::parallel(2);
-    let mut rng = seeded(seed);
-    let mut chain = match snapshot {
-        Some(snapshot) => {
-            FabricChain::from_snapshot(&orgs, &mut rng, config, tuning, validation, snapshot)
-        }
-        None => FabricChain::with_lsm_storage_tuned(&orgs, &mut rng, config, tuning, validation),
-    }?;
-    setup(&mut chain, seed);
-    Ok(chain)
-}
-
-/// Apply the twin's block `h` the way a replicated peer would.
-fn apply_twin_block(chain: &mut FabricChain, twin: &FabricChain, h: u64) {
-    let block = twin.store().block(h).expect("twin holds every block");
-    let outcomes = chain.commit_ordered(block.transactions.clone(), block.header.timestamp_us);
-    let validity: Vec<bool> = outcomes.iter().map(|o| o.is_valid()).collect();
-    assert_eq!(validity, block.validity, "block {h}");
+    open_chain(seed, storage(dir), tiny, snapshot).map(|(chain, _)| chain)
 }
 
 /// A pruned store must sit at `height` with the twin's state, and still
@@ -416,7 +216,7 @@ fn assert_pruned_at(
 #[test]
 fn snapshot_bootstrap_lands_on_either_engine() {
     let (seed, at, blocks) = (77, 5, 12);
-    let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks);
+    let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks, SHAPE);
     let tiny_dir = TestDir::new("statedb-eq-snap-lsm");
     let default_dir = TestDir::new("statedb-eq-snap-default");
     let mut on_tiny = pruned_chain(seed, tiny_dir.path(), true, Some(&snapshot)).unwrap();
@@ -456,38 +256,6 @@ fn snapshot_bootstrap_lands_on_either_engine() {
     }
     let chain = pruned_chain(seed, bare.path(), true, None).unwrap();
     assert_pruned_at(&chain, &snapshot, &history, at);
-}
-
-#[test]
-fn pruned_lsm_store_survives_crash_and_reopen() {
-    let (seed, at, blocks) = (78, 4, 12);
-    let (twin, snapshot, history) = twin_with_snapshot(seed, at, blocks);
-    for point in [
-        CrashPoint::AfterFlushTable,
-        CrashPoint::AfterCompactionWrite,
-    ] {
-        let dir = TestDir::new("statedb-eq-snap-crash");
-        let mut chain = pruned_chain(seed, dir.path(), true, Some(&snapshot)).unwrap();
-        chain
-            .lsm_backend_mut()
-            .unwrap()
-            .set_crash_point(Some(point));
-        let mut height = at;
-        while !chain.lsm_backend().unwrap().crashed() {
-            assert!(height < blocks, "{point:?} never fired");
-            apply_twin_block(&mut chain, &twin, height);
-            height += 1;
-        }
-        drop(chain);
-
-        // The manifest still names the state as of an earlier checkpoint;
-        // the block file holds every later block, so the reopen replays up
-        // to `height` with the base intact.
-        let mut chain = pruned_chain(seed, dir.path(), true, None).unwrap();
-        assert_pruned_at(&chain, &snapshot, &history, height);
-        apply_twin_block(&mut chain, &twin, height);
-        assert_pruned_at(&chain, &snapshot, &history, height + 1);
-    }
 }
 
 proptest! {
@@ -550,108 +318,7 @@ proptest! {
     ) {
         let dir = TestDir::new("statedb-eq-chain");
         let (mut chain, alice) = lsm_chain(seed, dir.path());
-        let lsm_history = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
-        prop_assert_eq!(lsm_history, reference_history(seed, blocks));
-    }
-
-    /// Arm an injected crash (mid-flush or mid-compaction) and reopen: the
-    /// block file is intact, so recovery must reconstruct the complete
-    /// committed state — the writes the crashed flush lost are re-derived
-    /// from the blocks' own write sets.
-    #[test]
-    fn crash_mid_flush_or_compaction_recovers(
-        seed in 0u64..500,
-        blocks in 3u64..9,
-        point in 0u8..2,
-    ) {
-        let dir = TestDir::new("statedb-eq-crash");
-        let committed = {
-            let (mut chain, alice) = lsm_chain(seed, dir.path());
-            let point = if point == 0 {
-                CrashPoint::AfterFlushTable
-            } else {
-                CrashPoint::AfterCompactionWrite
-            };
-            chain
-                .lsm_backend_mut()
-                .unwrap()
-                .set_crash_point(Some(point));
-            let mut rng = seeded(seed ^ 0xabcd);
-            let mut committed = 0;
-            for b in 0..blocks {
-                submit_block(&mut chain, &alice, b, &mut rng);
-                chain.cut_block();
-                committed += 1;
-                // The engine refuses all I/O once the crash fires; stop
-                // here exactly as the crashed process would.
-                if chain.lsm_backend().unwrap().crashed() {
-                    break;
-                }
-            }
-            committed
-        };
-
-        let (chain, alice) = lsm_chain(seed, dir.path());
-        let reference = reference_history(seed, blocks);
-        prop_assert_eq!(chain.height(), committed);
-        let (digest, root) = reference[committed as usize];
-        prop_assert_eq!(chain.state().state_digest(), digest);
-        prop_assert_eq!(chain.state_root(), root);
-        chain.store().verify_chain().unwrap();
-
-        // The recovered store accepts new commits.
-        let mut chain = chain;
-        let mut rng = seeded(seed ^ 7777);
-        chain
-            .invoke(&alice, "kv", "put", vec![b"post".to_vec(), b"crash".to_vec()], &mut rng)
-            .unwrap();
-        chain.cut_block();
-        prop_assert_eq!(chain.height(), committed + 1);
-    }
-
-    /// Cut the block file anywhere: recovery either keeps a block prefix
-    /// whose state matches the reference replay at exactly that height, or
-    /// — when the cut falls below the LSM's flushed height — correctly
-    /// refuses to open (the manifest proves blocks are missing).
-    #[test]
-    fn block_file_truncation_recovers_a_prefix_or_rejects(
-        seed in 0u64..500,
-        blocks in 3u64..9,
-        cut_blocks in 0u64..1_000_000,
-    ) {
-        let dir = TestDir::new("statedb-eq-blockcut");
-        {
-            let (mut chain, alice) = lsm_chain(seed, dir.path());
-            run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
-        }
-        let data_path = dir.path().join(BLOCKS_DATA_FILE);
-        let len = std::fs::metadata(&data_path).unwrap().len();
-        truncate_file(&data_path, cut_blocks % (len + 1));
-
-        let config = StorageConfig::new(dir.path())
-            .fsync(FsyncPolicy::Never)
-            .checkpoint_every(3);
-        let mut rng = seeded(seed);
-        match FabricChain::with_lsm_storage_tuned(
-            &["Org1", "Org2"],
-            &mut rng,
-            config,
-            tiny_lsm_config(dir.path()),
-            ValidationConfig::parallel(2),
-        ) {
-            Ok(chain) => {
-                let reference = reference_history(seed, blocks);
-                let height = chain.height();
-                prop_assert!(height <= blocks);
-                let (digest, root) = reference[height as usize];
-                prop_assert_eq!(chain.state().state_digest(), digest);
-                prop_assert_eq!(chain.state_root(), root);
-                chain.store().verify_chain().unwrap();
-            }
-            // The LSM manifest had absorbed blocks the cut destroyed:
-            // refusing to open is the only sound answer.
-            Err(FabricError::Storage(_)) => {}
-            Err(other) => panic!("expected a storage error, got {other}"),
-        }
+        let lsm_history = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd, SHAPE);
+        prop_assert_eq!(lsm_history, reference_history(seed, blocks, SHAPE));
     }
 }

@@ -1,174 +1,39 @@
-//! Crash-recovery properties of the durable storage backend.
+//! Crash-recovery properties of the durable storage backend under its
+//! default LSM tuning.
 //!
-//! Each test runs a deterministic workload on a durable chain, simulates a
-//! crash by dropping it without a flush and/or truncating the block file at
-//! an arbitrary byte offset, reopens the directory, and checks the
-//! recovered state against an
-//! in-memory twin that replayed the same workload: the recovered height
-//! must be a prefix of the reference history, and the state digest and
-//! rolling state root at that height must match the twin's bit for bit.
-//! Twin and durable chain share one incremental digester, so every digest
-//! in a history is also held to the from-scratch `digest_of_entries`.
+//! Each test runs a deterministic workload on a durable chain, drops it
+//! without a flush (or damages its directory), reopens the directory, and
+//! checks the recovered state against an in-memory twin that replayed the
+//! same workload: the recovered height, state digest and rolling state
+//! root must match the twin's bit for bit. Twin and durable chain share
+//! one incremental digester, so every digest in a history is also held to
+//! the from-scratch `digest_of_entries`. Every state a crash mid-flush,
+//! mid-compaction or mid-append can leave is swept in
+//! `tests/crash_states.rs`.
 
+#[path = "common/chain.rs"]
+mod chain;
+
+use chain::{
+    apply_twin_block, open_chain, reference_history, run_workload, twin_with_snapshot, Shape,
+};
 use ledgerview::crypto::rng::seeded;
-use ledgerview::crypto::sha256::Digest;
-use ledgerview::fabric::chaincode::TxContext;
-use ledgerview::fabric::digest::digest_of_entries;
-use ledgerview::fabric::endorsement::EndorsementPolicy;
-use ledgerview::fabric::identity::{Identity, OrgId};
-use ledgerview::fabric::statedb::VersionedState;
-use ledgerview::fabric::{Chaincode, FabricChain, FabricError, LsmState};
-use ledgerview::prelude::{FsyncPolicy, StorageConfig, ValidationConfig};
-use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
+use ledgerview::fabric::identity::Identity;
+use ledgerview::fabric::{FabricChain, FabricError};
+use ledgerview::prelude::{FsyncPolicy, StorageConfig};
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
-/// `put key value`, `del key`, `rmw key` (read-modify-write, the MVCC
-/// conflict generator).
-struct Kv;
-
-impl Chaincode for Kv {
-    fn invoke(
-        &self,
-        ctx: &mut TxContext<'_>,
-        function: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, FabricError> {
-        let key = String::from_utf8_lossy(&args[0]).to_string();
-        match function {
-            "put" => {
-                ctx.put_state(key, args[1].clone());
-                Ok(vec![])
-            }
-            "del" => {
-                ctx.delete_state(key);
-                Ok(vec![])
-            }
-            "rmw" => {
-                let mut v = ctx.get_state(&key).unwrap_or_default();
-                v.push(b'!');
-                ctx.put_state(key, v.clone());
-                Ok(v)
-            }
-            other => Err(FabricError::ChaincodeError(format!("unknown {other}"))),
-        }
-    }
-}
-
-fn setup(chain: &mut FabricChain, seed: u64) -> Identity {
-    let mut rng = seeded(seed ^ 0x5eed);
-    chain.deploy(
-        "kv",
-        Box::new(Kv),
-        EndorsementPolicy::AllOf(chain.org_ids()),
-    );
-    chain
-        .enroll(&OrgId::new("Org1"), "alice", &mut rng)
-        .unwrap()
-}
-
-/// The state digest rebuilt from scratch out of the state's own entries —
-/// independent of the incremental digester that produced the other one.
-fn oracle_digest(state: &dyn VersionedState) -> Digest {
-    let mut entries = Vec::new();
-    state.for_each_entry(&mut |key, value, version| {
-        entries.push((key.to_string(), value.map(<[u8]>::to_vec), version));
-    });
-    digest_of_entries(
-        entries
-            .iter()
-            .map(|(key, value, version)| (key.as_str(), value.as_deref(), *version)),
-    )
-}
-
-/// Commit `blocks` blocks of a deterministic mixed workload (puts, deletes,
-/// and an intra-block MVCC conflict pair every other block). Returns
-/// `(state_digest, state_root)` after every block, with index 0 holding the
-/// pre-workload (empty) snapshot; every digest must equal the oracle's.
-fn run_workload(
-    chain: &mut FabricChain,
-    alice: &Identity,
-    blocks: u64,
-    seed: u64,
-) -> Vec<(Digest, Digest)> {
-    let mut rng = seeded(seed);
-    let snapshot = |chain: &FabricChain| {
-        let digest = chain.state().state_digest();
-        assert_eq!(
-            digest,
-            oracle_digest(chain.state()),
-            "at {}",
-            chain.height()
-        );
-        (digest, chain.state_root())
-    };
-    let mut history = vec![snapshot(chain)];
-    for b in 0..blocks {
-        for t in 0..3u64 {
-            let key = format!("k{}", (b * 3 + t) % 7);
-            chain
-                .invoke(
-                    alice,
-                    "kv",
-                    "put",
-                    vec![key.into_bytes(), vec![(b + t) as u8; 9]],
-                    &mut rng,
-                )
-                .unwrap();
-        }
-        if b % 2 == 1 {
-            // Two read-modify-writes of one key: the second is invalidated
-            // by MVCC, so blocks contain invalid transactions too.
-            for _ in 0..2 {
-                chain
-                    .invoke(alice, "kv", "rmw", vec![b"k0".to_vec()], &mut rng)
-                    .unwrap();
-            }
-        }
-        if b % 3 == 2 {
-            chain
-                .invoke(
-                    alice,
-                    "kv",
-                    "del",
-                    vec![format!("k{}", b % 7).into_bytes()],
-                    &mut rng,
-                )
-                .unwrap();
-        }
-        let outcomes = chain.cut_block();
-        assert!(!outcomes.is_empty());
-        history.push(snapshot(chain));
-    }
-    history
-}
+/// Seven keys, nine-byte values: the default engine never flushes on
+/// pressure, so checkpoints come from the interval alone.
+const SHAPE: Shape = Shape {
+    keys: 7,
+    value_len: 9,
+};
 
 fn durable_chain(seed: u64, config: StorageConfig) -> (FabricChain, Identity) {
-    let mut rng = seeded(seed);
-    let mut chain = FabricChain::with_storage(
-        &["Org1", "Org2"],
-        &mut rng,
-        config,
-        ValidationConfig::parallel(2),
-    )
-    .unwrap();
-    let alice = setup(&mut chain, seed);
-    (chain, alice)
-}
-
-/// The in-memory twin: same seeds, same workload, no disk.
-fn reference_history(seed: u64, blocks: u64) -> Vec<(Digest, Digest)> {
-    let mut rng = seeded(seed);
-    let mut chain = FabricChain::new(&["Org1", "Org2"], &mut rng);
-    let alice = setup(&mut chain, seed);
-    run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd)
-}
-
-/// Truncate `path` to `keep` bytes (simulated crash mid-write).
-fn truncate_file(path: &Path, keep: u64) {
-    let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-    f.set_len(keep.min(f.metadata().unwrap().len())).unwrap();
+    open_chain(seed, config, false, None).unwrap()
 }
 
 #[test]
@@ -180,9 +45,13 @@ fn clean_reopen_recovers_full_history() {
     let seed = 11;
     let history = {
         let (mut chain, alice) = durable_chain(seed, config.clone());
-        run_workload(&mut chain, &alice, 8, seed ^ 0xabcd)
+        run_workload(&mut chain, &alice, 8, seed ^ 0xabcd, SHAPE)
     };
-    assert_eq!(history, reference_history(seed, 8), "twin workloads agree");
+    assert_eq!(
+        history,
+        reference_history(seed, 8, SHAPE),
+        "twin workloads agree"
+    );
 
     let (mut chain, alice) = durable_chain(seed, config);
     assert_eq!(chain.height(), 8);
@@ -212,13 +81,7 @@ fn clean_reopen_recovers_full_history() {
 /// Reopen the directory `config` names; it must refuse with a typed
 /// storage error.
 fn assert_reopen_is_a_storage_error(seed: u64, config: StorageConfig, what: &str) {
-    let mut rng = seeded(seed);
-    match FabricChain::with_storage(
-        &["Org1", "Org2"],
-        &mut rng,
-        config,
-        ValidationConfig::default(),
-    ) {
+    match open_chain(seed, config, false, None) {
         Err(FabricError::Storage(_)) => {}
         Err(other) => panic!("{what}: expected a storage error, got {other}"),
         Ok(_) => panic!("{what}: the directory was accepted"),
@@ -248,7 +111,7 @@ fn tampered_checkpoint_is_rejected() {
         let seed = 23;
         {
             let (mut chain, alice) = durable_chain(seed, config.clone());
-            run_workload(&mut chain, &alice, 6, seed ^ 0xabcd);
+            run_workload(&mut chain, &alice, 6, seed ^ 0xabcd, SHAPE);
         }
         let lsm = dir.path().join("lsm");
         let path = match target {
@@ -275,7 +138,7 @@ fn lost_state_is_rebuilt_from_the_block_file() {
     let seed = 29;
     let history = {
         let (mut chain, alice) = durable_chain(seed, config.clone());
-        let history = run_workload(&mut chain, &alice, 8, seed ^ 0xabcd);
+        let history = run_workload(&mut chain, &alice, 8, seed ^ 0xabcd, SHAPE);
         let flushes = chain.lsm_backend().unwrap().lsm_stats().flushes;
         assert!(flushes >= 2, "checkpointed {flushes} times");
         history
@@ -295,30 +158,16 @@ fn lost_state_of_a_snapshot_installed_store_is_a_storage_error() {
     // A pruned store has no blocks below its base to rebuild from: without
     // its manifest the base is unknown, and the block file contradicts it.
     let (seed, at, blocks) = (31, 4, 8);
-    let mut twin = FabricChain::new(&["Org1", "Org2"], &mut seeded(seed));
-    let alice = setup(&mut twin, seed);
-    run_workload(&mut twin, &alice, at, seed ^ 0xabcd);
-    let snapshot = twin.export_snapshot();
-    run_workload(&mut twin, &alice, blocks - at, seed ^ 0xdcba);
+    let (twin, snapshot, _) = twin_with_snapshot(seed, at, blocks, SHAPE);
 
     let dir = TestDir::new("recover-lost-snapshot-state");
     let config = StorageConfig::new(dir.path())
         .fsync(FsyncPolicy::Never)
         .checkpoint_every(3);
     {
-        let mut chain = FabricChain::from_snapshot(
-            &["Org1", "Org2"],
-            &mut seeded(seed),
-            config.clone(),
-            LsmState::default_config(&config),
-            ValidationConfig::parallel(2),
-            &snapshot,
-        )
-        .unwrap();
-        setup(&mut chain, seed);
+        let (mut chain, _) = open_chain(seed, config.clone(), false, Some(&snapshot)).unwrap();
         for h in at..blocks {
-            let block = twin.store().block(h).unwrap();
-            chain.commit_ordered(block.transactions.clone(), block.header.timestamp_us);
+            apply_twin_block(&mut chain, &twin, h);
         }
         assert_eq!(chain.state_root(), twin.state_root());
     }
@@ -344,61 +193,16 @@ proptest! {
             .checkpoint_every(4);
         {
             let (mut chain, alice) = durable_chain(seed, config.clone());
-            run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
+            run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd, SHAPE);
         }
 
         let (chain, _) = durable_chain(seed, config);
-        let reference = reference_history(seed, blocks);
+        let reference = reference_history(seed, blocks, SHAPE);
         prop_assert_eq!(chain.height(), blocks);
         let (digest, root) = reference.last().unwrap();
         prop_assert_eq!(chain.state().state_digest(), *digest);
         prop_assert_eq!(chain.state_root(), *root);
         chain.store().verify_chain().unwrap();
-    }
-
-    /// Cut the block file anywhere: recovery keeps the surviving block
-    /// prefix, and the recovered state must equal the reference replay at
-    /// exactly that height.
-    #[test]
-    fn block_file_truncation_recovers_a_prefix(
-        seed in 0u64..500,
-        blocks in 3u64..9,
-        cut_blocks in 0u64..1_000_000,
-    ) {
-        let dir = TestDir::new("recover-block-cut");
-        // No checkpoints: an artificial cut below a checkpoint's height is
-        // (correctly) reported as corruption, which the prefix property
-        // below does not model;
-        // `reopen_after_checkpoints_recovers_full_state` exercises
-        // checkpoints.
-        let config = StorageConfig::new(dir.path())
-            .fsync(FsyncPolicy::Never)
-            .checkpoint_every(1_000);
-        {
-            let (mut chain, alice) = durable_chain(seed, config.clone());
-            run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
-        }
-        let data_path = dir.path().join(BLOCKS_DATA_FILE);
-        let len = std::fs::metadata(&data_path).unwrap().len();
-        truncate_file(&data_path, cut_blocks % (len + 1));
-
-        let (chain, alice) = durable_chain(seed, config);
-        let reference = reference_history(seed, blocks);
-        let height = chain.height();
-        prop_assert!(height <= blocks);
-        let (digest, root) = reference[height as usize];
-        prop_assert_eq!(chain.state().state_digest(), digest);
-        prop_assert_eq!(chain.state_root(), root);
-        chain.store().verify_chain().unwrap();
-
-        // The repaired store accepts new commits at the recovered height.
-        let mut chain = chain;
-        let mut rng = seeded(seed ^ 7777);
-        chain
-            .invoke(&alice, "kv", "put", vec![b"post".to_vec(), b"crash".to_vec()], &mut rng)
-            .unwrap();
-        chain.cut_block();
-        prop_assert_eq!(chain.height(), height + 1);
     }
 
     /// Differential: the durable backend commits bit-identical state to the
@@ -411,8 +215,8 @@ proptest! {
         let dir = TestDir::new("recover-differential");
         let config = StorageConfig::new(dir.path()).fsync(FsyncPolicy::Never);
         let (mut chain, alice) = durable_chain(seed, config);
-        let durable = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd);
-        let reference = reference_history(seed, blocks);
+        let durable = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd, SHAPE);
+        let reference = reference_history(seed, blocks, SHAPE);
         prop_assert_eq!(durable, reference);
     }
 }
