@@ -9,6 +9,12 @@
 //! request turns into `2n` view-chain transactions (`n` Prepares, then
 //! `n` Commits) plus the coordinator's begin/decide records.
 //!
+//! The protocol is one [`coordinator::Coordinator`] per request, a pure
+//! state machine with no chain, clock or telemetry: [`execute_request`]
+//! carries its calls to the main and view chains one committed
+//! transaction at a time, and the sharded deployment (`ledgerview-shard`)
+//! steps the same coordinator over live Raft clusters.
+//!
 //! Every participant — the view chains' [`ShardContract`], the sharded
 //! deployment's [`TransferContract`] and the TPC-C workload's contract —
 //! is one [`participant::Staging`] impl behind the one
@@ -24,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod contracts;
+pub mod coordinator;
 pub mod deployment;
 pub mod participant;
 pub mod protocol;

@@ -4,14 +4,18 @@
 //! involved view blockchain receives a Prepare and then a Commit (or
 //! Abort) transaction. A request over `n` views therefore costs `2n`
 //! view-chain transactions — the structural overhead that dominates the
-//! baseline in every experiment.
+//! baseline in every experiment. The protocol itself is the
+//! [`Coordinator`]'s; [`execute_request`] only carries its calls to the
+//! chains, one committed transaction at a time.
+
+use std::collections::VecDeque;
 
 use rand::RngCore;
 
-use crate::contracts::{
-    self, read_committed_payload, read_coord_state, CoordState, COORDINATOR_CC, SHARD_CC,
-};
+use crate::contracts::{self, read_committed_payload, read_coord_state, CoordState, SHARD_CC};
+use crate::coordinator::{Call, Coordinator, Leg, Status};
 use crate::deployment::CrossChainDeployment;
+use fabric_sim::validation::TxValidation;
 use fabric_sim::FabricError;
 
 /// A cross-chain insertion request.
@@ -35,90 +39,80 @@ pub enum RequestOutcome {
     },
     /// Some participant voted abort; nothing became visible.
     Aborted {
-        /// The view whose Prepare failed.
+        /// The first view whose Prepare failed, or a view the deployment
+        /// does not have.
         failed_view: String,
     },
 }
 
-/// Execute a request: coordinator begin, Prepare on every involved chain,
-/// decision, then Commit (or Abort) on every prepared chain.
+/// Execute a request. A request naming an unknown view is aborted before
+/// any transaction. Otherwise the [`Coordinator`] runs it: begin and the
+/// decision on the main chain, leg `i`'s Prepare and then Commit (or
+/// Abort) on view chain `i`, each committed with `invoke_commit` in the
+/// order the coordinator asks for them. A failed Prepare is a NO vote;
+/// any other failure is returned.
 pub fn execute_request<R: RngCore + ?Sized>(
     dep: &mut CrossChainDeployment,
     request: &CrossChainRequest,
     rng: &mut R,
 ) -> Result<RequestOutcome, FabricError> {
-    // Coordinator: record the request on the main chain.
-    let coordinator = dep.coordinator.clone();
-    dep.main.invoke_commit(
-        &coordinator,
-        COORDINATOR_CC,
-        "begin",
-        vec![request.id.as_bytes().to_vec()],
-        rng,
-    )?;
-
-    // Phase 1: Prepare on each involved view chain.
-    let mut prepared: Vec<usize> = Vec::new();
-    let mut failed_view: Option<String> = None;
-    let mut view_chain_txs = 0u32;
+    let mut chains = Vec::with_capacity(request.views.len());
     for view in &request.views {
         let Some(idx) = dep.view_index(view) else {
-            failed_view = Some(view.clone());
-            break;
+            let failed_view = view.clone();
+            return Ok(RequestOutcome::Aborted { failed_view });
         };
-        let vc = &mut dep.views[idx];
-        let submitter = vc.submitter.clone();
-        let result = vc.chain.invoke_commit(
-            &submitter,
-            SHARD_CC,
-            "prepare",
-            vec![request.id.as_bytes().to_vec(), request.payload.clone()],
-            rng,
-        );
-        match result {
-            Ok(_) => {
-                view_chain_txs += 1;
-                prepared.push(idx);
+        chains.push(idx);
+    }
+    let legs = request.views.iter().map(|view| Leg {
+        key: view.clone(),
+        chaincode: SHARD_CC.into(),
+        prepare: "prepare".into(),
+        args: vec![request.payload.clone()],
+    });
+    let (mut coordinator, begin) = Coordinator::two_phase(&request.id, legs.collect());
+    let mut pending = VecDeque::from([begin]);
+    let mut failed_view = None;
+    while let Some(submit) = pending.pop_front() {
+        let (chain, creator) = match submit.call {
+            Call::Prepare(leg) | Call::Finalize(leg) => {
+                let vc = &mut dep.views[chains[leg]];
+                (&mut vc.chain, &vc.submitter)
             }
-            Err(_) => {
-                failed_view = Some(view.clone());
-                break;
+            _ => (&mut dep.main, &dep.coordinator),
+        };
+        let (cc, function) = (&submit.chaincode, &submit.function);
+        let outcome = match (
+            chain.invoke_commit(creator, cc, function, submit.args, rng),
+            submit.call,
+        ) {
+            (Ok(_), _) => Ok(TxValidation::Valid),
+            (Err(e), Call::Prepare(leg)) => {
+                failed_view.get_or_insert_with(|| request.views[leg].clone());
+                Err(e.to_string())
             }
+            (Err(e), _) => return Err(e),
+        };
+        let step = coordinator.step(submit.call, outcome, || {
+            read_coord_state(dep.main.state(), &request.id)
+        });
+        pending.extend(step.submit);
+        match step.terminal {
+            Some(Status::Committed) => {
+                let view_chain_txs = 2 * chains.len() as u32;
+                return Ok(RequestOutcome::Committed { view_chain_txs });
+            }
+            Some(_) => {
+                let failed_view = failed_view.unwrap_or_default();
+                return Ok(RequestOutcome::Aborted { failed_view });
+            }
+            None => {}
         }
     }
-
-    // Decision on the main chain.
-    let commit = failed_view.is_none();
-    dep.main.invoke_commit(
-        &coordinator,
-        COORDINATOR_CC,
-        "decide",
-        vec![
-            request.id.as_bytes().to_vec(),
-            vec![if commit { 1 } else { 0 }],
-        ],
-        rng,
-    )?;
-
-    // Phase 2: Commit or Abort on every prepared chain.
-    let function = if commit { "commit" } else { "abort" };
-    for idx in prepared {
-        let vc = &mut dep.views[idx];
-        let submitter = vc.submitter.clone();
-        vc.chain.invoke_commit(
-            &submitter,
-            SHARD_CC,
-            function,
-            vec![request.id.as_bytes().to_vec()],
-            rng,
-        )?;
-        view_chain_txs += 1;
-    }
-
-    Ok(match failed_view {
-        None => RequestOutcome::Committed { view_chain_txs },
-        Some(v) => RequestOutcome::Aborted { failed_view: v },
-    })
+    Err(FabricError::Malformed(format!(
+        "request {:?} stranded",
+        request.id
+    )))
 }
 
 /// Audit atomicity of a request across the deployment: returns true iff
@@ -218,6 +212,12 @@ mod tests {
             Some(TerminalState::Aborted)
         );
         assert!(read_committed_payload(v1, "r2").is_none());
+        // V2 never prepared: its abort is a presumed-abort marker.
+        let v2 = dep.views[1].chain.state();
+        assert_eq!(
+            terminal(v2, ShardContract::NS, "r2"),
+            Some(TerminalState::Aborted)
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The sharded deployment: S replication clusters in lock-step on one
-//! virtual clock, a key-shard map in front, and a deterministic
-//! cross-shard 2PC orchestrator driving the `crosschain` contracts over
-//! the live replicated channels.
+//! virtual clock, a key-shard map in front, and one 2PC coordinator per
+//! cross-shard operation, stepped over the live replicated channels.
 //!
 //! # One shared virtual clock
 //!
@@ -16,39 +15,26 @@
 //!
 //! # 2PC over Raft
 //!
-//! There is one protocol driver, and what it drives is an *operation*
-//! ([`OpSpec`]): a request id, a list of participant legs (routing key,
-//! chaincode, prepare function and arguments), and one `direct`
-//! transaction. When every leg routes to the same shard the `direct`
-//! transaction runs there atomically and no 2PC cost is paid. Otherwise
-//! the operation runs as a per-operation state machine, coordinated from
-//! the first leg's shard:
+//! What the deployment runs is an *operation* ([`OpSpec`]): a request
+//! id, participant legs (routing key, chaincode, prepare function and
+//! arguments), and one `direct` transaction, which runs alone, atomically
+//! and at no 2PC cost, when every leg routes to one shard. Otherwise the
+//! operation's `ledgerview_crosschain::coordinator::Coordinator` — the
+//! one the cross-chain baseline also steps, which holds every protocol
+//! rule — runs two-phase commit from the first leg's shard. The
+//! deployment only routes its calls to shards, tags and traces them, and
+//! reads the decision record back for it off the coordinating shard's
+//! committed state. That record is replicated through Raft before any
+//! finalize goes out: a decision only in memory could be lost with a
+//! crashed leader, and a finalize re-driven after failover finds it.
 //!
-//! 1. **begin** — the coordinator record (`CoordinatorContract`) is
-//!    written on the *coordinating* shard's channel, ordered through its
-//!    Raft log. The operation's trace is minted here.
-//! 2. **prepare** — each leg's prepare function runs on its shard as
-//!    `(op_id, args…)` and reserves its effects under the op id. An
-//!    endorsement rejection is a NO vote; an MVCC invalidation is neither
-//!    vote — the leg is re-driven until it commits decisively.
-//! 3. **decide** — once every vote is in, the decision is written to the
-//!    coordinator record *and replicated through Raft* before any
-//!    acknowledgement: a decision that survives only in the
-//!    orchestrator's memory could be lost with a crashed leader, but a
-//!    decision in the Raft log survives any minority failure.
-//! 4. **finalize** — `commit`/`abort` legs on every participant shard. A
-//!    leg invalidated by a concurrent write is re-driven *from the
-//!    replicated decision record* (the coordinator-recovery path): the
-//!    orchestrator re-reads the on-chain decision and re-submits, so an
-//!    in-doubt request always terminates even across failover.
-//!
-//! A transfer is the driver's first client, not a second protocol:
+//! A transfer is the deployment's first client, not a second protocol:
 //! [`ShardedDeployment::schedule_transfer`] builds the `OpSpec` a caller
 //! could have written by hand — `prepare_debit` on the source account's
 //! shard, `prepare_credit` on the destination's, `transfer` as the direct
 //! transaction — and keeps only the fields [`TransferRecord`] reports.
 //! Scenario crates (the TPC-C workload) hand their own specs to
-//! [`ShardedDeployment::schedule_op`] and ride the same state machine.
+//! [`ShardedDeployment::schedule_op`] and ride the same coordinator.
 //!
 //! Participant terminal states are idempotent (every participant
 //! stages through `ledgerview_crosschain::participant::Fenced`), so
@@ -69,9 +55,10 @@ use ledgerview_cluster::{
     ClusterConfig, ClusterError, ClusterReport, ClusterSim, Fault, InvokeOutcome,
 };
 use ledgerview_crosschain::contracts::{
-    locked_total, read_coord_state, total_balances, CoordState, CoordinatorContract,
-    TransferContract, COORDINATOR_CC, TRANSFER_CC,
+    locked_total, read_coord_state, total_balances, CoordinatorContract, TransferContract,
+    COORDINATOR_CC, TRANSFER_CC,
 };
+use ledgerview_crosschain::coordinator::{Call, Coordinator, Submit};
 use ledgerview_crosschain::participant::{staged, Fenced, Staging};
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_gateway::{Route, ShardMap};
@@ -233,19 +220,8 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Terminal status of a scheduled transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransferStatus {
-    /// Still working through its phases.
-    InFlight,
-    /// Applied atomically (locally or via 2PC).
-    Committed,
-    /// Aborted atomically; no balance moved.
-    Aborted {
-        /// Deterministic reason string.
-        reason: String,
-    },
-}
+/// Status of a scheduled transfer or operation: the coordinator's.
+pub use ledgerview_crosschain::coordinator::Status as TransferStatus;
 
 /// One scheduled transfer and its fate.
 #[derive(Clone, Debug)]
@@ -289,31 +265,13 @@ pub struct ShardReport {
     pub total_txs: u64,
 }
 
-/// One participant leg of a generic cross-shard operation.
-///
-/// `key` routes the leg (resolves its shard); `chaincode` is the
-/// participant contract deployed via [`ShardConfig::workloads`] — a
-/// [`participant::Staging`](crate::participant::Staging) impl behind the
-/// [`Fenced`] 2PC fence, which supplies the idempotent `commit(op_id)` /
-/// `abort(op_id)` finalize functions. Its `prepare*` function is invoked
-/// as `(op_id, args…)` and either stages its effects under the op id
-/// (YES vote), rejects with a chaincode error (NO vote), or is
-/// invalidated by MVCC (no vote — the leg is re-driven).
-#[derive(Clone, Debug)]
-pub struct OpLeg {
-    /// Routing key: decides the shard.
-    pub key: String,
-    /// Participant chaincode name.
-    pub chaincode: String,
-    /// Prepare function on that chaincode.
-    pub prepare: String,
-    /// Extra prepare arguments, appended after the op id.
-    pub args: Vec<Vec<u8>>,
-}
+/// One participant leg of a generic cross-shard operation: `key` routes
+/// it to its shard, and [`ShardConfig::workloads`] deploys its chaincode.
+pub use ledgerview_crosschain::coordinator::Leg as OpLeg;
 
 /// An operation scheduled through the deployment's shard map and — when
-/// its legs land on different shards — its 2PC orchestrator. This is the
-/// one thing the driver runs: a transfer is an `OpSpec` built by
+/// its legs land on different shards — its 2PC coordinator. This is the
+/// one thing the deployment runs: a transfer is an `OpSpec` built by
 /// [`ShardedDeployment::schedule_transfer`], and scenario crates (e.g.
 /// the TPC-C workload) describe their multi-shard transactions as an
 /// `OpSpec` instead of forking the deployment.
@@ -347,38 +305,41 @@ pub struct OpRecord {
     pub completed_us: u64,
 }
 
-#[derive(Clone, Debug)]
-enum OpState {
-    WaitDirect,
-    WaitBegin,
-    Preparing { votes: Vec<Option<bool>> },
-    WaitDecide { commit: bool },
-    Finalizing { commit: bool, remaining: Vec<usize> },
-    Done,
-}
-
-/// A leg with its shard resolved.
-#[derive(Clone, Debug)]
-struct LegPlan {
-    shard: usize,
-    chaincode: String,
-    prepare: String,
-    args: Vec<Vec<u8>>,
-}
-
+/// One operation: its record, its coordinator, and where its calls go.
 struct Op {
     rec: OpRecord,
     ctx: TraceContext,
-    state: OpState,
-    direct: (String, String, Vec<Vec<u8>>),
-    direct_shard: usize,
-    coordinator_shard: usize,
-    legs: Vec<LegPlan>,
-    prepare_started_us: u64,
-    decide_started_us: u64,
-    finalize_started_us: u64,
-    /// First NO-vote reason, if any.
-    no_reason: Option<String>,
+    coordinator: Coordinator,
+    /// Shard of the direct transaction, or of the begin/decide record.
+    home: usize,
+    /// Shard of each leg.
+    leg_shards: Vec<usize>,
+    /// Span stage of the latest submission's phase, and when that phase's
+    /// first call went out: its span and latency run from there to the
+    /// outcome that completes it.
+    stage: u64,
+    stage_started_us: u64,
+}
+
+impl Op {
+    fn shard(&self, call: Call) -> usize {
+        match call {
+            Call::Prepare(leg) | Call::Finalize(leg) => self.leg_shards[leg],
+            Call::Direct | Call::Begin | Call::Decide => self.home,
+        }
+    }
+}
+
+/// The span of a call's phase: its name, its stage, and its parent's
+/// stage (0: the root).
+fn span(call: Call) -> (&'static str, u64, u64) {
+    match call {
+        Call::Direct => ("op.direct", stage::LOCAL, 0),
+        Call::Begin => ("2pc.begin", stage::BEGIN, 0),
+        Call::Prepare(_) => ("2pc.prepare", stage::PREPARE, stage::BEGIN),
+        Call::Decide => ("2pc.decide", stage::DECIDE, stage::PREPARE),
+        Call::Finalize(_) => ("2pc.finalize", stage::FINALIZE, stage::DECIDE),
+    }
 }
 
 /// What is transfer-specific about a transfer: the fields
@@ -396,11 +357,7 @@ struct TransferMeta {
 #[derive(Clone, Copy, Debug)]
 enum TagKind {
     Open { shard: usize, amount: u64 },
-    Direct { o: usize },
-    Begin { o: usize },
-    Prepare { o: usize, leg: usize },
-    Decide { o: usize },
-    Finalize { o: usize, leg: usize },
+    Call { o: usize, call: Call },
 }
 
 /// The sharded multi-channel deployment. See the module docs for the
@@ -410,7 +367,7 @@ pub struct ShardedDeployment {
     clusters: Vec<ClusterSim>,
     map: ShardMap,
     now: SimTime,
-    /// Every operation the driver runs, transfers included.
+    /// Every operation the deployment runs, transfers included.
     ops: Vec<Op>,
     /// One entry per `schedule_transfer` call, in call order.
     transfers: Vec<TransferMeta>,
@@ -573,73 +530,69 @@ impl ShardedDeployment {
     /// span and every per-shard leg parents under `ctx`.
     fn start_op(&mut self, at: SimTime, spec: OpSpec, ctx: TraceContext) -> usize {
         let route = self.map.route(spec.legs.iter().map(|l| l.key.as_str()));
-        let legs: Vec<LegPlan> = spec
+        let leg_shards: Vec<usize> = spec
             .legs
             .iter()
-            .map(|l| LegPlan {
-                shard: self.map.shard_for_key(&l.key),
-                chaincode: l.chaincode.clone(),
-                prepare: l.prepare.clone(),
-                args: l.args.clone(),
-            })
+            .map(|l| self.map.shard_for_key(&l.key))
             .collect();
-        let coordinator_shard = legs.first().map(|l| l.shard).unwrap_or(0);
-        let mut op = Op {
+        let (cc, function, args) = spec.direct;
+        let (cross, home, (coordinator, first)) = match route {
+            Route::Single(shard) => (
+                false,
+                shard,
+                Coordinator::direct(&spec.id, &cc, &function, args),
+            ),
+            Route::Cross(_) => (
+                true,
+                leg_shards[0],
+                Coordinator::two_phase(&spec.id, spec.legs),
+            ),
+        };
+        if let Some(m) = &self.metrics {
+            if cross {
+                m.transfers_cross.inc();
+            } else {
+                m.transfers_single.inc();
+            }
+        }
+        self.ops.push(Op {
             rec: OpRecord {
-                id: spec.id.clone(),
+                id: spec.id,
                 status: TransferStatus::InFlight,
-                cross: false,
+                cross,
                 redrives: 0,
                 submitted_us: at.as_micros(),
                 completed_us: 0,
             },
             ctx,
-            state: OpState::Done,
-            direct: spec.direct,
-            direct_shard: coordinator_shard,
-            coordinator_shard,
-            legs,
-            prepare_started_us: 0,
-            decide_started_us: 0,
-            finalize_started_us: 0,
-            no_reason: None,
-        };
-        let o = self.ops.len();
-        match route {
-            Route::Single(shard) => {
-                op.rec.cross = false;
-                op.direct_shard = shard;
-                op.state = OpState::WaitDirect;
-                if let Some(m) = &self.metrics {
-                    m.transfers_single.inc();
-                }
-                self.ops.push(op);
-                let tag = self.mint_tag(TagKind::Direct { o });
-                let (cc, function, args) = self.ops[o].direct.clone();
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::LOCAL));
-                self.clusters[shard].schedule_call(at, &cc, &function, args, tag, Some(leg_ctx));
-            }
-            Route::Cross(_) => {
-                op.rec.cross = true;
-                op.state = OpState::WaitBegin;
-                if let Some(m) = &self.metrics {
-                    m.transfers_cross.inc();
-                }
-                self.ops.push(op);
-                let tag = self.mint_tag(TagKind::Begin { o });
-                let args = vec![spec.id.into_bytes()];
-                let leg_ctx = ctx.with_parent(ctx.span_id(stage::BEGIN));
-                self.clusters[coordinator_shard].schedule_call(
-                    at,
-                    COORDINATOR_CC,
-                    "begin",
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-        }
+            coordinator,
+            home,
+            leg_shards,
+            stage: span(first.call).1,
+            stage_started_us: at.as_micros(),
+        });
+        let o = self.ops.len() - 1;
+        self.submit(o, at, first);
         o
+    }
+
+    /// Schedule one of `o`'s calls on its shard, its trace context
+    /// parented under its phase's span.
+    fn submit(&mut self, o: usize, at: SimTime, submit: Submit) {
+        let op = &mut self.ops[o];
+        let stage = span(submit.call).1;
+        if op.stage != stage {
+            op.stage = stage;
+            op.stage_started_us = at.as_micros();
+        }
+        let shard = op.shard(submit.call);
+        let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage));
+        let tag = self.mint_tag(TagKind::Call {
+            o,
+            call: submit.call,
+        });
+        let (cc, function) = (&submit.chaincode, &submit.function);
+        self.clusters[shard].schedule_call(at, cc, function, submit.args, tag, Some(leg_ctx));
     }
 
     /// One scheduled op's record.
@@ -712,8 +665,8 @@ impl ShardedDeployment {
     }
 
     /// One orchestrator step at a lock-step boundary: resolve leader
-    /// kills, drain every shard's outcomes in shard order, advance the
-    /// per-operation state machines, sample queue depths.
+    /// kills, drain every shard's outcomes in shard order into their
+    /// operations' coordinators, sample queue depths.
     fn advance(&mut self) {
         let now = self.now;
         let mut kills = std::mem::take(&mut self.pending_kills);
@@ -744,430 +697,101 @@ impl ShardedDeployment {
         }
     }
 
+    /// Hand an outcome to its operation's coordinator, then carry out the
+    /// step: re-drive counts, the completed phase's span, the next
+    /// submissions, the terminal status and any anomaly.
     fn on_outcome(&mut self, tag: u64, outcome: InvokeOutcome) {
         let Some(kind) = self.tags.remove(&tag) else {
             self.errors.push(format!("unknown tag {tag}"));
             return;
         };
-        if let (Some(m), InvokeOutcome::Committed { valid }) = (&self.metrics, &outcome) {
-            if valid.is_valid() {
-                let shard = match kind {
-                    TagKind::Open { shard, .. } => shard,
-                    TagKind::Direct { o } => self.ops[o].direct_shard,
-                    TagKind::Begin { o } | TagKind::Decide { o } => self.ops[o].coordinator_shard,
-                    TagKind::Prepare { o, leg } | TagKind::Finalize { o, leg } => {
-                        self.ops[o].legs[leg].shard
+        let (o, call) = match kind {
+            TagKind::Call { o, call } => (o, call),
+            TagKind::Open { shard, amount } => {
+                match outcome {
+                    InvokeOutcome::Committed {
+                        valid: TxValidation::Valid,
+                    } => {
+                        if let Some(m) = &self.metrics {
+                            m.inc_txs(shard);
+                        }
+                        self.opened_total += amount;
                     }
-                };
-                m.inc_txs(shard);
+                    other => self.errors.push(format!("open failed: {other:?}")),
+                }
+                return;
+            }
+        };
+        let outcome = match outcome {
+            InvokeOutcome::EndorseFailed(reason) => Err(reason),
+            InvokeOutcome::Committed { valid } => Ok(valid),
+        };
+        if let (Some(m), Ok(TxValidation::Valid)) = (&self.metrics, &outcome) {
+            m.inc_txs(self.ops[o].shard(call));
+        }
+        let op = &mut self.ops[o];
+        let record = self.clusters[op.home].canonical_state();
+        let step = op
+            .coordinator
+            .step(call, outcome, || read_coord_state(record, &op.rec.id));
+        if step.redrive {
+            op.rec.redrives += 1;
+            self.redrives += 1;
+            if let Some(m) = &self.metrics {
+                m.redrives.inc();
             }
         }
-        match kind {
-            TagKind::Open { amount, .. } => match outcome {
-                InvokeOutcome::Committed {
-                    valid: TxValidation::Valid,
-                } => self.opened_total += amount,
-                other => self.errors.push(format!("open failed: {other:?}")),
-            },
-            TagKind::Direct { o } => self.on_direct(o, outcome),
-            TagKind::Begin { o } => self.on_begin(o, outcome),
-            TagKind::Prepare { o, leg } => self.on_prepare(o, leg, outcome),
-            TagKind::Decide { o } => self.on_decide(o, outcome),
-            TagKind::Finalize { o, leg } => self.on_finalize(o, leg, outcome),
+        if let Some(call) = step.completed {
+            self.record_span(o, call);
         }
+        for submit in step.submit {
+            self.submit(o, self.now, submit);
+        }
+        if let Some(status) = step.terminal {
+            // Count the aborts a vote decided, not those an anomaly forced.
+            if let (Some(m), TransferStatus::Aborted { reason }, None) =
+                (&self.metrics, &status, &step.anomaly)
+            {
+                if reason.contains("insufficient") {
+                    m.aborts_insufficient.inc();
+                } else {
+                    m.aborts_vote.inc();
+                }
+            }
+            self.ops[o].rec.status = status;
+            self.ops[o].rec.completed_us = self.now.as_micros();
+        }
+        self.errors.extend(step.anomaly);
     }
 
-    fn record_span(&self, o: usize, name: &str, phase: u64, parent: u64, start_us: u64) {
+    /// Record the span of the phase `call` just completed for `o`, and
+    /// the phase's latency.
+    fn record_span(&self, o: usize, call: Call) {
         let Some(m) = &self.metrics else { return };
         let op = &self.ops[o];
+        let (name, stage, parent) = span(call);
         let ctx = if parent == 0 {
             op.ctx
         } else {
             op.ctx.with_parent(op.ctx.span_id(parent))
         };
+        let (start, end) = (op.stage_started_us, self.now.as_micros());
         m.telemetry.tracer().record_linked(
             name,
-            start_us,
-            self.now.as_micros(),
+            start,
+            end,
             m.coordinator_proc,
             "2pc",
-            op.ctx.span_id(phase),
+            op.ctx.span_id(stage),
             ctx,
         );
-    }
-
-    fn terminal(&mut self, o: usize, status: TransferStatus) {
-        self.ops[o].rec.status = status;
-        self.ops[o].rec.completed_us = self.now.as_micros();
-        self.ops[o].state = OpState::Done;
-    }
-
-    fn on_direct(&mut self, o: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_span(
-                    o,
-                    "op.direct",
-                    stage::LOCAL,
-                    0,
-                    self.ops[o].rec.submitted_us,
-                );
-                self.terminal(o, TransferStatus::Committed);
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // The whole transaction failed atomically; re-drive it.
-                self.redrive(o);
-                let tag = self.mint_tag(TagKind::Direct { o });
-                let (cc, function, args) = self.ops[o].direct.clone();
-                let op = &self.ops[o];
-                let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::LOCAL));
-                let shard = op.direct_shard;
-                self.clusters[shard].schedule_call(
-                    self.now,
-                    &cc,
-                    &function,
-                    args,
-                    tag,
-                    Some(leg_ctx),
-                );
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                if let Some(m) = &self.metrics {
-                    if reason.contains("insufficient") {
-                        m.aborts_insufficient.inc();
-                    } else {
-                        m.aborts_vote.inc();
-                    }
-                }
-                self.terminal(o, TransferStatus::Aborted { reason });
-            }
-        }
-    }
-
-    fn on_begin(&mut self, o: usize, outcome: InvokeOutcome) {
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                self.record_span(
-                    o,
-                    "2pc.begin",
-                    stage::BEGIN,
-                    0,
-                    self.ops[o].rec.submitted_us,
-                );
-                let n = self.ops[o].legs.len();
-                self.ops[o].state = OpState::Preparing {
-                    votes: vec![None; n],
-                };
-                self.ops[o].prepare_started_us = self.now.as_micros();
-                for leg in 0..n {
-                    self.send_prepare(o, leg);
-                }
-            }
-            other => {
-                // Request ids are unique, so begin can only fail on a bug;
-                // record it and abort the operation without any leg ever
-                // having run.
-                self.errors
-                    .push(format!("begin({}) failed: {other:?}", self.ops[o].rec.id));
-                self.terminal(
-                    o,
-                    TransferStatus::Aborted {
-                        reason: "begin failed".into(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn send_prepare(&mut self, o: usize, leg: usize) {
-        let op = &self.ops[o];
-        let plan = op.legs[leg].clone();
-        let mut args = vec![op.rec.id.as_bytes().to_vec()];
-        args.extend(plan.args.iter().cloned());
-        let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::PREPARE));
-        let tag = self.mint_tag(TagKind::Prepare { o, leg });
-        self.clusters[plan.shard].schedule_call(
-            self.now,
-            &plan.chaincode,
-            &plan.prepare,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_prepare(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
-        let vote = match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => Some(true),
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Neither vote: the prepare never applied. Re-drive it.
-                self.redrive(o);
-                self.send_prepare(o, leg);
-                return;
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                if self.ops[o].no_reason.is_none() {
-                    self.ops[o].no_reason = Some(reason);
-                }
-                Some(false)
-            }
+        let latency = match call {
+            Call::Prepare(_) => &m.phase_prepare_us,
+            Call::Decide => &m.phase_decide_us,
+            Call::Finalize(_) => &m.phase_finalize_us,
+            Call::Direct | Call::Begin => return,
         };
-        let OpState::Preparing { mut votes } = self.ops[o].state.clone() else {
-            self.errors
-                .push(format!("prepare outcome in state {:?}", self.ops[o].state));
-            return;
-        };
-        votes[leg] = vote;
-        if votes.iter().all(|v| v.is_some()) {
-            let commit = votes.iter().all(|v| *v == Some(true));
-            self.record_span(
-                o,
-                "2pc.prepare",
-                stage::PREPARE,
-                stage::BEGIN,
-                self.ops[o].prepare_started_us,
-            );
-            if let Some(m) = &self.metrics {
-                m.phase_prepare_us.observe(
-                    self.now
-                        .as_micros()
-                        .saturating_sub(self.ops[o].prepare_started_us),
-                );
-            }
-            self.ops[o].state = OpState::WaitDecide { commit };
-            self.ops[o].decide_started_us = self.now.as_micros();
-            self.send_decide(o, commit);
-        } else {
-            self.ops[o].state = OpState::Preparing { votes };
-        }
-    }
-
-    fn send_decide(&mut self, o: usize, commit: bool) {
-        let op = &self.ops[o];
-        let args = vec![
-            op.rec.id.as_bytes().to_vec(),
-            vec![if commit { 1 } else { 0 }],
-        ];
-        let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::DECIDE));
-        let shard = op.coordinator_shard;
-        let tag = self.mint_tag(TagKind::Decide { o });
-        self.clusters[shard].schedule_call(
-            self.now,
-            COORDINATOR_CC,
-            "decide",
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_decide(&mut self, o: usize, outcome: InvokeOutcome) {
-        let OpState::WaitDecide { commit } = self.ops[o].state else {
-            self.errors
-                .push(format!("decide outcome in state {:?}", self.ops[o].state));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                // The decision is now in the coordinating shard's Raft log —
-                // replicated before any acknowledgement or finalize leg.
-                self.record_span(
-                    o,
-                    "2pc.decide",
-                    stage::DECIDE,
-                    stage::PREPARE,
-                    self.ops[o].decide_started_us,
-                );
-                if let Some(m) = &self.metrics {
-                    m.phase_decide_us.observe(
-                        self.now
-                            .as_micros()
-                            .saturating_sub(self.ops[o].decide_started_us),
-                    );
-                }
-                self.start_finalize(o, commit);
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                self.redrive(o);
-                self.send_decide(o, commit);
-            }
-            InvokeOutcome::EndorseFailed(reason) => {
-                // "already decided": a re-driven decide raced its
-                // predecessor and the decision is on chain. Either way,
-                // proceed from the record.
-                if !reason.contains("already decided") {
-                    self.errors
-                        .push(format!("decide({}) failed: {reason}", self.ops[o].rec.id));
-                }
-                self.start_finalize(o, commit);
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors
-                    .push(format!("decide({}) invalid: {reason}", self.ops[o].rec.id));
-                self.start_finalize(o, commit);
-            }
-        }
-    }
-
-    fn start_finalize(&mut self, o: usize, commit: bool) {
-        let remaining: Vec<usize> = (0..self.ops[o].legs.len()).collect();
-        self.ops[o].state = OpState::Finalizing {
-            commit,
-            remaining: remaining.clone(),
-        };
-        self.ops[o].finalize_started_us = self.now.as_micros();
-        for leg in remaining {
-            self.send_finalize(o, leg, commit);
-        }
-    }
-
-    fn send_finalize(&mut self, o: usize, leg: usize, commit: bool) {
-        let op = &self.ops[o];
-        let plan = op.legs[leg].clone();
-        let function = if commit { "commit" } else { "abort" };
-        let args = vec![op.rec.id.as_bytes().to_vec()];
-        let leg_ctx = op.ctx.with_parent(op.ctx.span_id(stage::FINALIZE));
-        let tag = self.mint_tag(TagKind::Finalize { o, leg });
-        self.clusters[plan.shard].schedule_call(
-            self.now,
-            &plan.chaincode,
-            function,
-            args,
-            tag,
-            Some(leg_ctx),
-        );
-    }
-
-    fn on_finalize(&mut self, o: usize, leg: usize, outcome: InvokeOutcome) {
-        let OpState::Finalizing { commit, remaining } = self.ops[o].state.clone() else {
-            self.errors
-                .push(format!("finalize outcome in state {:?}", self.ops[o].state));
-            return;
-        };
-        match outcome {
-            InvokeOutcome::Committed {
-                valid: TxValidation::Valid,
-            } => {
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                if remaining.is_empty() {
-                    self.record_span(
-                        o,
-                        "2pc.finalize",
-                        stage::FINALIZE,
-                        stage::DECIDE,
-                        self.ops[o].finalize_started_us,
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.phase_finalize_us.observe(
-                            self.now
-                                .as_micros()
-                                .saturating_sub(self.ops[o].finalize_started_us),
-                        );
-                        if !commit {
-                            if self.ops[o]
-                                .no_reason
-                                .as_deref()
-                                .map(|r| r.contains("insufficient"))
-                                .unwrap_or(false)
-                            {
-                                m.aborts_insufficient.inc();
-                            } else {
-                                m.aborts_vote.inc();
-                            }
-                        }
-                    }
-                    let status = if commit {
-                        TransferStatus::Committed
-                    } else {
-                        TransferStatus::Aborted {
-                            reason: self.ops[o]
-                                .no_reason
-                                .clone()
-                                .unwrap_or_else(|| "prepare voted no".into()),
-                        }
-                    };
-                    self.terminal(o, status);
-                } else {
-                    self.ops[o].state = OpState::Finalizing { commit, remaining };
-                }
-            }
-            InvokeOutcome::Committed {
-                valid: TxValidation::MvccConflict { .. },
-            } => {
-                // Coordinator recovery: the finalize leg was invalidated
-                // by a concurrent write. Re-read the *replicated* decision
-                // record and re-drive the leg from it — never from
-                // orchestrator memory alone.
-                self.redrive(o);
-                let coord_shard = self.ops[o].coordinator_shard;
-                let recorded = read_coord_state(
-                    self.clusters[coord_shard].canonical_state(),
-                    &self.ops[o].rec.id,
-                );
-                let commit_again = match recorded {
-                    Some(CoordState::Committed) => true,
-                    Some(CoordState::Aborted) => false,
-                    other => {
-                        self.errors.push(format!(
-                            "finalize redrive of {} found coordinator state {other:?}",
-                            self.ops[o].rec.id
-                        ));
-                        commit
-                    }
-                };
-                self.send_finalize(o, leg, commit_again);
-            }
-            InvokeOutcome::EndorseFailed(reason)
-            | InvokeOutcome::Committed {
-                valid: TxValidation::EndorsementFailure { reason },
-            } => {
-                self.errors.push(format!(
-                    "finalize({}, leg {leg}) failed: {reason}",
-                    self.ops[o].rec.id
-                ));
-                let remaining: Vec<usize> = remaining.into_iter().filter(|&l| l != leg).collect();
-                if remaining.is_empty() {
-                    self.terminal(
-                        o,
-                        TransferStatus::Aborted {
-                            reason: "finalize failed".into(),
-                        },
-                    );
-                } else {
-                    self.ops[o].state = OpState::Finalizing { commit, remaining };
-                }
-            }
-        }
-    }
-
-    fn redrive(&mut self, o: usize) {
-        self.ops[o].rec.redrives += 1;
-        self.redrives += 1;
-        if let Some(m) = &self.metrics {
-            m.redrives.inc();
-        }
+        latency.observe(end.saturating_sub(start));
     }
 
     /// Per-shard canonical state roots at the committed tip. Bit-
@@ -1189,8 +813,8 @@ impl ShardedDeployment {
                     src: t.src.clone(),
                     dst: t.dst.clone(),
                     amount: t.amount,
-                    src_shard: op.legs[0].shard,
-                    dst_shard: op.legs[1].shard,
+                    src_shard: op.leg_shards[0],
+                    dst_shard: op.leg_shards[1],
                     status: op.rec.status.clone(),
                     redrives: op.rec.redrives,
                 }

@@ -10,17 +10,21 @@
 //! * `ledgerview_cluster` — one [`ClusterSim`](ledgerview_cluster::ClusterSim)
 //!   per shard: Raft ordering, leader rerouting, watchdog resubmission,
 //!   crash/partition faults, disk-backed peers.
-//! * `ledgerview_crosschain::contracts` — the 2PC coordinator and
+//! * `ledgerview_crosschain::contracts` — the coordinator-record and
 //!   transfer participant chaincodes; every participant stages through
 //!   the one 2PC fence, [`participant::Fenced`], with idempotent
 //!   terminal states.
-//! * [`deployment`] — this crate's core: the [`ShardedDeployment`]
-//!   advances every shard to common virtual-time boundaries and runs one
-//!   2PC driver over [`OpSpec`]s — begin → prepare → replicated decide →
+//! * `ledgerview_crosschain::coordinator` — the one 2PC coordinator, a
+//!   pure state machine per operation: begin → prepare → decide →
 //!   finalize, re-driving in-doubt legs from the on-chain decision
-//!   record after failover. A transfer is that driver's first client
-//!   (`schedule_transfer` builds its `OpSpec`); scenario crates such as
-//!   the TPC-C workload bring their own through `schedule_op`.
+//!   record. The cross-chain baseline steps the same one.
+//! * [`deployment`] — this crate's core: the [`ShardedDeployment`]
+//!   advances every shard to common virtual-time boundaries and carries
+//!   each [`OpSpec`]'s coordinator calls to their shards, the decision
+//!   replicated through the coordinating shard's Raft log. A transfer is
+//!   its first client (`schedule_transfer` builds its `OpSpec`); scenario
+//!   crates such as the TPC-C workload bring their own through
+//!   `schedule_op`.
 //!
 //! Single-shard operations never pay the 2PC cost: when the shard map
 //! puts every leg on one channel, the deployment submits the spec's one

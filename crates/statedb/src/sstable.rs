@@ -97,47 +97,47 @@ fn encode_record(out: &mut Vec<u8>, key: &str, value: Option<&[u8]>, version: Ve
     out.extend_from_slice(&version.tx_num.to_le_bytes());
 }
 
+/// Split the `N`-byte field off the front of `bytes`, or fail with
+/// `truncated`.
+fn field<const N: usize>(bytes: &mut &[u8], truncated: &str) -> Result<[u8; N], StoreError> {
+    let (head, tail) = bytes
+        .split_first_chunk::<N>()
+        .ok_or_else(|| corrupt(truncated))?;
+    *bytes = tail;
+    Ok(*head)
+}
+
+/// Split `n` bytes off the front of `bytes`, or fail with `truncated`.
+fn take<'a>(bytes: &mut &'a [u8], n: usize, truncated: &str) -> Result<&'a [u8], StoreError> {
+    let (head, tail) = bytes
+        .split_at_checked(n)
+        .ok_or_else(|| corrupt(truncated))?;
+    *bytes = tail;
+    Ok(head)
+}
+
 /// Decode every record in a data-block payload.
 pub fn decode_block(payload: &[u8]) -> Result<Vec<Record>, StoreError> {
+    const TRUNCATED: &str = "sstable: truncated record";
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        let need = |n: usize, pos: usize| -> Result<(), StoreError> {
-            if pos + n > payload.len() {
-                Err(corrupt("sstable: truncated record"))
-            } else {
-                Ok(())
-            }
-        };
-        need(2, pos)?;
-        let klen = u16::from_le_bytes(payload[pos..pos + 2].try_into().expect("2 bytes")) as usize;
-        pos += 2;
-        need(klen + 1, pos)?;
-        let key = std::str::from_utf8(&payload[pos..pos + klen])
+    let mut rest = payload;
+    while !rest.is_empty() {
+        let klen = u16::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
+        let key = take(&mut rest, klen, TRUNCATED)?;
+        let [tag] = field(&mut rest, TRUNCATED)?;
+        let key = std::str::from_utf8(key)
             .map_err(|_| corrupt("sstable: key not utf-8"))?
             .to_string();
-        pos += klen;
-        let tag = payload[pos];
-        pos += 1;
         let value = match tag {
             0 => None,
             1 => {
-                need(4, pos)?;
-                let vlen =
-                    u32::from_le_bytes(payload[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-                pos += 4;
-                need(vlen, pos)?;
-                let v = payload[pos..pos + vlen].to_vec();
-                pos += vlen;
-                Some(v)
+                let vlen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
+                Some(take(&mut rest, vlen, TRUNCATED)?.to_vec())
             }
             _ => return Err(corrupt("sstable: bad record tag")),
         };
-        need(12, pos)?;
-        let block_num = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("8 bytes"));
-        pos += 8;
-        let tx_num = u32::from_le_bytes(payload[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
+        let block_num = u64::from_le_bytes(field(&mut rest, TRUNCATED)?);
+        let tx_num = u32::from_le_bytes(field(&mut rest, TRUNCATED)?);
         records.push(Record {
             key,
             value,
@@ -159,15 +159,13 @@ fn write_frame(out: &mut impl Write, payload: &[u8]) -> Result<u32, StoreError> 
 /// Check one frame — exactly the bytes its index entry or footer spans —
 /// and return its payload.
 fn check_frame(frame: &[u8]) -> Result<&[u8], StoreError> {
-    if frame.len() < FRAME_HEADER {
-        return Err(corrupt("sstable: frame shorter than header"));
-    }
-    let plen = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
-    let stored = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+    const SHORT: &str = "sstable: frame shorter than header";
+    let mut payload = frame;
+    let plen = u32::from_le_bytes(field(&mut payload, SHORT)?) as usize;
+    let stored = u32::from_le_bytes(field(&mut payload, SHORT)?);
     if plen + FRAME_HEADER != frame.len() {
         return Err(corrupt("sstable: frame length mismatch"));
     }
-    let payload = &frame[FRAME_HEADER..];
     if crc32(payload) != stored {
         return Err(corrupt("sstable: frame checksum mismatch"));
     }
@@ -212,38 +210,31 @@ fn encode_index(entries: &[IndexEntry], last_key: &str) -> Vec<u8> {
 }
 
 fn decode_index(payload: &[u8]) -> Result<(Vec<IndexEntry>, String), StoreError> {
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-        if *pos + n > payload.len() {
-            return Err(corrupt("sstable: truncated index"));
-        }
-        let out = &payload[*pos..*pos + n];
-        *pos += n;
-        Ok(out)
-    };
-    let mut pos = 0usize;
-    let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
+    const TRUNCATED: &str = "sstable: truncated index";
+    let mut rest = payload;
+    let n = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
     if n > 1 << 24 {
         return Err(corrupt("sstable: implausible index size"));
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let klen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let key = std::str::from_utf8(take(&mut pos, klen)?)
+        let klen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
+        let key = std::str::from_utf8(take(&mut rest, klen, TRUNCATED)?)
             .map_err(|_| corrupt("sstable: index key not utf-8"))?
             .to_string();
-        let offset = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
+        let offset = u64::from_le_bytes(field(&mut rest, TRUNCATED)?);
+        let len = u32::from_le_bytes(field(&mut rest, TRUNCATED)?);
         entries.push(IndexEntry {
             first_key: key,
             offset,
             len,
         });
     }
-    let klen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-    let last_key = std::str::from_utf8(take(&mut pos, klen)?)
+    let klen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
+    let last_key = std::str::from_utf8(take(&mut rest, klen, TRUNCATED)?)
         .map_err(|_| corrupt("sstable: last key not utf-8"))?
         .to_string();
-    if pos != payload.len() {
+    if !rest.is_empty() {
         return Err(corrupt("sstable: trailing index bytes"));
     }
     Ok((entries, last_key))
@@ -440,11 +431,16 @@ impl Table {
         let mut footer = [0u8; FOOTER_BYTES];
         file.read_exact_at(&mut footer, file_bytes - FOOTER_BYTES as u64)
             .map_err(StoreError::Io)?;
-        let magic = u64::from_le_bytes(footer[40..48].try_into().expect("8 bytes"));
+        // Six u64 fields, then the checksum over them, then padding.
+        const SHORT: &str = "sstable: short footer";
+        let mut rest = &footer[..];
+        let mut word = || field(&mut rest, SHORT).map(u64::from_le_bytes);
+        let [index_off, index_len, filter_off, filter_len, entry_count, magic] =
+            [word()?, word()?, word()?, word()?, word()?, word()?];
+        let stored_crc = u32::from_le_bytes(field(&mut rest, SHORT)?);
         if magic != TABLE_MAGIC {
             return Err(corrupt(format!("sstable {seq}: bad magic")));
         }
-        let stored_crc = u32::from_le_bytes(footer[48..52].try_into().expect("4 bytes"));
         if crc32(&footer[..48]) != stored_crc {
             return Err(corrupt(format!("sstable {seq}: footer checksum mismatch")));
         }
@@ -453,11 +449,6 @@ impl Table {
         if footer[52..].iter().any(|&b| b != 0) {
             return Err(corrupt(format!("sstable {seq}: non-zero footer padding")));
         }
-        let index_off = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
-        let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
-        let filter_off = u64::from_le_bytes(footer[16..24].try_into().expect("8 bytes"));
-        let filter_len = u64::from_le_bytes(footer[24..32].try_into().expect("8 bytes"));
-        let entry_count = u64::from_le_bytes(footer[32..40].try_into().expect("8 bytes"));
         if index_off + index_len + FOOTER_BYTES as u64 != file_bytes
             || filter_off + filter_len != index_off
         {
