@@ -104,10 +104,18 @@ fn bench_x25519(c: &mut Criterion) {
     let mut rng = seeded(3);
     let alice = EncryptionKeyPair::generate(&mut rng);
     let bob = EncryptionKeyPair::generate(&mut rng);
+    // One ladder and one inversion on the dispatched body (AVX-512 IFMA
+    // where the CPU has it), then the same on the portable ladder: their
+    // ratio is the ladder's speed-up on this CPU.
+    let priv_bytes = [0x42u8; 32];
     c.bench_function("x25519/shared_secret", |b| {
-        let priv_bytes = [0x42u8; 32];
         b.iter(|| {
             x25519::shared_secret(black_box(&priv_bytes), black_box(bob.public().as_bytes()))
+        });
+    });
+    c.bench_function("x25519/ladder_portable", |b| {
+        b.iter(|| {
+            x25519::x25519_portable(black_box(&priv_bytes), black_box(bob.public().as_bytes()))
         });
     });
     c.bench_function("hybrid/seal_32B", |b| {

@@ -21,7 +21,7 @@
 //! ([`crate::aes::hardware_accelerated`]); there is no feature flag,
 //! setting or environment variable, and both bodies give bit-identical
 //! output. The key schedule is [`Aes`]'s either way. The call into the
-//! hardware body is one of the crate's two `unsafe` blocks (see the crate
+//! hardware body is one of the crate's three `unsafe` blocks (see the crate
 //! docs).
 
 use crate::aes::Aes;

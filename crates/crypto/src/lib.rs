@@ -20,7 +20,8 @@
 //!   [`aead::AeadKey`] holds everything derived from one key so a view's
 //!   entries are sealed and opened without re-deriving it.
 //! * [`x25519`] — RFC 7748 Diffie–Hellman, used for hybrid public-key
-//!   encryption (`enc(K_V, PubK_u)` in the paper).
+//!   encryption (`enc(K_V, PubK_u)` in the paper); its ladder runs on four
+//!   lanes of the CPU's 52-bit multiply-add (AVX-512 IFMA) where it has it.
 //! * [`ed25519`] — RFC 8032 signatures, used for endorsements in the
 //!   Fabric substrate.
 //! * [`keys`] — the key types the rest of the workspace uses:
@@ -33,25 +34,34 @@
 //!
 //! # Unsafe code
 //!
-//! The crate is `#![deny(unsafe_code)]` with exactly two exemptions, one
+//! The crate is `#![deny(unsafe_code)]` with exactly three exemptions, one
 //! call each into a `#[target_feature]` function of safe `std::arch`
 //! intrinsics:
 //!
 //! * in [`mod@sha256`], into its SHA-extension compression body;
-//! * in [`ctr`], into its AES-NI keystream body.
+//! * in [`ctr`], into its AES-NI keystream body;
+//! * in [`x25519`], into its AVX-512 IFMA ladder body.
 //!
 //! Each call is made only after `is_x86_feature_detected!` has seen every
 //! feature its body is compiled for; on other CPUs the portable code runs
-//! ([`sha256::hardware_accelerated`] and [`aes::hardware_accelerated`] say
-//! which). Nothing else here is `unsafe`, and the root package's
-//! `tests/unsafe_inventory.rs` keeps it that way across the workspace.
+//! ([`sha256::hardware_accelerated`], [`aes::hardware_accelerated`] and
+//! [`x25519::hardware_accelerated`] say which). Nothing else here is
+//! `unsafe`, and the root package's `tests/unsafe_inventory.rs` keeps it
+//! that way across the workspace.
 //!
 //! # Security disclaimer
 //!
 //! This code is written for clarity and reproduction fidelity. It is **not**
 //! hardened against side channels (it is not constant-time) and must not be
-//! used to protect real data. The AES-NI path of [`ctr`] makes no
-//! secret-indexed table lookups; the T-table fallback does.
+//! used to protect real data. A few secret-dependent steps are branch-free,
+//! and only these: the AES-NI path of [`ctr`] makes no secret-indexed table
+//! lookups (the T-table fallback does); both X25519 ladder bodies swap
+//! their ends by mask, not by branch; and the final reduction of a field
+//! element to bytes (X25519's output, and every Ed25519 encoding) selects
+//! by mask. That is still no constant-time promise: the Ed25519
+//! scalar multiplications branch and index tables on secret digits, the
+//! compiler is free to reintroduce branches, and no part of the crate has
+//! been checked for timing leaks.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,7 +20,7 @@
 //! is no feature flag, setting or environment variable, and both bodies
 //! give bit-identical digests. [`hardware_accelerated`] says which one
 //! this CPU runs. The call into the hardware body is one of the crate's
-//! two `unsafe` blocks (see the crate docs).
+//! three `unsafe` blocks (see the crate docs).
 
 use std::fmt;
 

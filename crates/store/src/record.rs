@@ -72,33 +72,38 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
         valid_len: from_offset,
         torn: false,
     };
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER_BYTES as usize {
+    let mut rest = bytes.as_slice();
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk() else {
             scan.torn = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER_BYTES as usize;
-        if len > remaining - FRAME_HEADER_BYTES as usize {
+        };
+        let (len, crc) = decode_header(*header);
+        let Some(payload) = body.get(..len as usize) else {
             scan.torn = true;
             break;
-        }
-        let payload = &bytes[body_start..body_start + len];
+        };
         if crc32(payload) != crc {
             scan.torn = true;
             break;
         }
         scan.frames.push(ScannedFrame {
-            offset: from_offset + pos as u64,
+            offset: scan.valid_len,
             payload: payload.to_vec(),
         });
-        pos = body_start + len;
-        scan.valid_len = from_offset + pos as u64;
+        rest = &body[payload.len()..];
+        scan.valid_len += FRAME_HEADER_BYTES + u64::from(len);
     }
     Ok(scan)
+}
+
+/// A frame header's `(payload length, CRC)`.
+pub(crate) fn decode_header(header: [u8; 8]) -> (u32, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]),
+        u32::from_le_bytes([c0, c1, c2, c3]),
+    )
 }
 
 /// Truncate `file` to `len` bytes and seek to the new end (repairing a torn

@@ -27,7 +27,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/shard", 0),
     ("crates/simnet", 1),
     ("crates/statedb", 15),
-    ("crates/store", 14),
+    ("crates/store", 1),
     ("crates/supplychain", 4),
     ("crates/telemetry", 16),
     ("crates/workload", 12),
