@@ -13,10 +13,7 @@ use std::time::Instant;
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::OrgId;
 use fabric_sim::FabricChain;
-use ledgerview_core::contracts::{
-    AccessContract, InvokeContract, TxListContract, ViewStorageContract, ACCESS_CC, INVOKE_CC,
-    TX_LIST_CC, VIEW_STORAGE_CC,
-};
+use ledgerview_core::contracts::deploy_ledgerview_contracts;
 use ledgerview_core::manager::{AccessMode, HashBasedManager, ViewManager};
 use ledgerview_core::reader::ViewReader;
 use ledgerview_core::txmodel::{AttrValue, ClientTransaction};
@@ -35,14 +32,7 @@ pub fn lv_chain(seed: u64) -> (FabricChain, fabric_sim::Identity, fabric_sim::Id
     // signature path is covered by the functional test suite.
     chain.set_check_signatures(false);
     let policy = EndorsementPolicy::MajorityOf(chain.org_ids());
-    chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
-    chain.deploy(
-        VIEW_STORAGE_CC,
-        Box::new(ViewStorageContract),
-        policy.clone(),
-    );
-    chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
-    chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
+    deploy_ledgerview_contracts(&mut chain, policy);
     let owner = chain
         .enroll(&OrgId::new("Org1"), "owner", &mut rng)
         .unwrap();

@@ -20,7 +20,7 @@
 //! scenario in `tests/` reproducible from its seed alone.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::Identity;
@@ -29,7 +29,7 @@ use fabric_sim::raft::{NodeId, Outgoing, RaftMsg, RaftNode};
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::storage::ChainSnapshot;
 use fabric_sim::validation::TxValidation;
-use fabric_sim::{FabricChain, LsmState, StorageConfig};
+use fabric_sim::{FabricChain, FabricError, LsmState, StorageConfig};
 use ledgerview_crypto::rng::seeded;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_gateway::{reorder, CounterChaincode, RetryPolicy};
@@ -105,6 +105,21 @@ struct Peer {
     catchup: Option<Catchup>,
 }
 
+impl Peer {
+    /// Peer `p` of a cluster under `cfg`, not yet open: its directory
+    /// (`<storage_root>/peer<p>`), its region, and nothing applied.
+    fn new(cfg: &ClusterConfig, p: usize) -> Peer {
+        Peer {
+            dir: cfg.storage_root.join(format!("peer{p}")),
+            region: cfg.peer_regions[p % cfg.peer_regions.len().max(1)],
+            chain: None,
+            next_apply: 0,
+            ready: BTreeSet::new(),
+            catchup: None,
+        }
+    }
+}
+
 struct CommittedBlock {
     batch: OrderedBatch,
     bytes: u64,
@@ -156,7 +171,7 @@ pub enum InvokeOutcome {
     },
 }
 
-/// One completed peer catch-up (restart replay or fresh bootstrap).
+/// One completed peer catch-up (restart replay, join, or heal).
 #[derive(Clone, Debug)]
 pub struct CatchupRecord {
     /// The peer that caught up.
@@ -270,8 +285,8 @@ struct World {
     reorder_cycles: u64,
     catchups: Vec<CatchupRecord>,
     /// The first error an event handler hit — a Raft entry that does not
-    /// decode, a peer directory that does not recover, a shipped snapshot
-    /// that does not install, a bootstrap with no live donor. Handlers
+    /// decode, a peer directory the OS refuses, a shipped snapshot that
+    /// does not install, a bootstrap or heal with no live donor. Handlers
     /// cannot return it, so it waits here for `run_until_converged` /
     /// `verify_convergence` to surface.
     failed: Option<ClusterError>,
@@ -284,12 +299,6 @@ struct World {
 }
 
 impl World {
-    fn storage_for(cfg: &ClusterConfig, dir: &Path) -> StorageConfig {
-        StorageConfig::new(dir.to_path_buf())
-            .fsync(cfg.fsync)
-            .checkpoint_every(cfg.checkpoint_every)
-    }
-
     fn deploy_workload(cfg: &ClusterConfig, chain: &mut FabricChain) {
         chain.deploy(
             CHAINCODE,
@@ -299,28 +308,6 @@ impl World {
         for (name, factory) in &cfg.workloads {
             chain.deploy(name, factory(), EndorsementPolicy::AnyOf(chain.org_ids()));
         }
-    }
-
-    /// Open (or recover) a peer chain over its durable directory — after
-    /// installing `snapshot` into it, when one is given.
-    fn open_peer_chain(
-        cfg: &ClusterConfig,
-        dir: &Path,
-        snapshot: Option<&ChainSnapshot>,
-    ) -> Result<FabricChain, ClusterError> {
-        let names: Vec<&str> = cfg.org_names.iter().map(|s| s.as_str()).collect();
-        let mut rng = seeded(cfg.identity_seed);
-        let storage = Self::storage_for(cfg, dir);
-        let validation = cfg.validation.clone();
-        let mut chain = match snapshot {
-            Some(snapshot) => {
-                let lsm = LsmState::default_config(&storage);
-                FabricChain::from_snapshot(&names, &mut rng, storage, lsm, validation, snapshot)?
-            }
-            None => FabricChain::with_storage(&names, &mut rng, storage, validation)?,
-        };
-        Self::deploy_workload(cfg, &mut chain);
-        Ok(chain)
     }
 
     fn fail(&mut self, e: impl Into<ClusterError>) {
@@ -595,14 +582,10 @@ impl World {
     }
 
     fn maybe_finish_catchup(&mut self, p: usize, sim: &mut Sim) {
-        let done = match &self.peers[p].catchup {
-            Some(c) => self.peers[p].next_apply >= c.target,
-            None => false,
-        };
-        if !done {
+        let peer = &mut self.peers[p];
+        let Some(c) = peer.catchup.take_if(|c| peer.next_apply >= c.target) else {
             return;
-        }
-        let c = self.peers[p].catchup.take().expect("checked");
+        };
         let duration = sim.now().saturating_sub(c.started);
         if let Some(m) = &self.metrics {
             let h = match c.mode {
@@ -620,15 +603,101 @@ impl World {
         });
     }
 
-    /// Stream blocks `[from, to)` to peer `p` as a bandwidth-limited
-    /// replay from the ordering service's region.
-    fn schedule_replay(&mut self, p: usize, from: u64, to: u64, sim: &mut Sim) {
-        let region = self.peers[p].region;
+    /// A catch-up under `mode` starting now, to the current tip.
+    fn catchup(&self, mode: BootstrapMode, sim: &Sim) -> Catchup {
+        Catchup {
+            started: sim.now(),
+            target: self.blocks.len() as u64,
+            mode,
+            bytes: 0,
+            blocks: 0,
+        }
+    }
+
+    /// The one way a peer comes back — restart, replay join and snapshot
+    /// join alike: open peer `p`'s directory (installing `snapshot` into
+    /// it first, when one is given) at the height it holds, stream the
+    /// blocks `[height, tip)` to it as a bandwidth-limited replay from the
+    /// ordering service's region, and finish the catch-up being recorded
+    /// if nothing is left to replay. Returns the opened height.
+    fn reopen(
+        &mut self,
+        p: usize,
+        snapshot: Option<&ChainSnapshot>,
+        sim: &mut Sim,
+    ) -> Result<u64, ClusterError> {
+        let cfg = &self.cfg;
+        let names: Vec<&str> = cfg.org_names.iter().map(|s| s.as_str()).collect();
+        let mut rng = seeded(cfg.identity_seed);
+        let storage = StorageConfig::new(self.peers[p].dir.clone())
+            .fsync(cfg.fsync)
+            .checkpoint_every(cfg.checkpoint_every);
+        let validation = cfg.validation.clone();
+        let mut chain = match snapshot {
+            Some(snapshot) => {
+                let lsm = LsmState::default_config(&storage);
+                FabricChain::from_snapshot(&names, &mut rng, storage, lsm, validation, snapshot)?
+            }
+            None => FabricChain::with_storage(&names, &mut rng, storage, validation)?,
+        };
+        Self::deploy_workload(cfg, &mut chain);
+        let height = chain.height();
+        let peer = &mut self.peers[p];
+        peer.chain = Some(chain);
+        peer.next_apply = height;
+        peer.ready.clear();
         let mut cumulative = 0u64;
-        for idx in from..to {
+        for idx in height..self.blocks.len() as u64 {
             cumulative += self.blocks[idx as usize].bytes;
-            let at = self.transfer_delay(region, cumulative);
+            let at = self.transfer_delay(self.peers[p].region, cumulative);
             sim.schedule_in(at, move |w: &mut World, s| w.on_deliver(p, idx, s));
+        }
+        self.maybe_finish_catchup(p, sim);
+        Ok(height)
+    }
+
+    /// Join the chain-less peer `p`, recording the catch-up under `mode`:
+    /// a full replay reopens its (empty) directory now; a snapshot join
+    /// ships the live peer with the greatest applied height's snapshot
+    /// (lowest index breaks ties) and reopens over it once it arrives.
+    fn join(&mut self, p: usize, mode: BootstrapMode, sim: &mut Sim) {
+        let mut catchup = self.catchup(mode, sim);
+        if mode == BootstrapMode::FullReplay {
+            self.peers[p].catchup = Some(catchup);
+            if let Err(e) = self.reopen(p, None, sim) {
+                self.fail(e);
+            }
+            return;
+        }
+        let donor = (0..self.peers.len())
+            .filter(|&d| d != p)
+            .filter_map(|d| Some((d, self.peers[d].chain.as_ref()?)))
+            .max_by_key(|&(d, _)| (self.peers[d].next_apply, usize::MAX - d));
+        let Some((_, donor)) = donor else {
+            return self.fail(ClusterError::NoDonor);
+        };
+        let snapshot = donor.export_snapshot();
+        catchup.bytes = snapshot.size_bytes() as u64;
+        let delay = self.transfer_delay(self.peers[p].region, catchup.bytes);
+        self.peers[p].catchup = Some(catchup);
+        sim.schedule_in(delay, move |w: &mut World, s| {
+            if let Err(e) = w.reopen(p, Some(&snapshot), s) {
+                w.fail(e);
+            }
+        });
+    }
+
+    /// Set peer `p`'s damaged directory aside as `peer<p>.corrupt-<n>`
+    /// (the first free `n`) and rebuild the peer by a snapshot join.
+    fn heal(&mut self, p: usize, sim: &mut Sim) {
+        let dir = &self.peers[p].dir;
+        let mut n = 0;
+        while dir.with_extension(format!("corrupt-{n}")).exists() {
+            n += 1;
+        }
+        match std::fs::rename(dir, dir.with_extension(format!("corrupt-{n}"))) {
+            Ok(()) => self.join(p, BootstrapMode::Snapshot, sim),
+            Err(e) => self.fail(FabricError::Io(format!("set {dir:?} aside: {e}"))),
         }
     }
 
@@ -904,32 +973,18 @@ impl World {
                 peer.ready.clear();
                 peer.catchup = None;
             }
-            Fault::RestartPeer(p) => {
-                if self.peers[p].chain.is_some() {
-                    return;
-                }
-                let peer = &self.peers[p];
-                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, None) {
-                    Ok(chain) => chain,
-                    Err(e) => return self.fail(e),
-                };
-                let recovered = chain.height();
-                let peer = &mut self.peers[p];
-                peer.chain = Some(chain);
-                peer.next_apply = recovered;
-                peer.ready.clear();
-                let target = self.blocks.len() as u64;
-                if target > recovered {
-                    self.peers[p].catchup = Some(Catchup {
-                        started: sim.now(),
-                        target,
-                        mode: BootstrapMode::FullReplay,
-                        bytes: 0,
-                        blocks: 0,
-                    });
-                    self.schedule_replay(p, recovered, target, sim);
+            Fault::RestartPeer(p) if self.peers[p].chain.is_none() => {
+                match self.reopen(p, None, sim) {
+                    // A restart behind the tip records its replay.
+                    Ok(recovered) if recovered < self.blocks.len() as u64 => {
+                        self.peers[p].catchup = Some(self.catchup(BootstrapMode::FullReplay, sim));
+                    }
+                    Ok(_) => {}
+                    Err(ClusterError::Fabric(FabricError::Storage(_))) => self.heal(p, sim),
+                    Err(e) => self.fail(e),
                 }
             }
+            Fault::RestartPeer(_) => {}
             Fault::KillOrderer(o) => {
                 self.orderers[o].alive = false;
                 self.orderers[o].tick_gen += 1;
@@ -960,75 +1015,7 @@ impl World {
     /// Bootstrap a freshly joined peer (slot `p`, already allocated).
     fn on_bootstrap(&mut self, p: usize, mode: BootstrapMode, sim: &mut Sim) {
         self.pending_actions -= 1;
-        let target = self.blocks.len() as u64;
-        match mode {
-            BootstrapMode::Snapshot => {
-                // Donor: the live peer with the greatest applied height
-                // (lowest index breaks ties deterministically).
-                let donor = (0..self.peers.len())
-                    .filter(|&d| d != p && self.peers[d].chain.is_some())
-                    .max_by_key(|&d| (self.peers[d].next_apply, usize::MAX - d));
-                let Some(donor) = donor else {
-                    return self.fail(ClusterError::NoDonor);
-                };
-                let snapshot = self.peers[donor]
-                    .chain
-                    .as_ref()
-                    .expect("donor is live")
-                    .export_snapshot();
-                let size = snapshot.size_bytes() as u64;
-                self.peers[p].catchup = Some(Catchup {
-                    started: sim.now(),
-                    target,
-                    mode,
-                    bytes: size,
-                    blocks: 0,
-                });
-                let delay = self.transfer_delay(self.peers[p].region, size);
-                sim.schedule_in(delay, move |w: &mut World, s| {
-                    w.on_install_snapshot(p, snapshot, s);
-                });
-            }
-            BootstrapMode::FullReplay => {
-                let peer = &self.peers[p];
-                let chain = match Self::open_peer_chain(&self.cfg, &peer.dir, None) {
-                    Ok(chain) => chain,
-                    Err(e) => return self.fail(e),
-                };
-                let peer = &mut self.peers[p];
-                peer.chain = Some(chain);
-                peer.next_apply = 0;
-                peer.catchup = Some(Catchup {
-                    started: sim.now(),
-                    target,
-                    mode,
-                    bytes: 0,
-                    blocks: 0,
-                });
-                if target == 0 {
-                    self.maybe_finish_catchup(p, sim);
-                } else {
-                    self.schedule_replay(p, 0, target, sim);
-                }
-            }
-        }
-    }
-
-    fn on_install_snapshot(&mut self, p: usize, snapshot: ChainSnapshot, sim: &mut Sim) {
-        let chain = match Self::open_peer_chain(&self.cfg, &self.peers[p].dir, Some(&snapshot)) {
-            Ok(chain) => chain,
-            Err(e) => return self.fail(e),
-        };
-        let height = chain.height();
-        let peer = &mut self.peers[p];
-        peer.chain = Some(chain);
-        peer.next_apply = height;
-        // Replay the delta committed since the snapshot was taken.
-        let tip = self.blocks.len() as u64;
-        if tip > height {
-            self.schedule_replay(p, height, tip, sim);
-        }
-        self.maybe_finish_catchup(p, sim);
+        self.join(p, mode, sim);
     }
 
     // ---- convergence -------------------------------------------------
@@ -1095,7 +1082,7 @@ impl ClusterSim {
     /// `<storage_root>/peer<i>`), and the ordering-side endorsing chain.
     pub fn new(config: ClusterConfig) -> Result<ClusterSim, ClusterError> {
         std::fs::create_dir_all(&config.storage_root)
-            .map_err(|e| ClusterError::Fabric(fabric_sim::FabricError::Storage(e.to_string())))?;
+            .map_err(|e| FabricError::Io(format!("create {:?}: {e}", config.storage_root)))?;
         let names: Vec<&str> = config.org_names.iter().map(|s| s.as_str()).collect();
         let mut id_rng = seeded(config.identity_seed);
         let mut endorser = FabricChain::new(&names, &mut id_rng);
@@ -1116,22 +1103,7 @@ impl ClusterSim {
             })
             .collect();
 
-        let mut peers = Vec::new();
-        for i in 0..config.peers {
-            let dir = config.storage_root.join(format!("peer{i}"));
-            let region = config.peer_regions[i % config.peer_regions.len().max(1)];
-            let chain = World::open_peer_chain(&config, &dir, None)?;
-            let next_apply = chain.height();
-            peers.push(Peer {
-                dir,
-                region,
-                chain: Some(chain),
-                next_apply,
-                ready: BTreeSet::new(),
-                catchup: None,
-            });
-        }
-
+        let peers = (0..config.peers).map(|p| Peer::new(&config, p)).collect();
         let submit_rng = StdRng::seed_from_u64(config.seed ^ 0x5EED_C1AE_57E2_0001);
         let partition_group = vec![0u8; config.orderers.max(1)];
         let mut world = World {
@@ -1174,6 +1146,9 @@ impl ClusterSim {
         };
 
         let mut sim = Sim::new();
+        for p in 0..world.peers.len() {
+            world.reopen(p, None, &mut sim)?;
+        }
         for o in 0..world.orderers.len() {
             world.reschedule_tick(o, &mut sim);
         }
@@ -1304,16 +1279,7 @@ impl ClusterSim {
     /// full replay; returns the new peer's index.
     pub fn schedule_bootstrap_peer(&mut self, at: SimTime, mode: BootstrapMode) -> usize {
         let p = self.world.peers.len();
-        let dir = self.world.cfg.storage_root.join(format!("peer{p}"));
-        let region = self.world.cfg.peer_regions[p % self.world.cfg.peer_regions.len().max(1)];
-        self.world.peers.push(Peer {
-            dir,
-            region,
-            chain: None,
-            next_apply: 0,
-            ready: BTreeSet::new(),
-            catchup: None,
-        });
+        self.world.peers.push(Peer::new(&self.world.cfg, p));
         if let Some(m) = &mut self.world.metrics {
             m.ensure_peers(p + 1);
         }
@@ -1337,8 +1303,9 @@ impl ClusterSim {
     /// Run until every scheduled action has fired, no batch is in flight,
     /// and every live peer has applied the full committed log — or until
     /// `deadline`. Returns the convergence time, or the first error an
-    /// event handler recorded (undecodable Raft entry, unrecoverable peer
-    /// directory, failed snapshot install, no bootstrap donor).
+    /// event handler recorded (undecodable Raft entry, a peer directory
+    /// the OS refuses, failed snapshot install, no donor to join or heal
+    /// from).
     pub fn run_until_converged(&mut self, deadline: SimTime) -> Result<SimTime, ClusterError> {
         let step = SimTime::from_millis(100);
         loop {

@@ -18,7 +18,12 @@ pub enum Fault {
     /// and in-flight deliveries to it are discarded.
     CrashPeer(usize),
     /// Restart a crashed peer: recover its durable directory, then replay
-    /// the delta it missed from the ordering service.
+    /// the delta it missed from the ordering service — the one reopen
+    /// path every join takes too. A directory whose bytes are wrong or
+    /// missing (`FabricError::Storage`) heals: it is renamed aside as
+    /// `peer<p>.corrupt-<n>` and the peer joins from a donor's snapshot,
+    /// recorded as a [`BootstrapMode::Snapshot`] catch-up. Any other error
+    /// (`FabricError::Io`: the OS refusing) fails the cluster.
     RestartPeer(usize),
     /// Permanently stop an orderer node.
     KillOrderer(NodeId),
@@ -38,13 +43,19 @@ pub enum Fault {
     },
 }
 
-/// How a freshly joined peer obtains history it never saw.
+/// How a joining peer obtains history it never saw. Both modes end in
+/// the same reopen-and-replay of the peer's directory; the mode decides
+/// what the directory starts from and labels the catch-up
+/// ([`crate::CatchupRecord::mode`], the catch-up histogram).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BootstrapMode {
-    /// Ship a digest-verified state snapshot from a healthy peer, then
-    /// replay only the delta — O(state).
+    /// Ship a digest-verified state snapshot from a healthy peer, install
+    /// it, then replay only the delta — O(state). Also how a restart
+    /// heals a corrupt directory.
     Snapshot,
-    /// Replay every block from genesis — O(history); kept as the baseline
+    /// Replay every block from genesis into an empty directory — a
+    /// restart with nothing recovered, O(history); also the label of a
+    /// restart's delta replay. Kept as the baseline
     /// `tests/virtual_time_goldens.rs` pins snapshot shipping against.
     FullReplay,
 }

@@ -17,10 +17,14 @@
 //!   dissemination with a per-peer delivery queue, validates and commits
 //!   independently, and is cross-checked against the canonical rolling
 //!   state root — any divergence becomes a typed [`fault::Divergence`].
-//! * **Catch-up**: a restarted peer recovers its durable prefix and
-//!   replays only the delta; a freshly joined peer bootstraps from a
-//!   digest-verified [`fabric_sim::ChainSnapshot`] shipped by a healthy
-//!   peer — O(state), not O(history) — then replays the tail.
+//! * **Catch-up**: a peer comes back one way — open its directory and
+//!   replay what it lacks from the ordering service. A restarted peer
+//!   recovers its durable prefix, so only the delta replays; a full-replay
+//!   join is a restart of an empty directory; a snapshot join first
+//!   installs a digest-verified [`fabric_sim::ChainSnapshot`] shipped by
+//!   a healthy peer — O(state), not O(history) — then replays the tail.
+//!   A restart that finds its directory corrupt sets it aside and heals
+//!   through a snapshot join.
 //! * **Fault injection** ([`fault::Fault`]): crashes, restarts, orderer
 //!   kills, partitions, heals and slow links are scheduled at virtual
 //!   times, so every failure scenario is reproducible from its seed alone.

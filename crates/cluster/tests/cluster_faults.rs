@@ -247,10 +247,12 @@ fn newest_table(lsm: &Path) -> PathBuf {
 }
 
 #[test]
-fn tampered_checkpoint_on_restart_is_an_error_not_a_panic() {
+fn tampered_checkpoint_on_restart_heals_through_a_snapshot_join() {
     // A checkpoint is an LSM flush: flip one bit of the crashed peer's
     // manifest, and in a second run of its newest table, as
-    // `tests/storage_recovery.rs` does for a single chain.
+    // `tests/storage_recovery.rs` does for a single chain. The restart
+    // finds the directory corrupt, sets it aside and rebuilds the peer
+    // from a donor's snapshot.
     for target in ["MANIFEST", "newest table"] {
         let dir = TestDir::new("cluster-tampered-restart");
         let mut cfg = ClusterConfig::new(dir.path(), 11);
@@ -260,10 +262,10 @@ fn tampered_checkpoint_on_restart_is_an_error_not_a_panic() {
         sim.schedule_fault(SimTime::from_millis(1_500), Fault::CrashPeer(1));
         sim.run_until(SimTime::from_secs(2));
 
-        let lsm = dir.path().join("peer1").join("lsm");
+        let peer1 = dir.path().join("peer1");
         let path = match target {
-            "MANIFEST" => lsm.join("MANIFEST"),
-            _ => newest_table(&lsm),
+            "MANIFEST" => peer1.join("lsm").join("MANIFEST"),
+            _ => newest_table(&peer1.join("lsm")),
         };
         let mut bytes = std::fs::read(&path).expect("peer 1 checkpointed before crashing");
         let mid = bytes.len() / 2;
@@ -271,13 +273,55 @@ fn tampered_checkpoint_on_restart_is_an_error_not_a_panic() {
         std::fs::write(&path, &bytes).unwrap();
 
         sim.schedule_fault(SimTime::from_millis(2_500), Fault::RestartPeer(1));
-        let err = sim
-            .run_until_converged(SimTime::from_secs(30))
-            .expect_err("a corrupt directory cannot rejoin");
-        assert!(
-            matches!(&err, ClusterError::Fabric(FabricError::Storage(_))),
-            "{target}: expected a storage error, got {err}"
+        sim.run_until_converged(SimTime::from_secs(30))
+            .unwrap_or_else(|e| panic!("{target}: the corrupt peer heals: {e}"));
+        sim.verify_convergence().expect("all live peers canonical");
+        let report = sim.report();
+        let tip = *report.canonical_roots.last().expect("blocks committed");
+        assert_eq!(report.peer_roots[1], Some(tip), "{target}: healed root");
+        let modes: Vec<BootstrapMode> = report
+            .catchups
+            .iter()
+            .filter(|c| c.peer == 1)
+            .map(|c| c.mode)
+            .collect();
+        assert_eq!(
+            modes,
+            vec![BootstrapMode::Snapshot],
+            "{target}: one snapshot heal"
         );
-        assert!(sim.verify_convergence().is_err(), "the error is sticky");
+        let aside = dir.path().join("peer1.corrupt-0");
+        let damaged = aside.join(path.strip_prefix(&peer1).unwrap());
+        assert_eq!(
+            std::fs::read(damaged).unwrap(),
+            bytes,
+            "{target}: kept aside"
+        );
     }
+}
+
+#[test]
+fn unreadable_directory_on_restart_is_an_io_error_not_a_heal() {
+    // The OS refusing to open the directory says nothing about its bytes,
+    // so the restart fails the cluster instead of rebuilding the peer.
+    let dir = TestDir::new("cluster-io-restart");
+    let mut sim = ClusterSim::new(ClusterConfig::new(dir.path(), 11)).expect("cluster builds");
+    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 50, 10);
+    sim.schedule_fault(SimTime::from_millis(800), Fault::CrashPeer(1));
+    sim.run_until(SimTime::from_secs(1));
+
+    let peer1 = dir.path().join("peer1");
+    std::fs::remove_dir_all(&peer1).unwrap();
+    std::fs::write(&peer1, b"not a directory").unwrap();
+    sim.schedule_fault(SimTime::from_millis(1_500), Fault::RestartPeer(1));
+    let err = sim
+        .run_until_converged(SimTime::from_secs(30))
+        .expect_err("a directory the OS refuses cannot rejoin");
+    assert!(
+        matches!(&err, ClusterError::Fabric(FabricError::Io(_))),
+        "expected an I/O error, got {err}"
+    );
+    assert!(sim.verify_convergence().is_err(), "the error is sticky");
+    assert!(peer1.is_file(), "nothing was set aside");
+    assert!(!dir.path().join("peer1.corrupt-0").exists());
 }

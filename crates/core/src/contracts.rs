@@ -15,10 +15,11 @@
 //! can be checked with range scans.
 
 use fabric_sim::chaincode::{arg, arg_str, Chaincode, TxContext};
+use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::ledger::TxId;
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::wire::{Reader, Writer};
-use fabric_sim::FabricError;
+use fabric_sim::{FabricChain, FabricError};
 use ledgerview_crypto::keys::PublicKey;
 use ledgerview_crypto::sha256::Digest;
 
@@ -33,6 +34,19 @@ pub const VIEW_STORAGE_CC: &str = "lv.viewstorage";
 pub const TX_LIST_CC: &str = "lv.txlist";
 /// Chaincode name for [`AccessContract`].
 pub const ACCESS_CC: &str = "lv.access";
+
+/// Deploy the four LedgerView contracts on a chain with the given policy —
+/// the boilerplate every deployment needs.
+pub fn deploy_ledgerview_contracts(chain: &mut FabricChain, policy: EndorsementPolicy) {
+    chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
+    chain.deploy(
+        VIEW_STORAGE_CC,
+        Box::new(ViewStorageContract),
+        policy.clone(),
+    );
+    chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
+    chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
+}
 
 /// State key of a stored client transaction.
 pub fn tx_state_key(tid: &TxId) -> String {
@@ -615,14 +629,7 @@ mod tests {
         let mut rng = seeded(1);
         let mut chain = FabricChain::new(&["Org1"], &mut rng);
         let policy = EndorsementPolicy::AnyOf(chain.org_ids());
-        chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
-        chain.deploy(
-            VIEW_STORAGE_CC,
-            Box::new(ViewStorageContract),
-            policy.clone(),
-        );
-        chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
-        chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
+        deploy_ledgerview_contracts(&mut chain, policy);
         let alice = chain
             .enroll(&OrgId::new("Org1"), "alice", &mut rng)
             .unwrap();

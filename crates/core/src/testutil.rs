@@ -5,10 +5,7 @@ use fabric_sim::identity::{Identity, OrgId};
 use fabric_sim::FabricChain;
 use ledgerview_crypto::rng::seeded;
 
-use crate::contracts::{
-    AccessContract, InvokeContract, TxListContract, ViewStorageContract, ACCESS_CC, INVOKE_CC,
-    TX_LIST_CC, VIEW_STORAGE_CC,
-};
+use crate::contracts::deploy_ledgerview_contracts;
 
 /// A two-org chain with all four LedgerView contracts deployed, plus an
 /// owner identity (Org1) and a client identity (Org2).
@@ -16,14 +13,7 @@ pub(crate) fn test_chain() -> (FabricChain, Identity, Identity) {
     let mut rng = seeded(100);
     let mut chain = FabricChain::new(&["Org1", "Org2"], &mut rng);
     let policy = EndorsementPolicy::MajorityOf(chain.org_ids());
-    chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
-    chain.deploy(
-        VIEW_STORAGE_CC,
-        Box::new(ViewStorageContract),
-        policy.clone(),
-    );
-    chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
-    chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
+    deploy_ledgerview_contracts(&mut chain, policy);
     let owner = chain
         .enroll(&OrgId::new("Org1"), "owner", &mut rng)
         .unwrap();

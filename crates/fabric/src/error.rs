@@ -24,9 +24,13 @@ pub enum FabricError {
     Malformed(String),
     /// The hash chain or a digest check failed — evidence of tampering.
     IntegrityViolation(String),
-    /// The durable storage layer failed (I/O error or unrepairable
-    /// corruption detected during commit or recovery).
+    /// Stored bytes are wrong or missing: corruption or loss detected
+    /// during commit or recovery that truncating a torn tail cannot repair.
     Storage(String),
+    /// The operating system refused a storage operation (a directory that
+    /// cannot be created, a file that cannot be opened, read or written);
+    /// nothing is known about the bytes on disk.
+    Io(String),
 }
 
 impl fmt::Display for FabricError {
@@ -43,6 +47,7 @@ impl fmt::Display for FabricError {
             FabricError::Malformed(m) => write!(f, "malformed payload: {m}"),
             FabricError::IntegrityViolation(m) => write!(f, "integrity violation: {m}"),
             FabricError::Storage(m) => write!(f, "storage failure: {m}"),
+            FabricError::Io(m) => write!(f, "storage I/O failure: {m}"),
         }
     }
 }

@@ -42,8 +42,9 @@
 //! result against every recovered block header. Torn tails are truncated
 //! by the store layer; inconsistencies that cannot arise from a crash (a
 //! checkpoint ahead of the block file, a state-root mismatch) surface as
-//! [`FabricError::Storage`] rather than being silently repaired.
-//! Directories written before the block file became the only log may
+//! [`FabricError::Storage`] rather than being silently repaired; the
+//! operating system refusing an operation is [`FabricError::Io`], so a
+//! caller can tell a damaged directory from a failing disk. Directories written before the block file became the only log may
 //! still hold `state.wal.*` files; nothing reads them.
 //!
 //! Identities are **not** persisted: the simulator derives MSP keys from
@@ -77,7 +78,10 @@ const INDEX_EVERY: u64 = 16;
 
 impl From<StoreError> for FabricError {
     fn from(e: StoreError) -> FabricError {
-        FabricError::Storage(e.to_string())
+        match e {
+            StoreError::Io(_) => FabricError::Io(e.to_string()),
+            StoreError::Corrupt(_) => FabricError::Storage(e.to_string()),
+        }
     }
 }
 
@@ -249,7 +253,7 @@ fn load_state(
     lsm: LsmConfig,
 ) -> Result<(LsmState, Option<StateMeta>), FabricError> {
     std::fs::create_dir_all(&config.dir)
-        .map_err(|e| FabricError::Storage(format!("create {:?}: {e}", config.dir)))?;
+        .map_err(|e| FabricError::Io(format!("create {:?}: {e}", config.dir)))?;
     let (state, blob) = LsmState::open(lsm)?;
     let meta = blob.as_deref().map(StateMeta::decode).transpose()?;
     match meta {

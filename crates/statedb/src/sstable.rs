@@ -30,7 +30,7 @@
 //! size rather than one `write` per block.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -64,6 +64,16 @@ pub struct Record {
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
+}
+
+/// A failed read of a table the manifest names. The file missing, or
+/// ending before the bytes its footer or index places there, is lost data
+/// ([`StoreError::Corrupt`]); anything else is the OS refusing.
+fn read_error(e: std::io::Error) -> StoreError {
+    match e.kind() {
+        ErrorKind::NotFound | ErrorKind::UnexpectedEof => corrupt(format!("sstable: {e}")),
+        _ => StoreError::Io(e),
+    }
 }
 
 /// File name for a table with the given sequence number.
@@ -176,8 +186,7 @@ fn check_frame(frame: &[u8]) -> Result<&[u8], StoreError> {
 /// front of the same buffer rather than copied into a second one.
 fn read_frame(file: &File, offset: u64, len: u32) -> Result<Vec<u8>, StoreError> {
     let mut buf = vec![0u8; len as usize];
-    file.read_exact_at(&mut buf, offset)
-        .map_err(StoreError::Io)?;
+    file.read_exact_at(&mut buf, offset).map_err(read_error)?;
     check_frame(&buf)?;
     buf.drain(..FRAME_HEADER);
     Ok(buf)
@@ -423,7 +432,7 @@ impl Table {
     /// Open an existing table file, validating footer, index, and filter.
     pub fn open(dir: &Path, seq: u64) -> Result<Table, StoreError> {
         let path = dir.join(table_file_name(seq));
-        let file = File::open(&path).map_err(StoreError::Io)?;
+        let file = File::open(&path).map_err(read_error)?;
         let file_bytes = file.metadata().map_err(StoreError::Io)?.len();
         if file_bytes < FOOTER_BYTES as u64 {
             return Err(corrupt(format!("sstable {seq}: shorter than footer")));
@@ -681,7 +690,7 @@ impl CompactionReader<'_> {
         self.table
             .file
             .read_exact_at(&mut self.run, start)
-            .map_err(StoreError::Io)?;
+            .map_err(read_error)?;
         self.run_offset = start;
         self.run_blocks = first..last;
         self.next_block = last;

@@ -2,19 +2,13 @@
 
 use std::time::Instant;
 
-/// Where "now" comes from, in microseconds.
+/// Monotonic wall clock, anchored at construction time.
 ///
 /// Guard spans ([`crate::Tracer::span`]) read it when they open and close.
 /// Virtual-time spans do not: discrete-event runs pass their simulated
 /// timestamps explicitly to [`crate::Tracer::record_manual`] and
 /// [`crate::Tracer::record_linked`], so their traces show the same
 /// timeline the latency figures report.
-pub trait ClockSource: Send + Sync {
-    /// Current time in microseconds since the clock's epoch.
-    fn now_us(&self) -> u64;
-}
-
-/// Monotonic wall clock, anchored at construction time.
 #[derive(Debug)]
 pub struct WallClock {
     epoch: Instant,
@@ -27,17 +21,16 @@ impl WallClock {
             epoch: Instant::now(),
         }
     }
+
+    /// Microseconds since the clock's epoch.
+    pub fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
 }
 
 impl Default for WallClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl ClockSource for WallClock {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 }
 

@@ -15,11 +15,10 @@
 //!   parent/child nesting, a bounded ring buffer of recent spans, and a
 //!   Chrome `trace_event` exporter ([`Tracer::chrome_trace_json`]) whose
 //!   output opens directly in `chrome://tracing` / Perfetto.
-//! * [`ClockSource`] — guard spans are timed against the wall clock
-//!   ([`WallClock`]); discrete-event runs record their spans with explicit
-//!   virtual timestamps ([`Tracer::record_manual`],
-//!   [`Tracer::record_linked`]), so their traces show *virtual* phase
-//!   timelines.
+//! * [`WallClock`] — what guard spans are timed against; discrete-event
+//!   runs record their spans with explicit virtual timestamps
+//!   ([`Tracer::record_manual`], [`Tracer::record_linked`]), so their
+//!   traces show *virtual* phase timelines.
 //! * [`promlint`] — the small in-repo lint CI runs over every exposition
 //!   (unique names, `_total`/`_seconds` suffix conventions, known
 //!   subsystem families).
@@ -49,7 +48,7 @@ pub mod promlint;
 pub mod registry;
 pub mod tracer;
 
-pub use clock::{ClockSource, WallClock};
+pub use clock::WallClock;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use profiler::{profile_spans, PhaseCost, Profile};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};

@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::clock::ClockSource;
+use crate::clock::WallClock;
 use crate::registry::json_string;
 
 /// Default Perfetto process lane for guard spans and plain manual records.
@@ -114,9 +114,9 @@ struct Ring {
 }
 
 /// A span tracer: bounded ring buffer of recent [`SpanRecord`]s, timed
-/// against a pluggable [`ClockSource`].
+/// against a [`WallClock`].
 pub struct Tracer {
-    clock: Arc<dyn ClockSource>,
+    clock: Arc<WallClock>,
     capacity: usize,
     ring: Mutex<Ring>,
     next_id: AtomicU64,
@@ -157,7 +157,7 @@ impl std::fmt::Debug for Tracer {
 
 impl Tracer {
     /// A tracer over `clock` keeping at most `capacity` recent spans.
-    pub fn new(clock: Arc<dyn ClockSource>, capacity: usize) -> Tracer {
+    pub fn new(clock: Arc<WallClock>, capacity: usize) -> Tracer {
         Tracer {
             clock,
             capacity: capacity.max(1),
@@ -463,7 +463,6 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::WallClock;
 
     fn wall_tracer(capacity: usize) -> Tracer {
         Tracer::new(Arc::new(WallClock::new()), capacity)

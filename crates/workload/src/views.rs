@@ -19,10 +19,7 @@
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::OrgId;
 use fabric_sim::{FabricChain, Identity};
-use ledgerview_core::contracts::{
-    AccessContract, InvokeContract, TxListContract, ViewStorageContract, ACCESS_CC, INVOKE_CC,
-    TX_LIST_CC, VIEW_STORAGE_CC,
-};
+use ledgerview_core::contracts::deploy_ledgerview_contracts;
 use ledgerview_core::{
     AccessMode, AttrValue, ClientTransaction, EncryptionBasedManager, ViewError, ViewManager,
     ViewPredicate, ViewReader,
@@ -69,14 +66,7 @@ impl ViewLayer {
         let mut rng = seeded(seed ^ 0x7669_6577_5f6c_6179); // "view_lay"
         let mut chain = FabricChain::new(&["Org1", "Org2"], &mut rng);
         let policy = EndorsementPolicy::MajorityOf(chain.org_ids());
-        chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
-        chain.deploy(
-            VIEW_STORAGE_CC,
-            Box::new(ViewStorageContract),
-            policy.clone(),
-        );
-        chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
-        chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
+        deploy_ledgerview_contracts(&mut chain, policy);
         let client = chain
             .enroll(&OrgId::new("Org2"), "driver", &mut rng)
             .unwrap();

@@ -111,22 +111,7 @@ pub mod prelude {
     pub use ledgerview_telemetry::Telemetry;
 }
 
-/// Deploy the four LedgerView contracts on a chain with the given policy —
-/// the boilerplate every deployment needs.
-pub fn deploy_ledgerview_contracts(
-    chain: &mut fabric_sim::FabricChain,
-    policy: fabric_sim::endorsement::EndorsementPolicy,
-) {
-    use ledgerview_core::contracts::*;
-    chain.deploy(INVOKE_CC, Box::new(InvokeContract), policy.clone());
-    chain.deploy(
-        VIEW_STORAGE_CC,
-        Box::new(ViewStorageContract),
-        policy.clone(),
-    );
-    chain.deploy(TX_LIST_CC, Box::new(TxListContract), policy.clone());
-    chain.deploy(ACCESS_CC, Box::new(AccessContract), policy);
-}
+pub use ledgerview_core::contracts::deploy_ledgerview_contracts;
 
 #[cfg(test)]
 mod tests {
