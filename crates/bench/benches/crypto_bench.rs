@@ -146,6 +146,12 @@ fn bench_ed25519(c: &mut Criterion) {
     c.bench_function("ed25519/sign_256B", |b| {
         b.iter(|| kp.sign(black_box(&msg)));
     });
+    // The same signature on the portable point body: against the row
+    // above, the IFMA body's speed-up on this CPU (as for the ladder).
+    let key = SigningKey::from_seed(&[0x24u8; 32]);
+    c.bench_function("ed25519/sign_portable", |b| {
+        b.iter(|| key.sign_portable(black_box(&msg)));
+    });
     c.bench_function("ed25519/verify_256B", |b| {
         b.iter(|| {
             ed25519::verify(black_box(&kp.public()), black_box(&msg), black_box(&sig)).unwrap()
@@ -157,6 +163,13 @@ fn bench_ed25519(c: &mut Criterion) {
     let expanded = VerifyingKey::from_bytes(&pk).unwrap();
     c.bench_function("ed25519/verify_known_key_256B", |b| {
         b.iter(|| expanded.verify(black_box(&msg), black_box(&sig)).unwrap());
+    });
+    c.bench_function("ed25519/verify_known_key_portable", |b| {
+        b.iter(|| {
+            expanded
+                .verify_portable(black_box(&msg), black_box(&sig))
+                .unwrap()
+        });
     });
     c.bench_function("ed25519/expand_verifying_key", |b| {
         b.iter(|| VerifyingKey::from_bytes(black_box(&pk)).unwrap());

@@ -103,6 +103,10 @@ struct Peer {
     /// arrivals buffered until the gap fills).
     ready: BTreeSet<u64>,
     catchup: Option<Catchup>,
+    /// Invalidates a stale snapshot install: each snapshot join and each
+    /// crash bumps the generation, and an install that arrives with an
+    /// old generation is dropped.
+    join_gen: u64,
 }
 
 impl Peer {
@@ -116,6 +120,7 @@ impl Peer {
             next_apply: 0,
             ready: BTreeSet::new(),
             catchup: None,
+            join_gen: 0,
         }
     }
 }
@@ -679,8 +684,15 @@ impl World {
         let snapshot = donor.export_snapshot();
         catchup.bytes = snapshot.size_bytes() as u64;
         let delay = self.transfer_delay(self.peers[p].region, catchup.bytes);
-        self.peers[p].catchup = Some(catchup);
+        let peer = &mut self.peers[p];
+        peer.catchup = Some(catchup);
+        peer.join_gen += 1;
+        let join_gen = peer.join_gen;
         sim.schedule_in(delay, move |w: &mut World, s| {
+            // A crash since the join cancelled it.
+            if w.peers[p].join_gen != join_gen {
+                return;
+            }
             if let Err(e) = w.reopen(p, Some(&snapshot), s) {
                 w.fail(e);
             }
@@ -972,6 +984,7 @@ impl World {
                 peer.chain = None; // Drop closes the storage directory.
                 peer.ready.clear();
                 peer.catchup = None;
+                peer.join_gen += 1;
             }
             Fault::RestartPeer(p) if self.peers[p].chain.is_none() => {
                 match self.reopen(p, None, sim) {

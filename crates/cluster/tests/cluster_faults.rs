@@ -235,6 +235,30 @@ fn snapshot_bootstrapped_peer_restarts_from_its_own_directory() {
     assert!(!joined_dir.join("checkpoint.dat").exists());
 }
 
+#[test]
+fn crash_during_snapshot_transfer_cancels_the_join() {
+    // The joining peer crashes while its snapshot is in flight and is
+    // never restarted: the install must not revive it, and no catch-up
+    // is recorded for it.
+    let dir = TestDir::new("cluster-crash-mid-join");
+    let cfg = ClusterConfig::new(dir.path(), 42);
+    let mut sim = ClusterSim::new(cfg).expect("cluster builds");
+    sim.schedule_counter_load(SimTime::from_millis(300), SimTime::from_millis(20), 100, 10);
+    let joined = sim.schedule_bootstrap_peer(SimTime::from_secs(2), BootstrapMode::Snapshot);
+    assert_eq!(joined, 3);
+    sim.schedule_fault(SimTime::from_millis(2_001), Fault::CrashPeer(joined));
+
+    sim.run_until_converged(SimTime::from_secs(60))
+        .expect("the other peers converge");
+    sim.verify_convergence().expect("all live peers canonical");
+    let report = sim.report();
+    assert_eq!(
+        report.peer_heights[joined], None,
+        "the crashed peer stays down"
+    );
+    assert!(report.catchups.is_empty(), "{:?}", report.catchups);
+}
+
 /// The newest SSTable of an LSM directory (names are zero-padded sequence
 /// numbers, so the greatest name is the newest table).
 fn newest_table(lsm: &Path) -> PathBuf {

@@ -4,13 +4,40 @@
 //! Ed25519. Curve constants (`d`, `√−1`, the base point) are *derived* from
 //! their definitions at first use rather than transcribed, and the RFC 8032
 //! test vectors pin the result.
+//!
+//! # Two point bodies, one dispatch
+//!
+//! Every scalar multiplication is a loop of point doublings and additions:
+//! the Straus walk behind [`verify`], [`VerifyingKey::verify`] and
+//! [`verify_batch`], the fixed-base walk behind signing, key generation and
+//! X25519 public keys, and the builders of the tables both walk. Those
+//! loops run on one of two bodies:
+//!
+//! * on x86-64 CPUs with AVX-512 IFMA, a point's four extended coordinates
+//!   (X, Y, Z, T) sit in the four lanes of the 4-lane field
+//!   `crate::field` shares with the X25519 ladder. A doubling is one
+//!   4-lane product of (X, Y, Z, X + Y) with itself, then (E, G, F, E)·(F,
+//!   H, G, H); an addition is (Y − X, Y + X, Z, T)·(y − x, y + x, 2z, 2dT),
+//!   then the same second product (Hisil, Wong, Carter and Dawson,
+//!   "Twisted Edwards Curves Revisited", ASIACRYPT 2008, §4);
+//! * everywhere else, the portable `Point` arithmetic on `Fe`. It is also
+//!   the oracle the unit tests hold the vector body to.
+//!
+//! The body is chosen at run time with `is_x86_feature_detected!` (the
+//! check [`crate::x25519::hardware_accelerated`] reports); there is no
+//! feature flag, setting or environment variable, and both bodies give
+//! bit-identical signatures, keys and verdicts. Each table is built once,
+//! by the body this CPU runs, in one layout both bodies read. Decompression,
+//! compression, inversion, SHA-512 and the scalar arithmetic are portable
+//! either way. The call into the vector body is one of the crate's four
+//! `unsafe` blocks (see the crate docs).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::error::CryptoError;
+use crate::field::{Fe, BOUND};
 use crate::sha512::Sha512;
-use crate::x25519::Fe;
 
 /// A point on the twisted Edwards curve in extended coordinates
 /// (X : Y : Z : T) with T = XY/Z.
@@ -23,15 +50,50 @@ struct Point {
 }
 
 /// A point prepared as the right-hand operand of [`Point::add`]:
-/// (Y+X, Y−X, Z, 2dT). Every table below stores points in this form, which
-/// takes the additions, the subtraction and the multiplication by 2d out
-/// of each use.
+/// (Y−X, Y+X, 2Z, 2dT), which takes the additions, the subtraction and the
+/// multiplications by 2 and 2d out of each use. The portable body reads
+/// every table [`Entry`] in this form.
 #[derive(Clone, Copy, Debug)]
 struct Cached {
-    ypx: Fe,
     ymx: Fe,
-    z: Fe,
+    ypx: Fe,
+    z2: Fe,
     t2d: Fe,
+}
+
+/// One table entry: a [`Cached`] point stored lane-major, `self.0[i][j]`
+/// being limb i of coordinate j in the order (Y−X, Y+X, 2Z, 2dT), so that
+/// the vector body loads it as one 4-lane element and the portable body as
+/// a [`Cached`]. Every limb is carried below [`BOUND`]: IFMA reads only the
+/// low 52 bits of a lane, and would drop the top of an uncarried sum
+/// without any error.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
+struct Entry([[u64; 4]; 5]);
+
+impl Entry {
+    const ZERO: Entry = Entry([[0; 4]; 5]);
+
+    /// The entry of a portable [`Cached`] point. Y + X and 2Z are
+    /// uncarried sums, so they are carried here.
+    fn from_cached(c: &Cached) -> Entry {
+        let coords = [c.ymx, c.ypx.carry(), c.z2.carry(), c.t2d];
+        debug_assert!(coords
+            .iter()
+            .all(|fe| fe.0.iter().all(|&limb| limb < BOUND)));
+        Entry(std::array::from_fn(|i| coords.map(|fe| fe.0[i])))
+    }
+
+    /// The portable body's view of this entry.
+    fn cached(&self) -> Cached {
+        let coord = |j: usize| Fe(self.0.map(|limbs| limbs[j]));
+        Cached {
+            ymx: coord(0),
+            ypx: coord(1),
+            z2: coord(2),
+            t2d: coord(3),
+        }
+    }
 }
 
 fn fe_small(v: u64) -> Fe {
@@ -49,10 +111,10 @@ fn d() -> Fe {
     *D.get_or_init(|| fe_neg(fe_small(121665)).mul(fe_small(121666).invert()))
 }
 
-/// 2d, folded into [`Cached`] points.
+/// 2d, carried, folded into [`Cached`] points.
 fn d2() -> Fe {
     static D2: OnceLock<Fe> = OnceLock::new();
-    *D2.get_or_init(|| d().add(d()))
+    *D2.get_or_init(|| d().add(d()).carry())
 }
 
 /// √−1 = 2^((p−1)/4), and (p − 1)/4 = 2·(p − 5)/8 + 1.
@@ -78,9 +140,9 @@ fn base_point() -> Point {
 impl Cached {
     fn neg(&self) -> Cached {
         Cached {
-            ypx: self.ymx,
             ymx: self.ypx,
-            z: self.z,
+            ypx: self.ymx,
+            z2: self.z2,
             t2d: fe_neg(self.t2d),
         }
     }
@@ -108,9 +170,9 @@ impl Point {
 
     fn to_cached(self) -> Cached {
         Cached {
-            ypx: self.y.add(self.x),
             ymx: self.y.sub(self.x),
-            z: self.z,
+            ypx: self.y.add(self.x),
+            z2: self.z.add(self.z),
             t2d: self.t.mul(d2()),
         }
     }
@@ -120,8 +182,7 @@ impl Point {
         let a = self.y.sub(self.x).mul(q.ymx);
         let b = self.y.add(self.x).mul(q.ypx);
         let c = self.t.mul(q.t2d);
-        let zz = self.z.mul(q.z);
-        let dd = zz.add(zz);
+        let dd = self.z.mul(q.z2);
         let e = b.sub(a);
         let f = dd.sub(c);
         let g = dd.add(c);
@@ -135,9 +196,10 @@ impl Point {
     }
 
     /// `self + q` for a positive table digit, `self − q` for a negative one.
-    fn add_signed(&self, q: &Cached, digit: i8) -> Point {
+    fn add_signed(&self, q: &Entry, digit: i8) -> Point {
+        let q = q.cached();
         if digit > 0 {
-            self.add(q)
+            self.add(&q)
         } else {
             self.add(&q.neg())
         }
@@ -188,17 +250,283 @@ impl Point {
     }
 }
 
+/// Which body runs a [`Job`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Body {
+    /// The vector body where this CPU has AVX-512 IFMA, the portable one
+    /// elsewhere.
+    Best,
+    /// The portable body, whatever the CPU: the baseline and the oracle.
+    Portable,
+}
+
+/// A loop of point operations, for either body to run. One enum, so that
+/// one `unsafe` call reaches the vector body for all of them.
+enum Job<'a> {
+    /// `Σ sᵢ·Pᵢ` over the terms' NAF digits `top` and below (see
+    /// [`straus`]).
+    Straus { terms: &'a [Term<'a>], top: usize },
+    /// `Σ dᵢ·16ⁱ·B` over the rows of [`base_table`], for signed radix-16
+    /// digits dᵢ (see [`base_mul`]).
+    BaseMul {
+        digits: &'a [i8; 64],
+        table: &'a [[Entry; 8]],
+    },
+    /// Fill `rows`, `row_len` entries a row: entry j of row i is
+    /// (1 + step·j)·2^(shift·i)·P, with step 2 if `odd` and 1 otherwise.
+    Table {
+        p: Point,
+        odd: bool,
+        shift: u32,
+        rows: &'a mut [Entry],
+        row_len: usize,
+    },
+}
+
+/// Run `job` on `body`: the point a sum computes, or the identity once a
+/// table is filled.
+fn run(body: Body, job: Job<'_>) -> Point {
+    #[cfg(target_arch = "x86_64")]
+    if body == Body::Best && crate::field::ifma_available() {
+        // SAFETY: `ifma_available` has just seen avx512ifma and avx512vl
+        // on this CPU: every feature `ifma::run` enables.
+        #[allow(unsafe_code)]
+        return unsafe { ifma::run(job) };
+    }
+    match job {
+        Job::Straus { terms, top } => {
+            let mut acc = Point::identity();
+            for i in (0..=top).rev() {
+                acc = acc.double();
+                for t in terms {
+                    let digit = t.naf[i];
+                    if digit != 0 {
+                        acc = acc.add_signed(&t.table[digit.unsigned_abs() as usize / 2], digit);
+                    }
+                }
+            }
+            acc
+        }
+        Job::BaseMul { digits, table } => {
+            let mut acc = Point::identity();
+            for (row, &digit) in table.iter().zip(digits) {
+                if digit != 0 {
+                    acc = acc.add_signed(&row[digit.unsigned_abs() as usize - 1], digit);
+                }
+            }
+            acc
+        }
+        Job::Table {
+            p,
+            odd,
+            shift,
+            rows,
+            row_len,
+        } => {
+            let mut q = p;
+            for (i, row) in rows.chunks_exact_mut(row_len).enumerate() {
+                if i > 0 {
+                    for _ in 0..shift {
+                        q = q.double();
+                    }
+                }
+                let step = if odd { q.double() } else { q }.to_cached();
+                let mut cur = q;
+                for (j, entry) in row.iter_mut().enumerate() {
+                    if j > 0 {
+                        cur = cur.add(&step);
+                    }
+                    *entry = Entry::from_cached(&cur.to_cached());
+                }
+            }
+            Point::identity()
+        }
+    }
+}
+
+/// The point loops of [`run`] on four lanes of AVX-512 IFMA.
+///
+/// A point is one [`Fe4`] of (X, Y, Z, T), lane 0 to lane 3, and every
+/// doubling and addition is two 4-lane multiplications with carried
+/// additions and subtractions around them: the formulas of
+/// [`Point::double`] and [`Point::add`], value for value. Lane permutes and masked blends
+/// move values between them, and a table [`Entry`] loads as one operand.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use crate::field::ifma::{lanes, Fe4, LANE0, LANE1, LANE2, LANE3};
+    use crate::field::Fe;
+
+    use super::{d2, Entry, Job, Point};
+
+    /// A point as (X, Y, Z, T), one coordinate a lane.
+    #[derive(Clone, Copy)]
+    struct P4(Fe4);
+
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn zero() -> Fe4 {
+        Fe4::new([Fe::ZERO; 4])
+    }
+
+    impl P4 {
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn new(p: &Point) -> P4 {
+            P4(Fe4::new([p.x, p.y, p.z, p.t]))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn point(self) -> Point {
+            Point {
+                x: self.0.lane::<0>(),
+                y: self.0.lane::<1>(),
+                z: self.0.lane::<2>(),
+                t: self.0.lane::<3>(),
+            }
+        }
+
+        /// (E, G, F, E)·(F, H, G, H) = (X, Y, Z, T) from (E, G, F, H): the
+        /// second product of both the doubling and the addition.
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn finish(egfh: Fe4) -> P4 {
+            let left = egfh.permute::<{ lanes(0, 1, 2, 0) }>();
+            P4(left.mul_add(egfh.permute::<{ lanes(2, 3, 1, 3) }>(), zero()))
+        }
+
+        /// [`Point::double`]: (A, B, Z², S) = (X, Y, Z, X + Y)², then
+        /// (h, g, c) = (A + B, A − B, 2Z²), then (e, g, f, h) =
+        /// (h − S, g, c + g, h).
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn double(self) -> P4 {
+            let s = self.0;
+            let x_in_lane3 = s.permute_over::<{ lanes(0, 0, 0, 0) }>(LANE3, zero());
+            let xyzs = s.permute::<{ lanes(0, 1, 2, 1) }>().add_sub(x_in_lane3, 0);
+            let sq = xyzs.mul_add(xyzs, zero());
+            let hgch = sq
+                .permute::<{ lanes(0, 0, 2, 0) }>()
+                .add_sub(sq.permute::<{ lanes(1, 1, 2, 1) }>(), LANE1);
+            // (S, 0, g, 0).
+            let rhs = hgch.permute_over::<{ lanes(1, 1, 1, 1) }>(
+                LANE2,
+                sq.permute::<{ lanes(3, 3, 3, 3) }>()
+                    .blend(LANE1 | LANE3, zero()),
+            );
+            P4::finish(hgch.add_sub(rhs, LANE0))
+        }
+
+        /// [`Point::add`] of `q`, or of −q if `negative`: (A, B, D, C) =
+        /// (Y − X, Y + X, Z, T)·(y − x, y + x, 2z, 2dT), then (E, G, F, H)
+        /// = (B − A, D + C, D − C, B + A). −q is (y + x, y − x, 2z, −2dT):
+        /// its first two lanes are swapped on load, and the sign of its C
+        /// swaps which of G and F subtracts.
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn add(self, q: &Entry, negative: bool) -> P4 {
+            let s = self.0;
+            let x_in_lanes01 = s
+                .permute::<{ lanes(0, 0, 0, 0) }>()
+                .blend(LANE2 | LANE3, zero());
+            let left = s
+                .permute::<{ lanes(1, 1, 2, 3) }>()
+                .add_sub(x_in_lanes01, LANE0);
+            let neg = u8::from(negative).wrapping_neg();
+            let q = Fe4::from_limbs(&q.0);
+            let q = q.permute_over::<{ lanes(1, 0, 2, 3) }>(neg & (LANE0 | LANE1), q);
+            let abdc = left.mul_add(q, zero());
+            let egfh = abdc.permute::<{ lanes(1, 2, 2, 1) }>().add_sub(
+                abdc.permute::<{ lanes(0, 3, 3, 0) }>(),
+                LANE0 | (neg & LANE1) | (!neg & LANE2),
+            );
+            P4::finish(egfh)
+        }
+
+        /// This point as a table entry: (Y − X, Y + X, 2Z, T), then times
+        /// `scale` = (1, 1, 1, 2d).
+        #[inline]
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        fn entry(self, scale: Fe4) -> Entry {
+            let s = self.0;
+            let xxz = s.permute::<{ lanes(0, 0, 2, 3) }>().blend(LANE3, zero());
+            let sums = s.permute::<{ lanes(1, 1, 2, 3) }>().add_sub(xxz, LANE0);
+            Entry(sums.mul_add(scale, zero()).to_limbs())
+        }
+    }
+
+    /// [`super::run`]'s loops, step for step, on [`P4`].
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    pub(super) fn run(job: Job<'_>) -> Point {
+        match job {
+            Job::Straus { terms, top } => {
+                let mut acc = P4::new(&Point::identity());
+                for i in (0..=top).rev() {
+                    acc = acc.double();
+                    for t in terms {
+                        let digit = t.naf[i];
+                        if digit != 0 {
+                            let entry = &t.table[digit.unsigned_abs() as usize / 2];
+                            acc = acc.add(entry, digit < 0);
+                        }
+                    }
+                }
+                acc.point()
+            }
+            Job::BaseMul { digits, table } => {
+                let mut acc = P4::new(&Point::identity());
+                for (row, &digit) in table.iter().zip(digits) {
+                    if digit != 0 {
+                        acc = acc.add(&row[digit.unsigned_abs() as usize - 1], digit < 0);
+                    }
+                }
+                acc.point()
+            }
+            Job::Table {
+                p,
+                odd,
+                shift,
+                rows,
+                row_len,
+            } => {
+                let scale = Fe4::new([Fe::ONE, Fe::ONE, Fe::ONE, d2()]);
+                let mut q = P4::new(&p);
+                for (i, row) in rows.chunks_exact_mut(row_len).enumerate() {
+                    if i > 0 {
+                        for _ in 0..shift {
+                            q = q.double();
+                        }
+                    }
+                    let step = if odd { q.double() } else { q }.entry(scale);
+                    let mut cur = q;
+                    for (j, entry) in row.iter_mut().enumerate() {
+                        if j > 0 {
+                            cur = cur.add(&step, false);
+                        }
+                        *entry = cur.entry(scale);
+                    }
+                }
+                Point::identity()
+            }
+        }
+    }
+}
+
 /// The odd multiples P, 3P, …, (2N−1)P: the table a width-w NAF digit
 /// indexes, N = 2^(w−2).
-fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
-    let p2 = p.double().to_cached();
-    let mut cur = *p;
-    std::array::from_fn(|i| {
-        if i > 0 {
-            cur = cur.add(&p2);
-        }
-        cur.to_cached()
-    })
+fn odd_multiples<const N: usize>(body: Body, p: &Point) -> [Entry; N] {
+    let mut table = [Entry::ZERO; N];
+    run(
+        body,
+        Job::Table {
+            p: *p,
+            odd: true,
+            shift: 0,
+            rows: &mut table,
+            row_len: N,
+        },
+    );
+    table
 }
 
 /// A 256-bit scalar is cut into this many 64-bit chunks by
@@ -211,53 +539,53 @@ const CHUNKS: usize = 4;
 /// [`odd_multiples`] table per chunk of a scalar, so that `s·P` is four
 /// 64-bit terms sharing 64 doublings instead of one 256-bit term paying
 /// 253.
-fn split_tables<const N: usize>(p: &Point) -> [[Cached; N]; CHUNKS] {
-    let mut p = *p;
-    std::array::from_fn(|i| {
-        if i > 0 {
-            for _ in 0..256 / CHUNKS {
-                p = p.double();
-            }
-        }
-        odd_multiples(&p)
-    })
+fn split_tables<const N: usize>(body: Body, p: &Point) -> [[Entry; N]; CHUNKS] {
+    let mut tables = [[Entry::ZERO; N]; CHUNKS];
+    run(
+        body,
+        Job::Table {
+            p: *p,
+            odd: true,
+            shift: (256 / CHUNKS) as u32,
+            rows: tables.as_flattened_mut(),
+            row_len: N,
+        },
+    );
+    tables
 }
 
 /// [`split_tables`] of the base point for width-8 NAFs (40 KiB). Row 0 —
 /// B, 3B, …, 127B — also serves the full-length base-point term of
 /// [`verify_batch`].
-fn base_split_tables() -> &'static [[Cached; 64]; CHUNKS] {
-    static T: OnceLock<[[Cached; 64]; CHUNKS]> = OnceLock::new();
-    T.get_or_init(|| split_tables(&base_point()))
+fn base_split_tables() -> &'static [[Entry; 64]; CHUNKS] {
+    static T: OnceLock<[[Entry; 64]; CHUNKS]> = OnceLock::new();
+    T.get_or_init(|| split_tables(Body::Best, &base_point()))
 }
 
 /// The radix-16 fixed-base table: row i holds j·16ⁱ·B for j = 1..=8
-/// (80 KiB, built once with 512 point operations and no inversion).
-fn base_table() -> &'static [[Cached; 8]] {
-    static T: OnceLock<Vec<[Cached; 8]>> = OnceLock::new();
+/// (80 KiB, built once with 700 point operations and no inversion).
+fn base_table() -> &'static [[Entry; 8]] {
+    static T: OnceLock<Vec<[Entry; 8]>> = OnceLock::new();
     T.get_or_init(|| {
-        let mut p = base_point();
-        (0..64)
-            .map(|_| {
-                let unit = p.to_cached();
-                let mut cur = p;
-                let row = std::array::from_fn(|j| {
-                    if j > 0 {
-                        cur = cur.add(&unit);
-                    }
-                    cur.to_cached()
-                });
-                p = cur.double(); // 2·(8·16ⁱ·B) = 16ⁱ⁺¹·B
-                row
-            })
-            .collect()
+        let mut table = vec![[Entry::ZERO; 8]; 64];
+        run(
+            Body::Best,
+            Job::Table {
+                p: base_point(),
+                odd: false,
+                shift: 4,
+                rows: table.as_flattened_mut(),
+                row_len: 8,
+            },
+        );
+        table
     })
 }
 
 /// `s·B` for any 256-bit little-endian scalar: one table addition per
 /// non-zero signed radix-16 digit, no doublings (not constant time, see
 /// crate disclaimer).
-fn base_mul(scalar_le: &[u8; 32]) -> Point {
+fn base_mul(body: Body, scalar_le: &[u8; 32]) -> Point {
     // Digits in [−8, 8); with bit 255 set aside the last one stays ≤ 8.
     let mut digits = [0i8; 64];
     for (i, b) in scalar_le.iter().enumerate() {
@@ -271,16 +599,18 @@ fn base_mul(scalar_le: &[u8; 32]) -> Point {
         digits[i + 1] += carry;
     }
     let table = base_table();
-    let mut acc = Point::identity();
-    for (row, &digit) in table.iter().zip(&digits) {
-        if digit != 0 {
-            acc = acc.add_signed(&row[digit.unsigned_abs() as usize - 1], digit);
-        }
-    }
+    let acc = run(
+        body,
+        Job::BaseMul {
+            digits: &digits,
+            table,
+        },
+    );
     if scalar_le[31] >> 7 == 1 {
-        acc = acc.add(&table[63][7]); // 8·16⁶³·B = 2²⁵⁵·B
+        acc.add(&table[63][7].cached()) // 8·16⁶³·B = 2²⁵⁵·B
+    } else {
+        acc
     }
-    acc
 }
 
 /// Width-`w` non-adjacent form of a 256-bit little-endian scalar: 257
@@ -330,13 +660,13 @@ fn naf(scalar_le: &[u8; 32], w: u32) -> [i8; 257] {
 /// of the point its digits index.
 struct Term<'a> {
     naf: [i8; 257],
-    table: &'a [Cached],
+    table: &'a [Entry],
 }
 
 impl<'a> Term<'a> {
     /// `s·P` from [`odd_multiples`] of P; the table's length 2^(w−2) sets
     /// the NAF width, so every digit has its entry.
-    fn new(scalar_le: &[u8; 32], table: &'a [Cached]) -> Term<'a> {
+    fn new(scalar_le: &[u8; 32], table: &'a [Entry]) -> Term<'a> {
         debug_assert!(table.len().is_power_of_two());
         Term {
             naf: naf(scalar_le, table.len().trailing_zeros() + 2),
@@ -351,7 +681,7 @@ impl<'a> Term<'a> {
 /// four of [`split_tables`] give four 64-bit terms.
 fn split_terms<'a, const N: usize>(
     scalar_le: &[u8; 32],
-    tables: &'a [[Cached; N]],
+    tables: &'a [[Entry; N]],
 ) -> impl Iterator<Item = Term<'a>> {
     let scalar = *scalar_le;
     let width = 32 / tables.len();
@@ -368,25 +698,15 @@ fn split_terms<'a, const N: usize>(
 /// NAF digit — every w+1 bits on average. Short scalars (the 128-bit
 /// coefficients of batch verification) have no digits above their top bit
 /// and cost proportionally less.
-fn straus(terms: &[Term<'_>]) -> Point {
+fn straus(body: Body, terms: &[Term<'_>]) -> Point {
     let top = terms
         .iter()
         .filter_map(|t| t.naf.iter().rposition(|&d| d != 0))
         .max();
-    let Some(top) = top else {
-        return Point::identity();
-    };
-    let mut acc = Point::identity();
-    for i in (0..=top).rev() {
-        acc = acc.double();
-        for t in terms {
-            let digit = t.naf[i];
-            if digit != 0 {
-                acc = acc.add_signed(&t.table[digit.unsigned_abs() as usize / 2], digit);
-            }
-        }
+    match top {
+        Some(top) => run(body, Job::Straus { terms, top }),
+        None => Point::identity(),
     }
-    acc
 }
 
 /// Check that the y-coordinate of a point encoding is canonically reduced
@@ -564,12 +884,16 @@ pub struct SigningKey {
 impl SigningKey {
     /// Expand a 32-byte secret seed.
     pub fn from_seed(seed: &[u8; 32]) -> SigningKey {
+        SigningKey::expand(Body::Best, seed)
+    }
+
+    fn expand(body: Body, seed: &[u8; 32]) -> SigningKey {
         let (scalar, prefix) = split64(&crate::sha512::sha512(seed).0);
         let scalar = clamp(scalar);
         SigningKey {
             scalar,
             prefix,
-            public: base_mul(&scalar).compress(),
+            public: base_mul(body, &scalar).compress(),
         }
     }
 
@@ -580,11 +904,22 @@ impl SigningKey {
 
     /// Sign `message`, returning a 64-byte signature.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
+        self.sign_on(Body::Best, message)
+    }
+
+    /// [`SigningKey::sign`] on the portable point body, whatever the CPU:
+    /// the baseline the IFMA body is measured against
+    /// (`ed25519/sign_portable` in the crypto benches) and its oracle.
+    pub fn sign_portable(&self, message: &[u8]) -> [u8; 64] {
+        self.sign_on(Body::Portable, message)
+    }
+
+    fn sign_on(&self, body: Body, message: &[u8]) -> [u8; 64] {
         let mut hasher = Sha512::new();
         hasher.update(&self.prefix);
         hasher.update(message);
         let r = reduce64(&hasher.finalize().0);
-        let r_enc = base_mul(&r).compress();
+        let r_enc = base_mul(body, &r).compress();
 
         let k = challenge(&r_enc, &self.public, message);
         let big_s = mul_add(&k, &self.scalar, &r);
@@ -628,7 +963,11 @@ pub fn sign(seed: &[u8; 32], message: &[u8]) -> [u8; 64] {
 /// curve, u = (1 + y)/(1 − y): X25519's public-key derivation without a
 /// ladder. The scalar is used as given (the caller clamps).
 pub(crate) fn base_mul_montgomery_u(scalar_le: &[u8; 32]) -> [u8; 32] {
-    let p = base_mul(scalar_le);
+    montgomery_u(Body::Best, scalar_le)
+}
+
+fn montgomery_u(body: Body, scalar_le: &[u8; 32]) -> [u8; 32] {
+    let p = base_mul(body, scalar_le);
     p.z.add(p.y).mul(p.z.sub(p.y).invert()).to_bytes()
 }
 
@@ -647,9 +986,18 @@ fn decode_public_key(public_key: &[u8; 32]) -> Result<Point, CryptoError> {
 /// that verify under the same key more than twice should keep a
 /// [`VerifyingKey`].
 pub fn verify(public_key: &[u8; 32], message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
+    verify_on(Body::Best, public_key, message, sig)
+}
+
+fn verify_on(
+    body: Body,
+    public_key: &[u8; 32],
+    message: &[u8],
+    sig: &[u8; 64],
+) -> Result<(), CryptoError> {
     let a = decode_public_key(public_key)?;
-    let minus_a: [Cached; 8] = odd_multiples(&a.neg());
-    check_signature(public_key, &[minus_a], message, sig)
+    let minus_a: [Entry; 8] = odd_multiples(body, &a.neg());
+    check_signature(body, public_key, &[minus_a], message, sig)
 }
 
 /// The single-signature check `S·B − k·A == R`, with `A` given as its
@@ -657,8 +1005,9 @@ pub fn verify(public_key: &[u8; 32], message: &[u8], sig: &[u8; 64]) -> Result<(
 /// table from [`verify`], four short ones from a [`VerifyingKey`]; the
 /// tables' owner has already validated `A`.
 fn check_signature<const N: usize>(
+    body: Body,
     public_key: &[u8; 32],
-    minus_a: &[[Cached; N]],
+    minus_a: &[[Entry; N]],
     message: &[u8],
     sig: &[u8; 64],
 ) -> Result<(), CryptoError> {
@@ -672,7 +1021,7 @@ fn check_signature<const N: usize>(
     let terms: Vec<Term<'_>> = split_terms(&s, &base_split_tables()[..minus_a.len()])
         .chain(split_terms(&k, minus_a))
         .collect();
-    if straus(&terms).equals(&r) {
+    if straus(body, &terms).equals(&r) {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
@@ -688,7 +1037,7 @@ fn check_signature<const N: usize>(
 #[derive(Clone)]
 pub struct VerifyingKey {
     bytes: [u8; 32],
-    minus_a: [[Cached; 16]; CHUNKS],
+    minus_a: [[Entry; 16]; CHUNKS],
 }
 
 impl VerifyingKey {
@@ -696,10 +1045,14 @@ impl VerifyingKey {
     /// rejects in a key: a non-canonical or off-curve encoding and points
     /// of small order.
     pub fn from_bytes(public_key: &[u8; 32]) -> Result<VerifyingKey, CryptoError> {
+        VerifyingKey::expand(Body::Best, public_key)
+    }
+
+    fn expand(body: Body, public_key: &[u8; 32]) -> Result<VerifyingKey, CryptoError> {
         let a = decode_public_key(public_key)?;
         Ok(VerifyingKey {
             bytes: *public_key,
-            minus_a: split_tables(&a.neg()),
+            minus_a: split_tables(body, &a.neg()),
         })
     }
 
@@ -711,7 +1064,15 @@ impl VerifyingKey {
     /// Verify a 64-byte signature over `message`; accepts exactly what
     /// [`verify`] accepts under the same key bytes.
     pub fn verify(&self, message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
-        check_signature(&self.bytes, &self.minus_a, message, sig)
+        check_signature(Body::Best, &self.bytes, &self.minus_a, message, sig)
+    }
+
+    /// [`VerifyingKey::verify`] on the portable point body, whatever the
+    /// CPU, over the same tables: the baseline the IFMA body is measured
+    /// against (`ed25519/verify_known_key_portable` in the crypto benches)
+    /// and its oracle.
+    pub fn verify_portable(&self, message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
+        check_signature(Body::Portable, &self.bytes, &self.minus_a, message, sig)
     }
 }
 
@@ -766,7 +1127,13 @@ pub struct BatchEntry<'a> {
 /// An `Err` means at least one entry is invalid (or a combined equation
 /// failed); it does not identify which entry.
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
-    entries.chunks(BATCH_CHUNK).try_for_each(verify_chunk)
+    verify_batch_on(Body::Best, entries)
+}
+
+fn verify_batch_on(body: Body, entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
+    entries
+        .chunks(BATCH_CHUNK)
+        .try_for_each(|chunk| verify_chunk(body, chunk))
 }
 
 /// Entries checked per combined equation. Each entry holds a 1.3 KiB table
@@ -777,10 +1144,10 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
 const BATCH_CHUNK: usize = 64;
 
 /// [`verify_batch`] on at most [`BATCH_CHUNK`] entries.
-fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
+fn verify_chunk(body: Body, entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
     if entries.len() == 1 {
         let e = entries[0];
-        return verify(e.public_key, e.message, e.signature);
+        return verify_on(body, e.public_key, e.message, e.signature);
     }
 
     // Derive the coefficient seed from the entire batch content. Long
@@ -798,7 +1165,7 @@ fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
     // `points` holds (coefficient, odd multiples of −P) for every distinct
     // public key and every R.
     let mut s_sum = [0u8; 32];
-    let mut points: Vec<([u8; 32], [Cached; 8])> = Vec::with_capacity(entries.len() + 2);
+    let mut points: Vec<([u8; 32], [Entry; 8])> = Vec::with_capacity(entries.len() + 2);
     let mut key_slot: HashMap<&[u8; 32], usize> = HashMap::new();
     for (i, e) in entries.iter().enumerate() {
         let (r_enc, s) = split64(e.signature);
@@ -810,7 +1177,7 @@ fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
             None => {
                 let a = decode_public_key(e.public_key)?;
                 let slot = points.len();
-                points.push(([0u8; 32], odd_multiples(&a.neg())));
+                points.push(([0u8; 32], odd_multiples(body, &a.neg())));
                 key_slot.insert(e.public_key, slot);
                 slot
             }
@@ -826,7 +1193,7 @@ fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
 
         s_sum = mul_add(&z, &s, &s_sum);
         points[slot].0 = mul_add(&z, &k, &points[slot].0);
-        points.push((z, odd_multiples(&r.neg())));
+        points.push((z, odd_multiples(body, &r.neg())));
     }
 
     let mut terms = Vec::with_capacity(1 + points.len());
@@ -836,7 +1203,7 @@ fn verify_chunk(entries: &[BatchEntry<'_>]) -> Result<(), CryptoError> {
             .iter()
             .map(|(coefficient, table)| Term::new(coefficient, table)),
     );
-    if straus(&terms).equals(&Point::identity()) {
+    if straus(body, &terms).equals(&Point::identity()) {
         Ok(())
     } else {
         Err(CryptoError::InvalidSignature)
@@ -1018,95 +1385,97 @@ mod tests {
     }
 
     /// a·B + b·P + c·Q through `straus` and through the oracle.
+    /// Both point bodies: on a CPU without AVX-512 IFMA, `Best` is the
+    /// portable body too.
+    const BODIES: [Body; 2] = [Body::Portable, Body::Best];
+
+    /// The point of an entry, through the oracle's addition.
+    fn entry_point(entry: &Entry) -> Point {
+        Point::identity().add(&entry.cached())
+    }
+
+    /// a·B + b·P + c·Q through `straus` on each body, with the tables built
+    /// by each body, and through the oracle.
     fn check_straus(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], p: &Point, q: &Point) {
-        let p_table: [Cached; 8] = odd_multiples(p);
-        let q_table: [Cached; 2] = odd_multiples(q);
-        let fast = straus(&[
-            Term::new(a, &base_split_tables()[0]),
-            Term::new(b, &p_table),
-            Term::new(c, &q_table),
-        ]);
         let slow = scalar_mul(&base_point(), a)
             .add(&scalar_mul(p, b).to_cached())
             .add(&scalar_mul(q, c).to_cached());
-        assert!(fast.equals(&slow));
+        for tables_by in BODIES {
+            let p_table: [Entry; 8] = odd_multiples(tables_by, p);
+            let q_table: [Entry; 2] = odd_multiples(tables_by, q);
+            let terms = [
+                Term::new(a, &base_split_tables()[0]),
+                Term::new(b, &p_table),
+                Term::new(c, &q_table),
+            ];
+            for body in BODIES {
+                assert!(
+                    straus(body, &terms).equals(&slow),
+                    "{tables_by:?}, {body:?}"
+                );
+            }
+        }
     }
 
-    /// The signature verifies under both forms of the public key.
-    fn verify_both(pk: &[u8; 32], msg: &[u8], sig: &[u8; 64]) {
-        verify(pk, msg, sig).unwrap();
-        VerifyingKey::from_bytes(pk)
-            .unwrap()
-            .verify(msg, sig)
-            .unwrap();
+    /// RFC 8032 §7.1: the key and the signature from each body, and the
+    /// signature verifies under both forms of the key on each body.
+    fn check_rfc8032(seed: &str, pk: &str, msg: &[u8], sig: &str) {
+        let seed = arr32(seed);
+        for body in BODIES {
+            let key = SigningKey::expand(body, &seed);
+            assert_eq!(hex::encode(&key.public_key()), pk, "{body:?}");
+            let signature = key.sign_on(body, msg);
+            assert_eq!(hex::encode(&signature), sig, "{body:?}");
+            verify_on(body, &key.public_key(), msg, &signature).unwrap();
+            let vk = VerifyingKey::expand(body, &key.public_key()).unwrap();
+            check_signature(body, vk.as_bytes(), &vk.minus_a, msg, &signature).unwrap();
+        }
+        assert_eq!(hex::encode(&public_key(&seed)), pk);
+        assert_eq!(hex::encode(&sign(&seed, msg)), sig);
     }
 
     // RFC 8032 §7.1 TEST 1.
     #[test]
     fn rfc8032_test1() {
-        let seed = arr32("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60");
-        let pk = public_key(&seed);
-        assert_eq!(
-            hex::encode(&pk),
-            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
-        );
-        let sig = sign(&seed, b"");
-        assert_eq!(
-            hex::encode(&sig),
+        check_rfc8032(
+            "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+            b"",
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155\
-             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
         );
-        verify_both(&pk, b"", &sig);
     }
 
     // RFC 8032 §7.1 TEST 2.
     #[test]
     fn rfc8032_test2() {
-        let seed = arr32("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb");
-        let pk = public_key(&seed);
-        assert_eq!(
-            hex::encode(&pk),
-            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c"
-        );
         let msg = [0x72u8];
-        let sig = sign(&seed, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_rfc8032(
+            "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+            &msg,
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da\
-             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
+             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
         );
-        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST 3.
     #[test]
     fn rfc8032_test3() {
-        let seed = arr32("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7");
-        let pk = public_key(&seed);
-        assert_eq!(
-            hex::encode(&pk),
-            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025"
-        );
         let msg = hex::decode("af82").unwrap();
-        let sig = sign(&seed, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_rfc8032(
+            "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+            &msg,
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac\
-             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"
+             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a",
         );
-        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST 1024: a 1023-byte message, i.e. several SHA-512
     // blocks through both the nonce and the challenge hash.
     #[test]
     fn rfc8032_test1024() {
-        let seed = arr32("f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5");
-        let pk = public_key(&seed);
-        assert_eq!(
-            hex::encode(&pk),
-            "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e"
-        );
         let msg = hex::decode(
             "08b8b2b733424243760fe426a4b54908632110a66c2f6591eabd3345e3e4eb98\
              fa6e264bf09efe12ee50f8f54e9f77b1e355f6c50544e23fb1433ddf73be84d8\
@@ -1143,32 +1512,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(msg.len(), 1023);
-        let sig = sign(&seed, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_rfc8032(
+            "f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5",
+            "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e",
+            &msg,
             "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350\
-             aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03"
+             aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03",
         );
-        verify_both(&pk, &msg, &sig);
     }
 
     // RFC 8032 §7.1 TEST SHA(abc): the message is SHA-512("abc").
     #[test]
     fn rfc8032_test_sha_abc() {
-        let seed = arr32("833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42");
-        let pk = public_key(&seed);
-        assert_eq!(
-            hex::encode(&pk),
-            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"
-        );
         let msg = crate::sha512::sha512(b"abc").0;
-        let sig = sign(&seed, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_rfc8032(
+            "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
+            &msg,
             "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589\
-             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"
+             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704",
         );
-        verify_both(&pk, &msg, &sig);
     }
 
     #[test]
@@ -1226,7 +1589,9 @@ mod tests {
     #[test]
     fn scalar_l_times_base_is_identity() {
         assert!(scalar_mul(&base_point(), &l_bytes()).equals(&Point::identity()));
-        assert!(base_mul(&l_bytes()).equals(&Point::identity()));
+        for body in BODIES {
+            assert!(base_mul(body, &l_bytes()).equals(&Point::identity()));
+        }
     }
 
     #[test]
@@ -1236,7 +1601,9 @@ mod tests {
         let q = p.double().add(&b.to_cached());
         let edges = edge_scalars();
         for s in &edges {
-            assert!(base_mul(s).equals(&scalar_mul(&b, s)));
+            for body in BODIES {
+                assert!(base_mul(body, s).equals(&scalar_mul(&b, s)));
+            }
             for w in 2..=8 {
                 check_naf(s, w);
             }
@@ -1247,7 +1614,9 @@ mod tests {
             check_straus(a, b_scalar, c_scalar, &p, &q);
         }
         // No terms, and terms that are all zero.
-        assert!(straus(&[]).equals(&Point::identity()));
+        for body in BODIES {
+            assert!(straus(body, &[]).equals(&Point::identity()));
+        }
         check_straus(&[0; 32], &[0; 32], &[0; 32], &p, &q);
     }
 
@@ -1260,7 +1629,7 @@ mod tests {
             for j in [1u8, 5, 8] {
                 let mut s = [0u8; 32];
                 s[i / 2] = if i % 2 == 0 { j } else { j << 4 };
-                let entry = Point::identity().add(&table[i][j as usize - 1]);
+                let entry = entry_point(&table[i][j as usize - 1]);
                 assert!(entry.equals(&scalar_mul(&base_point(), &s)), "{j}·16^{i}");
             }
         }
@@ -1271,7 +1640,9 @@ mod tests {
 
         #[test]
         fn base_mul_matches_oracle(s in any::<[u8; 32]>()) {
-            prop_assert!(base_mul(&s).equals(&scalar_mul(&base_point(), &s)));
+            for body in BODIES {
+                prop_assert!(base_mul(body, &s).equals(&scalar_mul(&base_point(), &s)));
+            }
         }
 
         #[test]
@@ -1290,7 +1661,7 @@ mod tests {
             // c is a 128-bit scalar, like a batch coefficient.
             let mut c32 = [0u8; 32];
             c32[..16].copy_from_slice(&c);
-            check_straus(&a, &b, &c32, &base_mul(&p), &scalar_mul(&base_point(), &q));
+            check_straus(&a, &b, &c32, &base_mul(Body::Best, &p), &scalar_mul(&base_point(), &q));
         }
 
         #[test]
@@ -1533,13 +1904,15 @@ mod tests {
     }
 
     /// Entry j of row i is (2j + 1)·2^(64i)·P, every entry.
-    fn check_split_tables<const N: usize>(tables: &[[Cached; N]; CHUNKS], p: &Point) {
+    fn check_split_tables<const N: usize>(tables: &[[Entry; N]; CHUNKS], p: &Point) {
         for (i, row) in tables.iter().enumerate() {
             for (j, cached) in row.iter().enumerate() {
                 let mut s = power_of_two(64 * i);
                 s[8 * i] = 2 * j as u8 + 1;
-                let entry = Point::identity().add(cached);
-                assert!(entry.equals(&scalar_mul(p, &s)), "row {i} entry {j}");
+                assert!(
+                    entry_point(cached).equals(&scalar_mul(p, &s)),
+                    "row {i} entry {j}"
+                );
             }
         }
     }
@@ -1551,26 +1924,30 @@ mod tests {
         check_split_tables(base, &base_point());
 
         let pk = public_key(&[13u8; 32]);
-        let vk = VerifyingKey::from_bytes(&pk).unwrap();
-        assert!(std::mem::size_of_val(&vk.minus_a) <= 10 * 1024);
-        check_split_tables(&vk.minus_a, &decompress(&pk).unwrap().neg());
+        for body in BODIES {
+            let vk = VerifyingKey::expand(body, &pk).unwrap();
+            assert!(std::mem::size_of_val(&vk.minus_a) <= 10 * 1024);
+            check_split_tables(&vk.minus_a, &decompress(&pk).unwrap().neg());
+        }
     }
 
     #[test]
     fn split_terms_sum_to_the_full_term() {
         let p = scalar_mul(&base_point(), &[0x5a; 32]);
-        let tables: [[Cached; 16]; CHUNKS] = split_tables(&p);
-        for s in edge_scalars() {
-            let terms: Vec<Term<'_>> = split_terms(&s, &tables).collect();
-            assert_eq!(terms.len(), CHUNKS);
-            // Each chunk's NAF ends within a digit of bit 64.
-            for t in &terms {
-                assert!(t.naf[65..].iter().all(|&d| d == 0));
+        for body in BODIES {
+            let tables: [[Entry; 16]; CHUNKS] = split_tables(body, &p);
+            for s in edge_scalars() {
+                let terms: Vec<Term<'_>> = split_terms(&s, &tables).collect();
+                assert_eq!(terms.len(), CHUNKS);
+                // Each chunk's NAF ends within a digit of bit 64.
+                for t in &terms {
+                    assert!(t.naf[65..].iter().all(|&d| d == 0));
+                }
+                assert!(straus(body, &terms).equals(&scalar_mul(&p, &s)));
+                let whole: Vec<Term<'_>> = split_terms(&s, &tables[..1]).collect();
+                assert_eq!(whole.len(), 1);
+                assert!(straus(body, &whole).equals(&scalar_mul(&p, &s)));
             }
-            assert!(straus(&terms).equals(&scalar_mul(&p, &s)));
-            let whole: Vec<Term<'_>> = split_terms(&s, &tables[..1]).collect();
-            assert_eq!(whole.len(), 1);
-            assert!(straus(&whole).equals(&scalar_mul(&p, &s)));
         }
     }
 
@@ -1756,6 +2133,128 @@ mod tests {
             },
         ];
         assert!(verify_batch(&entries).is_err());
+    }
+
+    /// Every verdict on `(pk, msg, sig)`, one per way to reach it: the
+    /// one-shot `verify` on each body, and the expanded key built by each
+    /// body and checked on each. Expansion fails for both bodies or none.
+    fn verdicts(pk: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> Vec<bool> {
+        let mut out: Vec<bool> = BODIES
+            .iter()
+            .map(|&body| verify_on(body, pk, msg, sig).is_ok())
+            .collect();
+        let keys = BODIES.map(|body| VerifyingKey::expand(body, pk).ok());
+        assert_eq!(
+            keys[0].is_some(),
+            keys[1].is_some(),
+            "expansion of {pk:02x?}"
+        );
+        for vk in keys.iter().flatten() {
+            for body in BODIES {
+                out.push(check_signature(body, &vk.bytes, &vk.minus_a, msg, sig).is_ok());
+            }
+        }
+        out
+    }
+
+    /// Both point bodies give the same key, the same signature and the
+    /// same verdict on every path, for valid, forged and non-canonical
+    /// inputs; `verify_batch` agrees with them on batches of each kind.
+    fn check_bodies_agree(seed: &[u8; 32], other: &[u8; 32], scalar: &[u8; 32], msg: &[u8]) {
+        let keys = BODIES.map(|body| SigningKey::expand(body, seed));
+        assert_eq!(keys[0].public, keys[1].public);
+        assert_eq!(keys[0].public, public_key(seed));
+        let [portable, best] = BODIES.map(|body| base_mul(body, scalar));
+        assert!(portable.equals(&best));
+        assert_eq!(portable.compress(), best.compress());
+        assert_eq!(
+            montgomery_u(Body::Portable, scalar),
+            montgomery_u(Body::Best, scalar)
+        );
+
+        let key = &keys[0];
+        let sig = key.sign_on(Body::Portable, msg);
+        assert_eq!(keys[1].sign_on(Body::Best, msg), sig);
+        assert_eq!(sign(seed, msg), sig);
+        let other_key = SigningKey::expand(Body::Best, other);
+        let mut forged_r = sig;
+        forged_r[msg.len() % 32] ^= 1 << (msg.len() % 8);
+        let mut forged_s = sig;
+        forged_s[32 + msg.len() % 31] ^= 0x04;
+        let mut non_canonical_r = sig;
+        non_canonical_r[..32].fill(0xff);
+        non_canonical_r[0] = 0xee; // y = p + 1
+        non_canonical_r[31] = 0x7f;
+        let mut identity = [0u8; 32];
+        identity[0] = 1;
+        let mut torsion_sig = [0u8; 64];
+        torsion_sig[0] = 1;
+        let pk = key.public;
+        // (key, message, signature, valid).
+        let cases = [
+            (&pk, msg, sig, true),
+            (&pk, b"another message", sig, false),
+            (&pk, msg, forged_r, false),
+            (&pk, msg, forged_s, false),
+            (&pk, msg, with_s_plus_l(&sig), false),
+            (&pk, msg, non_canonical_r, false),
+            (&other_key.public, msg, sig, false),
+            (&identity, msg, torsion_sig, false),
+        ];
+        for (i, (pk, m, sig, valid)) in cases.iter().enumerate() {
+            let v = verdicts(pk, m, sig);
+            assert!(v.iter().all(|&ok| ok == *valid), "case {i}: {v:?}");
+        }
+
+        // Batches under two keys: all valid, then each invalid case added.
+        let sigs: Vec<[u8; 64]> = (0..6u8)
+            .map(|i| [key, &other_key][usize::from(i % 2)].sign(&[msg, &[i]].concat()))
+            .collect();
+        let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| [msg, &[i]].concat()).collect();
+        let mut batch: Vec<BatchEntry<'_>> = (0..6)
+            .map(|i| BatchEntry {
+                public_key: [&key.public, &other_key.public][i % 2],
+                message: &msgs[i],
+                signature: &sigs[i],
+            })
+            .collect();
+        let batch_verdicts =
+            |batch: &[BatchEntry<'_>]| BODIES.map(|body| verify_batch_on(body, batch).is_ok());
+        assert_eq!(batch_verdicts(&batch), [true, true]);
+        for (pk, m, sig, valid) in &cases {
+            batch.push(BatchEntry {
+                public_key: pk,
+                message: m,
+                signature: sig,
+            });
+            assert_eq!(batch_verdicts(&batch), [*valid; 2]);
+            batch.pop();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The IFMA point body against the portable one (the same body
+        /// twice on a CPU without IFMA), in the test profile, where every
+        /// 4-lane operation checks its limb bounds.
+        #[test]
+        fn ifma_point_body_matches_portable(
+            seed in any::<[u8; 32]>(),
+            other in any::<[u8; 32]>(),
+            scalar in any::<[u8; 32]>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            static REPORT: std::sync::Once = std::sync::Once::new();
+            REPORT.call_once(|| {
+                if crate::field::ifma_available() {
+                    eprintln!("ed25519: AVX-512 IFMA point body against the portable one");
+                } else {
+                    eprintln!("no AVX-512 IFMA on this CPU: both bodies are the portable one");
+                }
+            });
+            check_bodies_agree(&seed, &other, &scalar, &msg);
+        }
     }
 
     #[test]

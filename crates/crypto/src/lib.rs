@@ -23,7 +23,8 @@
 //!   encryption (`enc(K_V, PubK_u)` in the paper); its ladder runs on four
 //!   lanes of the CPU's 52-bit multiply-add (AVX-512 IFMA) where it has it.
 //! * [`ed25519`] — RFC 8032 signatures, used for endorsements in the
-//!   Fabric substrate.
+//!   Fabric substrate; its point arithmetic runs on the same four IFMA
+//!   lanes where the CPU has them.
 //! * [`keys`] — the key types the rest of the workspace uses:
 //!   [`keys::SymmetricKey`], [`keys::EncryptionKeyPair`] (with
 //!   [`keys::seal`]/[`keys::open`] hybrid encryption) and
@@ -34,18 +35,20 @@
 //!
 //! # Unsafe code
 //!
-//! The crate is `#![deny(unsafe_code)]` with exactly three exemptions, one
+//! The crate is `#![deny(unsafe_code)]` with exactly four exemptions, one
 //! call each into a `#[target_feature]` function of safe `std::arch`
 //! intrinsics:
 //!
 //! * in [`mod@sha256`], into its SHA-extension compression body;
 //! * in [`ctr`], into its AES-NI keystream body;
-//! * in [`x25519`], into its AVX-512 IFMA ladder body.
+//! * in [`x25519`], into its AVX-512 IFMA ladder body;
+//! * in [`ed25519`], into its AVX-512 IFMA point body.
 //!
 //! Each call is made only after `is_x86_feature_detected!` has seen every
 //! feature its body is compiled for; on other CPUs the portable code runs
 //! ([`sha256::hardware_accelerated`], [`aes::hardware_accelerated`] and
-//! [`x25519::hardware_accelerated`] say which). Nothing else here is
+//! [`x25519::hardware_accelerated`] say which; the last one also answers
+//! for Ed25519, whose body needs the same features). Nothing else here is
 //! `unsafe`, and the root package's `tests/unsafe_inventory.rs` keeps it
 //! that way across the workspace.
 //!
@@ -71,6 +74,7 @@ pub mod aes;
 pub mod ctr;
 pub mod ed25519;
 pub mod error;
+mod field;
 pub mod hex;
 pub mod hkdf;
 pub mod hmac;

@@ -103,8 +103,10 @@ impl Bloom {
             return None;
         }
         let words = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|c| u64::from_le_bytes(*c))
             .collect();
         Some(Bloom { words, nbits, k })
     }

@@ -11,7 +11,9 @@
 //!
 //! On open, a torn tail (crash mid-append) is truncated from the data file
 //! and the index is rewritten to match; a missing or inconsistent index
-//! degrades to a full data-file scan, never to an error. No byte read from
+//! degrades to a full data-file scan, never to an error. A CRC-bad data
+//! frame with a valid frame after it cannot be a torn append: open fails
+//! with [`StoreError::Corrupt`] and leaves the file as it is. No byte read from
 //! either file can panic the store: every fixed-width field is read
 //! through an infallible split, and a frame that runs past the end of the
 //! data file is a [`StoreError::Corrupt`] on read.
@@ -155,6 +157,11 @@ impl BlockFile {
         // Scan the data file from the trusted point: establish the height,
         // repair a torn tail, and complete the sparse entries.
         let scan = scan_frames(&mut data, start.1)?;
+        if let Some(offset) = scan.corrupt_at {
+            return Err(StoreError::Corrupt(format!(
+                "block frame at offset {offset} fails its CRC before a valid frame"
+            )));
+        }
         if scan.torn {
             truncate_to(&mut data, scan.valid_len)?;
         }
@@ -363,6 +370,12 @@ impl BlockFile {
     /// Read every stored block in height order (the first is at `base`).
     pub fn read_all(&mut self) -> Result<Vec<Vec<u8>>, StoreError> {
         let scan = scan_frames(&mut self.data, 0)?;
+        if scan.torn {
+            return Err(StoreError::Corrupt(format!(
+                "block frame at offset {} is damaged",
+                scan.valid_len
+            )));
+        }
         let mut out = Vec::with_capacity(scan.frames.len());
         for (i, frame) in scan.frames.into_iter().enumerate() {
             let Some(h) = frame_height(&frame.payload) else {
@@ -627,6 +640,51 @@ mod tests {
                 assert_eq!(reopen(&data, &img), Some(all_intact.clone()));
             }
         }
+    }
+
+    /// One bit flipped inside frame 9 of eleven, past the index entry at
+    /// 6 (stride 3): block 10 after it is intact, so this is no torn
+    /// append. Open fails and truncates nothing.
+    #[test]
+    fn bit_flip_before_a_valid_frame_is_corruption() {
+        let dir = TestDir::new("bf-flip-mid");
+        {
+            let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+            for i in 0..11 {
+                bf.append(i, &block_bytes(i), 1).unwrap();
+            }
+        }
+        let data_path = dir.path().join(BLOCKS_DATA_FILE);
+        let mut data = std::fs::read(&data_path).unwrap();
+        let frame9: usize = (0..9).map(|i| 16 + block_bytes(i).len()).sum();
+        data[frame9 + 16 + 2] ^= 0x10;
+        std::fs::write(&data_path, &data).unwrap();
+
+        let err = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        assert_eq!(
+            std::fs::read(&data_path).unwrap(),
+            data,
+            "nothing truncated"
+        );
+        // The same flip in the last frame is a torn tail, repaired.
+        std::fs::write(&data_path, &data[..frame9 + 16 + block_bytes(9).len()]).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+        assert_eq!(bf.height(), 9);
+        assert_eq!(bf.read_all().unwrap().len(), 9);
+        drop(bf);
+
+        // A flip in frame 2, below the trusted index entry at 6: open
+        // scans from 6 and succeeds, but reading every block fails rather
+        // than returning the two before the damage.
+        data[frame9 + 16 + 2] ^= 0x10;
+        let frame2: usize = (0..2).map(|i| 16 + block_bytes(i).len()).sum();
+        data[frame2 + 16] ^= 0x01;
+        std::fs::write(&data_path, &data).unwrap();
+        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+        assert_eq!(bf.height(), 11);
+        assert!(matches!(bf.read(2), Err(StoreError::Corrupt(_))));
+        assert!(matches!(bf.read_all(), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

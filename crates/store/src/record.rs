@@ -10,11 +10,14 @@
 //! ```
 //!
 //! The CRC covers the payload only. A frame whose header or payload runs
-//! past end-of-file, or whose CRC does not match, marks a **torn tail**: the
-//! write was cut by a crash mid-record. Recovery keeps every frame before
-//! the torn one and truncates the file back to the last whole frame — the
-//! standard log repair rule (anything after the first bad frame was never
-//! acknowledged as durable, so dropping it is safe).
+//! past end-of-file, or a last frame whose CRC does not match, marks a
+//! **torn tail**: the write was cut by a crash mid-record. Recovery keeps
+//! every frame before the torn one and truncates the file back to the last
+//! whole frame — the standard log repair rule (anything after the first bad
+//! frame was never acknowledged as durable, so dropping it is safe). A torn
+//! append can only damage the last frame, so a CRC-bad frame with a whole,
+//! valid frame after it is not a torn tail but **corruption**, which the
+//! scan reports and no caller repairs by truncation.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -55,12 +58,16 @@ pub struct Scan {
     pub frames: Vec<ScannedFrame>,
     /// File length covered by valid frames (the truncation point if torn).
     pub valid_len: u64,
-    /// Whether a torn/corrupt tail was found after the valid frames.
+    /// Whether the scan stopped at a bad frame before the end of the file:
+    /// a torn tail, unless `corrupt_at` is set.
     pub torn: bool,
+    /// The offset of the bad frame the scan stopped at if a whole, valid
+    /// frame follows it: damage inside the file, not a torn tail.
+    pub corrupt_at: Option<u64>,
 }
 
 /// Scan `file` from `from_offset` to EOF, collecting whole valid frames and
-/// detecting a torn tail. Does not modify the file.
+/// detecting a torn tail or corruption. Does not modify the file.
 pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
     let file_len = file.seek(SeekFrom::End(0))?;
     file.seek(SeekFrom::Start(from_offset))?;
@@ -71,6 +78,7 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
         frames: Vec::new(),
         valid_len: from_offset,
         torn: false,
+        corrupt_at: None,
     };
     let mut rest = bytes.as_slice();
     while !rest.is_empty() {
@@ -85,6 +93,9 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
         };
         if crc32(payload) != crc {
             scan.torn = true;
+            if valid_frame_at(&body[payload.len()..]) {
+                scan.corrupt_at = Some(scan.valid_len);
+            }
             break;
         }
         scan.frames.push(ScannedFrame {
@@ -95,6 +106,16 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
         scan.valid_len += FRAME_HEADER_BYTES + u64::from(len);
     }
     Ok(scan)
+}
+
+/// Whether `bytes` start with a whole frame whose CRC matches.
+fn valid_frame_at(bytes: &[u8]) -> bool {
+    let Some((header, body)) = bytes.split_first_chunk() else {
+        return false;
+    };
+    let (len, crc) = decode_header(*header);
+    body.get(..len as usize)
+        .is_some_and(|payload| crc32(payload) == crc)
 }
 
 /// A frame header's `(payload length, CRC)`.
@@ -197,6 +218,14 @@ mod tests {
         assert!(scan.torn);
         assert!(scan.frames.is_empty());
         assert_eq!(scan.valid_len, 0);
+        // A valid frame follows the bad one: damage, not a torn tail.
+        assert_eq!(scan.corrupt_at, Some(0));
+        // The same flip in the last frame is a torn tail.
+        let first_len = encode_frame(b"aaaa").len();
+        std::fs::write(&path, &whole[..first_len]).unwrap();
+        let scan = scan_frames(&mut open_rw(&path), 0).unwrap();
+        assert!(scan.torn);
+        assert_eq!(scan.corrupt_at, None);
     }
 
     #[test]

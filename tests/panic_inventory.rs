@@ -26,7 +26,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/gateway", 5),
     ("crates/shard", 0),
     ("crates/simnet", 1),
-    ("crates/statedb", 15),
+    ("crates/statedb", 14),
     ("crates/store", 1),
     ("crates/supplychain", 4),
     ("crates/telemetry", 16),
