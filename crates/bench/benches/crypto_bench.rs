@@ -171,6 +171,32 @@ fn bench_ed25519(c: &mut Criterion) {
                 .unwrap()
         });
     });
+    // Two endorsers signing one proposal response, and a client checking
+    // both under known keys: the pair runs in lockstep on the IFMA body,
+    // one after the other on the portable one.
+    let pair_keys = [[0x25u8; 32], [0x26u8; 32]].map(|seed| SigningKey::from_seed(&seed));
+    let pair_refs: Vec<&SigningKey> = pair_keys.iter().collect();
+    c.bench_function("ed25519/sign_pair", |b| {
+        b.iter(|| ed25519::sign_many(black_box(&pair_refs), black_box(&msg)));
+    });
+    c.bench_function("ed25519/sign_pair_portable", |b| {
+        b.iter(|| ed25519::sign_many_portable(black_box(&pair_refs), black_box(&msg)));
+    });
+    let pair_sigs = ed25519::sign_many(&pair_refs, &msg);
+    let pair_vks = pair_keys
+        .each_ref()
+        .map(|k| VerifyingKey::from_bytes(&k.public_key()).unwrap());
+    let pair_entries: Vec<(&VerifyingKey, &[u8], &[u8; 64])> = pair_vks
+        .iter()
+        .zip(&pair_sigs)
+        .map(|(vk, sig)| (vk, msg.as_slice(), sig))
+        .collect();
+    c.bench_function("ed25519/verify_known_key_pair", |b| {
+        b.iter(|| ed25519::verify_each(black_box(&pair_entries)));
+    });
+    c.bench_function("ed25519/verify_known_key_pair_portable", |b| {
+        b.iter(|| ed25519::verify_each_portable(black_box(&pair_entries)));
+    });
     c.bench_function("ed25519/expand_verifying_key", |b| {
         b.iter(|| VerifyingKey::from_bytes(black_box(&pk)).unwrap());
     });

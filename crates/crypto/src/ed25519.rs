@@ -27,10 +27,30 @@
 //! check [`crate::x25519::hardware_accelerated`] reports); there is no
 //! feature flag, setting or environment variable, and both bodies give
 //! bit-identical signatures, keys and verdicts. Each table is built once,
-//! by the body this CPU runs, in one layout both bodies read. Decompression,
-//! compression, inversion, SHA-512 and the scalar arithmetic are portable
-//! either way. The call into the vector body is one of the crate's four
-//! `unsafe` blocks (see the crate docs).
+//! by the body this CPU runs, in one layout both bodies read. The call
+//! into the vector body is one of the crate's four `unsafe` blocks (see
+//! the crate docs).
+//!
+//! # Independent computations side by side
+//!
+//! One 4-lane product waits on the one before it, so the vector body is
+//! latency-bound: a second, independent product beside the first costs
+//! about half as much again. Every computation with an independent
+//! sibling therefore runs beside it:
+//!
+//! * [`sign_many`] signs one message with several keys — the endorsers of
+//!   a transaction — walking the fixed-base table for two nonces at once
+//!   and compressing every `R` with one inversion (Montgomery's trick);
+//! * [`verify_each`] checks several signatures under expanded keys, two
+//!   Straus sums at a time; each entry is still checked by its own
+//!   equation, so each verdict is the one [`VerifyingKey::verify`] gives;
+//! * [`verify_each`] and [`verify_batch`] decompress their `R`s four per
+//!   pass: the exponentiation of a decompression, one element per lane.
+//!
+//! [`SigningKey::sign`] and [`VerifyingKey::verify`] are the one-entry
+//! cases of the same paths. The portable body runs the same sums one after
+//! the other. Compression, inversion, SHA-512 and the scalar arithmetic are
+//! portable either way.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -232,7 +252,11 @@ impl Point {
     /// Compress to the 32-byte RFC 8032 encoding: y with the sign of x in
     /// the top bit.
     fn compress(&self) -> [u8; 32] {
-        let zinv = self.z.invert();
+        self.encode(self.z.invert())
+    }
+
+    /// [`Point::compress`] given `zinv` = 1/Z.
+    fn encode(&self, zinv: Fe) -> [u8; 32] {
         let x = self.x.mul(zinv);
         let y = self.y.mul(zinv);
         let mut out = y.to_bytes();
@@ -250,6 +274,14 @@ impl Point {
     }
 }
 
+/// [`Point::compress`] of every point, with one inversion for all of them
+/// (see [`Fe::batch_invert`]).
+fn compress_many(points: &[Point]) -> Vec<[u8; 32]> {
+    let mut zinv: Vec<Fe> = points.iter().map(|p| p.z).collect();
+    Fe::batch_invert(&mut zinv);
+    points.iter().zip(zinv).map(|(p, z)| p.encode(z)).collect()
+}
+
 /// Which body runs a [`Job`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Body {
@@ -260,17 +292,23 @@ enum Body {
     Portable,
 }
 
-/// A loop of point operations, for either body to run. One enum, so that
-/// one `unsafe` call reaches the vector body for all of them.
+/// A loop of field or point operations, for either body to run. One enum,
+/// so that one `unsafe` call reaches the vector body for all of them. The
+/// sums and walks come in slices: the vector body runs them two at a time
+/// in lockstep, the portable body one after the other.
 enum Job<'a> {
-    /// `Σ sᵢ·Pᵢ` over the terms' NAF digits `top` and below (see
-    /// [`straus`]).
-    Straus { terms: &'a [Term<'a>], top: usize },
-    /// `Σ dᵢ·16ⁱ·B` over the rows of [`base_table`], for signed radix-16
-    /// digits dᵢ (see [`base_mul`]).
+    /// `out[j] = Σ sᵢ·Pᵢ` over the terms of `sums[j]` (see
+    /// [`straus_many`]).
+    Straus {
+        sums: &'a [&'a [Term<'a>]],
+        out: &'a mut [Point],
+    },
+    /// `out[j] = Σ dᵢ·16ⁱ·B` over the rows of [`base_table`], for the
+    /// signed radix-16 digits dᵢ of `digits[j]` (see [`base_mul_many`]).
     BaseMul {
-        digits: &'a [i8; 64],
+        digits: &'a [[i8; 64]],
         table: &'a [[Entry; 8]],
+        out: &'a mut [Point],
     },
     /// Fill `rows`, `row_len` entries a row: entry j of row i is
     /// (1 + step·j)·2^(shift·i)·P, with step 2 if `odd` and 1 otherwise.
@@ -281,11 +319,13 @@ enum Job<'a> {
         rows: &'a mut [Entry],
         row_len: usize,
     },
+    /// Raise every element to the power (p − 5)/8, in place: the one
+    /// exponentiation of a point decompression (see [`decompress_many`]).
+    PowP58 { xs: &'a mut [Fe] },
 }
 
-/// Run `job` on `body`: the point a sum computes, or the identity once a
-/// table is filled.
-fn run(body: Body, job: Job<'_>) -> Point {
+/// Run `job` on `body`.
+fn run(body: Body, job: Job<'_>) {
     #[cfg(target_arch = "x86_64")]
     if body == Body::Best && crate::field::ifma_available() {
         // SAFETY: `ifma_available` has just seen avx512ifma and avx512vl
@@ -294,27 +334,32 @@ fn run(body: Body, job: Job<'_>) -> Point {
         return unsafe { ifma::run(job) };
     }
     match job {
-        Job::Straus { terms, top } => {
-            let mut acc = Point::identity();
-            for i in (0..=top).rev() {
-                acc = acc.double();
-                for t in terms {
-                    let digit = t.naf[i];
-                    if digit != 0 {
-                        acc = acc.add_signed(&t.table[digit.unsigned_abs() as usize / 2], digit);
+        Job::Straus { sums, out } => {
+            for (terms, out) in sums.iter().zip(out) {
+                let mut acc = Point::identity();
+                for i in (0..=top(terms).unwrap_or(0)).rev() {
+                    acc = acc.double();
+                    for t in terms.iter() {
+                        let digit = t.naf[i];
+                        if digit != 0 {
+                            let entry = &t.table[digit.unsigned_abs() as usize / 2];
+                            acc = acc.add_signed(entry, digit);
+                        }
                     }
                 }
+                *out = acc;
             }
-            acc
         }
-        Job::BaseMul { digits, table } => {
-            let mut acc = Point::identity();
-            for (row, &digit) in table.iter().zip(digits) {
-                if digit != 0 {
-                    acc = acc.add_signed(&row[digit.unsigned_abs() as usize - 1], digit);
+        Job::BaseMul { digits, table, out } => {
+            for (digits, out) in digits.iter().zip(out) {
+                let mut acc = Point::identity();
+                for (row, &digit) in table.iter().zip(digits) {
+                    if digit != 0 {
+                        acc = acc.add_signed(&row[digit.unsigned_abs() as usize - 1], digit);
+                    }
                 }
+                *out = acc;
             }
-            acc
         }
         Job::Table {
             p,
@@ -339,28 +384,45 @@ fn run(body: Body, job: Job<'_>) -> Point {
                     *entry = Entry::from_cached(&cur.to_cached());
                 }
             }
-            Point::identity()
+        }
+        Job::PowP58 { xs } => {
+            for x in xs {
+                *x = x.pow_p58();
+            }
         }
     }
 }
 
-/// The point loops of [`run`] on four lanes of AVX-512 IFMA.
+/// The loops of [`run`] on four lanes of AVX-512 IFMA.
 ///
 /// A point is one [`Fe4`] of (X, Y, Z, T), lane 0 to lane 3, and every
 /// doubling and addition is two 4-lane multiplications with carried
 /// additions and subtractions around them: the formulas of
-/// [`Point::double`] and [`Point::add`], value for value. Lane permutes and masked blends
-/// move values between them, and a table [`Entry`] loads as one operand.
+/// [`Point::double`] and [`Point::add`], value for value. Lane permutes
+/// and masked blends move values between them, and a table [`Entry`]
+/// loads as one operand. Each multiplication waits on the one before it,
+/// so two independent sums or walks run side by side: each phase of a
+/// point operation runs for both before the next phase starts, and the
+/// core overlaps their products. The exponentiation of decompression
+/// instead puts four elements in the four lanes.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use crate::field::ifma::{lanes, Fe4, LANE0, LANE1, LANE2, LANE3};
     use crate::field::Fe;
 
-    use super::{d2, Entry, Job, Point};
+    use super::{d2, top, Entry, Job, Point, Term};
 
     /// A point as (X, Y, Z, T), one coordinate a lane.
     #[derive(Clone, Copy)]
     struct P4(Fe4);
+
+    /// One operation of a scalar multiplication: a doubling, or the
+    /// addition of a table entry, negated if the flag is set.
+    #[derive(Clone, Copy)]
+    enum Step<'a> {
+        Double,
+        Add(&'a Entry, bool),
+    }
 
     #[inline]
     #[target_feature(enable = "avx512ifma,avx512vl")]
@@ -386,61 +448,95 @@ mod ifma {
             }
         }
 
-        /// (E, G, F, E)·(F, H, G, H) = (X, Y, Z, T) from (E, G, F, H): the
-        /// second product of both the doubling and the addition.
+        /// `steps[k]` applied to `points[k]`, for every k. A doubling and
+        /// an addition are each two 4-lane products with carried additions
+        /// and subtractions around them, and each phase runs for every
+        /// point before the next one starts, so that the points' products
+        /// overlap.
+        ///
+        /// Doubling ([`Point::double`]): (A, B, Z², S) = (X, Y, Z, X + Y)²,
+        /// then (h, g, c) = (A + B, A − B, 2Z²), then (e, g, f, h) = (h −
+        /// S, g, c + g, h).
+        ///
+        /// Addition of q ([`Point::add`]): (A, B, D, C) = (Y − X, Y + X, Z,
+        /// T)·(y − x, y + x, 2z, 2dT), then (E, G, F, H) = (B − A, D + C, D
+        /// − C, B + A). −q is (y + x, y − x, 2z, −2dT): its first two lanes
+        /// are swapped on load, and the sign of its C swaps which of G and
+        /// F subtracts.
+        ///
+        /// Both end in (E, G, F, E)·(F, H, G, H) = (X, Y, Z, T).
         #[inline]
         #[target_feature(enable = "avx512ifma,avx512vl")]
-        fn finish(egfh: Fe4) -> P4 {
-            let left = egfh.permute::<{ lanes(0, 1, 2, 0) }>();
-            P4(left.mul_add(egfh.permute::<{ lanes(2, 3, 1, 3) }>(), zero()))
+        fn step_each<const N: usize>(points: [P4; N], steps: [Step<'_>; N]) -> [P4; N] {
+            // The first product's operands.
+            let mut left = [zero(); N];
+            let mut right = [zero(); N];
+            for (((p, step), left), right) in
+                points.iter().zip(steps).zip(&mut left).zip(&mut right)
+            {
+                let s = p.0;
+                match step {
+                    Step::Double => {
+                        let x_in_lane3 = s.permute_over::<{ lanes(0, 0, 0, 0) }>(LANE3, zero());
+                        *left = s.permute::<{ lanes(0, 1, 2, 1) }>().add_sub(x_in_lane3, 0);
+                        *right = *left;
+                    }
+                    Step::Add(q, negative) => {
+                        let x_in_lanes01 = s
+                            .permute::<{ lanes(0, 0, 0, 0) }>()
+                            .blend(LANE2 | LANE3, zero());
+                        *left = s
+                            .permute::<{ lanes(1, 1, 2, 3) }>()
+                            .add_sub(x_in_lanes01, LANE0);
+                        let q = Fe4::from_limbs(&q.0);
+                        let swap = u8::from(negative).wrapping_neg() & (LANE0 | LANE1);
+                        *right = q.permute_over::<{ lanes(1, 0, 2, 3) }>(swap, q);
+                    }
+                }
+            }
+            for (left, right) in left.iter_mut().zip(right) {
+                *left = left.mul_add(right, zero());
+            }
+            // (E, G, F, H), then the second product's operands.
+            for ((product, right), step) in left.iter_mut().zip(&mut right).zip(steps) {
+                let egfh = match step {
+                    Step::Double => {
+                        let sq = *product;
+                        let hgch = sq
+                            .permute::<{ lanes(0, 0, 2, 0) }>()
+                            .add_sub(sq.permute::<{ lanes(1, 1, 2, 1) }>(), LANE1);
+                        // (S, 0, g, 0).
+                        let rhs = hgch.permute_over::<{ lanes(1, 1, 1, 1) }>(
+                            LANE2,
+                            sq.permute::<{ lanes(3, 3, 3, 3) }>()
+                                .blend(LANE1 | LANE3, zero()),
+                        );
+                        hgch.add_sub(rhs, LANE0)
+                    }
+                    Step::Add(_, negative) => {
+                        let neg = u8::from(negative).wrapping_neg();
+                        let abdc = *product;
+                        abdc.permute::<{ lanes(1, 2, 2, 1) }>().add_sub(
+                            abdc.permute::<{ lanes(0, 3, 3, 0) }>(),
+                            LANE0 | (neg & LANE1) | (!neg & LANE2),
+                        )
+                    }
+                };
+                *product = egfh.permute::<{ lanes(0, 1, 2, 0) }>();
+                *right = egfh.permute::<{ lanes(2, 3, 1, 3) }>();
+            }
+            let mut out = [P4(zero()); N];
+            for ((p, left), right) in out.iter_mut().zip(left).zip(right) {
+                *p = P4(left.mul_add(right, zero()));
+            }
+            out
         }
 
-        /// [`Point::double`]: (A, B, Z², S) = (X, Y, Z, X + Y)², then
-        /// (h, g, c) = (A + B, A − B, 2Z²), then (e, g, f, h) =
-        /// (h − S, g, c + g, h).
         #[inline]
         #[target_feature(enable = "avx512ifma,avx512vl")]
-        fn double(self) -> P4 {
-            let s = self.0;
-            let x_in_lane3 = s.permute_over::<{ lanes(0, 0, 0, 0) }>(LANE3, zero());
-            let xyzs = s.permute::<{ lanes(0, 1, 2, 1) }>().add_sub(x_in_lane3, 0);
-            let sq = xyzs.mul_add(xyzs, zero());
-            let hgch = sq
-                .permute::<{ lanes(0, 0, 2, 0) }>()
-                .add_sub(sq.permute::<{ lanes(1, 1, 2, 1) }>(), LANE1);
-            // (S, 0, g, 0).
-            let rhs = hgch.permute_over::<{ lanes(1, 1, 1, 1) }>(
-                LANE2,
-                sq.permute::<{ lanes(3, 3, 3, 3) }>()
-                    .blend(LANE1 | LANE3, zero()),
-            );
-            P4::finish(hgch.add_sub(rhs, LANE0))
-        }
-
-        /// [`Point::add`] of `q`, or of −q if `negative`: (A, B, D, C) =
-        /// (Y − X, Y + X, Z, T)·(y − x, y + x, 2z, 2dT), then (E, G, F, H)
-        /// = (B − A, D + C, D − C, B + A). −q is (y + x, y − x, 2z, −2dT):
-        /// its first two lanes are swapped on load, and the sign of its C
-        /// swaps which of G and F subtracts.
-        #[inline]
-        #[target_feature(enable = "avx512ifma,avx512vl")]
-        fn add(self, q: &Entry, negative: bool) -> P4 {
-            let s = self.0;
-            let x_in_lanes01 = s
-                .permute::<{ lanes(0, 0, 0, 0) }>()
-                .blend(LANE2 | LANE3, zero());
-            let left = s
-                .permute::<{ lanes(1, 1, 2, 3) }>()
-                .add_sub(x_in_lanes01, LANE0);
-            let neg = u8::from(negative).wrapping_neg();
-            let q = Fe4::from_limbs(&q.0);
-            let q = q.permute_over::<{ lanes(1, 0, 2, 3) }>(neg & (LANE0 | LANE1), q);
-            let abdc = left.mul_add(q, zero());
-            let egfh = abdc.permute::<{ lanes(1, 2, 2, 1) }>().add_sub(
-                abdc.permute::<{ lanes(0, 3, 3, 0) }>(),
-                LANE0 | (neg & LANE1) | (!neg & LANE2),
-            );
-            P4::finish(egfh)
+        fn step(self, step: Step<'_>) -> P4 {
+            let [p] = P4::step_each([self], [step]);
+            p
         }
 
         /// This point as a table entry: (Y − X, Y + X, 2Z, T), then times
@@ -455,32 +551,105 @@ mod ifma {
         }
     }
 
-    /// [`super::run`]'s loops, step for step, on [`P4`].
+    /// Apply each sequence of [`Step`]s to its accumulator: step k of
+    /// every sequence runs beside step k of the others, and once some
+    /// sequence has ended, the rest run one after the other.
+    #[inline]
     #[target_feature(enable = "avx512ifma,avx512vl")]
-    pub(super) fn run(job: Job<'_>) -> Point {
+    fn lockstep<'a, const N: usize>(
+        acc: &mut [P4; N],
+        mut steps: [impl Iterator<Item = Step<'a>>; N],
+    ) {
+        loop {
+            let next = steps.each_mut().map(|s| s.next());
+            if next.iter().all(Option::is_some) {
+                // Every entry is `Some`: the default is never taken.
+                *acc = P4::step_each(*acc, next.map(|s| s.unwrap_or(Step::Double)));
+                continue;
+            }
+            for ((a, rest), step) in acc.iter_mut().zip(&mut steps).zip(next) {
+                for step in step.into_iter().chain(rest) {
+                    *a = a.step(step);
+                }
+            }
+            return;
+        }
+    }
+
+    /// `N` Straus sums in lockstep: at each digit position from the top
+    /// down, every accumulator doubles, then the k-th addition of every
+    /// sum runs beside the k-th of the others, for k = 0, 1, … until no
+    /// sum has one left.
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn straus<const N: usize>(sums: [&[Term<'_>]; N]) -> [Point; N] {
+        let mut acc = [P4::new(&Point::identity()); N];
+        let top = sums.iter().filter_map(|terms| top(terms)).max();
+        for i in (0..=top.unwrap_or(0)).rev() {
+            acc = P4::step_each(acc, [Step::Double; N]);
+            let adds = sums.map(|terms| {
+                terms.iter().filter_map(move |t| {
+                    let digit = t.naf[i];
+                    (digit != 0)
+                        .then(|| Step::Add(&t.table[digit.unsigned_abs() as usize / 2], digit < 0))
+                })
+            });
+            lockstep(&mut acc, adds);
+        }
+        acc.map(|a| a.point())
+    }
+
+    /// `N` fixed-base walks in lockstep: one addition per non-zero digit,
+    /// from row 0 of the table up.
+    #[inline]
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    fn base_mul<const N: usize>(digits: [&[i8; 64]; N], table: &[[Entry; 8]]) -> [Point; N] {
+        let mut acc = [P4::new(&Point::identity()); N];
+        let adds = digits.map(|digits| {
+            table
+                .iter()
+                .zip(digits)
+                .filter(|&(_, &digit)| digit != 0)
+                .map(|(row, &digit)| Step::Add(&row[digit.unsigned_abs() as usize - 1], digit < 0))
+        });
+        lockstep(&mut acc, adds);
+        acc.map(|a| a.point())
+    }
+
+    /// [`super::run`]'s loops on [`P4`]: the same sums and walks, two at
+    /// a time in lockstep. One 4-lane product is latency-bound: a second,
+    /// independent one beside it costs a fraction of the first. A lone
+    /// sum or walk (the odd one out) runs by itself.
+    #[target_feature(enable = "avx512ifma,avx512vl")]
+    pub(super) fn run(job: Job<'_>) {
         match job {
-            Job::Straus { terms, top } => {
-                let mut acc = P4::new(&Point::identity());
-                for i in (0..=top).rev() {
-                    acc = acc.double();
-                    for t in terms {
-                        let digit = t.naf[i];
-                        if digit != 0 {
-                            let entry = &t.table[digit.unsigned_abs() as usize / 2];
-                            acc = acc.add(entry, digit < 0);
+            Job::Straus { sums, out } => {
+                for (sums, out) in sums.chunks(2).zip(out.chunks_mut(2)) {
+                    match (sums, out) {
+                        (&[a, b], [pa, pb]) => {
+                            [*pa, *pb] = straus([a, b]);
+                        }
+                        (sums, out) => {
+                            for (&terms, p) in sums.iter().zip(out) {
+                                [*p] = straus([terms]);
+                            }
                         }
                     }
                 }
-                acc.point()
             }
-            Job::BaseMul { digits, table } => {
-                let mut acc = P4::new(&Point::identity());
-                for (row, &digit) in table.iter().zip(digits) {
-                    if digit != 0 {
-                        acc = acc.add(&row[digit.unsigned_abs() as usize - 1], digit < 0);
+            Job::BaseMul { digits, table, out } => {
+                for (digits, out) in digits.chunks(2).zip(out.chunks_mut(2)) {
+                    match (digits, out) {
+                        ([a, b], [pa, pb]) => {
+                            [*pa, *pb] = base_mul([a, b], table);
+                        }
+                        (digits, out) => {
+                            for (d, p) in digits.iter().zip(out) {
+                                [*p] = base_mul([d], table);
+                            }
+                        }
                     }
                 }
-                acc.point()
             }
             Job::Table {
                 p,
@@ -494,19 +663,38 @@ mod ifma {
                 for (i, row) in rows.chunks_exact_mut(row_len).enumerate() {
                     if i > 0 {
                         for _ in 0..shift {
-                            q = q.double();
+                            q = q.step(Step::Double);
                         }
                     }
-                    let step = if odd { q.double() } else { q }.entry(scale);
+                    let step = if odd { q.step(Step::Double) } else { q }.entry(scale);
                     let mut cur = q;
                     for (j, entry) in row.iter_mut().enumerate() {
                         if j > 0 {
-                            cur = cur.add(&step, false);
+                            cur = cur.step(Step::Add(&step, false));
                         }
                         *entry = cur.entry(scale);
                     }
                 }
-                Point::identity()
+            }
+            Job::PowP58 { xs } => {
+                for group in xs.chunks_mut(4) {
+                    // One lane alone is quicker on the portable field.
+                    if let [x] = group {
+                        *x = x.pow_p58();
+                        continue;
+                    }
+                    let last = group.len() - 1;
+                    let pow = Fe4::new(std::array::from_fn(|j| group[j.min(last)])).pow_p58();
+                    let lanes = [
+                        pow.lane::<0>(),
+                        pow.lane::<1>(),
+                        pow.lane::<2>(),
+                        pow.lane::<3>(),
+                    ];
+                    for (x, lane) in group.iter_mut().zip(lanes) {
+                        *x = lane;
+                    }
+                }
             }
         }
     }
@@ -586,7 +774,34 @@ fn base_table() -> &'static [[Entry; 8]] {
 /// non-zero signed radix-16 digit, no doublings (not constant time, see
 /// crate disclaimer).
 fn base_mul(body: Body, scalar_le: &[u8; 32]) -> Point {
-    // Digits in [−8, 8); with bit 255 set aside the last one stays ≤ 8.
+    let mut out = [Point::identity()];
+    base_mul_many(body, &[*scalar_le], &mut out);
+    out[0]
+}
+
+/// `out[j] = scalars[j]·B` for every scalar, as [`base_mul`]: the vector
+/// body walks the table for two scalars at once.
+fn base_mul_many(body: Body, scalars: &[[u8; 32]], out: &mut [Point]) {
+    let digits: Vec<[i8; 64]> = scalars.iter().map(radix16).collect();
+    let table = base_table();
+    run(
+        body,
+        Job::BaseMul {
+            digits: &digits,
+            table,
+            out,
+        },
+    );
+    for (p, scalar) in out.iter_mut().zip(scalars) {
+        if scalar[31] >> 7 == 1 {
+            *p = p.add(&table[63][7].cached()); // 8·16⁶³·B = 2²⁵⁵·B
+        }
+    }
+}
+
+/// The signed radix-16 digits of a scalar with bit 255 set aside: each in
+/// [−8, 8), the last one ≤ 8.
+fn radix16(scalar_le: &[u8; 32]) -> [i8; 64] {
     let mut digits = [0i8; 64];
     for (i, b) in scalar_le.iter().enumerate() {
         digits[2 * i] = (b & 15) as i8;
@@ -598,19 +813,7 @@ fn base_mul(body: Body, scalar_le: &[u8; 32]) -> Point {
         digits[i] -= carry << 4;
         digits[i + 1] += carry;
     }
-    let table = base_table();
-    let acc = run(
-        body,
-        Job::BaseMul {
-            digits: &digits,
-            table,
-        },
-    );
-    if scalar_le[31] >> 7 == 1 {
-        acc.add(&table[63][7].cached()) // 8·16⁶³·B = 2²⁵⁵·B
-    } else {
-        acc
-    }
+    digits
 }
 
 /// Width-`w` non-adjacent form of a 256-bit little-endian scalar: 257
@@ -699,14 +902,24 @@ fn split_terms<'a, const N: usize>(
 /// coefficients of batch verification) have no digits above their top bit
 /// and cost proportionally less.
 fn straus(body: Body, terms: &[Term<'_>]) -> Point {
-    let top = terms
+    let mut out = [Point::identity()];
+    straus_many(body, &[terms], &mut out);
+    out[0]
+}
+
+/// `out[j]` = [`straus`] of `sums[j]`, for independent sums: the vector
+/// body runs two at once.
+fn straus_many(body: Body, sums: &[&[Term<'_>]], out: &mut [Point]) {
+    run(body, Job::Straus { sums, out });
+}
+
+/// The highest digit position at which some term is non-zero; `None` if
+/// every digit is zero and the sum is the identity.
+fn top(terms: &[Term<'_>]) -> Option<usize> {
+    terms
         .iter()
         .filter_map(|t| t.naf.iter().rposition(|&d| d != 0))
-        .max();
-    match top {
-        Some(top) => run(body, Job::Straus { terms, top }),
-        None => Point::identity(),
-    }
+        .max()
 }
 
 /// Check that the y-coordinate of a point encoding is canonically reduced
@@ -729,41 +942,94 @@ fn is_canonical_y(enc: &[u8; 32]) -> bool {
 
 /// Decompress an RFC 8032 point encoding (§5.1.3).
 fn decompress(enc: &[u8; 32]) -> Result<Point, CryptoError> {
-    if !is_canonical_y(enc) {
-        return Err(CryptoError::MalformedInput);
-    }
-    let sign = enc[31] >> 7;
-    let y = Fe::from_bytes(enc); // from_bytes masks the sign bit
-    let y2 = y.square();
-    let u = y2.sub(Fe::ONE);
-    let v = d().mul(y2).add(Fe::ONE);
+    let mut d = Decompression::start(enc)?;
+    d.w = d.w.pow_p58();
+    d.finish()
+}
 
-    // Candidate root x = u·v³·(u·v⁷)^((p−5)/8).
-    let v3 = v.square().mul(v);
-    let v7 = v3.square().mul(v);
-    let mut x = u.mul(v3).mul(u.mul(v7).pow_p58());
+/// [`decompress`] of every encoding, the exponentiations four per pass on
+/// the vector body; each result is the one [`decompress`] gives.
+fn decompress_many(body: Body, encs: &[[u8; 32]]) -> Vec<Result<Point, CryptoError>> {
+    let mut started: Vec<Result<Decompression, CryptoError>> =
+        encs.iter().map(Decompression::start).collect();
+    let mut ws: Vec<Fe> = started.iter().flatten().map(|d| d.w).collect();
+    run(body, Job::PowP58 { xs: &mut ws });
+    for (d, w) in started.iter_mut().flatten().zip(ws) {
+        d.w = w;
+    }
+    started
+        .into_iter()
+        .map(|d| d.and_then(Decompression::finish))
+        .collect()
+}
 
-    let vx2 = v.mul(x.square());
-    if vx2.sub(u).is_zero() {
-        // x is already a root.
-    } else if vx2.add(u).is_zero() {
-        x = x.mul(sqrt_m1());
-    } else {
-        return Err(CryptoError::MalformedInput);
+/// A point decompression cut at its one exponentiation: the candidate
+/// root is x = u·v³·(u·v⁷)^((p−5)/8), for u = y² − 1 and v = d·y² + 1.
+struct Decompression {
+    y: Fe,
+    u: Fe,
+    v: Fe,
+    uv3: Fe,
+    /// u·v⁷ from [`Decompression::start`]; the caller raises it to the
+    /// power (p − 5)/8 before [`Decompression::finish`].
+    w: Fe,
+    sign: u8,
+}
+
+impl Decompression {
+    fn start(enc: &[u8; 32]) -> Result<Decompression, CryptoError> {
+        if !is_canonical_y(enc) {
+            return Err(CryptoError::MalformedInput);
+        }
+        let y = Fe::from_bytes(enc); // from_bytes masks the sign bit
+        let y2 = y.square();
+        let u = y2.sub(Fe::ONE);
+        let v = d().mul(y2).add(Fe::ONE);
+        let v3 = v.square().mul(v);
+        let v7 = v3.square().mul(v);
+        Ok(Decompression {
+            y,
+            u,
+            v,
+            uv3: u.mul(v3),
+            w: u.mul(v7),
+            sign: enc[31] >> 7,
+        })
     }
 
-    if x.is_zero() && sign == 1 {
-        return Err(CryptoError::MalformedInput);
+    /// The point, once `w` holds (u·v⁷)^((p−5)/8).
+    fn finish(self) -> Result<Point, CryptoError> {
+        let Decompression {
+            y,
+            u,
+            v,
+            uv3,
+            w,
+            sign,
+        } = self;
+        let mut x = uv3.mul(w);
+        let vx2 = v.mul(x.square());
+        if vx2.sub(u).is_zero() {
+            // x is already a root.
+        } else if vx2.add(u).is_zero() {
+            x = x.mul(sqrt_m1());
+        } else {
+            return Err(CryptoError::MalformedInput);
+        }
+
+        if x.is_zero() && sign == 1 {
+            return Err(CryptoError::MalformedInput);
+        }
+        if x.to_bytes()[0] & 1 != sign {
+            x = fe_neg(x);
+        }
+        Ok(Point {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(y),
+        })
     }
-    if x.to_bytes()[0] & 1 != sign {
-        x = fe_neg(x);
-    }
-    Ok(Point {
-        x,
-        y,
-        z: Fe::ONE,
-        t: x.mul(y),
-    })
 }
 
 /// The group order L as 32 little-endian bytes:
@@ -902,7 +1168,8 @@ impl SigningKey {
         self.public
     }
 
-    /// Sign `message`, returning a 64-byte signature.
+    /// Sign `message`, returning a 64-byte signature: [`sign_many`] with
+    /// this key alone.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
         self.sign_on(Body::Best, message)
     }
@@ -915,18 +1182,50 @@ impl SigningKey {
     }
 
     fn sign_on(&self, body: Body, message: &[u8]) -> [u8; 64] {
-        let mut hasher = Sha512::new();
-        hasher.update(&self.prefix);
-        hasher.update(message);
-        let r = reduce64(&hasher.finalize().0);
-        let r_enc = base_mul(body, &r).compress();
+        let mut sig = [[0u8; 64]];
+        sign_into(body, &[self], message, &mut sig);
+        sig[0]
+    }
+}
 
-        let k = challenge(&r_enc, &self.public, message);
-        let big_s = mul_add(&k, &self.scalar, &r);
-        let mut sig = [0u8; 64];
-        sig[..32].copy_from_slice(&r_enc);
-        sig[32..].copy_from_slice(&big_s);
-        sig
+/// Sign one `message` with every key, in key order: all of a
+/// transaction's endorsers sign the same bytes. Each signature is the one
+/// [`SigningKey::sign`] gives; the vector body computes the nonce points
+/// two at a time, and all of them are compressed with one inversion.
+pub fn sign_many(keys: &[&SigningKey], message: &[u8]) -> Vec<[u8; 64]> {
+    let mut sigs = vec![[0u8; 64]; keys.len()];
+    sign_into(Body::Best, keys, message, &mut sigs);
+    sigs
+}
+
+/// [`sign_many`] on the portable point body, whatever the CPU: the
+/// baseline of `ed25519/sign_pair` (`ed25519/sign_pair_portable` in the
+/// crypto benches).
+pub fn sign_many_portable(keys: &[&SigningKey], message: &[u8]) -> Vec<[u8; 64]> {
+    let mut sigs = vec![[0u8; 64]; keys.len()];
+    sign_into(Body::Portable, keys, message, &mut sigs);
+    sigs
+}
+
+/// `sigs[j]` = the signature of `message` by `keys[j]` (RFC 8032 §5.1.6):
+/// r = SHA-512(prefix ‖ M) mod L, R = r·B, S = r + SHA-512(R ‖ A ‖ M)·s.
+fn sign_into(body: Body, keys: &[&SigningKey], message: &[u8], sigs: &mut [[u8; 64]]) {
+    let nonces: Vec<[u8; 32]> = keys
+        .iter()
+        .map(|key| {
+            let mut hasher = Sha512::new();
+            hasher.update(&key.prefix);
+            hasher.update(message);
+            reduce64(&hasher.finalize().0)
+        })
+        .collect();
+    let mut points = vec![Point::identity(); keys.len()];
+    base_mul_many(body, &nonces, &mut points);
+    let r_encs = compress_many(&points);
+    for (((sig, key), r), r_enc) in sigs.iter_mut().zip(keys).zip(&nonces).zip(&r_encs) {
+        let k = challenge(r_enc, &key.public, message);
+        sig[..32].copy_from_slice(r_enc);
+        sig[32..].copy_from_slice(&mul_add(&k, &key.scalar, r));
     }
 }
 
@@ -1000,10 +1299,18 @@ fn verify_on(
     check_signature(body, public_key, &[minus_a], message, sig)
 }
 
-/// The single-signature check `S·B − k·A == R`, with `A` given as its
-/// encoding and as tables of `−A` for [`split_terms`] — one full-length
-/// table from [`verify`], four short ones from a [`VerifyingKey`]; the
-/// tables' owner has already validated `A`.
+/// One signature for [`check_signatures`]: the key as its encoding and as
+/// tables of `−A` for [`split_terms`] — one full-length table from
+/// [`verify`], four short ones from a [`VerifyingKey`]; the tables' owner
+/// has already validated `A`.
+struct Check<'a, const N: usize> {
+    public_key: &'a [u8; 32],
+    minus_a: &'a [[Entry; N]],
+    message: &'a [u8],
+    sig: &'a [u8; 64],
+}
+
+/// [`check_signatures`] of one signature.
 fn check_signature<const N: usize>(
     body: Body,
     public_key: &[u8; 32],
@@ -1011,20 +1318,53 @@ fn check_signature<const N: usize>(
     message: &[u8],
     sig: &[u8; 64],
 ) -> Result<(), CryptoError> {
-    let (r_enc, s) = split64(sig);
-    if !is_canonical_scalar(&s) {
-        return Err(CryptoError::InvalidSignature);
-    }
-    let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
-    let k = challenge(&r_enc, public_key, message);
+    let check = Check {
+        public_key,
+        minus_a,
+        message,
+        sig,
+    };
+    let mut verdict = [Ok(())];
+    check_signatures(body, &[check], &mut verdict);
+    verdict[0]
+}
 
-    let terms: Vec<Term<'_>> = split_terms(&s, &base_split_tables()[..minus_a.len()])
-        .chain(split_terms(&k, minus_a))
-        .collect();
-    if straus(body, &terms).equals(&r) {
-        Ok(())
-    } else {
-        Err(CryptoError::InvalidSignature)
+/// The single-signature check `S·B − k·A == R` of every entry, each by
+/// its own equation, into `verdicts`: the `R`s are decompressed four per
+/// pass and the sums run two at a time, but no entry's verdict depends on
+/// another's.
+fn check_signatures<const N: usize>(
+    body: Body,
+    checks: &[Check<'_, N>],
+    verdicts: &mut [Result<(), CryptoError>],
+) {
+    let r_encs: Vec<[u8; 32]> = checks.iter().map(|c| split64(c.sig).0).collect();
+    let rs = decompress_many(body, &r_encs);
+    // (verdict slot, R, terms) of every entry with a canonical S and an R
+    // on the curve.
+    let mut live = Vec::with_capacity(checks.len());
+    for (((c, verdict), r_enc), r) in checks.iter().zip(verdicts.iter_mut()).zip(&r_encs).zip(rs) {
+        *verdict = Err(CryptoError::InvalidSignature);
+        let s = split64(c.sig).1;
+        let Ok(r) = r else {
+            continue;
+        };
+        if !is_canonical_scalar(&s) {
+            continue;
+        }
+        let k = challenge(r_enc, c.public_key, c.message);
+        let terms: Vec<Term<'_>> = split_terms(&s, &base_split_tables()[..c.minus_a.len()])
+            .chain(split_terms(&k, c.minus_a))
+            .collect();
+        live.push((verdict, r, terms));
+    }
+    let sums: Vec<&[Term<'_>]> = live.iter().map(|(_, _, terms)| terms.as_slice()).collect();
+    let mut points = vec![Point::identity(); live.len()];
+    straus_many(body, &sums, &mut points);
+    for ((verdict, r, _), p) in live.into_iter().zip(points) {
+        if p.equals(&r) {
+            *verdict = Ok(());
+        }
     }
 }
 
@@ -1062,9 +1402,19 @@ impl VerifyingKey {
     }
 
     /// Verify a 64-byte signature over `message`; accepts exactly what
-    /// [`verify`] accepts under the same key bytes.
+    /// [`verify`] accepts under the same key bytes. This is [`verify_each`]
+    /// of one entry.
     pub fn verify(&self, message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
         check_signature(Body::Best, &self.bytes, &self.minus_a, message, sig)
+    }
+
+    fn check<'a>(&'a self, message: &'a [u8], sig: &'a [u8; 64]) -> Check<'a, 16> {
+        Check {
+            public_key: &self.bytes,
+            minus_a: &self.minus_a,
+            message,
+            sig,
+        }
     }
 
     /// [`VerifyingKey::verify`] on the portable point body, whatever the
@@ -1074,6 +1424,36 @@ impl VerifyingKey {
     pub fn verify_portable(&self, message: &[u8], sig: &[u8; 64]) -> Result<(), CryptoError> {
         check_signature(Body::Portable, &self.bytes, &self.minus_a, message, sig)
     }
+}
+
+/// [`VerifyingKey::verify`] of every `(key, message, signature)`, in
+/// order. Each entry is checked by its own equation, so each verdict is
+/// the one a lone [`VerifyingKey::verify`] gives; the vector body
+/// decompresses the `R`s four per pass and runs the checks two at a time.
+pub fn verify_each(entries: &[(&VerifyingKey, &[u8], &[u8; 64])]) -> Vec<Result<(), CryptoError>> {
+    verify_each_on(Body::Best, entries)
+}
+
+/// [`verify_each`] on the portable point body, whatever the CPU: the
+/// baseline of `ed25519/verify_known_key_pair`
+/// (`ed25519/verify_known_key_pair_portable` in the crypto benches).
+pub fn verify_each_portable(
+    entries: &[(&VerifyingKey, &[u8], &[u8; 64])],
+) -> Vec<Result<(), CryptoError>> {
+    verify_each_on(Body::Portable, entries)
+}
+
+fn verify_each_on(
+    body: Body,
+    entries: &[(&VerifyingKey, &[u8], &[u8; 64])],
+) -> Vec<Result<(), CryptoError>> {
+    let checks: Vec<Check<'_, 16>> = entries
+        .iter()
+        .map(|&(key, message, sig)| key.check(message, sig))
+        .collect();
+    let mut verdicts = vec![Ok(()); entries.len()];
+    check_signatures(body, &checks, &mut verdicts);
+    verdicts
 }
 
 impl std::fmt::Debug for VerifyingKey {
@@ -1164,10 +1544,12 @@ fn verify_chunk(body: Body, entries: &[BatchEntry<'_>]) -> Result<(), CryptoErro
     // Decode and pre-validate every entry, folding it into the three sums:
     // `points` holds (coefficient, odd multiples of −P) for every distinct
     // public key and every R.
+    let r_encs: Vec<[u8; 32]> = entries.iter().map(|e| split64(e.signature).0).collect();
+    let rs = decompress_many(body, &r_encs);
     let mut s_sum = [0u8; 32];
     let mut points: Vec<([u8; 32], [Entry; 8])> = Vec::with_capacity(entries.len() + 2);
     let mut key_slot: HashMap<&[u8; 32], usize> = HashMap::new();
-    for (i, e) in entries.iter().enumerate() {
+    for (i, (e, r)) in entries.iter().zip(rs).enumerate() {
         let (r_enc, s) = split64(e.signature);
         if !is_canonical_scalar(&s) {
             return Err(CryptoError::InvalidSignature);
@@ -1182,7 +1564,7 @@ fn verify_chunk(body: Body, entries: &[BatchEntry<'_>]) -> Result<(), CryptoErro
                 slot
             }
         };
-        let r = decompress(&r_enc).map_err(|_| CryptoError::InvalidSignature)?;
+        let r = r.map_err(|_| CryptoError::InvalidSignature)?;
         let k = challenge(&r_enc, e.public_key, e.message);
 
         let mut zh = Sha512::new();
@@ -1429,6 +1811,17 @@ mod tests {
             verify_on(body, &key.public_key(), msg, &signature).unwrap();
             let vk = VerifyingKey::expand(body, &key.public_key()).unwrap();
             check_signature(body, vk.as_bytes(), &vk.minus_a, msg, &signature).unwrap();
+
+            // The pair paths: the key signing beside itself and beside
+            // another key, and the signature checked twice in one call.
+            let other = SigningKey::expand(body, &[0x42; 32]);
+            for keys in [[&key, &key], [&other, &key]] {
+                let mut sigs = [[0u8; 64]; 2];
+                sign_into(body, &keys, msg, &mut sigs);
+                assert_eq!(hex::encode(&sigs[1]), sig, "{body:?}");
+            }
+            let entries = [(&vk, msg, &signature); 2];
+            assert_eq!(verify_each_on(body, &entries), [Ok(()); 2], "{body:?}");
         }
         assert_eq!(hex::encode(&public_key(&seed)), pk);
         assert_eq!(hex::encode(&sign(&seed, msg)), sig);
@@ -2254,6 +2647,197 @@ mod tests {
                 }
             });
             check_bodies_agree(&seed, &other, &scalar, &msg);
+        }
+    }
+
+    /// Signing with 1, 2, 3 and 5 keys equals each key signing alone, and
+    /// checking 1, 2, 3 and 5 signatures at once gives each the verdict it
+    /// gets alone — over every window of a list that holds two valid
+    /// signatures and one of each invalid kind, so that a forged entry
+    /// sits first, second and last in a pair.
+    fn check_pair_paths(seeds: &[[u8; 32]; 3], msg: &[u8]) {
+        for body in BODIES {
+            let keys = seeds.map(|seed| SigningKey::expand(body, &seed));
+            let signers: Vec<&SigningKey> = [0, 1, 2, 0, 1].iter().map(|&i| &keys[i]).collect();
+            for n in [1, 2, 3, 5] {
+                let mut sigs = vec![[0u8; 64]; n];
+                sign_into(body, &signers[..n], msg, &mut sigs);
+                for (key, sig) in signers.iter().zip(&sigs) {
+                    assert_eq!(*sig, key.sign_on(Body::Portable, msg), "{body:?}, {n} keys");
+                }
+            }
+
+            let vks = keys
+                .each_ref()
+                .map(|k| VerifyingKey::expand(body, &k.public).unwrap());
+            let valid = [0, 1].map(|i| keys[i].sign_on(body, msg));
+            let other_message = keys[0].sign_on(body, &[msg, b"!"].concat());
+            let mut flipped_r = valid[0];
+            flipped_r[msg.len() % 32] ^= 1 << (msg.len() % 8);
+            let mut flipped_s = valid[1];
+            flipped_s[32 + msg.len() % 31] ^= 0x04;
+            let mut non_canonical_r = valid[0];
+            non_canonical_r[..32].fill(0xff);
+            non_canonical_r[0] = 0xee; // y = p + 1
+            non_canonical_r[31] = 0x7f;
+            let mut small_order_r = valid[0];
+            small_order_r[..32].fill(0);
+            small_order_r[0] = 1; // the identity
+                                  // (key, signature, valid).
+            let cases = [
+                (&vks[0], valid[0], true),
+                (&vks[1], valid[1], true),
+                (&vks[0], other_message, false),
+                (&vks[0], flipped_r, false),
+                (&vks[1], flipped_s, false),
+                (&vks[0], non_canonical_r, false),
+                (&vks[1], with_s_plus_l(&valid[1]), false),
+                (&vks[0], with_s(&valid[0], &l_bytes()), false),
+                (&vks[0], small_order_r, false),
+                (&vks[2], valid[0], false),
+            ];
+            for n in [1, 2, 3, 5] {
+                for start in 0..cases.len() {
+                    let window: Vec<_> =
+                        (0..n).map(|j| &cases[(start + j) % cases.len()]).collect();
+                    let entries: Vec<(&VerifyingKey, &[u8], &[u8; 64])> =
+                        window.iter().map(|(vk, sig, _)| (*vk, msg, sig)).collect();
+                    let verdicts = verify_each_on(body, &entries);
+                    for (j, (&(vk, sig, valid), verdict)) in window.iter().zip(verdicts).enumerate()
+                    {
+                        let alone =
+                            check_signature(Body::Portable, &vk.bytes, &vk.minus_a, msg, sig);
+                        assert_eq!(verdict, alone, "{body:?}, entry {j} of {n} from {start}");
+                        assert_eq!(
+                            verdict.is_ok(),
+                            *valid,
+                            "{body:?}, entry {j} of {n} from {start}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// [`sign_many`] and [`verify_each`] against one key or signature
+        /// at a time, on both bodies (the same body twice on a CPU without
+        /// IFMA), in the test profile, where every 4-lane operation checks
+        /// its limb bounds.
+        #[test]
+        fn pair_paths_match_one_at_a_time(
+            seeds in any::<[[u8; 32]; 3]>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            check_pair_paths(&seeds, &msg);
+        }
+
+        /// [`decompress_many`] gives every encoding the result
+        /// [`decompress`] gives it, for one to nine encodings, about half of
+        /// them on the curve.
+        #[test]
+        fn decompress_many_matches_decompress(
+            encs in proptest::collection::vec(any::<[u8; 32]>(), 1..10),
+        ) {
+            for body in BODIES {
+                for (enc, many) in encs.iter().zip(decompress_many(body, &encs)) {
+                    match (decompress(enc), many) {
+                        (Ok(alone), Ok(many)) => {
+                            prop_assert!(alone.equals(&many));
+                            prop_assert_eq!(alone.compress(), many.compress());
+                            prop_assert_eq!(alone.t.to_bytes(), many.t.to_bytes());
+                        }
+                        (alone, many) => prop_assert_eq!(alone.err(), many.err()),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the root candidate of `enc`'s decompression is off by the
+    /// factor √−1.
+    fn root_needs_sqrt_m1(enc: &[u8; 32]) -> bool {
+        let d = Decompression::start(enc).unwrap();
+        let x = d.uv3.mul(d.w.pow_p58());
+        !d.v.mul(x.square()).sub(d.u).is_zero()
+    }
+
+    /// `verify_batch` over chunks of 1 to 9 entries, all valid and with
+    /// an off-curve `R` at each position in turn: the `R`s are decompressed
+    /// four per pass, so a bad `R` sits in every lane of a pass, and each
+    /// lane also decompresses valid `R`s whose root needs the factor √−1
+    /// (entries 0–3 and 8) and ones whose root does not (entries 4–7).
+    #[test]
+    fn batch_decompresses_every_lane() {
+        let key = SigningKey::from_seed(&[31; 32]);
+        let pk = key.public_key();
+        let mut msgs: Vec<Vec<u8>> = Vec::new();
+        let mut candidates = (0u32..).map(|i| i.to_le_bytes().to_vec());
+        for j in 0..9 {
+            let needs = (j / 4) % 2 == 0;
+            let msg = candidates
+                .find(|m| root_needs_sqrt_m1(&split64(&key.sign(m)).0) == needs)
+                .unwrap();
+            msgs.push(msg);
+        }
+        let sigs: Vec<[u8; 64]> = msgs.iter().map(|m| key.sign(m)).collect();
+        let off_curve = (2..40u8)
+            .map(|y| {
+                let mut enc = [0u8; 32];
+                enc[0] = y;
+                enc
+            })
+            .find(|enc| decompress(enc).is_err())
+            .unwrap();
+        for n in 1..=9 {
+            for bad in std::iter::once(None).chain((0..n).map(Some)) {
+                let mut sigs = sigs[..n].to_vec();
+                if let Some(b) = bad {
+                    sigs[b][..32].copy_from_slice(&off_curve);
+                }
+                let entries: Vec<BatchEntry<'_>> = msgs
+                    .iter()
+                    .zip(&sigs)
+                    .map(|(message, signature)| BatchEntry {
+                        public_key: &pk,
+                        message,
+                        signature,
+                    })
+                    .collect();
+                for body in BODIES {
+                    let verdict = verify_batch_on(body, &entries);
+                    match bad {
+                        None => assert_eq!(verdict, Ok(()), "{body:?}, {n} entries"),
+                        Some(b) => assert_eq!(
+                            verdict,
+                            Err(CryptoError::InvalidSignature),
+                            "{body:?}, {n} entries, bad R at {b}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Montgomery's trick gives each element the inverse `invert` gives
+    /// it, for 0 to 5 elements; [`compress_many`] gives each point the
+    /// encoding [`Point::compress`] gives it.
+    #[test]
+    fn batch_inversion_matches_one_at_a_time() {
+        for n in 0..6u64 {
+            let xs: Vec<Fe> = (0..n).map(|i| fe_small(3 + 7 * i).mul(d())).collect();
+            let mut inverses = xs.clone();
+            Fe::batch_invert(&mut inverses);
+            for (x, inverse) in xs.iter().zip(&inverses) {
+                assert_eq!(inverse.to_bytes(), x.invert().to_bytes(), "{n} elements");
+            }
+            let points: Vec<Point> = (0..n)
+                .map(|i| base_mul(Body::Portable, &[i as u8 + 1; 32]))
+                .collect();
+            let alone: Vec<[u8; 32]> = points.iter().map(Point::compress).collect();
+            assert_eq!(compress_many(&points), alone, "{n} points");
         }
     }
 

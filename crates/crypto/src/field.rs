@@ -10,7 +10,9 @@
 //! multiply-add `vpmadd52{lo,hi}uq` of AVX-512 IFMA. Its functions are
 //! `#[target_feature(enable = "avx512ifma,avx512vl")]`, so only code
 //! compiled for those features calls them: the X25519 ladder body and the
-//! Ed25519 point body, each entered once after [`ifma_available`].
+//! Ed25519 body (its point loops and the exponentiation of point
+//! decompression, four elements per pass), each entered once after
+//! [`ifma_available`].
 
 const MASK: u64 = (1u64 << 51) - 1;
 
@@ -204,35 +206,42 @@ impl Fe {
         carry_wide(h)
     }
 
-    /// The shared prefix of the two fixed exponentiations below:
-    /// `(self^(2²⁵⁰ − 1), self^11)` by the standard addition chain
-    /// (249 squarings, 11 multiplications).
-    fn pow_2_250_minus_1(self) -> (Fe, Fe) {
-        let x2 = self.square();
-        let x9 = x2.square_n(2).mul(self);
-        let x11 = x9.mul(x2);
-        let e5 = x11.square().mul(x9); // 2^5 − 1
-        let e10 = e5.square_n(5).mul(e5); // 2^10 − 1
-        let e20 = e10.square_n(10).mul(e10);
-        let e40 = e20.square_n(20).mul(e20);
-        let e50 = e40.square_n(10).mul(e10);
-        let e100 = e50.square_n(50).mul(e50);
-        let e200 = e100.square_n(100).mul(e100);
-        let e250 = e200.square_n(50).mul(e50);
-        (e250, x11)
-    }
-
     /// Raise to the power p − 2 = 2²⁵⁵ − 21 (the inverse, by Fermat's
     /// little theorem; 0 maps to 0).
     pub(crate) fn invert(self) -> Fe {
-        let (e250, x11) = self.pow_2_250_minus_1();
+        let (e250, x11) = pow_2_250_minus_1(self, Fe::square_n, Fe::mul);
         e250.square_n(5).mul(x11)
+    }
+
+    /// Replace every element by its inverse with one [`Fe::invert`] and
+    /// 3(n − 1) multiplications (Montgomery's trick): invert the product
+    /// of all, then peel the elements off it from the last. A zero
+    /// element maps every element to 0.
+    pub(crate) fn batch_invert(xs: &mut [Fe]) {
+        // prefix[i] = x₀·x₁·…·xᵢ.
+        let mut prefix: Vec<Fe> = Vec::with_capacity(xs.len());
+        for &x in xs.iter() {
+            prefix.push(prefix.last().map_or(x, |p| p.mul(x)));
+        }
+        let Some(product) = prefix.last() else {
+            return;
+        };
+        // inv = (x₀·…·xᵢ)⁻¹ at step i, so inv·prefix[i − 1] = xᵢ⁻¹.
+        let mut inv = product.invert();
+        for i in (1..xs.len()).rev() {
+            let x = xs[i];
+            xs[i] = inv.mul(prefix[i - 1]);
+            inv = inv.mul(x);
+        }
+        if let Some(first) = xs.first_mut() {
+            *first = inv;
+        }
     }
 
     /// Raise to the power (p − 5)/8 = 2²⁵² − 3, the exponent of the
     /// square-root candidate in point decompression (RFC 8032 §5.1.3).
     pub(crate) fn pow_p58(self) -> Fe {
-        let (e250, _) = self.pow_2_250_minus_1();
+        let (e250, _) = pow_2_250_minus_1(self, Fe::square_n, Fe::mul);
         e250.square_n(2).mul(self)
     }
 
@@ -263,6 +272,30 @@ impl Fe {
     pub(crate) fn is_zero(self) -> bool {
         self.to_bytes() == [0u8; 32]
     }
+}
+
+/// The shared prefix of the fixed exponentiations [`Fe::invert`],
+/// [`Fe::pow_p58`] and [`ifma::Fe4::pow_p58`]: `(x^(2²⁵⁰ − 1), x^11)` by
+/// the standard addition chain (249 squarings, 11 multiplications), over
+/// whichever field body `square_n` and `mul` come from.
+#[inline(always)]
+fn pow_2_250_minus_1<F: Copy>(
+    x: F,
+    square_n: impl Fn(F, u32) -> F,
+    mul: impl Fn(F, F) -> F,
+) -> (F, F) {
+    let x2 = square_n(x, 1);
+    let x9 = mul(square_n(x2, 2), x);
+    let x11 = mul(x9, x2);
+    let e5 = mul(square_n(x11, 1), x9); // 2^5 − 1
+    let e10 = mul(square_n(e5, 5), e5); // 2^10 − 1
+    let e20 = mul(square_n(e10, 10), e10);
+    let e40 = mul(square_n(e20, 20), e20);
+    let e50 = mul(square_n(e40, 10), e10);
+    let e100 = mul(square_n(e50, 50), e50);
+    let e200 = mul(square_n(e100, 100), e100);
+    let e250 = mul(square_n(e200, 50), e50);
+    (e250, x11)
 }
 
 fn carry_wide(mut h: [u128; 5]) -> Fe {
@@ -313,7 +346,7 @@ pub(crate) fn ifma_available() -> bool {
 pub(crate) mod ifma {
     use std::arch::x86_64::*;
 
-    use super::{Fe, BOUND, MASK};
+    use super::{pow_2_250_minus_1, Fe, BOUND, MASK};
 
     /// Four field elements, one per 64-bit lane: lane j of `self.0[i]` is
     /// limb i (radix 2⁵¹, as in [`Fe`]) of element j.
@@ -503,6 +536,18 @@ pub(crate) mod ifma {
                 *limb = _mm256_add_epi64(t[m], times19(high));
             }
             Fe4::carry(folded)
+        }
+
+        /// Every lane raised to the power (p − 5)/8, as [`Fe::pow_p58`]
+        /// does one element: the exponentiation of point decompression,
+        /// four points per pass.
+        #[target_feature(enable = "avx512ifma,avx512vl")]
+        pub(crate) fn pow_p58(self) -> Fe4 {
+            let zero = Fe4::new([Fe::ZERO; 4]);
+            let mul = |a: Fe4, b: Fe4| a.mul_add(b, zero);
+            let square_n = |a: Fe4, k: u32| (0..k).fold(a, |a, _| mul(a, a));
+            let (e250, _) = pow_2_250_minus_1(self, square_n, mul);
+            mul(square_n(e250, 2), self)
         }
 
         /// One carry pass over every limb at once, with the ×19

@@ -2,10 +2,11 @@
 
 /// Encode bytes as a lowercase hex string.
 pub fn encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
+        s.push(DIGITS[usize::from(b >> 4)].into());
+        s.push(DIGITS[usize::from(b & 0xf)].into());
     }
     s
 }

@@ -198,6 +198,14 @@ impl SigningKeyPair {
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
         self.key.sign(message)
     }
+
+    /// Sign one message with every key pair, in order
+    /// ([`ed25519::sign_many`]): each signature is the one
+    /// [`SigningKeyPair::sign`] gives.
+    pub fn sign_many(pairs: &[&SigningKeyPair], message: &[u8]) -> Vec<[u8; 64]> {
+        let keys: Vec<&ed25519::SigningKey> = pairs.iter().map(|p| &p.key).collect();
+        ed25519::sign_many(&keys, message)
+    }
 }
 
 impl fmt::Debug for SigningKeyPair {

@@ -24,7 +24,8 @@
 //!   lanes of the CPU's 52-bit multiply-add (AVX-512 IFMA) where it has it.
 //! * [`ed25519`] — RFC 8032 signatures, used for endorsements in the
 //!   Fabric substrate; its point arithmetic runs on the same four IFMA
-//!   lanes where the CPU has them.
+//!   lanes where the CPU has them, two independent signatures or checks
+//!   side by side ([`ed25519::sign_many`], [`ed25519::verify_each`]).
 //! * [`keys`] — the key types the rest of the workspace uses:
 //!   [`keys::SymmetricKey`], [`keys::EncryptionKeyPair`] (with
 //!   [`keys::seal`]/[`keys::open`] hybrid encryption) and
@@ -42,7 +43,8 @@
 //! * in [`mod@sha256`], into its SHA-extension compression body;
 //! * in [`ctr`], into its AES-NI keystream body;
 //! * in [`x25519`], into its AVX-512 IFMA ladder body;
-//! * in [`ed25519`], into its AVX-512 IFMA point body.
+//! * in [`ed25519`], into its AVX-512 IFMA body (point loops and the
+//!   exponentiation of point decompression).
 //!
 //! Each call is made only after `is_x86_feature_detected!` has seen every
 //! feature its body is compiled for; on other CPUs the portable code runs

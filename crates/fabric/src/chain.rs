@@ -385,22 +385,17 @@ impl FabricChain {
             .invoke(&mut ctx, &proposal.function, &proposal.args)?;
         let (rwset, private_values) = ctx.into_results();
 
-        // Collect endorsements from every policy org's peer; they all sign
-        // the one simulated set, hashed once.
-        let rwset_digest = rwset.digest();
-        let mut responses = Vec::new();
-        for org in deployed.policy.orgs() {
-            let Some(peer) = self.endorsers.get(org) else {
-                continue;
-            };
-            responses.push(ProposalResponse::sign_with_digest(
-                peer,
-                tx_id,
-                rwset.clone(),
-                &rwset_digest,
-                response.clone(),
-            ));
-        }
+        // Collect endorsements from every policy org's peer. They all sign
+        // the same bytes over the one simulated set, hashed once, so they
+        // sign together.
+        let endorsers: Vec<&Identity> = deployed
+            .policy
+            .orgs()
+            .iter()
+            .filter_map(|org| self.endorsers.get(org))
+            .collect();
+        let responses =
+            ProposalResponse::sign_each(&endorsers, tx_id, &rwset, &rwset.digest(), &response);
         let policy = deployed.policy.clone();
         if self.check_signatures {
             check_endorsements(&policy, &responses, &self.msp)?;

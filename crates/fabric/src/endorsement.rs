@@ -94,48 +94,52 @@ pub struct ProposalResponse {
 }
 
 impl ProposalResponse {
-    /// Produce a signed response as endorsing peer `endorser`.
+    /// Produce a signed response as endorsing peer `endorser`:
+    /// `ProposalResponse::sign_each` with this endorser alone.
     pub fn sign(endorser: &Identity, tx_id: TxId, rwset: RwSet, response: Vec<u8>) -> Self {
-        let digest = rwset.digest();
-        Self::sign_with_digest(endorser, tx_id, rwset, &digest, response)
+        Self::sign_each(&[endorser], tx_id, &rwset, &rwset.digest(), &response).swap_remove(0)
     }
 
-    /// [`ProposalResponse::sign`] for a caller that already holds
-    /// `rwset.digest()` — every endorser of one simulation signs the same
-    /// set.
-    pub(crate) fn sign_with_digest(
-        endorser: &Identity,
+    /// One signed response per endorser, in order, for a caller that
+    /// already holds `rwset.digest()`: every endorser of one simulation
+    /// signs the same bytes, so the signatures are made together
+    /// ([`Identity::sign_many`]).
+    pub(crate) fn sign_each(
+        endorsers: &[&Identity],
         tx_id: TxId,
-        rwset: RwSet,
+        rwset: &RwSet,
         rwset_digest: &Digest,
-        response: Vec<u8>,
-    ) -> Self {
-        let bytes = response_signing_bytes(&tx_id, rwset_digest, &response);
-        let signature = endorser.sign(&bytes);
-        ProposalResponse {
-            tx_id,
-            rwset,
-            response,
-            endorsement: Endorsement {
-                endorser: endorser.cert().clone(),
-                signature,
-            },
-        }
+        response: &[u8],
+    ) -> Vec<Self> {
+        let bytes = response_signing_bytes(&tx_id, rwset_digest, response);
+        Identity::sign_many(endorsers, &bytes)
+            .into_iter()
+            .zip(endorsers)
+            .map(|(signature, endorser)| ProposalResponse {
+                tx_id,
+                rwset: rwset.clone(),
+                response: response.to_vec(),
+                endorsement: Endorsement {
+                    endorser: endorser.cert().clone(),
+                    signature,
+                },
+            })
+            .collect()
     }
 
     /// Verify this response's signature against the MSP.
     pub fn verify(&self, msp: &Msp) -> Result<(), FabricError> {
-        self.verify_with_digest(msp, &self.rwset.digest())
-    }
-
-    /// [`ProposalResponse::verify`] given `self.rwset.digest()`.
-    fn verify_with_digest(&self, msp: &Msp, rwset_digest: &Digest) -> Result<(), FabricError> {
-        let bytes = response_signing_bytes(&self.tx_id, rwset_digest, &self.response);
         msp.verify_identity_signature(
             &self.endorsement.endorser,
-            &bytes,
+            &self.signing_bytes(&self.rwset.digest()),
             &self.endorsement.signature,
         )
+    }
+
+    /// The bytes this response's endorser signed, given
+    /// `self.rwset.digest()`.
+    fn signing_bytes(&self, rwset_digest: &Digest) -> Vec<u8> {
+        response_signing_bytes(&self.tx_id, rwset_digest, &self.response)
     }
 }
 
@@ -198,16 +202,38 @@ pub fn check_endorsements(
     }
     let first = &responses[0];
     // Agreeing endorsers signed the same read/write set: hash it once. A
-    // response that disagrees is still checked under its own digest first,
-    // so a forged signature is reported before the disagreement.
+    // response that disagrees is still checked under its own digest, so a
+    // forged signature is reported before the disagreement.
     let first_digest = first.rwset.digest();
-    for r in responses {
-        let same_rwset = r.rwset == first.rwset;
-        if same_rwset {
-            r.verify_with_digest(msp, &first_digest)?;
-        } else {
-            r.verify(msp)?;
-        }
+    let same_rwset: Vec<bool> = responses.iter().map(|r| r.rwset == first.rwset).collect();
+    let messages: Vec<Vec<u8>> = responses
+        .iter()
+        .zip(&same_rwset)
+        .map(|(r, &same)| {
+            if same {
+                r.signing_bytes(&first_digest)
+            } else {
+                r.signing_bytes(&r.rwset.digest())
+            }
+        })
+        .collect();
+    let signed: Vec<(&Certificate, &[u8], &[u8; 64])> = responses
+        .iter()
+        .zip(&messages)
+        .map(|(r, m)| {
+            (
+                &r.endorsement.endorser,
+                m.as_slice(),
+                &r.endorsement.signature,
+            )
+        })
+        .collect();
+    // Every signature is checked at once; the verdicts are then walked in
+    // order, so the first failing response decides the error, as if each
+    // had been checked alone.
+    let verdicts = msp.verify_identity_signatures(&signed);
+    for ((r, verdict), same_rwset) in responses.iter().zip(verdicts).zip(same_rwset) {
+        verdict?;
         if r.tx_id != first.tx_id {
             return Err(FabricError::EndorsementPolicyFailure(
                 "endorsements for different transactions".into(),
@@ -351,18 +377,22 @@ mod tests {
         let mut other = sample_rwset();
         other.writes[0].value = Some(b"different".to_vec());
 
-        // Signing under a digest computed by the caller is signing.
-        let shared = ProposalResponse::sign_with_digest(
-            &peer1,
+        // Signing together under a digest computed by the caller is each
+        // endorser signing alone.
+        let shared = ProposalResponse::sign_each(
+            &[&peer1, &peer2],
             p.tx_id(),
-            sample_rwset(),
+            &sample_rwset(),
             &sample_rwset().digest(),
-            b"ok".to_vec(),
+            b"ok",
         );
-        assert_eq!(
-            shared.endorsement.signature,
-            sign(&peer1, sample_rwset()).endorsement.signature
-        );
+        assert_eq!(shared.len(), 2);
+        for (r, peer) in shared.iter().zip([&peer1, &peer2]) {
+            let alone = sign(peer, sample_rwset());
+            assert_eq!(r.endorsement.signature, alone.endorsement.signature);
+            assert_eq!(r.endorsement.endorser, alone.endorsement.endorser);
+            assert_eq!((&r.rwset, &r.response), (&alone.rwset, &alone.response));
+        }
 
         let verdict = |second: ProposalResponse| {
             check_endorsements(&policy, &[sign(&peer1, sample_rwset()), second], &msp)
@@ -389,6 +419,70 @@ mod tests {
             verdict(doubly_bad),
             Err(FabricError::BadSignature)
         ));
+    }
+
+    /// The error `check_endorsements` reports for two responses with
+    /// faults, pinned to its text: responses are judged in order, the
+    /// first failing one decides, and within a response the certificate
+    /// comes first, then the signature, then the transaction id, then
+    /// agreement with the first response.
+    #[test]
+    fn check_endorsements_reports_the_first_failure_in_order() {
+        let (msp, alice, peer1, peer2) = setup();
+        let mut rng = seeded(9);
+        let p = Proposal::new(&alice, "cc", "f", vec![], &mut rng);
+        let q = Proposal::new(&alice, "cc", "f", vec![], &mut rng);
+        let policy = EndorsementPolicy::AllOf(vec![OrgId::new("Org1"), OrgId::new("Org2")]);
+        let good = |peer: &Identity| {
+            ProposalResponse::sign(peer, p.tx_id(), sample_rwset(), b"ok".to_vec())
+        };
+        let forged = |peer: &Identity| {
+            let mut r = good(peer);
+            r.endorsement.signature[3] ^= 1;
+            r
+        };
+        // A peer enrolled by an organisation this MSP does not know.
+        let mut elsewhere = Msp::new();
+        let org3 = elsewhere.add_org("Org3", &mut rng);
+        let stranger = elsewhere.enroll(&org3, "peer3", &mut rng).unwrap();
+        let mut other = sample_rwset();
+        other.writes[0].value = Some(b"different".to_vec());
+        let error = |responses: &[ProposalResponse]| {
+            check_endorsements(&policy, responses, &msp)
+                .unwrap_err()
+                .to_string()
+        };
+
+        let bad_signature = "signature verification failed";
+        assert_eq!(error(&[forged(&peer1), good(&peer2)]), bad_signature);
+        assert_eq!(error(&[good(&peer1), forged(&peer2)]), bad_signature);
+        assert_eq!(error(&[forged(&peer1), forged(&peer2)]), bad_signature);
+        assert_eq!(error(&[forged(&peer1), good(&stranger)]), bad_signature);
+        assert_eq!(
+            error(&[good(&stranger), forged(&peer2)]),
+            "access denied: unknown org Org3"
+        );
+        assert_eq!(
+            error(&[good(&peer1), good(&stranger)]),
+            "access denied: unknown org Org3"
+        );
+        let disagree = "endorsement policy not satisfied: endorsers disagree on simulation results";
+        let differs = ProposalResponse::sign(&peer2, p.tx_id(), other.clone(), b"ok".to_vec());
+        assert_eq!(error(&[good(&peer1), differs.clone()]), disagree);
+        assert_eq!(error(&[differs, forged(&peer1)]), bad_signature);
+        let answers = ProposalResponse::sign(&peer2, p.tx_id(), sample_rwset(), b"no".to_vec());
+        assert_eq!(error(&[good(&peer1), answers]), disagree);
+        let other_tx = ProposalResponse::sign(&peer2, q.tx_id(), other, b"ok".to_vec());
+        assert_eq!(
+            error(&[good(&peer1), other_tx]),
+            "endorsement policy not satisfied: endorsements for different transactions"
+        );
+        assert_eq!(
+            error(&[good(&peer1)]),
+            "endorsement policy not satisfied: policy AllOf([OrgId(\"Org1\"), OrgId(\"Org2\")]) \
+             not satisfied by [OrgId(\"Org1\")]"
+        );
+        check_endorsements(&policy, &[good(&peer1), good(&peer2)], &msp).unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ledgerview_crypto::ed25519::VerifyingKey;
+use ledgerview_crypto::ed25519::{self, VerifyingKey};
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey, SigningKeyPair};
 use ledgerview_crypto::sha256::Sha256;
 use ledgerview_crypto::CryptoError;
@@ -131,6 +131,14 @@ impl Identity {
     /// Sign a message with the identity's signing key.
     pub fn sign(&self, message: &[u8]) -> [u8; 64] {
         self.signing.sign(message)
+    }
+
+    /// Sign one message with every identity's signing key, in order
+    /// ([`SigningKeyPair::sign_many`]): each signature is the one
+    /// [`Identity::sign`] gives.
+    pub fn sign_many(identities: &[&Identity], message: &[u8]) -> Vec<[u8; 64]> {
+        let keys: Vec<&SigningKeyPair> = identities.iter().map(|id| &id.signing).collect();
+        SigningKeyPair::sign_many(&keys, message)
     }
 
     /// Decrypt a payload sealed to this identity's encryption key.
@@ -281,26 +289,61 @@ impl Msp {
     /// certificate chain first. The holder's key is expanded on its first
     /// signature and kept beside the certificate's verdict, so later ones
     /// take the short verification. A key that does not decode (off the
-    /// curve, small order) is a bad signature and is not kept.
+    /// curve, small order) is a bad signature and is not kept. This is
+    /// [`Msp::verify_identity_signatures`] of the one entry.
     pub fn verify_identity_signature(
         &self,
         cert: &Certificate,
         message: &[u8],
         signature: &[u8; 64],
     ) -> Result<(), FabricError> {
-        let (memo_key, known) = self.certify(cert)?;
-        let key = match known {
-            Some(key) => key,
-            None => {
-                let key = VerifyingKey::from_bytes(&cert.signing_pub)
-                    .map_err(|_| FabricError::BadSignature)?;
-                let key = Arc::new(key);
-                self.remember(memo_key, true, Some(Arc::clone(&key)));
-                key
+        self.verify_identity_signatures(&[(cert, message, signature)])
+            .swap_remove(0)
+    }
+
+    /// [`Msp::verify_identity_signature`] of every `(certificate,
+    /// message, signature)`, in order. Every certificate is checked first;
+    /// the signatures under the ones that hold are verified together
+    /// ([`ed25519::verify_each`]), each by its own equation, so each
+    /// verdict is the one a lone call gives.
+    pub fn verify_identity_signatures(
+        &self,
+        signed: &[(&Certificate, &[u8], &[u8; 64])],
+    ) -> Vec<Result<(), FabricError>> {
+        let mut verdicts = Vec::with_capacity(signed.len());
+        let mut keyed = Vec::with_capacity(signed.len());
+        for (i, &(cert, message, signature)) in signed.iter().enumerate() {
+            match self.holder_key(cert) {
+                Ok(key) => {
+                    verdicts.push(Ok(()));
+                    keyed.push((i, key, message, signature));
+                }
+                Err(e) => verdicts.push(Err(e)),
             }
-        };
-        key.verify(message, signature)
-            .map_err(|_| FabricError::BadSignature)
+        }
+        let entries: Vec<(&VerifyingKey, &[u8], &[u8; 64])> = keyed
+            .iter()
+            .map(|(_, key, message, signature)| (&**key, *message, *signature))
+            .collect();
+        for ((i, ..), verdict) in keyed.iter().zip(ed25519::verify_each(&entries)) {
+            verdicts[*i] = verdict.map_err(|_| FabricError::BadSignature);
+        }
+        verdicts
+    }
+
+    /// The expanded signing key of `cert`'s holder, once the certificate
+    /// chain holds: from the memo, or expanded now and kept beside the
+    /// certificate's verdict.
+    fn holder_key(&self, cert: &Certificate) -> Result<Arc<VerifyingKey>, FabricError> {
+        let (memo_key, known) = self.certify(cert)?;
+        if let Some(key) = known {
+            return Ok(key);
+        }
+        let key =
+            VerifyingKey::from_bytes(&cert.signing_pub).map_err(|_| FabricError::BadSignature)?;
+        let key = Arc::new(key);
+        self.remember(memo_key, true, Some(Arc::clone(&key)));
+        Ok(key)
     }
 
     /// The CA verdict on `cert`, from the memo or checked and remembered

@@ -159,7 +159,7 @@ impl BlockFile {
         let scan = scan_frames(&mut data, start.1)?;
         if let Some(offset) = scan.corrupt_at {
             return Err(StoreError::Corrupt(format!(
-                "block frame at offset {offset} fails its CRC before a valid frame"
+                "block frame at offset {offset} is damaged before a valid frame"
             )));
         }
         if scan.torn {
@@ -685,6 +685,75 @@ mod tests {
         assert_eq!(bf.height(), 11);
         assert!(matches!(bf.read(2), Err(StoreError::Corrupt(_))));
         assert!(matches!(bf.read_all(), Err(StoreError::Corrupt(_))));
+    }
+
+    /// Each of the 32 bits of frame 9's length field flipped in turn, of
+    /// eleven frames (stride 3): whether the wrong length overruns the
+    /// file or lands on a failing CRC, block 10 still follows intact, so
+    /// open reports corruption and leaves every byte of the file.
+    #[test]
+    fn flipped_length_field_is_corruption() {
+        let dir = TestDir::new("bf-flip-len");
+        {
+            let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+            for i in 0..11 {
+                bf.append(i, &block_bytes(i), 1).unwrap();
+            }
+        }
+        let data_path = dir.path().join(BLOCKS_DATA_FILE);
+        let data = std::fs::read(&data_path).unwrap();
+        assert_eq!(data.len(), 324);
+        let frame9: usize = (0..9).map(|i| 16 + block_bytes(i).len()).sum();
+        for bit in 0..32 {
+            let mut img = data.clone();
+            img[frame9 + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&data_path, &img).unwrap();
+            let err = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "bit {bit}: {err:?}");
+            assert_eq!(std::fs::read(&data_path).unwrap(), img, "bit {bit}");
+        }
+        // Cut in the middle of frame 10, the file is a torn tail again.
+        std::fs::write(&data_path, &data[..data.len() - 5]).unwrap();
+        let bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+        assert_eq!(bf.height(), 10);
+    }
+
+    /// A torn append of block 10 whose payload carries, among its bytes,
+    /// the whole frame that appending block 11 would write: cut anywhere
+    /// inside frame 10 — right after the carried frame too, where that
+    /// frame ends at end-of-file — the file is a torn tail, truncated back
+    /// to block 9.
+    #[test]
+    fn frame_inside_a_torn_payload_is_still_a_torn_tail() {
+        let dir = TestDir::new("bf-torn-nested");
+        let mut carried = 11u64.to_le_bytes().to_vec();
+        carried.extend_from_slice(&block_bytes(11));
+        let mut block10 = b"value:".to_vec();
+        encode_frame_into(&mut block10, &carried);
+        block10.extend_from_slice(b":rest of the block");
+        {
+            let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+            for i in 0..10 {
+                bf.append(i, &block_bytes(i), 1).unwrap();
+            }
+            bf.append(10, &block10, 1).unwrap();
+        }
+        let data_path = dir.path().join(BLOCKS_DATA_FILE);
+        let data = std::fs::read(&data_path).unwrap();
+        let frame10: usize = (0..10).map(|i| 16 + block_bytes(i).len()).sum();
+        let carried_end = frame10 + 16 + 6 + 8 + carried.len();
+        assert_eq!(&data[carried_end - carried.len()..carried_end], carried);
+        for cut in frame10 + 1..data.len() {
+            std::fs::write(&data_path, &data[..cut]).unwrap();
+            let bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never)
+                .unwrap_or_else(|e| panic!("cut at {cut}: {e:?}"));
+            assert_eq!(bf.height(), 10, "cut at {cut}");
+            assert_eq!(
+                std::fs::metadata(&data_path).unwrap().len(),
+                frame10 as u64,
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

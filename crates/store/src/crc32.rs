@@ -97,6 +97,12 @@ pub fn crc32_portable(data: &[u8]) -> u32 {
     !update_sliced(!0, data)
 }
 
+/// [`crc32`] of `prefix` followed by `data`, given `crc` = `crc32(prefix)`:
+/// a running checksum, advanced on the tables.
+pub(crate) fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    !update_sliced(!crc, data)
+}
+
 /// Advance a running (pre-inverted) CRC over `data` with the tables.
 fn update_sliced(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
@@ -232,6 +238,18 @@ mod tests {
             // steps, two single 16-byte folds and an 8-byte tail.
             assert_eq!(body(&long), 0x9A38_DA03, "{name}");
         }
+    }
+
+    #[test]
+    fn extending_a_prefix_is_the_checksum_of_the_whole() {
+        let data = noise(300, 5);
+        let mut running = 0;
+        for (i, &byte) in data.iter().enumerate() {
+            assert_eq!(running, crc32(&data[..i]), "prefix {i}");
+            running = crc32_extend(running, &[byte]);
+        }
+        assert_eq!(running, crc32(&data));
+        assert_eq!(crc32_extend(crc32(&data[..77]), &data[77..]), crc32(&data));
     }
 
     #[test]

@@ -15,14 +15,21 @@
 //! every frame before the torn one and truncates the file back to the last
 //! whole frame — the standard log repair rule (anything after the first bad
 //! frame was never acknowledged as durable, so dropping it is safe). A torn
-//! append can only damage the last frame, so a CRC-bad frame with a whole,
-//! valid frame after it is not a torn tail but **corruption**, which the
-//! scan reports and no caller repairs by truncation.
+//! append can only damage the last frame, so a bad frame — a CRC that
+//! fails, or a length that runs past end-of-file — is not a torn tail but
+//! **corruption** if whole, valid frames run from where it really ends to
+//! end-of-file; the scan reports it and no caller repairs it by truncation.
+//! One damaged field leaves that end in one of two places: where the
+//! length points, if the payload or CRC was damaged, or, if the length
+//! was, where the bytes after the header first match the stored CRC. The
+//! scan looks only there. A torn tail's written prefix may hold frames of
+//! its own (a block carries client-supplied values), but none of them
+//! starts at either place.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_extend};
 
 /// Bytes of framing overhead per record (length + CRC).
 pub const FRAME_HEADER_BYTES: u64 = 8;
@@ -61,8 +68,9 @@ pub struct Scan {
     /// Whether the scan stopped at a bad frame before the end of the file:
     /// a torn tail, unless `corrupt_at` is set.
     pub torn: bool,
-    /// The offset of the bad frame the scan stopped at if a whole, valid
-    /// frame follows it: damage inside the file, not a torn tail.
+    /// The offset of the bad frame the scan stopped at if whole, valid
+    /// frames run from its end to end-of-file: damage inside the file, not
+    /// a torn tail.
     pub corrupt_at: Option<u64>,
 }
 
@@ -87,17 +95,14 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
             break;
         };
         let (len, crc) = decode_header(*header);
-        let Some(payload) = body.get(..len as usize) else {
+        let Some(payload) = body.get(..len as usize).filter(|p| crc32(p) == crc) else {
+            // A header whose length overruns the file or whose CRC fails.
             scan.torn = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            scan.torn = true;
-            if valid_frame_at(&body[payload.len()..]) {
+            if damaged_before_whole_frames(len, crc, body) {
                 scan.corrupt_at = Some(scan.valid_len);
             }
             break;
-        }
+        };
         scan.frames.push(ScannedFrame {
             offset: scan.valid_len,
             payload: payload.to_vec(),
@@ -108,14 +113,32 @@ pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
     Ok(scan)
 }
 
-/// Whether `bytes` start with a whole frame whose CRC matches.
-fn valid_frame_at(bytes: &[u8]) -> bool {
-    let Some((header, body)) = bytes.split_first_chunk() else {
-        return false;
-    };
-    let (len, crc) = decode_header(*header);
-    body.get(..len as usize)
-        .is_some_and(|payload| crc32(payload) == crc)
+/// Whether the frame whose header says `(len, crc)`, followed by `body`,
+/// is a damaged frame with whole, valid frames after it. Its payload ends
+/// either where `len` points or, if `len` is the damaged field, where the
+/// bytes of `body` read so far first match `crc`; one pass over `body`
+/// tries both, and only where one holds are the frames after it checked.
+fn damaged_before_whole_frames(len: u32, crc: u32, body: &[u8]) -> bool {
+    let mut running = crc32(&[]);
+    for (end, &byte) in body.iter().enumerate() {
+        if (end == len as usize || running == crc) && whole_frames(&body[end..]) {
+            return true;
+        }
+        running = crc32_extend(running, &[byte]);
+    }
+    false
+}
+
+/// Whether `bytes` are whole frames whose CRCs match, up to their end.
+fn whole_frames(mut bytes: &[u8]) -> bool {
+    while let Some((header, body)) = bytes.split_first_chunk() {
+        let (len, crc) = decode_header(*header);
+        let Some(payload) = body.get(..len as usize).filter(|p| crc32(p) == crc) else {
+            return false;
+        };
+        bytes = &body[payload.len()..];
+    }
+    bytes.is_empty()
 }
 
 /// A frame header's `(payload length, CRC)`.

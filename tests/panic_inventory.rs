@@ -20,7 +20,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/cluster", 1),
     ("crates/core", 2),
     ("crates/crosschain", 2),
-    ("crates/crypto", 3),
+    ("crates/crypto", 1),
     ("crates/datalog", 1),
     ("crates/fabric", 22),
     ("crates/gateway", 5),
