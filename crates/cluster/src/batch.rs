@@ -43,12 +43,10 @@ impl OrderedBatch {
     pub fn encode(&self) -> Vec<u8> {
         debug_assert_eq!(self.transactions.len(), self.traces.len());
         let mut w = Writer::new();
-        w.u64(self.batch_id);
-        w.u64(self.timestamp_us);
-        w.u32(self.transactions.len() as u32);
-        for tx in &self.transactions {
-            tx.encode_to(&mut w);
-        }
+        w.u64(self.batch_id)
+            .u64(self.timestamp_us)
+            .list(&self.transactions, |w, tx| tx.encode_to(w));
+        // The trace list shares the transaction count.
         for ctx in &self.traces {
             w.u64(ctx.trace_id);
             w.u64(ctx.parent_span);
@@ -61,13 +59,9 @@ impl OrderedBatch {
         let mut r = Reader::new(bytes);
         let batch_id = r.u64()?;
         let timestamp_us = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut transactions = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            transactions.push(Transaction::read_from(&mut r)?);
-        }
-        let mut traces = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
+        let transactions = r.list(Transaction::read_from)?;
+        let mut traces = Vec::with_capacity(transactions.len());
+        for _ in 0..transactions.len() {
             traces.push(TraceContext {
                 trace_id: r.u64()?,
                 parent_span: r.u64()?,

@@ -104,22 +104,14 @@ fn vs_entry_key(view: &str, entry: &str) -> String {
 /// Encode a batch of `(entry_key, value)` pairs for `merge`.
 pub fn encode_merge_entries(entries: &[(String, Vec<u8>)]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(entries.len() as u32);
-    for (k, v) in entries {
+    w.list(entries, |w, (k, v)| {
         w.string(k).bytes(v);
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_merge_entries(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, FabricError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push((r.string()?, r.bytes()?));
-    }
-    r.finish()?;
-    Ok(out)
+    decode_list(bytes, |r| Ok((r.string()?, r.bytes()?)))
 }
 
 fn merge_into(
@@ -150,24 +142,16 @@ pub type MergeBatch = (String, Vec<(String, Vec<u8>)>);
 /// Encode per-view merge batches for `merge_multi`.
 pub fn encode_multi_merge(batches: &[MergeBatch]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(batches.len() as u32);
-    for (view, entries) in batches {
+    w.list(batches, |w, (view, entries)| {
         w.string(view).bytes(&encode_merge_entries(entries));
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_multi_merge(bytes: &[u8]) -> Result<Vec<MergeBatch>, FabricError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let view = r.string()?;
-        let entries = decode_merge_entries(&r.bytes()?)?;
-        out.push((view, entries));
-    }
-    r.finish()?;
-    Ok(out)
+    decode_list(bytes, |r| {
+        Ok((r.string()?, decode_merge_entries(&r.bytes()?)?))
+    })
 }
 
 impl Chaincode for ViewStorageContract {
@@ -267,28 +251,22 @@ pub struct TxListUpdate {
 /// Encode a flush batch.
 pub fn encode_txlist_batch(updates: &[TxListUpdate]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(updates.len() as u32);
-    for u in updates {
+    w.list(updates, |w, u| {
         w.string(&u.view)
             .array(u.tid.0.as_bytes())
             .u64(u.timestamp_us);
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_txlist_batch(bytes: &[u8]) -> Result<Vec<TxListUpdate>, FabricError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(TxListUpdate {
+    decode_list(bytes, |r| {
+        Ok(TxListUpdate {
             view: r.string()?,
             tid: TxId(Digest(r.array::<32>()?)),
             timestamp_us: r.u64()?,
-        });
-    }
-    r.finish()?;
-    Ok(out)
+        })
+    })
 }
 
 impl Chaincode for TxListContract {
@@ -383,9 +361,7 @@ pub fn read_view_txlist(
     let mut out = Vec::new();
     for (_, v) in state.prefix_scan(&prefix) {
         let mut r = Reader::new(&v);
-        let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
-        let ts = r.u64().map_err(ViewError::Fabric)?;
-        out.push((tid, ts));
+        out.push((TxId(Digest(r.array::<32>()?)), r.u64()?));
     }
     Ok(out)
 }
@@ -446,66 +422,56 @@ pub struct AccessEntry {
 /// Encode a `V_access` payload.
 pub fn encode_access_payload(entries: &[AccessEntry]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(entries.len() as u32);
-    for e in entries {
+    w.list(entries, |w, e| {
         w.array(e.recipient.as_bytes()).bytes(&e.sealed_key);
-    }
+    });
     w.into_bytes()
 }
 
 /// Decode a `V_access` payload.
 pub fn decode_access_payload(bytes: &[u8]) -> Result<Vec<AccessEntry>, ViewError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32().map_err(ViewError::Fabric)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(AccessEntry {
-            recipient: PublicKey(r.array::<32>().map_err(ViewError::Fabric)?),
-            sealed_key: r.bytes().map_err(ViewError::Fabric)?,
-        });
-    }
-    r.finish().map_err(ViewError::Fabric)?;
-    Ok(out)
+    Ok(decode_list(bytes, |r| {
+        Ok(AccessEntry {
+            recipient: PublicKey(r.array::<32>()?),
+            sealed_key: r.bytes()?,
+        })
+    })?)
 }
 
-/// Encode a list of strings (role→views) or keys (role→users).
+/// Encode a list of strings (role→views). Keys (role→users) have their
+/// own codec, [`encode_key_list`].
 pub fn encode_string_list(items: &[String]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(items.len() as u32);
-    for s in items {
+    w.list(items, |w, s| {
         w.string(s);
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_string_list(bytes: &[u8]) -> Result<Vec<String>, FabricError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(r.string()?);
-    }
-    r.finish()?;
-    Ok(out)
+    decode_list(bytes, |r| r.string())
 }
 
-/// Encode a list of public keys.
+/// Encode a list of public keys (role→users).
 pub fn encode_key_list(keys: &[PublicKey]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(keys.len() as u32);
-    for k in keys {
+    w.list(keys, |w, k| {
         w.array(k.as_bytes());
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_key_list(bytes: &[u8]) -> Result<Vec<PublicKey>, FabricError> {
+    decode_list(bytes, |r| r.array().map(PublicKey))
+}
+
+/// Decode a payload that is exactly one list (trailing bytes rejected).
+fn decode_list<T>(
+    bytes: &[u8],
+    item: impl FnMut(&mut Reader<'_>) -> Result<T, FabricError>,
+) -> Result<Vec<T>, FabricError> {
     let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(PublicKey(r.array::<32>()?));
-    }
+    let out = r.list(item)?;
     r.finish()?;
     Ok(out)
 }
@@ -595,7 +561,7 @@ pub fn read_role_users(
     let bytes = state
         .get(&rbac_users_key(role))
         .ok_or_else(|| ViewError::UnknownView(format!("role {role}")))?;
-    decode_key_list(&bytes).map_err(ViewError::Fabric)
+    Ok(decode_key_list(&bytes)?)
 }
 
 /// The transparent role→views relation `A_p` entry for a role.
@@ -603,7 +569,7 @@ pub fn read_role_views(state: &dyn VersionedState, role: &str) -> Result<Vec<Str
     let bytes = state
         .get(&rbac_views_key(role))
         .ok_or_else(|| ViewError::UnknownView(format!("role {role}")))?;
-    decode_string_list(&bytes).map_err(ViewError::Fabric)
+    Ok(decode_string_list(&bytes)?)
 }
 
 /// The public key registered for a role.
@@ -624,6 +590,8 @@ mod tests {
     use fabric_sim::identity::OrgId;
     use fabric_sim::FabricChain;
     use ledgerview_crypto::rng::seeded;
+
+    use crate::testutil::{assert_hostile_rejected, assert_pinned, lying_count};
 
     fn chain() -> (FabricChain, fabric_sim::Identity) {
         let mut rng = seeded(1);
@@ -921,5 +889,91 @@ mod tests {
         assert!(chain
             .invoke(&alice, INVOKE_CC, "nonexistent", vec![], &mut rng)
             .is_err());
+    }
+
+    fn merge_entries() -> Vec<(String, Vec<u8>)> {
+        vec![
+            ("0000000000000000".into(), b"sealed entry zero".to_vec()),
+            ("0000000000000001".into(), vec![]),
+        ]
+    }
+
+    #[test]
+    fn merge_batch_golden() {
+        let entries = merge_entries();
+        let bytes = encode_merge_entries(&entries);
+        assert_pinned(
+            &bytes,
+            69,
+            "69f35bc7dda8d4e77795ea70e1fd953ef3d73123be5bea537cdf6ed95980e9f5",
+        );
+        assert_eq!(decode_merge_entries(&bytes).unwrap(), entries);
+        assert_hostile_rejected(&bytes, lying_count, decode_merge_entries);
+    }
+
+    #[test]
+    fn multi_merge_golden() {
+        let batches = vec![
+            ("V_W1".to_string(), merge_entries()),
+            ("V_W2".to_string(), vec![]),
+        ];
+        let bytes = encode_multi_merge(&batches);
+        assert_pinned(
+            &bytes,
+            101,
+            "f09ff692c9bf769f04a0006f8f4eb8a905a693eba1fd3d276ea5c46f4aeab612",
+        );
+        assert_eq!(decode_multi_merge(&bytes).unwrap(), batches);
+        assert_hostile_rejected(&bytes, lying_count, decode_multi_merge);
+    }
+
+    #[test]
+    fn txlist_batch_golden() {
+        let updates = vec![
+            TxListUpdate {
+                view: "V_W1".into(),
+                tid: TxId(Digest([0xa1; 32])),
+                timestamp_us: 1_000,
+            },
+            TxListUpdate {
+                view: "V_M2".into(),
+                tid: TxId(Digest([0xb2; 32])),
+                timestamp_us: 2_000,
+            },
+        ];
+        let bytes = encode_txlist_batch(&updates);
+        assert_pinned(
+            &bytes,
+            100,
+            "e44920c9303418bbf773e9d335f9fa0ffd7dacf641fd57a5b7e44f79ca5a9219",
+        );
+        assert_eq!(decode_txlist_batch(&bytes).unwrap(), updates);
+        assert_hostile_rejected(&bytes, lying_count, decode_txlist_batch);
+    }
+
+    #[test]
+    fn string_list_golden() {
+        let items = vec!["records".to_string(), String::new(), "prescriptions".into()];
+        let bytes = encode_string_list(&items);
+        assert_pinned(
+            &bytes,
+            36,
+            "e492bf4b2f5420babe50afdbd1fb4534af0bb31b6cf1eb063552743c0510715b",
+        );
+        assert_eq!(decode_string_list(&bytes).unwrap(), items);
+        assert_hostile_rejected(&bytes, lying_count, decode_string_list);
+    }
+
+    #[test]
+    fn key_list_golden() {
+        let keys = vec![PublicKey([0x31; 32]), PublicKey([0x32; 32])];
+        let bytes = encode_key_list(&keys);
+        assert_pinned(
+            &bytes,
+            68,
+            "b89973ccaf2f5d5ae73bbb13f8c4c1823f2dc042645d39ebe46676882d83b388",
+        );
+        assert_eq!(decode_key_list(&bytes).unwrap(), keys);
+        assert_hostile_rejected(&bytes, lying_count, decode_key_list);
     }
 }

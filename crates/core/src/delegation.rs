@@ -48,57 +48,32 @@ pub struct OwnerState {
 impl OwnerState {
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.string(&self.view);
-        w.u8(match self.scheme {
-            SchemeKind::Encryption => 0,
-            SchemeKind::Hash => 1,
-        });
-        w.u8(match self.mode {
-            AccessMode::Revocable => 0,
-            AccessMode::Irrevocable => 1,
-        });
-        w.bytes(&self.definition.to_bytes());
-        w.array(self.key.as_bytes());
-        w.u32(self.members.len() as u32);
-        for m in &self.members {
-            w.array(m.as_bytes());
-        }
-        w.u32(self.records.len() as u32);
-        for (tid, payload) in &self.records {
-            w.array(tid.0.as_bytes()).bytes(payload);
-        }
-        w.u64(self.merge_seq);
+        w.string(&self.view)
+            .u8(self.scheme.tag())
+            .u8(self.mode.tag())
+            .bytes(&self.definition.to_bytes())
+            .array(self.key.as_bytes())
+            .list(&self.members, |w, m| {
+                w.array(m.as_bytes());
+            })
+            .list(&self.records, |w, (tid, payload)| {
+                w.array(tid.0.as_bytes()).bytes(payload);
+            })
+            .u64(self.merge_seq);
         w.into_bytes()
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<OwnerState, ViewError> {
         let mut r = Reader::new(bytes);
-        let view = r.string().map_err(ViewError::Fabric)?;
-        let scheme = match r.u8().map_err(ViewError::Fabric)? {
-            0 => SchemeKind::Encryption,
-            1 => SchemeKind::Hash,
-            _ => return Err(ViewError::Malformed("bad scheme tag".into())),
-        };
-        let mode = match r.u8().map_err(ViewError::Fabric)? {
-            0 => AccessMode::Revocable,
-            1 => AccessMode::Irrevocable,
-            _ => return Err(ViewError::Malformed("bad mode tag".into())),
-        };
-        let definition = ViewDefinition::from_bytes(&r.bytes().map_err(ViewError::Fabric)?)?;
-        let key = SymmetricKey::from_bytes(r.array::<32>().map_err(ViewError::Fabric)?);
-        let n_members = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut members = Vec::with_capacity(n_members.min(1 << 16));
-        for _ in 0..n_members {
-            members.push(PublicKey(r.array::<32>().map_err(ViewError::Fabric)?));
-        }
-        let n_records = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut records = Vec::with_capacity(n_records.min(1 << 20));
-        for _ in 0..n_records {
-            let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
-            records.push((tid, r.bytes().map_err(ViewError::Fabric)?));
-        }
-        let merge_seq = r.u64().map_err(ViewError::Fabric)?;
-        r.finish().map_err(ViewError::Fabric)?;
+        let view = r.string()?;
+        let scheme = SchemeKind::from_tag(r.u8()?)?;
+        let mode = AccessMode::from_tag(r.u8()?)?;
+        let definition = ViewDefinition::from_bytes(&r.bytes()?)?;
+        let key = SymmetricKey::from_bytes(r.array::<32>()?);
+        let members = r.list(|r| r.array().map(PublicKey))?;
+        let records = r.list(|r| Ok::<_, ViewError>((TxId(Digest(r.array()?)), r.bytes()?)))?;
+        let merge_seq = r.u64()?;
+        r.finish()?;
         Ok(OwnerState {
             view,
             scheme,
@@ -302,5 +277,40 @@ mod tests {
         assert_eq!(decoded.records, state.records);
         assert_eq!(decoded.merge_seq, 7);
         assert!(OwnerState::from_bytes(&state.to_bytes()[..10]).is_err());
+    }
+
+    #[test]
+    fn owner_state_golden() {
+        let state = OwnerState {
+            view: "V_W1".into(),
+            scheme: SchemeKind::Hash,
+            mode: AccessMode::Revocable,
+            definition: ViewDefinition::PerTx(ViewPredicate::touches_entity("W1")),
+            key: SymmetricKey::from_bytes([0x5a; 32]),
+            members: vec![PublicKey([0x61; 32]), PublicKey([0x62; 32])],
+            records: vec![
+                (TxId(Digest([0x71; 32])), b"secret one".to_vec()),
+                (TxId(Digest([0x72; 32])), vec![]),
+            ],
+            merge_seq: 3,
+        };
+        let bytes = state.to_bytes();
+        crate::testutil::assert_pinned(
+            &bytes,
+            263,
+            "ab110304f3a872ec305199d8814bf029b5548301ed4dfb5a0033d3c2321d96dd",
+        );
+        let decoded = OwnerState::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded.to_bytes(), bytes);
+        assert_eq!(decoded.records, state.records);
+        let lying = |w: &mut Writer| {
+            w.string(&state.view)
+                .u8(1)
+                .u8(0)
+                .bytes(&state.definition.to_bytes())
+                .array(state.key.as_bytes());
+            crate::testutil::lying_count(w);
+        };
+        crate::testutil::assert_hostile_rejected(&bytes, lying, OwnerState::from_bytes);
     }
 }

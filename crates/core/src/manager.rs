@@ -42,6 +42,25 @@ pub enum AccessMode {
     Irrevocable,
 }
 
+impl AccessMode {
+    /// The mode's byte in query responses and exported owner state.
+    pub fn tag(self) -> u8 {
+        match self {
+            AccessMode::Revocable => 0,
+            AccessMode::Irrevocable => 1,
+        }
+    }
+
+    /// Inverse of [`AccessMode::tag`].
+    pub fn from_tag(tag: u8) -> Result<AccessMode, ViewError> {
+        match tag {
+            0 => Ok(AccessMode::Revocable),
+            1 => Ok(AccessMode::Irrevocable),
+            _ => Err(ViewError::Malformed("bad mode tag".into())),
+        }
+    }
+}
+
 /// Which concealment scheme a manager uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchemeKind {
@@ -49,6 +68,25 @@ pub enum SchemeKind {
     Encryption,
     /// Only salted hashes on-chain; views carry the secret values.
     Hash,
+}
+
+impl SchemeKind {
+    /// The scheme's byte in query responses and exported owner state.
+    pub fn tag(self) -> u8 {
+        match self {
+            SchemeKind::Encryption => 0,
+            SchemeKind::Hash => 1,
+        }
+    }
+
+    /// Inverse of [`SchemeKind::tag`].
+    pub fn from_tag(tag: u8) -> Result<SchemeKind, ViewError> {
+        match tag {
+            0 => Ok(SchemeKind::Encryption),
+            1 => Ok(SchemeKind::Hash),
+            _ => Err(ViewError::Malformed("bad scheme tag".into())),
+        }
+    }
 }
 
 /// A concealment scheme: how `ProcessSecret` conceals, what the owner
@@ -156,18 +194,11 @@ pub(crate) fn encode_response(
     entries: &[(TxId, Vec<u8>)],
 ) -> Vec<u8> {
     let mut w = fabric_sim::wire::Writer::new();
-    w.u8(match kind {
-        SchemeKind::Encryption => 0,
-        SchemeKind::Hash => 1,
-    });
-    w.u8(match mode {
-        AccessMode::Revocable => 0,
-        AccessMode::Irrevocable => 1,
-    });
-    w.u32(entries.len() as u32);
-    for (tid, enc) in entries {
-        w.array(tid.0.as_bytes()).bytes(enc);
-    }
+    w.u8(kind.tag())
+        .u8(mode.tag())
+        .list(entries, |w, (tid, enc)| {
+            w.array(tid.0.as_bytes()).bytes(enc);
+        });
     w.into_bytes()
 }
 

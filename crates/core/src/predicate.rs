@@ -13,6 +13,9 @@ use fabric_sim::FabricError;
 use crate::error::ViewError;
 use crate::txmodel::{AttrValue, NonSecret};
 
+/// How deeply `Not`, `And` and `Or` may nest in a decoded predicate.
+pub const MAX_PREDICATE_DEPTH: usize = 64;
+
 /// A serializable predicate over the non-secret part.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViewPredicate {
@@ -96,16 +99,10 @@ impl ViewPredicate {
                 w.u8(3).string(k).u64(*b as u64);
             }
             ViewPredicate::And(ps) => {
-                w.u8(4).u32(ps.len() as u32);
-                for p in ps {
-                    p.encode(w);
-                }
+                w.u8(4).list(ps, |w, p| p.encode(w));
             }
             ViewPredicate::Or(ps) => {
-                w.u8(5).u32(ps.len() as u32);
-                for p in ps {
-                    p.encode(w);
-                }
+                w.u8(5).list(ps, |w, p| p.encode(w));
             }
             ViewPredicate::Not(p) => {
                 w.u8(6);
@@ -114,16 +111,26 @@ impl ViewPredicate {
         }
     }
 
-    /// Decode from canonical bytes.
+    /// Decode from canonical bytes. Nesting deeper than
+    /// [`MAX_PREDICATE_DEPTH`] is malformed: predicate bytes come from
+    /// the chain, and an unbounded recursion would let a small definition
+    /// overflow every verifier's stack.
     pub fn from_bytes(bytes: &[u8]) -> Result<ViewPredicate, ViewError> {
         let mut r = Reader::new(bytes);
-        let p = Self::decode(&mut r).map_err(ViewError::Fabric)?;
-        r.finish().map_err(ViewError::Fabric)?;
+        let p = Self::decode(&mut r, MAX_PREDICATE_DEPTH)?;
+        r.finish()?;
         Ok(p)
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<ViewPredicate, FabricError> {
-        Ok(match r.u8()? {
+    /// Decode one predicate whose `Not`/`And`/`Or` may nest `depth` more
+    /// levels.
+    fn decode(r: &mut Reader<'_>, depth: usize) -> Result<ViewPredicate, FabricError> {
+        let tag = r.u8()?;
+        if matches!(tag, 4..=6) && depth == 0 {
+            return Err(FabricError::Malformed("predicate nested too deep".into()));
+        }
+        let inner = |r: &mut Reader<'_>| Self::decode(r, depth - 1);
+        Ok(match tag {
             0 => ViewPredicate::True,
             1 => {
                 let k = r.string()?;
@@ -136,15 +143,9 @@ impl ViewPredicate {
             }
             2 => ViewPredicate::AttrExists(r.string()?),
             3 => ViewPredicate::AttrAtLeast(r.string()?, r.u64()? as i64),
-            4 => {
-                let n = r.u32()? as usize;
-                ViewPredicate::And((0..n).map(|_| Self::decode(r)).collect::<Result<_, _>>()?)
-            }
-            5 => {
-                let n = r.u32()? as usize;
-                ViewPredicate::Or((0..n).map(|_| Self::decode(r)).collect::<Result<_, _>>()?)
-            }
-            6 => ViewPredicate::Not(Box::new(Self::decode(r)?)),
+            4 => ViewPredicate::And(r.list(inner)?),
+            5 => ViewPredicate::Or(r.list(inner)?),
+            6 => ViewPredicate::Not(Box::new(inner(r)?)),
             _ => return Err(FabricError::Malformed("bad predicate tag".into())),
         })
     }
@@ -189,22 +190,18 @@ impl ViewDefinition {
     /// Decode from canonical bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<ViewDefinition, ViewError> {
         let mut r = Reader::new(bytes);
-        let def = match r.u8().map_err(ViewError::Fabric)? {
-            0 => {
-                let p = r.bytes().map_err(ViewError::Fabric)?;
-                ViewDefinition::PerTx(ViewPredicate::from_bytes(&p)?)
-            }
+        let def = match r.u8()? {
+            0 => ViewDefinition::PerTx(ViewPredicate::from_bytes(&r.bytes()?)?),
             1 => {
-                let query = r.string().map_err(ViewError::Fabric)?;
-                let p = r.bytes().map_err(ViewError::Fabric)?;
+                let query = r.string()?;
                 ViewDefinition::Recursive {
-                    program: decode_program(&p)?,
+                    program: decode_program(&r.bytes()?)?,
                     query,
                 }
             }
             _ => return Err(ViewError::Malformed("bad definition tag".into())),
         };
-        r.finish().map_err(ViewError::Fabric)?;
+        r.finish()?;
         Ok(def)
     }
 
@@ -221,64 +218,49 @@ impl ViewDefinition {
 /// Serialize a datalog program canonically.
 pub fn encode_program(program: &ledgerview_datalog::Program) -> Vec<u8> {
     use ledgerview_datalog::{Term, Value};
-    let mut w = Writer::new();
-    w.u32(program.rules.len() as u32);
     let write_atom = |w: &mut Writer, atom: &ledgerview_datalog::Atom| {
-        w.string(&atom.relation).u32(atom.terms.len() as u32);
-        for t in &atom.terms {
-            match t {
-                Term::Var(v) => {
-                    w.u8(0).string(v);
-                }
-                Term::Const(Value::Str(s)) => {
-                    w.u8(1).string(s);
-                }
-                Term::Const(Value::Int(i)) => {
-                    w.u8(2).u64(*i as u64);
-                }
+        w.string(&atom.relation).list(&atom.terms, |w, t| match t {
+            Term::Var(v) => {
+                w.u8(0).string(v);
             }
-        }
+            Term::Const(Value::Str(s)) => {
+                w.u8(1).string(s);
+            }
+            Term::Const(Value::Int(i)) => {
+                w.u8(2).u64(*i as u64);
+            }
+        });
     };
-    for rule in &program.rules {
-        write_atom(&mut w, &rule.head);
-        w.u32(rule.body.len() as u32);
-        for atom in &rule.body {
-            write_atom(&mut w, atom);
-        }
-    }
+    let mut w = Writer::new();
+    w.list(&program.rules, |w, rule| {
+        write_atom(w, &rule.head);
+        w.list(&rule.body, write_atom);
+    });
     w.into_bytes()
 }
 
 /// Decode a datalog program.
 pub fn decode_program(bytes: &[u8]) -> Result<ledgerview_datalog::Program, ViewError> {
     use ledgerview_datalog::{Atom, Program, Rule, Term, Value};
-    let mut r = Reader::new(bytes);
     let read_atom = |r: &mut Reader<'_>| -> Result<Atom, FabricError> {
         let relation = r.string()?;
-        let n = r.u32()? as usize;
-        let mut terms = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            terms.push(match r.u8()? {
-                0 => Term::Var(r.string()?),
-                1 => Term::Const(Value::Str(r.string()?)),
-                2 => Term::Const(Value::Int(r.u64()? as i64)),
-                _ => return Err(FabricError::Malformed("bad term tag".into())),
-            });
-        }
+        let terms = r.list(|r| match r.u8()? {
+            0 => Ok(Term::Var(r.string()?)),
+            1 => Ok(Term::Const(Value::Str(r.string()?))),
+            2 => Ok(Term::Const(Value::Int(r.u64()? as i64))),
+            _ => Err(FabricError::Malformed("bad term tag".into())),
+        })?;
         Ok(Atom { relation, terms })
     };
-    let n_rules = r.u32().map_err(ViewError::Fabric)? as usize;
-    let mut rules = Vec::with_capacity(n_rules.min(1 << 12));
-    for _ in 0..n_rules {
-        let head = read_atom(&mut r).map_err(ViewError::Fabric)?;
-        let n_body = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut body = Vec::with_capacity(n_body.min(64));
-        for _ in 0..n_body {
-            body.push(read_atom(&mut r).map_err(ViewError::Fabric)?);
-        }
-        rules.push(Rule { head, body });
-    }
-    r.finish().map_err(ViewError::Fabric)?;
+    let mut r = Reader::new(bytes);
+    let rules = r.list(|r| {
+        let head = read_atom(r)?;
+        Ok::<_, FabricError>(Rule {
+            head,
+            body: r.list(read_atom)?,
+        })
+    })?;
+    r.finish()?;
     Ok(Program { rules })
 }
 
@@ -457,6 +439,29 @@ mod tests {
         assert!(ViewDefinition::from_bytes(&[]).is_err());
         assert!(ViewDefinition::from_bytes(&[9]).is_err());
         assert!(decode_program(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_malformed() {
+        // 100 000 nested `Not`s, then `True`: rejected at the limit, not
+        // by overflowing the stack on the way down.
+        let mut nots = vec![6u8; 100_000];
+        nots.push(0);
+        let mut ands = [4u8, 0, 0, 0, 1].repeat(100_000);
+        ands.push(0);
+        for bytes in [nots, ands] {
+            assert!(matches!(
+                ViewPredicate::from_bytes(&bytes),
+                Err(ViewError::Fabric(FabricError::Malformed(_)))
+            ));
+        }
+        let mut p = ViewPredicate::True;
+        for _ in 0..MAX_PREDICATE_DEPTH {
+            p = ViewPredicate::Not(Box::new(p));
+        }
+        assert_eq!(ViewPredicate::from_bytes(&p.to_bytes()).unwrap(), p);
+        let deeper = ViewPredicate::Or(vec![p]);
+        assert!(ViewPredicate::from_bytes(&deeper.to_bytes()).is_err());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use fabric_sim::identity::Identity;
 use fabric_sim::statedb::VersionedState;
-use fabric_sim::wire::{Reader, Writer};
 use fabric_sim::FabricChain;
 use ledgerview_crypto::keys::{EncryptionKeyPair, PublicKey};
 use rand::RngCore;
@@ -228,53 +227,6 @@ pub fn all_roles(state: &dyn VersionedState) -> Vec<String> {
         .collect()
 }
 
-/// Canonical serialization of the join result, convenient for audits.
-pub fn encode_access_matrix(state: &dyn VersionedState) -> Vec<u8> {
-    let mut w = Writer::new();
-    let roles = all_roles(state);
-    w.u32(roles.len() as u32);
-    for role in roles {
-        w.string(&role);
-        let users = contracts::read_role_users(state, &role).unwrap_or_default();
-        w.u32(users.len() as u32);
-        for u in users {
-            w.array(u.as_bytes());
-        }
-        let views = contracts::read_role_views(state, &role).unwrap_or_default();
-        w.u32(views.len() as u32);
-        for v in views {
-            w.string(&v);
-        }
-    }
-    w.into_bytes()
-}
-
-/// One audit-matrix row: `(role, member public keys, readable views)`.
-pub type AccessMatrixRow = (String, Vec<PublicKey>, Vec<String>);
-
-/// Decode the audit matrix produced by [`encode_access_matrix`].
-pub fn decode_access_matrix(bytes: &[u8]) -> Result<Vec<AccessMatrixRow>, ViewError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32().map_err(ViewError::Fabric)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let role = r.string().map_err(ViewError::Fabric)?;
-        let nu = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut users = Vec::with_capacity(nu.min(1 << 16));
-        for _ in 0..nu {
-            users.push(PublicKey(r.array::<32>().map_err(ViewError::Fabric)?));
-        }
-        let nv = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut views = Vec::with_capacity(nv.min(1 << 16));
-        for _ in 0..nv {
-            views.push(r.string().map_err(ViewError::Fabric)?);
-        }
-        out.push((role, users, views));
-    }
-    r.finish().map_err(ViewError::Fabric)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,9 +304,6 @@ mod tests {
             views_of_user(chain.state(), &bob),
             vec!["records".to_string()]
         );
-
-        let matrix = decode_access_matrix(&encode_access_matrix(chain.state())).unwrap();
-        assert_eq!(matrix.len(), 2);
     }
 
     #[test]
@@ -439,9 +388,5 @@ mod tests {
         assert!(users_with_access(chain.state(), "v").is_empty());
         let user = EncryptionKeyPair::generate(&mut seeded(44)).public();
         assert!(views_of_user(chain.state(), &user).is_empty());
-        assert_eq!(
-            decode_access_matrix(&encode_access_matrix(chain.state())).unwrap(),
-            vec![]
-        );
     }
 }

@@ -112,25 +112,14 @@ impl ViewReader {
         let outer = ledgerview_crypto::open(&self.keypair, &response.sealed)?;
         let kv = AeadKey::new(kv.as_bytes());
         let mut r = WireReader::new(&outer);
-        let scheme = match r.u8().map_err(ViewError::Fabric)? {
-            0 => SchemeKind::Encryption,
-            1 => SchemeKind::Hash,
-            _ => return Err(ViewError::Malformed("bad scheme tag".into())),
-        };
-        let mode = match r.u8().map_err(ViewError::Fabric)? {
-            0 => AccessMode::Revocable,
-            1 => AccessMode::Irrevocable,
-            _ => return Err(ViewError::Malformed("bad mode tag".into())),
-        };
-        let n = r.u32().map_err(ViewError::Fabric)? as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
-            let enc = r.bytes().map_err(ViewError::Fabric)?;
-            let payload = kv.open(&enc, tid.0.as_bytes())?;
-            entries.push((tid, payload));
-        }
-        r.finish().map_err(ViewError::Fabric)?;
+        let scheme = SchemeKind::from_tag(r.u8()?)?;
+        let mode = AccessMode::from_tag(r.u8()?)?;
+        let entries = r.list(|r| {
+            let tid = TxId(Digest(r.array()?));
+            let payload = kv.open(&r.bytes()?, tid.0.as_bytes())?;
+            Ok::<_, ViewError>((tid, payload))
+        })?;
+        r.finish()?;
         Ok(DecodedResponse {
             scheme,
             mode,
@@ -156,9 +145,9 @@ impl ViewReader {
         let mut entries = Vec::new();
         for (_, value) in contracts::read_view_storage(chain.state(), view) {
             let mut r = WireReader::new(&value);
-            let tid = TxId(Digest(r.array::<32>().map_err(ViewError::Fabric)?));
-            let enc = r.bytes().map_err(ViewError::Fabric)?;
-            r.finish().map_err(ViewError::Fabric)?;
+            let tid = TxId(Digest(r.array::<32>()?));
+            let enc = r.bytes()?;
+            r.finish()?;
             let payload = kv.open(&enc, tid.0.as_bytes())?;
             entries.push((tid, payload));
         }
@@ -497,5 +486,52 @@ mod tests {
         eve.install_view_key("V", *mgr.view_key("V").unwrap());
         // Even knowing K_V (say, leaked), the outer seal is to bob.
         assert!(eve.decode_response("V", &resp).is_err());
+    }
+
+    #[test]
+    fn query_response_golden() {
+        use crate::manager::encode_response;
+        use crate::testutil::{assert_hostile_rejected, assert_pinned, lying_count};
+        use fabric_sim::wire::Writer;
+        use ledgerview_crypto::aead;
+
+        let mut rng = seeded(0x901d);
+        let reader_kp = EncryptionKeyPair::generate(&mut rng);
+        let kv = SymmetricKey::from_bytes([0x4b; 32]);
+        let entries: Vec<(TxId, Vec<u8>)> = [(0x81u8, &b"k_i of the first"[..]), (0x82, b"")]
+            .iter()
+            .map(|&(fill, payload)| {
+                let tid = TxId(Digest([fill; 32]));
+                let enc = aead::seal_sym_aad(kv.as_bytes(), &mut rng, payload, tid.0.as_bytes());
+                (tid, enc)
+            })
+            .collect();
+        let bytes = encode_response(SchemeKind::Hash, AccessMode::Irrevocable, &entries);
+        assert_pinned(
+            &bytes,
+            190,
+            "62b7d8bf93a6e52ebf4687fb9d32540ff2bdcfbc2336cda3ba4f5f637d0d0484",
+        );
+
+        let mut reader = ViewReader::new(reader_kp);
+        reader.install_view_key("V", kv);
+        let public = reader.public();
+        let decode = |plain: &[u8]| {
+            let mut rng = seeded(0x901e);
+            let sealed = ledgerview_crypto::seal(&public, &mut rng, plain);
+            reader.decode_response("V", &QueryResponse { sealed })
+        };
+        let decoded = decode(&bytes).unwrap();
+        assert_eq!(
+            (decoded.scheme, decoded.mode),
+            (SchemeKind::Hash, AccessMode::Irrevocable)
+        );
+        let payloads: Vec<&[u8]> = decoded.entries.iter().map(|(_, p)| p.as_slice()).collect();
+        assert_eq!(payloads, [&b"k_i of the first"[..], b""]);
+        let lying = |w: &mut Writer| {
+            w.u8(1).u8(1);
+            lying_count(w);
+        };
+        assert_hostile_rejected(&bytes, lying, decode);
     }
 }

@@ -51,8 +51,7 @@ pub type NonSecret = BTreeMap<String, AttrValue>;
 /// Encode a non-secret part canonically.
 pub fn encode_non_secret(ns: &NonSecret) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(ns.len() as u32);
-    for (k, v) in ns {
+    w.list(ns, |w, (k, v)| {
         w.string(k);
         match v {
             AttrValue::Str(s) => {
@@ -62,24 +61,21 @@ pub fn encode_non_secret(ns: &NonSecret) -> Vec<u8> {
                 w.u8(1).u64(*i as u64);
             }
         }
-    }
+    });
     w.into_bytes()
 }
 
 fn decode_non_secret(r: &mut Reader<'_>) -> Result<NonSecret, FabricError> {
-    let n = r.u32()? as usize;
-    let mut ns = NonSecret::new();
-    for _ in 0..n {
+    let attrs = r.list(|r| {
         let key = r.string()?;
-        let tag = r.u8()?;
-        let value = match tag {
+        let value = match r.u8()? {
             0 => AttrValue::Str(r.string()?),
             1 => AttrValue::Int(r.u64()? as i64),
             _ => return Err(FabricError::Malformed("bad attr tag".into())),
         };
-        ns.insert(key, value);
-    }
-    Ok(ns)
+        Ok((key, value))
+    })?;
+    Ok(attrs.into_iter().collect())
 }
 
 /// A transaction as the client composes it, before concealment.
@@ -147,21 +143,18 @@ impl StoredTransaction {
     /// Decode from state bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoredTransaction, ViewError> {
         let mut r = Reader::new(bytes);
-        let ns_bytes = r.bytes().map_err(ViewError::Fabric)?;
-        let mut ns_reader = Reader::new(&ns_bytes);
-        let non_secret = decode_non_secret(&mut ns_reader).map_err(ViewError::Fabric)?;
-        let tag = r.u8().map_err(ViewError::Fabric)?;
-        let concealed = match tag {
+        let non_secret = decode_non_secret(&mut Reader::new(&r.bytes()?))?;
+        let concealed = match r.u8()? {
             0 => Concealed::Encrypted {
-                ciphertext: r.bytes().map_err(ViewError::Fabric)?,
+                ciphertext: r.bytes()?,
             },
             1 => Concealed::Hashed {
-                salt: r.array::<16>().map_err(ViewError::Fabric)?,
-                digest: Digest(r.array::<32>().map_err(ViewError::Fabric)?),
+                salt: r.array::<16>()?,
+                digest: Digest(r.array::<32>()?),
             },
             _ => return Err(ViewError::Malformed("bad concealment tag".into())),
         };
-        r.finish().map_err(ViewError::Fabric)?;
+        r.finish()?;
         Ok(StoredTransaction {
             non_secret,
             concealed,
@@ -325,5 +318,19 @@ mod tests {
             encode_non_secret(&a.non_secret),
             encode_non_secret(&b.non_secret)
         );
+    }
+
+    #[test]
+    fn non_secret_golden() {
+        let ns = sample_tx().non_secret;
+        let bytes = encode_non_secret(&ns);
+        crate::testutil::assert_pinned(
+            &bytes,
+            90,
+            "934a44f29ca23ad655e88fdf8800c1179daf49bbd17a9fefdf44be3b9f7c72dd",
+        );
+        let decode = |b: &[u8]| decode_non_secret(&mut Reader::new(b));
+        assert_eq!(decode(&bytes).unwrap(), ns);
+        crate::testutil::assert_hostile_rejected(&bytes, crate::testutil::lying_count, decode);
     }
 }

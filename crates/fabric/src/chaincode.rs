@@ -68,8 +68,7 @@ impl RwSet {
 
     /// Append the canonical bytes to an open writer (no copy).
     pub fn write_to(&self, w: &mut Writer) {
-        w.u32(self.reads.len() as u32);
-        for r in &self.reads {
+        w.list(&self.reads, |w, r| {
             w.string(&r.key);
             match r.version {
                 Some(v) => {
@@ -79,9 +78,8 @@ impl RwSet {
                     w.u8(0);
                 }
             }
-        }
-        w.u32(self.writes.len() as u32);
-        for wr in &self.writes {
+        })
+        .list(&self.writes, |w, wr| {
             w.string(&wr.key);
             match &wr.value {
                 Some(v) => {
@@ -91,13 +89,12 @@ impl RwSet {
                     w.u8(0);
                 }
             }
-        }
-        w.u32(self.private_writes.len() as u32);
-        for pw in &self.private_writes {
+        })
+        .list(&self.private_writes, |w, pw| {
             w.string(&pw.collection)
                 .string(&pw.key)
                 .array(pw.value_hash.as_bytes());
-        }
+        });
     }
 
     /// Digest of the canonical bytes.
@@ -115,9 +112,7 @@ impl RwSet {
 
     /// Decode from an open reader (for embedding in larger messages).
     pub fn read_from(r: &mut crate::wire::Reader<'_>) -> Result<RwSet, FabricError> {
-        let n_reads = r.u32()? as usize;
-        let mut reads = Vec::with_capacity(n_reads.min(1 << 16));
-        for _ in 0..n_reads {
+        let reads = r.list(|r| {
             let key = r.string()?;
             let version = match r.u8()? {
                 0 => None,
@@ -131,28 +126,24 @@ impl RwSet {
                     )))
                 }
             };
-            reads.push(ReadEntry { key, version });
-        }
-        let n_writes = r.u32()? as usize;
-        let mut writes = Vec::with_capacity(n_writes.min(1 << 16));
-        for _ in 0..n_writes {
+            Ok(ReadEntry { key, version })
+        })?;
+        let writes = r.list(|r| {
             let key = r.string()?;
             let value = match r.u8()? {
                 0 => None,
                 1 => Some(r.bytes()?),
                 tag => return Err(FabricError::Malformed(format!("bad write-value tag {tag}"))),
             };
-            writes.push(WriteEntry { key, value });
-        }
-        let n_private = r.u32()? as usize;
-        let mut private_writes = Vec::with_capacity(n_private.min(1 << 16));
-        for _ in 0..n_private {
-            private_writes.push(PrivateWriteEntry {
+            Ok(WriteEntry { key, value })
+        })?;
+        let private_writes = r.list(|r| {
+            Ok::<_, FabricError>(PrivateWriteEntry {
                 collection: r.string()?,
                 key: r.string()?,
                 value_hash: Digest(r.array::<32>()?),
-            });
-        }
+            })
+        })?;
         Ok(RwSet {
             reads,
             writes,

@@ -54,13 +54,13 @@ impl Proposal {
     /// Canonical proposal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.string(&self.chaincode).string(&self.function);
-        w.u32(self.args.len() as u32);
-        for a in &self.args {
-            w.bytes(a);
-        }
-        w.bytes(&self.creator.to_signed_bytes());
-        w.array(&self.nonce);
+        w.string(&self.chaincode)
+            .string(&self.function)
+            .list(&self.args, |w, a| {
+                w.bytes(a);
+            })
+            .nested(|w| self.creator.write_signed_to(w))
+            .array(&self.nonce);
         w.into_bytes()
     }
 

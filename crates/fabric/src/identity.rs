@@ -56,11 +56,16 @@ impl Certificate {
     /// The bytes the CA signs.
     pub fn to_signed_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write_signed_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Append the bytes the CA signs to an open writer (no copy).
+    pub fn write_signed_to(&self, w: &mut Writer) {
         w.string(&self.subject)
             .string(&self.org.0)
             .array(&self.signing_pub)
             .array(self.encryption_pub.as_bytes());
-        w.into_bytes()
     }
 
     /// Full wire encoding: the signed bytes plus the CA signature.
@@ -70,13 +75,11 @@ impl Certificate {
         w.into_bytes()
     }
 
-    /// Append the full wire encoding to an open writer (no copy).
+    /// Append the full wire encoding to an open writer (no copy): the
+    /// signed bytes, then the CA signature.
     pub fn write_to(&self, w: &mut Writer) {
-        w.string(&self.subject)
-            .string(&self.org.0)
-            .array(&self.signing_pub)
-            .array(self.encryption_pub.as_bytes())
-            .array(&self.ca_signature);
+        self.write_signed_to(w);
+        w.array(&self.ca_signature);
     }
 
     /// Decode the wire encoding produced by [`Certificate::to_bytes`].

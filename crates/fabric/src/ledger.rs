@@ -75,24 +75,11 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Canonical bytes for hashing into the block's data root.
+    /// Canonical bytes for hashing into the block's data root: the wire
+    /// form with each certificate's CA signature left out.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.array(self.tx_id.0.as_bytes())
-            .string(&self.chaincode)
-            .string(&self.function);
-        w.u32(self.args.len() as u32);
-        for a in &self.args {
-            w.bytes(a);
-        }
-        w.bytes(&self.creator.to_signed_bytes());
-        w.bytes(&self.rwset.to_bytes());
-        w.bytes(&self.response);
-        w.u32(self.endorsements.len() as u32);
-        for e in &self.endorsements {
-            w.bytes(&e.endorser.to_signed_bytes());
-            w.array(&e.signature);
-        }
+        self.write_fields(&mut w, Certificate::write_signed_to);
         w.into_bytes()
     }
 
@@ -103,10 +90,10 @@ impl Transaction {
 
     /// Full wire encoding, decodable by [`Transaction::decode`].
     ///
-    /// Unlike [`Transaction::to_bytes`] (the hash preimage, which embeds
-    /// only the CA-signed portion of certificates), this carries complete
-    /// certificates including their CA signatures so the transaction can be
-    /// reconstructed and re-verified by a receiving peer.
+    /// Unlike [`Transaction::to_bytes`] (the hash preimage), this carries
+    /// complete certificates including their CA signatures so the
+    /// transaction can be reconstructed and re-verified by a receiving
+    /// peer.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode_to(&mut w);
@@ -117,21 +104,25 @@ impl Transaction {
     /// are written in place (no intermediate buffers), which matters on the
     /// block-commit hot path where whole blocks are serialized for storage.
     pub fn encode_to(&self, w: &mut Writer) {
+        self.write_fields(w, Certificate::write_to);
+    }
+
+    /// The one walk over the eight fields, shared by the hash preimage and
+    /// the wire form: they differ only in how `cert` writes each
+    /// certificate.
+    fn write_fields(&self, w: &mut Writer, cert: fn(&Certificate, &mut Writer)) {
         w.array(self.tx_id.0.as_bytes())
             .string(&self.chaincode)
-            .string(&self.function);
-        w.u32(self.args.len() as u32);
-        for a in &self.args {
-            w.bytes(a);
-        }
-        w.nested(|w| self.creator.write_to(w));
-        w.nested(|w| self.rwset.write_to(w));
-        w.bytes(&self.response);
-        w.u32(self.endorsements.len() as u32);
-        for e in &self.endorsements {
-            w.nested(|w| e.endorser.write_to(w));
-            w.array(&e.signature);
-        }
+            .string(&self.function)
+            .list(&self.args, |w, a| {
+                w.bytes(a);
+            })
+            .nested(|w| cert(&self.creator, w))
+            .nested(|w| self.rwset.write_to(w))
+            .bytes(&self.response)
+            .list(&self.endorsements, |w, e| {
+                w.nested(|w| cert(&e.endorser, w)).array(&e.signature);
+            });
     }
 
     /// Decode the wire encoding produced by [`Transaction::encode`].
@@ -147,22 +138,16 @@ impl Transaction {
         let tx_id = TxId(Digest(r.array::<32>()?));
         let chaincode = r.string()?;
         let function = r.string()?;
-        let n_args = r.u32()? as usize;
-        let mut args = Vec::with_capacity(n_args.min(1 << 16));
-        for _ in 0..n_args {
-            args.push(r.bytes()?);
-        }
+        let args = r.list(Reader::bytes)?;
         let creator = Certificate::from_bytes(&r.bytes()?)?;
         let rwset = RwSet::from_bytes(&r.bytes()?)?;
         let response = r.bytes()?;
-        let n_endorsements = r.u32()? as usize;
-        let mut endorsements = Vec::with_capacity(n_endorsements.min(1 << 16));
-        for _ in 0..n_endorsements {
-            endorsements.push(Endorsement {
+        let endorsements = r.list(|r| {
+            Ok::<_, FabricError>(Endorsement {
                 endorser: Certificate::from_bytes(&r.bytes()?)?,
                 signature: r.array::<64>()?,
-            });
-        }
+            })
+        })?;
         Ok(Transaction {
             tx_id,
             chaincode,
@@ -266,15 +251,13 @@ impl Block {
     /// Full wire encoding, decodable by [`Block::decode`].
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.bytes(&self.header.to_bytes());
-        w.u32(self.transactions.len() as u32);
-        for tx in &self.transactions {
-            w.nested(|w| tx.encode_to(w));
-        }
-        w.u32(self.validity.len() as u32);
-        for v in &self.validity {
-            w.u8(*v as u8);
-        }
+        w.bytes(&self.header.to_bytes())
+            .list(&self.transactions, |w, tx| {
+                w.nested(|w| tx.encode_to(w));
+            })
+            .list(&self.validity, |w, v| {
+                w.u8(*v as u8);
+            });
         w.into_bytes()
     }
 
@@ -282,20 +265,12 @@ impl Block {
     pub fn decode(bytes: &[u8]) -> Result<Block, FabricError> {
         let mut r = Reader::new(bytes);
         let header = BlockHeader::from_bytes(&r.bytes()?)?;
-        let n_txs = r.u32()? as usize;
-        let mut transactions = Vec::with_capacity(n_txs.min(1 << 16));
-        for _ in 0..n_txs {
-            transactions.push(Transaction::decode(&r.bytes()?)?);
-        }
-        let n_validity = r.u32()? as usize;
-        let mut validity = Vec::with_capacity(n_validity.min(1 << 16));
-        for _ in 0..n_validity {
-            validity.push(match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(FabricError::Malformed(format!("bad validity flag {tag}"))),
-            });
-        }
+        let transactions = r.list(|r| Transaction::decode(&r.bytes()?))?;
+        let validity = r.list(|r| match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(FabricError::Malformed(format!("bad validity flag {tag}"))),
+        })?;
         r.finish()?;
         Ok(Block {
             header,
@@ -504,28 +479,6 @@ impl BlockStore {
     }
 }
 
-/// Serialize a `TxId` list (used by views and the TxListContract).
-pub fn encode_txid_list(ids: &[TxId]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(ids.len() as u32);
-    for id in ids {
-        w.array(id.0.as_bytes());
-    }
-    w.into_bytes()
-}
-
-/// Decode a `TxId` list.
-pub fn decode_txid_list(bytes: &[u8]) -> Result<Vec<TxId>, FabricError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(TxId(Digest(r.array::<32>()?)));
-    }
-    r.finish()?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,15 +595,6 @@ mod tests {
             &b.transactions[1].to_bytes(),
             &crate::merkle::MerkleProof { steps: proof }
         ));
-    }
-
-    #[test]
-    fn txid_list_round_trip() {
-        let ids: Vec<TxId> = (0..5u8).map(|i| TxId(sha256(&[i]))).collect();
-        let bytes = encode_txid_list(&ids);
-        assert_eq!(decode_txid_list(&bytes).unwrap(), ids);
-        assert!(decode_txid_list(&bytes[..bytes.len() - 1]).is_err());
-        assert_eq!(decode_txid_list(&encode_txid_list(&[])).unwrap(), vec![]);
     }
 
     #[test]

@@ -152,36 +152,31 @@ impl StateBackend for InMemoryBackend {
 /// (1 = live value, 0 = tombstone) so deletions survive the round trip —
 /// they carry MVCC versions and are part of the state digest.
 fn encode_state(state: &dyn VersionedState) -> Vec<u8> {
-    let mut entries = 0u32;
-    let mut body = Writer::new();
+    let mut entries = Vec::new();
     state.for_each_entry(&mut |key, value, version| {
-        entries += 1;
-        body.string(key);
-        match value {
-            Some(v) => {
-                body.u8(1).bytes(v);
-            }
-            None => {
-                body.u8(0);
-            }
-        }
-        body.u64(version.block_num).u32(version.tx_num);
+        entries.push((key.to_owned(), value.map(<[u8]>::to_vec), version));
     });
     let mut w = Writer::new();
-    w.u32(entries);
-    let mut out = w.into_bytes();
-    out.extend_from_slice(&body.into_bytes());
-    out
+    w.list(&entries, |w, (key, value, version)| {
+        w.string(key);
+        match value {
+            Some(v) => {
+                w.u8(1).bytes(v);
+            }
+            None => {
+                w.u8(0);
+            }
+        }
+        w.u64(version.block_num).u32(version.tx_num);
+    });
+    w.into_bytes()
 }
 
 fn decode_state(bytes: &[u8]) -> Result<StateDb, FabricError> {
     let mut r = Reader::new(bytes);
-    let n = r.u32()? as usize;
-    let mut state = StateDb::new();
-    for _ in 0..n {
+    let entries = r.list(|r| {
         let key = r.string()?;
-        let tag = r.u8()?;
-        let value = match tag {
+        let value = match r.u8()? {
             1 => Some(r.bytes()?),
             0 => None,
             t => return Err(FabricError::Malformed(format!("bad state entry tag {t}"))),
@@ -190,12 +185,16 @@ fn decode_state(bytes: &[u8]) -> Result<StateDb, FabricError> {
             block_num: r.u64()?,
             tx_num: r.u32()?,
         };
+        Ok((key, value, version))
+    })?;
+    r.finish()?;
+    let mut state = StateDb::new();
+    for (key, value, version) in entries {
         match value {
             Some(v) => state.put(key, v, version),
             None => state.delete(&key, version),
         }
     }
-    r.finish()?;
     Ok(state)
 }
 

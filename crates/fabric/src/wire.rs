@@ -5,6 +5,11 @@
 //! substrate uses this hand-written length-prefixed codec instead of a
 //! general serialization framework whose output could drift between
 //! versions.
+//!
+//! The rules, decided here once: integers are fixed-width big-endian;
+//! byte strings and UTF-8 strings carry a `u32` length prefix; fixed-size
+//! arrays carry none; and a list is a `u32` count followed by its items,
+//! written by [`Writer::list`] and read by [`Reader::list`].
 
 use crate::error::FabricError;
 
@@ -61,6 +66,20 @@ impl Writer {
         self
     }
 
+    /// Append a list: its `u32` count, then each item through `item`.
+    pub fn list<I>(&mut self, items: I, mut item: impl FnMut(&mut Writer, I::Item)) -> &mut Self
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.u32(items.len() as u32);
+        for x in items {
+            item(self, x);
+        }
+        self
+    }
+
     /// Append a length-prefixed nested encoding produced by `f`, without
     /// materialising it in a temporary buffer: the length slot is reserved,
     /// `f` writes in place, and the prefix is patched afterwards. The bytes
@@ -98,12 +117,16 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], FabricError> {
-        if self.buf.len() - self.pos < n {
-            return Err(FabricError::Malformed("unexpected end of input".into()));
+        if self.remaining() < n {
+            return Err(end_of_input());
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Read a `u8`.
@@ -113,12 +136,12 @@ impl<'a> Reader<'a> {
 
     /// Read a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, FabricError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     /// Read a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, FabricError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     /// Read a length-prefixed byte string.
@@ -134,7 +157,30 @@ impl<'a> Reader<'a> {
 
     /// Read a fixed-size array (no length prefix).
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], FabricError> {
-        Ok(self.take(N)?.try_into().expect("N bytes"))
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or_else(end_of_input)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
+    /// Read a list written by [`Writer::list`]: its `u32` count, then
+    /// each item through `item`.
+    ///
+    /// Every item must take at least one byte, so no honest count exceeds
+    /// the bytes left to read. The count is untrusted, so those bytes,
+    /// never the count alone, bound the preallocation, and a lying count
+    /// fails at the end of the input.
+    pub fn list<T, E: From<FabricError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(self.remaining()));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// Whether all input has been consumed.
@@ -150,6 +196,10 @@ impl<'a> Reader<'a> {
             Err(FabricError::Malformed("trailing bytes".into()))
         }
     }
+}
+
+fn end_of_input() -> FabricError {
+    FabricError::Malformed("unexpected end of input".into())
 }
 
 #[cfg(test)]
@@ -227,6 +277,32 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), Vec::<u8>::new());
         assert_eq!(r.string().unwrap(), "");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn list_round_trips() {
+        let items = vec!["a".to_string(), String::new(), "ccc".into()];
+        let mut w = Writer::new();
+        w.list(&items, |w, s| {
+            w.string(s);
+        })
+        .list(Vec::<u64>::new(), |w, v| {
+            w.u64(v);
+        });
+        let bytes = w.into_bytes();
+        assert_eq!(&bytes[..4], &3u32.to_be_bytes());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.list(Reader::string).unwrap(), items);
+        assert_eq!(r.list(Reader::u64).unwrap(), Vec::<u64>::new());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn lying_list_count_rejected() {
+        let mut w = Writer::new();
+        w.u32(u32::MAX).array(&[0u8; 16]);
+        let bytes = w.into_bytes();
+        assert!(Reader::new(&bytes).list(Reader::bytes).is_err());
     }
 
     #[test]
