@@ -143,7 +143,7 @@ impl StoredTransaction {
     /// Decode from state bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<StoredTransaction, ViewError> {
         let mut r = Reader::new(bytes);
-        let non_secret = decode_non_secret(&mut Reader::new(&r.bytes()?))?;
+        let non_secret = r.nested(decode_non_secret)?;
         let concealed = match r.u8()? {
             0 => Concealed::Encrypted {
                 ciphertext: r.bytes()?,
@@ -301,6 +301,27 @@ mod tests {
         let ns_len = 4 + u32::from_be_bytes(bad[..4].try_into().unwrap()) as usize;
         bad[ns_len] = 9;
         assert!(StoredTransaction::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn junk_inside_the_non_secret_segment_rejected() {
+        let stored = StoredTransaction {
+            non_secret: sample_tx().non_secret,
+            concealed: conceal_by_hash(&sample_tx().secret, &mut seeded(8)),
+        };
+        let honest = stored.to_bytes();
+        assert_eq!(honest.len(), 143);
+        // Grow the segment's length prefix by four and put four junk bytes
+        // at its end: every field still decodes, but the segment is not
+        // all read.
+        let ns_len = u32::from_be_bytes(honest[..4].try_into().unwrap());
+        let mut junk = (ns_len + 4).to_be_bytes().to_vec();
+        junk.extend_from_slice(&honest[4..4 + ns_len as usize]);
+        junk.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        junk.extend_from_slice(&honest[4 + ns_len as usize..]);
+        assert_eq!(junk.len(), 147);
+        assert!(StoredTransaction::from_bytes(&junk).is_err());
+        assert_eq!(StoredTransaction::from_bytes(&honest).unwrap(), stored);
     }
 
     #[test]

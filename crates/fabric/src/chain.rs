@@ -229,8 +229,12 @@ impl FabricChain {
         };
         chain.validator = BlockValidator::with_pool(validation, pool);
         // A full store is the pruned case with base 0 and a zero anchor.
-        chain.store =
-            BlockStore::restore_pruned(backend.base_height(), backend.base_prev_hash(), blocks)?;
+        chain.store = BlockStore::restore_pruned(
+            backend.base_height(),
+            backend.base_prev_hash(),
+            backend.block_reader()?,
+            blocks,
+        )?;
         chain.state_root = backend.state_root();
         chain.clock_us = backend.last_timestamp_us();
         chain.backend = Box::new(backend);
@@ -534,39 +538,43 @@ impl FabricChain {
             )
         };
         let order_start = Instant::now();
-        let block = {
+        let (block, digest) = {
             let _s = metrics.as_ref().map(|m| m.telemetry.span("block.order"));
+            let digest = Block::digest_transactions(&transactions);
             let state_root = next_state_root(&self.state_root, &transactions, &outcomes);
             let prev_hash = self.store.tip_hash();
             let header = BlockHeader {
                 number: block_num,
                 prev_hash,
-                data_hash: Block::compute_data_hash(&transactions),
+                data_hash: digest.root,
                 state_root,
                 timestamp_us: self.clock_us,
             };
             let validity = outcomes.iter().map(|o| o.is_valid()).collect();
-            Block {
+            let block = Block {
                 header,
                 transactions,
                 validity,
-            }
+            };
+            (block, digest)
         };
-        let (state_root, data_hash) = (block.header.state_root, block.header.data_hash);
+        let state_root = block.header.state_root;
         // Durability point: the backend persists (the block file) before
         // the in-memory ledger advances, so a crash after this call can
         // always be recovered to include this block.
         let persist_start = Instant::now();
-        {
+        let at = {
             let _s = metrics.as_ref().map(|m| m.telemetry.span("block.persist"));
             self.backend
                 .commit_block(&block)
-                .unwrap_or_else(|e| panic!("durable commit of block {block_num} failed: {e}"));
-        }
+                .unwrap_or_else(|e| panic!("durable commit of block {block_num} failed: {e}"))
+        };
         let commit_start = Instant::now();
         let _commit_span = metrics.as_ref().map(|m| m.telemetry.span("block.commit"));
+        // A durable store keeps the header and drops the body: the block
+        // file now holds it at `at`.
         self.store
-            .append_hashed(block, data_hash)
+            .append_hashed(block, digest, at)
             .expect("locally built block must link");
         self.state_root = state_root;
 

@@ -4,10 +4,20 @@
 //! block's hash, a Merkle root over the transaction bytes, and a rolling
 //! state digest. Validation flags (Fabric keeps invalid transactions in the
 //! block, marked invalid) are part of block metadata.
+//!
+//! The [`BlockStore`] keeps every block's header, validity flags and
+//! transaction-index entries, and running byte and transaction counts.
+//! Where the body lives depends on the chain: an in-memory store keeps
+//! each body it appends, while a durable store (one restored by
+//! [`BlockStore::restore_pruned`]) keeps none and reads a body back from
+//! its block file the first time a reader asks for it, as a Fabric peer's
+//! ledger lives in its block files.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
+use fabric_store::{BlockReader, FrameAt};
 use ledgerview_crypto::sha256::{sha256, Digest};
 
 use crate::chaincode::RwSet;
@@ -139,12 +149,12 @@ impl Transaction {
         let chaincode = r.string()?;
         let function = r.string()?;
         let args = r.list(Reader::bytes)?;
-        let creator = Certificate::from_bytes(&r.bytes()?)?;
-        let rwset = RwSet::from_bytes(&r.bytes()?)?;
+        let creator = r.nested(Certificate::read_from)?;
+        let rwset = r.nested(RwSet::read_from)?;
         let response = r.bytes()?;
         let endorsements = r.list(|r| {
             Ok::<_, FabricError>(Endorsement {
-                endorser: Certificate::from_bytes(&r.bytes()?)?,
+                endorser: r.nested(Certificate::read_from)?,
                 signature: r.array::<64>()?,
             })
         })?;
@@ -197,16 +207,30 @@ impl BlockHeader {
     /// Decode the bytes produced by [`BlockHeader::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<BlockHeader, FabricError> {
         let mut r = Reader::new(bytes);
-        let header = BlockHeader {
+        let header = Self::read_from(&mut r)?;
+        r.finish()?;
+        Ok(header)
+    }
+
+    /// Decode from an open reader (for embedding in larger messages).
+    pub fn read_from(r: &mut Reader<'_>) -> Result<BlockHeader, FabricError> {
+        Ok(BlockHeader {
             number: r.u64()?,
             prev_hash: Digest(r.array::<32>()?),
             data_hash: Digest(r.array::<32>()?),
             state_root: Digest(r.array::<32>()?),
             timestamp_us: r.u64()?,
-        };
-        r.finish()?;
-        Ok(header)
+        })
     }
+}
+
+/// A block's transactions as its header and the store's byte accounting
+/// see them: their Merkle root and the summed length of their hash
+/// preimages, from one encoding of each transaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TxDigest {
+    pub(crate) root: Digest,
+    pub(crate) bytes: u64,
 }
 
 /// A block: header, transactions and per-transaction validity flags.
@@ -224,7 +248,25 @@ pub struct Block {
 impl Block {
     /// Compute the Merkle root over this block's transactions.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        merkle::root_of(Block::tx_leaf_hashes(transactions))
+        Block::digest_transactions(transactions).root
+    }
+
+    /// The Merkle root over `transactions` together with the bytes they
+    /// add to [`Block::size_bytes`].
+    pub(crate) fn digest_transactions(transactions: &[Transaction]) -> TxDigest {
+        let mut bytes = 0;
+        let leaves = transactions
+            .iter()
+            .map(|t| {
+                let preimage = t.to_bytes();
+                bytes += preimage.len() as u64;
+                leaf_hash(&preimage)
+            })
+            .collect();
+        TxDigest {
+            root: merkle::root_of(leaves),
+            bytes,
+        }
     }
 
     fn tx_leaf_hashes(transactions: &[Transaction]) -> Vec<Digest> {
@@ -264,8 +306,8 @@ impl Block {
     /// Decode the wire encoding produced by [`Block::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Block, FabricError> {
         let mut r = Reader::new(bytes);
-        let header = BlockHeader::from_bytes(&r.bytes()?)?;
-        let transactions = r.list(|r| Transaction::decode(&r.bytes()?))?;
+        let header = r.nested(BlockHeader::read_from)?;
+        let transactions = r.list(|r| r.nested(Transaction::read_from))?;
         let validity = r.list(|r| match r.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -280,6 +322,44 @@ impl Block {
     }
 }
 
+/// What the store keeps of one block.
+enum Entry {
+    /// The whole block (an in-memory store).
+    Kept(Block),
+    /// A durable store's header and flags, with where the encoded block
+    /// sits in the block file; the body is kept once first read back.
+    Stored {
+        header: BlockHeader,
+        validity: Vec<bool>,
+        at: FrameAt,
+        body: OnceLock<Box<Block>>,
+    },
+}
+
+impl Entry {
+    fn header(&self) -> &BlockHeader {
+        match self {
+            Entry::Kept(block) => &block.header,
+            Entry::Stored { header, .. } => header,
+        }
+    }
+
+    fn validity(&self) -> &[bool] {
+        match self {
+            Entry::Kept(block) => &block.validity,
+            Entry::Stored { validity, .. } => validity,
+        }
+    }
+
+    /// The body, if the store holds it.
+    fn held(&self) -> Option<&Block> {
+        match self {
+            Entry::Kept(block) => Some(block),
+            Entry::Stored { body, .. } => body.get().map(|b| &**b),
+        }
+    }
+}
+
 /// The append-only block store with hash-chain verification and a
 /// transaction index.
 ///
@@ -287,13 +367,28 @@ impl Block {
 /// a peer bootstraps from a shipped snapshot — starts at a non-zero
 /// `base`: it holds no block below the snapshot height, only the hash of
 /// the block just before it, which anchors the prev-hash chain.
+///
+/// Headers, validity flags, the transaction index and running byte and
+/// transaction counts are always held. Bodies are held by an in-memory
+/// store; a durable store ([`BlockStore::restore_pruned`]) reads each from
+/// the block file the first time [`BlockStore::block`],
+/// [`BlockStore::tip`], [`BlockStore::iter`] or [`BlockStore::find_tx`]
+/// asks, and keeps it.
+/// Those readers panic if the file no longer gives back what was appended;
+/// [`BlockStore::try_block`] reports it as a [`FabricError`] instead.
 pub struct BlockStore {
-    blocks: Vec<Block>,
+    entries: Vec<Entry>,
+    /// The block file that bodies are read back from (durable stores).
+    reader: Option<BlockReader>,
     tx_index: HashMap<TxId, (u64, u32)>,
     /// Number of the first block this store holds.
     base: u64,
     /// Hash of block `base - 1` (`Digest::ZERO` when `base` is 0).
     base_prev_hash: Digest,
+    /// Running sums over the stored blocks.
+    total_bytes: u64,
+    committed_txs: u64,
+    total_txs: u64,
 }
 
 impl Default for BlockStore {
@@ -312,43 +407,48 @@ impl BlockStore {
     /// must link to `base_prev_hash`.
     pub fn new_pruned(base: u64, base_prev_hash: Digest) -> BlockStore {
         BlockStore {
-            blocks: Vec::new(),
+            entries: Vec::new(),
+            reader: None,
             tx_index: HashMap::new(),
             base,
             base_prev_hash,
+            total_bytes: 0,
+            committed_txs: 0,
+            total_txs: 0,
         }
     }
 
     /// Append a block, verifying height, the previous-hash link and the
-    /// data hash against the transactions.
+    /// data hash against the transactions. The store keeps the body.
     pub fn append(&mut self, block: Block) -> Result<(), FabricError> {
-        let data_hash = Block::compute_data_hash(&block.transactions);
-        self.append_hashed(block, data_hash)
+        let digest = Block::digest_transactions(&block.transactions);
+        self.append_hashed(block, digest, None)
     }
 
     /// [`BlockStore::append`] for a block this process just built:
-    /// `data_hash` is the transactions' hash the caller computed for the
-    /// header, so they are not hashed a second time.
+    /// `digest` is what the caller computed for the header, so the
+    /// transactions are not hashed a second time. A durable store given
+    /// the block's place in its block file (`at`) drops the body.
     pub(crate) fn append_hashed(
         &mut self,
         block: Block,
-        data_hash: Digest,
+        digest: TxDigest,
+        at: Option<FrameAt>,
     ) -> Result<(), FabricError> {
-        debug_assert_eq!(data_hash, Block::compute_data_hash(&block.transactions));
-        let expected_number = self.base + self.blocks.len() as u64;
-        if block.header.number != expected_number {
+        debug_assert_eq!(digest, Block::digest_transactions(&block.transactions));
+        let number = block.header.number;
+        let expected_number = self.height();
+        if number != expected_number {
             return Err(FabricError::IntegrityViolation(format!(
-                "expected block {expected_number}, got {}",
-                block.header.number
+                "expected block {expected_number}, got {number}"
             )));
         }
-        let expected_prev = self.tip_hash();
-        if block.header.prev_hash != expected_prev {
+        if block.header.prev_hash != self.tip_hash() {
             return Err(FabricError::IntegrityViolation(
                 "previous-hash link broken".into(),
             ));
         }
-        if block.header.data_hash != data_hash {
+        if block.header.data_hash != digest.root {
             return Err(FabricError::IntegrityViolation(
                 "data hash does not match transactions".into(),
             ));
@@ -357,32 +457,53 @@ impl BlockStore {
             return Err(FabricError::Malformed("validity flags length".into()));
         }
         for (i, tx) in block.transactions.iter().enumerate() {
-            self.tx_index
-                .insert(tx.tx_id, (block.header.number, i as u32));
+            self.tx_index.insert(tx.tx_id, (number, i as u32));
         }
-        self.blocks.push(block);
+        let txs = block.transactions.len() as u64;
+        // `Block::size_bytes`, from the preimage lengths already summed.
+        self.total_bytes += block.header.to_bytes().len() as u64 + digest.bytes + txs;
+        self.committed_txs += block.validity.iter().filter(|v| **v).count() as u64;
+        self.total_txs += txs;
+        // Only a store that can read a body back may drop it.
+        let entry = match at.filter(|_| self.reader.is_some()) {
+            Some(at) => Entry::Stored {
+                header: block.header,
+                validity: block.validity,
+                at,
+                body: OnceLock::new(),
+            },
+            None => Entry::Kept(block),
+        };
+        self.entries.push(entry);
         Ok(())
     }
 
-    /// Rebuild a store from a snapshot anchor (`0` and `Digest::ZERO` for
-    /// a full store) plus the blocks recovered above it, re-verifying
-    /// numbering, the previous-hash chain and every data hash (a recovered
-    /// ledger gets the same scrutiny as a live one).
+    /// Rebuild a durable store from a snapshot anchor (`0` and
+    /// `Digest::ZERO` for a full store) plus the blocks recovered above
+    /// it, each with its place in the block file `reader` reads. Numbering,
+    /// the previous-hash chain and every data hash are re-verified (a
+    /// recovered ledger gets the same scrutiny as a live one), and then
+    /// only each block's header, flags and index entries are kept: bodies
+    /// are read back from the file when asked for, as are the bodies of
+    /// blocks appended later with their place in the file.
     pub fn restore_pruned(
         base: u64,
         base_prev_hash: Digest,
-        blocks: Vec<Block>,
+        reader: BlockReader,
+        blocks: Vec<(FrameAt, Block)>,
     ) -> Result<BlockStore, FabricError> {
         let mut store = BlockStore::new_pruned(base, base_prev_hash);
-        for block in blocks {
-            store.append(block)?;
+        store.reader = Some(reader);
+        for (at, block) in blocks {
+            let digest = Block::digest_transactions(&block.transactions);
+            store.append_hashed(block, digest, Some(at))?;
         }
         Ok(store)
     }
 
     /// Height: the next block number to append (`base +` stored blocks).
     pub fn height(&self) -> u64 {
-        self.base + self.blocks.len() as u64
+        self.base + self.entries.len() as u64
     }
 
     /// Number of the first block this store holds (0 unless pruned).
@@ -390,40 +511,61 @@ impl BlockStore {
         self.base
     }
 
+    fn entry(&self, number: u64) -> Option<&Entry> {
+        self.entries
+            .get(usize::try_from(number.checked_sub(self.base)?).ok()?)
+    }
+
+    /// Block by number (`None` below the base or above the tip), its body
+    /// read back from the block file if the store does not hold it:
+    /// `Err(Storage)` if the bytes there are not the block appended,
+    /// `Err(Io)` if the operating system refuses the read.
+    pub fn try_block(&self, number: u64) -> Result<Option<&Block>, FabricError> {
+        self.entry(number).map(|e| self.body(e)).transpose()
+    }
+
     /// Block by number (`None` below the base or above the tip).
+    ///
+    /// # Panics
+    ///
+    /// If a durable store's block file no longer holds the block
+    /// ([`BlockStore::try_block`] returns the error instead).
     pub fn block(&self, number: u64) -> Option<&Block> {
-        self.blocks.get(number.checked_sub(self.base)? as usize)
+        self.entry(number).map(|e| self.loaded(e))
     }
 
     /// The latest block (`None` for an empty store — including a freshly
     /// bootstrapped pruned one, whose tip hash is still well-defined via
-    /// [`BlockStore::tip_hash`]).
+    /// [`BlockStore::tip_hash`]). Panics as [`BlockStore::block`] does.
     pub fn tip(&self) -> Option<&Block> {
-        self.blocks.last()
+        self.entries.last().map(|e| self.loaded(e))
     }
 
     /// Hash the next appended block must carry as `prev_hash`: the tip
     /// block's hash, the snapshot anchor for an empty pruned store, or
     /// `Digest::ZERO` for an empty full store.
     pub fn tip_hash(&self) -> Digest {
-        self.blocks
+        self.entries
             .last()
-            .map(|b| b.header.hash())
+            .map(|e| e.header().hash())
             .unwrap_or(self.base_prev_hash)
     }
 
-    /// Iterate over all blocks in order.
+    /// Iterate over all blocks in order. Panics as [`BlockStore::block`]
+    /// does.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+        self.entries.iter().map(|e| self.loaded(e))
     }
 
-    /// Look up a transaction and its validity by id.
+    /// Look up a transaction and its validity by id. Panics as
+    /// [`BlockStore::block`] does.
     pub fn find_tx(&self, tx_id: &TxId) -> Option<(&Transaction, bool)> {
-        let (block_num, idx) = self.tx_index.get(tx_id)?;
-        let block = &self.blocks[(*block_num - self.base) as usize];
+        let (number, idx) = *self.tx_index.get(tx_id)?;
+        let entry = self.entry(number)?;
+        let block = self.loaded(entry);
         Some((
-            &block.transactions[*idx as usize],
-            block.validity[*idx as usize],
+            &block.transactions[idx as usize],
+            entry.validity()[idx as usize],
         ))
     }
 
@@ -432,50 +574,103 @@ impl BlockStore {
         self.tx_index.get(tx_id).copied()
     }
 
+    /// The block behind `entry`, read back and kept on first use.
+    fn body<'s>(&'s self, entry: &'s Entry) -> Result<&'s Block, FabricError> {
+        match entry {
+            Entry::Kept(block) => Ok(block),
+            Entry::Stored { body, .. } => match body.get() {
+                Some(block) => Ok(block),
+                None => {
+                    let block = self.read_back(entry)?;
+                    Ok(body.get_or_init(|| Box::new(block)))
+                }
+            },
+        }
+    }
+
+    /// [`BlockStore::body`] for the readers that cannot return an error.
+    fn loaded<'s>(&'s self, entry: &'s Entry) -> &'s Block {
+        self.body(entry).unwrap_or_else(|e| {
+            panic!(
+                "block {} could not be read back: {e}",
+                entry.header().number
+            )
+        })
+    }
+
+    /// Read `entry`'s block from the block file and check it against what
+    /// the store kept: header, validity flags and the data hash over the
+    /// transactions.
+    fn read_back(&self, entry: &Entry) -> Result<Block, FabricError> {
+        let number = entry.header().number;
+        let (Some(reader), Entry::Stored { at, .. }) = (&self.reader, entry) else {
+            return Err(FabricError::Storage(format!(
+                "block {number} has no stored body"
+            )));
+        };
+        let bytes = reader.read(number, *at)?;
+        let block = Block::decode(&bytes).map_err(|e| {
+            FabricError::Storage(format!("block {number} read back does not decode: {e}"))
+        })?;
+        if block.header != *entry.header()
+            || block.validity != entry.validity()
+            || Block::compute_data_hash(&block.transactions) != block.header.data_hash
+        {
+            return Err(FabricError::Storage(format!(
+                "block {number} read back is not the block appended"
+            )));
+        }
+        Ok(block)
+    }
+
     /// Re-verify the whole hash chain (tamper audit), from the genesis
-    /// block or — for a pruned store — from the snapshot anchor.
+    /// block or — for a pruned store — from the snapshot anchor. A body
+    /// the store does not hold is read back, checked and dropped again,
+    /// so an audit does not pull the history into memory.
     pub fn verify_chain(&self) -> Result<(), FabricError> {
         let mut prev = self.base_prev_hash;
-        for (i, block) in self.blocks.iter().enumerate() {
-            if block.header.number != self.base + i as u64 {
+        for (i, entry) in self.entries.iter().enumerate() {
+            let header = entry.header();
+            if header.number != self.base + i as u64 {
                 return Err(FabricError::IntegrityViolation(format!(
                     "block {i} has wrong number"
                 )));
             }
-            if block.header.prev_hash != prev {
+            if header.prev_hash != prev {
                 return Err(FabricError::IntegrityViolation(format!(
                     "block {i} prev-hash mismatch"
                 )));
             }
-            if block.header.data_hash != Block::compute_data_hash(&block.transactions) {
-                return Err(FabricError::IntegrityViolation(format!(
-                    "block {i} data-hash mismatch"
-                )));
+            match entry.held() {
+                Some(block) => {
+                    if header.data_hash != Block::compute_data_hash(&block.transactions) {
+                        return Err(FabricError::IntegrityViolation(format!(
+                            "block {i} data-hash mismatch"
+                        )));
+                    }
+                }
+                None => {
+                    self.read_back(entry)?;
+                }
             }
-            prev = block.header.hash();
+            prev = header.hash();
         }
         Ok(())
     }
 
     /// Total serialized bytes of all blocks (storage accounting, Fig 9).
     pub fn total_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.size_bytes()).sum()
+        self.total_bytes
     }
 
     /// Total committed (valid) transactions.
     pub fn committed_tx_count(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.validity.iter().filter(|v| **v).count() as u64)
-            .sum()
+        self.committed_txs
     }
 
     /// Total transactions including invalidated ones.
     pub fn total_tx_count(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.transactions.len() as u64)
-            .sum()
+        self.total_txs
     }
 }
 

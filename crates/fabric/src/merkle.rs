@@ -66,19 +66,20 @@ impl MerkleTree {
                 leaf_count,
             };
         }
-        let mut levels = vec![leaf_hashes];
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                match pair {
-                    [l, r] => next.push(node_hash(l, r)),
-                    [odd] => next.push(*odd),
-                    _ => unreachable!("chunks(2)"),
-                }
-            }
-            levels.push(next);
+        let mut levels = Vec::new();
+        let mut level = leaf_hashes;
+        while level.len() > 1 {
+            // An odd node out is carried up unchanged.
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => node_hash(l, r),
+                    _ => pair[0],
+                })
+                .collect();
+            levels.push(std::mem::replace(&mut level, next));
         }
+        levels.push(level);
         MerkleTree { levels, leaf_count }
     }
 

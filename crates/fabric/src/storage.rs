@@ -60,7 +60,7 @@ use std::time::Instant;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
-use fabric_store::{BlockFile, StoreError};
+use fabric_store::{BlockFile, BlockReader, FrameAt, StoreError};
 pub use fabric_store::{FsyncPolicy, StorageConfig};
 use ledgerview_statedb::LsmConfig;
 
@@ -96,8 +96,9 @@ pub trait StateBackend {
     /// Mutable access for the commit path (validators apply writes here).
     fn state_mut(&mut self) -> &mut dyn VersionedState;
     /// Persist a block that was just validated and applied to
-    /// [`StateBackend::state_mut`]. In-memory backends no-op.
-    fn commit_block(&mut self, block: &Block) -> Result<(), FabricError>;
+    /// [`StateBackend::state_mut`], returning where its bytes landed in
+    /// the block file. In-memory backends no-op and return `None`.
+    fn commit_block(&mut self, block: &Block) -> Result<Option<FrameAt>, FabricError>;
     /// Force everything written so far to stable storage.
     fn flush(&mut self) -> Result<(), FabricError>;
     /// Whether commits survive a process crash.
@@ -135,8 +136,8 @@ impl StateBackend for InMemoryBackend {
         &mut self.state
     }
 
-    fn commit_block(&mut self, _block: &Block) -> Result<(), FabricError> {
-        Ok(())
+    fn commit_block(&mut self, _block: &Block) -> Result<Option<FrameAt>, FabricError> {
+        Ok(None)
     }
 
     fn flush(&mut self) -> Result<(), FabricError> {
@@ -352,8 +353,9 @@ impl ChainSnapshot {
 /// What [`recover_tail`] hands back to [`DurableBackend::resume`].
 struct RecoveredTail {
     blocks_file: BlockFile,
-    /// Every surviving block in height order, starting at the store's base.
-    blocks: Vec<Block>,
+    /// Every surviving block in height order, starting at the store's
+    /// base, with where it sits in the block file.
+    blocks: Vec<(FrameAt, Block)>,
     /// Rolling state root after the last surviving block.
     root: Digest,
 }
@@ -379,12 +381,12 @@ fn recover_tail(
         )));
     }
     let raw = blocks_file.read_all()?;
-    let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i]));
+    let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i].1));
     let mut blocks = Vec::with_capacity(decoded.len());
-    for (i, block) in decoded.into_iter().enumerate() {
-        blocks.push(
-            block.map_err(|e| FabricError::Storage(format!("block {i} failed to decode: {e}")))?,
-        );
+    for (i, (block, (at, _))) in decoded.into_iter().zip(raw).enumerate() {
+        let block =
+            block.map_err(|e| FabricError::Storage(format!("block {i} failed to decode: {e}")))?;
+        blocks.push((at, block));
     }
     let tip = base + blocks.len() as u64;
     // State is persisted only after the block file is synced to the same
@@ -401,7 +403,7 @@ fn recover_tail(
     // transactions' write sets, in block order. Re-deriving the rolling
     // root per block and checking it against the stored header verifies
     // the replayed state against the block store.
-    for block in blocks.iter().skip((replay_from - base) as usize) {
+    for (_, block) in blocks.iter().skip((replay_from - base) as usize) {
         let h = block.header.number;
         for (i, (tx, valid)) in block.transactions.iter().zip(&block.validity).enumerate() {
             if *valid {
@@ -500,12 +502,13 @@ impl DurableBackend {
     /// Open (or create) the store under `config.dir`, its LSM under the
     /// default tuning ([`LsmState::default_config`]), and run crash
     /// recovery. Returns the backend plus every recovered block in height
-    /// order (for the chain to rebuild its block store). `pool`
+    /// order with where it sits in the block file (for the chain to
+    /// rebuild its block store). `pool`
     /// parallelises block decoding during recovery.
     pub fn open(
         config: StorageConfig,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
         let lsm = LsmState::default_config(&config);
         DurableBackend::open_with(config, lsm, pool)
     }
@@ -516,7 +519,7 @@ impl DurableBackend {
         config: StorageConfig,
         lsm: LsmConfig,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
         // The last checkpoint's metadata (absent before the first flush)
         // carries the store's base height — non-zero when this store was
         // bootstrapped from a shipped snapshot and holds no earlier block.
@@ -535,7 +538,7 @@ impl DurableBackend {
         lsm: LsmConfig,
         pool: &WorkerPool,
         snapshot: &ChainSnapshot,
-    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
         let occupied = [
             PathBuf::from(fabric_store::blockfile::BLOCKS_DATA_FILE),
             Path::new(LSM_SUBDIR).join(ledgerview_statedb::manifest::MANIFEST_FILE),
@@ -579,7 +582,7 @@ impl DurableBackend {
         mut state: LsmState,
         checkpointed: StateMeta,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<Block>), FabricError> {
+    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
         let tail = recover_tail(
             &config,
             pool,
@@ -597,7 +600,9 @@ impl DurableBackend {
             last_timestamp_us: tail
                 .blocks
                 .last()
-                .map_or(checkpointed.timestamp_us, |block| block.header.timestamp_us),
+                .map_or(checkpointed.timestamp_us, |(_, block)| {
+                    block.header.timestamp_us
+                }),
             checkpoints_saved: 0,
             metrics: None,
         };
@@ -607,6 +612,12 @@ impl DurableBackend {
     /// Persisted block height.
     pub fn height(&self) -> u64 {
         self.blocks.height()
+    }
+
+    /// A reader on the block file, for a block store that reads bodies
+    /// back rather than holding them.
+    pub fn block_reader(&self) -> Result<BlockReader, FabricError> {
+        Ok(self.blocks.reader()?)
     }
 
     /// Block-file fsyncs issued by this handle — the cost the
@@ -680,11 +691,12 @@ impl StateBackend for DurableBackend {
         &mut self.state
     }
 
-    fn commit_block(&mut self, block: &Block) -> Result<(), FabricError> {
+    fn commit_block(&mut self, block: &Block) -> Result<Option<FrameAt>, FabricError> {
         // The block is the log: recovery re-derives its writes from it.
         let start = self.metrics.as_ref().map(|_| Instant::now());
         let txs = block.transactions.len() as u64;
-        self.blocks
+        let at = self
+            .blocks
             .append(block.header.number, &block.encode(), txs)?;
         let total_fsyncs = self.fsyncs();
         if let (Some(m), Some(start)) = (&mut self.metrics, start) {
@@ -702,7 +714,7 @@ impl StateBackend for DurableBackend {
         } else {
             self.state.sync_metrics();
         }
-        Ok(())
+        Ok(Some(at))
     }
 
     fn flush(&mut self) -> Result<(), FabricError> {

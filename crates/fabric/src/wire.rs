@@ -183,6 +183,20 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Read a value written by [`Writer::nested`]: its `u32` length, then
+    /// `decode` over exactly that many bytes, borrowed in place rather
+    /// than copied out. Bytes `decode` leaves unread are an error.
+    pub fn nested<T, E: From<FabricError>>(
+        &mut self,
+        decode: impl FnOnce(&mut Reader<'a>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let len = self.u32()? as usize;
+        let mut inner = Reader::new(self.take(len)?);
+        let value = decode(&mut inner)?;
+        inner.finish()?;
+        Ok(value)
+    }
+
     /// Whether all input has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
@@ -295,6 +309,28 @@ mod tests {
         assert_eq!(r.list(Reader::string).unwrap(), items);
         assert_eq!(r.list(Reader::u64).unwrap(), Vec::<u64>::new());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn nested_reads_exactly_its_segment() {
+        let mut w = Writer::new();
+        w.nested(|w| {
+            w.u8(1).u8(2);
+        })
+        .u8(9);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(
+            r.nested(|r| Ok::<_, FabricError>((r.u8()?, r.u8()?)))
+                .unwrap(),
+            (1, 2)
+        );
+        assert_eq!(r.u8().unwrap(), 9);
+        r.finish().unwrap();
+        // A decoder that leaves a byte of its segment unread fails, and so
+        // does a segment longer than the input.
+        assert!(Reader::new(&bytes).nested(Reader::u8).is_err());
+        assert!(Reader::new(&bytes[..5]).nested(Reader::u8).is_err());
     }
 
     #[test]

@@ -20,9 +20,16 @@
 //!
 //! The block file is the ledger's only log: state is derived from it, so
 //! its [`FsyncPolicy`] is what bounds what a crash can lose.
+//!
+//! Every append and every recovered block reports its [`FrameAt`]. A
+//! [`BlockReader`] — a second handle on the data file that shares no
+//! cursor with the appending one — fetches a block back from its
+//! `FrameAt` with one positioned read, under `&self` and without a lock,
+//! while the [`BlockFile`] keeps appending.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::record::{
@@ -58,6 +65,16 @@ impl FsyncPolicy {
             FsyncPolicy::Never => false,
         }
     }
+}
+
+/// Where one block's frame sits in the data file: what a [`BlockReader`]
+/// needs to fetch it with a single positioned read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameAt {
+    /// Offset of the frame header within the data file.
+    pub offset: u64,
+    /// Payload length: the 8-byte height plus the block bytes.
+    pub len: u32,
 }
 
 /// An open block file store.
@@ -226,26 +243,25 @@ impl BlockFile {
         Ok(frame_height(&payload))
     }
 
-    /// The `(payload length, CRC)` of the frame header at `offset`, which
-    /// must lie inside the data file with its whole payload.
-    fn header_at(&mut self, offset: u64) -> Result<(u32, u32), StoreError> {
+    /// The payload length of the frame whose header is at `offset`; the
+    /// frame must lie inside the data file with its whole payload.
+    fn payload_len_at(&self, offset: u64) -> Result<u32, StoreError> {
         if offset + FRAME_HEADER_BYTES > self.data_len {
             return Err(StoreError::Corrupt(format!(
                 "frame header at offset {offset} past the end ({})",
                 self.data_len
             )));
         }
-        self.data.seek(SeekFrom::Start(offset))?;
         let mut header = [0u8; 8];
-        self.data.read_exact(&mut header)?;
-        let (len, crc) = decode_header(header);
+        self.data.read_exact_at(&mut header, offset)?;
+        let (len, _) = decode_header(header);
         if offset + FRAME_HEADER_BYTES + u64::from(len) > self.data_len {
             return Err(StoreError::Corrupt(format!(
                 "frame at offset {offset} runs past the end ({})",
                 self.data_len
             )));
         }
-        Ok((len, crc))
+        Ok(len)
     }
 
     /// Persist the in-memory sparse index (cheap: one tiny frame per
@@ -280,7 +296,13 @@ impl BlockFile {
     /// Append a block's bytes at `height` (must equal [`BlockFile::height`])
     /// and apply the fsync policy. `records` is how many records
     /// (transactions) the block carries; only `EveryN` counts them.
-    pub fn append(&mut self, height: u64, block: &[u8], records: u64) -> Result<(), StoreError> {
+    /// Returns where the frame landed.
+    pub fn append(
+        &mut self,
+        height: u64,
+        block: &[u8],
+        records: u64,
+    ) -> Result<FrameAt, StoreError> {
         if height != self.height {
             return Err(StoreError::Corrupt(format!(
                 "append out of order: expected height {}, got {height}",
@@ -291,6 +313,10 @@ impl BlockFile {
         payload.extend_from_slice(&height.to_le_bytes());
         payload.extend_from_slice(block);
         let frame = encode_frame(&payload);
+        let at = FrameAt {
+            offset: self.data_len,
+            len: payload.len() as u32,
+        };
         self.data.seek(SeekFrom::Start(self.data_len))?;
         append_bytes(&mut self.data, &frame)?;
         if (height - self.base).is_multiple_of(self.index_every) {
@@ -306,7 +332,7 @@ impl BlockFile {
         if self.policy.due(self.unsynced) {
             self.sync()?;
         }
-        Ok(())
+        Ok(at)
     }
 
     /// fsync the data file now, regardless of policy.
@@ -324,9 +350,10 @@ impl BlockFile {
 
     /// Read the block bytes stored at `height`.
     ///
-    /// Seeks to the nearest sparse-index entry at or below `height` and
-    /// skips forward over at most `index_every - 1` frame headers.
-    pub fn read(&mut self, height: u64) -> Result<Vec<u8>, StoreError> {
+    /// Starts at the nearest sparse-index entry at or below `height` and
+    /// skips forward over at most `index_every - 1` frame headers, all by
+    /// positioned reads.
+    pub fn read(&self, height: u64) -> Result<Vec<u8>, StoreError> {
         if height < self.base || height >= self.height {
             return Err(StoreError::Corrupt(format!(
                 "block {height} out of range (base {}, height {})",
@@ -343,32 +370,18 @@ impl BlockFile {
             Err(i) => i - 1,
         };
         let (mut at_height, mut offset) = self.sparse[slot];
-        // Skip whole frames (header read + seek) until the target.
+        // Skip whole frames until the target.
         while at_height < height {
-            let (len, _) = self.header_at(offset)?;
-            offset += FRAME_HEADER_BYTES + u64::from(len);
+            offset += FRAME_HEADER_BYTES + u64::from(self.payload_len_at(offset)?);
             at_height += 1;
         }
-        let (len, crc) = self.header_at(offset)?;
-        let mut payload = vec![0u8; len as usize];
-        self.data.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(StoreError::Corrupt(format!(
-                "block {height}: CRC mismatch at offset {offset}"
-            )));
-        }
-        let stored = frame_height(&payload)
-            .ok_or_else(|| StoreError::Corrupt(format!("block {height}: frame too short")))?;
-        if stored != height {
-            return Err(StoreError::Corrupt(format!(
-                "block {height}: frame labelled {stored}"
-            )));
-        }
-        Ok(payload.split_off(8))
+        let len = self.payload_len_at(offset)?;
+        read_frame(&self.data, height, FrameAt { offset, len })
     }
 
-    /// Read every stored block in height order (the first is at `base`).
-    pub fn read_all(&mut self) -> Result<Vec<Vec<u8>>, StoreError> {
+    /// Read every stored block in height order (the first is at `base`),
+    /// each with where its frame sits.
+    pub fn read_all(&mut self) -> Result<Vec<(FrameAt, Vec<u8>)>, StoreError> {
         let scan = scan_frames(&mut self.data, 0)?;
         if scan.torn {
             return Err(StoreError::Corrupt(format!(
@@ -387,11 +400,87 @@ impl BlockFile {
                     "block file discontinuity: expected {expect}, found {h}"
                 )));
             }
+            let at = FrameAt {
+                offset: frame.offset,
+                len: frame.payload.len() as u32,
+            };
             let mut payload = frame.payload;
-            out.push(payload.split_off(8));
+            payload.drain(..8);
+            out.push((at, payload));
         }
         Ok(out)
     }
+
+    /// A [`BlockReader`] on this store's data file.
+    pub fn reader(&self) -> Result<BlockReader, StoreError> {
+        Ok(BlockReader {
+            data: self.data.try_clone()?,
+        })
+    }
+}
+
+/// A read-only handle on a block data file: one positioned read per block,
+/// at the [`FrameAt`] its append or recovery reported. It shares no cursor
+/// with the [`BlockFile`] that appends, so reads take `&self` and no lock.
+#[derive(Debug)]
+pub struct BlockReader {
+    data: File,
+}
+
+impl BlockReader {
+    /// The block bytes at `at`, which must be the frame of block `height`:
+    /// its length, CRC and height label are checked, and bytes missing
+    /// from the file are corruption, not an I/O failure.
+    pub fn read(&self, height: u64, at: FrameAt) -> Result<Vec<u8>, StoreError> {
+        read_frame(&self.data, height, at)
+    }
+}
+
+/// Read and check the frame of block `height` at `at`; the block bytes are
+/// moved to the front of the same buffer rather than copied.
+fn read_frame(data: &File, height: u64, at: FrameAt) -> Result<Vec<u8>, StoreError> {
+    let mut frame = vec![0u8; FRAME_HEADER_BYTES as usize + at.len as usize];
+    data.read_exact_at(&mut frame, at.offset)
+        .map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => StoreError::Corrupt(format!(
+                "block {height}: frame at offset {} runs past the end",
+                at.offset
+            )),
+            _ => StoreError::Io(e),
+        })?;
+    let Some((header, payload)) = frame.split_first_chunk::<8>() else {
+        return Err(StoreError::Corrupt(format!(
+            "block {height}: no frame header"
+        )));
+    };
+    let (len, crc) = decode_header(*header);
+    if len != at.len {
+        return Err(StoreError::Corrupt(format!(
+            "block {height}: frame length {len} at offset {}, {} expected",
+            at.offset, at.len
+        )));
+    }
+    if crc32(payload) != crc {
+        return Err(StoreError::Corrupt(format!(
+            "block {height}: CRC mismatch at offset {}",
+            at.offset
+        )));
+    }
+    match frame_height(payload) {
+        Some(stored) if stored == height => {}
+        Some(stored) => {
+            return Err(StoreError::Corrupt(format!(
+                "block {height}: frame labelled {stored}"
+            )))
+        }
+        None => {
+            return Err(StoreError::Corrupt(format!(
+                "block {height}: frame too short"
+            )))
+        }
+    }
+    frame.drain(..FRAME_HEADER_BYTES as usize + 8);
+    Ok(frame)
 }
 
 /// The height a block frame's payload starts with, if it has 8 bytes.
@@ -436,7 +525,7 @@ mod tests {
         assert_eq!(bf.height(), 11);
         let all = bf.read_all().unwrap();
         assert_eq!(all.len(), 11);
-        for (i, b) in all.iter().enumerate() {
+        for (i, (_, b)) in all.iter().enumerate() {
             assert_eq!(b, &block_bytes(i as u64));
         }
     }
@@ -485,7 +574,7 @@ mod tests {
         }
         // Corrupt the index file entirely.
         std::fs::write(dir.path().join(BLOCKS_INDEX_FILE), b"not an index").unwrap();
-        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+        let bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 7);
         for i in 0..7 {
             assert_eq!(bf.read(i).unwrap(), block_bytes(i));
@@ -493,7 +582,7 @@ mod tests {
         // Delete the index file: same outcome.
         drop(bf);
         std::fs::remove_file(dir.path().join(BLOCKS_INDEX_FILE)).unwrap();
-        let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
+        let bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).unwrap();
         assert_eq!(bf.height(), 7);
         assert_eq!(bf.read(6).unwrap(), block_bytes(6));
     }
@@ -512,7 +601,7 @@ mod tests {
         let data_path = dir.path().join(BLOCKS_DATA_FILE);
         let bytes = std::fs::read(&data_path).unwrap();
         std::fs::write(&data_path, &bytes[..bytes.len() / 2]).unwrap();
-        let mut bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
+        let bf = BlockFile::open(dir.path(), 2, FsyncPolicy::Never).unwrap();
         let h = bf.height();
         assert!(h < 8);
         for i in 0..h {
@@ -543,7 +632,7 @@ mod tests {
         assert_eq!(bf.height(), 110);
         let all = bf.read_all().unwrap();
         assert_eq!(all.len(), 10);
-        for (i, b) in all.iter().enumerate() {
+        for (i, (_, b)) in all.iter().enumerate() {
             assert_eq!(b, &block_bytes(100 + i as u64));
         }
         bf.append(110, &block_bytes(110), 1).unwrap();
@@ -582,7 +671,7 @@ mod tests {
         let reopen = |data_img: &[u8], index_img: &[u8]| -> Option<Vec<bool>> {
             std::fs::write(&data_path, data_img).unwrap();
             std::fs::write(&index_path, index_img).unwrap();
-            let mut bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).ok()?;
+            let bf = BlockFile::open(dir.path(), 3, FsyncPolicy::Never).ok()?;
             assert!(bf.height() <= BLOCKS);
             let intact = (0..bf.height())
                 .map(|i| match bf.read(i) {
@@ -754,6 +843,46 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    /// A reader fetches every block at the `FrameAt` its append reported,
+    /// and the same places come back from `read_all` after a reopen. A
+    /// flipped bit or a cut file under an open reader is corruption.
+    #[test]
+    fn reader_reads_each_block_at_its_frame() {
+        let dir = TestDir::new("bf-reader");
+        let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
+        let reader = bf.reader().unwrap();
+        let mut frames = Vec::new();
+        for i in 0..9 {
+            frames.push(bf.append(i, &block_bytes(i), 1).unwrap());
+            // Appends go on under an open reader.
+            assert_eq!(reader.read(i, frames[i as usize]).unwrap(), block_bytes(i));
+        }
+        drop(bf);
+        let mut bf = BlockFile::open(dir.path(), 4, FsyncPolicy::Never).unwrap();
+        let all = bf.read_all().unwrap();
+        assert_eq!(all.iter().map(|(at, _)| *at).collect::<Vec<_>>(), frames);
+        let reader = bf.reader().unwrap();
+        assert!(matches!(
+            reader.read(4, frames[3]),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        let data_path = dir.path().join(BLOCKS_DATA_FILE);
+        let mut data = std::fs::read(&data_path).unwrap();
+        data[frames[5].offset as usize + 16] ^= 0x04;
+        std::fs::write(&data_path, &data).unwrap();
+        assert!(matches!(
+            reader.read(5, frames[5]),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(reader.read(6, frames[6]).unwrap(), block_bytes(6));
+        std::fs::write(&data_path, &data[..frames[7].offset as usize + 3]).unwrap();
+        assert!(matches!(
+            reader.read(7, frames[7]),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

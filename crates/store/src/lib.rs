@@ -43,7 +43,7 @@ pub mod record;
 pub mod testdir;
 pub mod wal;
 
-pub use blockfile::{BlockFile, FsyncPolicy};
+pub use blockfile::{BlockFile, BlockReader, FrameAt, FsyncPolicy};
 
 use std::fmt;
 use std::path::PathBuf;

@@ -22,7 +22,7 @@ const PINS: &[(&str, usize)] = &[
     ("crates/crosschain", 2),
     ("crates/crypto", 1),
     ("crates/datalog", 1),
-    ("crates/fabric", 19),
+    ("crates/fabric", 17),
     ("crates/gateway", 5),
     ("crates/shard", 0),
     ("crates/simnet", 1),
