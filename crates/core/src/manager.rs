@@ -846,7 +846,7 @@ impl<S: SecretScheme> ViewManager<S> {
         else {
             return Ok(0);
         };
-        let edb = crate::verify::ledger_edb(chain);
+        let edb = crate::verify::ledger_edb(chain)?;
         let derived = program
             .evaluate(&edb)
             .map_err(|e| ViewError::Malformed(format!("datalog evaluation failed: {e}")))?;

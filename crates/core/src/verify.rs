@@ -50,10 +50,10 @@ impl VerificationReport {
 /// Build the generic extensional database over the ledger: one
 /// `tx(tid_hex, attr, value)` triple per non-secret attribute of every
 /// valid stored transaction. Recursive view definitions are evaluated
-/// against this EDB.
-pub fn ledger_edb(chain: &FabricChain) -> Database {
+/// against this EDB. A block the ledger cannot read back is an error.
+pub fn ledger_edb(chain: &FabricChain) -> Result<Database, ViewError> {
     let mut db = Database::new();
-    for block in chain.store().iter() {
+    chain.store().for_each_block(|block| {
         for (i, tx) in block.transactions.iter().enumerate() {
             if !block.validity[i] || tx.chaincode != INVOKE_CC {
                 continue;
@@ -71,8 +71,9 @@ pub fn ledger_edb(chain: &FabricChain) -> Database {
                 db.insert("tx", vec![tid_hex.clone(), Value::Str(k.clone()), value]);
             }
         }
-    }
-    db
+        Ok::<(), ViewError>(())
+    })?;
+    Ok(db)
 }
 
 /// The tids a recursive definition derives over the current ledger.
@@ -84,7 +85,7 @@ fn recursive_membership(
         return Ok(None);
     };
     let derived = program
-        .evaluate(&ledger_edb(chain))
+        .evaluate(&ledger_edb(chain)?)
         .map_err(|e| ViewError::Malformed(format!("datalog evaluation failed: {e}")))?;
     let mut out = HashSet::new();
     for tuple in derived.tuples(query) {
@@ -185,7 +186,8 @@ pub fn verify_completeness_txlist(
 
 /// Verify completeness by scanning the entire ledger (the expensive
 /// strategy of Fig 12): re-evaluate the on-chain predicate over every
-/// stored transaction committed up to `horizon_us`.
+/// stored transaction committed up to `horizon_us`. A block the ledger
+/// cannot read back is an error.
 pub fn verify_completeness_scan(
     chain: &FabricChain,
     view: &str,
@@ -195,9 +197,9 @@ pub fn verify_completeness_scan(
     let definition = contracts::read_view_definition(chain.state(), view)?;
     let recursive_members = recursive_membership(chain, &definition)?;
     let mut report = VerificationReport::new();
-    for block in chain.store().iter() {
+    chain.store().for_each_block(|block| {
         if block.header.timestamp_us > horizon_us {
-            continue;
+            return Ok(());
         }
         for (i, tx) in block.transactions.iter().enumerate() {
             if !block.validity[i] || tx.chaincode != INVOKE_CC {
@@ -223,7 +225,8 @@ pub fn verify_completeness_scan(
                 ));
             }
         }
-    }
+        Ok::<(), ViewError>(())
+    })?;
     Ok(report)
 }
 

@@ -8,10 +8,10 @@
 //! The [`BlockStore`] keeps every block's header, validity flags and
 //! transaction-index entries, and running byte and transaction counts.
 //! Where the body lives depends on the chain: an in-memory store keeps
-//! each body it appends, while a durable store (one restored by
-//! [`BlockStore::restore_pruned`]) keeps none and reads a body back from
-//! its block file the first time a reader asks for it, as a Fabric peer's
-//! ledger lives in its block files.
+//! each body it appends, while a durable store (the one storage recovery
+//! builds) keeps none and reads a body back from its block file the first
+//! time a reader asks for it, as a Fabric peer's ledger lives in its block
+//! files.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -370,12 +370,12 @@ impl Entry {
 ///
 /// Headers, validity flags, the transaction index and running byte and
 /// transaction counts are always held. Bodies are held by an in-memory
-/// store; a durable store ([`BlockStore::restore_pruned`]) reads each from
-/// the block file the first time [`BlockStore::block`],
-/// [`BlockStore::tip`], [`BlockStore::iter`] or [`BlockStore::find_tx`]
-/// asks, and keeps it.
+/// store; a durable store (built by storage recovery) reads each from the
+/// block file the first time [`BlockStore::block`], [`BlockStore::tip`],
+/// [`BlockStore::iter`] or [`BlockStore::find_tx`] asks, and keeps it.
 /// Those readers panic if the file no longer gives back what was appended;
-/// [`BlockStore::try_block`] reports it as a [`FabricError`] instead.
+/// [`BlockStore::try_block`] reports it as a [`FabricError`] instead, and
+/// [`BlockStore::for_each_block`] walks the chain without keeping a body.
 pub struct BlockStore {
     entries: Vec<Entry>,
     /// The block file that bodies are read back from (durable stores).
@@ -435,6 +435,17 @@ impl BlockStore {
         digest: TxDigest,
         at: Option<FrameAt>,
     ) -> Result<(), FabricError> {
+        self.check_next(&block, digest)?;
+        self.push(block, digest, at);
+        Ok(())
+    }
+
+    /// The checks every appended block gets, live or recovered: its
+    /// number is the next height, its previous-hash links to the tip (or
+    /// the snapshot anchor), its data hash is `digest` — the Merkle root
+    /// of its transactions — and it has one validity flag per
+    /// transaction.
+    pub(crate) fn check_next(&self, block: &Block, digest: TxDigest) -> Result<(), FabricError> {
         debug_assert_eq!(digest, Block::digest_transactions(&block.transactions));
         let number = block.header.number;
         let expected_number = self.height();
@@ -456,6 +467,14 @@ impl BlockStore {
         if block.validity.len() != block.transactions.len() {
             return Err(FabricError::Malformed("validity flags length".into()));
         }
+        Ok(())
+    }
+
+    /// Add a block that passed [`BlockStore::check_next`]. Given its place
+    /// in the block file (`at`), the store keeps only its header, flags
+    /// and index entries; the body is read back when asked for.
+    pub(crate) fn push(&mut self, block: Block, digest: TxDigest, at: Option<FrameAt>) {
+        let number = block.header.number;
         for (i, tx) in block.transactions.iter().enumerate() {
             self.tx_index.insert(tx.tx_id, (number, i as u32));
         }
@@ -464,8 +483,7 @@ impl BlockStore {
         self.total_bytes += block.header.to_bytes().len() as u64 + digest.bytes + txs;
         self.committed_txs += block.validity.iter().filter(|v| **v).count() as u64;
         self.total_txs += txs;
-        // Only a store that can read a body back may drop it.
-        let entry = match at.filter(|_| self.reader.is_some()) {
+        let entry = match at {
             Some(at) => Entry::Stored {
                 header: block.header,
                 validity: block.validity,
@@ -475,30 +493,12 @@ impl BlockStore {
             None => Entry::Kept(block),
         };
         self.entries.push(entry);
-        Ok(())
     }
 
-    /// Rebuild a durable store from a snapshot anchor (`0` and
-    /// `Digest::ZERO` for a full store) plus the blocks recovered above
-    /// it, each with its place in the block file `reader` reads. Numbering,
-    /// the previous-hash chain and every data hash are re-verified (a
-    /// recovered ledger gets the same scrutiny as a live one), and then
-    /// only each block's header, flags and index entries are kept: bodies
-    /// are read back from the file when asked for, as are the bodies of
-    /// blocks appended later with their place in the file.
-    pub fn restore_pruned(
-        base: u64,
-        base_prev_hash: Digest,
-        reader: BlockReader,
-        blocks: Vec<(FrameAt, Block)>,
-    ) -> Result<BlockStore, FabricError> {
-        let mut store = BlockStore::new_pruned(base, base_prev_hash);
-        store.reader = Some(reader);
-        for (at, block) in blocks {
-            let digest = Block::digest_transactions(&block.transactions);
-            store.append_hashed(block, digest, Some(at))?;
-        }
-        Ok(store)
+    /// Read the bodies this store does not hold from the block file
+    /// `reader` reads: the one every block pushed with its place sits in.
+    pub(crate) fn read_back_from(&mut self, reader: BlockReader) {
+        self.reader = Some(reader);
     }
 
     /// Height: the next block number to append (`base +` stored blocks).
@@ -509,6 +509,16 @@ impl BlockStore {
     /// Number of the first block this store holds (0 unless pruned).
     pub fn base(&self) -> u64 {
         self.base
+    }
+
+    /// Number of blocks this store holds (`height - base`).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the store holds no block.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     fn entry(&self, number: u64) -> Option<&Entry> {
@@ -623,39 +633,50 @@ impl BlockStore {
         Ok(block)
     }
 
+    /// Hand every block to `f`, in order. A body the store holds is
+    /// handed over as it is; any other is read back from the block file,
+    /// checked, and dropped again once `f` returns, so a scan does not
+    /// pull the history into memory. The first error — a read back that
+    /// fails (`Storage` or `Io`, as [`BlockStore::try_block`]) or `f`'s
+    /// own — ends the walk.
+    pub fn for_each_block<E: From<FabricError>>(
+        &self,
+        mut f: impl FnMut(&Block) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for entry in &self.entries {
+            match entry.held() {
+                Some(block) => f(block)?,
+                None => f(&self.read_back(entry)?)?,
+            }
+        }
+        Ok(())
+    }
+
     /// Re-verify the whole hash chain (tamper audit), from the genesis
-    /// block or — for a pruned store — from the snapshot anchor. A body
-    /// the store does not hold is read back, checked and dropped again,
-    /// so an audit does not pull the history into memory.
+    /// block or — for a pruned store — from the snapshot anchor, through
+    /// [`BlockStore::for_each_block`].
     pub fn verify_chain(&self) -> Result<(), FabricError> {
-        let mut prev = self.base_prev_hash;
-        for (i, entry) in self.entries.iter().enumerate() {
-            let header = entry.header();
-            if header.number != self.base + i as u64 {
+        let (mut number, mut prev) = (self.base, self.base_prev_hash);
+        self.for_each_block(|block| {
+            let header = &block.header;
+            if header.number != number {
                 return Err(FabricError::IntegrityViolation(format!(
-                    "block {i} has wrong number"
+                    "block {number} has wrong number"
                 )));
             }
             if header.prev_hash != prev {
                 return Err(FabricError::IntegrityViolation(format!(
-                    "block {i} prev-hash mismatch"
+                    "block {number} prev-hash mismatch"
                 )));
             }
-            match entry.held() {
-                Some(block) => {
-                    if header.data_hash != Block::compute_data_hash(&block.transactions) {
-                        return Err(FabricError::IntegrityViolation(format!(
-                            "block {i} data-hash mismatch"
-                        )));
-                    }
-                }
-                None => {
-                    self.read_back(entry)?;
-                }
+            if header.data_hash != Block::compute_data_hash(&block.transactions) {
+                return Err(FabricError::IntegrityViolation(format!(
+                    "block {number} data-hash mismatch"
+                )));
             }
-            prev = header.hash();
-        }
-        Ok(())
+            (number, prev) = (number + 1, header.hash());
+            Ok(())
+        })
     }
 
     /// Total serialized bytes of all blocks (storage accounting, Fig 9).

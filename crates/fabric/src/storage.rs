@@ -36,16 +36,23 @@
 //! checkpoint. A checkpoint becomes the commit point when its flush job
 //! completes; until then a reopen recovers from the previous one, which is
 //! correct because the block file is the log. [`DurableBackend::open`]
-//! opens the LSM at its last flush and verifies it against the digest the manifest records, re-derives every
-//! later block's writes from the block itself (transactions × validity
-//! flags), and re-derives the rolling state root per block to verify the
-//! result against every recovered block header. Torn tails are truncated
-//! by the store layer; inconsistencies that cannot arise from a crash (a
-//! checkpoint ahead of the block file, a state-root mismatch) surface as
-//! [`FabricError::Storage`] rather than being silently repaired; the
-//! operating system refusing an operation is [`FabricError::Io`], so a
-//! caller can tell a damaged directory from a failing disk. Directories written before the block file became the only log may
-//! still hold `state.wal.*` files; nothing reads them.
+//! opens the LSM at its last flush and verifies it against the digest the
+//! manifest records, then reads the block file once, front to back.
+//! Blocks are decoded [`RECOVERY_CHUNK_BLOCKS`] at a time on the worker
+//! pool, and each gets, with its body in hand, the checks a live append
+//! gets; a block above the checkpoint also has its writes re-derived from
+//! the block itself (transactions × validity flags) and its rolling state
+//! root re-derived against its header. Only what the block store keeps —
+//! header, flags, tx ids and where the block sits in the file — outlives
+//! its chunk. Torn tails are truncated by the store layer;
+//! inconsistencies that cannot arise from a crash (a block that is not
+//! the block committed, a checkpoint ahead of the block file, a
+//! state-root mismatch) surface as [`FabricError::Storage`] rather than
+//! being silently repaired; the operating system refusing an operation is
+//! [`FabricError::Io`], so a caller can tell a damaged directory from a
+//! failing disk. Directories written before the block file became the
+//! only log may still hold `state.wal.*` files, and older ones still a
+//! height-index file beside the block file; nothing reads either.
 //!
 //! Identities are **not** persisted: the simulator derives MSP keys from
 //! the caller's seeded RNG, so reopening a chain with the same seed
@@ -60,21 +67,21 @@ use std::time::Instant;
 use ledgerview_crypto::sha256::Digest;
 use ledgerview_telemetry::{Counter, HistogramHandle, Telemetry};
 
-use fabric_store::{BlockFile, BlockReader, FrameAt, StoreError};
+use fabric_store::{BlockFile, FrameAt, StoreError};
 pub use fabric_store::{FsyncPolicy, StorageConfig};
 use ledgerview_statedb::LsmConfig;
 
 use crate::error::FabricError;
-use crate::ledger::Block;
+use crate::ledger::{Block, BlockStore};
 use crate::lsm::{LsmState, LSM_SUBDIR};
 use crate::pool::WorkerPool;
 use crate::statedb::{StateDb, Version, VersionedState};
 use crate::validation::{apply_writes, state_root_from_block};
 use crate::wire::{Reader, Writer};
 
-/// Sparse block-index stride: one index entry per this many blocks, so a
-/// point read skips at most `INDEX_EVERY - 1` frame headers.
-const INDEX_EVERY: u64 = 16;
+/// How many blocks recovery reads, decodes and checks at a time: the most
+/// raw and decoded block bodies it holds at once.
+pub const RECOVERY_CHUNK_BLOCKS: usize = 32;
 
 impl From<StoreError> for FabricError {
     fn from(e: StoreError) -> FabricError {
@@ -353,78 +360,137 @@ impl ChainSnapshot {
 /// What [`recover_tail`] hands back to [`DurableBackend::resume`].
 struct RecoveredTail {
     blocks_file: BlockFile,
-    /// Every surviving block in height order, starting at the store's
-    /// base, with where it sits in the block file.
-    blocks: Vec<(FrameAt, Block)>,
+    /// Every surviving block, from the store's base up, reading bodies
+    /// back from `blocks_file`.
+    store: BlockStore,
     /// Rolling state root after the last surviving block.
     root: Digest,
+    /// Timestamp of the last surviving block (the checkpoint's if none).
+    timestamp_us: u64,
 }
 
-/// The recovery tail, run once the LSM is open at its last flush: `state`
-/// reflects every block below `replay_from` and `root` is the rolling
-/// state root at that height. `base` is the first block height the store
-/// is expected to hold.
+/// Recovery's pass over the block file: the blocks read but not yet
+/// decoded, and everything the blocks before them built.
+struct Replay<'a> {
+    pool: &'a WorkerPool,
+    state: &'a mut dyn VersionedState,
+    /// The first block the persisted state does not reflect.
+    replay_from: u64,
+    /// At most [`RECOVERY_CHUNK_BLOCKS`] raw blocks with their places.
+    chunk: Vec<(FrameAt, Vec<u8>)>,
+    store: BlockStore,
+    root: Digest,
+    timestamp_us: u64,
+}
+
+impl Replay<'_> {
+    /// Take block `height`'s bytes from the scan; a full chunk is decoded
+    /// and checked at once.
+    fn take(&mut self, height: u64, at: FrameAt, bytes: Vec<u8>) -> Result<(), FabricError> {
+        let expected = self.store.height() + self.chunk.len() as u64;
+        if height != expected {
+            return Err(FabricError::Storage(format!(
+                "block file holds block {height} where the persisted state expects block {expected}"
+            )));
+        }
+        self.chunk.push((at, bytes));
+        if self.chunk.len() == RECOVERY_CHUNK_BLOCKS {
+            self.drain()?;
+        }
+        Ok(())
+    }
+
+    /// Decode the chunk's blocks on the pool, hashing their transactions
+    /// there too, then give each in turn the checks a live append gets
+    /// and, above the checkpoint, replay its writes and check its rolling
+    /// state root. The store keeps only the header, flags and tx ids.
+    fn drain(&mut self) -> Result<(), FabricError> {
+        let chunk = &self.chunk;
+        let decoded = self.pool.map_indexed(chunk.len(), |i| {
+            Block::decode(&chunk[i].1).map(|block| {
+                let digest = Block::digest_transactions(&block.transactions);
+                (block, digest)
+            })
+        });
+        for ((at, _), decoded) in self.chunk.drain(..).zip(decoded) {
+            let number = self.store.height();
+            let bad =
+                |e: FabricError| FabricError::Storage(format!("recovered block {number}: {e}"));
+            let (block, digest) = decoded.map_err(bad)?;
+            self.store.check_next(&block, digest).map_err(bad)?;
+            if number >= self.replay_from {
+                for (i, (tx, valid)) in block.transactions.iter().zip(&block.validity).enumerate() {
+                    if *valid {
+                        let version = Version {
+                            block_num: number,
+                            tx_num: i as u32,
+                        };
+                        apply_writes(&tx.rwset, self.state, version);
+                    }
+                }
+                self.root = state_root_from_block(&self.root, &block);
+                if self.root != block.header.state_root {
+                    return Err(FabricError::Storage(format!(
+                        "recovered state root mismatch at block {number}"
+                    )));
+                }
+            }
+            self.timestamp_us = block.header.timestamp_us;
+            self.store.push(block, digest, Some(at));
+        }
+        Ok(())
+    }
+}
+
+/// The recovery tail, run once the LSM is open at its last flush:
+/// `checkpointed` describes what `state` reflects — every block below its
+/// height, with that height's rolling root — and the first block height
+/// the store is expected to hold, with the hash of the block before it.
+/// One scan of the block file checks every block and replays those above
+/// the checkpoint.
 fn recover_tail(
     config: &StorageConfig,
     pool: &WorkerPool,
-    base: u64,
-    replay_from: u64,
+    checkpointed: &StateMeta,
     state: &mut dyn VersionedState,
-    mut root: Digest,
 ) -> Result<RecoveredTail, FabricError> {
-    // Surviving blocks (torn tail already truncated by the store).
-    let mut blocks_file = BlockFile::open_at(&config.dir, INDEX_EVERY, base, config.fsync)?;
-    if blocks_file.base() != base {
-        return Err(FabricError::Storage(format!(
-            "block file starts at height {} but the persisted state claims base {base}",
-            blocks_file.base()
-        )));
-    }
-    let raw = blocks_file.read_all()?;
-    let decoded = pool.map_indexed(raw.len(), |i| Block::decode(&raw[i].1));
-    let mut blocks = Vec::with_capacity(decoded.len());
-    for (i, (block, (at, _))) in decoded.into_iter().zip(raw).enumerate() {
-        let block =
-            block.map_err(|e| FabricError::Storage(format!("block {i} failed to decode: {e}")))?;
-        blocks.push((at, block));
-    }
-    let tip = base + blocks.len() as u64;
+    let (base, replay_from) = (checkpointed.base_height, checkpointed.height);
     // State is persisted only after the block file is synced to the same
     // height, so persisted state ahead of the block file cannot result from
     // a crash: it is corruption, not damage to repair. State below the base
-    // is corruption too, and would underflow the replay's skip count.
-    if replay_from < base || replay_from > tip {
+    // is corruption too.
+    if replay_from < base {
+        return Err(FabricError::Storage(format!(
+            "state persisted through height {replay_from}, below the block file's base {base}"
+        )));
+    }
+    let mut replay = Replay {
+        pool,
+        state,
+        replay_from,
+        chunk: Vec::with_capacity(RECOVERY_CHUNK_BLOCKS),
+        store: BlockStore::new_pruned(base, checkpointed.base_prev_hash),
+        root: checkpointed.state_root,
+        timestamp_us: checkpointed.timestamp_us,
+    };
+    // Torn tail truncated by the store once every block has been taken.
+    let blocks_file = BlockFile::open_at(&config.dir, base, config.fsync, |height, at, bytes| {
+        replay.take(height, at, bytes)
+    })?;
+    replay.drain()?;
+    let tip = blocks_file.height();
+    if replay_from > tip {
         return Err(FabricError::Storage(format!(
             "state persisted through height {replay_from} but block file spans {base}..{tip}"
         )));
     }
-
-    // Replay every block from `replay_from` from its own body: the valid
-    // transactions' write sets, in block order. Re-deriving the rolling
-    // root per block and checking it against the stored header verifies
-    // the replayed state against the block store.
-    for (_, block) in blocks.iter().skip((replay_from - base) as usize) {
-        let h = block.header.number;
-        for (i, (tx, valid)) in block.transactions.iter().zip(&block.validity).enumerate() {
-            if *valid {
-                let version = Version {
-                    block_num: h,
-                    tx_num: i as u32,
-                };
-                apply_writes(&tx.rwset, state, version);
-            }
-        }
-        root = state_root_from_block(&root, block);
-        if root != block.header.state_root {
-            return Err(FabricError::Storage(format!(
-                "recovered state root mismatch at block {h}"
-            )));
-        }
-    }
+    let mut store = replay.store;
+    store.read_back_from(blocks_file.reader()?);
     Ok(RecoveredTail {
         blocks_file,
-        blocks,
-        root,
+        store,
+        root: replay.root,
+        timestamp_us: replay.timestamp_us,
     })
 }
 
@@ -467,7 +533,7 @@ impl StorageMetrics {
 }
 
 /// The disk-backed backend: an [`LsmState`] made crash-recoverable by the
-/// append-only block file (with a sparse index) it is derived from, and
+/// append-only block file it is derived from, and
 /// the LSM's flushes as checkpoints. See the module docs for the write
 /// protocol and recovery invariants.
 pub struct DurableBackend {
@@ -501,14 +567,14 @@ impl fmt::Debug for DurableBackend {
 impl DurableBackend {
     /// Open (or create) the store under `config.dir`, its LSM under the
     /// default tuning ([`LsmState::default_config`]), and run crash
-    /// recovery. Returns the backend plus every recovered block in height
-    /// order with where it sits in the block file (for the chain to
-    /// rebuild its block store). `pool`
-    /// parallelises block decoding during recovery.
+    /// recovery. Returns the backend plus the block store recovery built:
+    /// every recovered block's header, flags and tx ids, its body read
+    /// back from the block file when asked for. `pool` parallelises block
+    /// decoding during recovery.
     pub fn open(
         config: StorageConfig,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
+    ) -> Result<(DurableBackend, BlockStore), FabricError> {
         let lsm = LsmState::default_config(&config);
         DurableBackend::open_with(config, lsm, pool)
     }
@@ -519,7 +585,7 @@ impl DurableBackend {
         config: StorageConfig,
         lsm: LsmConfig,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
+    ) -> Result<(DurableBackend, BlockStore), FabricError> {
         // The last checkpoint's metadata (absent before the first flush)
         // carries the store's base height — non-zero when this store was
         // bootstrapped from a shipped snapshot and holds no earlier block.
@@ -538,7 +604,7 @@ impl DurableBackend {
         lsm: LsmConfig,
         pool: &WorkerPool,
         snapshot: &ChainSnapshot,
-    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
+    ) -> Result<(DurableBackend, BlockStore), FabricError> {
         let occupied = [
             PathBuf::from(fabric_store::blockfile::BLOCKS_DATA_FILE),
             Path::new(LSM_SUBDIR).join(ledgerview_statedb::manifest::MANIFEST_FILE),
@@ -573,51 +639,33 @@ impl DurableBackend {
     }
 
     /// The shared tail of `open_with` and `install_snapshot`: `state`
-    /// holds what `checkpointed` describes; replay the surviving blocks
-    /// over it, verified against every replayed header. A pruned block
-    /// file without a checkpoint fails the base check (no checkpoint ⇒
-    /// base 0).
+    /// holds what `checkpointed` describes; check the surviving blocks
+    /// and replay those above it, verified against every replayed header.
+    /// A pruned block file without a checkpoint fails the base check (no
+    /// checkpoint ⇒ base 0).
     fn resume(
         config: StorageConfig,
         mut state: LsmState,
         checkpointed: StateMeta,
         pool: &WorkerPool,
-    ) -> Result<(DurableBackend, Vec<(FrameAt, Block)>), FabricError> {
-        let tail = recover_tail(
-            &config,
-            pool,
-            checkpointed.base_height,
-            checkpointed.height,
-            &mut state,
-            checkpointed.state_root,
-        )?;
+    ) -> Result<(DurableBackend, BlockStore), FabricError> {
+        let tail = recover_tail(&config, pool, &checkpointed, &mut state)?;
         let backend = DurableBackend {
             state,
             blocks: tail.blocks_file,
             config,
             checkpointed,
             state_root: tail.root,
-            last_timestamp_us: tail
-                .blocks
-                .last()
-                .map_or(checkpointed.timestamp_us, |(_, block)| {
-                    block.header.timestamp_us
-                }),
+            last_timestamp_us: tail.timestamp_us,
             checkpoints_saved: 0,
             metrics: None,
         };
-        Ok((backend, tail.blocks))
+        Ok((backend, tail.store))
     }
 
     /// Persisted block height.
     pub fn height(&self) -> u64 {
         self.blocks.height()
-    }
-
-    /// A reader on the block file, for a block store that reads bodies
-    /// back rather than holding them.
-    pub fn block_reader(&self) -> Result<BlockReader, FabricError> {
-        Ok(self.blocks.reader()?)
     }
 
     /// Block-file fsyncs issued by this handle — the cost the
@@ -634,16 +682,6 @@ impl DurableBackend {
     /// Rolling state root after the last persisted block.
     pub fn state_root(&self) -> Digest {
         self.state_root
-    }
-
-    /// First block height this store holds (non-zero when pruned).
-    pub fn base_height(&self) -> u64 {
-        self.checkpointed.base_height
-    }
-
-    /// Hash of the block before the base (`Digest::ZERO` for a full store).
-    pub fn base_prev_hash(&self) -> Digest {
-        self.checkpointed.base_prev_hash
     }
 
     /// Timestamp of the last persisted block (or the installed snapshot).
@@ -865,8 +903,7 @@ mod tests {
         // Delete the block file: the checkpoint now claims a height the
         // (empty) block file cannot support.
         std::fs::remove_file(dir.path().join(fabric_store::blockfile::BLOCKS_DATA_FILE)).unwrap();
-        std::fs::remove_file(dir.path().join(fabric_store::blockfile::BLOCKS_INDEX_FILE)).unwrap();
-        let err = DurableBackend::open(config, &pool).unwrap_err();
+        let err = DurableBackend::open(config, &pool).err().expect("refused");
         assert!(matches!(err, FabricError::Storage(_)), "{err}");
     }
 
@@ -923,6 +960,31 @@ mod tests {
         assert_eq!(backend.state().state_digest(), digest);
         assert_eq!(backend.state_root(), root);
         assert!(garbage.exists(), "left where it was");
+    }
+
+    /// Directories written while the block file had a sparse height index
+    /// may still hold `blocks.idx`. Nothing reads it or writes it.
+    #[test]
+    fn leftover_block_index_file_is_ignored() {
+        let dir = TestDir::new("backend-old-index");
+        let config = StorageConfig::new(dir.path())
+            .fsync(FsyncPolicy::Never)
+            .checkpoint_every(4);
+        let pool = WorkerPool::new(1);
+        let (mut backend, _) = DurableBackend::open(config.clone(), &pool).unwrap();
+        let root = commit_blocks(&mut backend, 6);
+        let digest = backend.state().state_digest();
+        drop(backend);
+        let index = dir.path().join("blocks.idx");
+        let garbage = b"\x10\x00\x00\x00 not a frame, not an index entry".to_vec();
+        std::fs::write(&index, &garbage).unwrap();
+
+        let (mut backend, recovered) = DurableBackend::open(config, &pool).unwrap();
+        assert_eq!((backend.height(), recovered.len()), (6, 6));
+        assert_eq!(backend.state().state_digest(), digest);
+        assert_eq!(backend.state_root(), root);
+        backend.flush().unwrap();
+        assert_eq!(std::fs::read(&index).unwrap(), garbage, "left as it was");
     }
 
     #[test]

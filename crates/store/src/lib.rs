@@ -6,9 +6,10 @@
 //!
 //! * [`record`] — length-prefixed, CRC32-checked frame files; torn-tail
 //!   detection and truncation repair.
-//! * [`blockfile`] — the append-only block data file plus a sparse
-//!   height → offset index for O(1) random block reads, synced under a
-//!   configurable [`FsyncPolicy`] (`Always` / `EveryN` / `Never`).
+//! * [`blockfile`] — the append-only block data file, read once at open
+//!   (each block handed to the caller with its [`FrameAt`]) and back one
+//!   block at a time by [`BlockReader`], synced under a configurable
+//!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`).
 //!
 //! The state itself lives in the LSM tree of `ledgerview-statedb`, whose
 //! manifest is the checkpoint. The block file is the only log; the write

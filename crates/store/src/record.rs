@@ -1,7 +1,6 @@
 //! Length-prefixed, CRC-checked record framing.
 //!
-//! Every file this crate writes — the block data file and the sparse block
-//! index — is a sequence of *frames*:
+//! The block data file this crate writes is a sequence of *frames*:
 //!
 //! ```text
 //! +----------------+----------------+------------------+
@@ -25,14 +24,23 @@
 //! scan looks only there. A torn tail's written prefix may hold frames of
 //! its own (a block carries client-supplied values), but none of them
 //! starts at either place.
+//!
+//! [`scan_frames`] reads the file once, front to back, through a 64 KiB
+//! buffer, and holds one payload at a time: each valid frame is handed to
+//! the caller as it is read.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 
 use crate::crc32::{crc32, crc32_extend};
+use crate::StoreError;
 
 /// Bytes of framing overhead per record (length + CRC).
 pub const FRAME_HEADER_BYTES: u64 = 8;
+
+/// The read buffer of a scan: how many bytes of the file one read fetches.
+const IO_RUN_BYTES: usize = 64 * 1024;
 
 /// Append the frame encoding of `payload` to `buf` (several frames can be
 /// encoded into one buffer and written with a single syscall).
@@ -49,20 +57,9 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// One recovered frame: its byte offset in the file and its payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScannedFrame {
-    /// Offset of the frame header within the file.
-    pub offset: u64,
-    /// The verified payload.
-    pub payload: Vec<u8>,
-}
-
-/// The result of scanning a frame file.
+/// How a scan of a frame file ended.
 #[derive(Debug, Default)]
 pub struct Scan {
-    /// Every whole, CRC-valid frame in order.
-    pub frames: Vec<ScannedFrame>,
     /// File length covered by valid frames (the truncation point if torn).
     pub valid_len: u64,
     /// Whether the scan stopped at a bad frame before the end of the file:
@@ -74,71 +71,94 @@ pub struct Scan {
     pub corrupt_at: Option<u64>,
 }
 
-/// Scan `file` from `from_offset` to EOF, collecting whole valid frames and
-/// detecting a torn tail or corruption. Does not modify the file.
-pub fn scan_frames(file: &mut File, from_offset: u64) -> std::io::Result<Scan> {
-    let file_len = file.seek(SeekFrom::End(0))?;
-    file.seek(SeekFrom::Start(from_offset))?;
-    let mut bytes = Vec::with_capacity(file_len.saturating_sub(from_offset) as usize);
-    file.read_to_end(&mut bytes)?;
-
-    let mut scan = Scan {
-        frames: Vec::new(),
-        valid_len: from_offset,
-        torn: false,
-        corrupt_at: None,
-    };
-    let mut rest = bytes.as_slice();
-    while !rest.is_empty() {
-        let Some((header, body)) = rest.split_first_chunk() else {
+/// Scan `file` from its start to EOF, handing every whole, CRC-valid frame
+/// to `visit` as `(offset, payload)` in file order, and detect a torn tail
+/// or corruption after the last of them. Does not modify the file. The
+/// first error `visit` returns ends the scan.
+pub fn scan_frames<E: From<StoreError>>(
+    file: &File,
+    mut visit: impl FnMut(u64, Vec<u8>) -> Result<(), E>,
+) -> Result<Scan, E> {
+    let file_len = file.metadata().map_err(StoreError::Io)?.len();
+    let mut bytes = BufReader::with_capacity(IO_RUN_BYTES, file);
+    bytes.seek(SeekFrom::Start(0)).map_err(StoreError::Io)?;
+    let mut scan = Scan::default();
+    while scan.valid_len < file_len {
+        let offset = scan.valid_len;
+        let body_at = offset + FRAME_HEADER_BYTES;
+        if body_at > file_len {
             scan.torn = true;
             break;
-        };
-        let (len, crc) = decode_header(*header);
-        let Some(payload) = body.get(..len as usize).filter(|p| crc32(p) == crc) else {
+        }
+        let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+        bytes.read_exact(&mut header).map_err(StoreError::Io)?;
+        let (len, crc) = decode_header(header);
+        let mut payload = Vec::new();
+        if u64::from(len) <= file_len - body_at {
+            payload.resize(len as usize, 0);
+            bytes.read_exact(&mut payload).map_err(StoreError::Io)?;
+        }
+        if payload.len() != len as usize || crc32(&payload) != crc {
             // A header whose length overruns the file or whose CRC fails.
             scan.torn = true;
-            if damaged_before_whole_frames(len, crc, body) {
-                scan.corrupt_at = Some(scan.valid_len);
+            if damaged_before_whole_frames(file, body_at, file_len, len, crc)? {
+                scan.corrupt_at = Some(offset);
             }
             break;
-        };
-        scan.frames.push(ScannedFrame {
-            offset: scan.valid_len,
-            payload: payload.to_vec(),
-        });
-        rest = &body[payload.len()..];
-        scan.valid_len += FRAME_HEADER_BYTES + u64::from(len);
+        }
+        visit(offset, payload)?;
+        scan.valid_len = body_at + u64::from(len);
     }
     Ok(scan)
 }
 
-/// Whether the frame whose header says `(len, crc)`, followed by `body`,
-/// is a damaged frame with whole, valid frames after it. Its payload ends
-/// either where `len` points or, if `len` is the damaged field, where the
-/// bytes of `body` read so far first match `crc`; one pass over `body`
-/// tries both, and only where one holds are the frames after it checked.
-fn damaged_before_whole_frames(len: u32, crc: u32, body: &[u8]) -> bool {
+/// Whether the frame whose header says `(len, crc)`, its body starting at
+/// `body_at`, is a damaged frame with whole, valid frames after it. Its
+/// payload ends either where `len` points or, if `len` is the damaged
+/// field, where the bytes of the body read so far first match `crc`; one
+/// pass over the rest of the file tries both, and only where one holds
+/// are the frames after it checked.
+fn damaged_before_whole_frames(
+    file: &File,
+    body_at: u64,
+    file_len: u64,
+    len: u32,
+    crc: u32,
+) -> Result<bool, StoreError> {
+    let mut bytes = BufReader::with_capacity(IO_RUN_BYTES, file);
+    bytes.seek(SeekFrom::Start(body_at))?;
     let mut running = crc32(&[]);
-    for (end, &byte) in body.iter().enumerate() {
-        if (end == len as usize || running == crc) && whole_frames(&body[end..]) {
-            return true;
+    let mut byte = [0u8; 1];
+    for end in body_at..file_len {
+        if (end - body_at == u64::from(len) || running == crc) && whole_frames(file, end, file_len)?
+        {
+            return Ok(true);
         }
-        running = crc32_extend(running, &[byte]);
+        bytes.read_exact(&mut byte)?;
+        running = crc32_extend(running, &byte);
     }
-    false
+    Ok(false)
 }
 
-/// Whether `bytes` are whole frames whose CRCs match, up to their end.
-fn whole_frames(mut bytes: &[u8]) -> bool {
-    while let Some((header, body)) = bytes.split_first_chunk() {
-        let (len, crc) = decode_header(*header);
-        let Some(payload) = body.get(..len as usize).filter(|p| crc32(p) == crc) else {
-            return false;
-        };
-        bytes = &body[payload.len()..];
+/// Whether the bytes of `file` from `from` to `file_len` are whole frames
+/// whose CRCs match, read one frame at a time.
+fn whole_frames(file: &File, mut from: u64, file_len: u64) -> Result<bool, StoreError> {
+    let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+    while file_len - from >= FRAME_HEADER_BYTES {
+        file.read_exact_at(&mut header, from)?;
+        let (len, crc) = decode_header(header);
+        let body_at = from + FRAME_HEADER_BYTES;
+        if u64::from(len) > file_len - body_at {
+            return Ok(false);
+        }
+        let mut payload = vec![0u8; len as usize];
+        file.read_exact_at(&mut payload, body_at)?;
+        if crc32(&payload) != crc {
+            return Ok(false);
+        }
+        from = body_at + u64::from(len);
     }
-    bytes.is_empty()
+    Ok(from == file_len)
 }
 
 /// A frame header's `(payload length, CRC)`.
@@ -179,6 +199,17 @@ mod tests {
             .unwrap()
     }
 
+    /// Scan `file`, collecting every payload handed over.
+    fn scan_all(file: &File) -> (Scan, Vec<Vec<u8>>) {
+        let mut payloads = Vec::new();
+        let scan = scan_frames::<StoreError>(file, |_, payload| {
+            payloads.push(payload);
+            Ok(())
+        })
+        .unwrap();
+        (scan, payloads)
+    }
+
     #[test]
     fn frames_round_trip() {
         let dir = TestDir::new("frames-round-trip");
@@ -187,12 +218,9 @@ mod tests {
         for payload in [&b"alpha"[..], b"", b"gamma-gamma"] {
             append_bytes(&mut file, &encode_frame(payload)).unwrap();
         }
-        let scan = scan_frames(&mut file, 0).unwrap();
+        let (scan, payloads) = scan_all(&file);
         assert!(!scan.torn);
-        assert_eq!(scan.frames.len(), 3);
-        assert_eq!(scan.frames[0].payload, b"alpha");
-        assert_eq!(scan.frames[1].payload, b"");
-        assert_eq!(scan.frames[2].payload, b"gamma-gamma");
+        assert_eq!(payloads, [&b"alpha"[..], b"", b"gamma-gamma"]);
         assert_eq!(scan.valid_len, file.metadata().unwrap().len());
     }
 
@@ -208,20 +236,17 @@ mod tests {
         // Cutting exactly between frames leaves a clean file: a crash that
         // loses an entire trailing record leaves no evidence of it.
         std::fs::write(&path, &whole[..first_len as usize]).unwrap();
-        let mut file = open_rw(&path);
-        let scan = scan_frames(&mut file, 0).unwrap();
+        let (scan, payloads) = scan_all(&open_rw(&path));
         assert!(!scan.torn);
-        assert_eq!(scan.frames.len(), 1);
+        assert_eq!(payloads.len(), 1);
 
         // Truncate the file at every byte offset strictly inside the second
         // frame: the first frame must survive, the partial second dropped.
         for cut in first_len + 1..whole.len() as u64 {
             std::fs::write(&path, &whole[..cut as usize]).unwrap();
-            let mut file = open_rw(&path);
-            let scan = scan_frames(&mut file, 0).unwrap();
+            let (scan, payloads) = scan_all(&open_rw(&path));
             assert!(scan.torn, "cut at {cut} not flagged as torn");
-            assert_eq!(scan.frames.len(), 1, "cut at {cut}");
-            assert_eq!(scan.frames[0].payload, b"first-record");
+            assert_eq!(payloads, [b"first-record"], "cut at {cut}");
             assert_eq!(scan.valid_len, first_len);
         }
     }
@@ -236,19 +261,41 @@ mod tests {
         // Flip a payload byte of the first frame: nothing survives.
         whole[9] ^= 0x40;
         std::fs::write(&path, &whole).unwrap();
-        let mut file = open_rw(&path);
-        let scan = scan_frames(&mut file, 0).unwrap();
+        let (scan, payloads) = scan_all(&open_rw(&path));
         assert!(scan.torn);
-        assert!(scan.frames.is_empty());
+        assert!(payloads.is_empty());
         assert_eq!(scan.valid_len, 0);
         // A valid frame follows the bad one: damage, not a torn tail.
         assert_eq!(scan.corrupt_at, Some(0));
         // The same flip in the last frame is a torn tail.
         let first_len = encode_frame(b"aaaa").len();
         std::fs::write(&path, &whole[..first_len]).unwrap();
-        let scan = scan_frames(&mut open_rw(&path), 0).unwrap();
+        let (scan, _) = scan_all(&open_rw(&path));
         assert!(scan.torn);
         assert_eq!(scan.corrupt_at, None);
+    }
+
+    /// The first error the visitor returns ends the scan, with nothing
+    /// read past the frame it was handed.
+    #[test]
+    fn visitor_error_ends_the_scan() {
+        let dir = TestDir::new("visitor-error");
+        let path = dir.path().join("f.log");
+        let mut file = open_rw(&path);
+        for payload in [&b"one"[..], b"two", b"three"] {
+            append_bytes(&mut file, &encode_frame(payload)).unwrap();
+        }
+        let mut seen = Vec::new();
+        let err = scan_frames(&file, |offset, payload| {
+            seen.push(offset);
+            match payload.as_slice() {
+                b"two" => Err(StoreError::Corrupt("refused".into())),
+                _ => Ok(()),
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        assert_eq!(seen, [0, 11]);
     }
 
     #[test]
@@ -259,14 +306,14 @@ mod tests {
         append_bytes(&mut file, &encode_frame(b"keep")).unwrap();
         let keep_len = file.metadata().unwrap().len();
         append_bytes(&mut file, &[0xFF; 5]).unwrap(); // torn garbage
-        let scan = scan_frames(&mut file, 0).unwrap();
+        let (scan, _) = scan_all(&file);
         assert!(scan.torn);
         truncate_to(&mut file, scan.valid_len).unwrap();
         assert_eq!(file.metadata().unwrap().len(), keep_len);
         // A fresh append after repair scans clean.
         append_bytes(&mut file, &encode_frame(b"new")).unwrap();
-        let scan = scan_frames(&mut file, 0).unwrap();
+        let (scan, payloads) = scan_all(&file);
         assert!(!scan.torn);
-        assert_eq!(scan.frames.len(), 2);
+        assert_eq!(payloads.len(), 2);
     }
 }

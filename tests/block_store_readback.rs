@@ -21,9 +21,10 @@ use chain::{
 };
 use ledgerview::crypto::rng::seeded;
 use ledgerview::fabric::{BlockStore, FabricChain, FabricError};
-use ledgerview::prelude::{FsyncPolicy, StorageConfig};
+use ledgerview::prelude::{FsyncPolicy, StorageConfig, ViewError};
 use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
 use ledgerview::store::testdir::TestDir;
+use ledgerview::views::verify::ledger_edb;
 
 const SHAPE: Shape = Shape {
     keys: 7,
@@ -137,6 +138,45 @@ fn snapshot_joined_store_agrees_with_its_twin() {
     assert_eq!(chain.store().base(), at);
     assert_no_body_held(dir.path(), chain.store());
     assert_agree(chain.store(), twin.store());
+}
+
+/// The scans that walk the whole ledger — the chain audit and the view
+/// layer's ledger EDB — read every body back and keep none: after both,
+/// with the block file zeroed, no block answers, and each scan is a typed
+/// error rather than a panic.
+#[test]
+fn scans_hold_no_body() {
+    let twin = twin();
+    let dir = TestDir::new("readback-scan");
+    {
+        let (mut chain, alice) = open_chain(SEED, storage(dir.path()), false, None).unwrap();
+        run_workload(&mut chain, &alice, BLOCKS, SEED ^ 0xabcd, SHAPE);
+    }
+    let (chain, _) = open_chain(SEED, storage(dir.path()), false, None).unwrap();
+    chain.store().verify_chain().unwrap();
+    ledger_edb(&chain).unwrap();
+    let mut seen = Vec::new();
+    chain
+        .store()
+        .for_each_block(|block| {
+            seen.push(block.clone());
+            Ok::<(), FabricError>(())
+        })
+        .unwrap();
+    assert_eq!(seen, twin.store().iter().cloned().collect::<Vec<_>>());
+    assert_no_body_held(dir.path(), chain.store());
+
+    let path = dir.path().join(BLOCKS_DATA_FILE);
+    let len = std::fs::metadata(&path).unwrap().len() as usize;
+    std::fs::write(&path, vec![0u8; len]).unwrap();
+    assert!(matches!(
+        chain.store().verify_chain(),
+        Err(FabricError::Storage(_))
+    ));
+    assert!(matches!(
+        ledger_edb(&chain),
+        Err(ViewError::Fabric(FabricError::Storage(_)))
+    ));
 }
 
 /// A body read back once is held: the block file can go bad under it.

@@ -199,17 +199,11 @@ const BLOCKS_DAT: (&str, u64, &str) = (
     77_208,
     "cd83e5680ae29421df0ee33b28b0b449b039a515129ac15ac0ca612d9808cfb7",
 );
-const BLOCKS_IDX: (&str, u64, &str) = (
-    "blocks.idx",
-    24,
-    "670d6d2c3d5fe246ac39416dad415757ce4ec9b09b3a5ad774ff1049e0b0b402",
-);
 
 #[test]
 fn lsm_engine_directory_is_byte_identical() {
     let files = [
         BLOCKS_DAT,
-        BLOCKS_IDX,
         ("lsm/MANIFEST", 144 + 40, ""),
         (
             "lsm/sst-0000000005.tbl",

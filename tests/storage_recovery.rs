@@ -18,9 +18,13 @@ use chain::{
     apply_twin_block, open_chain, reference_history, run_workload, twin_with_snapshot, Shape,
 };
 use ledgerview::crypto::rng::seeded;
+use ledgerview::crypto::sha256::Digest;
 use ledgerview::fabric::identity::Identity;
+use ledgerview::fabric::ledger::Block;
 use ledgerview::fabric::{FabricChain, FabricError};
 use ledgerview::prelude::{FsyncPolicy, StorageConfig};
+use ledgerview::store::blockfile::BLOCKS_DATA_FILE;
+use ledgerview::store::record::encode_frame;
 use ledgerview::store::testdir::TestDir;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -218,5 +222,85 @@ proptest! {
         let durable = run_workload(&mut chain, &alice, blocks, seed ^ 0xabcd, SHAPE);
         let reference = reference_history(seed, blocks, SHAPE);
         prop_assert_eq!(durable, reference);
+    }
+}
+
+/// `blocks.dat` rebuilt by hand: one whole, CRC-valid frame per block,
+/// its payload the block's height (little-endian) then the block bytes.
+fn block_file(blocks: &[Vec<u8>]) -> Vec<u8> {
+    let mut file = Vec::new();
+    for (height, block) in blocks.iter().enumerate() {
+        let mut payload = (height as u64).to_le_bytes().to_vec();
+        payload.extend_from_slice(block);
+        file.extend_from_slice(&encode_frame(&payload));
+    }
+    file
+}
+
+/// Block `k` of `blocks`, made bad in the way `how` names while staying a
+/// whole frame: bytes that do not decode, a data hash that does not match
+/// the transactions, a broken prev-hash link, or a validity vector one
+/// flag too long. None of the three changes a write set, so the rolling
+/// state root of a replayed block still matches its header.
+fn spoil(blocks: &[Block], k: usize, how: &str) -> Vec<u8> {
+    let mut block = blocks[k].clone();
+    match how {
+        "undecodable" => return b"not a block".to_vec(),
+        "data hash" => block.transactions[0].response.extend_from_slice(b"!"),
+        "prev-hash link" => block.header.prev_hash = Digest([0xab; 32]),
+        "validity length" => block.validity.push(true),
+        other => unreachable!("{other}"),
+    }
+    block.encode()
+}
+
+/// A block file whose every frame is whole and valid, but one of whose
+/// blocks is not the block committed: each reopen is refused with a typed
+/// storage error, reads no further, and leaves the directory as it was.
+/// Block `k` sits below the checkpoint or above it (replayed), in the
+/// first 32-block decode chunk of recovery or a later one.
+#[test]
+fn well_framed_bad_blocks_are_refused() {
+    const BLOCKS: u64 = 40;
+    let seed = 37;
+    // Checkpoints every 12 blocks leave the last at 36: blocks 0..36 sit
+    // below it and 36..40 are replayed. With no checkpoint every block is
+    // replayed.
+    for (interval, ks) in [(12, &[0, 3, 33, 38][..]), (1_000, &[3, 35][..])] {
+        let dir = TestDir::new("recover-bad-block");
+        let config = StorageConfig::new(dir.path())
+            .fsync(FsyncPolicy::Never)
+            .checkpoint_every(interval);
+        let (blocks, last) = {
+            let (mut chain, alice) = durable_chain(seed, config.clone());
+            let history = run_workload(&mut chain, &alice, BLOCKS, seed ^ 0xabcd, SHAPE);
+            let blocks: Vec<Block> = chain.store().iter().cloned().collect();
+            (blocks, *history.last().unwrap())
+        };
+        let path = dir.path().join(BLOCKS_DATA_FILE);
+        let encoded: Vec<Vec<u8>> = blocks.iter().map(Block::encode).collect();
+        let original = std::fs::read(&path).unwrap();
+        assert_eq!(block_file(&encoded), original, "the hand-built file");
+
+        for &k in ks {
+            for how in [
+                "undecodable",
+                "data hash",
+                "prev-hash link",
+                "validity length",
+            ] {
+                let mut spoilt = encoded.clone();
+                spoilt[k] = spoil(&blocks, k, how);
+                let image = block_file(&spoilt);
+                std::fs::write(&path, &image).unwrap();
+                let what = format!("checkpoint every {interval}, block {k}: {how}");
+                assert_reopen_is_a_storage_error(seed, config.clone(), &what);
+                assert_eq!(std::fs::read(&path).unwrap(), image, "{what}: file changed");
+            }
+        }
+        std::fs::write(&path, &original).unwrap();
+        let (chain, _) = durable_chain(seed, config);
+        assert_eq!(chain.height(), BLOCKS);
+        assert_eq!((chain.state().state_digest(), chain.state_root()), last);
     }
 }
