@@ -6,6 +6,8 @@
 //! Mitzenmacher) over two independent 64-bit mixes of an FNV-1a base, so
 //! membership tests cost two multiplications regardless of `k`.
 
+use fabric_store::record::Fields;
+
 /// FNV-1a over the key bytes: the base hash everything else derives from.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -93,15 +95,14 @@ impl Bloom {
 
     /// Decode a filter serialized by [`Bloom::encode`].
     pub fn decode(bytes: &[u8]) -> Option<Bloom> {
-        if bytes.len() < 12 {
+        let mut fields = Fields::new(bytes, &"bloom filter");
+        let k = fields.u32().ok()?;
+        let nbits = fields.u64().ok()?;
+        if nbits == 0 || nbits % 64 != 0 || k == 0 {
             return None;
         }
-        let k = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
-        let nbits = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
-        let body = &bytes[12..];
-        if nbits == 0 || nbits % 64 != 0 || body.len() as u64 != nbits / 8 || k == 0 {
-            return None;
-        }
+        let body = fields.bytes(usize::try_from(nbits / 8).ok()?).ok()?;
+        fields.end().ok()?;
         let words = body
             .as_chunks::<8>()
             .0

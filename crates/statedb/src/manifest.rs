@@ -8,12 +8,18 @@
 //! writes and the manifest rename leaves orphan `.tbl` files that the
 //! next open simply deletes: the manifest *is* the commit point for
 //! every flush and compaction.
+//!
+//! The file is the body, then a CRC over it (no frame); both decode
+//! through `fabric_store::record`'s [`Fields`] reader, so a table count
+//! the body cannot hold is [`StoreError::Corrupt`] and never sizes an
+//! allocation.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use fabric_store::crc32::crc32;
+use fabric_store::record::Fields;
 use fabric_store::StoreError;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"LVSTMAN1";
@@ -33,10 +39,6 @@ pub struct Manifest {
     pub cursors: Vec<Option<String>>,
     /// Opaque caller metadata (flushed height, digest, ...).
     pub meta: Vec<u8>,
-}
-
-fn corrupt(msg: &str) -> StoreError {
-    StoreError::Corrupt(format!("manifest: {msg}"))
 }
 
 impl Manifest {
@@ -69,59 +71,44 @@ impl Manifest {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
-        if bytes.len() < MANIFEST_MAGIC.len() + 4 {
-            return Err(corrupt("truncated"));
+        let mut fields = Fields::new(bytes, &"manifest");
+        let body = fields.bytes(bytes.len().saturating_sub(4))?;
+        if crc32(body) != fields.u32()? {
+            return Err(fields.corrupt("checksum mismatch"));
         }
-        let (body, crc_bytes) = bytes
-            .split_last_chunk::<4>()
-            .ok_or_else(|| corrupt("truncated"))?;
-        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
-            return Err(corrupt("checksum mismatch"));
+        let mut fields = Fields::new(body, &"manifest");
+        if fields.bytes(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
+            return Err(fields.corrupt("bad magic"));
         }
-        let mut cur = Cursor { buf: body, pos: 0 };
-        let magic = cur.take(8)?;
-        if magic != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let next_seq = cur.u64()?;
-        let nlevels = cur.u32()? as usize;
+        let next_seq = fields.u64()?;
+        let nlevels = fields.u32()? as usize;
         if nlevels > 64 {
-            return Err(corrupt("implausible level count"));
+            return Err(fields.corrupt("implausible level count"));
         }
         let mut levels = Vec::with_capacity(nlevels);
         for _ in 0..nlevels {
-            let ntables = cur.u32()? as usize;
-            // Each sequence number takes 8 bytes: a count the rest of the
-            // body cannot hold is corrupt, and never sizes an allocation.
-            if ntables > cur.remaining() / 8 {
-                return Err(corrupt("implausible table count"));
-            }
+            // Each sequence number takes 8 bytes.
+            let ntables = fields.count(8, "table count")?;
             let mut tables = Vec::with_capacity(ntables);
             for _ in 0..ntables {
-                tables.push(cur.u64()?);
+                tables.push(fields.u64()?);
             }
             levels.push(tables);
         }
-        let ncursors = cur.u32()? as usize;
+        let ncursors = fields.u32()? as usize;
         if ncursors > 64 {
-            return Err(corrupt("implausible cursor count"));
+            return Err(fields.corrupt("implausible cursor count"));
         }
         let mut cursors = Vec::with_capacity(ncursors);
         for _ in 0..ncursors {
-            let len = cur.u32()?;
-            if len == u32::MAX {
-                cursors.push(None);
-            } else {
-                let raw = cur.take(len as usize)?;
-                let key = std::str::from_utf8(raw).map_err(|_| corrupt("cursor not utf-8"))?;
-                cursors.push(Some(key.to_string()));
+            match fields.u32()? {
+                u32::MAX => cursors.push(None),
+                len => cursors.push(Some(fields.utf8(len as usize)?.to_string())),
             }
         }
-        let meta_len = cur.u32()? as usize;
-        let meta = cur.take(meta_len)?.to_vec();
-        if cur.pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        let meta_len = fields.u32()? as usize;
+        let meta = fields.bytes(meta_len)?.to_vec();
+        fields.end()?;
         Ok(Manifest {
             next_seq,
             levels,
@@ -133,42 +120,6 @@ impl Manifest {
     /// All table sequence numbers referenced by any level.
     pub fn live_seqs(&self) -> Vec<u64> {
         self.levels.iter().flatten().copied().collect()
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.buf.len() {
-            return Err(corrupt("unexpected end"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
-        let out = *self.buf[self.pos..]
-            .first_chunk::<N>()
-            .ok_or_else(|| corrupt("unexpected end"))?;
-        self.pos += N;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        self.array().map(u64::from_le_bytes)
     }
 }
 

@@ -13,9 +13,11 @@
 //! `[keylen u16][key][tag u8][vlen u32?][value?][block u64][tx u32]`
 //! where tag 1 = value present, tag 0 = tombstone. Blocks target
 //! `block_bytes` before cutting, so the sparse index stays tiny (one
-//! entry per block, not per record). Every frame carries its own CRC32
-//! (the same polynomial as `crates/store`), so a torn or bit-flipped
-//! table is detected at read time, not silently merged downstream.
+//! entry per block, not per record). Frames are the block file's, written,
+//! checked and read back by `fabric_store::record`, so a torn or
+//! bit-flipped table is detected at read time, not silently merged
+//! downstream; the footer, index and records decode through its
+//! [`Fields`] reader.
 //!
 //! Readers share an open file handle and use positioned reads
 //! (`read_at`), so concurrent point lookups from validator worker
@@ -36,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fabric_store::crc32::crc32;
+use fabric_store::record::{check_frame, read_frame, write_frame, Fields};
 use fabric_store::StoreError;
 
 use crate::bloom::Bloom;
@@ -44,8 +47,6 @@ use crate::Version;
 
 const TABLE_MAGIC: u64 = 0x4c56_5354_4442_3031; // "LVSTDB01"
 const FOOTER_BYTES: usize = 60;
-/// Frame header: payload length and payload CRC, a `u32` each.
-const FRAME_HEADER: usize = 8;
 /// The most bytes one compaction read, or one table-builder write, moves
 /// (a lone larger frame is read whole). A compaction holds one run per
 /// input table at once, so this also bounds its read buffers.
@@ -107,89 +108,32 @@ fn encode_record(out: &mut Vec<u8>, key: &str, value: Option<&[u8]>, version: Ve
     out.extend_from_slice(&version.tx_num.to_le_bytes());
 }
 
-/// Split the `N`-byte field off the front of `bytes`, or fail with
-/// `truncated`.
-fn field<const N: usize>(bytes: &mut &[u8], truncated: &str) -> Result<[u8; N], StoreError> {
-    let (head, tail) = bytes
-        .split_first_chunk::<N>()
-        .ok_or_else(|| corrupt(truncated))?;
-    *bytes = tail;
-    Ok(*head)
-}
-
-/// Split `n` bytes off the front of `bytes`, or fail with `truncated`.
-fn take<'a>(bytes: &mut &'a [u8], n: usize, truncated: &str) -> Result<&'a [u8], StoreError> {
-    let (head, tail) = bytes
-        .split_at_checked(n)
-        .ok_or_else(|| corrupt(truncated))?;
-    *bytes = tail;
-    Ok(head)
-}
-
 /// Decode every record in a data-block payload.
 pub fn decode_block(payload: &[u8]) -> Result<Vec<Record>, StoreError> {
-    const TRUNCATED: &str = "sstable: truncated record";
+    let mut fields = Fields::new(payload, &"sstable record");
     let mut records = Vec::new();
-    let mut rest = payload;
-    while !rest.is_empty() {
-        let klen = u16::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
-        let key = take(&mut rest, klen, TRUNCATED)?;
-        let [tag] = field(&mut rest, TRUNCATED)?;
-        let key = std::str::from_utf8(key)
-            .map_err(|_| corrupt("sstable: key not utf-8"))?
-            .to_string();
-        let value = match tag {
+    while !fields.is_empty() {
+        let key_len = fields.u16()? as usize;
+        let key = fields.utf8(key_len)?.to_string();
+        let value = match fields.u8()? {
             0 => None,
             1 => {
-                let vlen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
-                Some(take(&mut rest, vlen, TRUNCATED)?.to_vec())
+                let value_len = fields.u32()? as usize;
+                Some(fields.bytes(value_len)?.to_vec())
             }
-            _ => return Err(corrupt("sstable: bad record tag")),
+            tag => return Err(fields.corrupt(format_args!("bad record tag {tag}"))),
         };
-        let block_num = u64::from_le_bytes(field(&mut rest, TRUNCATED)?);
-        let tx_num = u32::from_le_bytes(field(&mut rest, TRUNCATED)?);
+        let version = Version {
+            block_num: fields.u64()?,
+            tx_num: fields.u32()?,
+        };
         records.push(Record {
             key,
             value,
-            version: Version { block_num, tx_num },
+            version,
         });
     }
     Ok(records)
-}
-
-/// Write `payload` as one frame; returns the frame's length.
-fn write_frame(out: &mut impl Write, payload: &[u8]) -> Result<u32, StoreError> {
-    out.write_all(&(payload.len() as u32).to_le_bytes())
-        .and_then(|()| out.write_all(&crc32(payload).to_le_bytes()))
-        .and_then(|()| out.write_all(payload))
-        .map_err(StoreError::Io)?;
-    Ok((FRAME_HEADER + payload.len()) as u32)
-}
-
-/// Check one frame — exactly the bytes its index entry or footer spans —
-/// and return its payload.
-fn check_frame(frame: &[u8]) -> Result<&[u8], StoreError> {
-    const SHORT: &str = "sstable: frame shorter than header";
-    let mut payload = frame;
-    let plen = u32::from_le_bytes(field(&mut payload, SHORT)?) as usize;
-    let stored = u32::from_le_bytes(field(&mut payload, SHORT)?);
-    if plen + FRAME_HEADER != frame.len() {
-        return Err(corrupt("sstable: frame length mismatch"));
-    }
-    if crc32(payload) != stored {
-        return Err(corrupt("sstable: frame checksum mismatch"));
-    }
-    Ok(payload)
-}
-
-/// Read and check the frame at `offset`; the payload is moved to the
-/// front of the same buffer rather than copied into a second one.
-fn read_frame(file: &File, offset: u64, len: u32) -> Result<Vec<u8>, StoreError> {
-    let mut buf = vec![0u8; len as usize];
-    file.read_exact_at(&mut buf, offset).map_err(read_error)?;
-    check_frame(&buf)?;
-    buf.drain(..FRAME_HEADER);
-    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -219,33 +163,21 @@ fn encode_index(entries: &[IndexEntry], last_key: &str) -> Vec<u8> {
 }
 
 fn decode_index(payload: &[u8]) -> Result<(Vec<IndexEntry>, String), StoreError> {
-    const TRUNCATED: &str = "sstable: truncated index";
-    let mut rest = payload;
-    let n = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
-    if n > 1 << 24 {
-        return Err(corrupt("sstable: implausible index size"));
-    }
+    let mut fields = Fields::new(payload, &"sstable index");
+    // An entry takes at least 16 bytes: key length, offset, frame length.
+    let n = fields.count(16, "entry count")?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let klen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
-        let key = std::str::from_utf8(take(&mut rest, klen, TRUNCATED)?)
-            .map_err(|_| corrupt("sstable: index key not utf-8"))?
-            .to_string();
-        let offset = u64::from_le_bytes(field(&mut rest, TRUNCATED)?);
-        let len = u32::from_le_bytes(field(&mut rest, TRUNCATED)?);
+        let key_len = fields.u32()? as usize;
         entries.push(IndexEntry {
-            first_key: key,
-            offset,
-            len,
+            first_key: fields.utf8(key_len)?.to_string(),
+            offset: fields.u64()?,
+            len: fields.u32()?,
         });
     }
-    let klen = u32::from_le_bytes(field(&mut rest, TRUNCATED)?) as usize;
-    let last_key = std::str::from_utf8(take(&mut rest, klen, TRUNCATED)?)
-        .map_err(|_| corrupt("sstable: last key not utf-8"))?
-        .to_string();
-    if !rest.is_empty() {
-        return Err(corrupt("sstable: trailing index bytes"));
-    }
+    let key_len = fields.u32()? as usize;
+    let last_key = fields.utf8(key_len)?.to_string();
+    fields.end()?;
     Ok((entries, last_key))
 }
 
@@ -323,7 +255,7 @@ impl TableBuilder {
         if self.current.is_empty() {
             return Ok(());
         }
-        let len = write_frame(&mut self.file, &self.current)?;
+        let len = write_frame(&mut self.file, &self.current).map_err(StoreError::Io)? as u32;
         self.index.push(IndexEntry {
             first_key: self
                 .current_first_key
@@ -360,20 +292,21 @@ impl TableBuilder {
             BLOOM_BITS_PER_KEY,
         );
         let filter_off = self.offset;
-        let filter_len = write_frame(&mut self.file, &bloom.encode())?;
+        let filter_len = write_frame(&mut self.file, &bloom.encode()).map_err(StoreError::Io)?;
         let last_key = self
             .keys
             .last()
             .cloned()
             .expect("non-empty table has a last key");
-        let index_off = filter_off + filter_len as u64;
-        let index_len = write_frame(&mut self.file, &encode_index(&self.index, &last_key))?;
+        let index_off = filter_off + filter_len;
+        let index_len = write_frame(&mut self.file, &encode_index(&self.index, &last_key))
+            .map_err(StoreError::Io)?;
 
         let mut footer = Vec::with_capacity(FOOTER_BYTES);
         footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index_len as u64).to_le_bytes());
+        footer.extend_from_slice(&index_len.to_le_bytes());
         footer.extend_from_slice(&filter_off.to_le_bytes());
-        footer.extend_from_slice(&(filter_len as u64).to_le_bytes());
+        footer.extend_from_slice(&filter_len.to_le_bytes());
         footer.extend_from_slice(&self.entry_count.to_le_bytes());
         footer.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
         let crc = crc32(&footer);
@@ -390,7 +323,7 @@ impl TableBuilder {
             file.sync_all().map_err(StoreError::Io)?;
         }
 
-        let file_bytes = index_off + index_len as u64 + FOOTER_BYTES as u64;
+        let file_bytes = index_off + index_len + FOOTER_BYTES as u64;
         let min_key = self.index[0].first_key.clone();
         Ok(Table {
             seq: self.seq,
@@ -441,38 +374,40 @@ impl Table {
         file.read_exact_at(&mut footer, file_bytes - FOOTER_BYTES as u64)
             .map_err(StoreError::Io)?;
         // Six u64 fields, then the checksum over them, then padding.
-        const SHORT: &str = "sstable: short footer";
-        let mut rest = &footer[..];
-        let mut word = || field(&mut rest, SHORT).map(u64::from_le_bytes);
+        let what = format!("sstable {seq}");
+        let mut fields = Fields::new(&footer, &what);
+        let mut word = || fields.u64();
         let [index_off, index_len, filter_off, filter_len, entry_count, magic] =
             [word()?, word()?, word()?, word()?, word()?, word()?];
-        let stored_crc = u32::from_le_bytes(field(&mut rest, SHORT)?);
+        let stored_crc = fields.u32()?;
+        let padding: [u8; 8] = fields.array()?;
         if magic != TABLE_MAGIC {
-            return Err(corrupt(format!("sstable {seq}: bad magic")));
+            return Err(fields.corrupt("bad magic"));
         }
         if crc32(&footer[..48]) != stored_crc {
-            return Err(corrupt(format!("sstable {seq}: footer checksum mismatch")));
+            return Err(fields.corrupt("footer checksum mismatch"));
         }
         // The padding sits outside the checksum; it is zero by
         // construction, so anything else is damage.
-        if footer[52..].iter().any(|&b| b != 0) {
-            return Err(corrupt(format!("sstable {seq}: non-zero footer padding")));
+        if padding != [0; 8] {
+            return Err(fields.corrupt("non-zero footer padding"));
         }
-        if index_off + index_len + FOOTER_BYTES as u64 != file_bytes
-            || filter_off + filter_len != index_off
+        let index_end = index_off.checked_add(index_len);
+        if index_end.and_then(|end| end.checked_add(FOOTER_BYTES as u64)) != Some(file_bytes)
+            || filter_off.checked_add(filter_len) != Some(index_off)
         {
-            return Err(corrupt(format!(
-                "sstable {seq}: inconsistent footer offsets"
-            )));
+            return Err(fields.corrupt("inconsistent footer offsets"));
         }
-        let index_payload = read_frame(&file, index_off, index_len as u32)?;
+        let ([], index_payload) =
+            read_frame(&file, index_off, index_len, format_args!("{what} index"))?;
         let (index, max_key) = decode_index(&index_payload)?;
         if index.is_empty() {
-            return Err(corrupt(format!("sstable {seq}: empty index")));
+            return Err(fields.corrupt("empty index"));
         }
-        let filter_payload = read_frame(&file, filter_off, filter_len as u32)?;
-        let bloom = Bloom::decode(&filter_payload)
-            .ok_or_else(|| corrupt(format!("sstable {seq}: bad bloom filter")))?;
+        let ([], filter_payload) =
+            read_frame(&file, filter_off, filter_len, format_args!("{what} filter"))?;
+        let bloom =
+            Bloom::decode(&filter_payload).ok_or_else(|| fields.corrupt("bad bloom filter"))?;
         let min_key = index[0].first_key.clone();
         Ok(Table {
             seq,
@@ -519,7 +454,12 @@ impl Table {
             return Ok(block);
         }
         let entry = &self.index[idx];
-        let payload = read_frame(&self.file, entry.offset, entry.len)?;
+        let ([], payload) = read_frame(
+            &self.file,
+            entry.offset,
+            u64::from(entry.len),
+            format_args!("sstable {} block {idx}", self.seq),
+        )?;
         let block = Arc::new(payload);
         caches.insert_block(key, Arc::clone(&block));
         Ok(block)
@@ -703,7 +643,10 @@ impl CompactionReader<'_> {
         self.run_blocks.start += 1;
         let entry = &self.table.index[idx];
         let at = (entry.offset - self.run_offset) as usize;
-        let payload = check_frame(&self.run[at..at + entry.len as usize])?;
+        let payload = check_frame(
+            &self.run[at..at + entry.len as usize],
+            format_args!("sstable {} block {idx}", self.table.seq),
+        )?;
         self.buffered = decode_block(payload)?.into_iter();
         Ok(())
     }
@@ -992,6 +935,108 @@ mod tests {
                     "{case}"
                 ),
             }
+        }
+    }
+
+    /// Frames whose CRC holds over bad contents: one table's frames are
+    /// rewritten, one case at a time, with a recomputed CRC, so the
+    /// decoders behind the check see the damage. A bad data block opens
+    /// and then fails `get` and the compaction reader; a bad index or
+    /// filter fails the open. Each is `Corrupt`, never a panic.
+    #[test]
+    fn well_framed_bad_contents_are_corrupt() {
+        let dir = TestDir::new("statedb-sst-bad-contents");
+        let table = build_table(dir.path(), 7, 300, 512);
+        let (block0, path) = (table.index[0].clone(), table.path.clone());
+        drop(table);
+        let pristine = std::fs::read(&path).unwrap();
+        let len = pristine.len();
+        let word = |i: usize| {
+            let at = len - FOOTER_BYTES + 8 * i;
+            u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap())
+        };
+        let [index_off, index_len, filter_off, filter_len, entries] = [0, 1, 2, 3, 4].map(word);
+        // The first record of block 0 is `[keylen u16]["key-00000"][tag]`.
+        let key_len = "key-00000".len();
+        let tag_at = 2 + key_len;
+
+        // The file with the frame at `off..off + frame_len` re-framed around its
+        // payload after `edit`, and the footer rewritten to match.
+        let reframed = |off: u64, frame_len: u64, edit: &dyn Fn(&mut Vec<u8>)| {
+            let (off, end) = (off as usize, (off + frame_len) as usize);
+            let mut payload = pristine[off + 8..end].to_vec();
+            edit(&mut payload);
+            let frame = fabric_store::record::encode_frame(&payload);
+            let mut bytes = pristine[..off].to_vec();
+            bytes.extend_from_slice(&frame);
+            bytes.extend_from_slice(&pristine[end..len - FOOTER_BYTES]);
+            let grown = frame.len() as u64 - frame_len;
+            let index_len = index_len + if off as u64 == index_off { grown } else { 0 };
+            let mut footer = Vec::new();
+            for w in [
+                index_off,
+                index_len,
+                filter_off,
+                filter_len,
+                entries,
+                TABLE_MAGIC,
+            ] {
+                footer.extend_from_slice(&w.to_le_bytes());
+            }
+            footer.extend_from_slice(&crc32(&footer).to_le_bytes());
+            footer.extend_from_slice(&[0; 8]);
+            bytes.extend_from_slice(&footer);
+            bytes
+        };
+        let data = |edit: &dyn Fn(&mut Vec<u8>)| reframed(block0.offset, block0.len as u64, edit);
+        let index = |edit: &dyn Fn(&mut Vec<u8>)| reframed(index_off, index_len, edit);
+        let filter = |edit: &dyn Fn(&mut Vec<u8>)| reframed(filter_off, filter_len, edit);
+        let data_cases = [
+            ("record tag 2", data(&|p| p[tag_at] = 2)),
+            (
+                "key past the block",
+                data(&|p| p[..2].copy_from_slice(&u16::MAX.to_le_bytes())),
+            ),
+            ("key not UTF-8", data(&|p| p[2] = 0xff)),
+        ];
+        let meta_cases = [
+            (
+                "index count u32::MAX",
+                index(&|p| p[..4].copy_from_slice(&u32::MAX.to_le_bytes())),
+            ),
+            (
+                "index count one too many",
+                index(&|p| {
+                    let n = u32::from_le_bytes(p[..4].try_into().unwrap());
+                    p[..4].copy_from_slice(&(n + 1).to_le_bytes());
+                }),
+            ),
+            ("index trailing byte", index(&|p| p.push(0))),
+            (
+                "filter k = 0",
+                filter(&|p| p[..4].copy_from_slice(&0u32.to_le_bytes())),
+            ),
+        ];
+
+        let corrupt = |r: Result<_, StoreError>| matches!(r, Err(StoreError::Corrupt(_)));
+        for (case, bytes) in data_cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let table = Table::open(dir.path(), 7).unwrap_or_else(|e| panic!("{case}: {e}"));
+            let caches = Caches::new(1 << 20, 0);
+            let got = table.get("key-00000", &caches, &mut 0);
+            assert!(corrupt(got.map(drop)), "{case}: get");
+            let read: Vec<_> = table.compaction_reader().collect();
+            assert!(
+                read.len() == 1 && corrupt(read.into_iter().next().unwrap().map(drop)),
+                "{case}: compaction reader"
+            );
+        }
+        for (case, bytes) in meta_cases {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                corrupt(Table::open(dir.path(), 7).map(drop)),
+                "{case}: open"
+            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! The append-only block file.
 //!
-//! Blocks are opaque byte strings appended as CRC frames to `blocks.dat`;
-//! each frame payload is `[height: u64 LE][block bytes]`, so the file is
-//! self-describing: its first frame names the base height, and every
-//! later one must name the next.
+//! Blocks are opaque byte strings appended as [`crate::record`] frames to
+//! `blocks.dat`; each frame payload is `[height: u64 LE][block bytes]`, so
+//! the file is self-describing: its first frame names the base height,
+//! and every later one must name the next.
 //!
 //! [`BlockFile::open_at`] reads the file once, front to back, holding one
 //! frame at a time: it checks each frame's CRC and height and hands the
@@ -11,9 +11,10 @@
 //! (crash mid-append) is then truncated, the only write an open makes. A
 //! CRC-bad frame with a valid frame after it cannot be a torn append: open
 //! fails with [`StoreError::Corrupt`] and leaves the file as it is. No
-//! byte read from the file can panic the store: every fixed-width field is
-//! read through an infallible split, and a frame that runs past the end of
-//! the file is a [`StoreError::Corrupt`] on read.
+//! byte read from the file can panic the store: the height label is read
+//! through [`Fields`], and a frame that runs past the end of the file is a
+//! [`StoreError::Corrupt`] on read. An append copies the block's bytes
+//! once, into its payload, and writes the frame with one call.
 //!
 //! The block file is the ledger's only log: state is derived from it, so
 //! its [`FsyncPolicy`] is what bounds what a crash can lose.
@@ -21,19 +22,19 @@
 //! Every append and every block the open visits reports its [`FrameAt`].
 //! A [`BlockReader`] — a second handle on the data file that shares no
 //! cursor with the appending one — fetches a block back from its
-//! `FrameAt` with one positioned read, under `&self` and without a lock,
-//! while the [`BlockFile`] keeps appending. No index sits beside the
-//! file: a height-index file an older version left is never read.
+//! `FrameAt` with one positioned read ([`read_frame`]), under `&self` and
+//! without a lock, while the [`BlockFile`] keeps appending. No index sits
+//! beside the file: a height-index file an older version left is never
+//! read.
 
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Seek, SeekFrom};
-use std::os::unix::fs::FileExt;
+use std::io::{Seek, SeekFrom};
 use std::path::Path;
 
 use crate::record::{
-    append_bytes, decode_header, encode_frame, scan_frames, truncate_to, FRAME_HEADER_BYTES,
+    read_frame, scan_frames, truncate_to, write_frame, Fields, FRAME_HEADER_BYTES,
 };
-use crate::{crc32::crc32, StoreError};
+use crate::StoreError;
 
 /// File name of the block data file inside a storage directory.
 pub const BLOCKS_DATA_FILE: &str = "blocks.dat";
@@ -116,12 +117,8 @@ impl BlockFile {
             .map_err(StoreError::Io)?;
         let mut next: Option<u64> = None;
         let scan = scan_frames(&data, |offset, mut payload| {
-            let Some(height) = frame_height(&payload) else {
-                return Err(StoreError::Corrupt(format!(
-                    "block frame at offset {offset} too short"
-                ))
-                .into());
-            };
+            let height =
+                Fields::new(&payload, &format_args!("block frame at offset {offset}")).u64()?;
             let next = next.get_or_insert(height);
             if height != *next {
                 return Err(StoreError::Corrupt(format!(
@@ -180,14 +177,12 @@ impl BlockFile {
         let mut payload = Vec::with_capacity(8 + block.len());
         payload.extend_from_slice(&height.to_le_bytes());
         payload.extend_from_slice(block);
-        let frame = encode_frame(&payload);
         let at = FrameAt {
             offset: self.data_len,
             len: payload.len() as u32,
         };
         self.data.seek(SeekFrom::Start(self.data_len))?;
-        append_bytes(&mut self.data, &frame)?;
-        self.data_len += frame.len() as u64;
+        self.data_len += write_frame(&mut self.data, &payload)?;
         self.height += 1;
         self.unsynced += records;
         if self.policy.due(self.unsynced) {
@@ -230,66 +225,22 @@ impl BlockReader {
     /// its length, CRC and height label are checked, and bytes missing
     /// from the file are corruption, not an I/O failure.
     pub fn read(&self, height: u64, at: FrameAt) -> Result<Vec<u8>, StoreError> {
-        read_frame(&self.data, height, at)
-    }
-}
-
-/// Read and check the frame of block `height` at `at`; the block bytes are
-/// moved to the front of the same buffer rather than copied.
-fn read_frame(data: &File, height: u64, at: FrameAt) -> Result<Vec<u8>, StoreError> {
-    let mut frame = vec![0u8; FRAME_HEADER_BYTES as usize + at.len as usize];
-    data.read_exact_at(&mut frame, at.offset)
-        .map_err(|e| match e.kind() {
-            ErrorKind::UnexpectedEof => StoreError::Corrupt(format!(
-                "block {height}: frame at offset {} runs past the end",
-                at.offset
-            )),
-            _ => StoreError::Io(e),
-        })?;
-    let Some((header, payload)) = frame.split_first_chunk::<8>() else {
-        return Err(StoreError::Corrupt(format!(
-            "block {height}: no frame header"
-        )));
-    };
-    let (len, crc) = decode_header(*header);
-    if len != at.len {
-        return Err(StoreError::Corrupt(format!(
-            "block {height}: frame length {len} at offset {}, {} expected",
-            at.offset, at.len
-        )));
-    }
-    if crc32(payload) != crc {
-        return Err(StoreError::Corrupt(format!(
-            "block {height}: CRC mismatch at offset {}",
-            at.offset
-        )));
-    }
-    match frame_height(payload) {
-        Some(stored) if stored == height => {}
-        Some(stored) => {
-            return Err(StoreError::Corrupt(format!(
+        let len = FRAME_HEADER_BYTES + u64::from(at.len);
+        let (label, block) =
+            read_frame(&self.data, at.offset, len, format_args!("block {height}"))?;
+        match u64::from_le_bytes(label) {
+            stored if stored == height => Ok(block),
+            stored => Err(StoreError::Corrupt(format!(
                 "block {height}: frame labelled {stored}"
-            )))
-        }
-        None => {
-            return Err(StoreError::Corrupt(format!(
-                "block {height}: frame too short"
-            )))
+            ))),
         }
     }
-    frame.drain(..FRAME_HEADER_BYTES as usize + 8);
-    Ok(frame)
-}
-
-/// The height a block frame's payload starts with, if it has 8 bytes.
-fn frame_height(payload: &[u8]) -> Option<u64> {
-    payload.first_chunk().map(|h| u64::from_le_bytes(*h))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::encode_frame_into;
+    use crate::record::encode_frame;
     use crate::testdir::TestDir;
 
     fn block_bytes(i: u64) -> Vec<u8> {
@@ -625,7 +576,7 @@ mod tests {
         let mut carried = 11u64.to_le_bytes().to_vec();
         carried.extend_from_slice(&block_bytes(11));
         let mut block10 = b"value:".to_vec();
-        encode_frame_into(&mut block10, &carried);
+        block10.extend(encode_frame(&carried));
         block10.extend_from_slice(b":rest of the block");
         {
             let (mut bf, _) = open(dir.path()).unwrap();

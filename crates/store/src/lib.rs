@@ -4,8 +4,9 @@
 //! or transactions, so it sits below `fabric-sim` with no dependency cycle.
 //! Two layers compose into a crash-safe ledger store:
 //!
-//! * [`record`] — length-prefixed, CRC32-checked frame files; torn-tail
-//!   detection and truncation repair.
+//! * [`record`] — the one frame layout of the block file and of every
+//!   SSTable, torn-tail detection and repair, and the one little-endian
+//!   field reader every on-disk decoder reads through.
 //! * [`blockfile`] — the append-only block data file, read once at open
 //!   (each block handed to the caller with its [`FrameAt`]) and back one
 //!   block at a time by [`BlockReader`], synced under a configurable
