@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use fabric_sim::endorsement::EndorsementPolicy;
 use fabric_sim::identity::Identity;
-use fabric_sim::ledger::{Transaction, TxId};
+use fabric_sim::ledger::{BlockStore, Transaction, TxId};
 use fabric_sim::raft::{NodeId, Outgoing, RaftMsg, RaftNode};
 use fabric_sim::statedb::VersionedState;
 use fabric_sim::storage::ChainSnapshot;
@@ -125,14 +125,15 @@ impl Peer {
     }
 }
 
+/// What the canonical chain's block at one height does not record: its
+/// batch's id, timestamp (peers commit with it), encoded length, commit
+/// time and trace contexts.
 struct CommittedBlock {
-    batch: OrderedBatch,
+    batch_id: u64,
+    timestamp_us: u64,
     bytes: u64,
     committed_at: SimTime,
-}
-
-struct Inflight {
-    encoded: Vec<u8>,
+    traces: Vec<TraceContext>,
 }
 
 /// One endorsed, not-yet-committed transaction, keyed by its *current*
@@ -247,21 +248,21 @@ struct World {
     orderers: Vec<Orderer>,
     peers: Vec<Peer>,
     /// The ordering-side endorsing chain: clients endorse against it, and
-    /// it applies every ordered batch itself, defining the canonical
-    /// state root each peer is cross-checked against.
+    /// it applies every ordered batch itself. Its block store is the
+    /// canonical chain ([`World::canonical`]): the bodies peers replay and
+    /// the state roots each peer is cross-checked against.
     endorser: FabricChain,
     client: Identity,
     submit_rng: StdRng,
 
-    // Global ordered log (deduplicated Raft commits).
+    // Global ordered log (deduplicated Raft commits), one entry per block.
     raft_applied: u64,
     seen_batches: BTreeSet<u64>,
     blocks: Vec<CommittedBlock>,
-    canonical_roots: Vec<Digest>,
 
-    // Client submission pipeline.
+    // Client submission pipeline; encoded batches not yet committed.
     next_batch_id: u64,
-    inflight: BTreeMap<u64, Inflight>,
+    inflight: BTreeMap<u64, Vec<u8>>,
     believed_leader: NodeId,
 
     // Causal tracing and tagged invocations (sharded deployments watch
@@ -319,6 +320,12 @@ impl World {
         if self.failed.is_none() {
             self.failed = Some(e.into());
         }
+    }
+
+    /// The canonical chain, one block per committed height: every body a
+    /// peer applies and every canonical state root is read from here.
+    fn canonical(&self) -> &BlockStore {
+        self.endorser.store()
     }
 
     // ---- links ------------------------------------------------------
@@ -452,21 +459,19 @@ impl World {
                 continue; // Client re-proposal; every replica skips it.
             }
             self.inflight.remove(&batch.batch_id);
+            let tx_ids: Vec<TxId> = batch.transactions.iter().map(|tx| tx.tx_id).collect();
             let validations = self
                 .endorser
-                .commit_ordered(batch.transactions.clone(), batch.timestamp_us);
-            for (tx, valid) in batch.transactions.iter().zip(&validations) {
-                let record = self.txs.remove(&tx.tx_id);
-                if let Some(tag) = record.and_then(|r| r.tag) {
-                    self.outcomes.push((
-                        tag,
-                        InvokeOutcome::Committed {
-                            valid: valid.clone(),
-                        },
-                    ));
+                .commit_ordered(batch.transactions, batch.timestamp_us);
+            // The cutter never proposes an empty batch, so every batch is
+            // one canonical block and `blocks` stays in step with the chain.
+            debug_assert_eq!(self.endorser.height(), self.blocks.len() as u64 + 1);
+            for (tx_id, valid) in tx_ids.iter().zip(validations) {
+                if let Some(tag) = self.txs.remove(tx_id).and_then(|r| r.tag) {
+                    self.outcomes
+                        .push((tag, InvokeOutcome::Committed { valid }));
                 }
             }
-            self.canonical_roots.push(self.endorser.state_root());
             // Batch dedup above guarantees exactly one replicate span per
             // transaction, even when the watchdog re-proposed the batch.
             if let Some(m) = &self.metrics {
@@ -486,14 +491,15 @@ impl World {
                     m.trace_replicate_spans.inc();
                 }
             }
-            let bytes = entry.data.len() as u64;
-            let block_num = self.blocks.len();
+            let block_num = self.blocks.len() as u64;
             self.blocks.push(CommittedBlock {
-                batch,
-                bytes,
+                batch_id: batch.batch_id,
+                timestamp_us: batch.timestamp_us,
+                bytes: entry.data.len() as u64,
                 committed_at: sim.now(),
+                traces: batch.traces,
             });
-            self.disseminate(block_num as u64, sim);
+            self.disseminate(block_num, sim);
         }
     }
 
@@ -507,7 +513,7 @@ impl World {
             }
             if let Some(m) = &self.metrics {
                 let applied = self.peers[p].next_apply;
-                m.set_behind(p, (self.blocks.len() as u64).saturating_sub(applied));
+                m.set_behind(p, self.canonical().height().saturating_sub(applied));
             }
         }
     }
@@ -529,30 +535,29 @@ impl World {
             if !self.peers[p].ready.remove(&next) {
                 break;
             }
-            let (txs, traces, ts, bytes, committed_at) = {
-                let b = &self.blocks[next as usize];
-                (
-                    b.batch.transactions.clone(),
-                    b.batch.traces.clone(),
-                    b.batch.timestamp_us,
-                    b.bytes,
-                    b.committed_at,
-                )
+            // Delivery is scheduled only for committed heights, to a peer
+            // with a chain; a crash since clears `ready`.
+            let Some(block) = self.canonical().block(next) else {
+                break;
             };
-            let peer = &mut self.peers[p];
-            let chain = peer.chain.as_mut().expect("checked on delivery");
-            chain.commit_ordered(txs, ts);
+            let (txs, expected) = (block.transactions.clone(), block.header.state_root);
+            let Some(chain) = self.peers[p].chain.as_mut() else {
+                break;
+            };
+            let meta = &self.blocks[next as usize];
+            chain.commit_ordered(txs, meta.timestamp_us);
+            let actual = chain.state_root();
             if let Some(m) = &self.metrics {
                 let tracer = m.telemetry.tracer();
                 let lane = m.peer_proc(p);
                 let now_us = sim.now().as_micros();
-                for ctx in &traces {
+                for ctx in &meta.traces {
                     // Parent under the replicate span this peer never saw
                     // recorded: span ids are trace-derived, so it computes
                     // the same id the ordering side used.
                     tracer.record_linked(
                         "peer.commit",
-                        committed_at.as_micros(),
+                        meta.committed_at.as_micros(),
                         now_us,
                         lane,
                         "commit",
@@ -562,8 +567,6 @@ impl World {
                     m.trace_commit_spans.inc();
                 }
             }
-            let actual = chain.state_root();
-            let expected = self.canonical_roots[next as usize];
             if actual != expected {
                 self.divergences.push(Divergence {
                     peer: p,
@@ -576,11 +579,11 @@ impl World {
             peer.next_apply = next + 1;
             if let Some(c) = &mut peer.catchup {
                 c.blocks += 1;
-                c.bytes += bytes;
+                c.bytes += meta.bytes;
             }
             if let Some(m) = &self.metrics {
-                m.set_lag_us(p, sim.now().saturating_sub(committed_at).as_micros());
-                m.set_behind(p, (self.blocks.len() as u64).saturating_sub(next + 1));
+                m.set_lag_us(p, sim.now().saturating_sub(meta.committed_at).as_micros());
+                m.set_behind(p, self.canonical().height().saturating_sub(next + 1));
             }
         }
         self.maybe_finish_catchup(p, sim);
@@ -612,7 +615,7 @@ impl World {
     fn catchup(&self, mode: BootstrapMode, sim: &Sim) -> Catchup {
         Catchup {
             started: sim.now(),
-            target: self.blocks.len() as u64,
+            target: self.canonical().height(),
             mode,
             bytes: 0,
             blocks: 0,
@@ -861,7 +864,7 @@ impl World {
         self.next_batch_id += 1;
         let batch_id = batch.batch_id;
         let encoded = batch.encode();
-        self.inflight.insert(batch_id, Inflight { encoded });
+        self.inflight.insert(batch_id, encoded);
         if let Some(m) = &self.metrics {
             m.batches.inc();
         }
@@ -927,13 +930,13 @@ impl World {
     }
 
     fn on_proposal_arrive(&mut self, batch_id: u64, target: NodeId, attempt: u32, sim: &mut Sim) {
-        let Some(inflight) = self.inflight.get(&batch_id) else {
+        let Some(encoded) = self.inflight.get(&batch_id) else {
             return;
         };
         if self.orderers[target].alive {
             match self.orderers[target]
                 .node
-                .propose(inflight.encoded.clone(), sim.now())
+                .propose(encoded.clone(), sim.now())
             {
                 Ok((_, outs)) => {
                     self.after_raft_activity(target, outs, sim);
@@ -989,7 +992,7 @@ impl World {
             Fault::RestartPeer(p) if self.peers[p].chain.is_none() => {
                 match self.reopen(p, None, sim) {
                     // A restart behind the tip records its replay.
-                    Ok(recovered) if recovered < self.blocks.len() as u64 => {
+                    Ok(recovered) if recovered < self.canonical().height() => {
                         self.peers[p].catchup = Some(self.catchup(BootstrapMode::FullReplay, sim));
                     }
                     Ok(_) => {}
@@ -1038,7 +1041,7 @@ impl World {
             && self.inflight.is_empty()
             && self.endorser.pending_count() == 0
             && self.peers.iter().all(|p| match &p.chain {
-                Some(_) => p.catchup.is_none() && p.next_apply == self.blocks.len() as u64,
+                Some(_) => p.catchup.is_none() && p.next_apply == self.canonical().height(),
                 // A chain-less peer still blocks convergence while a
                 // shipped snapshot is in flight toward it.
                 None => p.catchup.is_none(),
@@ -1047,14 +1050,14 @@ impl World {
 
     fn report(&self) -> ClusterReport {
         ClusterReport {
-            blocks: self.blocks.len() as u64,
-            txs: self
-                .blocks
+            blocks: self.canonical().height(),
+            txs: self.canonical().total_tx_count(),
+            canonical_roots: self
+                .canonical()
                 .iter()
-                .map(|b| b.batch.transactions.len() as u64)
-                .sum(),
-            canonical_roots: self.canonical_roots.clone(),
-            batch_history: self.blocks.iter().map(|b| b.batch.batch_id).collect(),
+                .map(|b| b.header.state_root)
+                .collect(),
+            batch_history: self.blocks.iter().map(|b| b.batch_id).collect(),
             peer_heights: self
                 .peers
                 .iter()
@@ -1130,7 +1133,6 @@ impl ClusterSim {
             raft_applied: 0,
             seen_batches: BTreeSet::new(),
             blocks: Vec::new(),
-            canonical_roots: Vec::new(),
             next_batch_id: 0,
             inflight: BTreeMap::new(),
             believed_leader: 0,
@@ -1192,7 +1194,7 @@ impl ClusterSim {
 
     /// Globally committed block count.
     pub fn blocks(&self) -> u64 {
-        self.world.blocks.len() as u64
+        self.world.canonical().height()
     }
 
     /// The live orderer currently believed leader by Raft itself: the
@@ -1332,12 +1334,7 @@ impl ClusterSim {
                 return Err(ClusterError::NotConverged {
                     deadline,
                     blocks: self.blocks(),
-                    peer_heights: self
-                        .world
-                        .peers
-                        .iter()
-                        .map(|p| p.chain.as_ref().map(|c| c.height()))
-                        .collect(),
+                    peer_heights: self.report().peer_heights,
                 });
             }
             let next = (self.sim.now() + step).min(deadline);
@@ -1360,8 +1357,8 @@ impl ClusterSim {
         if !self.world.divergences.is_empty() {
             return Err(ClusterError::Diverged(self.world.divergences.clone()));
         }
-        let tip = self.world.blocks.len() as u64;
-        let canonical = self.world.canonical_roots.last().copied();
+        let tip = self.world.canonical().height();
+        let canonical = self.world.canonical().tip().map(|b| b.header.state_root);
         let mut diverged = Vec::new();
         for (p, peer) in self.world.peers.iter().enumerate() {
             let Some(chain) = &peer.chain else { continue };

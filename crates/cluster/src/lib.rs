@@ -11,14 +11,15 @@
 //!   from [`ledgerview_simnet::LatencyMatrix`]. Elections, leader failover
 //!   and partitions all play out in virtual time; client batches are
 //!   replicated as opaque payloads ([`batch::OrderedBatch`]) through the
-//!   Raft log.
+//!   Raft log. Each committed batch is one block of the ordering side's
+//!   canonical chain, the one copy of its transactions the cluster keeps.
 //! * **Peers**: each owns a [`fabric_sim::FabricChain`] with its own
 //!   durable storage directory, receives committed blocks via leader-based
 //!   dissemination with a per-peer delivery queue, validates and commits
 //!   independently, and is cross-checked against the canonical rolling
 //!   state root — any divergence becomes a typed [`fault::Divergence`].
 //! * **Catch-up**: a peer comes back one way — open its directory and
-//!   replay what it lacks from the ordering service. A restarted peer
+//!   replay what it lacks from the canonical chain. A restarted peer
 //!   recovers its durable prefix, so only the delta replays; a full-replay
 //!   join is a restart of an empty directory; a snapshot join first
 //!   installs a digest-verified [`fabric_sim::ChainSnapshot`] shipped by

@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fabric_store::crc32::crc32;
-use fabric_store::record::{check_frame, read_frame, write_frame, Fields};
+use fabric_store::record::{check_frame, read_frame, write_frame, Fields, FRAME_HEADER_BYTES};
 use fabric_store::StoreError;
 
 use crate::bloom::Bloom;
@@ -404,6 +404,20 @@ impl Table {
         if index.is_empty() {
             return Err(fields.corrupt("empty index"));
         }
+        // The data blocks tile `0..filter_off`: each starts where the one
+        // before ends, and each holds at least a frame header. Every later
+        // read is then bounded by the file. (No sum overflows: fewer than
+        // 2^32 entries of under 2^32 bytes each.)
+        let mut end = 0;
+        for entry in &index {
+            if entry.offset != end || u64::from(entry.len) < FRAME_HEADER_BYTES {
+                return Err(fields.corrupt("index does not tile the data blocks"));
+            }
+            end += u64::from(entry.len);
+        }
+        if end != filter_off {
+            return Err(fields.corrupt("data blocks do not end at the filter"));
+        }
         let ([], filter_payload) =
             read_frame(&file, filter_off, filter_len, format_args!("{what} filter"))?;
         let bloom =
@@ -616,11 +630,10 @@ impl CompactionReader<'_> {
         let start = index[first].offset;
         let mut end = start;
         let mut last = first;
+        // `Table::open` checked that the blocks are contiguous.
         while let Some(entry) = index.get(last) {
-            let Some(next_end) = end.checked_add(entry.len as u64) else {
-                return Err(corrupt("sstable: block offset overflows"));
-            };
-            if entry.offset != end || (last > first && next_end - start > IO_RUN_BYTES as u64) {
+            let next_end = end + u64::from(entry.len);
+            if last > first && next_end - start > IO_RUN_BYTES as u64 {
                 break;
             }
             end = next_end;
@@ -991,6 +1004,34 @@ mod tests {
         let data = |edit: &dyn Fn(&mut Vec<u8>)| reframed(block0.offset, block0.len as u64, edit);
         let index = |edit: &dyn Fn(&mut Vec<u8>)| reframed(index_off, index_len, edit);
         let filter = |edit: &dyn Fn(&mut Vec<u8>)| reframed(filter_off, filter_len, edit);
+        // Where each index entry's `[offset u64][len u32]` sits in the
+        // index payload (`[count u32]`, then `[keylen u32][key]` before
+        // each entry's place).
+        let places = |p: &[u8]| {
+            let u32_at = |at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+            let mut at = 4;
+            (0..u32_at(0))
+                .map(|_| {
+                    let place = at + 4 + u32_at(at) as usize;
+                    at = place + 12;
+                    place
+                })
+                .collect::<Vec<usize>>()
+        };
+        // The index with entry `i` (counted from the end when negative)
+        // given `edit` over its `(offset, frame length)`.
+        let entry = |i: isize, edit: fn(u64, u32) -> (u64, u32)| {
+            index(&move |p| {
+                let places = places(p);
+                let at = places[i.rem_euclid(places.len() as isize) as usize];
+                let (offset, len) = edit(
+                    u64::from_le_bytes(p[at..at + 8].try_into().unwrap()),
+                    u32::from_le_bytes(p[at + 8..at + 12].try_into().unwrap()),
+                );
+                p[at..at + 8].copy_from_slice(&offset.to_le_bytes());
+                p[at + 8..at + 12].copy_from_slice(&len.to_le_bytes());
+            })
+        };
         let data_cases = [
             ("record tag 2", data(&|p| p[tag_at] = 2)),
             (
@@ -1012,6 +1053,15 @@ mod tests {
                 }),
             ),
             ("index trailing byte", index(&|p| p.push(0))),
+            ("block length u32::MAX", entry(0, |o, _| (o, u32::MAX))),
+            (
+                "a byte between the first two blocks",
+                entry(1, |o, l| (o + 1, l - 1)),
+            ),
+            (
+                "last block ends short of the filter",
+                entry(-1, |o, l| (o, l - 1)),
+            ),
             (
                 "filter k = 0",
                 filter(&|p| p[..4].copy_from_slice(&0u32.to_le_bytes())),

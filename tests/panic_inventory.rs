@@ -17,7 +17,7 @@ use source::{before_tests, code_only, rust_files, source_dirs};
 const PINS: &[(&str, usize)] = &[
     (".", 0),
     ("crates/bench", 15),
-    ("crates/cluster", 1),
+    ("crates/cluster", 0),
     ("crates/core", 2),
     ("crates/crosschain", 2),
     ("crates/crypto", 1),
